@@ -7,6 +7,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use oml_check::event::{EventKind, ReleaseCause};
+use oml_core::attach::ClosureScratch;
 use oml_core::ids::{AllianceId, BlockId, NodeId, ObjectId};
 use oml_core::policy::{EndAction, EndRequest, MoveDecision, MovePolicy, MoveRequest};
 
@@ -36,6 +37,8 @@ pub(crate) struct NodeWorker {
     /// `Install` has not arrived yet — the run-time blocking of calls on
     /// in-transit objects (§4.1).
     awaiting: HashMap<ObjectId, Vec<Message>>,
+    /// Buffers for the attachment-closure query of every migration.
+    closure: ClosureScratch,
 }
 
 impl NodeWorker {
@@ -47,6 +50,7 @@ impl NodeWorker {
             epoch,
             objects: HashMap::new(),
             awaiting: HashMap::new(),
+            closure: ClosureScratch::new(),
         }
     }
 
@@ -628,14 +632,13 @@ impl NodeWorker {
         context: Option<AllianceId>,
         install_for: Option<(BlockId, MoveReply)>,
     ) {
-        let closure = self
-            .shared
+        self.shared
             .attachments
             .lock()
-            .migration_closure(main, context);
+            .migration_closure_into(main, context, &mut self.closure);
         let mut local = Vec::new();
         let mut remote = Vec::new();
-        for &member in &closure {
+        for &member in self.closure.members() {
             if member == main {
                 continue;
             }

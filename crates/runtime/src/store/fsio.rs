@@ -8,9 +8,10 @@
 //! fsyncs and lose power — while this module stays small enough to audit
 //! by eye.
 
+use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Path-based storage operations the WAL store needs. Implemented by
 /// [`RealFs`] (actual disk) and [`crate::store::FaultFs`] (in-memory,
@@ -70,11 +71,26 @@ pub trait Storage: Send + Sync {
     fn remove(&self, path: &Path) -> io::Result<()>;
 }
 
-/// The production [`Storage`]: plain `std::fs`, no caching, no cleverness.
-/// Handles are opened per call — the store's throughput is bounded by
-/// fsync, not `open(2)`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RealFs;
+/// The production [`Storage`]: plain `std::fs`. One append handle is kept
+/// open — the live WAL's, the only file that is appended to and synced
+/// again and again — so a record costs one `write(2)`, not an open, a
+/// write and a close, and a sync reuses the descriptor. Any other
+/// operation on that path drops the handle first.
+#[derive(Debug, Default)]
+pub struct RealFs {
+    live: Mutex<Option<(PathBuf, File)>>,
+}
+
+impl RealFs {
+    /// Closes the append handle if it is `path`'s: the file is about to be
+    /// replaced, cut or removed behind it.
+    fn forget(&self, path: &Path) {
+        let mut live = self.live.lock();
+        if live.as_ref().is_some_and(|(held, _)| held == path) {
+            *live = None;
+        }
+    }
+}
 
 impl Storage for RealFs {
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
@@ -86,26 +102,39 @@ impl Storage for RealFs {
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.forget(path);
         std::fs::write(path, bytes)
     }
 
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut f = OpenOptions::new().create(true).append(true).open(path)?;
-        f.write_all(bytes)
+        let mut live = self.live.lock();
+        let file = match &mut *live {
+            Some((held, file)) if held == path => file,
+            other => {
+                let file = OpenOptions::new().create(true).append(true).open(path)?;
+                &mut other.insert((path.to_path_buf(), file)).1
+            }
+        };
+        file.write_all(bytes)
     }
 
     fn sync(&self, path: &Path) -> io::Result<()> {
-        // fsync through a fresh descriptor flushes the same inode
-        File::open(path)?.sync_all()
+        match &*self.live.lock() {
+            Some((held, file)) if held == path => file.sync_all(),
+            // fsync through a fresh descriptor flushes the same inode
+            _ => File::open(path)?.sync_all(),
+        }
     }
 
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        self.forget(path);
         let f = OpenOptions::new().write(true).open(path)?;
         f.set_len(len)?;
         f.sync_all()
     }
 
     fn write_atomic(&self, tmp: &Path, dst: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.forget(dst);
         {
             let mut f = File::create(tmp)?;
             f.write_all(bytes)?;
@@ -123,6 +152,7 @@ impl Storage for RealFs {
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
+        self.forget(path);
         std::fs::remove_file(path)
     }
 }
@@ -140,7 +170,7 @@ mod tests {
     #[test]
     fn append_read_truncate_round_trip() {
         let dir = temp_dir("rt");
-        let fs = RealFs;
+        let fs = RealFs::default();
         fs.create_dir_all(&dir).unwrap();
         let p = dir.join("wal.log");
         fs.append(&p, b"hello ").unwrap();
@@ -153,9 +183,45 @@ mod tests {
     }
 
     #[test]
+    fn the_append_handle_never_outlives_its_file() {
+        let dir = temp_dir("live");
+        let fs = RealFs::default();
+        fs.create_dir_all(&dir).unwrap();
+        let (a, b) = (dir.join("wal-0.log"), dir.join("wal-1.log"));
+        fs.append(&a, b"one").unwrap();
+        fs.append(&a, b"two").unwrap();
+        // every operation that replaces, cuts or removes the live file must
+        // be seen by the next append
+        fs.write(&a, b"").unwrap();
+        fs.append(&a, b"three").unwrap();
+        assert_eq!(fs.read(&a).unwrap(), b"three");
+        fs.truncate(&a, 2).unwrap();
+        fs.append(&a, b"!").unwrap();
+        assert_eq!(fs.read(&a).unwrap(), b"th!");
+        fs.remove(&a).unwrap();
+        fs.append(&a, b"again").unwrap();
+        assert_eq!(fs.read(&a).unwrap(), b"again");
+        fs.write_atomic(&dir.join("tmp"), &a, b"published").unwrap();
+        fs.append(&a, b"+").unwrap();
+        assert_eq!(fs.read(&a).unwrap(), b"published+");
+        // a new generation takes the handle over; syncing either still works
+        fs.append(&b, b"next").unwrap();
+        fs.sync(&b).unwrap();
+        fs.sync(&a).unwrap();
+        fs.append(&a, b"+").unwrap();
+        assert_eq!(fs.read(&a).unwrap(), b"published++");
+        assert_eq!(fs.read(&b).unwrap(), b"next");
+        assert_eq!(
+            fs.sync(&dir.join("absent")).unwrap_err().kind(),
+            io::ErrorKind::NotFound
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn write_atomic_replaces_and_removes_tmp() {
         let dir = temp_dir("at");
-        let fs = RealFs;
+        let fs = RealFs::default();
         fs.create_dir_all(&dir).unwrap();
         let dst = dir.join("MANIFEST");
         let tmp = dir.join("MANIFEST.tmp");
@@ -169,7 +235,7 @@ mod tests {
     #[test]
     fn missing_file_reads_not_found() {
         let dir = temp_dir("nf");
-        let fs = RealFs;
+        let fs = RealFs::default();
         fs.create_dir_all(&dir).unwrap();
         let err = fs.read(&dir.join("absent")).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);

@@ -27,7 +27,9 @@
 
 use super::fsio::{RealFs, Storage};
 use super::{CheckpointStore, Durability, FsyncPolicy, StoreError, StoredCheckpoint, WalStats};
-use crate::transport::frame::{encode_frame, FrameConfig, FrameDecoder, HEADER_LEN};
+use crate::transport::frame::{
+    encode_frame, encode_frame_parts, FrameConfig, FrameDecoder, HEADER_LEN,
+};
 use crate::wire::{WireReader, WireWriter};
 use bytes::Bytes;
 use oml_core::ids::ObjectId;
@@ -85,22 +87,24 @@ pub enum WalRecord {
     },
 }
 
-/// Appends `rec`, framed, to `out`.
+/// Appends `rec`, framed, to `out`. A `Put`'s state is summed and copied
+/// straight from its `Bytes` behind the record's small header, never
+/// joined with it first.
 pub fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
-    let payload = match rec {
+    let head = match rec {
         WalRecord::Put {
             object,
             object_epoch,
             seq,
             type_tag,
             state,
-        } => WireWriter::new()
+        } => WireWriter::with_capacity(32 + type_tag.len())
             .u32(REC_PUT)
             .u32(object.as_u32())
             .u64(*object_epoch)
             .u64(*seq)
             .str(type_tag)
-            .bytes(state)
+            .u32(state.len() as u32)
             .finish(),
         WalRecord::Remove { object } => WireWriter::new()
             .u32(REC_REMOVE)
@@ -118,16 +122,21 @@ pub fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
             .u64(*value)
             .finish(),
     };
-    encode_frame(&payload, out);
+    let body: &[u8] = match rec {
+        WalRecord::Put { state, .. } => state,
+        _ => &[],
+    };
+    encode_frame_parts(&[&head, body], out);
 }
 
-/// Decodes one frame payload into a [`WalRecord`].
+/// Decodes one frame payload into a [`WalRecord`]; a `Put`'s state is a
+/// view of `payload`.
 ///
 /// # Errors
 /// A description of the malformation. The CRC already passed when this is
 /// called, so an error here means a logic-level corruption — the replay
 /// treats it exactly like a checksum failure: terminal, reported.
-pub fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
+pub fn decode_record(payload: &Bytes) -> Result<WalRecord, String> {
     let mut r = WireReader::new(payload);
     let rec = match r.u32()? {
         REC_PUT => WalRecord::Put {
@@ -135,7 +144,7 @@ pub fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
             object_epoch: r.u64()?,
             seq: r.u64()?,
             type_tag: r.str()?,
-            state: Bytes::from(r.bytes()?),
+            state: payload.slice_ref(r.bytes_ref()?),
         },
         REC_REMOVE => WalRecord::Remove {
             object: ObjectId::new(r.u32()?),
@@ -326,7 +335,15 @@ pub struct WalStore {
     unsynced: u64,
     last_sync: Instant,
     stats: WalStats,
+    /// The buffer each record is framed into before its one `append`;
+    /// reused, and freed after a record that grew it past
+    /// [`SCRATCH_KEEP`].
+    scratch: Vec<u8>,
 }
+
+/// Scratch capacity kept between appends: a few records of a typical
+/// linearized object.
+const SCRATCH_KEEP: usize = 256 * 1024;
 
 impl WalStore {
     /// Opens (or creates) the store at `cfg.dir` on the real filesystem,
@@ -338,7 +355,7 @@ impl WalStore {
     /// reported in [`RecoveryReport::corrupt`] with the longest valid
     /// prefix recovered.
     pub fn open(cfg: WalStoreConfig) -> Result<(WalStore, RecoveryReport), StoreError> {
-        WalStore::open_with(cfg, Arc::new(RealFs))
+        WalStore::open_with(cfg, Arc::new(RealFs::default()))
     }
 
     /// [`open`](Self::open) against any [`Storage`] — the chaos tests pass
@@ -362,6 +379,7 @@ impl WalStore {
             unsynced: 0,
             last_sync: Instant::now(),
             stats: WalStats::default(),
+            scratch: Vec::new(),
         };
         let report = store.recover()?;
         Ok((store, report))
@@ -487,15 +505,18 @@ impl WalStore {
     /// Appends `rec` to the live WAL and applies it to the in-memory
     /// image, then syncs per policy.
     fn log(&mut self, rec: WalRecord) -> Result<Durability, StoreError> {
-        let mut frame = Vec::new();
-        encode_record(&rec, &mut frame);
+        self.scratch.clear();
+        encode_record(&rec, &mut self.scratch);
         let wal = self.wal_path(self.generation);
         self.fs
-            .append(&wal, &frame)
+            .append(&wal, &self.scratch)
             .map_err(|e| StoreError::io("append", &wal, &e))?;
         self.stats.appended += 1;
         self.stats.wal_records += 1;
-        self.stats.wal_bytes += frame.len() as u64;
+        self.stats.wal_bytes += self.scratch.len() as u64;
+        if self.scratch.capacity() > SCRATCH_KEEP {
+            self.scratch = Vec::new();
+        }
         self.unsynced += 1;
         self.apply(rec);
         let durability = self.sync_per_policy()?;
@@ -735,6 +756,7 @@ impl CheckpointStore for WalStore {
 mod tests {
     use super::*;
     use crate::store::FaultFs;
+    use crate::wire::hex;
 
     fn ckpt(epoch: u64, seq: u64, state: &[u8]) -> StoredCheckpoint {
         StoredCheckpoint {
@@ -975,5 +997,94 @@ mod tests {
         let (_, r) = WalStore::open_with(cfg(FsyncPolicy::Always), fs).unwrap();
         assert!(r.corrupt);
         assert_eq!(r.generation, 0);
+    }
+
+    /// Bytes the previous byte path (bytewise CRC, payload joined before
+    /// framing) wrote for one `Put` record and one MANIFEST.
+    #[test]
+    fn record_and_manifest_match_the_golden_bytes() {
+        let mut rec = Vec::new();
+        encode_record(
+            &WalRecord::Put {
+                object: ObjectId::new(5),
+                object_epoch: 3,
+                seq: 9,
+                type_tag: "counter".into(),
+                state: Bytes::from((1u8..=20).collect::<Vec<u8>>()),
+            },
+            &mut rec,
+        );
+        assert_eq!(
+            hex(&rec),
+            "3b00000055ba889501000000050000000300000000000000090000000000000007000000\
+             636f756e746572140000000102030405060708090a0b0c0d0e0f1011121314"
+        );
+        assert_eq!(
+            hex(&encode_manifest(3)),
+            "100000006521812f574c4d4f010000000300000000000000"
+        );
+    }
+
+    /// `tests/fixtures/wal_pr11/` is a store directory written by the
+    /// commit before the byte path was rebuilt (PR 11): a snapshot, a WAL
+    /// suffix and the manifest. It must replay to the state that commit
+    /// held, and the same operations must write the same three files.
+    #[test]
+    fn a_store_written_by_the_previous_format_replays_and_is_rewritten_identically() {
+        const MANIFEST: &[u8] = include_bytes!("../../tests/fixtures/wal_pr11/MANIFEST");
+        const SNAP: &[u8] = include_bytes!("../../tests/fixtures/wal_pr11/snap-1.bin");
+        const WAL: &[u8] = include_bytes!("../../tests/fixtures/wal_pr11/wal-1.log");
+        let state = |n: usize, salt: u8| {
+            let bytes = (0..n).map(|i| (i as u8).wrapping_mul(31).wrapping_add(salt));
+            Bytes::from(bytes.collect::<Vec<u8>>())
+        };
+        let blob = |epoch, seq, state| StoredCheckpoint {
+            type_tag: "blob".into(),
+            state,
+            object_epoch: epoch,
+            seq,
+        };
+        let o = ObjectId::new;
+        let dir = std::path::Path::new("/virtual/store");
+
+        let old = Arc::new(FaultFs::new());
+        old.write(&dir.join("MANIFEST"), MANIFEST).unwrap();
+        old.write(&dir.join("snap-1.bin"), SNAP).unwrap();
+        old.write(&dir.join("wal-1.log"), WAL).unwrap();
+        let (s, report) = WalStore::open_with(cfg(FsyncPolicy::Never), old).unwrap();
+        assert!(!report.corrupt);
+        assert_eq!((report.generation, report.torn_bytes), (1, 0));
+        assert_eq!((report.snapshot_records, report.wal_records), (8, 5));
+        let mut objects = s.objects();
+        objects.sort_unstable_by_key(|o| o.as_u32());
+        assert_eq!(objects, [o(1), o(4)]);
+        assert_eq!(s.get(o(1)), Some(&blob(2, 2, state(300, 4))));
+        assert_eq!(s.get(o(4)), Some(&blob(1, 1, state(8, 5))));
+        let mut floors = s.epoch_floors();
+        floors.sort_unstable_by_key(|(o, _)| o.as_u32());
+        assert_eq!(
+            floors,
+            [(o(1), 2), (o(2), 2), (o(3), 5), (o(4), 1), (o(9), 6)]
+        );
+        assert_eq!((s.meta(0), s.meta(1)), (Some(4), Some(3)));
+
+        let new = Arc::new(FaultFs::new());
+        let (mut s, _) = WalStore::open_with(cfg(FsyncPolicy::Never), new.clone()).unwrap();
+        let _ = s.put(o(1), blob(1, 1, state(100, 1))).unwrap();
+        let _ = s.put(o(2), blob(2, 1, state(17, 2))).unwrap();
+        let _ = s.put(o(3), blob(1, 1, state(0, 3))).unwrap();
+        let _ = s.set_meta(0, 4).unwrap();
+        let _ = s.set_meta(1, 2).unwrap();
+        let _ = s.note_epoch(o(9), 6).unwrap();
+        s.remove(o(2)).unwrap();
+        s.compact().unwrap();
+        let _ = s.put(o(1), blob(2, 2, state(300, 4))).unwrap();
+        let _ = s.put(o(4), blob(1, 1, state(8, 5))).unwrap();
+        let _ = s.set_meta(1, 3).unwrap();
+        let _ = s.note_epoch(o(3), 5).unwrap();
+        s.remove(o(3)).unwrap();
+        assert_eq!(new.read(&dir.join("MANIFEST")).unwrap(), MANIFEST);
+        assert_eq!(new.read(&dir.join("snap-1.bin")).unwrap(), SNAP);
+        assert_eq!(new.read(&dir.join("wal-1.log")).unwrap(), WAL);
     }
 }

@@ -7,10 +7,11 @@
 //! [len: u32 LE] [crc: u32 LE] [payload: len bytes]
 //! ```
 //!
-//! where `crc` is the CRC-32 (IEEE, reflected) of the payload. The decoder
-//! is **incremental**: feed it arbitrary chunks (a stalled proxy may
-//! deliver one byte at a time, a batch write may deliver ten frames at
-//! once) and pop complete frames as they materialize. Truncation is
+//! where `crc` is the CRC-32 (IEEE, reflected) of the payload, computed
+//! sixteen bytes per step ([`Crc32`]) in one pass per frame on either side.
+//! The decoder is **incremental**: feed it arbitrary chunks (a stalled
+//! proxy may deliver one byte at a time, a batch write may deliver ten
+//! frames at once) and pop complete frames as they materialize. Truncation is
 //! therefore not an error — it is the steady state between reads — but
 //! *corruption* is terminal for the connection:
 //!
@@ -81,47 +82,137 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) of `data`.
-/// Table-driven; the table is built in a `const` so the hot path is one
-/// lookup per byte.
-#[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Lookup tables for slicing-by-16: `TABLES[0]` is the classic bytewise
+/// table (CRC of one byte), `TABLES[k][b]` the CRC of byte `b` followed by
+/// `k` zero bytes. 16 KiB, built in a `const`.
+const TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 16 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
-    let mut crc = !0u32;
-    for &b in data {
-        crc = TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        t += 1;
     }
-    !crc
+    tables
+};
+
+/// A running CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`): sums
+/// a frame's parts without concatenating them first.
+///
+/// ```
+/// use oml_runtime::transport::frame::{crc32, Crc32};
+/// let whole = crc32(b"header+payload");
+/// assert_eq!(Crc32::new().update(b"header+").update(b"payload").finish(), whole);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
+    }
+}
+
+impl Crc32 {
+    /// The CRC of no bytes yet.
+    #[must_use]
+    pub const fn new() -> Self {
+        Crc32 { state: !0 }
+    }
+
+    /// Folds `data` in: sixteen bytes per step (slicing-by-16, one table
+    /// lookup per byte but no dependency between them), bytewise for the
+    /// tail of fewer than sixteen.
+    #[must_use]
+    pub fn update(self, data: &[u8]) -> Self {
+        let mut crc = self.state;
+        let mut blocks = data.chunks_exact(16);
+        for block in &mut blocks {
+            let (lo, hi) = block.split_at(8);
+            let lo = u64::from_le_bytes(lo.try_into().expect("8 of 16 bytes")) ^ u64::from(crc);
+            let hi = u64::from_le_bytes(hi.try_into().expect("8 of 16 bytes"));
+            let byte = |word: u64, n: u32| ((word >> (8 * n)) & 0xFF) as usize;
+            crc = TABLES[15][byte(lo, 0)]
+                ^ TABLES[14][byte(lo, 1)]
+                ^ TABLES[13][byte(lo, 2)]
+                ^ TABLES[12][byte(lo, 3)]
+                ^ TABLES[11][byte(lo, 4)]
+                ^ TABLES[10][byte(lo, 5)]
+                ^ TABLES[9][byte(lo, 6)]
+                ^ TABLES[8][byte(lo, 7)]
+                ^ TABLES[7][byte(hi, 0)]
+                ^ TABLES[6][byte(hi, 1)]
+                ^ TABLES[5][byte(hi, 2)]
+                ^ TABLES[4][byte(hi, 3)]
+                ^ TABLES[3][byte(hi, 4)]
+                ^ TABLES[2][byte(hi, 5)]
+                ^ TABLES[1][byte(hi, 6)]
+                ^ TABLES[0][byte(hi, 7)];
+        }
+        for &b in blocks.remainder() {
+            crc = TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        Crc32 { state: crc }
+    }
+
+    /// The checksum of everything folded in so far.
+    #[must_use]
+    pub fn finish(self) -> u32 {
+        !self.state
+    }
+}
+
+/// CRC-32 (IEEE 802.3) of `data`, in one call.
+#[must_use]
+pub fn crc32(data: &[u8]) -> u32 {
+    Crc32::new().update(data).finish()
+}
+
+/// Appends one frame whose payload is the concatenation of `parts`: one
+/// CRC pass over them and one copy into `out`, so a caller holding a
+/// header and a body need not join them first.
+pub fn encode_frame_parts(parts: &[&[u8]], out: &mut Vec<u8>) {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let crc = parts
+        .iter()
+        .fold(Crc32::new(), |crc, part| crc.update(part))
+        .finish();
+    out.reserve(HEADER_LEN + len);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    out.extend_from_slice(&crc.to_le_bytes());
+    for part in parts {
+        out.extend_from_slice(part);
+    }
 }
 
 /// Appends one framed payload to `out`.
 pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
-    out.reserve(HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    encode_frame_parts(&[payload], out);
 }
 
-/// Appends a batch of framed payloads to `out` — what the writer thread
-/// does to coalesce a drained queue into one `write` syscall.
+/// Appends a batch of framed payloads to `out`, to go out in one `write`
+/// syscall.
 pub fn encode_batch<'a, I: IntoIterator<Item = &'a [u8]>>(payloads: I, out: &mut Vec<u8>) {
     for p in payloads {
         encode_frame(p, out);
@@ -193,6 +284,9 @@ impl FrameDecoder {
         if got != expected {
             return Err(FrameError::Corrupt { expected, got });
         }
+        // the one copy out of the decoder buffer, into an allocation of
+        // exactly `len` bytes: views carved from the frame later (a state
+        // kept as a checkpoint) pin this frame and nothing else
         let frame = Bytes::copy_from_slice(payload);
         self.read += total;
         Ok(Some(frame))
@@ -202,12 +296,102 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference the sliced CRC is checked against: one bit at a time,
+    /// straight from the polynomial, sharing no table with [`Crc32`].
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_known_vectors() {
         // standard check value for "123456789"
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc_matches_the_oracle_at_every_length_and_alignment() {
+        let buf: Vec<u8> = (0..96u32).map(|i| (i * 37 + 11) as u8).collect();
+        for offset in 0..16 {
+            for len in 0..=80 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "len {len} at offset {offset}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_crc_equals_one_shot_at_every_split() {
+        let buf: Vec<u8> = (0..80u32).map(|i| (i * 101 + 3) as u8).collect();
+        let whole = crc32(&buf);
+        for cut in 0..=buf.len() {
+            let (head, tail) = buf.split_at(cut);
+            assert_eq!(
+                Crc32::new().update(head).update(tail).finish(),
+                whole,
+                "split at {cut}"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn sliced_crc_matches_the_oracle_on_random_buffers(
+            data in proptest::collection::vec(any::<u8>(), 0..2048),
+            cut in 0usize..2048,
+        ) {
+            prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+            let (head, tail) = data.split_at(cut.min(data.len()));
+            prop_assert_eq!(
+                Crc32::new().update(head).update(tail).finish(),
+                crc32_bytewise(&data)
+            );
+        }
+    }
+
+    #[test]
+    fn parts_frame_equals_the_joined_payload() {
+        let (mut joined, mut parts) = (Vec::new(), Vec::new());
+        encode_frame(b"headbodytail", &mut joined);
+        encode_frame_parts(&[b"head", b"", b"body", b"tail"], &mut parts);
+        assert_eq!(parts, joined);
+    }
+
+    #[test]
+    fn a_popped_frame_owns_exactly_its_own_bytes() {
+        // sixty-four small frames arrive in one read: none of them may keep
+        // the decoder's buffer (or each other) alive
+        let mut wire = Vec::new();
+        for i in 0..64u8 {
+            encode_frame(&[i; 64], &mut wire);
+        }
+        let mut dec = FrameDecoder::new(FrameConfig::default());
+        dec.extend(&wire);
+        let mut frames = 0;
+        while let Some(frame) = dec.next_frame().unwrap() {
+            assert!(frame.is_unique(), "a frame shares its buffer");
+            // a unique `Bytes` hands its allocation back as it is
+            assert_eq!(Vec::from(frame).capacity(), 64);
+            frames += 1;
+        }
+        assert_eq!(frames, 64);
     }
 
     #[test]

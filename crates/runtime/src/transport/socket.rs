@@ -35,7 +35,7 @@
 //! [`TransportError::Backpressure`].
 
 use super::backoff::{BackoffConfig, LinkState, Supervisor};
-use super::frame::{encode_frame, FrameConfig, FrameDecoder};
+use super::frame::{encode_frame, encode_frame_parts, FrameConfig, FrameDecoder, HEADER_LEN};
 use super::netio::{connect_deadline, write_all_deadline, Listener, Stream, TransportAddr};
 use super::{LinkHealth, Transport, TransportError, TransportEvent};
 use bytes::Bytes;
@@ -112,39 +112,58 @@ const TAG_HELLO: u32 = 1;
 const TAG_HELLO_ACK: u32 = 2;
 const TAG_DATA: u32 = 3;
 
-/// A decoded control/payload frame (crate-visible for proptests).
+/// A decoded control/payload frame.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum SessionFrame {
     Hello { node: u32, epoch: u64, attempt: u32 },
     HelloAck { accepted: bool, floor: u64 },
-    Data(Vec<u8>),
+    Data(Bytes),
 }
 
-pub(crate) fn encode_session(frame: &SessionFrame) -> Bytes {
+/// Appends a framed `Data` session frame carrying `payload` to `wire`:
+/// `[len][crc]` then `[TAG_DATA][payload len][payload]`, summed and copied
+/// straight from `payload`, never joined in between.
+fn write_data(payload: &[u8], wire: &mut Vec<u8>) {
+    let mut head = [0u8; 8];
+    head[..4].copy_from_slice(&TAG_DATA.to_le_bytes());
+    head[4..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    encode_frame_parts(&[&head, payload], wire);
+}
+
+/// Appends `frame`, framed for the stream, to `wire`.
+pub(crate) fn write_session(frame: &SessionFrame, wire: &mut Vec<u8>) {
     use crate::wire::WireWriter;
     match frame {
         SessionFrame::Hello {
             node,
             epoch,
             attempt,
-        } => WireWriter::new()
-            .u32(TAG_HELLO)
-            .u32(*node)
-            .u64(*epoch)
-            .u32(*attempt)
-            .finish(),
-        SessionFrame::HelloAck { accepted, floor } => WireWriter::new()
-            .u32(TAG_HELLO_ACK)
-            .u32(u32::from(*accepted))
-            .u64(*floor)
-            .finish(),
-        SessionFrame::Data(payload) => WireWriter::new().u32(TAG_DATA).bytes(payload).finish(),
+        } => encode_frame(
+            &WireWriter::new()
+                .u32(TAG_HELLO)
+                .u32(*node)
+                .u64(*epoch)
+                .u32(*attempt)
+                .finish(),
+            wire,
+        ),
+        SessionFrame::HelloAck { accepted, floor } => encode_frame(
+            &WireWriter::new()
+                .u32(TAG_HELLO_ACK)
+                .u32(u32::from(*accepted))
+                .u64(*floor)
+                .finish(),
+            wire,
+        ),
+        SessionFrame::Data(payload) => write_data(payload, wire),
     }
 }
 
-pub(crate) fn decode_session(buf: &[u8]) -> Result<SessionFrame, String> {
+/// Decodes one frame popped from the decoder; a `Data` payload comes back
+/// as a view of `frame`.
+pub(crate) fn decode_session(frame: &Bytes) -> Result<SessionFrame, String> {
     use crate::wire::WireReader;
-    let mut r = WireReader::new(buf);
+    let mut r = WireReader::new(frame);
     match r.u32()? {
         TAG_HELLO => Ok(SessionFrame::Hello {
             node: r.u32()?,
@@ -155,9 +174,117 @@ pub(crate) fn decode_session(buf: &[u8]) -> Result<SessionFrame, String> {
             accepted: r.u32()? != 0,
             floor: r.u64()?,
         }),
-        TAG_DATA => Ok(SessionFrame::Data(r.bytes()?)),
+        TAG_DATA => Ok(SessionFrame::Data(frame.slice_ref(r.bytes_ref()?))),
         other => Err(format!("unknown session frame tag {other}")),
     }
+}
+
+/// The writer half both ends share: the batch in flight (kept across a
+/// failed write, so it goes out first on the next session), the reused
+/// wire buffer it is framed into, and the optional pacing model.
+struct Outbound {
+    pending: VecDeque<Bytes>,
+    wire: Vec<u8>,
+    pacer: Option<(LatencyModel, SimRng)>,
+}
+
+/// Wire-buffer capacity kept between batches; a rare larger batch (64
+/// frames of a migrating object's state) is freed once written.
+const WIRE_KEEP: usize = 256 * 1024;
+
+impl Outbound {
+    fn new(cfg: &SocketConfig, node: u32) -> Outbound {
+        Outbound {
+            pending: VecDeque::new(),
+            wire: Vec::new(),
+            pacer: cfg
+                .pacing
+                .as_ref()
+                .map(|p| (p.model, SimRng::seed_from(p.seed ^ u64::from(node)))),
+        }
+    }
+
+    /// Tops the batch up from `outbox`, waiting up to 20 ms for a first
+    /// frame. `false` when there is still nothing to write.
+    fn fill(&mut self, outbox: &Receiver<Bytes>, max_batch: usize) -> bool {
+        if self.pending.is_empty() {
+            match outbox.recv_timeout(Duration::from_millis(20)) {
+                Ok(frame) => self.pending.push_back(frame),
+                Err(_) => return false,
+            }
+        }
+        while self.pending.len() < max_batch {
+            match outbox.try_recv() {
+                Ok(frame) => self.pending.push_back(frame),
+                Err(_) => break,
+            }
+        }
+        true
+    }
+
+    /// Paces, frames the whole batch into one buffer and writes it under
+    /// the write deadline. The batch is dropped only once written.
+    fn write(&mut self, stream: &mut Stream, write_timeout_ms: u64) -> io::Result<()> {
+        if let Some((model, rng)) = self.pacer.as_mut() {
+            let delay = model.sample_ms(rng);
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
+            }
+        }
+        self.wire.clear();
+        // [len][crc] + [tag][payload len] around every payload
+        let framed = |f: &Bytes| 2 * HEADER_LEN + f.len();
+        self.wire.reserve(self.pending.iter().map(framed).sum());
+        for f in &self.pending {
+            write_data(f, &mut self.wire);
+        }
+        let deadline = Instant::now() + Duration::from_millis(write_timeout_ms);
+        let written = write_all_deadline(stream, &self.wire, deadline);
+        if self.wire.capacity() > WIRE_KEEP {
+            self.wire = Vec::new();
+        }
+        if written.is_ok() {
+            self.pending.clear();
+        }
+        written
+    }
+}
+
+/// Reads one session's frames until it dies or `closed` is set, handing
+/// every `Data` payload (a view of its own frame) to `deliver`. `true`
+/// when the session died: EOF, an IO error or a corrupt stream — the
+/// caller drops it and lets the peer redial.
+fn read_session(
+    stream: &mut Stream,
+    cfg: FrameConfig,
+    closed: &AtomicBool,
+    mut deliver: impl FnMut(Bytes),
+) -> bool {
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    let mut dec = FrameDecoder::new(cfg);
+    // heap-allocated once per reader thread; 64 KiB would be a large
+    // stack frame for something this long-lived
+    let mut buf = vec![0u8; 64 * 1024];
+    while !closed.load(Ordering::Acquire) {
+        loop {
+            match dec.next_frame() {
+                Ok(Some(frame)) => {
+                    if let Ok(SessionFrame::Data(payload)) = decode_session(&frame) {
+                        deliver(payload);
+                    }
+                }
+                Ok(None) => break,
+                Err(_) => return true,
+            }
+        }
+        match stream.read_chunk(&mut buf) {
+            Ok(0) => return true,
+            Ok(n) => dec.extend(&buf[..n]),
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
+            Err(_) => return true,
+        }
+    }
+    false
 }
 
 /// Reads framed bytes off `stream` until one whole frame decodes, bounded
@@ -431,9 +558,8 @@ fn handle_accept(inner: &Arc<ServerShared>, mut stream: Stream) {
 
     let floor = { *inner.floors.lock().entry(node).or_insert(0) };
     let accepted = epoch >= floor;
-    let ack = encode_session(&SessionFrame::HelloAck { accepted, floor });
     let mut wire = Vec::new();
-    encode_frame(&ack, &mut wire);
+    write_session(&SessionFrame::HelloAck { accepted, floor }, &mut wire);
     if write_all_deadline(&mut stream, &wire, deadline).is_err() {
         stream.shutdown_both();
         return;
@@ -508,70 +634,64 @@ fn handle_accept(inner: &Arc<ServerShared>, mut stream: Stream) {
 /// the slot currently holds; frames caught in a failed write are retried
 /// on the next session.
 fn server_writer_loop(inner: &Arc<ServerShared>, node: u32, outbox: &Receiver<Bytes>) {
-    let mut pending: VecDeque<Bytes> = VecDeque::new();
-    let mut pacer = inner
-        .cfg
-        .pacing
-        .as_ref()
-        .map(|p| (p.model, SimRng::seed_from(p.seed ^ u64::from(node))));
+    let mut out = Outbound::new(&inner.cfg, node);
+    // the write half of session `generation`, cloned once per session
+    let mut write_half: Option<(u64, Stream)> = None;
     while !inner.closed.load(Ordering::Acquire) {
-        // top up the batch from the queue
-        if pending.is_empty() {
-            match outbox.recv_timeout(Duration::from_millis(20)) {
-                Ok(frame) => pending.push_back(frame),
-                Err(_) => continue,
+        if !out.fill(outbox, inner.cfg.max_batch) {
+            // idle: the cached half must not outlive its session, or a
+            // dead session's descriptor stays open until the next send
+            if let Some((generation, _)) = &write_half {
+                let live = inner
+                    .slots
+                    .lock()
+                    .get(&node)
+                    .is_some_and(|slot| slot.up && slot.generation == *generation);
+                if !live {
+                    write_half = None;
+                }
             }
+            continue;
         }
-        while pending.len() < inner.cfg.max_batch {
-            match outbox.try_recv() {
-                Ok(frame) => pending.push_back(frame),
-                Err(_) => break,
-            }
-        }
-        // grab the current write half, if any
-        let (mut stream, generation) = {
+        {
             let mut slots = inner.slots.lock();
             match slots.get_mut(&node) {
-                Some(slot) if slot.up => match slot.stream.as_ref().map(Stream::try_clone) {
-                    Some(Ok(s)) => (s, slot.generation),
-                    _ => {
-                        slot.up = false;
-                        continue;
+                Some(slot) if slot.up => {
+                    if write_half.as_ref().map(|(g, _)| *g) != Some(slot.generation) {
+                        match slot.stream.as_ref().map(Stream::try_clone) {
+                            Some(Ok(s)) => write_half = Some((slot.generation, s)),
+                            _ => {
+                                slot.up = false;
+                                continue;
+                            }
+                        }
                     }
-                },
+                }
                 _ => {
+                    drop(slots);
+                    write_half = None;
                     std::thread::sleep(Duration::from_millis(5));
                     continue;
                 }
             }
+        }
+        let Some((generation, stream)) = write_half.as_mut() else {
+            continue;
         };
-        if let Some((model, rng)) = pacer.as_mut() {
-            let delay = model.sample_ms(rng);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-        }
-        let mut wire = Vec::new();
-        for f in &pending {
-            let data = encode_session(&SessionFrame::Data(f.to_vec()));
-            encode_frame(&data, &mut wire);
-        }
-        let deadline = Instant::now() + Duration::from_millis(inner.cfg.write_timeout_ms);
-        match write_all_deadline(&mut stream, &wire, deadline) {
-            Ok(()) => pending.clear(),
-            Err(_) => {
-                // connection is toast; pending stays for the next session
-                let mut slots = inner.slots.lock();
-                if let Some(slot) = slots.get_mut(&node) {
-                    if slot.generation == generation && slot.up {
-                        if let Some(s) = &slot.stream {
-                            s.shutdown_both();
-                        }
-                        slot.stream = None;
-                        slot.up = false;
-                        drop(slots);
-                        inner.emit(TransportEvent::Disconnected { peer: node });
+        let generation = *generation;
+        if out.write(stream, inner.cfg.write_timeout_ms).is_err() {
+            // connection is toast; the batch stays for the next session
+            write_half = None;
+            let mut slots = inner.slots.lock();
+            if let Some(slot) = slots.get_mut(&node) {
+                if slot.generation == generation && slot.up {
+                    if let Some(s) = &slot.stream {
+                        s.shutdown_both();
                     }
+                    slot.stream = None;
+                    slot.up = false;
+                    drop(slots);
+                    inner.emit(TransportEvent::Disconnected { peer: node });
                 }
             }
         }
@@ -588,46 +708,15 @@ fn server_reader_loop(
     generation: u64,
     mut stream: Stream,
 ) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut dec = FrameDecoder::new(inner.cfg.frame);
-    // heap-allocated once per reader thread; 64 KiB would be a large
-    // stack frame for something this long-lived
-    let mut buf = vec![0u8; 64 * 1024];
-    loop {
-        if inner.closed.load(Ordering::Acquire) {
-            return;
-        }
-        loop {
-            match dec.next_frame() {
-                Ok(Some(frame)) => {
-                    if let Ok(SessionFrame::Data(payload)) = decode_session(&frame) {
-                        inner.emit(TransportEvent::Delivery {
-                            from: node,
-                            epoch,
-                            msg: Bytes::from(payload),
-                        });
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // corrupt stream: drop the session, let the peer redial
-                    session_down(inner, node, generation);
-                    return;
-                }
-            }
-        }
-        match stream.read_chunk(&mut buf) {
-            Ok(0) => {
-                session_down(inner, node, generation);
-                return;
-            }
-            Ok(n) => dec.extend(&buf[..n]),
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
-            Err(_) => {
-                session_down(inner, node, generation);
-                return;
-            }
-        }
+    let died = read_session(&mut stream, inner.cfg.frame, &inner.closed, |msg| {
+        inner.emit(TransportEvent::Delivery {
+            from: node,
+            epoch,
+            msg,
+        });
+    });
+    if died {
+        session_down(inner, node, generation);
     }
 }
 
@@ -794,13 +883,15 @@ fn peer_dial_attempt(inner: &PeerShared, attempt: u32) -> io::Result<Option<Stre
     let deadline = Instant::now() + Duration::from_millis(inner.cfg.connect_timeout_ms);
     let mut stream = connect_deadline(&inner.addr, deadline)?;
     let hs_deadline = Instant::now() + Duration::from_millis(inner.cfg.handshake_timeout_ms);
-    let hello = encode_session(&SessionFrame::Hello {
-        node: inner.node,
-        epoch: inner.epoch,
-        attempt,
-    });
     let mut wire = Vec::new();
-    encode_frame(&hello, &mut wire);
+    write_session(
+        &SessionFrame::Hello {
+            node: inner.node,
+            epoch: inner.epoch,
+            attempt,
+        },
+        &mut wire,
+    );
     write_all_deadline(&mut stream, &wire, hs_deadline)?;
     let mut dec = FrameDecoder::new(inner.cfg.frame);
     let ack = read_frame_deadline(&mut stream, &mut dec, hs_deadline)?;
@@ -825,13 +916,8 @@ fn peer_run_loop(inner: &Arc<PeerShared>) {
     let now_ms = |started: Instant| ms(started.elapsed());
     let mut stream: Option<Stream> = None;
     let mut generation: u64 = 0;
-    let mut pending: VecDeque<Bytes> = VecDeque::new();
+    let mut out = Outbound::new(&inner.cfg, inner.node);
     let mut ever_connected = false;
-    let mut pacer = inner
-        .cfg
-        .pacing
-        .as_ref()
-        .map(|p| (p.model, SimRng::seed_from(p.seed ^ u64::from(inner.node))));
 
     while !inner.closed.load(Ordering::Acquire) {
         // did our reader pronounce the current session dead?
@@ -918,43 +1004,19 @@ fn peer_run_loop(inner: &Arc<PeerShared>) {
         }
 
         // connected: drain the outbox and write a batch
-        if pending.is_empty() {
-            match inner.outbox_rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(frame) => pending.push_back(frame),
-                Err(_) => continue,
-            }
+        if !out.fill(&inner.outbox_rx, inner.cfg.max_batch) {
+            continue;
         }
-        while pending.len() < inner.cfg.max_batch {
-            match inner.outbox_rx.try_recv() {
-                Ok(frame) => pending.push_back(frame),
-                Err(_) => break,
-            }
-        }
-        if let Some((model, rng)) = pacer.as_mut() {
-            let delay = model.sample_ms(rng);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-        }
-        let mut wire = Vec::new();
-        for f in &pending {
-            let data = encode_session(&SessionFrame::Data(f.to_vec()));
-            encode_frame(&data, &mut wire);
-        }
-        let deadline = Instant::now() + Duration::from_millis(inner.cfg.write_timeout_ms);
         let s = stream.as_mut().expect("stream present when connected");
-        match write_all_deadline(s, &wire, deadline) {
-            Ok(()) => pending.clear(),
-            Err(_) => {
-                s.shutdown_both();
-                stream = None;
-                inner.health.store(HEALTH_DOWN, Ordering::Release);
-                sup.on_failure(now_ms(started));
-                let _ = inner
-                    .events_tx
-                    .send(TransportEvent::Disconnected { peer: 0 });
-                // pending is retained and flushed after the reconnect
-            }
+        if out.write(s, inner.cfg.write_timeout_ms).is_err() {
+            s.shutdown_both();
+            stream = None;
+            inner.health.store(HEALTH_DOWN, Ordering::Release);
+            sup.on_failure(now_ms(started));
+            let _ = inner
+                .events_tx
+                .send(TransportEvent::Disconnected { peer: 0 });
+            // the batch is retained and flushed after the reconnect
         }
     }
     if let Some(s) = &stream {
@@ -965,43 +1027,14 @@ fn peer_run_loop(inner: &Arc<PeerShared>) {
 /// Reads the coordinator's frames for session `generation`; on EOF/error
 /// records the dead generation for the supervisor to notice.
 fn peer_reader_loop(inner: &Arc<PeerShared>, generation: u64, mut stream: Stream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut dec = FrameDecoder::new(inner.cfg.frame);
-    // heap-allocated once per reader thread, like the server's reader
-    let mut buf = vec![0u8; 64 * 1024];
-    loop {
-        if inner.closed.load(Ordering::Acquire) {
-            return;
-        }
-        loop {
-            match dec.next_frame() {
-                Ok(Some(frame)) => {
-                    if let Ok(SessionFrame::Data(payload)) = decode_session(&frame) {
-                        let _ = inner.events_tx.send(TransportEvent::Delivery {
-                            from: 0,
-                            epoch: 0,
-                            msg: Bytes::from(payload),
-                        });
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    inner.dead_gen.fetch_max(generation, Ordering::AcqRel);
-                    return;
-                }
-            }
-        }
-        match stream.read_chunk(&mut buf) {
-            Ok(0) => {
-                inner.dead_gen.fetch_max(generation, Ordering::AcqRel);
-                return;
-            }
-            Ok(n) => dec.extend(&buf[..n]),
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
-            Err(_) => {
-                inner.dead_gen.fetch_max(generation, Ordering::AcqRel);
-                return;
-            }
-        }
+    let died = read_session(&mut stream, inner.cfg.frame, &inner.closed, |msg| {
+        let _ = inner.events_tx.send(TransportEvent::Delivery {
+            from: 0,
+            epoch: 0,
+            msg,
+        });
+    });
+    if died {
+        inner.dead_gen.fetch_max(generation, Ordering::AcqRel);
     }
 }

@@ -32,6 +32,16 @@ impl WireWriter {
         WireWriter::default()
     }
 
+    /// Creates an empty writer with room for `cap` bytes, so a large
+    /// payload is written into its final allocation instead of growing
+    /// there by doubling.
+    #[must_use]
+    pub fn with_capacity(cap: usize) -> Self {
+        WireWriter {
+            buf: BytesMut::with_capacity(cap),
+        }
+    }
+
     /// Appends a little-endian `u64`.
     #[must_use]
     pub fn u64(mut self, v: u64) -> Self {
@@ -156,7 +166,7 @@ impl<'a> WireReader<'a> {
     ///
     /// Reports truncation or invalid UTF-8.
     pub fn str(&mut self) -> Result<String, String> {
-        let raw = self.raw_bytes()?;
+        let raw = self.bytes_ref()?.to_vec();
         String::from_utf8(raw).map_err(|_| "invalid utf-8".to_owned())
     }
 
@@ -166,10 +176,18 @@ impl<'a> WireReader<'a> {
     ///
     /// Reports truncation.
     pub fn bytes(&mut self) -> Result<Vec<u8>, String> {
-        self.raw_bytes()
+        self.bytes_ref().map(<[u8]>::to_vec)
     }
 
-    fn raw_bytes(&mut self) -> Result<Vec<u8>, String> {
+    /// Reads length-prefixed raw bytes without copying them: the body as
+    /// a borrow of the buffer this reader wraps. When that buffer is a
+    /// [`Bytes`], `buf.slice_ref(body)` turns the borrow into a view that
+    /// shares its allocation.
+    ///
+    /// # Errors
+    ///
+    /// Reports truncation.
+    pub fn bytes_ref(&mut self) -> Result<&'a [u8], String> {
         if self.buf.remaining() < 4 {
             return Err("truncated length prefix".to_owned());
         }
@@ -177,9 +195,9 @@ impl<'a> WireReader<'a> {
         if self.buf.remaining() < len {
             return Err("truncated body".to_owned());
         }
-        let out = self.buf[..len].to_vec();
-        self.buf.advance(len);
-        Ok(out)
+        let (body, rest) = self.buf.split_at(len);
+        self.buf = rest;
+        Ok(body)
     }
 }
 
@@ -203,7 +221,8 @@ impl CheckpointFrame {
     /// Encodes the frame for a `CheckpointPut` message.
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        WireWriter::new()
+        // two length prefixes + two u64s around the variable parts
+        WireWriter::with_capacity(24 + self.type_tag.len() + self.state.len())
             .str(&self.type_tag)
             .bytes(&self.state)
             .u64(self.object_epoch)
@@ -211,15 +230,16 @@ impl CheckpointFrame {
             .finish()
     }
 
-    /// Decodes a frame from a `CheckpointPut` payload.
+    /// Decodes a frame from a `CheckpointPut` payload. The decoded `state`
+    /// is a view of `buf`, not a copy.
     ///
     /// # Errors
     ///
     /// Reports truncation or invalid UTF-8 in the type tag.
-    pub fn decode(buf: &[u8]) -> Result<Self, String> {
+    pub fn decode(buf: &Bytes) -> Result<Self, String> {
         let mut r = WireReader::new(buf);
         let type_tag = r.str()?;
-        let state = Bytes::from(r.bytes()?);
+        let state = buf.slice_ref(r.bytes_ref()?);
         let object_epoch = r.u64()?;
         let seq = r.u64()?;
         Ok(CheckpointFrame {
@@ -229,6 +249,16 @@ impl CheckpointFrame {
             seq,
         })
     }
+}
+
+/// Lowercase hex of `bytes`: how the golden-bytes tests spell an encoding.
+#[cfg(test)]
+pub(crate) fn hex(bytes: &[u8]) -> String {
+    use std::fmt::Write as _;
+    bytes.iter().fold(String::new(), |mut out, b| {
+        let _ = write!(out, "{b:02x}");
+        out
+    })
 }
 
 #[cfg(test)]
@@ -297,6 +327,26 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_reads_become_views_of_the_source() {
+        let src = WireWriter::new()
+            .u32(7)
+            .bytes(b"abc")
+            .bytes(b"")
+            .u32(9)
+            .finish();
+        let mut r = WireReader::new(&src);
+        assert_eq!(r.u32().unwrap(), 7);
+        let abc = src.slice_ref(r.bytes_ref().unwrap());
+        assert_eq!(abc, b"abc"[..]);
+        assert_eq!(abc.as_ptr(), src[8..].as_ptr(), "a view, not a copy");
+        assert!(r.bytes_ref().unwrap().is_empty());
+        assert_eq!(r.u32().unwrap(), 9);
+        assert!(r.is_empty());
+        // and truncation is still an error, not a panic
+        assert!(WireReader::new(&src[..9]).bytes_ref().is_err());
+    }
+
+    #[test]
     fn truncated_checkpoint_frame_is_an_error() {
         let f = CheckpointFrame {
             type_tag: "counter".into(),
@@ -307,7 +357,7 @@ mod tests {
         let enc = f.encode();
         for cut in 0..enc.len() {
             assert!(
-                CheckpointFrame::decode(&enc[..cut]).is_err(),
+                CheckpointFrame::decode(&enc.slice(..cut)).is_err(),
                 "cut at {cut} decoded"
             );
         }

@@ -257,6 +257,111 @@ fn durable_scenario() {
     println!("multiproc coordinator kill/cold-restart scenario: ok");
 }
 
+/// Set for the process that plays the doomed coordinator of
+/// [`orphan_scenario`]; the value is its socket directory.
+const COORD_ROLE: &str = "OML_MP_TEST_COORD";
+
+/// Spawns a cluster, prints its workers' pids once all are ready, then
+/// waits to be SIGKILLed.
+fn doomed_coordinator(dir: &std::path::Path) -> ! {
+    let cluster = MultiProcCluster::spawn(cfg(TransportAddr::Unix(dir.join("coord.sock"))))
+        .expect("spawn cluster");
+    assert!(
+        cluster.wait_ready(Duration::from_secs(10)),
+        "workers never heartbeat"
+    );
+    let pids: Vec<String> = cluster.worker_pids().iter().map(u32::to_string).collect();
+    println!("{}", pids.join(" "));
+    loop {
+        std::thread::sleep(Duration::from_secs(1));
+    }
+}
+
+/// Whether `pid` is still running (a zombie awaiting its reaper is not).
+fn alive(pid: u32) -> bool {
+    std::fs::read_to_string(format!("/proc/{pid}/stat"))
+        .ok()
+        .and_then(|stat| {
+            stat.rsplit_once(") ")
+                .map(|(_, rest)| !rest.starts_with('Z'))
+        })
+        .unwrap_or(false)
+}
+
+/// Orphan scenario: the coordinator *process* is SIGKILLed and nobody
+/// calls `recover()`. No Shutdown will ever reach its workers and their
+/// supervisors would redial the dead address forever; they must notice the
+/// re-parenting and exit on their own within a few heartbeats.
+fn orphan_scenario() {
+    use std::io::BufRead;
+    let dir = std::env::temp_dir().join(format!("oml-mp-orphan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut coordinator = std::process::Command::new(std::env::current_exe().expect("own path"))
+        .env(COORD_ROLE, &dir)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn coordinator process");
+    let mut line = String::new();
+    std::io::BufReader::new(coordinator.stdout.take().expect("piped stdout"))
+        .read_line(&mut line)
+        .expect("worker pids from the coordinator");
+    let workers: Vec<u32> = line
+        .split_whitespace()
+        .map(|pid| pid.parse().expect("a pid"))
+        .collect();
+    assert_eq!(workers.len(), 3, "coordinator reported {line:?}");
+    assert!(workers.iter().all(|&pid| alive(pid)));
+
+    coordinator.kill().expect("SIGKILL the coordinator");
+    coordinator.wait().expect("reap the coordinator");
+    let until = Instant::now() + Duration::from_secs(2);
+    while workers.iter().any(|&pid| alive(pid)) {
+        if Instant::now() >= until {
+            for pid in &workers {
+                let _ = std::process::Command::new("kill")
+                    .args(["-KILL", &pid.to_string()])
+                    .status();
+            }
+            panic!("orphaned workers {workers:?} outlived their coordinator");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // the early window: the coordinator dies between spawning a worker and
+    // the worker's first look at its parent. By then the OS names the
+    // reaper, and only the pid the coordinator left in the environment
+    // still says who is missing. Played here by a worker that is told its
+    // coordinator was a process that has already exited.
+    let mut gone = std::process::Command::new("true")
+        .spawn()
+        .expect("spawn a process to outlive");
+    let gone_pid = gone.id();
+    gone.wait().expect("reap it");
+    let mut late = std::process::Command::new(std::env::current_exe().expect("own path"))
+        .env(
+            "OML_MP_ADDR",
+            format!("unix:{}", dir.join("nobody.sock").display()),
+        )
+        .env("OML_MP_NODE", "0")
+        .env("OML_MP_EPOCH", "1")
+        .env("OML_MP_HB_MS", "50")
+        .env("OML_MP_PARENT", gone_pid.to_string())
+        .spawn()
+        .expect("spawn the late worker");
+    let until = Instant::now() + Duration::from_secs(2);
+    while late.try_wait().expect("poll the late worker").is_none() {
+        if Instant::now() >= until {
+            let _ = late.kill();
+            let _ = late.wait();
+            panic!("a worker spawned by a dead coordinator kept redialling");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+    println!("multiproc orphaned workers exit scenario: ok");
+}
+
 fn main() {
     // worker role: the coordinator re-executes this binary with OML_MP_*
     // set; run the worker loop and exit with it
@@ -264,6 +369,10 @@ fn main() {
         let _ = run_worker(&opts, &[("counter", delinearize_counter)]);
         return;
     }
+    if let Some(dir) = std::env::var_os(COORD_ROLE) {
+        doomed_coordinator(std::path::Path::new(&dir));
+    }
     scenario();
     durable_scenario();
+    orphan_scenario();
 }

@@ -1,18 +1,25 @@
 //! Offline stand-in for the `bytes` crate.
 //!
-//! [`Bytes`] is a cheaply cloneable immutable buffer (`Arc<[u8]>` inside),
-//! [`BytesMut`] a growable builder, and [`Buf`]/[`BufMut`] the reading and
-//! writing traits — restricted to the little-endian accessors the workspace
-//! wire format uses.
+//! [`Bytes`] is a cheaply cloneable immutable view — a shared buffer plus
+//! `(offset, len)` — so freezing a builder, converting a `Vec<u8>`,
+//! [`Bytes::slice`] and [`Bytes::slice_ref`] are all O(1) and copy nothing. [`BytesMut`] is a
+//! growable builder, and [`Buf`]/[`BufMut`] the reading and writing traits —
+//! restricted to the little-endian accessors the workspace wire format uses.
 
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable, contiguous byte buffer.
+///
+/// Clones and slices share one allocation, which lives until the last of
+/// them is dropped: a small slice keeps its whole parent alive.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// `None` for the empty buffer, so `Bytes::new()` allocates nothing.
+    buf: Option<Arc<Vec<u8>>>,
+    off: usize,
+    len: usize,
 }
 
 impl Bytes {
@@ -22,75 +29,159 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Copies `data` into a new buffer.
+    /// Copies `data` into a new buffer of exactly `data.len()` bytes.
     #[must_use]
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes { data: data.into() }
+        Bytes::from(data.to_vec())
+    }
+
+    /// A view of `range` within this buffer, sharing its allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is inverted or reaches past the end.
+    #[must_use]
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
+        let begin = match range.start_bound() {
+            Bound::Included(&n) => n,
+            Bound::Excluded(&n) => n + 1,
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&n) => n + 1,
+            Bound::Excluded(&n) => n,
+            Bound::Unbounded => self.len,
+        };
+        assert!(
+            begin <= end && end <= self.len,
+            "range {begin}..{end} out of bounds of {} bytes",
+            self.len
+        );
+        if begin == end {
+            // an empty view pins nothing
+            return Bytes::new();
+        }
+        Bytes {
+            buf: self.buf.clone(),
+            off: self.off + begin,
+            len: end - begin,
+        }
+    }
+
+    /// The view of this buffer that `subset` — a sub-slice borrowed from
+    /// it — occupies, sharing its allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subset` does not lie inside this buffer.
+    #[must_use]
+    pub fn slice_ref(&self, subset: &[u8]) -> Self {
+        if subset.is_empty() {
+            return Bytes::new();
+        }
+        let base = self.as_ptr() as usize;
+        let at = subset.as_ptr() as usize;
+        assert!(
+            base <= at && at + subset.len() <= base + self.len,
+            "subset is not inside this buffer"
+        );
+        self.slice(at - base..at - base + subset.len())
+    }
+
+    /// Whether this is the only handle to its allocation.
+    #[must_use]
+    pub fn is_unique(&self) -> bool {
+        self.buf.as_ref().is_none_or(|b| Arc::strong_count(b) == 1)
     }
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes ownership of `v`'s allocation; nothing is copied.
     fn from(v: Vec<u8>) -> Self {
-        Bytes { data: v.into() }
+        let len = v.len();
+        Bytes {
+            buf: (len > 0).then(|| Arc::new(v)),
+            off: 0,
+            len,
+        }
+    }
+}
+
+impl From<Bytes> for Vec<u8> {
+    /// Hands the allocation back when `b` is its only handle and views it
+    /// from the start; copies otherwise.
+    fn from(b: Bytes) -> Self {
+        match b.buf {
+            Some(buf) if b.off == 0 => match Arc::try_unwrap(buf) {
+                Ok(mut v) => {
+                    v.truncate(b.len);
+                    v
+                }
+                Err(shared) => shared[..b.len].to_vec(),
+            },
+            Some(buf) => buf[b.off..b.off + b.len].to_vec(),
+            None => Vec::new(),
+        }
     }
 }
 
 impl From<&'static [u8]> for Bytes {
     fn from(v: &'static [u8]) -> Self {
-        Bytes { data: v.into() }
+        Bytes::copy_from_slice(v)
     }
 }
 
 impl From<&'static str> for Bytes {
     fn from(v: &'static str) -> Self {
-        Bytes {
-            data: v.as_bytes().into(),
-        }
+        Bytes::copy_from_slice(v.as_bytes())
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data
+        match &self.buf {
+            Some(buf) => &buf[self.off..self.off + self.len],
+            None => &[],
+        }
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self
     }
 }
 
 impl PartialEq for Bytes {
     fn eq(&self, other: &Self) -> bool {
-        self.data[..] == other.data[..]
+        **self == **other
     }
 }
 impl Eq for Bytes {}
 
 impl PartialEq<[u8]> for Bytes {
     fn eq(&self, other: &[u8]) -> bool {
-        self.data[..] == *other
+        **self == *other
     }
 }
 
 impl PartialEq<Vec<u8>> for Bytes {
     fn eq(&self, other: &Vec<u8>) -> bool {
-        self.data[..] == other[..]
+        **self == other[..]
     }
 }
 
 impl std::hash::Hash for Bytes {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.data.hash(state);
+        (**self).hash(state);
     }
 }
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
-        for &b in self.data.iter() {
+        for &b in self.iter() {
             write!(f, "\\x{b:02x}")?;
         }
         write!(f, "\"")
@@ -130,7 +221,7 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
-    /// Converts into an immutable [`Bytes`].
+    /// Converts into an immutable [`Bytes`] without copying.
     #[must_use]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
@@ -289,5 +380,92 @@ mod tests {
         assert_eq!(a.clone(), b);
         assert_eq!(a, vec![1, 2, 3]);
         assert_eq!(&a[..2], &[1, 2][..]);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_take_the_allocation() {
+        let v = vec![9u8; 100];
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at, "From<Vec<u8>> must not copy");
+        // a unique handle gives the allocation back, a shared one copies
+        assert!(b.is_unique());
+        let shared = b.clone();
+        assert!(!b.is_unique());
+        let copied = Vec::from(shared);
+        assert_ne!(copied.as_ptr(), at);
+        let returned = Vec::from(b);
+        assert_eq!(returned.as_ptr(), at);
+
+        let mut m = BytesMut::with_capacity(64);
+        m.put_slice(b"abc");
+        let at = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), at, "freeze must not copy");
+    }
+
+    #[test]
+    fn slices_are_views() {
+        let b = Bytes::from((0u8..10).collect::<Vec<u8>>());
+        let mid = b.slice(2..6);
+        assert_eq!(mid, [2u8, 3, 4, 5][..]);
+        assert_eq!(mid.as_ptr(), b[2..].as_ptr(), "a view, not a copy");
+        assert_eq!(b.slice(..), b);
+        assert_eq!(b.slice(8..), [8u8, 9][..]);
+        assert_eq!(b.slice(..=1), [0u8, 1][..]);
+        assert_eq!(
+            mid.slice(1..3),
+            [3u8, 4][..],
+            "ranges are relative to the view"
+        );
+        assert_eq!(mid.clone(), mid);
+        // equality and hashing see the bytes, not where they live
+        use std::collections::HashSet;
+        let set: HashSet<Bytes> = [mid.clone()].into();
+        assert!(set.contains(&Bytes::copy_from_slice(&[2, 3, 4, 5])));
+        assert!(!set.contains(&b.slice(3..7)));
+    }
+
+    #[test]
+    fn slice_ref_finds_a_borrowed_sub_slice() {
+        let b = Bytes::from((0u8..10).collect::<Vec<u8>>());
+        let view = b.slice(2..8);
+        let found = view.slice_ref(&view[1..4]);
+        assert_eq!(found, [3u8, 4, 5][..]);
+        assert_eq!(found.as_ptr(), b[3..].as_ptr(), "a view, not a copy");
+        assert_eq!(view.slice_ref(&view[..]), view);
+        assert!(view.slice_ref(&[]).is_empty());
+        // bytes of the same allocation, but outside this view
+        let outside = std::panic::catch_unwind(|| view.slice_ref(&b[..3]));
+        assert!(outside.is_err());
+        let elsewhere = std::panic::catch_unwind(|| view.slice_ref(&[3, 4, 5]));
+        assert!(elsewhere.is_err());
+    }
+
+    #[test]
+    fn an_empty_slice_pins_nothing_and_a_full_one_its_parent() {
+        let b = Bytes::from(vec![1u8; 8]);
+        let empty = b.slice(3..3);
+        assert!(empty.is_empty());
+        assert!(b.is_unique(), "an empty view must not share the buffer");
+        assert_eq!(Bytes::new().slice(..), Bytes::new());
+
+        let tail = b.slice(6..);
+        drop(b);
+        assert_eq!(tail, [1u8, 1][..], "a view keeps its parent alive");
+        assert!(tail.is_unique());
+        assert_eq!(Vec::from(tail), vec![1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slicing_past_the_end_panics() {
+        let _ = Bytes::from(vec![0u8; 4]).slice(2..5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn an_inverted_range_panics() {
+        #[allow(clippy::reversed_empty_ranges)]
+        let _ = Bytes::from(vec![0u8; 4]).slice(3..2);
     }
 }
