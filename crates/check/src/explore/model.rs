@@ -2,7 +2,9 @@
 //!
 //! This is a small-scope state machine of the runtime's migration protocol:
 //! nodes that can crash and restart, objects with a single mutable residence,
-//! placement locks with optional leases, and the client's move blocks. Every
+//! the client's move blocks — and, for the placement locks and their leases,
+//! the policy that ships: a [`TransientPlacement`] driven through the same
+//! [`MovePolicy`] calls the runtime's node workers make. Every
 //! pending message delivery, timer firing (client deadline, lease sweep) and
 //! crash point is a [`Step`] — a schedulable choice. Executing a step mutates
 //! the model and appends [`TraceEvent`]s shaped exactly like the ones the
@@ -30,6 +32,8 @@ use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use oml_core::ids::{BlockId, NodeId, ObjectId};
+use oml_core::policies::TransientPlacement;
+use oml_core::policy::{EndRequest, MoveDecision, MovePolicy, MoveRequest};
 use oml_des::virt::VirtualClock;
 
 use crate::event::{EventKind, ReleaseCause, TraceEvent, CLIENT_PROCESS};
@@ -55,8 +59,8 @@ pub enum Step {
         /// Index into [`ExploreConfig::ops`].
         op: u32,
     },
-    /// The lease sweeper fires: the clock advances to the earliest live
-    /// lease expiry and that lock is released.
+    /// The lease sweeper fires: the clock advances to the earliest lease
+    /// expiry and the policy reclaims every lock that has run out by then.
     Sweep,
     /// A node crashes (objects stash in place, volatile lock state is lost).
     Crash {
@@ -101,14 +105,6 @@ enum ObjLoc {
     At(u32),
     /// Linearized and in flight towards this node.
     InFlight { to: u32 },
-}
-
-/// A placement-lock table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Lock {
-    block: u32,
-    acquired_ms: u64,
-    ttl_ms: Option<u64>,
 }
 
 /// The client-side life cycle of one scripted move op.
@@ -168,7 +164,8 @@ pub struct Model {
     /// `true` = alive. Index = node id.
     alive: Vec<bool>,
     objects: Vec<ObjLoc>,
-    locks: BTreeMap<u32, Lock>,
+    /// The placement locks: the shipping policy, not a model of it.
+    policy: TransientPlacement,
     ops: Vec<OpPhase>,
     pending: BTreeMap<u64, Payload>,
     crashes_left: u32,
@@ -193,7 +190,9 @@ impl Model {
             objects: (0..cfg.objects)
                 .map(|o| ObjLoc::At(o % cfg.nodes))
                 .collect(),
-            locks: BTreeMap::new(),
+            policy: cfg
+                .lease_ttl_ms
+                .map_or_else(TransientPlacement::new, TransientPlacement::with_lease_ms),
             ops: Vec::new(),
             pending: BTreeMap::new(),
             crashes_left: cfg.max_crashes,
@@ -288,20 +287,6 @@ impl Model {
         }
     }
 
-    /// The live lease (object, expiry) with the earliest expiry, considering
-    /// only locks on objects resident at an alive node (the runtime sweeps
-    /// at the hosting worker).
-    fn earliest_lease(&self) -> Option<(u32, u64)> {
-        self.locks
-            .iter()
-            .filter_map(|(&o, l)| {
-                let ttl = l.ttl_ms?;
-                let host = self.host_of(o)?;
-                self.alive[host as usize].then_some((o, l.acquired_ms + ttl))
-            })
-            .min_by_key(|&(o, exp)| (exp, o))
-    }
-
     /// All steps enabled in this state, in deterministic order.
     ///
     /// # Panics
@@ -328,7 +313,7 @@ impl Model {
                 _ => {}
             }
         }
-        if self.cfg.sweeps && self.earliest_lease().is_some() {
+        if self.cfg.sweeps && self.policy.next_lease_expiry_ms().is_some() {
             steps.push(Step::Sweep);
         }
         if self.cfg.faults {
@@ -358,7 +343,12 @@ impl Model {
         };
         match step {
             Step::Deliver { msg } => match self.pending.get(&msg) {
-                Some(&(Payload::MoveReq { op } | Payload::End { op })) => {
+                Some(&payload @ (Payload::MoveReq { op } | Payload::End { op })) => {
+                    // a move request runs the host's lease tick first: with a
+                    // lease already run out, that reclaims arbitrary locks
+                    let now = self.clock.now_ms();
+                    fp.global = matches!(payload, Payload::MoveReq { .. })
+                        && self.policy.next_lease_expiry_ms().is_some_and(|e| e <= now);
                     let object = self.cfg.ops[op as usize].object;
                     if let Some(h) = self.host_of(object) {
                         fp.procs |= 1 << h;
@@ -430,9 +420,12 @@ impl Model {
                 self.ops[op as usize] = OpPhase::Abandoned;
             }
             Step::Sweep => {
-                let (object, expiry) = self.earliest_lease().expect("sweep without live lease");
+                let expiry = self
+                    .policy
+                    .next_lease_expiry_ms()
+                    .expect("sweep without lease");
                 self.clock.advance_to(self.clock.now_ms().max(expiry));
-                self.release(object, ReleaseCause::LeaseExpiry);
+                self.expire_leases();
             }
             Step::Crash { node } => {
                 assert!(self.alive[node as usize] && self.crashes_left > 0);
@@ -449,17 +442,13 @@ impl Model {
                 // host's placement locks (the PR 3 `crash_node` fix). The
                 // StrandedLocks mutation re-introduces that bug: state lost,
                 // no release recorded.
-                let stranded: Vec<u32> = self
-                    .locks
-                    .keys()
-                    .copied()
+                let stranded: Vec<ObjectId> = (0..self.cfg.objects)
                     .filter(|&o| self.host_of(o) == Some(node))
+                    .map(ObjectId::new)
                     .collect();
-                for object in stranded {
-                    if self.mutated(Mutation::StrandedLocks) {
-                        self.locks.remove(&object);
-                    } else {
-                        self.release(object, ReleaseCause::Crash);
+                for (object, block) in self.policy.release_locks_for(&stranded) {
+                    if !self.mutated(Mutation::StrandedLocks) {
+                        self.emit_release(object, block, ReleaseCause::Crash);
                     }
                 }
             }
@@ -488,25 +477,31 @@ impl Model {
         }
     }
 
-    /// Removes the lock on `object` and emits the release from the current
-    /// host (or the client for crash cleanup, as `declare_dead` does).
-    fn release(&mut self, object: u32, cause: ReleaseCause) {
-        let Some(lock) = self.locks.remove(&object) else {
-            return;
-        };
+    /// Emits the release of a lock the policy just gave up, from the
+    /// object's current host (or the client for crash cleanup, as
+    /// `declare_dead` does, and for an object in flight).
+    fn emit_release(&mut self, object: ObjectId, block: BlockId, cause: ReleaseCause) {
         let process = if cause == ReleaseCause::Crash {
             CLIENT_PROCESS
         } else {
-            self.host_of(object).unwrap_or(CLIENT_PROCESS)
+            self.host_of(object.as_u32()).unwrap_or(CLIENT_PROCESS)
         };
         self.emit(
             process,
             EventKind::LockReleased {
-                object: ObjectId::new(object),
-                block: BlockId::new(lock.block),
+                object,
+                block,
                 cause,
             },
         );
+    }
+
+    /// The lease tick: the policy reclaims every lock whose lease has run
+    /// out at the current virtual time.
+    fn expire_leases(&mut self) {
+        for (object, block) in self.policy.expire_leases(self.clock.now_ms()) {
+            self.emit_release(object, block, ReleaseCause::LeaseExpiry);
+        }
     }
 
     fn deliver(&mut self, msg: u64, payload: Payload) {
@@ -531,9 +526,17 @@ impl Model {
                 let object = self.cfg.ops[op as usize].object;
                 let host = self.host_of(object).expect("end delivered in flight");
                 self.emit(host, EventKind::Recv { msg_id: msg });
-                let block = op;
-                if self.locks.get(&object).is_some_and(|l| l.block == block) {
-                    self.release(object, ReleaseCause::End);
+                let (object, block) = (ObjectId::new(object), BlockId::new(op));
+                let held = self.policy.lock_holder(object) == Some(block);
+                self.policy.on_end(&EndRequest {
+                    object,
+                    at: NodeId::new(host),
+                    from: NodeId::new(self.cfg.ops[op as usize].to),
+                    block,
+                    was_granted: true,
+                });
+                if held && self.policy.lock_holder(object) != Some(block) {
+                    self.emit_release(object, block, ReleaseCause::End);
                 }
                 self.ops[op as usize] = OpPhase::Done;
             }
@@ -567,15 +570,22 @@ impl Model {
             deny(self);
             return;
         }
-        if let Some(lock) = self.locks.get(&object).copied() {
-            let expired = lock.ttl_ms.is_some_and(|ttl| lock.acquired_ms + ttl <= now);
-            if expired {
-                self.release(object, ReleaseCause::LeaseExpiry);
-            } else {
-                deny(self);
-                return;
-            }
+        // the host's lease tick, so the policy decides (and stamps the new
+        // lease) at the current virtual time
+        self.expire_leases();
+        let request = MoveRequest {
+            object: ObjectId::new(object),
+            at: NodeId::new(host),
+            from: NodeId::new(spec.to),
+            block: BlockId::new(block),
+        };
+        if self.policy.on_move(&request) == MoveDecision::Deny {
+            deny(self);
+            return;
         }
+        // grant replies are synchronous here: the lock is taken at the grant
+        self.policy
+            .on_installed(request.object, request.at, request.block);
         self.emit(
             host,
             EventKind::MoveGranted {
@@ -589,15 +599,7 @@ impl Model {
                 object: ObjectId::new(object),
                 block: BlockId::new(block),
                 now_ms: now,
-                ttl_ms: self.cfg.lease_ttl_ms,
-            },
-        );
-        self.locks.insert(
-            object,
-            Lock {
-                block,
-                acquired_ms: now,
-                ttl_ms: self.cfg.lease_ttl_ms,
+                ttl_ms: self.policy.lease_ttl_ms(),
             },
         );
         if spec.to != host {
@@ -625,13 +627,13 @@ impl Model {
         // an Abandoned op stays abandoned: the grant reached nobody
     }
 
-    /// Runs the terminal lease drain: fires the sweeper until no live lease
+    /// Runs the terminal lease drain: fires the sweeper until no lease
     /// remains, releasing each with `LeaseExpiry`. Mirrors what wall time
     /// would eventually do in the runtime; emitted events join the trace.
     pub fn drain_quiesce(&mut self) {
-        while let Some((object, expiry)) = self.earliest_lease() {
+        while let Some(expiry) = self.policy.next_lease_expiry_ms() {
             self.clock.advance_to(self.clock.now_ms().max(expiry));
-            self.release(object, ReleaseCause::LeaseExpiry);
+            self.expire_leases();
         }
     }
 
@@ -641,27 +643,26 @@ impl Model {
     /// from landing on a dead block.
     #[must_use]
     pub fn orphaned_locks(&self) -> Vec<(ObjectId, BlockId)> {
-        self.locks
-            .iter()
-            .filter(|&(_, l)| {
-                l.ttl_ms.is_none() && self.ops.get(l.block as usize) == Some(&OpPhase::Abandoned)
-            })
-            .map(|(&o, l)| (ObjectId::new(o), BlockId::new(l.block)))
-            .collect()
+        if self.policy.lease_ttl_ms().is_some() {
+            return Vec::new(); // a lease runs out by itself
+        }
+        let mut held = self.policy.held_locks();
+        held.retain(|&(_, block)| self.ops.get(block.index()) == Some(&OpPhase::Abandoned));
+        held
     }
 
     /// A deterministic 64-bit digest of the protocol state (trace excluded):
     /// used for state-hash pruning. Two states with equal digests and equal
     /// sleep sets generate identical subtrees, because every future event —
     /// and every future checker verdict over those events — is a function of
-    /// this state alone (see DESIGN.md §14 for the argument and its caveats).
+    /// this state alone (see DESIGN.md §12.4 for the argument and its caveats).
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut h = Fnv64::new();
         self.clock.now_ms().hash(&mut h);
         self.alive.hash(&mut h);
         self.objects.hash(&mut h);
-        self.locks.hash(&mut h);
+        self.policy.hash(&mut h);
         self.ops.hash(&mut h);
         self.pending.hash(&mut h);
         self.crashes_left.hash(&mut h);

@@ -13,7 +13,7 @@
 //! allocation-free on the hot path.
 //!
 //! [`unknown_edges`] additionally compares the observed graph against a
-//! static allowlist of documented orderings (DESIGN.md §10.4): a new nesting
+//! static allowlist of documented orderings (DESIGN.md §12.3): a new nesting
 //! that nobody wrote down fails CI until it is reviewed and documented.
 
 use std::cell::RefCell;

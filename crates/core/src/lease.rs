@@ -19,7 +19,7 @@
 use crate::ids::{BlockId, ObjectId};
 
 /// One granted placement lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct LeaseEntry {
     /// The move-block holding the lock.
     block: BlockId,
@@ -50,7 +50,7 @@ struct LeaseEntry {
 /// assert_eq!(expired, vec![(obj, blk)]);
 /// assert_eq!(t.holder(obj), None);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct LeaseTable {
     /// Lease duration; `None` means locks never expire (the failure-free
     /// semantics of §3.2).
@@ -212,6 +212,16 @@ impl LeaseTable {
         expired
     }
 
+    /// The earliest instant at which a lease in the table runs out — when
+    /// the next [`LeaseTable::advance`] has something to sweep. Leases past
+    /// their expiry but not yet swept count (their instant lies in the
+    /// past). `None` for a table without a TTL or without locks.
+    #[must_use]
+    pub fn next_expiry_ms(&self) -> Option<u64> {
+        self.ttl_ms?;
+        self.entries.iter().flatten().map(|e| e.expires_at_ms).min()
+    }
+
     /// All live locks, sorted by object id.
     #[must_use]
     pub fn held(&self) -> Vec<(ObjectId, BlockId)> {
@@ -358,6 +368,23 @@ mod tests {
     #[should_panic(expected = "positive duration")]
     fn zero_ttl_rejected() {
         let _ = LeaseTable::with_ttl_ms(0);
+    }
+
+    #[test]
+    fn next_expiry_is_the_earliest_unswept_lease() {
+        assert_eq!(LeaseTable::new().next_expiry_ms(), None);
+        let mut t = LeaseTable::with_ttl_ms(10);
+        assert_eq!(t.next_expiry_ms(), None);
+        t.acquire(ObjectId::new(3), BlockId::new(0), 5);
+        t.acquire(ObjectId::new(1), BlockId::new(1), 7);
+        assert_eq!(t.next_expiry_ms(), Some(15));
+        t.touch(16); // expired, not yet swept: still the next thing to sweep
+        assert_eq!(t.next_expiry_ms(), Some(15));
+        assert_eq!(t.advance(16).len(), 1);
+        assert_eq!(t.next_expiry_ms(), Some(17));
+        let mut forever = LeaseTable::new();
+        forever.acquire(ObjectId::new(0), BlockId::new(0), 0);
+        assert_eq!(forever.next_expiry_ms(), None);
     }
 
     #[test]

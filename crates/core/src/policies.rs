@@ -107,7 +107,7 @@ impl MovePolicy for ConventionalMigration {
 /// after silence ([`MovePolicy::expire_leases`]): the end-request is the
 /// fast release path, expiry the recovery path when the holder crashed or
 /// its end-request was lost.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct TransientPlacement {
     locks: LeaseTable,
 }
@@ -135,6 +135,13 @@ impl TransientPlacement {
     #[must_use]
     pub fn lock_holder(&self, object: ObjectId) -> Option<BlockId> {
         self.locks.holder(object)
+    }
+
+    /// When the next [`MovePolicy::expire_leases`] has a lock to reclaim
+    /// (see [`LeaseTable::next_expiry_ms`]).
+    #[must_use]
+    pub fn next_lease_expiry_ms(&self) -> Option<u64> {
+        self.locks.next_expiry_ms()
     }
 }
 

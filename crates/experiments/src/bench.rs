@@ -14,16 +14,19 @@
 //! numbers, so the speedup trajectory is part of the artifact.
 
 use std::fmt::Write as _;
+use std::hash::Hasher as _;
 use std::time::Instant;
 
-use oml_core::attach::AttachmentMode;
-use oml_core::policy::PolicyKind;
+use oml_check::explore::Fnv64;
 use oml_des::stats::StoppingRule;
 use oml_sim::metrics::MetricsRow;
 use oml_workload::mega::MegaReport;
 use oml_workload::{run_scenario, run_scenario_replicated, ScenarioConfig};
 
-use crate::experiments::{parallel_map, point_seed, RunOptions};
+use crate::experiments::{
+    parallel_map, point_seed, RunOptions, Series, BASIC_SERIES, FIG14_SERIES, FIG16X_SERIES,
+    FIG16_SERIES,
+};
 
 /// Wall time and event throughput of one benchmark experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,75 +59,7 @@ pub const BASELINE: [(&str, f64, u64); 5] = [
     ("fig14", 0.517, 4_233_462),
 ];
 
-/// One figure's series: label, policy, attachment mode per curve.
-type SeriesGrid<'a> = &'a [(&'a str, PolicyKind, AttachmentMode)];
-
-/// The series of the basic three-policy figures.
-const BASIC: [(&str, PolicyKind, AttachmentMode); 3] = [
-    (
-        "without migration",
-        PolicyKind::Sedentary,
-        AttachmentMode::Unrestricted,
-    ),
-    (
-        "migration",
-        PolicyKind::ConventionalMigration,
-        AttachmentMode::Unrestricted,
-    ),
-    (
-        "transient placement",
-        PolicyKind::TransientPlacement,
-        AttachmentMode::Unrestricted,
-    ),
-];
-
-const FIG16: [(&str, PolicyKind, AttachmentMode); 5] = [
-    (
-        "without migration",
-        PolicyKind::Sedentary,
-        AttachmentMode::Unrestricted,
-    ),
-    (
-        "migration + unrestricted",
-        PolicyKind::ConventionalMigration,
-        AttachmentMode::Unrestricted,
-    ),
-    (
-        "migration + a-transitive",
-        PolicyKind::ConventionalMigration,
-        AttachmentMode::ATransitive,
-    ),
-    (
-        "placement + unrestricted",
-        PolicyKind::TransientPlacement,
-        AttachmentMode::Unrestricted,
-    ),
-    (
-        "placement + a-transitive",
-        PolicyKind::TransientPlacement,
-        AttachmentMode::ATransitive,
-    ),
-];
-
-const FIG16X: [(&str, PolicyKind, AttachmentMode); 7] = [
-    FIG16[0],
-    FIG16[1],
-    FIG16[2],
-    FIG16[3],
-    FIG16[4],
-    (
-        "migration + exclusive",
-        PolicyKind::ConventionalMigration,
-        AttachmentMode::Exclusive,
-    ),
-    (
-        "placement + exclusive",
-        PolicyKind::TransientPlacement,
-        AttachmentMode::Exclusive,
-    ),
-];
-
-fn run_grid(configs: &[ScenarioConfig], series: SeriesGrid, opts: &RunOptions) -> (f64, u64) {
+fn run_grid(configs: &[ScenarioConfig], series: &[Series], opts: &RunOptions) -> (f64, u64) {
     let start = Instant::now();
     let cols = series.len();
     let outs = parallel_map(configs.len() * cols, opts.threads, |job| {
@@ -145,8 +80,8 @@ fn run_grid(configs: &[ScenarioConfig], series: SeriesGrid, opts: &RunOptions) -
 
 /// Runs the fixed benchmark suite at the given precision and seed.
 ///
-/// The sweep grids mirror `fig8`/`fig12`/`fig14`/`fig16`/`fig16x` exactly
-/// (same configs, same series order, same per-point seeds). `repro bench`
+/// The sweep grids are those of `fig8`/`fig12`/`fig14`/`fig16`/`fig16x`
+/// (same configs, the figures' own series tables, same per-point seeds). `repro bench`
 /// defaults to one thread so wall times stay comparable across machines and
 /// commits, but `opts.threads` is honored — and recorded in the JSON — when
 /// a caller explicitly asks for more.
@@ -165,30 +100,12 @@ pub fn run_bench_suite(opts: &RunOptions) -> BenchReport {
     let fig14_cs = [1u32, 2, 4, 6, 9, 12, 16, 20, 24];
     let fig14_cfg: Vec<ScenarioConfig> =
         fig14_cs.iter().map(|&c| ScenarioConfig::fig14(c)).collect();
-    let fig14_series: [(&str, PolicyKind, AttachmentMode); 3] = [
-        (
-            "conservative place-policy",
-            PolicyKind::TransientPlacement,
-            AttachmentMode::Unrestricted,
-        ),
-        (
-            "comparing the nodes",
-            PolicyKind::CompareNodes,
-            AttachmentMode::Unrestricted,
-        ),
-        (
-            "comparing and reinstantiation",
-            PolicyKind::CompareAndReinstantiate,
-            AttachmentMode::Unrestricted,
-        ),
-    ];
-
-    let jobs: [(&'static str, &[ScenarioConfig], SeriesGrid); 5] = [
-        ("fig16", &fig16_cfg, &FIG16),
-        ("fig16x", &fig16_cfg, &FIG16X),
-        ("fig8", &fig8_cfg, &BASIC),
-        ("fig12", &fig12_cfg, &BASIC),
-        ("fig14", &fig14_cfg, &fig14_series),
+    let jobs: [(&'static str, &[ScenarioConfig], &[Series]); 5] = [
+        ("fig16", &fig16_cfg, &FIG16_SERIES),
+        ("fig16x", &fig16_cfg, &FIG16X_SERIES),
+        ("fig8", &fig8_cfg, &BASIC_SERIES),
+        ("fig12", &fig12_cfg, &BASIC_SERIES),
+        ("fig14", &fig14_cfg, &FIG14_SERIES),
     ];
 
     let mut experiments = Vec::new();
@@ -318,17 +235,7 @@ pub struct ScalingReport {
     pub bit_identical: bool,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-fn fingerprint_row(hash: u64, row: &MetricsRow) -> u64 {
-    let mut h = hash;
+fn fingerprint_row(hash: &mut Fnv64, row: &MetricsRow) {
     for bits in [
         row.comm_time.to_bits(),
         row.call_time.to_bits(),
@@ -339,9 +246,8 @@ fn fingerprint_row(hash: u64, row: &MetricsRow) -> u64 {
         row.ci_half_width.unwrap_or(-1.0).to_bits(),
         row.calls,
     ] {
-        h = fnv1a(h, &bits.to_le_bytes());
+        hash.write(&bits.to_le_bytes());
     }
-    h
 }
 
 /// Runs the fig16 sweep through the **parallel replication runner** once per
@@ -360,9 +266,9 @@ pub fn run_scaling_suite(opts: &RunOptions, threads_axis: &[usize]) -> ScalingRe
     for &threads in threads_axis {
         let start = Instant::now();
         let mut events = 0u64;
-        let mut fingerprint = FNV_OFFSET;
+        let mut fingerprint = Fnv64::new();
         for (pi, config) in configs.iter().enumerate() {
-            for (si, &(_, policy, mode)) in FIG16.iter().enumerate() {
+            for (si, &(_, policy, mode)) in FIG16_SERIES.iter().enumerate() {
                 let agg = run_scenario_replicated(
                     config,
                     policy,
@@ -372,8 +278,8 @@ pub fn run_scaling_suite(opts: &RunOptions, threads_axis: &[usize]) -> ScalingRe
                     threads,
                 );
                 events += agg.events;
-                fingerprint = fingerprint_row(fingerprint, &agg.row());
-                fingerprint = fnv1a(fingerprint, &agg.events.to_le_bytes());
+                fingerprint_row(&mut fingerprint, &agg.row());
+                fingerprint.write(&agg.events.to_le_bytes());
             }
         }
         let wall_s = start.elapsed().as_secs_f64();
@@ -386,7 +292,7 @@ pub fn run_scaling_suite(opts: &RunOptions, threads_axis: &[usize]) -> ScalingRe
             } else {
                 0.0
             },
-            fingerprint,
+            fingerprint: fingerprint.finish(),
         });
     }
 

@@ -500,7 +500,7 @@ fn run_check(seeds_arg: Option<&str>, recovery: bool, durability: bool) -> ExitC
     }
     if !audit.unknown.is_empty() {
         eprintln!(
-            "undocumented lock nesting(s): {:?} — review and add to KNOWN_LOCK_ORDER + DESIGN.md §10",
+            "undocumented lock nesting(s): {:?} — review and add to KNOWN_LOCK_ORDER + DESIGN.md §12.3",
             audit.unknown
         );
         clean = false;
@@ -740,7 +740,7 @@ fn main() -> ExitCode {
             "location" => emit(&location_ablation(&cli.opts), &cli),
             "faults" => emit(&faults(&cli.opts), &cli),
             "availability" if cli.multiprocess => {
-                emit(&availability_multiprocess(&cli.opts), &cli);
+                emit(&availability_multiprocess(), &cli);
                 print_fsync_summary("availability-multiprocess", cli.fsync.as_deref());
             }
             "availability" => emit(&availability(&cli.opts), &cli),

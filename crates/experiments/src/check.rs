@@ -12,7 +12,7 @@ use oml_check::{check_trace, lockorder, CheckReport};
 use oml_core::ids::{NodeId, ObjectId};
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
-use oml_runtime::{Cluster, FaultPlan, MobileObject, RuntimeError, KNOWN_LOCK_ORDER};
+use oml_runtime::{Cluster, FaultPlan, MobileObject, RuntimeError, Sabotage, KNOWN_LOCK_ORDER};
 
 /// The chaos seeds `repro check --seeds chaos` replays: the canonical
 /// chaos-harness seed plus the two divergence seeds from its replay tests.
@@ -53,6 +53,13 @@ impl MobileObject for Counter {
     }
 }
 
+fn register_counter(cluster: &Cluster) {
+    cluster.register_type("counter", |bytes| {
+        let mut r = WireReader::new(bytes);
+        Box::new(Counter(r.u64().expect("valid counter state")))
+    });
+}
+
 fn n(i: u32) -> NodeId {
     NodeId::new(i)
 }
@@ -87,10 +94,7 @@ pub fn replay_chaos_seed(seed: u64) -> CheckOutcome {
         .manual_clock()
         .trace()
         .build();
-    cluster.register_type("counter", |bytes| {
-        let mut r = WireReader::new(bytes);
-        Box::new(Counter(r.u64().expect("valid counter state")))
-    });
+    register_counter(&cluster);
 
     let objects: Vec<ObjectId> = (0..3)
         .map(|i| {
@@ -228,13 +232,10 @@ fn run_recovery_schedule(seed: u64, fenced: bool) -> CheckReport {
         .failure_detector(RECOVERY_HEARTBEAT_MS, RECOVERY_K_MISSED)
         .trace();
     if !fenced {
-        builder = builder.unfenced();
+        builder = builder.sabotage(Sabotage::Unfenced);
     }
     let cluster = builder.build();
-    cluster.register_type("counter", |bytes| {
-        let mut r = WireReader::new(bytes);
-        Box::new(Counter(r.u64().expect("valid counter state")))
-    });
+    register_counter(&cluster);
 
     let objects: Vec<ObjectId> = (0..3)
         .map(|i| {
@@ -320,8 +321,9 @@ fn await_health(
 
 /// Builds the replicated-checkpoint durability cluster: 4 nodes, `k = 2`,
 /// detector + manual clock, tracing on, with duplicated checkpoint traffic
-/// (seeded) so the ack-dedup path is exercised on every replay.
-fn durability_cluster(seed: u64, k: usize, no_repair: bool, stale_promotion: bool) -> Cluster {
+/// (seeded) so the ack-dedup path is exercised on every replay; the negative
+/// controls pass the mechanism to break.
+fn durability_cluster(seed: u64, k: usize, sabotage: Option<Sabotage>) -> Cluster {
     let mut builder = Cluster::builder()
         .nodes(NODES)
         .policy(PolicyKind::TransientPlacement)
@@ -333,17 +335,11 @@ fn durability_cluster(seed: u64, k: usize, no_repair: bool, stale_promotion: boo
         .failure_detector(RECOVERY_HEARTBEAT_MS, RECOVERY_K_MISSED)
         .replication(k)
         .trace();
-    if no_repair {
-        builder = builder.no_repair();
-    }
-    if stale_promotion {
-        builder = builder.stale_promotion();
+    if let Some(sabotage) = sabotage {
+        builder = builder.sabotage(sabotage);
     }
     let cluster = builder.build();
-    cluster.register_type("counter", |bytes| {
-        let mut r = WireReader::new(bytes);
-        Box::new(Counter(r.u64().expect("valid counter state")))
-    });
+    register_counter(&cluster);
     cluster
 }
 
@@ -361,7 +357,7 @@ fn durability_cluster(seed: u64, k: usize, no_repair: bool, stale_promotion: boo
 /// produce.
 #[must_use]
 pub fn replay_durability_seed(seed: u64) -> CheckOutcome {
-    let cluster = durability_cluster(seed, 2, false, false);
+    let cluster = durability_cluster(seed, 2, None);
     let obj = cluster
         .create(n(0), Box::new(Counter(7)))
         .expect("creation is on the reliable channel");
@@ -421,7 +417,7 @@ pub fn replay_durability_seeds(seeds: &[u64]) -> Vec<CheckOutcome> {
 /// Panics if the runtime surfaces an error the schedule cannot produce.
 #[must_use]
 pub fn replay_no_repair_negative(seed: u64) -> CheckOutcome {
-    let cluster = durability_cluster(seed, 2, true, false);
+    let cluster = durability_cluster(seed, 2, Some(Sabotage::NoRepair));
     let obj = cluster
         .create(n(0), Box::new(Counter(7)))
         .expect("creation is on the reliable channel");
@@ -447,7 +443,7 @@ pub fn replay_no_repair_negative(seed: u64) -> CheckOutcome {
 /// Panics if the runtime surfaces an error the schedule cannot produce.
 #[must_use]
 pub fn replay_stale_promotion_negative(seed: u64) -> CheckOutcome {
-    let cluster = durability_cluster(seed, 3, false, true);
+    let cluster = durability_cluster(seed, 3, Some(Sabotage::StalePromotion));
     let obj = cluster
         .create(n(0), Box::new(Counter(7)))
         .expect("creation is on the reliable channel");
@@ -497,10 +493,7 @@ pub fn exercise_lock_sites() -> CheckReport {
         .manual_clock()
         .trace()
         .build();
-    cluster.register_type("counter", |bytes| {
-        let mut r = WireReader::new(bytes);
-        Box::new(Counter(r.u64().expect("valid counter state")))
-    });
+    register_counter(&cluster);
     let a = cluster.create(n(0), Box::new(Counter(0))).expect("create");
     let b = cluster.create(n(1), Box::new(Counter(0))).expect("create");
     let ally = cluster.create_alliance("pair");

@@ -29,6 +29,7 @@
 //! excluded, so same-seed reruns are bit-identical.
 
 use oml_check::event::{EventKind, TraceEvent, CLIENT_PROCESS};
+use oml_check::explore::Fnv64;
 use oml_core::ids::ObjectId;
 use oml_runtime::transport::netio::TransportAddr;
 use oml_runtime::transport::socket::SocketConfig;
@@ -36,6 +37,7 @@ use oml_runtime::wire::{WireReader, WireWriter};
 use oml_runtime::{MultiProcCluster, MultiProcConfig};
 use std::fmt::Write as _;
 use std::fs;
+use std::hash::Hasher as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
@@ -49,9 +51,6 @@ const PHASE_TIMEOUT: Duration = Duration::from_mins(1);
 /// The multiproc configuration shared by the seed and recover children
 /// (only the socket path and the store dir vary).
 fn child_cfg(dir: &Path, sock: &str) -> MultiProcConfig {
-    let mut socket = SocketConfig::default();
-    socket.backoff.base_ms = 5;
-    socket.backoff.cap_ms = 100;
     MultiProcConfig {
         workers: WORKERS,
         addr: TransportAddr::Unix(dir.join(sock)),
@@ -59,7 +58,7 @@ fn child_cfg(dir: &Path, sock: &str) -> MultiProcConfig {
         heartbeat_ms: 25,
         suspect_after: 4,
         dead_after: 12,
-        socket,
+        socket: SocketConfig::default(),
         worker_program: std::env::current_exe().expect("own executable path"),
         worker_args: Vec::new(),
         monitor: true,
@@ -426,13 +425,6 @@ fn run_round(policy: &str, torn_control: bool, trial: u32) -> Result<Round, Stri
     Ok(round)
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 fn render_json(rounds: &[Round], fingerprint: u64) -> String {
     let mut out =
         String::from("{\n  \"experiment\": \"durability-cold-restart\",\n  \"rounds\": [\n");
@@ -560,15 +552,16 @@ pub fn run_cold_restart(pinned: Option<&str>) -> ExitCode {
     }
 
     // deterministic fields only: latency is reported above but excluded
-    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
+    let mut fingerprint = Fnv64::new();
     for r in &rounds {
-        fnv1a(&mut fingerprint, r.policy.as_bytes());
-        fnv1a(&mut fingerprint, &[u8::from(r.torn_control)]);
-        fnv1a(&mut fingerprint, &r.objects.to_le_bytes());
-        fnv1a(&mut fingerprint, &r.recovered.to_le_bytes());
-        fnv1a(&mut fingerprint, &r.wal_records.to_le_bytes());
-        fnv1a(&mut fingerprint, &(r.violations as u64).to_le_bytes());
+        fingerprint.write(r.policy.as_bytes());
+        fingerprint.write(&[u8::from(r.torn_control)]);
+        fingerprint.write(&r.objects.to_le_bytes());
+        fingerprint.write(&r.recovered.to_le_bytes());
+        fingerprint.write(&r.wal_records.to_le_bytes());
+        fingerprint.write(&(r.violations as u64).to_le_bytes());
     }
+    let fingerprint = fingerprint.finish();
     println!("\nfingerprint {fingerprint:016x} (deterministic fields only)");
 
     let json = render_json(&rounds, fingerprint);

@@ -93,7 +93,7 @@ pub(crate) use oml_des::par::parallel_map;
 fn sweep_grid(
     configs: &[ScenarioConfig],
     xs: &[f64],
-    series_defs: &[(&str, PolicyKind, AttachmentMode)],
+    series_defs: &[Series],
     opts: &RunOptions,
 ) -> Vec<SweepPoint> {
     assert_eq!(configs.len(), xs.len());
@@ -138,11 +138,26 @@ fn run_point(
     MetricsRow::from(&outcome.metrics)
 }
 
+/// One figure's series: label, policy and attachment mode per curve.
+pub(crate) type Series = (&'static str, PolicyKind, AttachmentMode);
+
 /// The three policies every single-layer figure compares.
-const BASIC_SERIES: [(&str, PolicyKind); 3] = [
-    ("without migration", PolicyKind::Sedentary),
-    ("migration", PolicyKind::ConventionalMigration),
-    ("transient placement", PolicyKind::TransientPlacement),
+pub(crate) const BASIC_SERIES: [Series; 3] = [
+    (
+        "without migration",
+        PolicyKind::Sedentary,
+        AttachmentMode::Unrestricted,
+    ),
+    (
+        "migration",
+        PolicyKind::ConventionalMigration,
+        AttachmentMode::Unrestricted,
+    ),
+    (
+        "transient placement",
+        PolicyKind::TransientPlacement,
+        AttachmentMode::Unrestricted,
+    ),
 ];
 
 /// Figs. 8, 10, 11 — increasing the usage frequency (parameters of Fig. 9).
@@ -158,11 +173,7 @@ pub fn fig8(opts: &RunOptions) -> ExperimentResult {
         0.0, 5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0,
     ];
     let configs: Vec<ScenarioConfig> = xs.iter().map(|&x| ScenarioConfig::fig8(x)).collect();
-    let series: Vec<(&str, PolicyKind, AttachmentMode)> = BASIC_SERIES
-        .iter()
-        .map(|&(l, p)| (l, p, AttachmentMode::Unrestricted))
-        .collect();
-    let points = sweep_grid(&configs, &xs, &series, opts);
+    let points = sweep_grid(&configs, &xs, &BASIC_SERIES, opts);
     ExperimentResult {
         id: "fig8".into(),
         title: "Increasing the usage frequency (D=3, C=3, S1=3, M=6, N~exp(8))".into(),
@@ -182,11 +193,7 @@ pub fn fig12(opts: &RunOptions) -> ExperimentResult {
     let cs = [1u32, 2, 4, 6, 8, 10, 12, 14, 16, 20, 25];
     let xs: Vec<f64> = cs.iter().map(|&c| f64::from(c)).collect();
     let configs: Vec<ScenarioConfig> = cs.iter().map(|&c| ScenarioConfig::fig12(c)).collect();
-    let series: Vec<(&str, PolicyKind, AttachmentMode)> = BASIC_SERIES
-        .iter()
-        .map(|&(l, p)| (l, p, AttachmentMode::Unrestricted))
-        .collect();
-    let points = sweep_grid(&configs, &xs, &series, opts);
+    let points = sweep_grid(&configs, &xs, &BASIC_SERIES, opts);
     ExperimentResult {
         id: "fig12".into(),
         title: "Increasing the number of clients (D=27, S1=3, M=6, t_m~exp(30))".into(),
@@ -196,6 +203,26 @@ pub fn fig12(opts: &RunOptions) -> ExperimentResult {
     }
 }
 
+/// Fig. 14's series: conservative placement against the two dynamic
+/// strategies.
+pub(crate) const FIG14_SERIES: [Series; 3] = [
+    (
+        "conservative place-policy",
+        PolicyKind::TransientPlacement,
+        AttachmentMode::Unrestricted,
+    ),
+    (
+        "comparing the nodes",
+        PolicyKind::CompareNodes,
+        AttachmentMode::Unrestricted,
+    ),
+    (
+        "comparing and reinstantiation",
+        PolicyKind::CompareAndReinstantiate,
+        AttachmentMode::Unrestricted,
+    ),
+];
+
 /// Fig. 14 — exploiting dynamic information (parameters of Fig. 15).
 ///
 /// Compares conservative placement against the two intelligent strategies
@@ -204,22 +231,10 @@ pub fn fig12(opts: &RunOptions) -> ExperimentResult {
 /// marginal gains — before even paying their bookkeeping overhead.
 #[must_use]
 pub fn fig14(opts: &RunOptions) -> ExperimentResult {
-    let series_defs: [(&str, PolicyKind); 3] = [
-        ("conservative place-policy", PolicyKind::TransientPlacement),
-        ("comparing the nodes", PolicyKind::CompareNodes),
-        (
-            "comparing and reinstantiation",
-            PolicyKind::CompareAndReinstantiate,
-        ),
-    ];
     let cs = [1u32, 2, 4, 6, 9, 12, 16, 20, 24];
     let xs: Vec<f64> = cs.iter().map(|&c| f64::from(c)).collect();
     let configs: Vec<ScenarioConfig> = cs.iter().map(|&c| ScenarioConfig::fig14(c)).collect();
-    let series: Vec<(&str, PolicyKind, AttachmentMode)> = series_defs
-        .iter()
-        .map(|&(l, p)| (l, p, AttachmentMode::Unrestricted))
-        .collect();
-    let points = sweep_grid(&configs, &xs, &series, opts);
+    let points = sweep_grid(&configs, &xs, &FIG14_SERIES, opts);
     ExperimentResult {
         id: "fig14".into(),
         title: "Exploiting dynamic information (D=3, S1=3, M=6, t_m~exp(30))".into(),
@@ -229,7 +244,7 @@ pub fn fig14(opts: &RunOptions) -> ExperimentResult {
     }
 }
 
-const FIG16_SERIES: [(&str, PolicyKind, AttachmentMode); 5] = [
+pub(crate) const FIG16_SERIES: [Series; 5] = [
     (
         "without migration",
         PolicyKind::Sedentary,
@@ -272,31 +287,29 @@ pub fn fig16(opts: &RunOptions) -> ExperimentResult {
 /// first-come-first-served *exclusive* attachment for both policies.
 #[must_use]
 pub fn fig16_exclusive(opts: &RunOptions) -> ExperimentResult {
-    const EXT: [(&str, PolicyKind, AttachmentMode); 7] = [
-        FIG16_SERIES[0],
-        FIG16_SERIES[1],
-        FIG16_SERIES[2],
-        FIG16_SERIES[3],
-        FIG16_SERIES[4],
-        (
-            "migration + exclusive attachment",
-            PolicyKind::ConventionalMigration,
-            AttachmentMode::Exclusive,
-        ),
-        (
-            "placement + exclusive attachment",
-            PolicyKind::TransientPlacement,
-            AttachmentMode::Exclusive,
-        ),
-    ];
-    fig16_with_series(opts, &EXT, "fig16x")
+    fig16_with_series(opts, &FIG16X_SERIES, "fig16x")
 }
 
-fn fig16_with_series(
-    opts: &RunOptions,
-    series_defs: &[(&str, PolicyKind, AttachmentMode)],
-    id: &str,
-) -> ExperimentResult {
+/// Fig. 16's series plus first-come-first-served exclusive attachment.
+pub(crate) const FIG16X_SERIES: [Series; 7] = [
+    FIG16_SERIES[0],
+    FIG16_SERIES[1],
+    FIG16_SERIES[2],
+    FIG16_SERIES[3],
+    FIG16_SERIES[4],
+    (
+        "migration + exclusive attachment",
+        PolicyKind::ConventionalMigration,
+        AttachmentMode::Exclusive,
+    ),
+    (
+        "placement + exclusive attachment",
+        PolicyKind::TransientPlacement,
+        AttachmentMode::Exclusive,
+    ),
+];
+
+fn fig16_with_series(opts: &RunOptions, series_defs: &[Series], id: &str) -> ExperimentResult {
     let cs = [1u32, 2, 4, 6, 8, 10, 12];
     let xs: Vec<f64> = cs.iter().map(|&c| f64::from(c)).collect();
     let configs: Vec<ScenarioConfig> = cs.iter().map(|&c| ScenarioConfig::fig16(c)).collect();
@@ -365,7 +378,7 @@ pub fn topology_ablation(opts: &RunOptions) -> ExperimentResult {
         ("line", Topology::Line { nodes: 3 }),
     ];
     let mut points = Vec::new();
-    for (pi, (_policy_label, policy)) in BASIC_SERIES.iter().enumerate() {
+    for (pi, (_policy_label, policy, _)) in BASIC_SERIES.iter().enumerate() {
         let mut series = BTreeMap::new();
         for (si, (topo_label, topo)) in topologies.iter().enumerate() {
             let net = Network::new(topo.clone(), LatencyModel::Exponential { mean: 1.0 });
@@ -499,15 +512,11 @@ pub fn break_even_scaling(opts: &RunOptions) -> ExperimentResult {
                 config
             })
             .collect();
-        let series: Vec<(&str, PolicyKind, AttachmentMode)> = BASIC_SERIES
-            .iter()
-            .map(|&(l, p)| (l, p, AttachmentMode::Unrestricted))
-            .collect();
         let ratio_opts = RunOptions {
             seed: opts.seed.wrapping_add((pi as u64) << 32),
             ..*opts
         };
-        let sweep_points = sweep_grid(&configs, &xs, &series, &ratio_opts);
+        let sweep_points = sweep_grid(&configs, &xs, &BASIC_SERIES, &ratio_opts);
         let sweep = ExperimentResult {
             id: String::new(),
             title: String::new(),
@@ -687,11 +696,7 @@ pub fn faults(opts: &RunOptions) -> ExperimentResult {
         .iter()
         .map(|&p| ScenarioConfig::fig12(CLIENTS).with_loss(p, RETRANSMIT_TIMEOUT))
         .collect();
-    let series: Vec<(&str, PolicyKind, AttachmentMode)> = BASIC_SERIES
-        .iter()
-        .map(|&(l, p)| (l, p, AttachmentMode::Unrestricted))
-        .collect();
-    let points = sweep_grid(&configs, &xs, &series, opts);
+    let points = sweep_grid(&configs, &xs, &BASIC_SERIES, opts);
     ExperimentResult {
         id: "faults".into(),
         title: "degradation under message loss (Fig. 12 world, C=10, retransmit timeout 6)".into(),
@@ -908,10 +913,10 @@ pub fn fsync_from_env() -> oml_runtime::FsyncPolicy {
 /// See above — every panic is a correctness regression, not a flake: all
 /// waits are bounded and generous relative to the detector constants.
 #[must_use]
-pub fn availability_multiprocess(opts: &RunOptions) -> ExperimentResult {
+pub fn availability_multiprocess() -> ExperimentResult {
     use oml_runtime::wire::WireWriter;
     use oml_runtime::{
-        MultiProcCluster, MultiProcConfig, ProcHealth, RuntimeError, SocketConfig, TransportAddr,
+        MultiProcCluster, MultiProcConfig, NodeHealth, RuntimeError, SocketConfig, TransportAddr,
     };
     use std::time::{Duration, Instant};
 
@@ -923,12 +928,8 @@ pub fn availability_multiprocess(opts: &RunOptions) -> ExperimentResult {
 
     let dir = std::env::temp_dir().join(format!("oml-avail-mp-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir for the coordinator socket");
-    let mut socket = SocketConfig::default();
-    socket.backoff.base_ms = 5;
-    socket.backoff.cap_ms = 100;
-    socket.backoff.seed = opts.seed ^ 0x6D70; // "mp"
-                                              // the coordinator's checkpoint table is WAL-backed under OML_FSYNC so
-                                              // the availability run also exercises the durable put-before-ack path
+    // the coordinator's checkpoint table is WAL-backed under OML_FSYNC so
+    // the availability run also exercises the durable put-before-ack path
     let fsync = fsync_from_env();
     let cluster = MultiProcCluster::spawn(MultiProcConfig {
         workers: 3,
@@ -937,7 +938,7 @@ pub fn availability_multiprocess(opts: &RunOptions) -> ExperimentResult {
         heartbeat_ms: 25,
         suspect_after: 3,
         dead_after: 8,
-        socket,
+        socket: SocketConfig::default(),
         worker_program: std::env::current_exe().expect("own executable path"),
         worker_args: Vec::new(),
         monitor: true,
@@ -972,7 +973,7 @@ pub fn availability_multiprocess(opts: &RunOptions) -> ExperimentResult {
             // + reinstantiate cycle, like an operator replacing a box the
             // monitoring already wrote off
             let until = Instant::now() + Duration::from_secs(10);
-            while cluster.health(2) != ProcHealth::Dead {
+            while cluster.health(2) != NodeHealth::Dead {
                 assert!(Instant::now() < until, "detector never declared the kill");
                 std::thread::sleep(Duration::from_millis(10));
             }

@@ -96,21 +96,6 @@ impl LatencyModel {
         }
     }
 
-    /// Draws one message duration **as wall-clock milliseconds** — the
-    /// bridge from simulated transmission policy to a real transport: the
-    /// oml-runtime socket transport paces its batch writes by sampling
-    /// this, so the same configured model that delays simulated messages
-    /// delays real ones (time unit = 1 ms). Negative or non-finite samples
-    /// clamp to zero rather than panic the writer thread.
-    pub fn sample_ms(&self, rng: &mut SimRng) -> std::time::Duration {
-        let x = self.sample(rng);
-        if x.is_finite() && x > 0.0 {
-            std::time::Duration::from_secs_f64(x / 1_000.0)
-        } else {
-            std::time::Duration::ZERO
-        }
-    }
-
     /// The expected message duration under this model.
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -211,16 +196,6 @@ mod tests {
         // builds sampling an unvalidated model still trips an assertion
         let mut rng = SimRng::seed_from(0);
         let _ = LatencyModel::Uniform { lo: 3.0, hi: 1.0 }.sample(&mut rng);
-    }
-
-    #[test]
-    fn sample_ms_interprets_time_units_as_milliseconds() {
-        let mut rng = SimRng::seed_from(3);
-        let d = LatencyModel::Deterministic { value: 250.0 }.sample_ms(&mut rng);
-        assert_eq!(d, std::time::Duration::from_millis(250));
-        // zero-delay models clamp cleanly instead of panicking
-        let z = LatencyModel::Deterministic { value: 0.0 }.sample_ms(&mut rng);
-        assert_eq!(z, std::time::Duration::ZERO);
     }
 
     #[test]

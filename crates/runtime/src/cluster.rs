@@ -25,12 +25,11 @@ use crate::node::NodeWorker;
 use crate::object::{Delinearizer, MobileObject, TypeRegistry};
 use crate::recovery::{
     preference_order, Admission, DetectorConfig, NodeHealth, PendingRefresh, RecoveryState,
-    ReplicaCheckpoint, ReplicationInfo,
+    ReplicationInfo, Sabotage,
 };
 use crate::schedule::{FreeRun, ScheduleSource, SendAction};
-use crate::store::{CheckpointStore, FsyncPolicy};
+use crate::store::{put_traced, CheckpointStore, FsyncPolicy, StoredCheckpoint};
 use crate::trace::{OrderedMutex, OrderedRwLock, TraceCollector};
-use crate::wire::CheckpointFrame;
 
 /// Monotone activity counters, readable while the cluster runs.
 #[derive(Debug, Default)]
@@ -204,14 +203,7 @@ impl Shared {
             return match self.injector.decide_checkpoint(from_raw, to.as_u32()) {
                 Delivery::Drop => Ok(()),
                 Delivery::Deliver { copies, .. } => {
-                    let mut msgs = Vec::with_capacity(copies as usize);
-                    if copies > 1 {
-                        if let Some(dup) = clone_control(&msg) {
-                            msgs.push(self.trace_envelope(from_raw, epoch, to, dup));
-                        }
-                    }
-                    msgs.push(self.trace_envelope(from_raw, epoch, to, msg));
-                    for m in msgs {
+                    for m in self.envelopes(from_raw, epoch, to, msg, copies) {
                         let _ = self.mesh.send(to.as_u32(), m);
                     }
                     Ok(())
@@ -227,10 +219,7 @@ impl Shared {
             return self.mesh.send(to.as_u32(), env).map_err(map_mesh_err);
         }
         let is_end = matches!(msg, Message::EndRequest { .. });
-        match self
-            .injector
-            .decide(from_raw, to.as_u32(), is_end, &format!("{msg:?}"))
-        {
+        match self.injector.decide(from_raw, to.as_u32(), is_end, &msg) {
             Delivery::Drop => Ok(()),
             Delivery::Deliver { copies, delay_ms } => {
                 // the scheduling seam sees every surviving control message;
@@ -241,13 +230,7 @@ impl Shared {
                         delay_ms.max(u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
                     }
                 };
-                let mut msgs = Vec::with_capacity(copies as usize);
-                if copies > 1 {
-                    if let Some(dup) = clone_control(&msg) {
-                        msgs.push(self.trace_envelope(from_raw, epoch, to, dup));
-                    }
-                }
-                msgs.push(self.trace_envelope(from_raw, epoch, to, msg));
+                let msgs = self.envelopes(from_raw, epoch, to, msg, copies);
                 let tx = self.mesh.sender(to.as_u32());
                 if delay_ms > 0 {
                     // deliver later from a detached thread; a message landing
@@ -266,6 +249,26 @@ impl Shared {
                 Ok(())
             }
         }
+    }
+
+    /// The envelopes one delivery decision puts on the wire: `msg`, preceded
+    /// by its clone when the injector duplicated it.
+    fn envelopes(
+        &self,
+        from: u32,
+        epoch: u64,
+        to: NodeId,
+        msg: Message,
+        copies: u8,
+    ) -> Vec<Envelope> {
+        let mut msgs = Vec::with_capacity(copies as usize);
+        if copies > 1 {
+            if let Some(dup) = clone_control(&msg) {
+                msgs.push(self.trace_envelope(from, epoch, to, dup));
+            }
+        }
+        msgs.push(self.trace_envelope(from, epoch, to, msg));
+        msgs
     }
 
     /// Wraps a message for the wire, assigning it a trace id and emitting
@@ -325,16 +328,17 @@ impl Shared {
         self.closing.load(Ordering::Acquire)
     }
 
+    /// Sleeps out one retry backoff step (plus seeded jitter), counts the
+    /// retry and doubles the step.
+    fn back_off(&self, backoff_ms: &mut u64) {
+        self.counters.retries.fetch_add(1, Ordering::Relaxed);
+        let jitter = self.next_jitter_ms(*backoff_ms);
+        std::thread::sleep(Duration::from_millis(*backoff_ms + jitter));
+        *backoff_ms = backoff_ms.saturating_mul(2);
+    }
+
     fn next_jitter_ms(&self, bound_ms: u64) -> u64 {
-        let mut state = self.jitter.lock();
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut x = *state;
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        x % bound_ms.max(1)
+        fault::splitmix64(&mut self.jitter.lock()) % bound_ms.max(1)
     }
 
     // ---- crash-recovery plumbing (all no-ops without a detector) ----
@@ -347,7 +351,9 @@ impl Shared {
 
     /// Whether epoch fencing is active.
     pub(crate) fn fenced(&self) -> bool {
-        self.recovery.as_ref().is_some_and(|r| r.fenced)
+        self.recovery
+            .as_ref()
+            .is_some_and(|r| r.sabotage != Some(Sabotage::Unfenced))
     }
 
     /// The current incarnation of `node` (raw id); 1 without a detector.
@@ -410,14 +416,14 @@ impl Shared {
                 last_refresh_at_ms: now,
             },
         );
-        let frame = CheckpointFrame {
+        let ckpt = StoredCheckpoint {
             type_tag,
             state,
             object_epoch: 0,
             seq: 0,
         };
         for target in self.replica_targets(object, home) {
-            self.store_replica(target, object, &frame);
+            self.store_replica(target, object, ckpt.clone());
         }
     }
 
@@ -469,17 +475,17 @@ impl Shared {
         self.counters
             .checkpoint_refreshes
             .fetch_add(1, Ordering::Relaxed);
-        let frame = CheckpointFrame {
+        let ckpt = StoredCheckpoint {
             type_tag: type_tag.to_owned(),
             state,
             object_epoch,
             seq,
         };
-        let encoded = frame.encode();
+        let encoded = ckpt.encode();
         for target in targets {
             if target == host {
                 // the host's own store needs no message round-trip
-                self.store_replica(target, object, &frame);
+                self.store_replica(target, object, ckpt.clone());
                 self.checkpoint_ack(object, object_epoch, seq, target, host.as_u32());
             } else {
                 let _ = self.send_from(
@@ -494,82 +500,38 @@ impl Shared {
         }
     }
 
-    /// Writes `frame` into `at`'s replica store if it is fresher than the
+    /// Writes `ckpt` into `at`'s replica store if it is fresher than the
     /// copy already there (lexicographic `(object_epoch, seq)`); returns
     /// whether it was applied.
     pub(crate) fn store_replica(
         &self,
         at: NodeId,
         object: ObjectId,
-        frame: &CheckpointFrame,
+        ckpt: StoredCheckpoint,
     ) -> bool {
         let Some(rec) = &self.recovery else {
             return false;
         };
-        let (applied, wal) = {
+        let (object_epoch, seq) = ckpt.version();
+        let applied = {
             let mut stores = rec.replica_stores.lock();
             let store = &mut stores[at.index()];
-            match store.get(object) {
-                Some(existing) if existing.version() >= (frame.object_epoch, frame.seq) => {
-                    (false, None)
-                }
-                _ => {
-                    let compactions = store.wal_stats().compactions;
-                    // the put (and its fsync, per policy) completes before
-                    // any ack is sent — acks never outrun durability
-                    match store.put(
-                        object,
-                        ReplicaCheckpoint {
-                            type_tag: frame.type_tag.clone(),
-                            state: frame.state.clone(),
-                            object_epoch: frame.object_epoch,
-                            seq: frame.seq,
-                        },
-                    ) {
-                        Ok(durability) => {
-                            let wal = store.durable_backed().then(|| {
-                                let stats = store.wal_stats();
-                                let compacted = (stats.compactions > compactions)
-                                    .then_some((stats.generation, store.len() as u64));
-                                (durability.is_durable(), compacted)
-                            });
-                            (true, wal)
-                        }
-                        Err(_) => (false, None), // a failed write is no write
-                    }
-                }
-            }
+            let stale = store
+                .get(object)
+                .is_some_and(|existing| existing.version() >= ckpt.version());
+            // the put (and its fsync, per policy) completes before any ack
+            // is sent — acks never outrun durability; a failed write is no
+            // write
+            !stale && put_traced(&mut **store, &self.trace, at.as_u32(), object, ckpt).is_ok()
         };
-        if let Some((durable, compacted)) = wal {
-            self.trace.emit(
-                at.as_u32(),
-                EventKind::WalAppended {
-                    node: at.as_u32(),
-                    object,
-                    object_epoch: frame.object_epoch,
-                    seq: frame.seq,
-                    durable,
-                },
-            );
-            if let Some((generation, records)) = compacted {
-                self.trace.emit(
-                    at.as_u32(),
-                    EventKind::SnapshotCompacted {
-                        node: at.as_u32(),
-                        generation,
-                        records,
-                    },
-                );
-            }
-        }
         if applied {
             self.trace.emit(
                 at.as_u32(),
                 EventKind::CheckpointStored {
                     object,
                     replica: at,
-                    object_epoch: frame.object_epoch,
-                    seq: frame.seq,
+                    object_epoch,
+                    seq,
                 },
             );
         }
@@ -594,13 +556,14 @@ impl Shared {
         if self.recovery.is_none() {
             return;
         }
-        let Ok(frame) = CheckpointFrame::decode(frame) else {
+        let Ok(ckpt) = StoredCheckpoint::decode(frame) else {
             return;
         };
-        if self.fenced() && frame.object_epoch < self.object_epoch(object) {
+        let (object_epoch, seq) = ckpt.version();
+        if self.fenced() && object_epoch < self.object_epoch(object) {
             return;
         }
-        self.store_replica(at, object, &frame);
+        self.store_replica(at, object, ckpt);
         // re-ack even when the copy was not fresher: the sender may be
         // retrying a refresh whose previous ack was lost
         if ack && from != fault::CLIENT {
@@ -609,8 +572,8 @@ impl Shared {
                 NodeId::new(from),
                 Message::CheckpointAck {
                     object,
-                    object_epoch: frame.object_epoch,
-                    seq: frame.seq,
+                    object_epoch,
+                    seq,
                     replica: at,
                 },
             );
@@ -786,15 +749,15 @@ impl Shared {
     /// re-send the freshest available copy to replica-set members that are
     /// missing it or hold an older version — healing under-replication after
     /// deaths and divergence after dropped refresh traffic. The sweep marker
-    /// is emitted even when repair is disabled ([`crate::ClusterBuilder::no_repair`])
-    /// so the checker can tell "under-replicated after repair quiesced" from
+    /// is emitted even when repair is sabotaged ([`Sabotage::NoRepair`]) so
+    /// the checker can tell "under-replicated after repair quiesced" from
     /// "repair never ran".
     fn repair_sweep(&self) {
         let Some(rec) = &self.recovery else {
             return;
         };
         self.trace.emit(CLIENT_PROCESS, EventKind::RepairSweep);
-        if !rec.repair {
+        if rec.sabotage == Some(Sabotage::NoRepair) {
             return;
         }
         let mut objects: Vec<(ObjectId, NodeId)> = {
@@ -810,12 +773,12 @@ impl Shared {
                 .map(|&(o, _)| (o, epochs.get(&o).copied().unwrap_or(0)))
                 .collect()
         };
-        let mut puts: Vec<(NodeId, ObjectId, CheckpointFrame)> = Vec::new();
+        let mut puts: Vec<(NodeId, ObjectId, StoredCheckpoint)> = Vec::new();
         {
             let stores = rec.replica_stores.lock();
             for &(object, home) in &objects {
                 let current_epoch = epochs.get(&object).copied().unwrap_or(0);
-                let mut freshest: Option<&ReplicaCheckpoint> = None;
+                let mut freshest: Option<&StoredCheckpoint> = None;
                 for (n, store) in stores.iter().enumerate() {
                     if !rec.replica_available(n) {
                         continue;
@@ -841,21 +804,12 @@ impl Shared {
                         Some(c) => c.version() < freshest.version(),
                     };
                     if needs {
-                        puts.push((
-                            target,
-                            object,
-                            CheckpointFrame {
-                                type_tag: freshest.type_tag.clone(),
-                                state: freshest.state.clone(),
-                                object_epoch: freshest.object_epoch,
-                                seq: freshest.seq,
-                            },
-                        ));
+                        puts.push((target, object, freshest.clone()));
                     }
                 }
             }
         }
-        for (target, object, frame) in puts {
+        for (target, object, ckpt) in puts {
             self.counters.repairs.fetch_add(1, Ordering::Relaxed);
             // client-originated: reliable, no quorum round — repair is
             // convergence, not a new write
@@ -864,7 +818,56 @@ impl Shared {
                 target,
                 Message::CheckpointPut {
                     object,
-                    frame: frame.encode(),
+                    frame: ckpt.encode(),
+                },
+            );
+        }
+    }
+
+    /// One lease sweep at the current clock, on behalf of `process`:
+    /// releases (and returns) the placement locks whose leases ran out. The
+    /// expiry events are emitted under the policy guard — lock-state events
+    /// are ordered by the policy mutex.
+    pub(crate) fn expire_leases(&self, process: u32) -> Vec<(ObjectId, BlockId)> {
+        let now = self.now_ms();
+        let expired = {
+            let mut policy = self.policy.lock();
+            let expired = policy.expire_leases(now);
+            for &(object, block) in &expired {
+                self.trace.emit(
+                    process,
+                    EventKind::LockReleased {
+                        object,
+                        block,
+                        cause: ReleaseCause::LeaseExpiry,
+                    },
+                );
+            }
+            expired
+        };
+        self.counters
+            .leases_expired
+            .fetch_add(expired.len() as u64, Ordering::Relaxed);
+        expired
+    }
+
+    /// Releases the placement locks on `stranded` — objects whose host died
+    /// with the blocks holding them, so no end-request can ever arrive. The
+    /// releases are emitted under the policy guard: lock-state events are
+    /// ordered by the policy mutex so the trace mirrors the lock table.
+    /// Idempotent: locks already released yield nothing.
+    pub(crate) fn release_stranded(&self, stranded: &[ObjectId]) {
+        if stranded.is_empty() {
+            return;
+        }
+        let mut policy = self.policy.lock();
+        for (object, block) in policy.release_locks_for(stranded) {
+            self.trace.emit(
+                CLIENT_PROCESS,
+                EventKind::LockReleased {
+                    object,
+                    block,
+                    cause: ReleaseCause::Crash,
                 },
             );
         }
@@ -914,21 +917,7 @@ impl Shared {
         self.trace
             .emit(CLIENT_PROCESS, EventKind::DeclaredDead { node });
         let stranded: Vec<ObjectId> = reinstated.iter().map(|&(o, _)| o).collect();
-        if !stranded.is_empty() {
-            // idempotent against crash_node's own release: locks already
-            // released yield nothing here
-            let mut policy = self.policy.lock();
-            for (object, block) in policy.release_locks_for(&stranded) {
-                self.trace.emit(
-                    CLIENT_PROCESS,
-                    EventKind::LockReleased {
-                        object,
-                        block,
-                        cause: ReleaseCause::Crash,
-                    },
-                );
-            }
-        }
+        self.release_stranded(&stranded);
         // the dead node's replica holdings died with it
         // a clear() persists a tombstone record on WAL-backed stores;
         // epoch floors survive it by the store contract
@@ -955,18 +944,18 @@ impl Shared {
                 continue; // no replication record (object predates the detector)
             };
             // reinstantiate from the freshest surviving replica, ordered by
-            // (object epoch, refresh sequence); the stale_promotion hook
-            // inverts the choice for negative testing
+            // (object epoch, refresh sequence); the stale-promotion sabotage
+            // inverts the choice
             let source = {
                 let stores = rec.replica_stores.lock();
-                let mut best: Option<(NodeId, ReplicaCheckpoint)> = None;
+                let mut best: Option<(NodeId, StoredCheckpoint)> = None;
                 for (n, store) in stores.iter().enumerate() {
                     if !rec.replica_available(n) {
                         continue;
                     }
                     if let Some(ckpt) = store.get(object) {
                         let better = best.as_ref().is_none_or(|(_, b)| {
-                            if rec.stale_promotion {
+                            if rec.sabotage == Some(Sabotage::StalePromotion) {
                                 ckpt.version() < b.version()
                             } else {
                                 ckpt.version() > b.version()
@@ -1110,9 +1099,6 @@ fn clone_control(msg: &Message) -> Option<Message> {
 ///
 /// See the crate-level documentation for a full example.
 #[derive(Debug)]
-// a builder is the one place independent on/off switches genuinely are
-// independent bools, not a state machine
-#[allow(clippy::struct_excessive_bools)]
 pub struct ClusterBuilder {
     nodes: u32,
     policy: PolicyKind,
@@ -1125,10 +1111,8 @@ pub struct ClusterBuilder {
     manual_clock: bool,
     trace: bool,
     detector: Option<DetectorConfig>,
-    unfenced: bool,
     replication_k: usize,
-    repair: bool,
-    stale_promotion: bool,
+    sabotage: Option<Sabotage>,
     store_dir: Option<std::path::PathBuf>,
     store_fsync: FsyncPolicy,
     schedule: Arc<dyn ScheduleSource>,
@@ -1265,23 +1249,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Disables the anti-entropy repair sweep (negative-testing hook):
-    /// objects under-replicated by deaths or dropped refresh traffic then
-    /// *stay* under-replicated — the scenario `oml-check`'s
-    /// `ReplicationFactorViolation` invariant exists to catch.
+    /// Breaks one recovery mechanism on purpose — the negative controls
+    /// that show an `oml-check` invariant bites (see [`Sabotage`]).
+    /// Meaningless without [`ClusterBuilder::failure_detector`].
     #[must_use]
-    pub fn no_repair(mut self) -> Self {
-        self.repair = false;
-        self
-    }
-
-    /// Makes reinstantiation promote the *stalest* surviving replica instead
-    /// of the freshest (negative-testing hook): a quorum-acked write is then
-    /// observably lost even though a fresher copy survives — the scenario
-    /// `oml-check`'s `StaleReplicaPromoted` invariant exists to catch.
-    #[must_use]
-    pub fn stale_promotion(mut self) -> Self {
-        self.stale_promotion = true;
+    pub fn sabotage(mut self, sabotage: Sabotage) -> Self {
+        self.sabotage = Some(sabotage);
         self
     }
 
@@ -1296,16 +1269,6 @@ impl ClusterBuilder {
     pub fn durable_store(mut self, dir: impl Into<std::path::PathBuf>, fsync: FsyncPolicy) -> Self {
         self.store_dir = Some(dir.into());
         self.store_fsync = fsync;
-        self
-    }
-
-    /// Disables epoch fencing (negative-testing hook): zombie workers and
-    /// their stale messages are then *not* rejected, so
-    /// [`Cluster::zombie_restart_node`] observably corrupts state — the
-    /// scenario `oml-check`'s stale-incarnation invariant exists to catch.
-    #[must_use]
-    pub fn unfenced(mut self) -> Self {
-        self.unfenced = true;
         self
     }
 
@@ -1374,10 +1337,8 @@ impl ClusterBuilder {
             RecoveryState::new(
                 self.nodes as usize,
                 cfg,
-                !self.unfenced,
                 self.replication_k,
-                self.repair,
-                self.stale_promotion,
+                self.sabotage,
                 stores,
             )
         });
@@ -1520,10 +1481,8 @@ impl Cluster {
             manual_clock: false,
             trace: false,
             detector: None,
-            unfenced: false,
             replication_k: 2,
-            repair: true,
-            stale_promotion: false,
+            sabotage: None,
             store_dir: None,
             store_fsync: FsyncPolicy::Always,
             schedule: Arc::new(FreeRun),
@@ -1627,10 +1586,7 @@ impl Cluster {
                 // back off and re-resolve — a reinstantiation may land
                 fast_fail = Some(down);
                 if attempt + 1 < attempts {
-                    self.shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    let jitter = self.shared.next_jitter_ms(backoff_ms);
-                    std::thread::sleep(Duration::from_millis(backoff_ms + jitter));
-                    backoff_ms = backoff_ms.saturating_mul(2);
+                    self.shared.back_off(&mut backoff_ms);
                 }
                 continue;
             }
@@ -1662,10 +1618,7 @@ impl Cluster {
                         .timeouts
                         .fetch_add(1, Ordering::Relaxed);
                     if attempt + 1 < attempts {
-                        self.shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-                        let jitter = self.shared.next_jitter_ms(backoff_ms);
-                        std::thread::sleep(Duration::from_millis(backoff_ms + jitter));
-                        backoff_ms = backoff_ms.saturating_mul(2);
+                        self.shared.back_off(&mut backoff_ms);
                     }
                 }
             }
@@ -1920,17 +1873,8 @@ impl Cluster {
     #[must_use]
     pub fn replica_set(&self, object: ObjectId) -> Option<Vec<NodeId>> {
         let rec = self.shared.recovery.as_ref()?;
-        let home = {
-            let repl = rec.replication.lock();
-            repl.get(&object)?.home
-        };
-        Some(
-            preference_order(object, home, self.shared.mesh.peers() as usize)
-                .into_iter()
-                .filter(|n| rec.replica_available(n.index()))
-                .take(rec.replica_k)
-                .collect(),
-        )
+        let home = rec.replication.lock().get(&object)?.home;
+        Some(self.shared.replica_targets(object, home))
     }
 
     /// The object's current epoch: 0 at birth, bumped by every
@@ -2076,21 +2020,7 @@ impl Cluster {
                 .map(|(_, object, _, _)| *object)
                 .collect()
         };
-        if !stranded.is_empty() {
-            // emitted under the policy guard: lock-state events are ordered
-            // by the policy mutex so the trace mirrors the lock table
-            let mut policy = self.shared.policy.lock();
-            for (object, block) in policy.release_locks_for(&stranded) {
-                self.shared.trace.emit(
-                    CLIENT_PROCESS,
-                    EventKind::LockReleased {
-                        object,
-                        block,
-                        cause: ReleaseCause::Crash,
-                    },
-                );
-            }
-        }
+        self.shared.release_stranded(&stranded);
         Ok(())
     }
 
@@ -2112,31 +2042,48 @@ impl Cluster {
     /// returned transiently while a fenced zombie is still winding down;
     /// retry after it exits.
     pub fn restart_node(&self, node: NodeId) -> Result<(), RuntimeError> {
+        if self.reap_and_respawn(node, "restart", || self.shared.rejoin(node))? {
+            Ok(())
+        } else {
+            Err(RuntimeError::NotDead(node))
+        }
+    }
+
+    /// The shared tail of [`Cluster::restart_node`] and
+    /// [`Cluster::zombie_restart_node`]: reaps `node`'s exited worker, if
+    /// any, and spawns a fresh one under the incarnation `epoch` picks.
+    /// `Ok(false)`, with nothing touched, while a worker is still running.
+    /// The handle table stays locked throughout: reap-check, rejoin and
+    /// respawn must be atomic against a concurrent restart.
+    fn reap_and_respawn(
+        &self,
+        node: NodeId,
+        label: &str,
+        epoch: impl FnOnce() -> u64,
+    ) -> Result<bool, RuntimeError> {
         self.check_node(node)?;
         let mut handles = self.handles.lock();
-        if let Some(handle) = &handles[node.index()] {
+        if let Some(handle) = handles[node.index()].take() {
             if !handle.is_finished() {
-                return Err(RuntimeError::NotDead(node));
+                handles[node.index()] = Some(handle);
+                return Ok(false);
             }
-            // a fenced zombie exited on its own; reap it and respawn
-            if let Some(handle) = handles[node.index()].take() {
-                let _ = handle.join();
-            }
+            // a fenced zombie exited on its own; reap it
+            let _ = handle.join();
         }
-        self.shared.injector.note(format!("restart {node}"));
+        self.shared.injector.note(format!("{label} {node}"));
         self.shared
             .trace
             .emit(CLIENT_PROCESS, EventKind::Restart { node });
-        let epoch = self.shared.rejoin(node);
-        handles[node.index()] = Some(spawn_worker(&self.shared, node, epoch));
-        Ok(())
+        handles[node.index()] = Some(spawn_worker(&self.shared, node, epoch()));
+        Ok(true)
     }
 
     /// Fault-injection hook: restarts a crashed node under its **old**
     /// incarnation — a "zombie" that believes it still owns its stashed
     /// objects. With fencing (the default) the zombie notices the newer
-    /// epoch and exits without reclaiming anything; built
-    /// [`ClusterBuilder::unfenced`], it double-installs state the cluster
+    /// epoch and exits without reclaiming anything; under
+    /// [`Sabotage::Unfenced`] it double-installs state the cluster
     /// already reinstantiated elsewhere — the corruption `oml-check`'s
     /// stale-incarnation invariant flags. Idempotent on a running node.
     ///
@@ -2144,28 +2091,13 @@ impl Cluster {
     ///
     /// [`RuntimeError::UnknownNode`] for an out-of-range node.
     pub fn zombie_restart_node(&self, node: NodeId) -> Result<(), RuntimeError> {
-        self.check_node(node)?;
-        let mut handles = self.handles.lock();
-        if let Some(handle) = &handles[node.index()] {
-            if !handle.is_finished() {
-                return Ok(());
-            }
-            if let Some(handle) = handles[node.index()].take() {
-                let _ = handle.join();
-            }
-        }
         // the incarnation it crashed with: one before the current fence
-        let stale_epoch = self
-            .shared
-            .incarnation(node.as_u32())
-            .saturating_sub(1)
-            .max(1);
-        self.shared.injector.note(format!("zombie-restart {node}"));
-        self.shared
-            .trace
-            .emit(CLIENT_PROCESS, EventKind::Restart { node });
-        handles[node.index()] = Some(spawn_worker(&self.shared, node, stale_epoch));
-        Ok(())
+        let stale_epoch = || {
+            let current = self.shared.incarnation(node.as_u32());
+            current.saturating_sub(1).max(1)
+        };
+        self.reap_and_respawn(node, "zombie-restart", stale_epoch)
+            .map(|_| ())
     }
 
     /// Runs one failure-detector sweep at the current clock: suspects
@@ -2257,27 +2189,7 @@ impl Cluster {
     /// expired. Workers sweep on their idle ticks anyway; this is for tests
     /// that want the sweep *now*.
     pub fn sweep_leases(&self) -> Vec<(ObjectId, BlockId)> {
-        let now = self.shared.now_ms();
-        let expired = {
-            let mut policy = self.shared.policy.lock();
-            let expired = policy.expire_leases(now);
-            for &(object, block) in &expired {
-                self.shared.trace.emit(
-                    CLIENT_PROCESS,
-                    EventKind::LockReleased {
-                        object,
-                        block,
-                        cause: ReleaseCause::LeaseExpiry,
-                    },
-                );
-            }
-            expired
-        };
-        self.shared
-            .counters
-            .leases_expired
-            .fetch_add(expired.len() as u64, Ordering::Relaxed);
-        expired
+        self.shared.expire_leases(CLIENT_PROCESS)
     }
 
     /// Advances the manual lease clock by `ms` milliseconds.
@@ -2471,5 +2383,25 @@ impl MoveGuard<'_> {
 impl Drop for MoveGuard<'_> {
     fn drop(&mut self) {
         let _ = self.finish();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The retry-jitter stream of seed `0xC0A5`, captured at the commit
+    /// before its finalizer became [`fault::mix64`]; see
+    /// `fault::tests::seeded_streams_match_their_pinned_values`.
+    #[test]
+    fn retry_jitter_matches_its_pinned_values() {
+        let cluster = Cluster::builder().faults(FaultPlan::seeded(0xC0A5)).build();
+        let draws: Vec<u64> = (0..16)
+            .map(|i| cluster.shared.next_jitter_ms(2 << i))
+            .collect();
+        assert_eq!(
+            draws,
+            [0, 2, 5, 0, 8, 47, 115, 65, 4, 389, 2016, 1326, 2557, 2535, 25005, 58720]
+        );
     }
 }

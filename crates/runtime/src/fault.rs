@@ -35,6 +35,31 @@ use oml_core::ids::NodeId;
 /// (which is not a cluster node but still owns lossy links to every node).
 pub(crate) const CLIENT: u32 = u32::MAX;
 
+/// The SplitMix64 finalizer — the one seeded hash of this crate. Every
+/// seeded decision (fault plans, proxy schedules, storage faults, backoff
+/// and retry jitter, replica placement) combines its own coordinates into
+/// a `u64` and finishes with this, so decisions depend only on seeds and
+/// coordinates, never on wall-clock interleaving.
+pub(crate) fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// `hash` as a uniform draw from `[0, 1)`: its top 53 bits.
+pub(crate) fn unit_interval(hash: u64) -> f64 {
+    (hash >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// One step of the SplitMix64 generator over `state` — the jitter streams
+/// (reconnect backoff, invoke retries).
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    mix64(*state)
+}
+
 /// A seeded description of the faults to inject into a cluster.
 ///
 /// The default plan (any seed, all probabilities zero) injects nothing.
@@ -299,8 +324,14 @@ impl FaultInjector {
     }
 
     /// Decides the fate of one control message on the `from → to` link.
-    /// `desc` is the message's debug rendering, recorded with any fault.
-    pub(crate) fn decide(&self, from: u32, to: u32, is_end: bool, desc: &str) -> Delivery {
+    /// `msg`'s debug rendering is recorded with any fault (and only then).
+    pub(crate) fn decide(
+        &self,
+        from: u32,
+        to: u32,
+        is_end: bool,
+        msg: &dyn std::fmt::Debug,
+    ) -> Delivery {
         let clean = Delivery::Deliver {
             copies: 1,
             delay_ms: 0,
@@ -324,7 +355,7 @@ impl FaultInjector {
         };
         if self.is_partitioned(from, to) {
             self.note(format!(
-                "drop(partition) {}->n{to} #{seq} {desc}",
+                "drop(partition) {}->n{to} #{seq} {msg:?}",
                 link(from)
             ));
             return Delivery::Drop;
@@ -335,18 +366,18 @@ impl FaultInjector {
             self.plan.drop
         };
         if self.chance(from, to, seq, 1, p_drop) {
-            self.note(format!("drop {}->n{to} #{seq} {desc}", link(from)));
+            self.note(format!("drop {}->n{to} #{seq} {msg:?}", link(from)));
             return Delivery::Drop;
         }
         let copies = if self.chance(from, to, seq, 2, self.plan.duplicate) {
-            self.note(format!("duplicate {}->n{to} #{seq} {desc}", link(from)));
+            self.note(format!("duplicate {}->n{to} #{seq} {msg:?}", link(from)));
             2
         } else {
             1
         };
         let delay_ms = if self.chance(from, to, seq, 3, self.plan.delay) {
             let d = 1 + self.hash(from, to, seq, 4) % self.plan.max_delay_ms.max(1);
-            self.note(format!("delay({d}ms) {}->n{to} #{seq} {desc}", link(from)));
+            self.note(format!("delay({d}ms) {}->n{to} #{seq} {msg:?}", link(from)));
             d
         } else {
             0
@@ -392,30 +423,20 @@ impl FaultInjector {
     }
 
     fn hash(&self, from: u32, to: u32, seq: u64, salt: u64) -> u64 {
-        // SplitMix64 over the combined identity: decisions depend only on
-        // the seed and the message's link coordinates, never on wall-clock
-        // interleaving.
-        let mut x = self
-            .plan
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(u64::from(from) << 32 | u64::from(to))
-            .wrapping_add(seq.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-            .wrapping_add(salt.wrapping_mul(0x94d0_49bb_1331_11eb));
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        x
+        // the combined identity: decisions depend only on the seed and the
+        // message's link coordinates
+        mix64(
+            self.plan
+                .seed
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(u64::from(from) << 32 | u64::from(to))
+                .wrapping_add(seq.wrapping_mul(0xbf58_476d_1ce4_e5b9))
+                .wrapping_add(salt.wrapping_mul(0x94d0_49bb_1331_11eb)),
+        )
     }
 
     fn chance(&self, from: u32, to: u32, seq: u64, salt: u64, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        let unit = (self.hash(from, to, seq, salt) >> 11) as f64 / (1u64 << 53) as f64;
-        unit < p
+        p > 0.0 && unit_interval(self.hash(from, to, seq, salt)) < p
     }
 }
 
@@ -428,7 +449,7 @@ mod tests {
         let inj = FaultInjector::new(FaultPlan::seeded(7));
         for i in 0..100 {
             assert_eq!(
-                inj.decide(CLIENT, 0, false, &format!("m{i}")),
+                inj.decide(CLIENT, 0, false, &i),
                 Delivery::Deliver {
                     copies: 1,
                     delay_ms: 0
@@ -448,7 +469,7 @@ mod tests {
                     .delay_probability(0.2, 10),
             );
             (0..200)
-                .map(|i| inj.decide(0, 1, false, &format!("m{i}")))
+                .map(|i| inj.decide(0, 1, false, &i))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(3), run(3));
@@ -460,7 +481,7 @@ mod tests {
         let inj = FaultInjector::new(FaultPlan::seeded(11).drop_probability(0.3));
         let n = 10_000;
         let dropped = (0..n)
-            .filter(|_| inj.decide(0, 1, false, "m") == Delivery::Drop)
+            .filter(|_| inj.decide(0, 1, false, &"m") == Delivery::Drop)
             .count();
         let rate = dropped as f64 / f64::from(n);
         assert!((rate - 0.3).abs() < 0.03, "rate {rate}");
@@ -470,22 +491,22 @@ mod tests {
     fn end_requests_use_their_own_drop_probability() {
         let inj = FaultInjector::new(FaultPlan::seeded(5).drop_end_requests(1.0));
         // non-end messages sail through…
-        assert_ne!(inj.decide(CLIENT, 0, false, "Invoke"), Delivery::Drop);
+        assert_ne!(inj.decide(CLIENT, 0, false, &"Invoke"), Delivery::Drop);
         // …end-requests always drop
-        assert_eq!(inj.decide(CLIENT, 0, true, "End"), Delivery::Drop);
+        assert_eq!(inj.decide(CLIENT, 0, true, &"End"), Delivery::Drop);
     }
 
     #[test]
     fn partitions_cut_both_directions_and_heal() {
         let inj = FaultInjector::new(FaultPlan::seeded(0));
         inj.partition(NodeId::new(0), NodeId::new(1));
-        assert_eq!(inj.decide(0, 1, false, "m"), Delivery::Drop);
-        assert_eq!(inj.decide(1, 0, false, "m"), Delivery::Drop);
+        assert_eq!(inj.decide(0, 1, false, &"m"), Delivery::Drop);
+        assert_eq!(inj.decide(1, 0, false, &"m"), Delivery::Drop);
         // other links unaffected; the client cannot be partitioned
-        assert_ne!(inj.decide(0, 2, false, "m"), Delivery::Drop);
-        assert_ne!(inj.decide(CLIENT, 1, false, "m"), Delivery::Drop);
+        assert_ne!(inj.decide(0, 2, false, &"m"), Delivery::Drop);
+        assert_ne!(inj.decide(CLIENT, 1, false, &"m"), Delivery::Drop);
         inj.heal(NodeId::new(1), NodeId::new(0)); // order-insensitive
-        assert_ne!(inj.decide(0, 1, false, "m"), Delivery::Drop);
+        assert_ne!(inj.decide(0, 1, false, &"m"), Delivery::Drop);
     }
 
     #[test]
@@ -519,7 +540,7 @@ mod tests {
         assert!(inj.trace().is_empty());
         // independent stream: control decisions are untouched by the
         // checkpoint knobs (no control faults configured)
-        assert_ne!(inj.decide(0, 1, false, "m"), Delivery::Drop);
+        assert_ne!(inj.decide(0, 1, false, &"m"), Delivery::Drop);
     }
 
     #[test]
@@ -540,6 +561,108 @@ mod tests {
                 copies: 2,
                 delay_ms: 0
             }
+        );
+    }
+
+    /// The first outcomes of every seeded stream in this crate, captured at
+    /// the commit before its six hand-written SplitMix64 finalizers became
+    /// [`mix64`] (the retry-jitter stream is pinned next to its owner, in
+    /// `cluster.rs`). A shifted stream changes which message a chaos seed
+    /// drops: any difference here is a break, not a refactor.
+    #[test]
+    fn seeded_streams_match_their_pinned_values() {
+        use crate::transport::backoff::{Backoff, BackoffConfig};
+        use crate::transport::chaos_proxy::{ProxyAction, ProxyPlan};
+        let show = |d: Delivery| match d {
+            Delivery::Drop => "x".to_owned(),
+            Delivery::Deliver { copies, delay_ms } => format!("{copies}:{delay_ms}"),
+        };
+        let inj = FaultInjector::new(
+            FaultPlan::seeded(0xC0A5)
+                .drop_probability(0.2)
+                .duplicate_probability(0.2)
+                .delay_probability(0.2, 10)
+                .checkpoint_faults(0.2, 0.2),
+        );
+        let decide = |from, to| {
+            let line: Vec<String> = (0..64)
+                .map(|_| show(inj.decide(from, to, false, &"m")))
+                .collect();
+            line.join(" ")
+        };
+        assert_eq!(
+            decide(0, 1),
+            "1:0 1:0 x x 1:0 1:5 x 1:0 2:9 x 1:0 2:0 1:0 2:4 1:0 1:0 x 2:3 x 1:0 2:0 2:0 1:2 \
+             1:0 2:0 2:0 1:0 x x 2:0 1:8 1:0 x 1:1 1:0 1:0 1:0 2:0 2:0 1:0 x 1:0 1:10 x x 1:0 x \
+             1:0 1:0 1:0 x x 1:0 1:0 1:0 1:0 x 2:0 x x x x 1:0 x"
+        );
+        assert_eq!(
+            decide(CLIENT, 2),
+            "1:0 1:0 2:0 1:0 1:10 1:1 x x 1:0 1:0 1:0 x 1:0 x 1:0 2:0 1:0 1:6 1:0 1:0 1:0 1:1 x \
+             1:0 2:0 x 1:10 1:0 1:0 2:0 1:0 1:0 2:1 1:0 1:0 2:5 1:0 x 1:0 1:0 x 1:10 1:0 1:0 1:0 \
+             1:9 2:0 1:0 1:0 1:0 1:0 1:1 2:0 x 2:5 x x 2:0 x 1:0 1:0 x 1:0 1:0"
+        );
+        let ckpt: Vec<String> = (0..32).map(|_| show(inj.decide_checkpoint(0, 1))).collect();
+        assert_eq!(
+            ckpt.join(" "),
+            "1:0 2:0 1:0 1:0 1:0 1:0 x 1:0 1:0 x 1:0 1:0 1:0 1:0 x x 2:0 1:0 1:0 1:0 1:0 1:0 \
+             1:0 1:0 1:0 1:0 2:0 1:0 x 1:0 x 1:0"
+        );
+
+        let proxy = ProxyPlan::seeded(0xC0A5)
+            .drop_chunks(0.2)
+            .close_connections(0.05)
+            .stall(0.1, 20)
+            .split_writes(0.2);
+        let actions: String = (0..64)
+            .map(|i| match proxy.decide(1, (i % 2) as u8, i) {
+                ProxyAction::Forward => 'F',
+                ProxyAction::Drop => 'D',
+                ProxyAction::Close => 'C',
+                ProxyAction::Stall => 'S',
+                ProxyAction::Split => 'P',
+            })
+            .collect();
+        assert_eq!(
+            actions,
+            "PDFFSPPSFPDDSDFFSFFPDCFSFFFFDDPFPPDFCFFDDFPFFPPFPPPFFDPDDFDCFDCD"
+        );
+
+        let mixed = [
+            (0, 0, 0xe220_a839_7b1d_cdaf),
+            (0, 1, 0x6e78_9e6a_a1b9_65f4),
+            (1, 0, 0x910a_2dec_8902_5cc1),
+            (0xC0A5, 7, 0x1858_80d9_3365_e841),
+            (u64::MAX, 1, 0xe99f_f867_dbf6_82c9),
+            (42, 42, 0x45e7_8cf4_fe33_2d8c),
+            (7, u64::MAX, 0x12ae_3023_7b17_df14),
+            (0x6F6D_6C62, 3, 0x9141_6ea2_1cf8_b871),
+        ];
+        for (seed, stream, expected) in mixed {
+            assert_eq!(crate::store::FaultFs::mix(seed, stream), expected);
+        }
+
+        let mut backoff = Backoff::new(BackoffConfig::default());
+        let delays: Vec<u64> = (0..16).map(|_| backoff.next_delay_ms()).collect();
+        assert_eq!(
+            delays,
+            [5, 13, 31, 74, 132, 243, 590, 928, 1778, 1179, 1511, 1829, 1631, 1503, 1851, 1765]
+        );
+
+        // replica placement of objects 0..16 on 5 nodes, home = object % 5
+        let orders: Vec<String> = (0..16u32)
+            .map(|o| {
+                let home = NodeId::new(o % 5);
+                crate::recovery::preference_order(oml_core::ids::ObjectId::new(o), home, 5)
+                    .iter()
+                    .map(|n| n.as_u32().to_string())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            orders.join(" "),
+            "02143 10234 23014 34102 40132 03124 12403 23401 30412 40213 04312 10432 20134 \
+             32104 43102 03124"
         );
     }
 

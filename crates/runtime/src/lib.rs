@@ -116,7 +116,7 @@ pub use error::RuntimeError;
 pub use fault::{FailurePattern, FaultPlan};
 pub use object::{Delinearizer, MobileObject};
 pub use proxy::ObjRef;
-pub use recovery::{DetectorConfig, NodeHealth};
+pub use recovery::{DetectorConfig, NodeHealth, Sabotage};
 pub use schedule::{FreeRun, ScheduleSource, SendAction};
 pub use store::{
     CheckpointStore, Durability, FaultFs, FsyncPolicy, MemStore, RecoveryReport, StoreError,
@@ -124,8 +124,7 @@ pub use store::{
 };
 pub use trace::KNOWN_LOCK_ORDER;
 pub use transport::multiproc::{
-    run_worker, MultiProcCluster, MultiProcConfig, MultiProcStats, ProcHealth, WorkerExit,
-    WorkerOptions,
+    run_worker, MultiProcCluster, MultiProcConfig, MultiProcStats, WorkerExit, WorkerOptions,
 };
 pub use transport::netio::TransportAddr;
 pub use transport::socket::{SocketConfig, SocketPeer, SocketServer};

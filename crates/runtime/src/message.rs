@@ -93,6 +93,25 @@ pub(crate) enum Message {
     Crash,
 }
 
+impl Message {
+    /// Answers the caller still blocked on this message with `err`; a
+    /// message nobody waits on is simply dropped.
+    pub(crate) fn refuse(self, err: RuntimeError) {
+        match self {
+            Message::Create { reply, .. } => {
+                let _ = reply.try_send(Err(err));
+            }
+            Message::Invoke { reply, .. } => {
+                let _ = reply.try_send(Err(err));
+            }
+            Message::MoveRequest { reply, .. } => {
+                let _ = reply.try_send(Err(err));
+            }
+            _ => {}
+        }
+    }
+}
+
 impl std::fmt::Debug for Message {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

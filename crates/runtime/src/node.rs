@@ -14,7 +14,7 @@ use oml_core::policy::{EndAction, EndRequest, MoveDecision, MovePolicy, MoveRequ
 use crate::cluster::Shared;
 use crate::error::RuntimeError;
 use crate::fault;
-use crate::message::{Envelope, Message, MoveReply, MAX_HOPS};
+use crate::message::{Envelope, InvokeReply, Message, MoveReply};
 use crate::object::MobileObject;
 
 // How long a worker waits for a message before running its maintenance
@@ -180,7 +180,7 @@ impl NodeWorker {
             mine
         };
         let mine: Vec<(ObjectId, Box<dyn MobileObject>, u64)> = match &self.shared.recovery {
-            Some(rec) if rec.fenced => {
+            Some(rec) if self.shared.fenced() => {
                 // filtered under the epoch lock so a concurrent declare-dead
                 // either bumped the epochs before we read them (entry
                 // dropped) or runs after and reinstantiates from checkpoints
@@ -237,15 +237,6 @@ impl NodeWorker {
             self.note_recv(&env);
             match env.msg {
                 msg @ (Message::EndRequest { .. } | Message::Install { .. }) => self.handle(msg),
-                Message::Create { reply, .. } => {
-                    let _ = reply.try_send(Err(RuntimeError::ShuttingDown));
-                }
-                Message::Invoke { reply, .. } => {
-                    let _ = reply.try_send(Err(RuntimeError::ShuttingDown));
-                }
-                Message::MoveRequest { reply, .. } => {
-                    let _ = reply.try_send(Err(RuntimeError::ShuttingDown));
-                }
                 Message::CheckpointPut { object, frame } => {
                     // still apply queued replica writes (acks suppressed —
                     // the refresher is shutting down too) so the final
@@ -273,65 +264,31 @@ impl NodeWorker {
                         self.id.as_u32(),
                     );
                 }
-                Message::Surrender { .. } | Message::Shutdown | Message::Crash => {}
+                msg => msg.refuse(RuntimeError::ShuttingDown),
             }
         }
         for (_, queued) in self.awaiting.drain() {
             for msg in queued {
-                match msg {
-                    Message::Create { reply, .. } => {
-                        let _ = reply.try_send(Err(RuntimeError::ShuttingDown));
-                    }
-                    Message::Invoke { reply, .. } => {
-                        let _ = reply.try_send(Err(RuntimeError::ShuttingDown));
-                    }
-                    Message::MoveRequest { reply, .. } => {
-                        let _ = reply.try_send(Err(RuntimeError::ShuttingDown));
-                    }
-                    _ => {}
-                }
+                msg.refuse(RuntimeError::ShuttingDown);
             }
         }
     }
 
-    /// Maintenance tick: release placement locks whose leases ran out. The
-    /// expiry events are emitted under the policy guard — lock-state events
-    /// are ordered by the policy mutex (see [`NodeWorker::emit_lock_acquired`]).
+    /// Maintenance tick: release placement locks whose leases ran out.
     fn sweep_leases(&mut self) {
-        let now = self.shared.now_ms();
-        let expired = {
-            let mut policy = self.shared.policy.lock();
-            let expired = policy.expire_leases(now);
-            for &(object, block) in &expired {
-                self.shared.trace.emit(
-                    self.id.as_u32(),
-                    EventKind::LockReleased {
+        let expired = self.shared.expire_leases(self.id.as_u32());
+        // a lease expiry is a consistency point: refresh the checkpoints of
+        // the expired objects hosted here while their state is in hand
+        if self.shared.detector_enabled() {
+            for &(object, _) in &expired {
+                if let Some(instance) = self.objects.get(&object) {
+                    self.shared.checkpoint_refresh(
                         object,
-                        block,
-                        cause: ReleaseCause::LeaseExpiry,
-                    },
-                );
-            }
-            expired
-        };
-        if !expired.is_empty() {
-            self.shared
-                .counters
-                .leases_expired
-                .fetch_add(expired.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            // a lease expiry is a consistency point: refresh the checkpoints
-            // of the expired objects hosted here while their state is in hand
-            if self.shared.detector_enabled() {
-                for &(object, _) in &expired {
-                    if let Some(instance) = self.objects.get(&object) {
-                        self.shared.checkpoint_refresh(
-                            object,
-                            instance.type_tag(),
-                            Bytes::from(instance.linearize()),
-                            self.id,
-                            self.epoch,
-                        );
-                    }
+                        instance.type_tag(),
+                        Bytes::from(instance.linearize()),
+                        self.id,
+                        self.epoch,
+                    );
                 }
             }
         }
@@ -352,8 +309,35 @@ impl NodeWorker {
                 let _ = reply.try_send(Ok(()));
                 self.drain_awaiting(object);
             }
-            Message::Invoke { .. } => self.handle_invoke(msg),
-            Message::MoveRequest { .. } => self.handle_move(msg),
+            // not (or no longer) installed here: park or forward
+            Message::Invoke { object, .. } | Message::EndRequest { object, .. }
+                if !self.objects.contains_key(&object) =>
+            {
+                self.route_elsewhere(object, msg);
+            }
+            Message::Invoke {
+                object,
+                method,
+                payload,
+                reply,
+                ..
+            } => self.handle_invoke(object, &method, &payload, &reply),
+            // an expired request is denied here, wherever its object is: an
+            // abandoned request chases nothing
+            Message::MoveRequest {
+                object, expires, ..
+            } if Instant::now() < expires && !self.objects.contains_key(&object) => {
+                self.route_elsewhere(object, msg);
+            }
+            Message::MoveRequest {
+                object,
+                to,
+                block,
+                context,
+                expires,
+                reply,
+                ..
+            } => self.handle_move(object, to, block, context, expires, reply),
             Message::Install {
                 object,
                 type_tag,
@@ -367,7 +351,14 @@ impl NodeWorker {
                     self.ship(object, to, None);
                 }
             }
-            Message::EndRequest { .. } => self.handle_end(msg),
+            Message::EndRequest {
+                object,
+                block,
+                from,
+                was_granted,
+                context,
+                ..
+            } => self.handle_end(object, block, from, was_granted, context),
             Message::CheckpointPut { .. }
             | Message::CheckpointAck { .. }
             | Message::Shutdown
@@ -381,35 +372,34 @@ impl NodeWorker {
 
     /// Routes a message for an object that is not installed here: queue it
     /// if the object is in flight towards this node, forward it to the
-    /// directory location otherwise.
-    ///
-    /// Returns the message back if it must be failed by the caller.
-    fn route_elsewhere(&mut self, object: ObjectId, msg: Message) -> Result<(), Message> {
+    /// directory location otherwise. A message with nowhere to go — unknown
+    /// object, or its forwarding budget spent — is refused; an end-request
+    /// is then simply dropped (nothing to unlock: the object's new host
+    /// processes queued messages in order).
+    fn route_elsewhere(&mut self, object: ObjectId, msg: Message) {
         match self.shared.directory_get(object) {
             Some(n) if n == self.id => {
                 // headed here; park until the Install arrives
                 self.awaiting.entry(object).or_default().push(msg);
-                Ok(())
             }
             Some(n) => {
-                let hops = match &msg {
-                    Message::Invoke { hops, .. }
-                    | Message::MoveRequest { hops, .. }
-                    | Message::EndRequest { hops, .. } => *hops,
-                    _ => MAX_HOPS,
-                };
-                if hops == 0 {
-                    return Err(msg);
+                let mut msg = msg;
+                if let Message::Invoke { hops, .. }
+                | Message::MoveRequest { hops, .. }
+                | Message::EndRequest { hops, .. } = &mut msg
+                {
+                    if *hops == 0 {
+                        return msg.refuse(RuntimeError::TooManyHops(object));
+                    }
+                    *hops -= 1;
                 }
-                let msg = decrement_hops(msg);
                 self.shared
                     .counters
                     .forwards
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let _ = self.shared.send_from(Some((self.id, self.epoch)), n, msg);
-                Ok(())
             }
-            None => Err(msg),
+            None => msg.refuse(RuntimeError::UnknownObject(object)),
         }
     }
 
@@ -425,83 +415,58 @@ impl NodeWorker {
     // invocations
     // ------------------------------------------------------------------
 
-    fn handle_invoke(&mut self, msg: Message) {
-        let Message::Invoke {
-            object,
-            method,
-            payload,
-            hops,
-            reply,
-        } = msg
-        else {
-            unreachable!()
-        };
-        if let Some(instance) = self.objects.get_mut(&object) {
-            let result = instance
-                .invoke(&method, &payload)
-                .map(Bytes::from)
-                .map_err(|message| RuntimeError::MethodFailed { object, message });
-            self.shared
-                .counters
-                .invocations
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            // activity inside a granted block keeps its placement lease alive
-            let now = self.shared.now_ms();
+    /// Runs `method` on the locally installed `object`.
+    fn handle_invoke(
+        &mut self,
+        object: ObjectId,
+        method: &str,
+        payload: &[u8],
+        reply: &InvokeReply,
+    ) {
+        let instance = self.objects.get_mut(&object).expect("checked by handle()");
+        let result = instance
+            .invoke(method, payload)
+            .map(Bytes::from)
+            .map_err(|message| RuntimeError::MethodFailed { object, message });
+        self.shared
+            .counters
+            .invocations
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        // activity inside a granted block keeps its placement lease alive
+        let now = self.shared.now_ms();
+        {
+            let mut policy = self.shared.policy.lock();
+            policy.renew_lease(object, now);
+            if self.shared.trace.is_enabled()
+                && policy.held_locks().iter().any(|&(o, _)| o == object)
             {
-                let mut policy = self.shared.policy.lock();
-                policy.renew_lease(object, now);
-                if self.shared.trace.is_enabled()
-                    && policy.held_locks().iter().any(|&(o, _)| o == object)
-                {
-                    self.shared.trace.emit(
-                        self.id.as_u32(),
-                        EventKind::LeaseRenewed {
-                            object,
-                            now_ms: now,
-                        },
-                    );
-                }
+                self.shared.trace.emit(
+                    self.id.as_u32(),
+                    EventKind::LeaseRenewed {
+                        object,
+                        now_ms: now,
+                    },
+                );
             }
-            let _ = reply.try_send(result);
-            return;
         }
-        let msg = Message::Invoke {
-            object,
-            method,
-            payload,
-            hops,
-            reply,
-        };
-        if let Err(failed) = self.route_elsewhere(object, msg) {
-            let Message::Invoke { reply, .. } = failed else {
-                unreachable!()
-            };
-            let err = if self.shared.directory_get(object).is_none() {
-                RuntimeError::UnknownObject(object)
-            } else {
-                RuntimeError::TooManyHops(object)
-            };
-            let _ = reply.try_send(Err(err));
-        }
+        let _ = reply.try_send(result);
     }
 
     // ------------------------------------------------------------------
     // migration control
     // ------------------------------------------------------------------
 
-    fn handle_move(&mut self, msg: Message) {
-        let Message::MoveRequest {
-            object,
-            to,
-            block,
-            context,
-            hops,
-            expires,
-            reply,
-        } = msg
-        else {
-            unreachable!()
-        };
+    /// Decides a move-request for the locally installed `object` (or
+    /// denies an expired one).
+    fn handle_move(
+        &mut self,
+        object: ObjectId,
+        to: NodeId,
+        block: BlockId,
+        context: Option<AllianceId>,
+        expires: Instant,
+        reply: MoveReply,
+    ) {
         if Instant::now() >= expires {
             // The requester's deadline passed while this request sat in a
             // queue (typically across a crash/restart of this node). It has
@@ -509,7 +474,6 @@ impl NodeWorker {
             // would take a lock no end-request will ever release and ship the
             // object concurrently with whatever the requester does next —
             // which would also make seeded fault schedules unreplayable.
-            // Deny without forwarding: an abandoned request chases nothing.
             self.shared
                 .counters
                 .moves_denied
@@ -518,29 +482,6 @@ impl NodeWorker {
                 .trace
                 .emit(self.id.as_u32(), EventKind::MoveDenied { object, block });
             let _ = reply.try_send(Ok(false));
-            return;
-        }
-        if !self.objects.contains_key(&object) {
-            let msg = Message::MoveRequest {
-                object,
-                to,
-                block,
-                context,
-                hops,
-                expires,
-                reply,
-            };
-            if let Err(failed) = self.route_elsewhere(object, msg) {
-                let Message::MoveRequest { reply, .. } = failed else {
-                    unreachable!()
-                };
-                let err = if self.shared.directory_get(object).is_none() {
-                    RuntimeError::UnknownObject(object)
-                } else {
-                    RuntimeError::TooManyHops(object)
-                };
-                let _ = reply.try_send(Err(err));
-            }
             return;
         }
 
@@ -653,7 +594,7 @@ impl NodeWorker {
                 }
             }
         }
-        if !(local.is_empty() && remote.is_empty()) {
+        if self.shared.trace.is_enabled() && !(local.is_empty() && remote.is_empty()) {
             self.shared.trace.emit(
                 self.id.as_u32(),
                 EventKind::ClosureBegin {
@@ -781,32 +722,15 @@ impl NodeWorker {
         self.drain_awaiting(object);
     }
 
-    fn handle_end(&mut self, msg: Message) {
-        let Message::EndRequest {
-            object,
-            block,
-            from,
-            was_granted,
-            context,
-            hops,
-        } = msg
-        else {
-            unreachable!()
-        };
-        if !self.objects.contains_key(&object) {
-            let msg = Message::EndRequest {
-                object,
-                block,
-                from,
-                was_granted,
-                context,
-                hops,
-            };
-            // ends on vanished objects are dropped (nothing to unlock —
-            // the object's new host processes queued messages in order)
-            let _ = self.route_elsewhere(object, msg);
-            return;
-        }
+    /// Ends `block` on the locally installed `object`.
+    fn handle_end(
+        &mut self,
+        object: ObjectId,
+        block: BlockId,
+        from: NodeId,
+        was_granted: bool,
+        context: Option<AllianceId>,
+    ) {
         // the end of a block is a consistency point: refresh the replicated
         // checkpoint before the policy possibly migrates the object away
         if self.shared.detector_enabled() {
@@ -856,56 +780,5 @@ impl NodeWorker {
                 self.migrate_closure(object, target, context, None);
             }
         }
-    }
-}
-
-fn decrement_hops(msg: Message) -> Message {
-    match msg {
-        Message::Invoke {
-            object,
-            method,
-            payload,
-            hops,
-            reply,
-        } => Message::Invoke {
-            object,
-            method,
-            payload,
-            hops: hops - 1,
-            reply,
-        },
-        Message::MoveRequest {
-            object,
-            to,
-            block,
-            context,
-            hops,
-            expires,
-            reply,
-        } => Message::MoveRequest {
-            object,
-            to,
-            block,
-            context,
-            hops: hops - 1,
-            expires,
-            reply,
-        },
-        Message::EndRequest {
-            object,
-            block,
-            from,
-            was_granted,
-            context,
-            hops,
-        } => Message::EndRequest {
-            object,
-            block,
-            from,
-            was_granted,
-            context,
-            hops: hops - 1,
-        },
-        other => other,
     }
 }

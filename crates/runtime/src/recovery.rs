@@ -74,8 +74,33 @@ pub enum NodeHealth {
     /// come back (suspicion is revocable).
     Suspected,
     /// Declared dead: its incarnation is fenced and its objects have been
-    /// reinstantiated. Only [`crate::Cluster::restart_node`] revives it.
+    /// reinstantiated. Only [`crate::Cluster::restart_node`] (in the
+    /// multi-process runtime, [`crate::MultiProcCluster::respawn`]) revives
+    /// it.
     Dead,
+}
+
+/// A negative control: one recovery mechanism deliberately broken, so a
+/// test can show that the `oml-check` invariant guarding it bites. Installed
+/// with [`crate::ClusterBuilder::sabotage`]; no production configuration
+/// sets one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sabotage {
+    /// Epoch fencing is off: zombie workers and their stale messages are
+    /// *not* rejected, so [`crate::Cluster::zombie_restart_node`] observably
+    /// corrupts state — the scenario the stale-incarnation invariant exists
+    /// to catch.
+    Unfenced,
+    /// Reinstantiation promotes the *stalest* surviving replica instead of
+    /// the freshest: a quorum-acked write is then observably lost even
+    /// though a fresher copy survives — the scenario the
+    /// `StaleReplicaPromoted` invariant exists to catch.
+    StalePromotion,
+    /// The anti-entropy repair sweep re-replicates nothing: objects
+    /// under-replicated by deaths or dropped refresh traffic *stay*
+    /// under-replicated — the scenario the `ReplicationFactorViolation`
+    /// invariant exists to catch.
+    NoRepair,
 }
 
 const HEALTH_UP: u8 = 0;
@@ -98,11 +123,6 @@ pub(crate) enum Admission {
     /// Breaker open (or another probe is in flight): fail fast.
     FailFast,
 }
-
-/// One replica's copy of an object's passive state: since the store
-/// subsystem landed this is [`crate::store::StoredCheckpoint`] — the same
-/// freshness coordinates, now shared with the on-disk WAL stores.
-pub(crate) use crate::store::StoredCheckpoint as ReplicaCheckpoint;
 
 /// An in-flight quorum-acknowledged refresh: which write we are waiting on
 /// and which replicas have acked it so far.
@@ -138,20 +158,11 @@ pub(crate) struct ReplicationInfo {
 /// configured.
 pub(crate) struct RecoveryState {
     pub(crate) config: DetectorConfig,
-    /// Epoch fencing active? Disabled by [`crate::ClusterBuilder::unfenced`]
-    /// (a negative-testing hook: zombies then corrupt state observably).
-    pub(crate) fenced: bool,
     /// Replication factor `k = f + 1`: how many nodes hold each object's
     /// passive copy (clamped to the cluster size at placement time).
     pub(crate) replica_k: usize,
-    /// Whether the anti-entropy repair sweep re-replicates (negative-testing
-    /// hook: [`crate::ClusterBuilder::no_repair`] leaves under-replication
-    /// standing for the checker to flag).
-    pub(crate) repair: bool,
-    /// Negative-testing hook: promote the *stalest* surviving replica at
-    /// reinstantiation instead of the freshest, so the checker's
-    /// `StaleReplicaPromoted` invariant has something to catch.
-    pub(crate) stale_promotion: bool,
+    /// The mechanism a negative control broke, if any.
+    pub(crate) sabotage: Option<Sabotage>,
     /// Current incarnation per node; starts at 1.
     incarnations: Vec<AtomicU64>,
     /// Whether the node's worker thread is (believed) running. Gates *death*
@@ -183,10 +194,8 @@ impl RecoveryState {
     pub(crate) fn new(
         nodes: usize,
         config: DetectorConfig,
-        fenced: bool,
         replica_k: usize,
-        repair: bool,
-        stale_promotion: bool,
+        sabotage: Option<Sabotage>,
         stores: Vec<Box<dyn CheckpointStore>>,
     ) -> Self {
         assert_eq!(stores.len(), nodes, "one checkpoint store per node");
@@ -202,10 +211,8 @@ impl RecoveryState {
         }
         RecoveryState {
             config,
-            fenced,
             replica_k,
-            repair,
-            stale_promotion,
+            sabotage,
             incarnations: (0..nodes).map(|_| AtomicU64::new(1)).collect(),
             alive: (0..nodes).map(|_| AtomicBool::new(true)).collect(),
             last_beat: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
@@ -370,13 +377,11 @@ pub(crate) fn preference_order(object: ObjectId, home: NodeId, nodes: usize) -> 
     order
 }
 
-/// SplitMix64 over the `(object, node)` pair — the rendezvous weight.
+/// The seeded hash of the `(object, node)` pair — the rendezvous weight.
 fn rendezvous_weight(object: ObjectId, node: u32) -> u64 {
-    let mut z =
-        (u64::from(object.as_u32()) << 32 | u64::from(node)).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    crate::fault::mix64(
+        (u64::from(object.as_u32()) << 32 | u64::from(node)).wrapping_add(0x9e37_79b9_7f4a_7c15),
+    )
 }
 
 #[cfg(test)]
@@ -390,10 +395,8 @@ mod tests {
                 heartbeat_ms: 10,
                 k_missed: 2,
             },
-            true,
             2,
-            true,
-            false,
+            None,
             (0..nodes)
                 .map(|_| Box::new(crate::store::MemStore::new()) as Box<dyn CheckpointStore>)
                 .collect(),
@@ -473,23 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn replica_versions_order_lexicographically() {
-        let older = ReplicaCheckpoint {
-            type_tag: "t".into(),
-            state: bytes::Bytes::new(),
-            object_epoch: 1,
-            seq: 9,
-        };
-        let newer = ReplicaCheckpoint {
-            type_tag: "t".into(),
-            state: bytes::Bytes::new(),
-            object_epoch: 2,
-            seq: 0,
-        };
-        assert!(newer.version() > older.version());
-    }
-
-    #[test]
     fn recovered_floors_seed_the_epoch_table() {
         let mut store = crate::store::MemStore::new();
         let _ = store.note_epoch(ObjectId::new(3), 7).unwrap();
@@ -499,10 +485,8 @@ mod tests {
                 heartbeat_ms: 10,
                 k_missed: 2,
             },
-            true,
             1,
-            true,
-            false,
+            None,
             vec![Box::new(store)],
         );
         assert_eq!(

@@ -77,12 +77,10 @@ impl FaultFs {
     /// replays bit-identically.
     #[must_use]
     pub fn mix(seed: u64, stream: u64) -> u64 {
-        let mut z = seed
-            .wrapping_add(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        crate::fault::mix64(
+            seed.wrapping_add(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .wrapping_add(0x9e37_79b9_7f4a_7c15),
+        )
     }
 
     /// Arms a torn write: the `at_append`-th append (1-based, across all

@@ -36,13 +36,17 @@ pub use wal::{
     CompactionReport, RecoveryReport, WalRecord, WalReplayer, WalSegment, WalStore, WalStoreConfig,
 };
 
+use crate::trace::TraceCollector;
 use bytes::Bytes;
+use oml_check::event::EventKind;
 use oml_core::ids::ObjectId;
 use std::collections::HashMap;
 
-/// One stored passive copy of an object, stamped with the freshness
-/// coordinates that order it against other copies: freshness is the
-/// lexicographic order on `(object_epoch, seq)`.
+/// One passive copy of an object, stamped with the freshness coordinates
+/// that order it against other copies: freshness is the lexicographic
+/// order on `(object_epoch, seq)`. The one checkpoint record of the crate:
+/// what a replica store holds, what a WAL `Put` logs and — as
+/// [`crate::wire::CheckpointFrame`] — what a `CheckpointPut` carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredCheckpoint {
     /// The registered type tag used to delinearize the state.
@@ -285,6 +289,50 @@ pub trait CheckpointStore: Send {
     fn durable_backed(&self) -> bool {
         false
     }
+}
+
+/// Installs `ckpt` as `object`'s copy in `node`'s store and mirrors the
+/// append into `trace`: [`EventKind::WalAppended`], then
+/// [`EventKind::SnapshotCompacted`] when the put tipped the WAL into a
+/// compaction. In-memory stores emit nothing, so the checker's durability
+/// invariants only arm when there is a disk to hold them to. The put (and
+/// its fsync, per policy) completes before anything is emitted or returned
+/// — an ack never outruns durability. Freshness gating stays the caller's
+/// job, as for [`CheckpointStore::put`]. (The collector's mutex is a leaf,
+/// so callers may hold their store lock across this.)
+///
+/// # Errors
+/// As [`CheckpointStore::put`]; nothing is emitted for a failed write.
+pub(crate) fn put_traced(
+    store: &mut dyn CheckpointStore,
+    trace: &TraceCollector,
+    node: u32,
+    object: ObjectId,
+    ckpt: StoredCheckpoint,
+) -> Result<(), StoreError> {
+    let (object_epoch, seq) = ckpt.version();
+    let compactions = store.wal_stats().compactions;
+    let durability = store.put(object, ckpt)?;
+    if store.durable_backed() {
+        let appended = EventKind::WalAppended {
+            node,
+            object,
+            object_epoch,
+            seq,
+            durable: durability.is_durable(),
+        };
+        trace.emit(node, appended);
+        let stats = store.wal_stats();
+        if stats.compactions > compactions {
+            let compacted = EventKind::SnapshotCompacted {
+                node,
+                generation: stats.generation,
+                records: store.len() as u64,
+            };
+            trace.emit(node, compacted);
+        }
+    }
+    Ok(())
 }
 
 /// The in-memory store: bit-compatible with the pre-store behavior of the

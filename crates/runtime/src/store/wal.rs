@@ -26,14 +26,15 @@
 //! number of restarts.
 
 use super::fsio::{RealFs, Storage};
-use super::{CheckpointStore, Durability, FsyncPolicy, StoreError, StoredCheckpoint, WalStats};
+use super::{
+    CheckpointStore, Durability, FsyncPolicy, MemStore, StoreError, StoredCheckpoint, WalStats,
+};
 use crate::transport::frame::{
     encode_frame, encode_frame_parts, FrameConfig, FrameDecoder, HEADER_LEN,
 };
 use crate::wire::{WireReader, WireWriter};
 use bytes::Bytes;
 use oml_core::ids::ObjectId;
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,14 +56,8 @@ pub enum WalRecord {
     Put {
         /// The object.
         object: ObjectId,
-        /// Epoch the state was linearized under.
-        object_epoch: u64,
-        /// Refresh sequence within that epoch.
-        seq: u64,
-        /// Delinearizer type tag.
-        type_tag: String,
-        /// Linearized state.
-        state: Bytes,
+        /// Its new copy.
+        ckpt: StoredCheckpoint,
     },
     /// Drop an object's checkpoint (floor retained).
     Remove {
@@ -92,19 +87,13 @@ pub enum WalRecord {
 /// joined with it first.
 pub fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
     let head = match rec {
-        WalRecord::Put {
-            object,
-            object_epoch,
-            seq,
-            type_tag,
-            state,
-        } => WireWriter::with_capacity(32 + type_tag.len())
+        WalRecord::Put { object, ckpt } => WireWriter::with_capacity(32 + ckpt.type_tag.len())
             .u32(REC_PUT)
             .u32(object.as_u32())
-            .u64(*object_epoch)
-            .u64(*seq)
-            .str(type_tag)
-            .u32(state.len() as u32)
+            .u64(ckpt.object_epoch)
+            .u64(ckpt.seq)
+            .str(&ckpt.type_tag)
+            .u32(ckpt.state.len() as u32)
             .finish(),
         WalRecord::Remove { object } => WireWriter::new()
             .u32(REC_REMOVE)
@@ -123,7 +112,7 @@ pub fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
             .finish(),
     };
     let body: &[u8] = match rec {
-        WalRecord::Put { state, .. } => state,
+        WalRecord::Put { ckpt, .. } => &ckpt.state,
         _ => &[],
     };
     encode_frame_parts(&[&head, body], out);
@@ -139,13 +128,17 @@ pub fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
 pub fn decode_record(payload: &Bytes) -> Result<WalRecord, String> {
     let mut r = WireReader::new(payload);
     let rec = match r.u32()? {
-        REC_PUT => WalRecord::Put {
-            object: ObjectId::new(r.u32()?),
-            object_epoch: r.u64()?,
-            seq: r.u64()?,
-            type_tag: r.str()?,
-            state: payload.slice_ref(r.bytes_ref()?),
-        },
+        REC_PUT => {
+            let object = ObjectId::new(r.u32()?);
+            let (object_epoch, seq) = (r.u64()?, r.u64()?);
+            let ckpt = StoredCheckpoint {
+                type_tag: r.str()?,
+                state: payload.slice_ref(r.bytes_ref()?),
+                object_epoch,
+                seq,
+            };
+            WalRecord::Put { object, ckpt }
+        }
         REC_REMOVE => WalRecord::Remove {
             object: ObjectId::new(r.u32()?),
         },
@@ -328,9 +321,8 @@ impl WalStoreConfig {
 pub struct WalStore {
     cfg: WalStoreConfig,
     fs: Arc<dyn Storage>,
-    map: HashMap<ObjectId, StoredCheckpoint>,
-    floors: HashMap<ObjectId, u64>,
-    meta: HashMap<u32, u64>,
+    /// What the snapshot plus the WAL replay to: the store's answers.
+    image: MemStore,
     generation: u64,
     unsynced: u64,
     last_sync: Instant,
@@ -372,9 +364,7 @@ impl WalStore {
         let mut store = WalStore {
             cfg,
             fs,
-            map: HashMap::new(),
-            floors: HashMap::new(),
-            meta: HashMap::new(),
+            image: MemStore::new(),
             generation: 0,
             unsynced: 0,
             last_sync: Instant::now(),
@@ -463,43 +453,19 @@ impl WalStore {
         }
 
         self.stats.generation = self.generation;
-        report.recovered_objects = self.map.len() as u64;
+        report.recovered_objects = self.image.len() as u64;
         Ok(report)
     }
 
     fn apply(&mut self, rec: WalRecord) {
-        match rec {
-            WalRecord::Put {
-                object,
-                object_epoch,
-                seq,
-                type_tag,
-                state,
-            } => {
-                let floor = self.floors.entry(object).or_insert(0);
-                *floor = (*floor).max(object_epoch);
-                self.map.insert(
-                    object,
-                    StoredCheckpoint {
-                        type_tag,
-                        state,
-                        object_epoch,
-                        seq,
-                    },
-                );
-            }
-            WalRecord::Remove { object } => {
-                self.map.remove(&object);
-            }
-            WalRecord::Clear => self.map.clear(),
-            WalRecord::Epoch { object, epoch } => {
-                let floor = self.floors.entry(object).or_insert(0);
-                *floor = (*floor).max(epoch);
-            }
-            WalRecord::Meta { key, value } => {
-                self.meta.insert(key, value);
-            }
-        }
+        // the in-memory image cannot fail
+        let _ = match rec {
+            WalRecord::Put { object, ckpt } => self.image.put(object, ckpt).map(|_| ()),
+            WalRecord::Remove { object } => self.image.remove(object),
+            WalRecord::Clear => self.image.clear(),
+            WalRecord::Epoch { object, epoch } => self.image.note_epoch(object, epoch).map(|_| ()),
+            WalRecord::Meta { key, value } => self.image.set_meta(key, value).map(|_| ()),
+        };
     }
 
     /// Appends `rec` to the live WAL and applies it to the in-memory
@@ -562,32 +528,21 @@ impl WalStore {
     /// All live records in deterministic order — what a snapshot holds.
     fn snapshot_records(&self) -> Vec<WalRecord> {
         let mut recs = Vec::new();
-        let mut metas: Vec<(u32, u64)> = self.meta.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut metas: Vec<(u32, u64)> = self.image.meta.iter().map(|(&k, &v)| (k, v)).collect();
         metas.sort_unstable();
         for (key, value) in metas {
             recs.push(WalRecord::Meta { key, value });
         }
-        let mut floors: Vec<(ObjectId, u64)> = self
-            .floors
-            .iter()
-            .filter(|(_, &e)| e > 0)
-            .map(|(&o, &e)| (o, e))
-            .collect();
+        let mut floors = self.image.epoch_floors();
         floors.sort_unstable_by_key(|&(o, _)| o.as_u32());
         for (object, epoch) in floors {
             recs.push(WalRecord::Epoch { object, epoch });
         }
-        let mut objects: Vec<ObjectId> = self.map.keys().copied().collect();
+        let mut objects = self.image.objects();
         objects.sort_unstable_by_key(|o| o.as_u32());
         for object in objects {
-            let ck = &self.map[&object];
-            recs.push(WalRecord::Put {
-                object,
-                object_epoch: ck.object_epoch,
-                seq: ck.seq,
-                type_tag: ck.type_tag.clone(),
-                state: ck.state.clone(),
-            });
+            let ckpt = self.image.map[&object].clone();
+            recs.push(WalRecord::Put { object, ckpt });
         }
         recs
     }
@@ -677,39 +632,33 @@ fn decode_manifest(bytes: &[u8], max_frame: u32) -> Option<u64> {
 
 impl CheckpointStore for WalStore {
     fn get(&self, object: ObjectId) -> Option<&StoredCheckpoint> {
-        self.map.get(&object)
+        self.image.get(object)
     }
 
     fn put(&mut self, object: ObjectId, ckpt: StoredCheckpoint) -> Result<Durability, StoreError> {
-        self.log(WalRecord::Put {
-            object,
-            object_epoch: ckpt.object_epoch,
-            seq: ckpt.seq,
-            type_tag: ckpt.type_tag,
-            state: ckpt.state,
-        })
+        self.log(WalRecord::Put { object, ckpt })
     }
 
     fn remove(&mut self, object: ObjectId) -> Result<(), StoreError> {
-        if !self.map.contains_key(&object) {
+        if self.image.get(object).is_none() {
             return Ok(());
         }
         self.log(WalRecord::Remove { object }).map(|_| ())
     }
 
     fn clear(&mut self) -> Result<(), StoreError> {
-        if self.map.is_empty() {
+        if self.image.is_empty() {
             return Ok(());
         }
         self.log(WalRecord::Clear).map(|_| ())
     }
 
     fn objects(&self) -> Vec<ObjectId> {
-        self.map.keys().copied().collect()
+        self.image.objects()
     }
 
     fn len(&self) -> usize {
-        self.map.len()
+        self.image.len()
     }
 
     fn sync(&mut self) -> Result<u64, StoreError> {
@@ -724,15 +673,11 @@ impl CheckpointStore for WalStore {
     }
 
     fn epoch_floor(&self, object: ObjectId) -> u64 {
-        self.floors.get(&object).copied().unwrap_or(0)
+        self.image.epoch_floor(object)
     }
 
     fn epoch_floors(&self) -> Vec<(ObjectId, u64)> {
-        self.floors
-            .iter()
-            .filter(|(_, &e)| e > 0)
-            .map(|(&o, &e)| (o, e))
-            .collect()
+        self.image.epoch_floors()
     }
 
     fn set_meta(&mut self, key: u32, value: u64) -> Result<Durability, StoreError> {
@@ -740,7 +685,7 @@ impl CheckpointStore for WalStore {
     }
 
     fn meta(&self, key: u32) -> Option<u64> {
-        self.meta.get(&key).copied()
+        self.image.meta(key)
     }
 
     fn wal_stats(&self) -> WalStats {
@@ -779,10 +724,7 @@ mod tests {
         let records = [
             WalRecord::Put {
                 object: ObjectId::new(7),
-                object_epoch: 3,
-                seq: 9,
-                type_tag: "counter".into(),
-                state: Bytes::copy_from_slice(&[1, 2, 3]),
+                ckpt: ckpt(3, 9, &[1, 2, 3]),
             },
             WalRecord::Remove {
                 object: ObjectId::new(7),
@@ -1007,10 +949,7 @@ mod tests {
         encode_record(
             &WalRecord::Put {
                 object: ObjectId::new(5),
-                object_epoch: 3,
-                seq: 9,
-                type_tag: "counter".into(),
-                state: Bytes::from((1u8..=20).collect::<Vec<u8>>()),
+                ckpt: ckpt(3, 9, &(1u8..=20).collect::<Vec<u8>>()),
             },
             &mut rec,
         );

@@ -18,7 +18,7 @@
 //! The collector's own mutex and the fault injector's internal locks are
 //! deliberately *not* ordered sites: they are leaf infrastructure that never
 //! acquires another lock while held. The documented allowlist of legal
-//! orderings lives in [`KNOWN_LOCK_ORDER`] and DESIGN.md §10.
+//! orderings lives in [`KNOWN_LOCK_ORDER`] and DESIGN.md §12.3.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -27,7 +27,7 @@ use oml_check::event::{EventKind, TraceEvent};
 /// The legal (documented) lock-acquisition orderings of this crate. The
 /// `repro check` lock-order gate fails when an execution exhibits a nesting
 /// outside this list — a new nesting must be reviewed for deadlock safety
-/// and added here *and* to DESIGN.md §10.4.
+/// and added here *and* to DESIGN.md §12.3.
 ///
 /// * `shared.alliances -> shared.attachments`: `Cluster::attach` validates
 ///   the cooperation context against the alliance registry while inserting
@@ -50,13 +50,23 @@ pub const KNOWN_LOCK_ORDER: &[(&str, &str)] = &[
     ("cluster.handles", "shared.epoch_lock"),
 ];
 
-/// Collects protocol trace events from every thread of a cluster.
+/// Collects protocol trace events from every thread of a cluster (or, in
+/// the multi-process runtime, of the coordinator).
 pub(crate) struct TraceCollector {
     enabled: bool,
-    events: parking_lot::Mutex<Vec<TraceEvent>>,
+    /// The trace, in chunks of [`TRACE_CHUNK`] events. One `Vec` regrown
+    /// by doubling from empty after every drain leaves its discarded
+    /// generations behind in the allocator: at `sock_migrate_wal`'s 20 000
+    /// events per drain that was 1.5 MiB of the coordinator's peak memory
+    /// (EXPERIMENTS.md, "The byte path"). Chunks are all one size, so a
+    /// drained window's chunks are what the next window allocates.
+    events: parking_lot::Mutex<Vec<Vec<TraceEvent>>>,
     /// Message ids start at 1; id 0 marks an untraced envelope.
     next_msg_id: AtomicU64,
 }
+
+/// Events per trace chunk: 48 KiB of `TraceEvent`s.
+const TRACE_CHUNK: usize = 1024;
 
 impl TraceCollector {
     pub(crate) fn new(enabled: bool) -> Self {
@@ -78,8 +88,18 @@ impl TraceCollector {
     /// it could interleave a release/acquire pair backwards in the
     /// collected trace. The collector's own mutex is a leaf.
     pub(crate) fn emit(&self, process: u32, kind: EventKind) {
-        if self.enabled {
-            self.events.lock().push(TraceEvent::new(process, kind));
+        if !self.enabled {
+            return;
+        }
+        let event = TraceEvent::new(process, kind);
+        let mut chunks = self.events.lock();
+        match chunks.last_mut() {
+            Some(chunk) if chunk.len() < TRACE_CHUNK => chunk.push(event),
+            _ => {
+                let mut chunk = Vec::with_capacity(TRACE_CHUNK);
+                chunk.push(event);
+                chunks.push(chunk);
+            }
         }
     }
 
@@ -94,7 +114,13 @@ impl TraceCollector {
 
     /// Drains the collected events.
     pub(crate) fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock())
+        let chunks = std::mem::take(&mut *self.events.lock());
+        let mut trace = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+        for chunk in chunks {
+            // each chunk is freed as soon as it is copied
+            trace.extend(chunk);
+        }
+        trace
     }
 }
 
@@ -102,7 +128,10 @@ impl std::fmt::Debug for TraceCollector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceCollector")
             .field("enabled", &self.enabled)
-            .field("events", &self.events.lock().len())
+            .field(
+                "events",
+                &self.events.lock().iter().map(Vec::len).sum::<usize>(),
+            )
             .finish()
     }
 }
@@ -298,6 +327,12 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert!(matches!(events[0].kind, EventKind::Install { .. }));
         assert!(c.take().is_empty());
+        // order survives the chunk boundaries
+        let ids = 0..2 * TRACE_CHUNK as u64 + 7;
+        ids.clone()
+            .for_each(|msg_id| c.emit(1, EventKind::Recv { msg_id }));
+        let kinds = c.take().into_iter().map(|e| e.kind);
+        assert!(kinds.eq(ids.map(|msg_id| EventKind::Recv { msg_id })));
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! storms stay replayable, like every other randomized decision in this
 //! workspace.
 
+use crate::fault::splitmix64;
+
 /// Tuning for one link's backoff schedule.
 #[derive(Debug, Clone, Copy)]
 pub struct BackoffConfig {
@@ -33,16 +35,6 @@ impl Default for BackoffConfig {
             seed: 0x6F6D_6C62, // "omlb"
         }
     }
-}
-
-/// SplitMix64 step — the same tiny generator the fault injector uses for
-/// per-decision hashing.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Capped exponential backoff with seeded half-jitter.

@@ -3,8 +3,8 @@
 //! per-link schedule**, the wire-level analogue of [`crate::FaultPlan`].
 //!
 //! The proxy forwards traffic chunk-by-chunk; for every chunk it hashes
-//! `(seed, connection, direction, chunk index)` — SplitMix64, the same
-//! per-decision hashing the fault injector uses — into one of:
+//! `(seed, connection, direction, chunk index)` — the same per-decision
+//! hashing the fault injector uses — into one of:
 //!
 //! * **Forward** — pass the chunk through (the common case),
 //! * **Drop** — discard the chunk. Length-prefixed framing downstream now
@@ -20,6 +20,7 @@
 //! seed, like every other fault schedule in this workspace.
 
 use super::netio::{connect_deadline, write_all_deadline, Listener, Stream, TransportAddr};
+use crate::fault::{mix64, unit_interval};
 use parking_lot::Mutex;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -109,20 +110,15 @@ impl ProxyPlan {
     /// (0 = client→server, 1 = server→client) on connection `conn`.
     #[must_use]
     pub fn decide(&self, conn: u64, dir: u8, chunk: u64) -> ProxyAction {
-        let mut h = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(conn)
-            .wrapping_mul(0xBF58_476D_1CE4_E5B9)
-            .wrapping_add(u64::from(dir))
-            .wrapping_mul(0x94D0_49BB_1331_11EB)
-            .wrapping_add(chunk);
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^= h >> 31;
-        let u = (h >> 11) as f64 / (1u64 << 53) as f64;
+        let u = unit_interval(mix64(
+            self.seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(conn)
+                .wrapping_mul(0xBF58_476D_1CE4_E5B9)
+                .wrapping_add(u64::from(dir))
+                .wrapping_mul(0x94D0_49BB_1331_11EB)
+                .wrapping_add(chunk),
+        ));
         let mut edge = self.close_p;
         if u < edge {
             return ProxyAction::Close;

@@ -57,7 +57,6 @@ pub mod multiproc;
 pub mod netio;
 pub mod socket;
 
-use bytes::Bytes;
 use std::time::Duration;
 
 /// Why a transport operation failed. Maps onto [`crate::RuntimeError`] at
@@ -213,11 +212,6 @@ pub trait Transport<M: Send>: Send + Sync {
     /// [`TransportError::Closed`].
     fn shutdown(&self);
 }
-
-/// A byte-carrying transport — what the multi-process runtime builds on.
-/// (Alias so bounds read as intent: `T: ByteTransport`.)
-pub trait ByteTransport: Transport<Bytes> {}
-impl<T: Transport<Bytes>> ByteTransport for T {}
 
 #[cfg(test)]
 mod tests {

@@ -33,10 +33,12 @@ use super::socket::{SocketConfig, SocketPeer, SocketServer};
 use super::{Transport, TransportError, TransportEvent};
 use crate::error::RuntimeError;
 use crate::object::{Delinearizer, MobileObject};
+use crate::recovery::NodeHealth;
 use crate::store::{
-    CheckpointStore, FsyncPolicy, MemStore, RecoveryReport, StoredCheckpoint, WalStore,
-    WalStoreConfig,
+    put_traced, CheckpointStore, FsyncPolicy, MemStore, RecoveryReport, StoreError,
+    StoredCheckpoint, WalStore, WalStoreConfig,
 };
+use crate::trace::TraceCollector;
 use crate::wire::{WireReader, WireWriter};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Sender};
@@ -259,17 +261,6 @@ impl ProtoMsg {
 // ---------------------------------------------------------------------------
 // coordinator
 
-/// Detector verdict for one worker process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcHealth {
-    /// Heartbeating normally.
-    Up,
-    /// Missed beats; revocable.
-    Suspected,
-    /// Declared dead; incarnation fenced, objects reinstantiated.
-    Dead,
-}
-
 /// Configuration for [`MultiProcCluster::spawn`].
 #[derive(Debug, Clone)]
 pub struct MultiProcConfig {
@@ -286,8 +277,10 @@ pub struct MultiProcConfig {
     pub suspect_after: u32,
     /// Missed beats before declare-dead.
     pub dead_after: u32,
-    /// Socket transport tuning (shared by server and the spawned workers'
-    /// env, except the seed-derived parts).
+    /// Socket transport tuning for the coordinator's server. It does not
+    /// reach the workers: each builds its peer from
+    /// [`SocketConfig::default`] ([`WorkerOptions::from_env`]), and the
+    /// server never dials, so [`SocketConfig::backoff`] has no reader here.
     pub socket: SocketConfig,
     /// The worker executable (usually `std::env::current_exe()`).
     pub worker_program: std::path::PathBuf,
@@ -309,18 +302,9 @@ pub struct MultiProcConfig {
 struct ProcSlot {
     child: Option<Child>,
     incarnation: u64,
-    health: ProcHealth,
+    health: NodeHealth,
     last_beat: Instant,
     ever_beat: bool,
-}
-
-#[derive(Default)]
-struct Counters {
-    declared_dead: u64,
-    reinstantiated: u64,
-    fenced_handshakes: u64,
-    reconnects: u64,
-    deliveries: u64,
 }
 
 struct CoordState {
@@ -332,86 +316,189 @@ struct CoordState {
     /// with the coordinator.
     store: Box<dyn CheckpointStore>,
     pending: HashMap<u64, Sender<ProtoMsg>>,
-    counters: Counters,
-}
-
-/// What a checkpoint append should report to the trace, if anything:
-/// `Some((durable, object_epoch, seq))` only for durable-backed stores, so
-/// `MemStore` runs never arm the checker's durability invariants.
-type WalNote = Option<(bool, u64, u64)>;
-
-impl CoordState {
-    /// Writes `object`'s checkpoint under the next per-object `seq`;
-    /// freshness gating is the caller's job.
-    fn put_checkpoint(
-        &mut self,
-        object: u32,
-        type_tag: &str,
-        state: Bytes,
-        obj_epoch: u64,
-    ) -> Result<WalNote, crate::store::StoreError> {
-        let id = ObjectId::new(object);
-        let seq = self.store.get(id).map_or(1, |c| c.seq + 1);
-        let durability = self.store.put(
-            id,
-            StoredCheckpoint {
-                type_tag: type_tag.to_owned(),
-                state,
-                object_epoch: obj_epoch,
-                seq,
-            },
-        )?;
-        Ok(self
-            .store
-            .durable_backed()
-            .then_some((durability.is_durable(), obj_epoch, seq)))
-    }
+    counters: MultiProcStats,
 }
 
 struct CoordShared {
     cfg: MultiProcConfig,
     server: SocketServer,
     state: Mutex<CoordState>,
-    /// The trace, in chunks of [`TRACE_CHUNK`] events. One `Vec` regrown
-    /// by doubling from empty after every drain leaves its discarded
-    /// generations behind in the allocator: at `sock_migrate_wal`'s 20 000
-    /// events per drain that was 1.5 MiB of the coordinator's peak memory
-    /// (EXPERIMENTS.md, "The byte path"). Chunks are all one size, so a
-    /// drained window's chunks are what the next window allocates.
-    trace: Mutex<Vec<Vec<TraceEvent>>>,
+    trace: TraceCollector,
     next_corr: AtomicU64,
     closed: AtomicBool,
 }
 
-/// Events per trace chunk: 48 KiB of `TraceEvent`s.
-const TRACE_CHUNK: usize = 1024;
+fn failed(object: u32, message: String) -> RuntimeError {
+    RuntimeError::MethodFailed {
+        object: ObjectId::new(object),
+        message,
+    }
+}
+
+fn unexpected(object: u32, reply: &ProtoMsg) -> RuntimeError {
+    failed(object, format!("unexpected reply {reply:?}"))
+}
+
+fn store_failed(object: u32, e: &StoreError) -> RuntimeError {
+    failed(object, format!("checkpoint store: {e}"))
+}
 
 impl CoordShared {
     fn trace(&self, kind: EventKind) {
-        let event = TraceEvent::new(CLIENT_PROCESS, kind);
-        let mut chunks = self.trace.lock();
-        match chunks.last_mut() {
-            Some(chunk) if chunk.len() < TRACE_CHUNK => chunk.push(event),
-            _ => {
-                let mut chunk = Vec::with_capacity(TRACE_CHUNK);
-                chunk.push(event);
-                chunks.push(chunk);
-            }
+        self.trace.emit(CLIENT_PROCESS, kind);
+    }
+
+    /// Writes `object`'s checkpoint under the next per-object `seq`,
+    /// mirroring a durable append into the trace; freshness gating is the
+    /// caller's job.
+    fn put_checkpoint(
+        &self,
+        state: &mut CoordState,
+        object: u32,
+        type_tag: &str,
+        bytes: Bytes,
+        obj_epoch: u64,
+    ) -> Result<(), StoreError> {
+        let id = ObjectId::new(object);
+        let ckpt = StoredCheckpoint {
+            type_tag: type_tag.to_owned(),
+            state: bytes,
+            object_epoch: obj_epoch,
+            seq: state.store.get(id).map_or(1, |c| c.seq + 1),
+        };
+        put_traced(&mut *state.store, &self.trace, CLIENT_PROCESS, id, ckpt)
+    }
+
+    fn corr(&self) -> u64 {
+        self.next_corr.fetch_add(1, Ordering::AcqRel)
+    }
+
+    /// Sends `msg` to `node` and awaits the correlated reply.
+    fn call(&self, node: u32, corr: u64, msg: &ProtoMsg) -> Result<ProtoMsg, RuntimeError> {
+        let (tx, rx) = bounded(1);
+        self.state.lock().pending.insert(corr, tx);
+        let waited_ms = self.cfg.call_timeout_ms;
+        let reply = match self.server.send(node, msg.encode()) {
+            Err(e) => Err(map_transport_err(&e, node)),
+            Ok(()) => rx
+                .recv_timeout(Duration::from_millis(waited_ms))
+                .map_err(|_| RuntimeError::Timeout { waited_ms }),
+        };
+        if reply.is_err() {
+            self.state.lock().pending.remove(&corr);
+        }
+        reply
+    }
+
+    /// Installs (or creates) `object` at `node` under `obj_epoch` and
+    /// awaits the worker's ack.
+    fn install(
+        &self,
+        node: u32,
+        object: u32,
+        type_tag: String,
+        state: Bytes,
+        obj_epoch: u64,
+    ) -> Result<(), RuntimeError> {
+        let corr = self.corr();
+        let msg = ProtoMsg::Install {
+            corr,
+            object,
+            type_tag,
+            state,
+            obj_epoch,
+        };
+        match self.call(node, corr, &msg)? {
+            ProtoMsg::Ack { ok: true, .. } => Ok(()),
+            ProtoMsg::Ack { err, .. } => Err(failed(object, err)),
+            other => Err(unexpected(object, &other)),
         }
     }
 
-    /// Mirrors a durable checkpoint append into the trace (no-op for
-    /// in-memory stores).
-    fn trace_wal(&self, object: u32, note: WalNote) {
-        if let Some((durable, object_epoch, seq)) = note {
-            self.trace(EventKind::WalAppended {
-                node: CLIENT_PROCESS,
-                object: ObjectId::new(object),
-                object_epoch,
-                seq,
-                durable,
-            });
+    /// Invokes `method` on `object` at `node`: the method's own result,
+    /// and the `(type_tag, new_state, obj_epoch)` the reply piggybacks.
+    #[allow(clippy::type_complexity)]
+    fn invoke(
+        &self,
+        node: u32,
+        object: u32,
+        method: &str,
+        payload: &[u8],
+    ) -> Result<(Result<Bytes, String>, String, Bytes, u64), RuntimeError> {
+        let corr = self.corr();
+        let msg = ProtoMsg::Invoke {
+            corr,
+            object,
+            method: method.to_owned(),
+            payload: Bytes::copy_from_slice(payload),
+        };
+        match self.call(node, corr, &msg)? {
+            ProtoMsg::InvokeResp {
+                result,
+                type_tag,
+                new_state,
+                obj_epoch,
+                ..
+            } => Ok((result, type_tag, new_state, obj_epoch)),
+            other => Err(unexpected(object, &other)),
         }
+    }
+
+    /// Has `node` give `object` up: its `(type_tag, state, obj_epoch)`.
+    fn surrender(&self, node: u32, object: u32) -> Result<(String, Bytes, u64), RuntimeError> {
+        let corr = self.corr();
+        match self.call(node, corr, &ProtoMsg::Surrender { corr, object })? {
+            ProtoMsg::SurrenderResp {
+                ok: true,
+                type_tag,
+                state,
+                obj_epoch,
+                ..
+            } => Ok((type_tag, state, obj_epoch)),
+            ProtoMsg::SurrenderResp { err, .. } => Err(failed(object, err)),
+            other => Err(unexpected(object, &other)),
+        }
+    }
+
+    /// Reinstalls `object` from its checkpoint at the first Up worker,
+    /// under a bumped object epoch. Used by the sweep (dead host), the
+    /// failed install leg of a migration and cold recovery.
+    fn reinstall_from_checkpoint(&self, object: u32) -> Option<u32> {
+        let (type_tag, ck_state, next_epoch, target) = {
+            let state = self.state.lock();
+            let ck = state.store.get(ObjectId::new(object))?;
+            let target = state
+                .slots
+                .iter()
+                .position(|s| s.health == NodeHealth::Up)
+                .map(|i| i as u32)?;
+            (
+                ck.type_tag.clone(),
+                ck.state.clone(),
+                ck.object_epoch + 1,
+                target,
+            )
+        };
+        self.install(
+            target,
+            object,
+            type_tag.clone(),
+            ck_state.clone(),
+            next_epoch,
+        )
+        .ok()?;
+        {
+            let mut state = self.state.lock();
+            state.directory.insert(object, target);
+            let _ = self.put_checkpoint(&mut state, object, &type_tag, ck_state, next_epoch);
+            state.counters.reinstantiated += 1;
+        }
+        self.trace(EventKind::Reinstantiated {
+            object: ObjectId::new(object),
+            at: NodeId::new(target),
+            epoch: next_epoch,
+        });
+        Some(target)
     }
 }
 
@@ -486,7 +573,7 @@ impl MultiProcCluster {
         };
         objects.sort_unstable();
         for object in objects {
-            let _ = reinstall_from_checkpoint_shared(&cluster.inner, object);
+            let _ = cluster.inner.reinstall_from_checkpoint(object);
         }
         Ok(cluster)
     }
@@ -527,7 +614,7 @@ impl MultiProcCluster {
             .map(|&incarnation| ProcSlot {
                 child: None,
                 incarnation,
-                health: ProcHealth::Up,
+                health: NodeHealth::Up,
                 last_beat: now,
                 ever_beat: false,
             })
@@ -540,9 +627,9 @@ impl MultiProcCluster {
                 directory: HashMap::new(),
                 store,
                 pending: HashMap::new(),
-                counters: Counters::default(),
+                counters: MultiProcStats::default(),
             }),
-            trace: Mutex::new(Vec::new()),
+            trace: TraceCollector::new(true),
             next_corr: AtomicU64::new(1),
             closed: AtomicBool::new(false),
         });
@@ -637,40 +724,13 @@ impl MultiProcCluster {
         }
     }
 
-    fn corr(&self) -> u64 {
-        self.inner.next_corr.fetch_add(1, Ordering::AcqRel)
-    }
-
-    /// Sends `msg` to `node` and awaits the correlated reply.
-    fn call(&self, node: u32, corr: u64, msg: &ProtoMsg) -> Result<ProtoMsg, RuntimeError> {
-        let (tx, rx) = bounded(1);
-        self.inner.state.lock().pending.insert(corr, tx);
-        let cleanup = |inner: &CoordShared| {
-            inner.state.lock().pending.remove(&corr);
-        };
-        if let Err(e) = self.inner.server.send(node, msg.encode()) {
-            cleanup(&self.inner);
-            return Err(map_transport_err(&e, node));
-        }
-        let timeout = Duration::from_millis(self.inner.cfg.call_timeout_ms);
-        match rx.recv_timeout(timeout) {
-            Ok(reply) => Ok(reply),
-            Err(_) => {
-                cleanup(&self.inner);
-                Err(RuntimeError::Timeout {
-                    waited_ms: self.inner.cfg.call_timeout_ms,
-                })
-            }
-        }
-    }
-
     /// Fail-fast admission mirroring the in-process circuit breaker: calls
     /// to suspected/dead workers return [`RuntimeError::NodeDown`] without
     /// sleeping out the deadline.
     fn admit(&self, node: u32) -> Result<(), RuntimeError> {
         let state = self.inner.state.lock();
         match state.slots.get(node as usize) {
-            Some(slot) if slot.health == ProcHealth::Up => Ok(()),
+            Some(slot) if slot.health == NodeHealth::Up => Ok(()),
             Some(_) => Err(RuntimeError::NodeDown(NodeId::new(node))),
             None => Err(RuntimeError::UnknownNode(NodeId::new(node))),
         }
@@ -688,45 +748,16 @@ impl MultiProcCluster {
         state: Vec<u8>,
     ) -> Result<(), RuntimeError> {
         self.admit(node)?;
-        let corr = self.corr();
         let state = Bytes::from(state);
-        let msg = ProtoMsg::Install {
-            corr,
-            object,
-            type_tag: type_tag.to_owned(),
-            state: state.clone(),
-            obj_epoch: 1,
-        };
-        match self.call(node, corr, &msg)? {
-            ProtoMsg::Ack { ok: true, .. } => {
-                // the create is acked to the caller only once the
-                // checkpoint is recorded (durably, for a WalStore under
-                // fsync=Always)
-                let wal_note = {
-                    let mut st = self.inner.state.lock();
-                    st.directory.insert(object, node);
-                    st.put_checkpoint(object, type_tag, state, 1)
-                };
-                match wal_note {
-                    Ok(appended) => {
-                        self.inner.trace_wal(object, appended);
-                        Ok(())
-                    }
-                    Err(e) => Err(RuntimeError::MethodFailed {
-                        object: ObjectId::new(object),
-                        message: format!("checkpoint store: {e}"),
-                    }),
-                }
-            }
-            ProtoMsg::Ack { err, .. } => Err(RuntimeError::MethodFailed {
-                object: ObjectId::new(object),
-                message: err,
-            }),
-            other => Err(RuntimeError::MethodFailed {
-                object: ObjectId::new(object),
-                message: format!("unexpected reply {other:?}"),
-            }),
-        }
+        self.inner
+            .install(node, object, type_tag.to_owned(), state.clone(), 1)?;
+        // the create is acked to the caller only once the checkpoint is
+        // recorded (durably, for a WalStore under fsync=Always)
+        let mut st = self.inner.state.lock();
+        st.directory.insert(object, node);
+        self.inner
+            .put_checkpoint(&mut st, object, type_tag, state, 1)
+            .map_err(|e| store_failed(object, &e))
     }
 
     /// Invokes `method` on `object` wherever it lives. The reply's
@@ -742,60 +773,27 @@ impl MultiProcCluster {
         method: &str,
         payload: &[u8],
     ) -> Result<Vec<u8>, RuntimeError> {
-        let node = {
-            let state = self.inner.state.lock();
-            *state
-                .directory
-                .get(&object)
-                .ok_or(RuntimeError::UnknownObject(ObjectId::new(object)))?
-        };
+        let node = self.host_of(object)?;
         self.admit(node)?;
-        let corr = self.corr();
-        let msg = ProtoMsg::Invoke {
-            corr,
-            object,
-            method: method.to_owned(),
-            payload: Bytes::copy_from_slice(payload),
-        };
-        match self.call(node, corr, &msg)? {
-            ProtoMsg::InvokeResp {
-                result,
-                type_tag,
-                new_state,
-                obj_epoch,
-                ..
-            } => {
-                if result.is_ok() {
-                    // freshness-gated refresh: never let a stale epoch's
-                    // piggybacked state clobber a newer checkpoint
-                    let wal_note = {
-                        let mut st = self.inner.state.lock();
-                        let fresh = st
-                            .store
-                            .get(ObjectId::new(object))
-                            .is_none_or(|c| obj_epoch >= c.object_epoch);
-                        if fresh {
-                            st.put_checkpoint(object, &type_tag, new_state, obj_epoch)
-                                .ok()
-                                .flatten()
-                        } else {
-                            None
-                        }
-                    };
-                    self.inner.trace_wal(object, wal_note);
-                }
-                result
-                    .map(|reply| reply.to_vec())
-                    .map_err(|message| RuntimeError::MethodFailed {
-                        object: ObjectId::new(object),
-                        message,
-                    })
+        let (result, type_tag, new_state, obj_epoch) =
+            self.inner.invoke(node, object, method, payload)?;
+        if result.is_ok() {
+            // freshness-gated refresh: never let a stale epoch's
+            // piggybacked state clobber a newer checkpoint
+            let mut st = self.inner.state.lock();
+            let fresh = st
+                .store
+                .get(ObjectId::new(object))
+                .is_none_or(|c| obj_epoch >= c.object_epoch);
+            if fresh {
+                let _ = self
+                    .inner
+                    .put_checkpoint(&mut st, object, &type_tag, new_state, obj_epoch);
             }
-            other => Err(RuntimeError::MethodFailed {
-                object: ObjectId::new(object),
-                message: format!("unexpected reply {other:?}"),
-            }),
         }
+        result
+            .map(|reply| reply.to_vec())
+            .map_err(|message| failed(object, message))
     }
 
     /// Migrates `object` to `to`: surrender at the current host, install
@@ -805,102 +803,43 @@ impl MultiProcCluster {
     /// # Errors
     /// Standard call-path errors from either leg.
     pub fn migrate(&self, object: u32, to: u32) -> Result<(), RuntimeError> {
-        let from = {
-            let state = self.inner.state.lock();
-            *state
-                .directory
-                .get(&object)
-                .ok_or(RuntimeError::UnknownObject(ObjectId::new(object)))?
-        };
+        let from = self.host_of(object)?;
         if from == to {
             return Ok(());
         }
         self.admit(from)?;
         self.admit(to)?;
-        let corr = self.corr();
-        let reply = self.call(from, corr, &ProtoMsg::Surrender { corr, object })?;
-        let (type_tag, state, obj_epoch) = match reply {
-            ProtoMsg::SurrenderResp {
-                ok: true,
-                type_tag,
-                state,
-                obj_epoch,
-                ..
-            } => (type_tag, state, obj_epoch),
-            ProtoMsg::SurrenderResp { err, .. } => {
-                return Err(RuntimeError::MethodFailed {
-                    object: ObjectId::new(object),
-                    message: err,
-                })
-            }
-            other => {
-                return Err(RuntimeError::MethodFailed {
-                    object: ObjectId::new(object),
-                    message: format!("unexpected reply {other:?}"),
-                })
-            }
-        };
+        let (type_tag, state, obj_epoch) = self.inner.surrender(from, object)?;
         // the object now exists only as bytes; record the checkpoint
         // before attempting the install leg — if the store refuses, abort
         // the migration with the object still recoverable from the cache
         let next_epoch = obj_epoch + 1;
-        let note = {
+        {
             let mut st = self.inner.state.lock();
             // the WAL record and the install below share one buffer
-            let note = st.put_checkpoint(object, &type_tag, state.clone(), next_epoch);
-            if note.is_ok() {
-                st.directory.remove(&object);
-            }
-            note
-        };
-        match note {
-            Ok(note) => self.inner.trace_wal(object, note),
-            Err(e) => {
-                return Err(RuntimeError::MethodFailed {
-                    object: ObjectId::new(object),
-                    message: format!("checkpoint store: {e}"),
-                })
-            }
+            self.inner
+                .put_checkpoint(&mut st, object, &type_tag, state.clone(), next_epoch)
+                .map_err(|e| store_failed(object, &e))?;
+            st.directory.remove(&object);
         }
-        let corr = self.corr();
-        let install = ProtoMsg::Install {
-            corr,
-            object,
-            type_tag,
-            state,
-            obj_epoch: next_epoch,
-        };
-        match self.call(to, corr, &install) {
-            Ok(ProtoMsg::Ack { ok: true, .. }) => {
+        let installed = self.inner.install(to, object, type_tag, state, next_epoch);
+        match installed {
+            Ok(()) => {
                 self.inner.state.lock().directory.insert(object, to);
-                Ok(())
             }
-            Ok(ProtoMsg::Ack { err, .. }) => {
-                self.recover_object(object);
-                Err(RuntimeError::MethodFailed {
-                    object: ObjectId::new(object),
-                    message: err,
-                })
-            }
-            Ok(other) => {
-                self.recover_object(object);
-                Err(RuntimeError::MethodFailed {
-                    object: ObjectId::new(object),
-                    message: format!("unexpected reply {other:?}"),
-                })
-            }
-            Err(e) => {
-                self.recover_object(object);
-                Err(e)
+            // a homeless object is recovered from its checkpoint at any Up
+            // worker, best effort
+            Err(_) => {
+                let _ = self.inner.reinstall_from_checkpoint(object);
             }
         }
+        installed
     }
 
-    /// Best-effort reinstall of a homeless object from its checkpoint at
-    /// any Up worker (used after a failed install leg; the detector sweep
-    /// uses the same path for objects stranded on dead workers).
-    fn recover_object(&self, object: u32) {
-        let _ = reinstall_from_checkpoint_shared(&self.inner, object);
+    /// The worker hosting `object`.
+    fn host_of(&self, object: u32) -> Result<u32, RuntimeError> {
+        self.location_of(object)
+            .ok_or(RuntimeError::UnknownObject(ObjectId::new(object)))
     }
 
     /// Where `object` currently lives, if anywhere.
@@ -911,7 +850,7 @@ impl MultiProcCluster {
 
     /// The detector's verdict for `node`.
     #[must_use]
-    pub fn health(&self, node: u32) -> ProcHealth {
+    pub fn health(&self, node: u32) -> NodeHealth {
         self.inner.state.lock().slots[node as usize].health
     }
 
@@ -941,7 +880,7 @@ impl MultiProcCluster {
             let mut state = self.inner.state.lock();
             let slot = &mut state.slots[node as usize];
             slot.incarnation += 1;
-            slot.health = ProcHealth::Up;
+            slot.health = NodeHealth::Up;
             slot.last_beat = Instant::now();
             slot.ever_beat = false;
             let incarnation = slot.incarnation;
@@ -987,27 +926,14 @@ impl MultiProcCluster {
     /// Recovery counters so far.
     #[must_use]
     pub fn stats(&self) -> MultiProcStats {
-        let state = self.inner.state.lock();
-        MultiProcStats {
-            declared_dead: state.counters.declared_dead,
-            reinstantiated: state.counters.reinstantiated,
-            fenced_handshakes: state.counters.fenced_handshakes,
-            reconnects: state.counters.reconnects,
-            deliveries: state.counters.deliveries,
-        }
+        self.inner.state.lock().counters
     }
 
     /// Drains the collected protocol/transport trace (feed it to
     /// `oml_check::check_trace`).
     #[must_use]
     pub fn take_trace(&self) -> Vec<TraceEvent> {
-        let chunks = std::mem::take(&mut *self.inner.trace.lock());
-        let mut trace = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-        for chunk in chunks {
-            // each chunk is freed as soon as it is copied
-            trace.extend(chunk);
-        }
-        trace
+        self.inner.trace.take()
     }
 
     /// Orderly teardown: Shutdown to live workers, short grace, SIGKILL
@@ -1045,28 +971,15 @@ impl MultiProcCluster {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-        {
-            let mut state = self.inner.state.lock();
-            for slot in &mut state.slots {
-                if let Some(mut child) = slot.child.take() {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-            }
-        }
-        self.inner.closed.store(true, Ordering::Release);
-        self.inner.server.shutdown();
-        let handles: Vec<_> = self.threads.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.abandon();
     }
 
     /// Coordinator-death teardown: SIGKILL every worker and tear the
     /// server down **without** any Shutdown protocol message or store
     /// flush — whatever the WAL holds is all a successor gets. The
     /// in-process analogue of SIGKILLing the coordinator, for
-    /// [`MultiProcCluster::recover`] tests.
+    /// [`MultiProcCluster::recover`] tests; also the tail of an orderly
+    /// [`MultiProcCluster::shutdown`], for whoever outlived the grace.
     pub fn abandon(&self) {
         let children: Vec<Child> = {
             let mut state = self.inner.state.lock();
@@ -1180,8 +1093,8 @@ fn dispatch_loop(inner: &Arc<CoordShared>) {
                         let slot = &mut state.slots[from as usize];
                         slot.last_beat = Instant::now();
                         slot.ever_beat = true;
-                        if slot.health == ProcHealth::Suspected {
-                            slot.health = ProcHealth::Up;
+                        if slot.health == NodeHealth::Suspected {
+                            slot.health = NodeHealth::Up;
                         }
                     }
                     ProtoMsg::Ack { corr, .. }
@@ -1238,20 +1151,20 @@ fn sweep_impl(inner: &Arc<CoordShared>) {
         for (node, slot) in state.slots.iter_mut().enumerate() {
             let silent_ms = slot.last_beat.elapsed().as_millis() as u64;
             match slot.health {
-                ProcHealth::Up => {
+                NodeHealth::Up => {
                     if silent_ms > hb * u64::from(inner.cfg.suspect_after) {
-                        slot.health = ProcHealth::Suspected;
+                        slot.health = NodeHealth::Suspected;
                         newly_suspected.push(node as u32);
                     }
                 }
-                ProcHealth::Suspected => {
+                NodeHealth::Suspected => {
                     if silent_ms > hb * u64::from(inner.cfg.dead_after) {
-                        slot.health = ProcHealth::Dead;
+                        slot.health = NodeHealth::Dead;
                         slot.incarnation += 1;
                         newly_dead.push(node as u32);
                     }
                 }
-                ProcHealth::Dead => {}
+                NodeHealth::Dead => {}
             }
         }
         state.counters.declared_dead += newly_dead.len() as u64;
@@ -1287,69 +1200,9 @@ fn sweep_impl(inner: &Arc<CoordShared>) {
                 .collect()
         };
         for object in stranded {
-            let _ = reinstall_from_checkpoint_shared(inner, object);
+            let _ = inner.reinstall_from_checkpoint(object);
         }
     }
-}
-
-/// Reinstalls `object` from its checkpoint at the first Up worker, under a
-/// bumped object epoch. Used by the sweep (dead host) and the failed
-/// install leg of a migration.
-fn reinstall_from_checkpoint_shared(inner: &Arc<CoordShared>, object: u32) -> Option<u32> {
-    let (type_tag, ck_state, next_epoch, target) = {
-        let state = inner.state.lock();
-        let ck = state.store.get(ObjectId::new(object))?;
-        let target = state
-            .slots
-            .iter()
-            .position(|s| s.health == ProcHealth::Up)
-            .map(|i| i as u32)?;
-        (
-            ck.type_tag.clone(),
-            ck.state.clone(),
-            ck.object_epoch + 1,
-            target,
-        )
-    };
-    let corr = inner.next_corr.fetch_add(1, Ordering::AcqRel);
-    let msg = ProtoMsg::Install {
-        corr,
-        object,
-        type_tag: type_tag.clone(),
-        state: ck_state.clone(),
-        obj_epoch: next_epoch,
-    };
-    let (tx, rx) = bounded(1);
-    inner.state.lock().pending.insert(corr, tx);
-    if inner.server.send(target, msg.encode()).is_err() {
-        inner.state.lock().pending.remove(&corr);
-        return None;
-    }
-    let ok = matches!(
-        rx.recv_timeout(Duration::from_millis(inner.cfg.call_timeout_ms)),
-        Ok(ProtoMsg::Ack { ok: true, .. })
-    );
-    if !ok {
-        inner.state.lock().pending.remove(&corr);
-        return None;
-    }
-    let note = {
-        let mut state = inner.state.lock();
-        state.directory.insert(object, target);
-        let note = state
-            .put_checkpoint(object, &type_tag, ck_state, next_epoch)
-            .ok()
-            .flatten();
-        state.counters.reinstantiated += 1;
-        note
-    };
-    inner.trace_wal(object, note);
-    inner.trace(EventKind::Reinstantiated {
-        object: ObjectId::new(object),
-        at: NodeId::new(target),
-        epoch: next_epoch,
-    });
-    Some(target)
 }
 
 // ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@
 //! # Supervision and backpressure
 //!
 //! Each peer owns one persistent bounded outbound queue and one writer
-//! loop. Frames are drained in batches (up to [`SocketConfig::max_batch`]
-//! per write syscall), paced by the optional oml-net latency model, and
-//! written under a deadline. A failed write keeps the unwritten batch in a
-//! pending list, drops the connection, and lets the supervisor
+//! loop. Frames are drained in batches (up to `MAX_BATCH`, 64, per write
+//! syscall) and written under a deadline. A failed write keeps the
+//! unwritten batch in a pending list, drops the connection, and lets the
+//! supervisor
 //! ([`super::backoff::Supervisor`]) schedule redials under capped
 //! exponential backoff with seeded jitter; the pending frames go out
 //! first on the next session (per-link FIFO, at-least-once). Senders block
@@ -40,8 +40,6 @@ use super::netio::{connect_deadline, write_all_deadline, Listener, Stream, Trans
 use super::{LinkHealth, Transport, TransportError, TransportEvent};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use oml_des::SimRng;
-use oml_net::LatencyModel;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -49,18 +47,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Outbound pacing: a latency model sampled per batch write, so the
-/// socket transport can reproduce the simulator's network-delay
-/// distributions on a real wire (transmission policy as configuration,
-/// not code).
-#[derive(Debug, Clone)]
-pub struct Pacing {
-    /// The delay distribution; samples are milliseconds.
-    pub model: LatencyModel,
-    /// Seed for the sampling stream (deterministic per link).
-    pub seed: u64,
-}
 
 /// Tuning for the socket transport. Every blocking operation is bounded
 /// by one of these knobs.
@@ -76,17 +62,15 @@ pub struct SocketConfig {
     pub send_deadline_ms: u64,
     /// Per-peer outbound queue capacity (frames).
     pub outbound_capacity: usize,
-    /// Inbound event queue capacity (deliveries + link events).
-    pub inbound_capacity: usize,
-    /// Most frames coalesced into one write syscall.
-    pub max_batch: usize,
     /// Reconnect backoff tuning.
     pub backoff: BackoffConfig,
-    /// Framing limits.
-    pub frame: FrameConfig,
-    /// Optional outbound pacing model.
-    pub pacing: Option<Pacing>,
 }
+
+/// Inbound event queue capacity (deliveries + link events).
+const INBOUND_CAPACITY: usize = 4_096;
+
+/// Most frames coalesced into one write syscall.
+const MAX_BATCH: usize = 64;
 
 impl Default for SocketConfig {
     fn default() -> Self {
@@ -96,11 +80,7 @@ impl Default for SocketConfig {
             handshake_timeout_ms: 1_000,
             send_deadline_ms: 1_000,
             outbound_capacity: 1_024,
-            inbound_capacity: 4_096,
-            max_batch: 64,
             backoff: BackoffConfig::default(),
-            frame: FrameConfig::default(),
-            pacing: None,
         }
     }
 }
@@ -180,12 +160,12 @@ pub(crate) fn decode_session(frame: &Bytes) -> Result<SessionFrame, String> {
 }
 
 /// The writer half both ends share: the batch in flight (kept across a
-/// failed write, so it goes out first on the next session), the reused
-/// wire buffer it is framed into, and the optional pacing model.
+/// failed write, so it goes out first on the next session) and the reused
+/// wire buffer it is framed into.
+#[derive(Default)]
 struct Outbound {
     pending: VecDeque<Bytes>,
     wire: Vec<u8>,
-    pacer: Option<(LatencyModel, SimRng)>,
 }
 
 /// Wire-buffer capacity kept between batches; a rare larger batch (64
@@ -193,27 +173,16 @@ struct Outbound {
 const WIRE_KEEP: usize = 256 * 1024;
 
 impl Outbound {
-    fn new(cfg: &SocketConfig, node: u32) -> Outbound {
-        Outbound {
-            pending: VecDeque::new(),
-            wire: Vec::new(),
-            pacer: cfg
-                .pacing
-                .as_ref()
-                .map(|p| (p.model, SimRng::seed_from(p.seed ^ u64::from(node)))),
-        }
-    }
-
     /// Tops the batch up from `outbox`, waiting up to 20 ms for a first
     /// frame. `false` when there is still nothing to write.
-    fn fill(&mut self, outbox: &Receiver<Bytes>, max_batch: usize) -> bool {
+    fn fill(&mut self, outbox: &Receiver<Bytes>) -> bool {
         if self.pending.is_empty() {
             match outbox.recv_timeout(Duration::from_millis(20)) {
                 Ok(frame) => self.pending.push_back(frame),
                 Err(_) => return false,
             }
         }
-        while self.pending.len() < max_batch {
+        while self.pending.len() < MAX_BATCH {
             match outbox.try_recv() {
                 Ok(frame) => self.pending.push_back(frame),
                 Err(_) => break,
@@ -222,15 +191,9 @@ impl Outbound {
         true
     }
 
-    /// Paces, frames the whole batch into one buffer and writes it under
-    /// the write deadline. The batch is dropped only once written.
+    /// Frames the whole batch into one buffer and writes it under the
+    /// write deadline. The batch is dropped only once written.
     fn write(&mut self, stream: &mut Stream, write_timeout_ms: u64) -> io::Result<()> {
-        if let Some((model, rng)) = self.pacer.as_mut() {
-            let delay = model.sample_ms(rng);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-        }
         self.wire.clear();
         // [len][crc] + [tag][payload len] around every payload
         let framed = |f: &Bytes| 2 * HEADER_LEN + f.len();
@@ -254,14 +217,9 @@ impl Outbound {
 /// every `Data` payload (a view of its own frame) to `deliver`. `true`
 /// when the session died: EOF, an IO error or a corrupt stream — the
 /// caller drops it and lets the peer redial.
-fn read_session(
-    stream: &mut Stream,
-    cfg: FrameConfig,
-    closed: &AtomicBool,
-    mut deliver: impl FnMut(Bytes),
-) -> bool {
+fn read_session(stream: &mut Stream, closed: &AtomicBool, mut deliver: impl FnMut(Bytes)) -> bool {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut dec = FrameDecoder::new(cfg);
+    let mut dec = FrameDecoder::new(FrameConfig::default());
     // heap-allocated once per reader thread; 64 KiB would be a large
     // stack frame for something this long-lived
     let mut buf = vec![0u8; 64 * 1024];
@@ -386,7 +344,7 @@ impl SocketServer {
     ) -> io::Result<SocketServer> {
         let listener = Listener::bind(addr)?;
         let resolved = listener.local_addr()?;
-        let (events_tx, events_rx) = bounded(cfg.inbound_capacity);
+        let (events_tx, events_rx) = bounded(INBOUND_CAPACITY);
         let inner = Arc::new(ServerShared {
             cfg,
             peers_total,
@@ -455,13 +413,7 @@ impl Transport<Bytes> for SocketServer {
         _at: u32,
         timeout: Duration,
     ) -> Result<TransportEvent<Bytes>, TransportError> {
-        match self.inner.events_rx.recv_timeout(timeout) {
-            Ok(ev) => Ok(ev),
-            Err(_) if self.inner.closed.load(Ordering::Acquire) => Err(TransportError::Closed),
-            Err(_) => Err(TransportError::Timeout {
-                waited_ms: ms(timeout),
-            }),
-        }
+        recv_event(&self.inner.events_rx, &self.inner.closed, timeout)
     }
 
     fn link_health(&self, to: u32) -> LinkHealth {
@@ -488,6 +440,21 @@ impl Transport<Bytes> for SocketServer {
         for h in handles {
             let _ = h.join();
         }
+    }
+}
+
+/// The next inbound event of an endpoint, shared by server and peer.
+fn recv_event(
+    events: &Receiver<TransportEvent<Bytes>>,
+    closed: &AtomicBool,
+    timeout: Duration,
+) -> Result<TransportEvent<Bytes>, TransportError> {
+    match events.recv_timeout(timeout) {
+        Ok(ev) => Ok(ev),
+        Err(_) if closed.load(Ordering::Acquire) => Err(TransportError::Closed),
+        Err(_) => Err(TransportError::Timeout {
+            waited_ms: ms(timeout),
+        }),
     }
 }
 
@@ -536,7 +503,7 @@ fn accept_loop(inner: &Arc<ServerShared>, listener: &Listener) {
 /// never established sessions.
 fn handle_accept(inner: &Arc<ServerShared>, mut stream: Stream) {
     let deadline = Instant::now() + Duration::from_millis(inner.cfg.handshake_timeout_ms);
-    let mut dec = FrameDecoder::new(inner.cfg.frame);
+    let mut dec = FrameDecoder::new(FrameConfig::default());
     let hello = match read_frame_deadline(&mut stream, &mut dec, deadline) {
         Ok(frame) => match decode_session(&frame) {
             Ok(SessionFrame::Hello {
@@ -634,11 +601,11 @@ fn handle_accept(inner: &Arc<ServerShared>, mut stream: Stream) {
 /// the slot currently holds; frames caught in a failed write are retried
 /// on the next session.
 fn server_writer_loop(inner: &Arc<ServerShared>, node: u32, outbox: &Receiver<Bytes>) {
-    let mut out = Outbound::new(&inner.cfg, node);
+    let mut out = Outbound::default();
     // the write half of session `generation`, cloned once per session
     let mut write_half: Option<(u64, Stream)> = None;
     while !inner.closed.load(Ordering::Acquire) {
-        if !out.fill(outbox, inner.cfg.max_batch) {
+        if !out.fill(outbox) {
             // idle: the cached half must not outlive its session, or a
             // dead session's descriptor stays open until the next send
             if let Some((generation, _)) = &write_half {
@@ -682,18 +649,7 @@ fn server_writer_loop(inner: &Arc<ServerShared>, node: u32, outbox: &Receiver<By
         if out.write(stream, inner.cfg.write_timeout_ms).is_err() {
             // connection is toast; the batch stays for the next session
             write_half = None;
-            let mut slots = inner.slots.lock();
-            if let Some(slot) = slots.get_mut(&node) {
-                if slot.generation == generation && slot.up {
-                    if let Some(s) = &slot.stream {
-                        s.shutdown_both();
-                    }
-                    slot.stream = None;
-                    slot.up = false;
-                    drop(slots);
-                    inner.emit(TransportEvent::Disconnected { peer: node });
-                }
-            }
+            session_down(inner, node, generation);
         }
     }
 }
@@ -708,7 +664,7 @@ fn server_reader_loop(
     generation: u64,
     mut stream: Stream,
 ) {
-    let died = read_session(&mut stream, inner.cfg.frame, &inner.closed, |msg| {
+    let died = read_session(&mut stream, &inner.closed, |msg| {
         inner.emit(TransportEvent::Delivery {
             from: node,
             epoch,
@@ -720,7 +676,8 @@ fn server_reader_loop(
     }
 }
 
-/// Marks `node`'s session dead if it is still the one this reader served.
+/// Marks `node`'s session dead if `generation` is still the live one — its
+/// reader saw EOF, or its writer a failed write.
 fn session_down(inner: &Arc<ServerShared>, node: u32, generation: u64) {
     let mut slots = inner.slots.lock();
     if let Some(slot) = slots.get_mut(&node) {
@@ -773,7 +730,7 @@ impl SocketPeer {
     /// for the outcome of the first dial.
     #[must_use]
     pub fn connect(addr: TransportAddr, node: u32, epoch: u64, cfg: SocketConfig) -> SocketPeer {
-        let (events_tx, events_rx) = bounded(cfg.inbound_capacity);
+        let (events_tx, events_rx) = bounded(INBOUND_CAPACITY);
         let (outbox_tx, outbox_rx) = bounded(cfg.outbound_capacity);
         let inner = Arc::new(PeerShared {
             cfg,
@@ -850,13 +807,7 @@ impl Transport<Bytes> for SocketPeer {
         _at: u32,
         timeout: Duration,
     ) -> Result<TransportEvent<Bytes>, TransportError> {
-        match self.inner.events_rx.recv_timeout(timeout) {
-            Ok(ev) => Ok(ev),
-            Err(_) if self.inner.closed.load(Ordering::Acquire) => Err(TransportError::Closed),
-            Err(_) => Err(TransportError::Timeout {
-                waited_ms: ms(timeout),
-            }),
-        }
+        recv_event(&self.inner.events_rx, &self.inner.closed, timeout)
     }
 
     fn link_health(&self, _to: u32) -> LinkHealth {
@@ -893,7 +844,7 @@ fn peer_dial_attempt(inner: &PeerShared, attempt: u32) -> io::Result<Option<Stre
         &mut wire,
     );
     write_all_deadline(&mut stream, &wire, hs_deadline)?;
-    let mut dec = FrameDecoder::new(inner.cfg.frame);
+    let mut dec = FrameDecoder::new(FrameConfig::default());
     let ack = read_frame_deadline(&mut stream, &mut dec, hs_deadline)?;
     match decode_session(&ack) {
         Ok(SessionFrame::HelloAck { accepted: true, .. }) => Ok(Some(stream)),
@@ -916,7 +867,7 @@ fn peer_run_loop(inner: &Arc<PeerShared>) {
     let now_ms = |started: Instant| ms(started.elapsed());
     let mut stream: Option<Stream> = None;
     let mut generation: u64 = 0;
-    let mut out = Outbound::new(&inner.cfg, inner.node);
+    let mut out = Outbound::default();
     let mut ever_connected = false;
 
     while !inner.closed.load(Ordering::Acquire) {
@@ -1004,7 +955,7 @@ fn peer_run_loop(inner: &Arc<PeerShared>) {
         }
 
         // connected: drain the outbox and write a batch
-        if !out.fill(&inner.outbox_rx, inner.cfg.max_batch) {
+        if !out.fill(&inner.outbox_rx) {
             continue;
         }
         let s = stream.as_mut().expect("stream present when connected");
@@ -1027,7 +978,7 @@ fn peer_run_loop(inner: &Arc<PeerShared>) {
 /// Reads the coordinator's frames for session `generation`; on EOF/error
 /// records the dead generation for the supervisor to notice.
 fn peer_reader_loop(inner: &Arc<PeerShared>, generation: u64, mut stream: Stream) {
-    let died = read_session(&mut stream, inner.cfg.frame, &inner.closed, |msg| {
+    let died = read_session(&mut stream, &inner.closed, |msg| {
         let _ = inner.events_tx.send(TransportEvent::Delivery {
             from: 0,
             epoch: 0,

@@ -5,6 +5,7 @@
 //! cases (integers, strings, length-prefixed sequences) on top of
 //! [`bytes::Buf`]/[`bytes::BufMut`].
 
+use crate::store::StoredCheckpoint;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Incrementally builds a payload.
@@ -203,21 +204,13 @@ impl<'a> WireReader<'a> {
 
 /// The payload of a `CheckpointPut`: an object's linearized passive state
 /// plus the `(object_epoch, seq)` freshness stamp that orders it against
-/// other replicas. Encoded with [`WireWriter`] like any object payload —
-/// replicas on the far side of a lossy link can always decode or reject it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointFrame {
-    /// The object's registered delinearizer tag.
-    pub type_tag: String,
-    /// The linearized state, exactly as `MobileObject::linearize` produced.
-    pub state: Bytes,
-    /// Object epoch the copy was linearized under.
-    pub object_epoch: u64,
-    /// Refresh sequence within the object's lifetime.
-    pub seq: u64,
-}
+/// other replicas — the [`StoredCheckpoint`] a replica stores, under the
+/// name it travels by. Encoded with [`WireWriter`] like any object payload
+/// — replicas on the far side of a lossy link can always decode or reject
+/// it.
+pub type CheckpointFrame = StoredCheckpoint;
 
-impl CheckpointFrame {
+impl StoredCheckpoint {
     /// Encodes the frame for a `CheckpointPut` message.
     #[must_use]
     pub fn encode(&self) -> Bytes {
@@ -242,7 +235,7 @@ impl CheckpointFrame {
         let state = buf.slice_ref(r.bytes_ref()?);
         let object_epoch = r.u64()?;
         let seq = r.u64()?;
-        Ok(CheckpointFrame {
+        Ok(StoredCheckpoint {
             type_tag,
             state,
             object_epoch,

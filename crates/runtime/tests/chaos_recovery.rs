@@ -16,7 +16,7 @@ use oml_check::check_trace;
 use oml_core::ids::{NodeId, ObjectId};
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
-use oml_runtime::{Cluster, FaultPlan, MobileObject, NodeHealth, RuntimeError};
+use oml_runtime::{Cluster, FaultPlan, MobileObject, NodeHealth, RuntimeError, Sabotage};
 
 struct Counter(u64);
 
@@ -269,7 +269,7 @@ fn unfenced_zombie_is_caught_by_the_checker() {
         .invoke_retries(1)
         .manual_clock()
         .failure_detector(HEARTBEAT_MS, K_MISSED)
-        .unfenced()
+        .sabotage(Sabotage::Unfenced)
         .trace()
         .build();
     register_counter(&cluster);

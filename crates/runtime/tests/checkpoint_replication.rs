@@ -11,7 +11,7 @@ use oml_check::{check_trace, EventKind, Violation};
 use oml_core::ids::{NodeId, ObjectId};
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
-use oml_runtime::{Cluster, ClusterBuilder, FaultPlan, MobileObject, RuntimeError};
+use oml_runtime::{Cluster, ClusterBuilder, FaultPlan, MobileObject, RuntimeError, Sabotage};
 use proptest::prelude::*;
 
 struct Counter(u64);
@@ -301,7 +301,11 @@ fn repair_sweep_restores_the_replication_factor() {
 /// checker's `ReplicationFactorViolation` invariant catches it.
 #[test]
 fn no_repair_deficit_is_flagged_by_the_checker() {
-    let cluster = builder(3).replication(2).no_repair().trace().build();
+    let cluster = builder(3)
+        .replication(2)
+        .sabotage(Sabotage::NoRepair)
+        .trace()
+        .build();
     register_counter(&cluster);
     let obj = cluster.create(n(0), Box::new(Counter(7))).unwrap();
     let second = cluster.replica_set(obj).unwrap()[1];
@@ -330,7 +334,7 @@ fn no_repair_deficit_is_flagged_by_the_checker() {
 fn diverged_cluster(stale_promotion: bool) -> (Cluster, ObjectId) {
     let mut b = builder(3).replication(3).trace();
     if stale_promotion {
-        b = b.stale_promotion();
+        b = b.sabotage(Sabotage::StalePromotion);
     }
     let cluster = b.build();
     register_counter(&cluster);

@@ -13,7 +13,7 @@
 use oml_runtime::transport::netio::TransportAddr;
 use oml_runtime::transport::socket::SocketConfig;
 use oml_runtime::{
-    run_worker, FsyncPolicy, MobileObject, MultiProcCluster, MultiProcConfig, ProcHealth,
+    run_worker, FsyncPolicy, MobileObject, MultiProcCluster, MultiProcConfig, NodeHealth,
     RuntimeError, WorkerOptions,
 };
 use std::time::{Duration, Instant};
@@ -50,9 +50,6 @@ fn delinearize_counter(state: &[u8]) -> Box<dyn MobileObject> {
 }
 
 fn cfg(addr: TransportAddr) -> MultiProcConfig {
-    let mut socket = SocketConfig::default();
-    socket.backoff.base_ms = 5;
-    socket.backoff.cap_ms = 100;
     MultiProcConfig {
         workers: 3,
         addr,
@@ -60,7 +57,7 @@ fn cfg(addr: TransportAddr) -> MultiProcConfig {
         heartbeat_ms: 25,
         suspect_after: 4,
         dead_after: 12,
-        socket,
+        socket: SocketConfig::default(),
         worker_program: std::env::current_exe().expect("own path"),
         worker_args: Vec::new(),
         monitor: true,
@@ -136,7 +133,7 @@ fn scenario() {
         13,
         "recovered state must come from the freshest checkpoint"
     );
-    assert_eq!(cluster.health(1), ProcHealth::Dead);
+    assert_eq!(cluster.health(1), NodeHealth::Dead);
     let home = cluster.location_of(1).expect("object re-homed");
     assert_ne!(home, 1, "object must have left the dead worker");
     let stats = cluster.stats();

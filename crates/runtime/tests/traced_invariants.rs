@@ -230,6 +230,6 @@ fn lock_acquisition_graph_is_acyclic_and_allowlisted() {
     assert!(
         unknown.is_empty(),
         "undocumented lock nesting(s): {unknown:?} — review for deadlock \
-         safety and add to KNOWN_LOCK_ORDER + DESIGN.md §10 if legal"
+         safety and add to KNOWN_LOCK_ORDER + DESIGN.md §12.3 if legal"
     );
 }

@@ -10,6 +10,7 @@
 use bytes::Bytes;
 use oml_core::ids::ObjectId;
 use oml_runtime::store::wal::{encode_record, replay_segment, WalRecord, WalReplayer};
+use oml_runtime::StoredCheckpoint;
 use proptest::prelude::*;
 
 const MAX_FRAME: u32 = 4096;
@@ -26,10 +27,12 @@ fn record() -> impl Strategy<Value = WalRecord> {
             .prop_map(
                 |(object, object_epoch, seq, type_tag, state)| WalRecord::Put {
                     object: ObjectId::new(object),
-                    object_epoch,
-                    seq,
-                    type_tag,
-                    state: Bytes::from(state),
+                    ckpt: StoredCheckpoint {
+                        type_tag,
+                        state: Bytes::from(state),
+                        object_epoch,
+                        seq,
+                    },
                 }
             ),
         any::<u32>().prop_map(|o| WalRecord::Remove {

@@ -291,7 +291,7 @@ impl From<&SimMetrics> for MetricsRow {
 /// merge exactly as well (each replication contributes whole batches; see
 /// [`BatchMeans::merge`]). The only approximation is the 95th percentile:
 /// P² markers cannot be merged, so the aggregate reports the call-weighted
-/// mean of the per-replication p95 estimates — documented in DESIGN.md §13.
+/// mean of the per-replication p95 estimates — documented in DESIGN.md §13.2.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicationAggregate {
     /// Replications absorbed so far.

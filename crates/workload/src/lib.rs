@@ -188,7 +188,7 @@ pub fn replication_chunk(stopping: &StoppingRule) -> u64 {
 /// pooled cap). Because the replication set, their seeds, and the merge
 /// order depend only on `(config, stopping, seed)` — never on `threads` —
 /// the returned aggregate is **bit-identical at any thread count**; see
-/// DESIGN.md §13 for the full argument.
+/// DESIGN.md §13.2 for the full argument.
 ///
 /// Compared to the single-run batch-means path this pays one warm-up per
 /// replication but decorrelates the batches (independent seeds), and it
