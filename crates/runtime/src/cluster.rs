@@ -1,6 +1,6 @@
 //! The cluster facade: public API over the node workers.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -20,7 +20,7 @@ use oml_core::policy::{MovePolicy, PolicyKind};
 
 use crate::error::RuntimeError;
 use crate::fault::{self, Delivery, FaultInjector, FaultPlan};
-use crate::message::{Envelope, Message, MAX_HOPS};
+use crate::message::{group_push, Envelope, Message, Shipped, MAX_HOPS};
 use crate::node::NodeWorker;
 use crate::object::{Delinearizer, MobileObject, TypeRegistry};
 use crate::recovery::{
@@ -307,6 +307,15 @@ impl Shared {
         self.directory.write().insert(object, node);
     }
 
+    /// Points every one of `objects` at `node` under one write guard — a
+    /// closure changes hosts in the directory all at once.
+    pub(crate) fn directory_set_all(&self, objects: impl Iterator<Item = ObjectId>, node: NodeId) {
+        let mut dir = self.directory.write();
+        for object in objects {
+            dir.insert(object, node);
+        }
+    }
+
     pub(crate) fn is_movable(&self, object: ObjectId) -> bool {
         self.mobility
             .read()
@@ -314,6 +323,12 @@ impl Shared {
             .copied()
             .unwrap_or_default()
             .is_movable()
+    }
+
+    /// Drops the immovable from `objects`, under one read guard.
+    pub(crate) fn retain_movable(&self, objects: &mut Vec<ObjectId>) {
+        let mobility = self.mobility.read();
+        objects.retain(|o| mobility.get(o).copied().unwrap_or_default().is_movable());
     }
 
     /// Milliseconds on the cluster's lease clock.
@@ -378,23 +393,41 @@ impl Shared {
         })
     }
 
-    /// The object's current replica-set targets: the first `k` available
-    /// nodes in its placement preference order.
-    fn replica_targets(&self, object: ObjectId, home: NodeId) -> Vec<NodeId> {
-        let Some(rec) = &self.recovery else {
-            return Vec::new();
-        };
-        preference_order(object, home, self.mesh.peers() as usize)
-            .into_iter()
-            .filter(|n| rec.replica_available(n.index()))
-            .take(rec.replica_k)
-            .collect()
+    /// Stamps each copy with its object's current epoch, under one guard.
+    pub(crate) fn stamp_epochs(&self, items: &mut [Shipped]) {
+        if let Some(rec) = &self.recovery {
+            let epochs = rec.object_epochs.read();
+            for (object, ckpt) in items {
+                ckpt.object_epoch = epochs.get(object).copied().unwrap_or(0);
+            }
+        }
+    }
+
+    /// The per-item fence: drops (and reports to `fenced`) every copy
+    /// linearized under an epoch older than its object's current one. A
+    /// no-op when fencing is off.
+    pub(crate) fn retain_current(
+        &self,
+        items: &mut Vec<Shipped>,
+        mut fenced: impl FnMut(&StoredCheckpoint),
+    ) {
+        if let Some(rec) = self.recovery.as_ref().filter(|_| self.fenced()) {
+            let epochs = rec.object_epochs.read();
+            items.retain(|(object, ckpt)| {
+                let current = ckpt.object_epoch >= epochs.get(object).copied().unwrap_or(0);
+                if !current {
+                    fenced(ckpt);
+                }
+                current
+            });
+        }
     }
 
     /// Seeds the replicated checkpoint at creation: records the home node
-    /// and writes the birth state synchronously into the replica set's
-    /// stores (creation blocks on the Create reply anyway, so there is no
-    /// quorum round to wait for — every replica starts at `(0, 0)`).
+    /// and the placement preference order, and writes the birth state
+    /// synchronously into the replica set's stores (creation blocks on the
+    /// Create reply anyway, so there is no quorum round to wait for — every
+    /// replica starts at `(0, 0)`).
     pub(crate) fn checkpoint_init(
         &self,
         object: ObjectId,
@@ -405,234 +438,230 @@ impl Shared {
         let Some(rec) = &self.recovery else {
             return;
         };
-        let now = self.now_ms();
-        rec.replication.lock().insert(
-            object,
-            ReplicationInfo {
-                home,
-                seq: 0,
-                pending: None,
-                last_quorum: None,
-                last_refresh_at_ms: now,
-            },
-        );
+        let order = preference_order(object, home, self.mesh.peers() as usize);
         let ckpt = StoredCheckpoint {
             type_tag,
             state,
             object_epoch: 0,
             seq: 0,
         };
-        for target in self.replica_targets(object, home) {
-            self.store_replica(target, object, ckpt.clone());
+        for target in rec.replica_targets(&order) {
+            self.store_replicas(target, [(object, ckpt.clone())]);
         }
+        rec.replication.lock().insert(
+            object,
+            ReplicationInfo {
+                order,
+                seq: 0,
+                pending: None,
+                last_quorum: None,
+                last_refresh_at_ms: self.now_ms(),
+            },
+        );
     }
 
-    /// Refreshes the replicated checkpoint (install / end / lease events —
-    /// the points where a consistent linearized copy is in hand anyway):
-    /// assigns the next refresh sequence, fans a `CheckpointPut` out to the
-    /// replica set and starts counting acks against a majority write quorum.
-    /// `host` is the node holding the live object (it stores its copy
-    /// locally and self-acks; an unacked previous refresh is superseded and
-    /// counted as a quorum failure).
+    /// Refreshes the replicated checkpoints of `fresh` — the objects of one
+    /// closure, or a lone one — at an install / end / lease event, the
+    /// points where a consistent linearized copy is in hand anyway. Per
+    /// object, exactly as if each were refreshed alone: stamps the copy
+    /// with the current object epoch and the next refresh sequence (what
+    /// the caller put in those fields is overwritten) and starts counting
+    /// acks against a majority write quorum; an unacked previous refresh is
+    /// superseded and counted as a quorum failure. Per closure: one lock
+    /// round, the host's own copies stored and self-acked together, and one
+    /// `CheckpointPut` to each other replica node. `host` is the node
+    /// holding the live objects.
     pub(crate) fn checkpoint_refresh(
         &self,
-        object: ObjectId,
-        type_tag: &str,
-        state: Bytes,
+        mut fresh: Vec<Shipped>,
         host: NodeId,
         host_epoch: u64,
     ) {
         let Some(rec) = &self.recovery else {
             return;
         };
-        let object_epoch = self.object_epoch(object);
+        self.stamp_epochs(&mut fresh);
         let now = self.now_ms();
-        let (seq, targets) = {
+        let mut own = Vec::new();
+        let mut puts = Vec::new();
+        let (mut refreshed, mut superseded) = (0, 0);
+        {
             let mut repl = rec.replication.lock();
-            let Some(info) = repl.get_mut(&object) else {
-                return; // detector configured after the object was created
-            };
-            if info.pending.take().is_some() {
-                self.counters
-                    .quorum_refresh_failures
-                    .fetch_add(1, Ordering::Relaxed);
+            for (object, mut ckpt) in fresh {
+                let Some(info) = repl.get_mut(&object) else {
+                    continue; // detector configured after the object was created
+                };
+                superseded += u64::from(info.pending.take().is_some());
+                info.seq += 1;
+                ckpt.seq = info.seq;
+                let mut targets = 0;
+                let mut at_host = false;
+                let mut encoded = None;
+                for target in rec.replica_targets(&info.order) {
+                    targets += 1;
+                    if target == host {
+                        // the host's own store needs no message round-trip
+                        at_host = true;
+                    } else {
+                        let frame = encoded.get_or_insert_with(|| ckpt.encode()).clone();
+                        group_push(&mut puts, target, (object, frame));
+                    }
+                }
+                if targets == 0 {
+                    continue;
+                }
+                info.pending = Some(PendingRefresh {
+                    object_epoch: ckpt.object_epoch,
+                    seq: ckpt.seq,
+                    quorum: targets / 2 + 1,
+                    acked: Vec::new(),
+                });
+                info.last_refresh_at_ms = now;
+                refreshed += 1;
+                if at_host {
+                    own.push((object, ckpt));
+                }
             }
-            info.seq += 1;
-            let seq = info.seq;
-            let targets = self.replica_targets(object, info.home);
-            if targets.is_empty() {
-                return;
-            }
-            info.pending = Some(PendingRefresh {
-                object_epoch,
-                seq,
-                quorum: targets.len() / 2 + 1,
-                acked: HashSet::new(),
-            });
-            info.last_refresh_at_ms = now;
-            (seq, targets)
-        };
+        }
+        self.counters
+            .quorum_refresh_failures
+            .fetch_add(superseded, Ordering::Relaxed);
         self.counters
             .checkpoint_refreshes
-            .fetch_add(1, Ordering::Relaxed);
-        let ckpt = StoredCheckpoint {
-            type_tag: type_tag.to_owned(),
-            state,
-            object_epoch,
-            seq,
+            .fetch_add(refreshed, Ordering::Relaxed);
+        if !own.is_empty() {
+            let acks = versions(&own);
+            self.store_replicas(host, own);
+            self.checkpoint_ack(&acks, host, host.as_u32());
+        }
+        self.send_puts(Some((host, host_epoch)), puts);
+    }
+
+    /// Sends each list, grouped by [`group_push`], as one `CheckpointPut`.
+    fn send_puts(&self, from: Option<(NodeId, u64)>, puts: Vec<(NodeId, Vec<(ObjectId, Bytes)>)>) {
+        for (target, items) in puts {
+            let _ = self.send_from(from, target, Message::CheckpointPut { items });
+        }
+    }
+
+    /// Writes each of `ckpts` into `at`'s replica store, under one guard,
+    /// if it is fresher than the copy already there (lexicographic
+    /// `(object_epoch, seq)`).
+    pub(crate) fn store_replicas(&self, at: NodeId, ckpts: impl IntoIterator<Item = Shipped>) {
+        let Some(rec) = &self.recovery else {
+            return;
         };
-        let encoded = ckpt.encode();
-        for target in targets {
-            if target == host {
-                // the host's own store needs no message round-trip
-                self.store_replica(target, object, ckpt.clone());
-                self.checkpoint_ack(object, object_epoch, seq, target, host.as_u32());
-            } else {
-                let _ = self.send_from(
-                    Some((host, host_epoch)),
-                    target,
-                    Message::CheckpointPut {
+        let mut stores = rec.replica_stores.lock();
+        let store = &mut stores[at.index()];
+        for (object, ckpt) in ckpts {
+            let (object_epoch, seq) = ckpt.version();
+            let stale = store
+                .get(object)
+                .is_some_and(|existing| existing.version() >= ckpt.version());
+            // each put (and its fsync, per policy) completes before any ack
+            // is sent — acks never outrun durability; a failed write is no
+            // write
+            if !stale && put_traced(&mut **store, &self.trace, at.as_u32(), object, ckpt).is_ok() {
+                self.trace.emit(
+                    at.as_u32(),
+                    EventKind::CheckpointStored {
                         object,
-                        frame: encoded.clone(),
+                        replica: at,
+                        object_epoch,
+                        seq,
                     },
                 );
             }
         }
     }
 
-    /// Writes `ckpt` into `at`'s replica store if it is fresher than the
-    /// copy already there (lexicographic `(object_epoch, seq)`); returns
-    /// whether it was applied.
-    pub(crate) fn store_replica(
-        &self,
-        at: NodeId,
-        object: ObjectId,
-        ckpt: StoredCheckpoint,
-    ) -> bool {
-        let Some(rec) = &self.recovery else {
-            return false;
-        };
-        let (object_epoch, seq) = ckpt.version();
-        let applied = {
-            let mut stores = rec.replica_stores.lock();
-            let store = &mut stores[at.index()];
-            let stale = store
-                .get(object)
-                .is_some_and(|existing| existing.version() >= ckpt.version());
-            // the put (and its fsync, per policy) completes before any ack
-            // is sent — acks never outrun durability; a failed write is no
-            // write
-            !stale && put_traced(&mut **store, &self.trace, at.as_u32(), object, ckpt).is_ok()
-        };
-        if applied {
-            self.trace.emit(
-                at.as_u32(),
-                EventKind::CheckpointStored {
-                    object,
-                    replica: at,
-                    object_epoch,
-                    seq,
-                },
-            );
-        }
-        applied
-    }
-
     /// Applies an incoming `CheckpointPut` at node `at` and (for node-to-
-    /// node puts) acks back to the sender. Undecodable frames are dropped;
-    /// with fencing, a put linearized under a superseded object epoch is
-    /// *quietly* ignored — it is not a protocol violation, just a refresh
-    /// that lost a race with a reinstantiation, and the repair sweep will
-    /// re-replicate under the current epoch.
+    /// node puts) acks the applied list back to the sender in one message.
+    /// Undecodable frames are dropped; with fencing, a put linearized under
+    /// a superseded object epoch is *quietly* ignored — it is not a protocol
+    /// violation, just a refresh that lost a race with a reinstantiation,
+    /// and the repair sweep will re-replicate under the current epoch.
     pub(crate) fn apply_checkpoint_put(
         &self,
         at: NodeId,
         at_epoch: u64,
-        object: ObjectId,
-        frame: &Bytes,
+        items: Vec<(ObjectId, Bytes)>,
         from: u32,
-        ack: bool,
     ) {
         if self.recovery.is_none() {
             return;
         }
-        let Ok(ckpt) = StoredCheckpoint::decode(frame) else {
-            return;
-        };
-        let (object_epoch, seq) = ckpt.version();
-        if self.fenced() && object_epoch < self.object_epoch(object) {
-            return;
-        }
-        self.store_replica(at, object, ckpt);
-        // re-ack even when the copy was not fresher: the sender may be
+        let mut ckpts: Vec<Shipped> = items
+            .into_iter()
+            .filter_map(|(object, frame)| Some((object, StoredCheckpoint::decode(&frame).ok()?)))
+            .collect();
+        self.retain_current(&mut ckpts, |_| {});
+        // re-ack even when a copy was not fresher: the sender may be
         // retrying a refresh whose previous ack was lost
-        if ack && from != fault::CLIENT {
+        let acks = versions(&ckpts);
+        self.store_replicas(at, ckpts);
+        if from != fault::CLIENT && !acks.is_empty() {
             let _ = self.send_from(
                 Some((at, at_epoch)),
                 NodeId::new(from),
                 Message::CheckpointAck {
-                    object,
-                    object_epoch,
-                    seq,
+                    items: acks,
                     replica: at,
                 },
             );
         }
     }
 
-    /// Counts one replica's ack toward the pending refresh's write quorum.
-    /// Acks are deduplicated by replica id (duplicated or re-sent acks
-    /// count once) and acks for any other `(object_epoch, seq)` than the
-    /// pending write are ignored.
+    /// Counts one replica's acks, each toward its own object's pending
+    /// refresh. Acks are deduplicated by replica id (duplicated or re-sent
+    /// acks count once) and acks for any other `(object_epoch, seq)` than
+    /// the pending write are ignored.
     pub(crate) fn checkpoint_ack(
         &self,
-        object: ObjectId,
-        object_epoch: u64,
-        seq: u64,
+        items: &[(ObjectId, u64, u64)],
         replica: NodeId,
         process: u32,
     ) {
         let Some(rec) = &self.recovery else {
             return;
         };
-        let quorum_reached = {
+        let mut quorums = 0;
+        {
             let mut repl = rec.replication.lock();
-            let Some(info) = repl.get_mut(&object) else {
-                return;
-            };
-            let Some(pending) = info.pending.as_mut() else {
-                return;
-            };
-            if pending.object_epoch != object_epoch || pending.seq != seq {
-                return;
+            for &(object, object_epoch, seq) in items {
+                let Some(info) = repl.get_mut(&object) else {
+                    continue;
+                };
+                let Some(pending) = info.pending.as_mut() else {
+                    continue;
+                };
+                if pending.object_epoch != object_epoch
+                    || pending.seq != seq
+                    || pending.acked.contains(&replica.as_u32())
+                {
+                    continue; // another write's ack, or one already counted
+                }
+                pending.acked.push(replica.as_u32());
+                self.trace.emit(
+                    process,
+                    EventKind::CheckpointAcked {
+                        object,
+                        object_epoch,
+                        seq,
+                        replica,
+                        quorum: pending.quorum as u32,
+                    },
+                );
+                if pending.acked.len() >= pending.quorum {
+                    info.pending = None;
+                    info.last_quorum = Some((object_epoch, seq));
+                    quorums += 1;
+                }
             }
-            if !pending.acked.insert(replica.as_u32()) {
-                return; // duplicate ack: already counted
-            }
-            let quorum = pending.quorum;
-            self.trace.emit(
-                process,
-                EventKind::CheckpointAcked {
-                    object,
-                    object_epoch,
-                    seq,
-                    replica,
-                    quorum: quorum as u32,
-                },
-            );
-            if pending.acked.len() >= quorum {
-                info.pending = None;
-                info.last_quorum = Some((object_epoch, seq));
-                true
-            } else {
-                false
-            }
-        };
-        if quorum_reached {
-            self.counters
-                .quorum_refreshes
-                .fetch_add(1, Ordering::Relaxed);
         }
+        self.counters
+            .quorum_refreshes
+            .fetch_add(quorums, Ordering::Relaxed);
     }
 
     /// The circuit breaker's verdict on calling `node`: `Err(NodeDown)` to
@@ -760,24 +789,30 @@ impl Shared {
         if rec.sabotage == Some(Sabotage::NoRepair) {
             return;
         }
-        let mut objects: Vec<(ObjectId, NodeId)> = {
+        // every object's current replica set, end to end in `targets`
+        let mut targets: Vec<NodeId> = Vec::new();
+        let mut objects: Vec<(ObjectId, std::ops::Range<usize>)> = {
             let repl = rec.replication.lock();
-            repl.iter().map(|(&o, info)| (o, info.home)).collect()
+            repl.iter()
+                .map(|(&o, info)| {
+                    let start = targets.len();
+                    targets.extend(rec.replica_targets(&info.order));
+                    (o, start..targets.len())
+                })
+                .collect()
         };
         objects.sort_unstable_by_key(|&(o, _)| o);
         // epoch snapshot before the stores lock (the two are never nested)
-        let epochs: HashMap<ObjectId, u64> = {
+        let epochs: Vec<u64> = {
             let epochs = rec.object_epochs.read();
-            objects
-                .iter()
-                .map(|&(o, _)| (o, epochs.get(&o).copied().unwrap_or(0)))
-                .collect()
+            let current = |(o, _): &(ObjectId, _)| epochs.get(o).copied().unwrap_or(0);
+            objects.iter().map(current).collect()
         };
-        let mut puts: Vec<(NodeId, ObjectId, StoredCheckpoint)> = Vec::new();
+        let mut puts = Vec::new();
+        let mut repairs = 0;
         {
             let stores = rec.replica_stores.lock();
-            for &(object, home) in &objects {
-                let current_epoch = epochs.get(&object).copied().unwrap_or(0);
+            for ((object, set), current_epoch) in objects.into_iter().zip(epochs) {
                 let mut freshest: Option<&StoredCheckpoint> = None;
                 for (n, store) in stores.iter().enumerate() {
                     if !rec.replica_available(n) {
@@ -798,30 +833,24 @@ impl Shared {
                     // would only be fenced on arrival
                     continue;
                 }
-                for target in self.replica_targets(object, home) {
+                let mut encoded = None;
+                for &target in &targets[set] {
                     let needs = match stores[target.index()].get(object) {
                         None => true,
                         Some(c) => c.version() < freshest.version(),
                     };
                     if needs {
-                        puts.push((target, object, freshest.clone()));
+                        let frame = encoded.get_or_insert_with(|| freshest.encode()).clone();
+                        group_push(&mut puts, target, (object, frame));
+                        repairs += 1;
                     }
                 }
             }
         }
-        for (target, object, ckpt) in puts {
-            self.counters.repairs.fetch_add(1, Ordering::Relaxed);
-            // client-originated: reliable, no quorum round — repair is
-            // convergence, not a new write
-            let _ = self.send_from(
-                None,
-                target,
-                Message::CheckpointPut {
-                    object,
-                    frame: ckpt.encode(),
-                },
-            );
-        }
+        self.counters.repairs.fetch_add(repairs, Ordering::Relaxed);
+        // client-originated: reliable, no quorum round — repair is
+        // convergence, not a new write
+        self.send_puts(None, puts);
     }
 
     /// One lease sweep at the current clock, on behalf of `process`:
@@ -935,10 +964,11 @@ impl Shared {
                 }
             }
         }
+        let mut installs = Vec::new();
         for (object, epoch) in reinstated {
             let home = {
                 let repl = rec.replication.lock();
-                repl.get(&object).map(|info| info.home)
+                repl.get(&object).map(|info| info.order[0])
             };
             let Some(home) = home else {
                 continue; // no replication record (object predates the detector)
@@ -968,7 +998,7 @@ impl Shared {
                 }
                 best
             };
-            let Some((replica, ckpt)) = source else {
+            let Some((replica, mut ckpt)) = source else {
                 continue; // every copy died too — lost until a node restart
             };
             self.trace.emit(
@@ -999,17 +1029,16 @@ impl Shared {
                 .fetch_add(1, Ordering::Relaxed);
             self.injector
                 .note(format!("reinstantiate {object} at {target}"));
-            let _ = self.send_from(
-                None,
-                target,
-                Message::Install {
-                    object,
-                    type_tag: ckpt.type_tag,
-                    state: ckpt.state,
-                    object_epoch: epoch,
-                    install_for: None,
-                },
-            );
+            // the promoted copy travels under the bumped epoch
+            ckpt.object_epoch = epoch;
+            group_push(&mut installs, target, (object, ckpt));
+        }
+        for (target, members) in installs {
+            let install = Message::Install {
+                members,
+                install_for: None,
+            };
+            let _ = self.send_from(None, target, install);
         }
     }
 
@@ -1025,6 +1054,12 @@ impl Shared {
         }
         (0..self.mesh.peers()).map(NodeId::new).find(|&n| usable(n))
     }
+}
+
+/// What a `CheckpointAck` says about each of `ckpts`.
+fn versions(ckpts: &[Shipped]) -> Vec<(ObjectId, u64, u64)> {
+    let version = |(object, ckpt): &Shipped| (*object, ckpt.object_epoch, ckpt.seq);
+    ckpts.iter().map(version).collect()
 }
 
 /// Clones the faultable control messages (the only ones that can be
@@ -1076,19 +1111,11 @@ fn clone_control(msg: &Message) -> Option<Message> {
             context: *context,
             hops: *hops,
         }),
-        Message::CheckpointPut { object, frame } => Some(Message::CheckpointPut {
-            object: *object,
-            frame: frame.clone(),
+        Message::CheckpointPut { items } => Some(Message::CheckpointPut {
+            items: items.clone(),
         }),
-        Message::CheckpointAck {
-            object,
-            object_epoch,
-            seq,
-            replica,
-        } => Some(Message::CheckpointAck {
-            object: *object,
-            object_epoch: *object_epoch,
-            seq: *seq,
+        Message::CheckpointAck { items, replica } => Some(Message::CheckpointAck {
+            items: items.clone(),
             replica: *replica,
         }),
         _ => None,
@@ -1873,8 +1900,8 @@ impl Cluster {
     #[must_use]
     pub fn replica_set(&self, object: ObjectId) -> Option<Vec<NodeId>> {
         let rec = self.shared.recovery.as_ref()?;
-        let home = rec.replication.lock().get(&object)?.home;
-        Some(self.shared.replica_targets(object, home))
+        let repl = rec.replication.lock();
+        Some(rec.replica_targets(&repl.get(&object)?.order).collect())
     }
 
     /// The object's current epoch: 0 at birth, bumped by every
@@ -2389,6 +2416,131 @@ impl Drop for MoveGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+
+    /// One byte of state; `hold` reports that the worker is inside the call
+    /// and parks it there until the test lets go.
+    struct Cell(u8, Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>);
+
+    impl MobileObject for Cell {
+        fn type_tag(&self) -> &'static str {
+            "cell"
+        }
+        fn invoke(&mut self, method: &str, _payload: &[u8]) -> Result<Vec<u8>, String> {
+            if let ("hold", Some((entered, gate))) = (method, &self.1) {
+                let _ = entered.send(());
+                let _ = gate.recv();
+            }
+            Ok(vec![self.0])
+        }
+        fn linearize(&self) -> Vec<u8> {
+            vec![self.0]
+        }
+    }
+
+    fn cell_cluster() -> Cluster {
+        let cluster = Cluster::builder()
+            .nodes(2)
+            .manual_clock()
+            .failure_detector(50, 3)
+            .trace()
+            .build();
+        cluster.register_type("cell", |bytes| Box::new(Cell(bytes[0], None)));
+        cluster
+    }
+
+    fn cell_ckpt(state: u8, object_epoch: u64, seq: u64) -> StoredCheckpoint {
+        StoredCheckpoint {
+            type_tag: "cell".to_owned(),
+            state: Bytes::copy_from_slice(&[state]),
+            object_epoch,
+            seq,
+        }
+    }
+
+    fn installed(trace: &[TraceEvent], at: u32) -> Vec<ObjectId> {
+        let at_node = trace.iter().filter(|ev| ev.process == at);
+        at_node
+            .filter_map(|ev| match ev.kind {
+                EventKind::Install { object } => Some(object),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// An `Install` is fenced item by item: the member that was
+    /// reinstantiated while the message sat in a queue is dropped, the rest
+    /// of the list arrives.
+    #[test]
+    fn a_stale_member_is_fenced_without_the_rest_of_its_install() {
+        let cluster = cell_cluster();
+        let (stale, fresh) = (ObjectId::new(100), ObjectId::new(101));
+        let rec = cluster.shared.recovery.as_ref().expect("detector on");
+        rec.object_epochs.write().insert(stale, 1);
+        let install = Message::Install {
+            members: vec![(stale, cell_ckpt(1, 0, 0)), (fresh, cell_ckpt(2, 0, 0))],
+            install_for: None,
+        };
+        // a sender points the directory at the destination as it ships
+        cluster.shared.directory_set(fresh, NodeId::new(1));
+        cluster
+            .shared
+            .send_from(None, NodeId::new(1), install)
+            .unwrap();
+        // the install is ahead of this invoke in node 1's queue
+        assert_eq!(cluster.invoke(fresh, "get", &[]).unwrap(), vec![2]);
+        assert_eq!(cluster.stats().fenced_stale, 1);
+        assert_eq!(cluster.location_of(stale), None);
+        cluster.shutdown();
+        assert_eq!(installed(&cluster.take_trace(), 1), vec![fresh]);
+    }
+
+    /// What already sits behind `Shutdown` in a worker's queue is still
+    /// applied, list-carrying puts and installs included.
+    #[test]
+    fn shutdown_drains_queued_lists() {
+        let cluster = cell_cluster();
+        let (gate, hold) = mpsc::channel();
+        let (entered, inside) = mpsc::channel();
+        let node = NodeId::new(1);
+        let blocker = Box::new(Cell(0, Some((entered, hold))));
+        let blocker = cluster.create(node, blocker).unwrap();
+        let (a, b) = (ObjectId::new(100), ObjectId::new(101));
+        std::thread::scope(|scope| {
+            scope.spawn(|| cluster.invoke(blocker, "hold", &[]));
+            inside.recv().unwrap();
+            // the worker is parked: the sentinel stays queued, and so does
+            // what follows it
+            scope.spawn(|| cluster.shutdown());
+            while cluster.shared.mesh.queued(1) == 0 {
+                std::thread::yield_now();
+            }
+            let put = Message::CheckpointPut {
+                items: vec![
+                    (a, cell_ckpt(1, 0, 5).encode()),
+                    (b, cell_ckpt(2, 0, 6).encode()),
+                ],
+            };
+            let install = Message::Install {
+                members: vec![(a, cell_ckpt(1, 0, 0)), (b, cell_ckpt(2, 0, 0))],
+                install_for: None,
+            };
+            cluster.shared.send_from(None, node, put).unwrap();
+            cluster.shared.send_from(None, node, install).unwrap();
+            gate.send(()).unwrap();
+        });
+        let rec = cluster.shared.recovery.as_ref().expect("detector on");
+        let stores = rec.replica_stores.lock();
+        assert_eq!(
+            stores[1].get(a).map(StoredCheckpoint::version),
+            Some((0, 5))
+        );
+        assert_eq!(
+            stores[1].get(b).map(StoredCheckpoint::version),
+            Some((0, 6))
+        );
+        assert_eq!(installed(&cluster.take_trace(), 1), vec![blocker, a, b]);
+    }
 
     /// The retry-jitter stream of seed `0xC0A5`, captured at the commit
     /// before its finalizer became [`fault::mix64`]; see

@@ -8,11 +8,21 @@ use oml_core::ids::{AllianceId, BlockId, NodeId, ObjectId};
 
 use crate::error::RuntimeError;
 use crate::object::MobileObject;
+use crate::store::StoredCheckpoint;
 
 /// Reply channel for invocations.
 pub(crate) type InvokeReply = Sender<Result<Bytes, RuntimeError>>;
 /// Reply channel for move-requests (`Ok(true)` = granted).
 pub(crate) type MoveReply = Sender<Result<bool, RuntimeError>>;
+
+/// One object in transit inside a [`Message::Install`]: its id and its
+/// linearized copy, in the crate's one checkpoint record. `object_epoch` is
+/// the object's epoch at ship time: when the failure detector is active,
+/// receivers reject items older than the object's current epoch — a
+/// pre-crash install queued behind a reinstantiation can never resurrect the
+/// dead incarnation's copy. Always 0 without a detector. `seq` means
+/// nothing in transit; the refresh at the receiving host assigns it.
+pub(crate) type Shipped = (ObjectId, StoredCheckpoint);
 
 /// Everything node workers exchange.
 pub(crate) enum Message {
@@ -45,23 +55,18 @@ pub(crate) enum Message {
         expires: Instant,
         reply: MoveReply,
     },
-    /// A linearized object arriving at its new node.
+    /// A closure arriving at its new node: every member that shipped
+    /// together, main object last. The receiver installs the whole list in
+    /// one step of its worker, so no observer sees half a working set.
     Install {
-        object: ObjectId,
-        type_tag: String,
-        state: Bytes,
-        /// The object's epoch at ship time. When the failure detector is
-        /// active, receivers reject installs older than the object's current
-        /// epoch — a pre-crash install queued behind a reinstantiation can
-        /// never resurrect the dead incarnation's copy. Always 0 without a
-        /// detector.
-        object_epoch: u64,
-        /// `Some` when this install completes a granted move: the block to
-        /// install for and the requester to notify.
-        install_for: Option<(BlockId, MoveReply)>,
+        members: Vec<Shipped>,
+        /// `Some` when this install completes a granted move: the main
+        /// object, the block to install for and the requester to notify.
+        install_for: Option<(ObjectId, BlockId, MoveReply)>,
     },
-    /// Ship a locally hosted closure member towards `to` (no notification).
-    Surrender { object: ObjectId, to: NodeId },
+    /// Ship the listed closure members, if still hosted here, towards `to`
+    /// in one `Install` (no notification).
+    Surrender { members: Vec<ObjectId>, to: NodeId },
     /// A move-block completed.
     EndRequest {
         object: ObjectId,
@@ -71,19 +76,19 @@ pub(crate) enum Message {
         context: Option<AllianceId>,
         hops: u8,
     },
-    /// A checkpoint refresh propagating to a replica: the wire-encoded
-    /// [`crate::wire::CheckpointFrame`] (type tag, linearized state and the
-    /// `(object_epoch, seq)` freshness stamp). The receiver stores it if
-    /// fresher than its current copy and always acks back to the sender.
-    CheckpointPut { object: ObjectId, frame: Bytes },
-    /// A replica's acknowledgement of a [`Message::CheckpointPut`]. Acks are
-    /// deduplicated by `(object, object_epoch, seq, replica)` before they
-    /// count toward the write quorum, so duplicated or re-sent acks cannot
-    /// inflate durability.
+    /// Checkpoint refreshes propagating to one replica node: per object the
+    /// wire-encoded [`crate::wire::CheckpointFrame`] (type tag, linearized
+    /// state and the `(object_epoch, seq)` freshness stamp). The receiver
+    /// stores each frame that is fresher than its current copy and always
+    /// acks the whole list back to the sender in one message.
+    CheckpointPut { items: Vec<(ObjectId, Bytes)> },
+    /// A replica's acknowledgement of a [`Message::CheckpointPut`]:
+    /// `(object, object_epoch, seq)` per item. Acks are deduplicated by
+    /// `(object, object_epoch, seq, replica)` before they count toward each
+    /// object's write quorum, so duplicated or re-sent acks cannot inflate
+    /// durability.
     CheckpointAck {
-        object: ObjectId,
-        object_epoch: u64,
-        seq: u64,
+        items: Vec<(ObjectId, u64, u64)>,
         replica: NodeId,
     },
     /// Stop the worker loop.
@@ -118,19 +123,19 @@ impl std::fmt::Debug for Message {
             Message::Create { object, .. } => write!(f, "Create({object})"),
             Message::Invoke { object, method, .. } => write!(f, "Invoke({object}.{method})"),
             Message::MoveRequest { object, to, .. } => write!(f, "MoveRequest({object} → {to})"),
-            Message::Install { object, .. } => write!(f, "Install({object})"),
-            Message::Surrender { object, to } => write!(f, "Surrender({object} → {to})"),
+            Message::Install { members, .. } => {
+                let objects = members.iter().map(|(o, _)| o);
+                write!(f, "Install{:?}", objects.collect::<Vec<_>>())
+            }
+            Message::Surrender { members, to } => write!(f, "Surrender({members:?} → {to})"),
             Message::EndRequest { object, block, .. } => write!(f, "End({object}, {block})"),
-            Message::CheckpointPut { object, .. } => write!(f, "CheckpointPut({object})"),
-            Message::CheckpointAck {
-                object,
-                object_epoch,
-                seq,
-                replica,
-            } => write!(
-                f,
-                "CheckpointAck({object} e{object_epoch}.{seq} from {replica})"
-            ),
+            Message::CheckpointPut { items } => {
+                let objects = items.iter().map(|(o, _)| o);
+                write!(f, "CheckpointPut{:?}", objects.collect::<Vec<_>>())
+            }
+            Message::CheckpointAck { items, replica } => {
+                write!(f, "CheckpointAck({items:?} from {replica})")
+            }
             Message::Shutdown => write!(f, "Shutdown"),
             Message::Crash => write!(f, "Crash"),
         }
@@ -139,6 +144,27 @@ impl std::fmt::Debug for Message {
 
 /// Forwarding budget for messages chasing a migrating object.
 pub(crate) const MAX_HOPS: u8 = 16;
+
+/// Most members a list-carrying message holds when its sender, not a
+/// closure's size at one node, decides how many there are to send: the
+/// checkpoint puts (and so acks) of a refresh or a repair sweep, the
+/// installs of a dead node's objects, the surrenders asked of one host. A
+/// worker handles a message in one step between two heartbeats; 64 members
+/// of a few KiB keep that step to tens of microseconds, far below any
+/// heartbeat interval, however many objects a sweep or a dead host has.
+const MAX_BATCH: usize = 64;
+
+/// Adds `item` to the list bound for `node`, opening a new one at first
+/// sight and whenever the current one holds [`MAX_BATCH`] — each list
+/// becomes one message. Lists stay in first-appearance order; a cluster has
+/// few nodes, so the scan is short.
+pub(crate) fn group_push<T>(groups: &mut Vec<(NodeId, Vec<T>)>, node: NodeId, item: T) {
+    let mut lists = groups.iter_mut().rev();
+    match lists.find(|(n, list)| *n == node && list.len() < MAX_BATCH) {
+        Some((_, list)) => list.push(item),
+        None => groups.push((node, vec![item])),
+    }
+}
 
 /// What actually travels on the channels: a message plus the trace id its
 /// `Send` event carried (0 when tracing is off or the message is a control

@@ -14,8 +14,9 @@ use oml_core::policy::{EndAction, EndRequest, MoveDecision, MovePolicy, MoveRequ
 use crate::cluster::Shared;
 use crate::error::RuntimeError;
 use crate::fault;
-use crate::message::{Envelope, InvokeReply, Message, MoveReply};
+use crate::message::{group_push, Envelope, InvokeReply, Message, MoveReply, Shipped};
 use crate::object::MobileObject;
+use crate::store::StoredCheckpoint;
 
 // How long a worker waits for a message before running its maintenance
 // tick (lease sweeps) is a scheduling decision: the installed
@@ -37,8 +38,10 @@ pub(crate) struct NodeWorker {
     /// `Install` has not arrived yet — the run-time blocking of calls on
     /// in-transit objects (§4.1).
     awaiting: HashMap<ObjectId, Vec<Message>>,
-    /// Buffers for the attachment-closure query of every migration.
+    /// Buffers for the attachment-closure query of every migration, and
+    /// for picking out the members hosted here.
     closure: ClosureScratch,
+    local: Vec<ObjectId>,
 }
 
 impl NodeWorker {
@@ -51,6 +54,7 @@ impl NodeWorker {
             objects: HashMap::new(),
             awaiting: HashMap::new(),
             closure: ClosureScratch::new(),
+            local: Vec::new(),
         }
     }
 
@@ -83,29 +87,7 @@ impl NodeWorker {
                             self.stash_for_crash();
                             break;
                         }
-                        // replica traffic needs the envelope's sender for the
-                        // ack round-trip, so it is handled here, after the
-                        // incarnation fence
-                        Message::CheckpointPut { object, frame } => {
-                            self.shared.apply_checkpoint_put(
-                                self.id, self.epoch, object, &frame, env.from, true,
-                            );
-                        }
-                        Message::CheckpointAck {
-                            object,
-                            object_epoch,
-                            seq,
-                            replica,
-                        } => {
-                            self.shared.checkpoint_ack(
-                                object,
-                                object_epoch,
-                                seq,
-                                replica,
-                                self.id.as_u32(),
-                            );
-                        }
-                        msg => self.handle(msg),
+                        msg => self.handle(msg, env.from),
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => self.sweep_leases(),
@@ -236,34 +218,14 @@ impl NodeWorker {
         while let Ok(env) = self.rx.try_recv() {
             self.note_recv(&env);
             match env.msg {
-                msg @ (Message::EndRequest { .. } | Message::Install { .. }) => self.handle(msg),
-                Message::CheckpointPut { object, frame } => {
-                    // still apply queued replica writes (acks suppressed —
-                    // the refresher is shutting down too) so the final
-                    // replica stores reflect everything that was sent
-                    self.shared.apply_checkpoint_put(
-                        self.id,
-                        self.epoch,
-                        object,
-                        &frame,
-                        fault::CLIENT,
-                        false,
-                    );
-                }
-                Message::CheckpointAck {
-                    object,
-                    object_epoch,
-                    seq,
-                    replica,
-                } => {
-                    self.shared.checkpoint_ack(
-                        object,
-                        object_epoch,
-                        seq,
-                        replica,
-                        self.id.as_u32(),
-                    );
-                }
+                // queued replica writes are still applied, so the final
+                // replica stores reflect everything that was sent; their
+                // acks are suppressed (a put from the client gets none) —
+                // the refresher is shutting down too
+                msg @ (Message::EndRequest { .. }
+                | Message::Install { .. }
+                | Message::CheckpointPut { .. }
+                | Message::CheckpointAck { .. }) => self.handle(msg, fault::CLIENT),
                 msg => msg.refuse(RuntimeError::ShuttingDown),
             }
         }
@@ -280,21 +242,17 @@ impl NodeWorker {
         // a lease expiry is a consistency point: refresh the checkpoints of
         // the expired objects hosted here while their state is in hand
         if self.shared.detector_enabled() {
-            for &(object, _) in &expired {
-                if let Some(instance) = self.objects.get(&object) {
-                    self.shared.checkpoint_refresh(
-                        object,
-                        instance.type_tag(),
-                        Bytes::from(instance.linearize()),
-                        self.id,
-                        self.epoch,
-                    );
-                }
-            }
+            let hosted = |&(object, _): &(ObjectId, BlockId)| {
+                Some(linearized(object, &**self.objects.get(&object)?))
+            };
+            let fresh = expired.iter().filter_map(hosted).collect();
+            self.shared.checkpoint_refresh(fresh, self.id, self.epoch);
         }
     }
 
-    fn handle(&mut self, msg: Message) {
+    /// Handles one message; `from` is its envelope's sender, which replica
+    /// traffic answers.
+    fn handle(&mut self, msg: Message, from: u32) {
         match msg {
             Message::Create {
                 object,
@@ -339,17 +297,13 @@ impl NodeWorker {
                 ..
             } => self.handle_move(object, to, block, context, expires, reply),
             Message::Install {
-                object,
-                type_tag,
-                state,
-                object_epoch,
+                members,
                 install_for,
-            } => self.handle_install(object, &type_tag, &state, object_epoch, install_for),
-            Message::Surrender { object, to } => {
-                // Double-checked at the host: the object may have moved on.
-                if self.objects.contains_key(&object) {
-                    self.ship(object, to, None);
-                }
+            } => self.handle_install(members, install_for),
+            Message::Surrender { mut members, to } => {
+                // Double-checked at the host: a member may have moved on.
+                members.retain(|&member| self.can_ship(member));
+                self.ship(&members, to, None);
             }
             Message::EndRequest {
                 object,
@@ -359,10 +313,15 @@ impl NodeWorker {
                 context,
                 ..
             } => self.handle_end(object, block, from, was_granted, context),
-            Message::CheckpointPut { .. }
-            | Message::CheckpointAck { .. }
-            | Message::Shutdown
-            | Message::Crash => unreachable!("handled in run()"),
+            Message::CheckpointPut { items } => {
+                self.shared
+                    .apply_checkpoint_put(self.id, self.epoch, items, from);
+            }
+            Message::CheckpointAck { items, replica } => {
+                self.shared
+                    .checkpoint_ack(&items, replica, self.id.as_u32());
+            }
+            Message::Shutdown | Message::Crash => unreachable!("handled in run()"),
         }
     }
 
@@ -406,7 +365,7 @@ impl NodeWorker {
     fn drain_awaiting(&mut self, object: ObjectId) {
         if let Some(queued) = self.awaiting.remove(&object) {
             for msg in queued {
-                self.handle(msg);
+                self.handle(msg, fault::CLIENT);
             }
         }
     }
@@ -562,10 +521,13 @@ impl NodeWorker {
     }
 
     /// Migrates `main` and its (mode- and context-dependent) attachment
-    /// closure towards `to`. Locally hosted members ship directly; members
-    /// hosted elsewhere receive `Surrender` requests. The members are
-    /// classified before anything moves, so the `ClosureBegin` event names
-    /// exactly the set this node commits to ship.
+    /// closure towards `to`: the members hosted here travel with `main` in
+    /// one `Install`, each other host gets one `Surrender` naming its
+    /// members. The members are classified before anything moves, so the
+    /// `ClosureBegin` event names exactly the set this node commits to
+    /// ship — a member that is immovable, pinned or of a type nobody can
+    /// delinearize stays where it is, and an undelinearizable `main` refuses
+    /// the whole move.
     fn migrate_closure(
         &mut self,
         main: ObjectId,
@@ -573,28 +535,40 @@ impl NodeWorker {
         context: Option<AllianceId>,
         install_for: Option<(BlockId, MoveReply)>,
     ) {
+        if !self.can_ship(main) {
+            // shipping would lose the object: the requester, if any, learns
+            // of the failure and nothing moves
+            if let (Some(instance), Some((_, reply))) = (self.objects.get(&main), install_for) {
+                let tag = instance.type_tag().to_owned();
+                let _ = reply.try_send(Err(RuntimeError::UnknownType(tag)));
+            }
+            return;
+        }
         self.shared
             .attachments
             .lock()
             .migration_closure_into(main, context, &mut self.closure);
-        let mut local = Vec::new();
-        let mut remote = Vec::new();
-        for &member in self.closure.members() {
-            if member == main {
-                continue;
-            }
-            if !self.shared.is_movable(member) || self.shared.policy.lock().is_pinned(member) {
-                continue;
-            }
-            if self.objects.contains_key(&member) {
-                local.push(member);
-            } else if let Some(host) = self.shared.directory_get(member) {
-                if host != to {
-                    remote.push((member, host));
-                }
-            }
+        // the locks are taken one after the other, never nested
+        let mut local = std::mem::take(&mut self.local);
+        local.clear();
+        local.extend(self.closure.members().iter().filter(|&&m| m != main));
+        if !local.is_empty() {
+            self.shared.retain_movable(&mut local);
+            let policy = self.shared.policy.lock();
+            local.retain(|&member| !policy.is_pinned(member));
         }
-        if self.shared.trace.is_enabled() && !(local.is_empty() && remote.is_empty()) {
+        let mut surrenders = Vec::new();
+        local.retain(|&member| {
+            if self.objects.contains_key(&member) {
+                return self.can_ship(member);
+            }
+            match self.shared.directory_get(member) {
+                Some(host) if host != to => group_push(&mut surrenders, host, member),
+                _ => {}
+            }
+            false
+        });
+        if self.shared.trace.is_enabled() && !(local.is_empty() && surrenders.is_empty()) {
             self.shared.trace.emit(
                 self.id.as_u32(),
                 EventKind::ClosureBegin {
@@ -604,78 +578,91 @@ impl NodeWorker {
                 },
             );
         }
-        for &member in &local {
-            self.ship(member, to, None);
-        }
-        for &(member, host) in &remote {
-            self.shared.trace.emit(
-                self.id.as_u32(),
-                EventKind::SurrenderRequested { member, to },
-            );
+        for (host, members) in surrenders {
+            for &member in &members {
+                self.shared.trace.emit(
+                    self.id.as_u32(),
+                    EventKind::SurrenderRequested { member, to },
+                );
+            }
             let _ = self.shared.send_from(
                 Some((self.id, self.epoch)),
                 host,
-                Message::Surrender { object: member, to },
+                Message::Surrender { members, to },
             );
         }
-        self.ship(main, to, install_for);
+        local.push(main);
+        self.ship(
+            &local,
+            to,
+            install_for.map(|(block, reply)| (main, block, reply)),
+        );
+        self.local = local;
     }
 
-    /// Linearizes a locally hosted object and sends it to `to`. The
-    /// directory is updated here, atomically with the removal, so calls are
+    /// Whether `object` is installed here and of a type its destination
+    /// will be able to delinearize.
+    fn can_ship(&self, object: ObjectId) -> bool {
+        self.objects
+            .get(&object)
+            .is_some_and(|instance| self.shared.registry.get(instance.type_tag()).is_some())
+    }
+
+    /// Linearizes the locally hosted `objects` (each one [`Self::can_ship`])
+    /// and sends them to `to` in one `Install`. The directory is updated
+    /// here, under one guard and atomically with the removal, so calls are
     /// routed (and parked) at the destination from this instant on.
-    fn ship(&mut self, object: ObjectId, to: NodeId, install_for: Option<(BlockId, MoveReply)>) {
-        let Some(instance) = self.objects.get(&object) else {
-            return;
-        };
-        let type_tag = instance.type_tag().to_owned();
-        if self.shared.registry.get(&type_tag).is_none() {
-            // No delinearizer: shipping would lose the object. Refuse the
-            // migration instead (the requester, if any, learns of the
-            // failure).
-            if let Some((_, reply)) = install_for {
-                let _ = reply.try_send(Err(RuntimeError::UnknownType(type_tag)));
-            }
+    fn ship(
+        &mut self,
+        objects: &[ObjectId],
+        to: NodeId,
+        install_for: Option<(ObjectId, BlockId, MoveReply)>,
+    ) {
+        let mut members: Vec<Shipped> = Vec::with_capacity(objects.len());
+        for &object in objects {
+            let Some(instance) = self.objects.remove(&object) else {
+                continue;
+            };
+            self.shared
+                .trace
+                .emit(self.id.as_u32(), EventKind::Ship { object, to });
+            members.push(linearized(object, &*instance));
+        }
+        if members.is_empty() {
             return;
         }
-        let instance = self.objects.remove(&object).expect("checked above");
+        self.shared.stamp_epochs(&mut members);
         self.shared
             .counters
             .objects_migrated
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            .fetch_add(members.len() as u64, std::sync::atomic::Ordering::Relaxed);
         self.shared
-            .trace
-            .emit(self.id.as_u32(), EventKind::Ship { object, to });
-        let state = Bytes::from(instance.linearize());
-        let object_epoch = self.shared.object_epoch(object);
-        self.shared.directory_set(object, to);
+            .directory_set_all(members.iter().map(|&(o, _)| o), to);
         if to == self.id {
             // degenerate self-migration: reinstall immediately
-            self.handle_install(object, &type_tag, &state, object_epoch, install_for);
+            self.handle_install(members, install_for);
         } else {
             let _ = self.shared.send_from(
                 Some((self.id, self.epoch)),
                 to,
                 Message::Install {
-                    object,
-                    type_tag,
-                    state,
-                    object_epoch,
+                    members,
                     install_for,
                 },
             );
         }
     }
 
+    /// Installs an arriving closure in one step: fences per member,
+    /// installs every survivor, then refreshes their checkpoints together
+    /// and tells the policy — so no message handled before or after this one
+    /// finds half a working set here.
     fn handle_install(
         &mut self,
-        object: ObjectId,
-        type_tag: &str,
-        state: &Bytes,
-        object_epoch: u64,
-        install_for: Option<(BlockId, MoveReply)>,
+        mut members: Vec<Shipped>,
+        mut install_for: Option<(ObjectId, BlockId, MoveReply)>,
     ) {
-        if self.shared.fenced() && object_epoch < self.shared.object_epoch(object) {
+        self.shared.retain_current(&mut members, |stale| {
             // a pre-crash install queued (or delayed) behind a
             // reinstantiation: the state it carries belongs to a fenced
             // incarnation of the object. Drop it without replying — the
@@ -687,39 +674,55 @@ impl NodeWorker {
             self.shared.trace.emit(
                 self.id.as_u32(),
                 EventKind::FencedStale {
-                    epoch: object_epoch,
+                    epoch: stale.object_epoch,
                 },
             );
+        });
+        members.retain(|(object, ckpt)| {
+            let Some(delinearize) = self.shared.registry.get(&ckpt.type_tag) else {
+                // The sender checked, but the registry is shared and mutable;
+                // fail the requester rather than panic the node.
+                if let Some((_, _, reply)) = install_for.take_if(|(main, ..)| main == object) {
+                    let _ = reply.try_send(Err(RuntimeError::UnknownType(ckpt.type_tag.clone())));
+                }
+                return false;
+            };
+            self.objects.insert(*object, delinearize(&ckpt.state));
+            true
+        });
+        if members.is_empty() {
             return;
         }
-        let Some(delinearize) = self.shared.registry.get(type_tag) else {
-            // The sender checked, but the registry is shared and mutable;
-            // fail the requester rather than panic the node.
-            if let Some((_, reply)) = install_for {
-                let _ = reply.try_send(Err(RuntimeError::UnknownType(type_tag.to_owned())));
-            }
-            return;
-        };
-        self.objects.insert(object, delinearize(state));
-        self.shared.directory_set(object, self.id);
+        // a fenced main object installs no block either
+        let install_for = install_for.filter(|(main, ..)| members.iter().any(|(o, _)| o == main));
+        let arrived: Vec<ObjectId> = members.iter().map(|&(o, _)| o).collect();
         self.shared
-            .trace
-            .emit(self.id.as_u32(), EventKind::Install { object });
-        // an install is a natural checkpoint: the linearized state is in hand
-        self.shared
-            .checkpoint_refresh(object, type_tag, state.clone(), self.id, self.epoch);
+            .directory_set_all(arrived.iter().copied(), self.id);
+        for &object in &arrived {
+            self.shared
+                .trace
+                .emit(self.id.as_u32(), EventKind::Install { object });
+        }
+        // an install is a natural checkpoint: the linearized states are in hand
+        self.shared.checkpoint_refresh(members, self.id, self.epoch);
         {
             let mut policy = self.shared.policy.lock();
-            policy.on_arrival(object, self.id);
-            if let Some((block, _)) = &install_for {
-                policy.on_installed(object, self.id, *block);
-                self.emit_lock_acquired(&**policy, object, *block);
+            for &object in &arrived {
+                policy.on_arrival(object, self.id);
+            }
+            if let Some((main, block, _)) = &install_for {
+                policy.on_installed(*main, self.id, *block);
+                self.emit_lock_acquired(&**policy, *main, *block);
             }
         }
-        if let Some((_, reply)) = install_for {
+        if let Some((_, _, reply)) = install_for {
             let _ = reply.try_send(Ok(true));
         }
-        self.drain_awaiting(object);
+        if !self.awaiting.is_empty() {
+            for object in arrived {
+                self.drain_awaiting(object);
+            }
+        }
     }
 
     /// Ends `block` on the locally installed `object`.
@@ -734,15 +737,9 @@ impl NodeWorker {
         // the end of a block is a consistency point: refresh the replicated
         // checkpoint before the policy possibly migrates the object away
         if self.shared.detector_enabled() {
-            if let Some(instance) = self.objects.get(&object) {
-                self.shared.checkpoint_refresh(
-                    object,
-                    instance.type_tag(),
-                    Bytes::from(instance.linearize()),
-                    self.id,
-                    self.epoch,
-                );
-            }
+            let fresh = self.objects.get(&object).map(|i| linearized(object, &**i));
+            self.shared
+                .checkpoint_refresh(Vec::from_iter(fresh), self.id, self.epoch);
         }
         let action = {
             let mut policy = self.shared.policy.lock();
@@ -781,4 +778,16 @@ impl NodeWorker {
             }
         }
     }
+}
+
+/// The instance's linearized state as a checkpoint record, its freshness
+/// coordinates still to be stamped.
+fn linearized(object: ObjectId, instance: &dyn MobileObject) -> Shipped {
+    let ckpt = StoredCheckpoint {
+        type_tag: instance.type_tag().to_owned(),
+        state: Bytes::from(instance.linearize()),
+        object_epoch: 0,
+        seq: 0,
+    };
+    (object, ckpt)
 }

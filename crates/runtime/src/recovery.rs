@@ -131,17 +131,20 @@ pub(crate) struct PendingRefresh {
     pub(crate) seq: u64,
     /// Acks needed before the write counts as quorum-durable.
     pub(crate) quorum: usize,
-    /// Raw node ids that acked `(object_epoch, seq)` — a set, so duplicated
-    /// or re-sent acks from the same replica count once.
-    pub(crate) acked: std::collections::HashSet<u32>,
+    /// Raw node ids that acked `(object_epoch, seq)`, each at most once —
+    /// duplicated or re-sent acks from the same replica count once. At most
+    /// `k` entries, so a scan beats a hash set.
+    pub(crate) acked: Vec<u32>,
 }
 
 /// Per-object replication bookkeeping: placement anchor, refresh sequencing
 /// and quorum progress.
 pub(crate) struct ReplicationInfo {
-    /// The object's home node (where it was created) — the preferred first
+    /// [`preference_order`] of the object, computed once at creation: it
+    /// depends only on the object, its home and the node count. The home
+    /// node (where the object was created) leads it — the preferred first
     /// replica and reinstantiation site.
-    pub(crate) home: NodeId,
+    pub(crate) order: Vec<NodeId>,
     /// Last refresh sequence issued. Monotone for the object's lifetime —
     /// never reset on epoch bumps, so `(epoch, seq)` never repeats.
     pub(crate) seq: u64,
@@ -230,6 +233,19 @@ impl RecoveryState {
     /// intact and refresh traffic to it may well arrive.
     pub(crate) fn replica_available(&self, node: usize) -> bool {
         self.is_alive(node) && self.health(node) != NodeHealth::Dead
+    }
+
+    /// The replica set `order` currently yields: its first `k` available
+    /// nodes.
+    pub(crate) fn replica_targets<'a>(
+        &'a self,
+        order: &'a [NodeId],
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        order
+            .iter()
+            .copied()
+            .filter(|n| self.replica_available(n.index()))
+            .take(self.replica_k)
     }
 
     pub(crate) fn incarnation(&self, node: usize) -> u64 {

@@ -390,6 +390,18 @@ fn stale_promotion_is_flagged_by_the_checker() {
 
 // --- satellite: ack dedupe under duplicated checkpoint traffic ------------
 
+/// A root with seven helpers attached, all created at node 0.
+fn closure_of_8(cluster: &Cluster) -> Vec<ObjectId> {
+    register_counter(cluster);
+    let set: Vec<ObjectId> = (0..8)
+        .map(|_| cluster.create(n(0), Box::new(Counter(7))).unwrap())
+        .collect();
+    for &helper in &set[1..] {
+        cluster.attach(helper, set[0], None).unwrap();
+    }
+    set
+}
+
 #[test]
 fn duplicated_checkpoint_traffic_is_deduplicated() {
     let cluster = builder(3)
@@ -397,15 +409,22 @@ fn duplicated_checkpoint_traffic_is_deduplicated() {
         .faults(FaultPlan::seeded(0xD17).checkpoint_faults(0.0, 1.0))
         .trace()
         .build();
-    register_counter(&cluster);
-    let obj = cluster.create(n(0), Box::new(Counter(7))).unwrap();
+    let set = closure_of_8(&cluster);
 
-    // two refresh rounds, every put and ack delivered twice; quiesce
-    // between rounds so each write's full (duplicated) ack set drains
-    refresh_via_block(&cluster, obj, n(0));
-    await_health(&cluster, obj, |h| h.quorum >= Some((0, 1)));
-    refresh_via_block(&cluster, obj, n(0));
-    await_health(&cluster, obj, |h| h.quorum >= Some((0, 2)));
+    // two moves of the whole closure, every put and ack — each carrying
+    // all eight members — delivered twice. Each write's full (duplicated)
+    // ack set drains before the next one supersedes it: the install's
+    // before the block ends, the end's (the root alone) before the next move.
+    for (round, to) in [(1, n(1)), (2, n(2))] {
+        let guard = cluster.move_block(set[0], to).expect("move block");
+        assert!(guard.granted());
+        await_health(&cluster, set[0], |h| h.quorum >= Some((0, 2 * round - 1)));
+        for &helper in &set[1..] {
+            await_health(&cluster, helper, |h| h.quorum >= Some((0, round)));
+        }
+        drop(guard);
+        await_health(&cluster, set[0], |h| h.quorum >= Some((0, 2 * round)));
+    }
 
     cluster.shutdown();
     let trace = cluster.take_trace();
@@ -438,8 +457,78 @@ fn duplicated_checkpoint_traffic_is_deduplicated() {
             _ => {}
         }
     }
-    assert!(!acks.is_empty());
+    // every write of every member — two installs each, plus the root's two
+    // ends — collected its quorum of two (a third ack after it is ignored)
+    let mut per_write = std::collections::HashMap::new();
+    for (object, object_epoch, seq, _) in &acks {
+        *per_write.entry((*object, *object_epoch, *seq)).or_insert(0) += 1;
+    }
+    assert_eq!(per_write.len(), 2 * 8 + 2);
+    assert!(per_write.values().all(|&acked| acked >= 2), "{per_write:?}");
     assert_eq!(cluster.stats().quorum_refresh_failures, 0);
+    let report = check_trace(&trace);
+    assert!(report.is_clean(), "{report}");
+}
+
+/// A dropped put is the loss of a closure's copy at one replica: every
+/// member stays stale there, together, until one repair sweep re-sends
+/// them (repair traffic is client-originated and reliable).
+#[test]
+fn a_dropped_put_leaves_the_whole_closure_stale_until_repair() {
+    let cluster = builder(3)
+        .replication(3)
+        .faults(FaultPlan::seeded(0xD17).checkpoint_faults(1.0, 0.0))
+        .trace()
+        .build();
+    let set = closure_of_8(&cluster);
+    let guard = cluster.move_block(set[0], n(1)).unwrap();
+    assert!(guard.granted());
+
+    // the freshest (object_epoch, seq) each replica has stored per member
+    let stored = |trace: &[oml_check::TraceEvent]| {
+        let mut latest = std::collections::HashMap::new();
+        for ev in trace {
+            if let EventKind::CheckpointStored {
+                object,
+                replica,
+                object_epoch,
+                seq,
+            } = &ev.kind
+            {
+                let slot = latest.entry((*object, *replica)).or_insert((0, 0));
+                *slot = (*slot).max((*object_epoch, *seq));
+            }
+        }
+        latest
+    };
+    // the install refreshed all eight at their new host; both puts drowned
+    let mut trace = cluster.take_trace();
+    let before = stored(&trace);
+    for &member in &set {
+        assert_eq!(before[&(member, n(1))], (0, 1));
+        for replica in [n(0), n(2)] {
+            assert_eq!(before[&(member, replica)], (0, 0), "{member} at {replica}");
+        }
+    }
+
+    cluster.detector_sweep();
+    // a sentinel behind the repair puts in each survivor's queue
+    for replica in [n(0), n(2)] {
+        let sentinel = cluster.create(replica, Box::new(Counter(0))).unwrap();
+        cluster.invoke(sentinel, "get", &[]).unwrap();
+    }
+    trace.extend(cluster.take_trace());
+    let after = stored(&trace);
+    for &member in &set {
+        for replica in [n(0), n(1), n(2)] {
+            assert_eq!(after[&(member, replica)], (0, 1), "{member} at {replica}");
+        }
+    }
+    assert_eq!(cluster.stats().repairs, 16);
+
+    drop(guard);
+    cluster.shutdown();
+    trace.extend(cluster.take_trace());
     let report = check_trace(&trace);
     assert!(report.is_clean(), "{report}");
 }

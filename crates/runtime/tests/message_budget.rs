@@ -1,0 +1,158 @@
+//! The message budget of the closure path, counted from the trace rather
+//! than timed: a granted move of a closure costs one `Install` and one
+//! `CheckpointPut`/`CheckpointAck` per remote replica node, however many
+//! objects it carries, and a dead host's objects are reinstantiated in
+//! bounded chunks per target. This is the guard against a return to one
+//! message per object; CI names it explicitly.
+
+use std::collections::BTreeMap;
+use std::time::Duration;
+
+use oml_check::EventKind;
+use oml_core::ids::{NodeId, ObjectId};
+use oml_core::policy::PolicyKind;
+use oml_runtime::{Cluster, ClusterBuilder, MobileObject};
+
+struct Cell(u8);
+
+impl MobileObject for Cell {
+    fn type_tag(&self) -> &'static str {
+        "cell"
+    }
+    fn invoke(&mut self, _method: &str, _payload: &[u8]) -> Result<Vec<u8>, String> {
+        Ok(vec![self.0])
+    }
+    fn linearize(&self) -> Vec<u8> {
+        vec![self.0]
+    }
+}
+
+fn n(i: u32) -> NodeId {
+    NodeId::new(i)
+}
+
+fn builder() -> ClusterBuilder {
+    Cluster::builder()
+        .nodes(3)
+        .policy(PolicyKind::TransientPlacement)
+        .manual_clock()
+        .failure_detector(50, 3)
+        .replication(2)
+        .trace()
+}
+
+/// A root with `k - 1` attached helpers, all at node 0.
+fn closure_at_node_0(cluster: &Cluster, k: usize) -> Vec<ObjectId> {
+    cluster.register_type("cell", |bytes| Box::new(Cell(bytes[0])));
+    let set: Vec<ObjectId> = (0..k)
+        .map(|_| cluster.create(n(0), Box::new(Cell(1))).unwrap())
+        .collect();
+    for &helper in &set[1..] {
+        cluster.attach(helper, set[0], None).unwrap();
+    }
+    set
+}
+
+/// Waits until every object's refresh `seq` has collected its quorum, i.e.
+/// every put of that round was applied and every ack counted.
+fn await_quorum(cluster: &Cluster, set: &[ObjectId], seq: u64) {
+    for _ in 0..1_000 {
+        let health = cluster.checkpoint_health();
+        if set.iter().all(|o| {
+            health
+                .iter()
+                .any(|h| h.object == *o && h.quorum >= Some((0, seq)))
+        }) {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    panic!("refresh {seq} never reached its quorum");
+}
+
+/// How many messages of each kind the trace shows being sent.
+fn sends_by_kind(cluster: &Cluster) -> BTreeMap<String, usize> {
+    let mut kinds = BTreeMap::new();
+    for ev in cluster.take_trace() {
+        if let EventKind::Send { desc, .. } = ev.kind {
+            let kind = desc.split(['(', '[']).next().unwrap_or_default();
+            *kinds.entry(kind.to_owned()).or_default() += 1;
+        }
+    }
+    kinds
+}
+
+/// One granted move of a `k`-closure at replication 2 on 3 nodes: the
+/// install and its quorum round, the end-request's refresh excluded.
+fn sends_of_one_move(k: usize) -> BTreeMap<String, usize> {
+    let cluster = builder().build();
+    let set = closure_at_node_0(&cluster, k);
+    let _ = cluster.take_trace(); // creation and attachment are not the move
+    let guard = cluster.move_block(set[0], n(1)).unwrap();
+    assert!(guard.granted());
+    await_quorum(&cluster, &set, 1);
+    let sends = sends_by_kind(&cluster);
+    drop(guard);
+    cluster.shutdown();
+    sends
+}
+
+#[test]
+fn a_closure_moves_in_one_install_and_one_put_per_replica() {
+    for k in [8, 1] {
+        let sends = sends_of_one_move(k);
+        let count = |kind: &str| sends.get(kind).copied().unwrap_or(0);
+        assert_eq!(count("Install"), 1, "k = {k}: {sends:?}");
+        // two replicas on three nodes: the host is at most one of them
+        assert!(
+            (1..=2).contains(&count("CheckpointPut")),
+            "k = {k}: {sends:?}"
+        );
+        assert_eq!(
+            count("CheckpointAck"),
+            count("CheckpointPut"),
+            "k = {k}: {sends:?}"
+        );
+        assert_eq!(count("Surrender"), 0, "k = {k}: {sends:?}");
+    }
+}
+
+#[test]
+fn a_dead_host_is_reinstantiated_in_bounded_installs_per_target() {
+    const STRANDED: usize = 256;
+    // `message::MAX_BATCH`, which is private: a change there changes this
+    const CHUNK: usize = 64;
+    let cluster = builder().build();
+    cluster.register_type("cell", |bytes| Box::new(Cell(bytes[0])));
+    for _ in 0..STRANDED {
+        cluster.create(n(1), Box::new(Cell(1))).unwrap();
+    }
+    let _ = cluster.take_trace();
+    cluster.crash_node(n(1)).unwrap();
+    cluster.advance_clock(10_000);
+    cluster.detector_sweep();
+    assert_eq!(cluster.stats().reinstantiations, STRANDED as u64);
+
+    let mut reinstated: BTreeMap<u32, usize> = BTreeMap::new();
+    let mut installs: BTreeMap<u32, usize> = BTreeMap::new();
+    for ev in cluster.take_trace() {
+        match ev.kind {
+            EventKind::Reinstantiated { at, .. } => {
+                *reinstated.entry(at.as_u32()).or_default() += 1
+            }
+            EventKind::Send { to, desc, .. } if desc.starts_with("Install") => {
+                *installs.entry(to).or_default() += 1;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(reinstated.values().sum::<usize>(), STRANDED);
+    for (target, objects) in reinstated {
+        assert_eq!(
+            installs.get(&target).copied(),
+            Some(objects.div_ceil(CHUNK)),
+            "{objects} objects to node {target}"
+        );
+    }
+    cluster.shutdown();
+}

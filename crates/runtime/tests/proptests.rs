@@ -245,8 +245,125 @@ fn run_guard_sequence(script: &[GuardStep], shutdown_at: Option<usize>) {
     assert_eq!(cluster.held_locks(), vec![], "leaked a lock past shutdown");
 }
 
+/// Moves a working set of `size` around at replication `k` and holds the
+/// outcome against what one message per object used to produce: `size`
+/// objects migrated and `size` checkpoints refreshed per real move (plus the
+/// root's at every block end), every member resident where the root went,
+/// and at every replica each member's copy at exactly its own
+/// `(object_epoch, seq)`.
+fn run_closure_moves(size: usize, k: usize, dests: &[u32]) {
+    use oml_check::EventKind;
+    use std::collections::HashMap;
+
+    let cluster = Cluster::builder()
+        .nodes(3)
+        .policy(PolicyKind::TransientPlacement)
+        .manual_clock()
+        .failure_detector(50, 3)
+        .replication(k)
+        .trace()
+        .build();
+    cluster.register_type("register", |bytes| {
+        Box::new(Register(WireReader::new(bytes).u64().expect("state")))
+    });
+    let set: Vec<ObjectId> = (0..size)
+        .map(|i| {
+            cluster
+                .create(NodeId::new(0), Box::new(Register(i as u64)))
+                .expect("create")
+        })
+        .collect();
+    for &helper in &set[1..] {
+        cluster.attach(helper, set[0], None).expect("attach");
+    }
+    let replicas: Vec<Vec<NodeId>> = set
+        .iter()
+        .map(|&o| cluster.replica_set(o).expect("replicated"))
+        .collect();
+
+    let mut at = 0;
+    let mut seq = vec![0u64; size];
+    let (mut migrated, mut refreshed) = (0u64, 0u64);
+    for &dest in dests {
+        let guard = cluster.move_block(set[0], NodeId::new(dest)).expect("move");
+        assert!(guard.granted());
+        guard.end();
+        if dest != at {
+            at = dest;
+            migrated += size as u64;
+            refreshed += size as u64;
+            seq.iter_mut().for_each(|s| *s += 1);
+        }
+        refreshed += 1;
+        seq[0] += 1;
+        // each write collects its quorum before the next supersedes it
+        for _ in 0..2_000 {
+            let health = cluster.checkpoint_health();
+            let settled = |i: usize| {
+                health
+                    .iter()
+                    .any(|h| h.object == set[i] && h.quorum.unwrap_or_default() == (0, seq[i]))
+            };
+            if (0..size).all(settled) {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+    for &member in &set {
+        assert!(
+            cluster.is_resident(member, NodeId::new(at)),
+            "{member} strayed"
+        );
+    }
+    let stats = cluster.stats();
+    assert_eq!(stats.objects_migrated, migrated);
+    assert_eq!(stats.checkpoint_refreshes, refreshed);
+    // the root's install refresh may be superseded by its end's before the
+    // acks are in; every other write collects its quorum
+    assert_eq!(
+        stats.quorum_refreshes + stats.quorum_refresh_failures,
+        refreshed
+    );
+    assert!(stats.quorum_refresh_failures <= dests.len() as u64);
+
+    // shutdown drains the puts still queued at replicas beyond the quorum
+    cluster.shutdown();
+    let mut stored: HashMap<(ObjectId, NodeId), (u64, u64)> = HashMap::new();
+    for ev in cluster.take_trace() {
+        if let EventKind::CheckpointStored {
+            object,
+            replica,
+            object_epoch,
+            seq,
+        } = ev.kind
+        {
+            let slot = stored.entry((object, replica)).or_default();
+            *slot = (*slot).max((object_epoch, seq));
+        }
+    }
+    for (i, &member) in set.iter().enumerate() {
+        for &replica in &replicas[i] {
+            assert_eq!(
+                stored.get(&(member, replica)),
+                Some(&(0, seq[i])),
+                "{member} at {replica}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn closures_of_any_size_keep_the_per_object_outcome(
+        size in 1usize..65,
+        k in 1usize..4,
+        dests in proptest::collection::vec(0u32..3, 1..4),
+    ) {
+        run_closure_moves(size, k, &dests);
+    }
 
     #[test]
     fn placement_survives_random_scripts(script in ops(4, 3)) {

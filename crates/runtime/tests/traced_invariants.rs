@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use oml_check::{check_trace, lockorder};
+use oml_check::{check_trace, lockorder, EventKind};
 use oml_core::ids::{NodeId, ObjectId};
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
@@ -87,6 +87,114 @@ fn fault_free_migrations_leave_a_clean_trace() {
     let trace = cluster.take_trace();
     assert!(!trace.is_empty(), "tracing must record the protocol");
     let report = check_trace(&trace);
+    assert!(report.is_clean(), "{report}");
+}
+
+/// A root at node 0 with `helpers` attached helpers, traced.
+fn traced_working_set(helpers: usize) -> (Cluster, Vec<ObjectId>) {
+    let cluster = Cluster::builder()
+        .nodes(3)
+        .policy(PolicyKind::TransientPlacement)
+        .trace()
+        .build();
+    register_counter(&cluster);
+    let set: Vec<ObjectId> = (0..=helpers)
+        .map(|_| cluster.create(n(0), Box::new(Counter(0))).unwrap())
+        .collect();
+    for &helper in &set[1..] {
+        cluster.attach(helper, set[0], None).unwrap();
+    }
+    (cluster, set)
+}
+
+#[test]
+fn a_closure_arrives_in_one_step_of_its_destination() {
+    let (cluster, set) = traced_working_set(7);
+    let guard = cluster.move_block(set[0], n(2)).unwrap();
+    assert!(guard.granted());
+    // the grant is the destination's answer: nothing is still on its way
+    for &member in &set {
+        assert!(cluster.is_resident(member, n(2)), "{member} lags behind");
+    }
+    drop(guard);
+    cluster.shutdown();
+
+    // in the destination's program order the eight installs are adjacent:
+    // no receive, no other handler, runs between two members
+    let trace = cluster.take_trace();
+    let at_dest: Vec<_> = trace.iter().filter(|ev| ev.process == 2).collect();
+    let installs: Vec<usize> = at_dest
+        .iter()
+        .enumerate()
+        .filter(|(_, ev)| matches!(&ev.kind, EventKind::Install { object } if set.contains(object)))
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(installs.len(), set.len());
+    assert_eq!(installs[set.len() - 1] - installs[0], set.len() - 1);
+    assert!(
+        matches!(&at_dest[installs[set.len() - 1]].kind, EventKind::Install { object } if *object == set[0]),
+        "members arrive before the main object"
+    );
+    let report = check_trace(&trace);
+    assert!(report.is_clean(), "{report}");
+}
+
+/// A helper whose type no node can delinearize.
+struct Opaque;
+
+impl MobileObject for Opaque {
+    fn type_tag(&self) -> &'static str {
+        "opaque"
+    }
+    fn invoke(&mut self, _method: &str, _payload: &[u8]) -> Result<Vec<u8>, String> {
+        Ok(Vec::new())
+    }
+    fn linearize(&self) -> Vec<u8> {
+        Vec::new()
+    }
+}
+
+#[test]
+fn an_unshippable_member_is_left_out_before_the_closure_is_committed() {
+    let (cluster, set) = traced_working_set(2);
+    let opaque = cluster.create(n(0), Box::new(Opaque)).unwrap();
+    cluster.attach(opaque, set[0], None).unwrap();
+
+    let guard = cluster.move_block(set[0], n(1)).unwrap();
+    assert!(guard.granted());
+    drop(guard);
+    for &member in &set {
+        assert!(cluster.is_resident(member, n(1)));
+    }
+    assert!(
+        cluster.is_resident(opaque, n(0)),
+        "it could not have landed"
+    );
+    cluster.invoke(opaque, "ping", &[]).expect("still alive");
+    cluster.shutdown();
+
+    // the runtime never promised to ship it, so nothing was left behind
+    let report = check_trace(&cluster.take_trace());
+    assert!(report.is_clean(), "{report}");
+}
+
+#[test]
+fn an_unshippable_main_object_refuses_the_move_before_anything_ships() {
+    let cluster = Cluster::builder().nodes(2).trace().build();
+    register_counter(&cluster);
+    let main = cluster.create(n(0), Box::new(Opaque)).unwrap();
+    let helper = cluster.create(n(0), Box::new(Counter(0))).unwrap();
+    cluster.attach(helper, main, None).unwrap();
+
+    assert_eq!(
+        cluster.move_block(main, n(1)).unwrap_err(),
+        RuntimeError::UnknownType("opaque".into())
+    );
+    assert!(cluster.is_resident(main, n(0)));
+    assert!(cluster.is_resident(helper, n(0)), "the working set split");
+    assert_eq!(cluster.stats().objects_migrated, 0);
+    cluster.shutdown();
+    let report = check_trace(&cluster.take_trace());
     assert!(report.is_clean(), "{report}");
 }
 
