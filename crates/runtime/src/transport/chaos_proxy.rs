@@ -19,7 +19,9 @@
 //! Determinism means a chaos test that fails replays identically from its
 //! seed, like every other fault schedule in this workspace.
 
-use super::netio::{connect_deadline, write_all_deadline, Listener, Stream, TransportAddr};
+use super::netio::{
+    connect_deadline, retryable, write_all_deadline, Listener, Stream, TransportAddr,
+};
 use crate::fault::{mix64, unit_interval};
 use parking_lot::Mutex;
 use std::io;
@@ -265,7 +267,7 @@ fn proxy_accept_loop(inner: &Arc<ProxyShared>, listener: &Listener) {
 }
 
 /// Forwards `src` → `dst` one chunk at a time under the plan's schedule.
-fn pump(inner: &Arc<ProxyShared>, conn: u64, dir: u8, mut src: Stream, mut dst: Stream) {
+fn pump(inner: &Arc<ProxyShared>, conn: u64, dir: u8, mut src: Stream, dst: Stream) {
     let _ = src.set_read_timeout(Some(Duration::from_millis(50)));
     let mut buf = [0u8; 8 * 1024];
     let mut chunk_idx: u64 = 0;
@@ -276,7 +278,7 @@ fn pump(inner: &Arc<ProxyShared>, conn: u64, dir: u8, mut src: Stream, mut dst: 
         let n = match src.read_chunk(&mut buf) {
             Ok(0) => break,
             Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => continue,
+            Err(e) if retryable(&e) => continue,
             Err(_) => break,
         };
         let action = inner.plan.decide(conn, dir, chunk_idx);
@@ -291,19 +293,19 @@ fn pump(inner: &Arc<ProxyShared>, conn: u64, dir: u8, mut src: Stream, mut dst: 
             }
             ProxyAction::Stall => {
                 std::thread::sleep(inner.plan.stall_duration());
-                write_all_deadline(&mut dst, &buf[..n], deadline)
+                write_all_deadline(&dst, &buf[..n], deadline)
             }
             ProxyAction::Split => {
                 let mut r = Ok(());
                 for b in &buf[..n] {
-                    r = write_all_deadline(&mut dst, std::slice::from_ref(b), deadline);
+                    r = write_all_deadline(&dst, std::slice::from_ref(b), deadline);
                     if r.is_err() {
                         break;
                     }
                 }
                 r
             }
-            ProxyAction::Forward => write_all_deadline(&mut dst, &buf[..n], deadline),
+            ProxyAction::Forward => write_all_deadline(&dst, &buf[..n], deadline),
         };
         if outcome.is_err() {
             break;

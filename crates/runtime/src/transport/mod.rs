@@ -30,12 +30,21 @@
 //!
 //! * **Per-link FIFO** between two live endpoints (a reconnect starts a new
 //!   FIFO era; frames buffered across the gap are re-sent in order, so the
-//!   contract is at-least-once, never reordered-within-a-connection).
+//!   contract is at-least-once, never reordered-within-a-connection). On
+//!   the socket transport the sender itself writes: whichever thread finds
+//!   the link idle writes the queue out, oldest first, and everyone else
+//!   queues behind it — one queue and one writer at a time per link, so
+//!   the order frames were accepted in is the order they are written in. A
+//!   write that fails keeps its batch at the head of that queue, and the
+//!   next session starts by writing the queue out.
 //! * **Bounded backpressure**: each destination has a bounded outbound
 //!   queue. [`Transport::send`] blocks up to the transport's configured
 //!   send deadline when the queue is full, then fails with
 //!   [`TransportError::Backpressure`] — it never buffers unboundedly and
-//!   never blocks forever.
+//!   never blocks forever. A socket sender that ends up writing is bounded
+//!   by the write deadline instead; `Ok` means the frame is queued (and,
+//!   when the link was up and idle, already written), never that the peer
+//!   has it.
 //! * **Fencing at the edge**: the socket transport authenticates every
 //!   connection with a `Hello{node, incarnation}` handshake; an
 //!   incarnation older than the coordinator's table is refused at accept
@@ -45,9 +54,14 @@
 //!   one layer up, because in-process "connections" cannot be refused).
 //!
 //! Deadline handling is centralized in [`netio`]: every connect, accept and
-//! write in this module goes through a deadline-carrying wrapper, enforced
-//! by the `transport_deadlines` source-scan test (the PR 1 "no bare
-//! `recv()`" rule, extended to sockets).
+//! write in this module goes through a deadline-carrying wrapper, and every
+//! condition-variable wait carries a timeout, both enforced by the
+//! `transport_deadlines` source-scan test (the PR 1 "no bare `recv()`"
+//! rule, extended to sockets).
+//!
+//! Inbound, the socket endpoints hand every [`TransportEvent`] to a sink on
+//! the thread that produced it; [`Transport::recv_timeout`] is the bounded
+//! queue their default sink fills ([`socket`], "Who dispatches").
 
 pub mod backoff;
 pub mod channel;

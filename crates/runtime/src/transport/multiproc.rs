@@ -27,6 +27,22 @@
 //! [`RuntimeError::NodeDown`], expired waits as
 //! [`RuntimeError::Timeout`] — the error surface the availability
 //! experiment already measures.
+//!
+//! # Threads
+//!
+//! Neither process has a thread whose job is to pass messages on. A client
+//! thread in [`MultiProcCluster`] encodes its request and writes it to the
+//! worker's socket itself (the transport's sender-writes rule, see
+//! [`super::socket`]), then parks on its reply slot. The worker's reader
+//! thread decodes the request, applies it to the object table, and writes
+//! the reply from where it stands ([`run_worker`]). The coordinator's
+//! reader thread for that worker decodes the reply and wakes the client
+//! (`CoordCore::on_event`, installed as the server's sink). One invoke
+//! wakes three threads: worker reader, coordinator reader, caller. Beside
+//! those the coordinator runs the acceptor and the detector's monitor; a
+//! worker runs its dial supervisor and its main thread, which keeps the
+//! heartbeat timer. What the reader threads may and may not do is written
+//! down on `CoordShared`.
 
 use super::netio::TransportAddr;
 use super::socket::{SocketConfig, SocketPeer, SocketServer};
@@ -319,11 +335,31 @@ struct CoordState {
     counters: MultiProcStats,
 }
 
+/// What the server's reader threads share with the client-facing half:
+/// the coordinator's tables and its trace. Deliberately without the
+/// server, so [`CoordCore::on_event`] cannot send, let alone call.
+struct CoordCore {
+    state: Mutex<CoordState>,
+    trace: TraceCollector,
+}
+
+/// The coordinator's shared half. Two rules keep its threads from waiting
+/// on each other, now that replies are dispatched on the server's reader
+/// threads and requests are written by the calling thread:
+///
+/// * **A handler never makes a [`CoordShared::call`].** The reply to a call
+///   to worker *n* can only be delivered by worker *n*'s reader thread; a
+///   handler running on that thread would wait out `call_timeout_ms` for
+///   itself. The handler is a method of [`CoordCore`], which has no server
+///   to call through.
+/// * **`state` is never held across `server.send`.** A send writes to the
+///   socket inline and may block for `write_timeout_ms` behind a worker
+///   that is itself blocked writing a reply; the reader that would drain
+///   that reply needs `state` to complete the call it answers.
 struct CoordShared {
     cfg: MultiProcConfig,
     server: SocketServer,
-    state: Mutex<CoordState>,
-    trace: TraceCollector,
+    core: Arc<CoordCore>,
     next_corr: AtomicU64,
     closed: AtomicBool,
 }
@@ -343,11 +379,80 @@ fn store_failed(object: u32, e: &StoreError) -> RuntimeError {
     failed(object, format!("checkpoint store: {e}"))
 }
 
-impl CoordShared {
+impl CoordCore {
     fn trace(&self, kind: EventKind) {
         self.trace.emit(CLIENT_PROCESS, kind);
     }
 
+    /// The server's sink, on whichever of its threads has the event: routes
+    /// replies to waiting calls, feeds heartbeats to the detector, mirrors
+    /// transport events into the trace.
+    fn on_event(&self, ev: TransportEvent<Bytes>) {
+        match ev {
+            TransportEvent::Delivery { from, epoch, msg } => {
+                self.trace(EventKind::TransportDelivery { peer: from, epoch });
+                let Ok(decoded) = ProtoMsg::decode(&msg) else {
+                    return;
+                };
+                let mut state = self.state.lock();
+                state.counters.deliveries += 1;
+                // fencing belt-and-braces: the accept-time fence is the
+                // contract, but a session accepted before a bump could
+                // still drain; drop anything from a stale incarnation
+                if epoch < state.slots[from as usize].incarnation {
+                    drop(state);
+                    self.trace(EventKind::FencedStale { epoch });
+                    return;
+                }
+                // a reply is as good as a heartbeat
+                let slot = &mut state.slots[from as usize];
+                slot.last_beat = Instant::now();
+                slot.ever_beat = true;
+                match decoded {
+                    ProtoMsg::Heartbeat if slot.health == NodeHealth::Suspected => {
+                        slot.health = NodeHealth::Up;
+                    }
+                    ProtoMsg::Ack { corr, .. }
+                    | ProtoMsg::InvokeResp { corr, .. }
+                    | ProtoMsg::SurrenderResp { corr, .. } => {
+                        let waiter = state.pending.remove(&corr);
+                        // wake the caller with `state` released: the first
+                        // thing it does is take it
+                        drop(state);
+                        if let Some(tx) = waiter {
+                            let _ = tx.try_send(decoded);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            TransportEvent::Connected { peer, epoch } => {
+                self.trace(EventKind::TransportConnected { peer, epoch });
+            }
+            TransportEvent::Reconnected {
+                peer,
+                epoch,
+                attempt,
+            } => {
+                self.state.lock().counters.reconnects += 1;
+                self.trace(EventKind::TransportReconnected {
+                    peer,
+                    epoch,
+                    attempt,
+                });
+            }
+            TransportEvent::Disconnected { peer } => {
+                self.trace(EventKind::TransportDisconnected { peer });
+            }
+            TransportEvent::HandshakeFenced { peer, epoch } => {
+                self.state.lock().counters.fenced_handshakes += 1;
+                self.trace(EventKind::HandshakeFenced { peer, epoch });
+            }
+        }
+    }
+}
+
+impl CoordShared {
     /// Writes `object`'s checkpoint under the next per-object `seq`,
     /// mirroring a durable append into the trace; freshness gating is the
     /// caller's job.
@@ -366,7 +471,13 @@ impl CoordShared {
             object_epoch: obj_epoch,
             seq: state.store.get(id).map_or(1, |c| c.seq + 1),
         };
-        put_traced(&mut *state.store, &self.trace, CLIENT_PROCESS, id, ckpt)
+        put_traced(
+            &mut *state.store,
+            &self.core.trace,
+            CLIENT_PROCESS,
+            id,
+            ckpt,
+        )
     }
 
     fn corr(&self) -> u64 {
@@ -376,7 +487,7 @@ impl CoordShared {
     /// Sends `msg` to `node` and awaits the correlated reply.
     fn call(&self, node: u32, corr: u64, msg: &ProtoMsg) -> Result<ProtoMsg, RuntimeError> {
         let (tx, rx) = bounded(1);
-        self.state.lock().pending.insert(corr, tx);
+        self.core.state.lock().pending.insert(corr, tx);
         let waited_ms = self.cfg.call_timeout_ms;
         let reply = match self.server.send(node, msg.encode()) {
             Err(e) => Err(map_transport_err(&e, node)),
@@ -385,7 +496,7 @@ impl CoordShared {
                 .map_err(|_| RuntimeError::Timeout { waited_ms }),
         };
         if reply.is_err() {
-            self.state.lock().pending.remove(&corr);
+            self.core.state.lock().pending.remove(&corr);
         }
         reply
     }
@@ -465,7 +576,7 @@ impl CoordShared {
     /// failed install leg of a migration and cold recovery.
     fn reinstall_from_checkpoint(&self, object: u32) -> Option<u32> {
         let (type_tag, ck_state, next_epoch, target) = {
-            let state = self.state.lock();
+            let state = self.core.state.lock();
             let ck = state.store.get(ObjectId::new(object))?;
             let target = state
                 .slots
@@ -488,12 +599,12 @@ impl CoordShared {
         )
         .ok()?;
         {
-            let mut state = self.state.lock();
+            let mut state = self.core.state.lock();
             state.directory.insert(object, target);
             let _ = self.put_checkpoint(&mut state, object, &type_tag, ck_state, next_epoch);
             state.counters.reinstantiated += 1;
         }
-        self.trace(EventKind::Reinstantiated {
+        self.core.trace(EventKind::Reinstantiated {
             object: ObjectId::new(object),
             at: NodeId::new(target),
             epoch: next_epoch,
@@ -563,7 +674,7 @@ impl MultiProcCluster {
             ));
         }
         let mut objects: Vec<u32> = {
-            let state = cluster.inner.state.lock();
+            let state = cluster.inner.core.state.lock();
             state
                 .store
                 .objects()
@@ -583,7 +694,6 @@ impl MultiProcCluster {
         mut store: Box<dyn CheckpointStore>,
         recovering: Option<RecoveryReport>,
     ) -> io::Result<MultiProcCluster> {
-        let server = SocketServer::bind(&cfg.addr, cfg.workers, cfg.socket.clone())?;
         let now = Instant::now();
         // on a cold restart every worker resumes above its persisted
         // incarnation floor; a fresh boot starts everyone at 1
@@ -598,7 +708,6 @@ impl MultiProcCluster {
             .collect();
         for (node, &inc) in incarnations.iter().enumerate() {
             let _ = store.set_meta(node as u32, inc).map_err(store_io_err)?;
-            server.fence_below(node as u32, inc);
         }
         let recovered = recovering.map(|report| {
             let mut versions: Vec<(ObjectId, u64, u64)> = store
@@ -619,9 +728,7 @@ impl MultiProcCluster {
                 ever_beat: false,
             })
             .collect();
-        let inner = Arc::new(CoordShared {
-            cfg,
-            server,
+        let core = Arc::new(CoordCore {
             state: Mutex::new(CoordState {
                 slots,
                 directory: HashMap::new(),
@@ -630,11 +737,23 @@ impl MultiProcCluster {
                 counters: MultiProcStats::default(),
             }),
             trace: TraceCollector::new(true),
+        });
+        let handler = Arc::clone(&core);
+        let server = SocketServer::bind_with_sink(
+            &cfg.addr,
+            cfg.workers,
+            cfg.socket.clone(),
+            Box::new(move |_, ev| handler.on_event(ev)),
+        )?;
+        let inner = Arc::new(CoordShared {
+            cfg,
+            server,
+            core,
             next_corr: AtomicU64::new(1),
             closed: AtomicBool::new(false),
         });
         if let Some((recovered, torn, corrupt)) = recovered {
-            inner.trace(EventKind::ColdRecovered {
+            inner.core.trace(EventKind::ColdRecovered {
                 node: CLIENT_PROCESS,
                 recovered,
                 torn,
@@ -647,15 +766,9 @@ impl MultiProcCluster {
         };
 
         for (node, &inc) in incarnations.iter().enumerate() {
+            inner.server.fence_below(node as u32, inc);
             cluster.spawn_worker_process(node as u32, inc)?;
         }
-
-        let d_inner = Arc::clone(&inner);
-        let dispatcher = std::thread::Builder::new()
-            .name("oml-mp-dispatch".into())
-            .spawn(move || dispatch_loop(&d_inner))
-            .expect("spawn dispatcher");
-        cluster.threads.lock().push(dispatcher);
 
         if inner.cfg.monitor {
             let m_inner = Arc::clone(&inner);
@@ -699,7 +812,7 @@ impl MultiProcCluster {
 
     fn spawn_worker_process(&self, node: u32, incarnation: u64) -> io::Result<()> {
         let child = self.worker_command(node, incarnation).spawn()?;
-        let mut state = self.inner.state.lock();
+        let mut state = self.inner.core.state.lock();
         let slot = &mut state.slots[node as usize];
         slot.child = Some(child);
         slot.last_beat = Instant::now();
@@ -712,7 +825,7 @@ impl MultiProcCluster {
         let deadline = Instant::now() + timeout;
         loop {
             {
-                let state = self.inner.state.lock();
+                let state = self.inner.core.state.lock();
                 if state.slots.iter().all(|s| s.ever_beat) {
                     return true;
                 }
@@ -728,7 +841,7 @@ impl MultiProcCluster {
     /// to suspected/dead workers return [`RuntimeError::NodeDown`] without
     /// sleeping out the deadline.
     fn admit(&self, node: u32) -> Result<(), RuntimeError> {
-        let state = self.inner.state.lock();
+        let state = self.inner.core.state.lock();
         match state.slots.get(node as usize) {
             Some(slot) if slot.health == NodeHealth::Up => Ok(()),
             Some(_) => Err(RuntimeError::NodeDown(NodeId::new(node))),
@@ -753,7 +866,7 @@ impl MultiProcCluster {
             .install(node, object, type_tag.to_owned(), state.clone(), 1)?;
         // the create is acked to the caller only once the checkpoint is
         // recorded (durably, for a WalStore under fsync=Always)
-        let mut st = self.inner.state.lock();
+        let mut st = self.inner.core.state.lock();
         st.directory.insert(object, node);
         self.inner
             .put_checkpoint(&mut st, object, type_tag, state, 1)
@@ -780,7 +893,7 @@ impl MultiProcCluster {
         if result.is_ok() {
             // freshness-gated refresh: never let a stale epoch's
             // piggybacked state clobber a newer checkpoint
-            let mut st = self.inner.state.lock();
+            let mut st = self.inner.core.state.lock();
             let fresh = st
                 .store
                 .get(ObjectId::new(object))
@@ -815,7 +928,7 @@ impl MultiProcCluster {
         // the migration with the object still recoverable from the cache
         let next_epoch = obj_epoch + 1;
         {
-            let mut st = self.inner.state.lock();
+            let mut st = self.inner.core.state.lock();
             // the WAL record and the install below share one buffer
             self.inner
                 .put_checkpoint(&mut st, object, &type_tag, state.clone(), next_epoch)
@@ -825,7 +938,7 @@ impl MultiProcCluster {
         let installed = self.inner.install(to, object, type_tag, state, next_epoch);
         match installed {
             Ok(()) => {
-                self.inner.state.lock().directory.insert(object, to);
+                self.inner.core.state.lock().directory.insert(object, to);
             }
             // a homeless object is recovered from its checkpoint at any Up
             // worker, best effort
@@ -845,27 +958,27 @@ impl MultiProcCluster {
     /// Where `object` currently lives, if anywhere.
     #[must_use]
     pub fn location_of(&self, object: u32) -> Option<u32> {
-        self.inner.state.lock().directory.get(&object).copied()
+        self.inner.core.state.lock().directory.get(&object).copied()
     }
 
     /// The detector's verdict for `node`.
     #[must_use]
     pub fn health(&self, node: u32) -> NodeHealth {
-        self.inner.state.lock().slots[node as usize].health
+        self.inner.core.state.lock().slots[node as usize].health
     }
 
     /// SIGKILLs worker `node` (no warning, no cleanup — the real thing).
     /// The detector discovers the death from missed heartbeats.
     pub fn kill(&self, node: u32) {
         let child = {
-            let mut state = self.inner.state.lock();
+            let mut state = self.inner.core.state.lock();
             state.slots[node as usize].child.take()
         };
         if let Some(mut child) = child {
             let _ = child.kill(); // SIGKILL on unix
             let _ = child.wait(); // reap
         }
-        self.inner.trace(EventKind::Crash {
+        self.inner.core.trace(EventKind::Crash {
             node: NodeId::new(node),
         });
     }
@@ -877,7 +990,7 @@ impl MultiProcCluster {
     /// Process spawn failures.
     pub fn respawn(&self, node: u32) -> io::Result<()> {
         let incarnation = {
-            let mut state = self.inner.state.lock();
+            let mut state = self.inner.core.state.lock();
             let slot = &mut state.slots[node as usize];
             slot.incarnation += 1;
             slot.health = NodeHealth::Up;
@@ -888,7 +1001,7 @@ impl MultiProcCluster {
             incarnation
         };
         self.inner.server.fence_below(node, incarnation);
-        self.inner.trace(EventKind::Restart {
+        self.inner.core.trace(EventKind::Restart {
             node: NodeId::new(node),
         });
         self.spawn_worker_process(node, incarnation)
@@ -902,7 +1015,7 @@ impl MultiProcCluster {
     /// Process spawn failures.
     pub fn respawn_zombie(&self, node: u32) -> io::Result<()> {
         let stale = {
-            let state = self.inner.state.lock();
+            let state = self.inner.core.state.lock();
             state.slots[node as usize].incarnation.saturating_sub(1)
         };
         let child = self.worker_command(node, stale).spawn()?;
@@ -926,21 +1039,21 @@ impl MultiProcCluster {
     /// Recovery counters so far.
     #[must_use]
     pub fn stats(&self) -> MultiProcStats {
-        self.inner.state.lock().counters
+        self.inner.core.state.lock().counters
     }
 
     /// Drains the collected protocol/transport trace (feed it to
     /// `oml_check::check_trace`).
     #[must_use]
     pub fn take_trace(&self) -> Vec<TraceEvent> {
-        self.inner.trace.take()
+        self.inner.core.trace.take()
     }
 
     /// Orderly teardown: Shutdown to live workers, short grace, SIGKILL
     /// stragglers, then server + thread teardown.
     pub fn shutdown(&self) {
         let live: Vec<u32> = {
-            let state = self.inner.state.lock();
+            let state = self.inner.core.state.lock();
             state
                 .slots
                 .iter()
@@ -956,7 +1069,7 @@ impl MultiProcCluster {
         loop {
             let mut all_gone = true;
             {
-                let mut state = self.inner.state.lock();
+                let mut state = self.inner.core.state.lock();
                 for slot in &mut state.slots {
                     if let Some(child) = &mut slot.child {
                         match child.try_wait() {
@@ -982,7 +1095,7 @@ impl MultiProcCluster {
     /// [`MultiProcCluster::shutdown`], for whoever outlived the grace.
     pub fn abandon(&self) {
         let children: Vec<Child> = {
-            let mut state = self.inner.state.lock();
+            let mut state = self.inner.core.state.lock();
             state
                 .slots
                 .iter_mut()
@@ -1007,6 +1120,7 @@ impl MultiProcCluster {
     #[must_use]
     pub fn worker_pids(&self) -> Vec<u32> {
         self.inner
+            .core
             .state
             .lock()
             .slots
@@ -1018,7 +1132,15 @@ impl MultiProcCluster {
     /// Every object the directory currently places somewhere (sorted).
     #[must_use]
     pub fn objects(&self) -> Vec<u32> {
-        let mut objects: Vec<u32> = self.inner.state.lock().directory.keys().copied().collect();
+        let mut objects: Vec<u32> = self
+            .inner
+            .core
+            .state
+            .lock()
+            .directory
+            .keys()
+            .copied()
+            .collect();
         objects.sort_unstable();
         objects
     }
@@ -1026,7 +1148,7 @@ impl MultiProcCluster {
     /// The checkpoint store's WAL counters (zeros for in-memory runs).
     #[must_use]
     pub fn wal_stats(&self) -> crate::store::WalStats {
-        self.inner.state.lock().store.wal_stats()
+        self.inner.core.state.lock().store.wal_stats()
     }
 }
 
@@ -1063,82 +1185,6 @@ fn map_transport_err(e: &TransportError, node: u32) -> RuntimeError {
     }
 }
 
-/// The coordinator's inbound loop: routes replies to waiting calls, feeds
-/// heartbeats to the detector, mirrors transport events into the trace.
-fn dispatch_loop(inner: &Arc<CoordShared>) {
-    while !inner.closed.load(Ordering::Acquire) {
-        let ev = match inner.server.recv_timeout(0, Duration::from_millis(20)) {
-            Ok(ev) => ev,
-            Err(TransportError::Closed) => return,
-            Err(_) => continue,
-        };
-        match ev {
-            TransportEvent::Delivery { from, epoch, msg } => {
-                inner.trace(EventKind::TransportDelivery { peer: from, epoch });
-                let Ok(decoded) = ProtoMsg::decode(&msg) else {
-                    continue;
-                };
-                let mut state = inner.state.lock();
-                state.counters.deliveries += 1;
-                // fencing belt-and-braces: the accept-time fence is the
-                // contract, but a session accepted before a bump could
-                // still drain; drop anything from a stale incarnation
-                if epoch < state.slots[from as usize].incarnation {
-                    drop(state);
-                    inner.trace(EventKind::FencedStale { epoch });
-                    continue;
-                }
-                match decoded {
-                    ProtoMsg::Heartbeat => {
-                        let slot = &mut state.slots[from as usize];
-                        slot.last_beat = Instant::now();
-                        slot.ever_beat = true;
-                        if slot.health == NodeHealth::Suspected {
-                            slot.health = NodeHealth::Up;
-                        }
-                    }
-                    ProtoMsg::Ack { corr, .. }
-                    | ProtoMsg::InvokeResp { corr, .. }
-                    | ProtoMsg::SurrenderResp { corr, .. } => {
-                        // a reply is as good as a heartbeat
-                        {
-                            let slot = &mut state.slots[from as usize];
-                            slot.last_beat = Instant::now();
-                            slot.ever_beat = true;
-                        }
-                        if let Some(tx) = state.pending.remove(&corr) {
-                            let _ = tx.try_send(decoded);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            TransportEvent::Connected { peer, epoch } => {
-                inner.trace(EventKind::TransportConnected { peer, epoch });
-            }
-            TransportEvent::Reconnected {
-                peer,
-                epoch,
-                attempt,
-            } => {
-                inner.state.lock().counters.reconnects += 1;
-                inner.trace(EventKind::TransportReconnected {
-                    peer,
-                    epoch,
-                    attempt,
-                });
-            }
-            TransportEvent::Disconnected { peer } => {
-                inner.trace(EventKind::TransportDisconnected { peer });
-            }
-            TransportEvent::HandshakeFenced { peer, epoch } => {
-                inner.state.lock().counters.fenced_handshakes += 1;
-                inner.trace(EventKind::HandshakeFenced { peer, epoch });
-            }
-        }
-    }
-}
-
 /// One detector pass: Up→Suspected after `suspect_after` missed beats,
 /// Suspected→Dead after `dead_after`; death fences the incarnation and
 /// reinstantiates the dead worker's objects from checkpoints.
@@ -1147,7 +1193,7 @@ fn sweep_impl(inner: &Arc<CoordShared>) {
     let mut newly_dead: Vec<u32> = Vec::new();
     let mut newly_suspected: Vec<u32> = Vec::new();
     {
-        let mut state = inner.state.lock();
+        let mut state = inner.core.state.lock();
         for (node, slot) in state.slots.iter_mut().enumerate() {
             let silent_ms = slot.last_beat.elapsed().as_millis() as u64;
             match slot.health {
@@ -1176,22 +1222,22 @@ fn sweep_impl(inner: &Arc<CoordShared>) {
         }
     }
     for node in newly_suspected {
-        inner.trace(EventKind::Suspected {
+        inner.core.trace(EventKind::Suspected {
             node: NodeId::new(node),
         });
     }
     for node in newly_dead {
         let incarnation = {
-            let state = inner.state.lock();
+            let state = inner.core.state.lock();
             state.slots[node as usize].incarnation
         };
         inner.server.fence_below(node, incarnation);
-        inner.trace(EventKind::DeclaredDead {
+        inner.core.trace(EventKind::DeclaredDead {
             node: NodeId::new(node),
         });
         // reinstantiate everything stranded on the dead worker
         let stranded: Vec<u32> = {
-            let state = inner.state.lock();
+            let state = inner.core.state.lock();
             state
                 .directory
                 .iter()
@@ -1257,25 +1303,164 @@ impl WorkerOptions {
     }
 }
 
-/// Runs a worker process's main loop: connect (handshaking node id +
-/// incarnation), host objects, heartbeat, answer protocol messages.
-/// Returns when fenced, asked to shut down, or orphaned (checked at the
-/// heartbeat cadence) — callers should exit the process promptly in every
+/// A hosted object and its epoch.
+type Hosted = (Box<dyn MobileObject>, u64);
+
+/// A worker process's object table and what its threads tell each other.
+struct Worker {
+    registry: HashMap<String, Delinearizer>,
+    /// object → (the object, its epoch). Behind a mutex because a replaced
+    /// session's reader may still be inside [`Worker::on_event`] when its
+    /// successor's starts.
+    objects: Mutex<HashMap<u32, Hosted>>,
+    /// Where a handler tells the main thread, asleep between beats, to
+    /// leave (`Shutdown`, `HandshakeFenced`).
+    exit: Sender<WorkerExit>,
+}
+
+impl Worker {
+    /// The peer's sink: answers every protocol message on the reader thread
+    /// that delivered it, with an inline `send` — the reply is on the wire
+    /// (or queued behind a dead session) when this returns.
+    fn on_event(&self, peer: &SocketPeer, ev: TransportEvent<Bytes>) {
+        let msg = match ev {
+            TransportEvent::Delivery { msg, .. } => msg,
+            TransportEvent::HandshakeFenced { .. } => {
+                let _ = self.exit.try_send(WorkerExit::Fenced);
+                return;
+            }
+            _ => return,
+        };
+        match ProtoMsg::decode(&msg) {
+            Ok(ProtoMsg::Shutdown) => {
+                let _ = self.exit.try_send(WorkerExit::Shutdown);
+            }
+            Ok(request) => {
+                if let Some(reply) = self.answer(request) {
+                    let _ = peer.send(0, reply.encode());
+                }
+            }
+            Err(_) => {}
+        }
+    }
+
+    /// Applies one request to the object table; the table is released
+    /// before the reply is sent.
+    fn answer(&self, request: ProtoMsg) -> Option<ProtoMsg> {
+        let mut objects = self.objects.lock();
+        Some(match request {
+            ProtoMsg::Install {
+                corr,
+                object,
+                type_tag,
+                state,
+                obj_epoch,
+            } => match objects.get(&object) {
+                // the same fencing rule as NodeWorker::handle_install:
+                // never let an older incarnation of an object replace
+                // a newer one
+                Some((_, have)) if obj_epoch <= *have => ProtoMsg::Ack {
+                    corr,
+                    ok: false,
+                    err: format!("stale object epoch {obj_epoch} <= {have}"),
+                },
+                _ => match self.registry.get(type_tag.as_str()) {
+                    Some(delin) => {
+                        objects.insert(object, (delin(&state), obj_epoch));
+                        ProtoMsg::Ack {
+                            corr,
+                            ok: true,
+                            err: String::new(),
+                        }
+                    }
+                    None => ProtoMsg::Ack {
+                        corr,
+                        ok: false,
+                        err: format!("no delinearizer for `{type_tag}`"),
+                    },
+                },
+            },
+            ProtoMsg::Invoke {
+                corr,
+                object,
+                method,
+                payload,
+            } => match objects.get_mut(&object) {
+                Some((obj, obj_epoch)) => {
+                    let result = obj.invoke(&method, &payload).map(Bytes::from);
+                    ProtoMsg::InvokeResp {
+                        corr,
+                        result,
+                        type_tag: obj.type_tag().to_owned(),
+                        new_state: Bytes::from(obj.linearize()),
+                        obj_epoch: *obj_epoch,
+                    }
+                }
+                None => ProtoMsg::InvokeResp {
+                    corr,
+                    result: Err(format!("object o{object} is not hosted here")),
+                    type_tag: String::new(),
+                    new_state: Bytes::new(),
+                    obj_epoch: 0,
+                },
+            },
+            ProtoMsg::Surrender { corr, object } => match objects.remove(&object) {
+                Some((obj, obj_epoch)) => ProtoMsg::SurrenderResp {
+                    corr,
+                    ok: true,
+                    err: String::new(),
+                    type_tag: obj.type_tag().to_owned(),
+                    state: Bytes::from(obj.linearize()),
+                    obj_epoch,
+                },
+                None => ProtoMsg::SurrenderResp {
+                    corr,
+                    ok: false,
+                    err: format!("object o{object} is not hosted here"),
+                    type_tag: String::new(),
+                    state: Bytes::new(),
+                    obj_epoch: 0,
+                },
+            },
+            // coordinator never sends these to a worker
+            ProtoMsg::Ack { .. }
+            | ProtoMsg::InvokeResp { .. }
+            | ProtoMsg::SurrenderResp { .. }
+            | ProtoMsg::Heartbeat
+            | ProtoMsg::Shutdown => return None,
+        })
+    }
+}
+
+/// Runs a worker process: connects (handshaking node id + incarnation) and
+/// hosts objects. Protocol messages are answered on the peer's reader
+/// thread (`Worker::on_event`); this thread keeps only the timer — the
+/// heartbeat, the orphan check and the fence check, each at the heartbeat
+/// cadence — and the exit decision. Returns when fenced, asked to shut
+/// down, or orphaned — callers should exit the process promptly in every
 /// case.
 ///
 /// # Errors
 /// None currently — transport failures are ridden out by the supervisor —
 /// but the signature reserves the right.
 pub fn run_worker(opts: &WorkerOptions, types: &[(&str, Delinearizer)]) -> io::Result<WorkerExit> {
-    let peer = SocketPeer::connect(
+    let (exit, exiting) = bounded(1);
+    let worker = Worker {
+        registry: types
+            .iter()
+            .map(|(tag, d)| ((*tag).to_owned(), *d))
+            .collect(),
+        objects: Mutex::new(HashMap::new()),
+        exit,
+    };
+    let peer = SocketPeer::connect_with_sink(
         opts.addr.clone(),
         opts.node,
         opts.epoch,
         opts.socket.clone(),
+        Box::new(move |peer, ev| worker.on_event(peer, ev)),
     );
-    let registry: HashMap<&str, Delinearizer> = types.iter().copied().collect();
-    let mut objects: HashMap<u32, (Box<dyn MobileObject>, u64)> = HashMap::new();
-    let hb = Duration::from_millis(opts.heartbeat_ms.max(1));
+    let beat = Duration::from_millis(opts.heartbeat_ms.max(1)) / 2;
     // the coordinator's pid as it wrote it at spawn time: had this line
     // asked the OS instead, a coordinator killed before the worker got
     // here would leave it recording init as a parent that never changes
@@ -1283,138 +1468,25 @@ pub fn run_worker(opts: &WorkerOptions, types: &[(&str, Delinearizer)]) -> io::R
         .ok()
         .and_then(|pid| pid.parse().ok())
         .unwrap_or_else(std::os::unix::process::parent_id);
-    // None = never beaten, so the first loop iteration beats immediately
-    let mut last_beat: Option<Instant> = None;
 
-    loop {
+    let exit = loop {
         if peer.is_fenced() {
-            peer.shutdown();
-            return Ok(WorkerExit::Fenced);
+            break WorkerExit::Fenced;
         }
-        if last_beat.is_none_or(|t| t.elapsed() >= hb / 2) {
-            // a SIGKILLed coordinator sends no Shutdown and the supervisor
-            // would redial its address forever; re-parenting is the signal
-            if std::os::unix::process::parent_id() != parent {
-                peer.shutdown();
-                return Ok(WorkerExit::Orphaned);
-            }
-            // ignore failures: while down the beat queues (bounded) or the
-            // supervisor is already on it
-            let _ = peer.send(0, ProtoMsg::Heartbeat.encode());
-            last_beat = Some(Instant::now());
+        // a SIGKILLed coordinator sends no Shutdown and the supervisor
+        // would redial its address forever; re-parenting is the signal
+        if std::os::unix::process::parent_id() != parent {
+            break WorkerExit::Orphaned;
         }
-        let ev = match peer.recv_timeout(0, Duration::from_millis(10)) {
-            Ok(ev) => ev,
-            Err(TransportError::Closed) => return Ok(WorkerExit::Shutdown),
-            Err(_) => continue,
-        };
-        let msg = match ev {
-            TransportEvent::Delivery { msg, .. } => msg,
-            TransportEvent::HandshakeFenced { .. } => {
-                peer.shutdown();
-                return Ok(WorkerExit::Fenced);
-            }
-            _ => continue,
-        };
-        let Ok(decoded) = ProtoMsg::decode(&msg) else {
-            continue;
-        };
-        match decoded {
-            ProtoMsg::Install {
-                corr,
-                object,
-                type_tag,
-                state,
-                obj_epoch,
-            } => {
-                let reply = match objects.get(&object) {
-                    // the same fencing rule as NodeWorker::handle_install:
-                    // never let an older incarnation of an object replace
-                    // a newer one
-                    Some((_, have)) if obj_epoch <= *have => ProtoMsg::Ack {
-                        corr,
-                        ok: false,
-                        err: format!("stale object epoch {obj_epoch} <= {have}"),
-                    },
-                    _ => match registry.get(type_tag.as_str()) {
-                        Some(delin) => {
-                            objects.insert(object, (delin(&state), obj_epoch));
-                            ProtoMsg::Ack {
-                                corr,
-                                ok: true,
-                                err: String::new(),
-                            }
-                        }
-                        None => ProtoMsg::Ack {
-                            corr,
-                            ok: false,
-                            err: format!("no delinearizer for `{type_tag}`"),
-                        },
-                    },
-                };
-                let _ = peer.send(0, reply.encode());
-            }
-            ProtoMsg::Invoke {
-                corr,
-                object,
-                method,
-                payload,
-            } => {
-                let reply = match objects.get_mut(&object) {
-                    Some((obj, obj_epoch)) => {
-                        let result = obj.invoke(&method, &payload).map(Bytes::from);
-                        ProtoMsg::InvokeResp {
-                            corr,
-                            result,
-                            type_tag: obj.type_tag().to_owned(),
-                            new_state: Bytes::from(obj.linearize()),
-                            obj_epoch: *obj_epoch,
-                        }
-                    }
-                    None => ProtoMsg::InvokeResp {
-                        corr,
-                        result: Err(format!("object o{object} is not hosted here")),
-                        type_tag: String::new(),
-                        new_state: Bytes::new(),
-                        obj_epoch: 0,
-                    },
-                };
-                let _ = peer.send(0, reply.encode());
-            }
-            ProtoMsg::Surrender { corr, object } => {
-                let reply = match objects.remove(&object) {
-                    Some((obj, obj_epoch)) => ProtoMsg::SurrenderResp {
-                        corr,
-                        ok: true,
-                        err: String::new(),
-                        type_tag: obj.type_tag().to_owned(),
-                        state: Bytes::from(obj.linearize()),
-                        obj_epoch,
-                    },
-                    None => ProtoMsg::SurrenderResp {
-                        corr,
-                        ok: false,
-                        err: format!("object o{object} is not hosted here"),
-                        type_tag: String::new(),
-                        state: Bytes::new(),
-                        obj_epoch: 0,
-                    },
-                };
-                let _ = peer.send(0, reply.encode());
-            }
-            ProtoMsg::Shutdown => {
-                // give the writer a beat to flush queued replies
-                std::thread::sleep(Duration::from_millis(50));
-                peer.shutdown();
-                return Ok(WorkerExit::Shutdown);
-            }
-            // coordinator never sends these to a worker
-            ProtoMsg::Ack { .. }
-            | ProtoMsg::InvokeResp { .. }
-            | ProtoMsg::SurrenderResp { .. }
-            | ProtoMsg::Heartbeat => {}
+        // ignore failures: while down the beat queues (bounded) or the
+        // supervisor is already on it
+        let _ = peer.send(0, ProtoMsg::Heartbeat.encode());
+        if let Ok(exit) = exiting.recv_timeout(beat) {
+            break exit;
         }
-    }
+    };
+    peer.shutdown();
+    Ok(exit)
 }
 
 #[cfg(test)]

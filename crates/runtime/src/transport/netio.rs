@@ -69,8 +69,8 @@ pub enum Stream {
 }
 
 impl Stream {
-    /// An independently owned handle to the same connection (for the
-    /// reader/writer thread split).
+    /// An independently owned handle to the same connection (a session's
+    /// reader reads its own while senders write the other).
     pub fn try_clone(&self) -> io::Result<Stream> {
         Ok(match self {
             Stream::Unix(s) => Stream::Unix(s.try_clone()?),
@@ -193,6 +193,19 @@ impl Listener {
     }
 }
 
+/// Whether a failed `read` or `write` left the stream usable, so the
+/// caller re-checks its deadline (or its shutdown flag) and tries again: the
+/// kernel timeout fired before any byte moved (`WouldBlock` / `TimedOut`),
+/// or a signal interrupted the call (`Interrupted` — a profiler, `strace` or
+/// a debugger attaching to the thread). Every other error ends the session.
+#[must_use]
+pub fn retryable(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
+}
+
 /// Remaining time until `deadline`, as a timeout error once expired.
 fn remaining(deadline: Instant, what: &str) -> io::Result<Duration> {
     let now = Instant::now();
@@ -248,27 +261,25 @@ pub fn connect_deadline(addr: &TransportAddr, deadline: Instant) -> io::Result<S
 /// Writes all of `buf`, giving up at `deadline`. The stream's kernel write
 /// timeout is re-armed with the remaining budget before every attempt, so
 /// a stalled peer (full socket buffer — e.g. the fault proxy's `Stall`)
-/// surfaces as `TimedOut` instead of blocking the writer thread forever.
+/// surfaces as `TimedOut` instead of blocking the writing thread forever.
+/// Takes the stream shared: the write half of a session is written by
+/// whichever sender holds the link's `writing` flag, one at a time.
 ///
 /// # Errors
 /// [`io::ErrorKind::TimedOut`] at deadline expiry (the peer may have
 /// received a prefix — the connection must be dropped); other I/O errors
 /// as-is.
-pub fn write_all_deadline(
-    stream: &mut Stream,
-    mut buf: &[u8],
-    deadline: Instant,
-) -> io::Result<()> {
+pub fn write_all_deadline(stream: &Stream, mut buf: &[u8], deadline: Instant) -> io::Result<()> {
     while !buf.is_empty() {
         let budget = remaining(deadline, "write")?;
         let n = match stream {
             Stream::Unix(s) => {
                 s.set_write_timeout(Some(budget))?;
-                s.write(buf)
+                (&*s).write(buf)
             }
             Stream::Tcp(s) => {
                 s.set_write_timeout(Some(budget))?;
-                s.write(buf)
+                (&*s).write(buf)
             }
         };
         match n {
@@ -279,13 +290,8 @@ pub fn write_all_deadline(
                 ))
             }
             Ok(written) => buf = &buf[written..],
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                // loop re-checks the deadline and re-arms the timeout
-            }
+            // the loop re-checks the deadline and re-arms the timeout
+            Err(e) if retryable(&e) => {}
             Err(e) => return Err(e),
         }
     }
@@ -305,6 +311,29 @@ mod tests {
             assert_eq!(TransportAddr::parse(&addr.to_string()).unwrap(), addr);
         }
         assert!(TransportAddr::parse("carrier-pigeon:coop7").is_err());
+    }
+
+    #[test]
+    fn only_a_stall_or_a_signal_is_retried() {
+        use io::ErrorKind::*;
+        for kind in [WouldBlock, TimedOut, Interrupted] {
+            assert!(retryable(&io::Error::from(kind)), "{kind:?}");
+        }
+        // what a dead or broken session reports must end it
+        for kind in [
+            ConnectionReset,
+            ConnectionAborted,
+            BrokenPipe,
+            NotConnected,
+            UnexpectedEof,
+            WriteZero,
+            InvalidData,
+            Other,
+        ] {
+            assert!(!retryable(&io::Error::from(kind)), "{kind:?}");
+        }
+        // EINTR as the OS reports it, not only as std names it
+        assert!(retryable(&io::Error::from_raw_os_error(4)));
     }
 
     #[test]
@@ -346,8 +375,8 @@ mod tests {
             let n = s.read_chunk(&mut buf).unwrap();
             buf[..n].to_vec()
         });
-        let mut c = connect_deadline(&addr, Instant::now() + Duration::from_secs(5)).unwrap();
-        write_all_deadline(&mut c, b"ping!", Instant::now() + Duration::from_secs(5)).unwrap();
+        let c = connect_deadline(&addr, Instant::now() + Duration::from_secs(5)).unwrap();
+        write_all_deadline(&c, b"ping!", Instant::now() + Duration::from_secs(5)).unwrap();
         assert_eq!(t.join().unwrap(), b"ping!");
     }
 }

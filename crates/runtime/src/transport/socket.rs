@@ -21,30 +21,55 @@
 //! one stale frame. Re-handshakes at the *same* incarnation are idempotent
 //! — that is an ordinary reconnect and replaces the session.
 //!
-//! # Supervision and backpressure
+//! # Who writes
 //!
-//! Each peer owns one persistent bounded outbound queue and one writer
-//! loop. Frames are drained in batches (up to `MAX_BATCH`, 64, per write
-//! syscall) and written under a deadline. A failed write keeps the
-//! unwritten batch in a pending list, drops the connection, and lets the
-//! supervisor
-//! ([`super::backoff::Supervisor`]) schedule redials under capped
-//! exponential backoff with seeded jitter; the pending frames go out
-//! first on the next session (per-link FIFO, at-least-once). Senders block
-//! at most [`SocketConfig::send_deadline_ms`] on a full queue, then get
-//! [`TransportError::Backpressure`].
+//! Each link owns one persistent bounded outbound queue and **no writer
+//! thread**: the sender writes. [`Transport::send`] pushes its frame and,
+//! if a session is up and nobody is writing, becomes the writer — it
+//! frames up to `MAX_BATCH` (64) queued frames into one buffer, writes them
+//! under [`SocketConfig::write_timeout_ms`] with the lock released, and
+//! repeats until it finds the queue empty. A sender that finds someone
+//! writing leaves its frame in the queue and returns, so frames share a
+//! write syscall exactly when senders are concurrent. A failed write leaves
+//! its batch at the head of the queue and drops the connection; the
+//! supervisor ([`super::backoff::Supervisor`]) redials under capped
+//! exponential backoff with seeded jitter, and installing the next session
+//! writes the queue out before anything sent after it (per-link FIFO,
+//! at-least-once). Senders block at most
+//! [`SocketConfig::send_deadline_ms`] on a full queue, then get
+//! [`TransportError::Backpressure`]; `send` returning `Ok` means *queued*,
+//! and — when the link was up and idle — *written*.
+//!
+//! # Who dispatches
+//!
+//! Every [`TransportEvent`] leaves the transport through the endpoint's
+//! [`Sink`]. [`SocketServer::bind`] / [`SocketPeer::connect`] install the
+//! bounded event queue behind [`Transport::recv_timeout`];
+//! [`SocketServer::bind_with_sink`] / [`SocketPeer::connect_with_sink`]
+//! take the caller's, which then runs **on the transport's own threads**:
+//! a session's reader (every `Delivery`, and `Disconnected` at EOF), the
+//! acceptor or the dial supervisor (`Connected`, `Reconnected`,
+//! `HandshakeFenced`), and any thread inside `send` whose write failed
+//! (`Disconnected`). No transport lock is held while a sink runs, so it
+//! may `send` — a reply goes out inline. It may not wait for another frame
+//! from the same link (only the reader it is running on could deliver it),
+//! may not call `shutdown` (which joins that reader), and should not block:
+//! while it runs, nothing is read from its session, and the other end's
+//! senders stall in their writes.
 
 use super::backoff::{BackoffConfig, LinkState, Supervisor};
 use super::frame::{encode_frame, encode_frame_parts, FrameConfig, FrameDecoder, HEADER_LEN};
-use super::netio::{connect_deadline, write_all_deadline, Listener, Stream, TransportAddr};
+use super::netio::{
+    connect_deadline, retryable, write_all_deadline, Listener, Stream, TransportAddr,
+};
 use super::{LinkHealth, Transport, TransportError, TransportEvent};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -71,6 +96,9 @@ const INBOUND_CAPACITY: usize = 4_096;
 
 /// Most frames coalesced into one write syscall.
 const MAX_BATCH: usize = 64;
+
+/// Longest a transport thread sleeps without re-checking for shutdown.
+const POLL: Duration = Duration::from_millis(20);
 
 impl Default for SocketConfig {
     fn default() -> Self {
@@ -159,57 +187,257 @@ pub(crate) fn decode_session(frame: &Bytes) -> Result<SessionFrame, String> {
     }
 }
 
-/// The writer half both ends share: the batch in flight (kept across a
-/// failed write, so it goes out first on the next session) and the reused
-/// wire buffer it is framed into.
-#[derive(Default)]
-struct Outbound {
-    pending: VecDeque<Bytes>,
-    wire: Vec<u8>,
-}
+// ---------------------------------------------------------------------------
+// the link: one outbound queue, one session, and whoever sends writes
+
+/// Where an endpoint `E` hands every [`TransportEvent`], on whichever
+/// transport thread produced it (see the [module docs](self) for which
+/// those are and what a sink may not do). It is given the endpoint so that
+/// it can answer a delivery with an inline [`Transport::send`].
+pub type Sink<E> = Box<dyn Fn(&E, TransportEvent<Bytes>) + Send + Sync>;
 
 /// Wire-buffer capacity kept between batches; a rare larger batch (64
 /// frames of a migrating object's state) is freed once written.
 const WIRE_KEEP: usize = 256 * 1024;
 
-impl Outbound {
-    /// Tops the batch up from `outbox`, waiting up to 20 ms for a first
-    /// frame. `false` when there is still nothing to write.
-    fn fill(&mut self, outbox: &Receiver<Bytes>) -> bool {
-        if self.pending.is_empty() {
-            match outbox.recv_timeout(Duration::from_millis(20)) {
-                Ok(frame) => self.pending.push_back(frame),
-                Err(_) => return false,
+/// One link's outbound state, all of it under [`Link::out`].
+#[derive(Default)]
+struct Out {
+    /// Frames `send` accepted and no write has finished, oldest first; at
+    /// most `outbound_capacity`. Survives reconnects.
+    queue: VecDeque<Bytes>,
+    /// Write half of the live session (its reader owns a clone of the
+    /// descriptor); `None` while the link is down.
+    session: Option<Arc<Stream>>,
+    /// Sessions installed so far. Names the live one, so a replaced
+    /// session's reader or writer cannot tear down its successor.
+    generation: u64,
+    /// Some thread is inside [`Link::flush`]: it alone pops `queue` and
+    /// writes `session` until it clears the flag.
+    writing: bool,
+    /// The reused buffer batches are framed into.
+    wire: Vec<u8>,
+    /// The incarnation this link's sessions authenticate: a dialing end's
+    /// own, from the start; at the accepting end the peer's, `None` until
+    /// its first Hello.
+    epoch: Option<u64>,
+    /// The handshake was refused (a dialing end only; terminal).
+    fenced: bool,
+    /// The endpoint was shut down: its `closed` flag, repeated here for
+    /// those who sleep on `changed` (the readers poll the flag itself).
+    closed: bool,
+}
+
+struct Link {
+    out: std::sync::Mutex<Out>,
+    /// Notified on every session transition (installed, down, fenced), on
+    /// close, and when a finished write makes room in a full queue: what a
+    /// blocked sender, the dial supervisor and `wait_connected` sleep on.
+    changed: Condvar,
+}
+
+impl Link {
+    fn new(epoch: Option<u64>) -> Link {
+        Link {
+            out: std::sync::Mutex::new(Out {
+                epoch,
+                ..Out::default()
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Out> {
+        // only this module's own code runs under the lock, never a sink, so
+        // a panic elsewhere cannot have left `Out` half-updated
+        self.out.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sleeps on `changed` for at most `timeout`.
+    fn wait_timeout<'a>(&self, out: MutexGuard<'a, Out>, timeout: Duration) -> MutexGuard<'a, Out> {
+        self.changed
+            .wait_timeout(out, timeout)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0
+    }
+
+    /// Queues `msg`, waiting up to `send_deadline_ms` for room, and writes
+    /// the queue out if nobody else is. `Ok(true)` when that write failed
+    /// and took the session down: the caller owes its sink a
+    /// `Disconnected`.
+    fn send(&self, to: u32, msg: Bytes, cfg: &SocketConfig) -> Result<bool, TransportError> {
+        let mut out = self.lock();
+        let mut deadline = None;
+        loop {
+            if out.closed {
+                return Err(TransportError::Closed);
+            }
+            let Some(epoch) = out.epoch else {
+                return Err(TransportError::Down { peer: to });
+            };
+            if out.fenced {
+                return Err(TransportError::Fenced { peer: to, epoch });
+            }
+            if out.queue.len() < cfg.outbound_capacity {
+                break;
+            }
+            let left = deadline
+                .get_or_insert_with(|| Instant::now() + Duration::from_millis(cfg.send_deadline_ms))
+                .saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(TransportError::Backpressure {
+                    waited_ms: cfg.send_deadline_ms,
+                });
+            }
+            out = self.wait_timeout(out, left);
+        }
+        out.queue.push_back(msg);
+        // INVARIANT 1 (no stranded frame), first half: the push above and
+        // the test of `writing` in `flush` happen under this one
+        // acquisition — either this thread becomes the writer, or the
+        // writer that holds the flag has yet to take the lock again, and
+        // will find this frame when it does.
+        Ok(self.flush(out, cfg))
+    }
+
+    /// Becomes the writer unless someone is: frames up to `MAX_BATCH`
+    /// queued frames into the reused buffer, writes them with the lock
+    /// released, and repeats until the queue is empty or the session gone.
+    /// A failed write leaves its batch at the head of the queue and downs
+    /// the session it was written to. `true` when this call downed one.
+    fn flush<'a>(&'a self, mut out: MutexGuard<'a, Out>, cfg: &SocketConfig) -> bool {
+        if out.writing {
+            return false;
+        }
+        out.writing = true;
+        let mut downed = false;
+        loop {
+            let Some(stream) = out.session.clone() else {
+                break;
+            };
+            if out.queue.is_empty() {
+                break;
+            }
+            let generation = out.generation;
+            let batch = out.queue.len().min(MAX_BATCH);
+            let mut wire = std::mem::take(&mut out.wire);
+            wire.clear();
+            // [len][crc] + [tag][payload len] around every payload
+            let framed = |f: &Bytes| 2 * HEADER_LEN + f.len();
+            wire.reserve(out.queue.iter().take(batch).map(framed).sum());
+            for f in out.queue.iter().take(batch) {
+                write_data(f, &mut wire);
+            }
+            drop(out);
+            let deadline = Instant::now() + Duration::from_millis(cfg.write_timeout_ms);
+            let written = write_all_deadline(&stream, &wire, deadline);
+            out = self.lock();
+            if wire.capacity() <= WIRE_KEEP {
+                out.wire = wire;
+            }
+            match written {
+                // the batch leaves the queue only once written
+                Ok(()) => {
+                    let was_full = out.queue.len() >= cfg.outbound_capacity;
+                    out.queue.drain(..batch);
+                    if was_full {
+                        self.changed.notify_all();
+                    }
+                }
+                // if a newer session replaced the failed one meanwhile, the
+                // next turn retries the batch on it
+                Err(_) => downed |= self.down_locked(&mut out, generation),
             }
         }
-        while self.pending.len() < MAX_BATCH {
-            match outbox.try_recv() {
-                Ok(frame) => self.pending.push_back(frame),
-                Err(_) => break,
+        // INVARIANT 1, second half: the flag is cleared only here, under
+        // the acquisition in which the loop saw the queue empty or the
+        // session gone. A frame pushed after that sees the flag clear and
+        // is written by its own sender; one left behind a dead session is
+        // covered by invariant 2.
+        out.writing = false;
+        downed
+    }
+
+    /// Publishes `stream` as the write half of a new session (replacing,
+    /// and so killing, any live one), lets `started(generation, first)`
+    /// start its reader and announce it, then writes out what was queued
+    /// while the link was down — first and in order, since later sends
+    /// queue behind it. `true` when that write already failed and downed
+    /// the new session.
+    fn install(
+        &self,
+        stream: Stream,
+        epoch: u64,
+        cfg: &SocketConfig,
+        started: impl FnOnce(u64, bool),
+    ) -> bool {
+        let generation = {
+            let mut out = self.lock();
+            if out.closed {
+                stream.shutdown_both();
+                return false;
             }
+            if let Some(old) = out.session.replace(Arc::new(stream)) {
+                old.shutdown_both(); // its reader sees EOF and exits
+            }
+            out.generation += 1;
+            out.epoch = Some(epoch);
+            self.changed.notify_all();
+            out.generation
+        };
+        // the reader runs before the queue is written out: were the other
+        // end to answer a large flush while nobody here reads, both ends
+        // would sit in their writes until one timed out
+        started(generation, generation == 1);
+        // INVARIANT 2 (no frame waits on a live link): this is the only
+        // place a session is published, and it flushes afterwards. Frames
+        // queued while the link was down had nobody to write them — their
+        // senders saw no session — so the installer does.
+        self.flush(self.lock(), cfg)
+    }
+
+    /// Marks session `generation` dead if it is still the live one — its
+    /// reader saw EOF, or a writer a failed write. `true` when it was: the
+    /// caller owes its sink a `Disconnected`.
+    fn down(&self, generation: u64) -> bool {
+        self.down_locked(&mut self.lock(), generation)
+    }
+
+    fn down_locked(&self, out: &mut Out, generation: u64) -> bool {
+        if out.generation != generation {
+            return false;
         }
+        let Some(stream) = out.session.take() else {
+            return false;
+        };
+        stream.shutdown_both();
+        self.changed.notify_all();
         true
     }
 
-    /// Frames the whole batch into one buffer and writes it under the
-    /// write deadline. The batch is dropped only once written.
-    fn write(&mut self, stream: &mut Stream, write_timeout_ms: u64) -> io::Result<()> {
-        self.wire.clear();
-        // [len][crc] + [tag][payload len] around every payload
-        let framed = |f: &Bytes| 2 * HEADER_LEN + f.len();
-        self.wire.reserve(self.pending.iter().map(framed).sum());
-        for f in &self.pending {
-            write_data(f, &mut self.wire);
+    fn fence(&self) {
+        self.lock().fenced = true;
+        self.changed.notify_all();
+    }
+
+    fn close(&self) {
+        let mut out = self.lock();
+        out.closed = true;
+        if let Some(stream) = out.session.take() {
+            stream.shutdown_both(); // unblocks its reader and any writer
         }
-        let deadline = Instant::now() + Duration::from_millis(write_timeout_ms);
-        let written = write_all_deadline(stream, &self.wire, deadline);
-        if self.wire.capacity() > WIRE_KEEP {
-            self.wire = Vec::new();
+        self.changed.notify_all();
+    }
+
+    fn health(&self) -> LinkHealth {
+        let out = self.lock();
+        if out.fenced {
+            LinkHealth::Fenced
+        } else if out.session.is_some() {
+            LinkHealth::Up
+        } else {
+            LinkHealth::Down
         }
-        if written.is_ok() {
-            self.pending.clear();
-        }
-        written
     }
 }
 
@@ -238,7 +466,7 @@ fn read_session(stream: &mut Stream, closed: &AtomicBool, mut deliver: impl FnMu
         match stream.read_chunk(&mut buf) {
             Ok(0) => return true,
             Ok(n) => dec.extend(&buf[..n]),
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
+            Err(e) if retryable(&e) => {}
             Err(_) => return true,
         }
     }
@@ -276,7 +504,7 @@ fn read_frame_deadline(
                 ))
             }
             Ok(n) => dec.extend(&buf[..n]),
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
+            Err(e) if retryable(&e) => {}
             Err(e) => return Err(e),
         }
     }
@@ -286,54 +514,75 @@ fn ms(d: Duration) -> u64 {
     d.as_millis() as u64
 }
 
+/// The default sink — a bounded queue; a full one backpressures whoever
+/// produced the event — and the receiver `recv_timeout` takes from.
+fn event_queue<E>() -> (Sink<E>, Receiver<TransportEvent<Bytes>>) {
+    let (events_tx, events_rx) = bounded(INBOUND_CAPACITY);
+    let queue: Sink<E> = Box::new(move |_, ev| {
+        let _ = events_tx.send(ev);
+    });
+    (queue, events_rx)
+}
+
+/// The default sink's other end: the next queued event of an endpoint. An
+/// endpoint built around its own sink has no queue to wait on.
+fn recv_event(
+    events: Option<&Receiver<TransportEvent<Bytes>>>,
+    closed: &AtomicBool,
+    timeout: Duration,
+) -> Result<TransportEvent<Bytes>, TransportError> {
+    let Some(events) = events else {
+        return Err(TransportError::Closed);
+    };
+    match events.recv_timeout(timeout) {
+        Ok(ev) => Ok(ev),
+        Err(_) if closed.load(Ordering::Acquire) => Err(TransportError::Closed),
+        Err(_) => Err(TransportError::Timeout {
+            waited_ms: ms(timeout),
+        }),
+    }
+}
+
+/// Joins every transport thread an endpoint started.
+fn join_all(threads: &Mutex<Vec<JoinHandle<()>>>) {
+    let handles: Vec<_> = threads.lock().drain(..).collect();
+    for h in handles {
+        let _ = h.join();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // server
 
-/// One connected worker's state at the server.
-struct PeerSlot {
-    /// Persistent outbound queue towards this peer (survives reconnects).
-    outbox: Sender<Bytes>,
-    /// Live write half, replaced on every new session. `None` while down.
-    stream: Option<Stream>,
-    /// Bumped per accepted session; stale readers compare against it.
-    generation: u64,
-    /// Incarnation the current/last session authenticated as.
-    epoch: u64,
-    up: bool,
-}
-
 struct ServerShared {
     cfg: SocketConfig,
-    peers_total: u32,
-    events_tx: Sender<TransportEvent<Bytes>>,
-    events_rx: Receiver<TransportEvent<Bytes>>,
-    /// node id → slot; leaf lock, held only for map/field access.
-    slots: Mutex<HashMap<u32, PeerSlot>>,
+    /// The resolved listen address.
+    addr: TransportAddr,
+    /// Node id → its link; a link without an `epoch` has not said Hello.
+    links: Vec<Link>,
+    sink: Sink<SocketServer>,
     /// node id → smallest acceptable incarnation (fencing floor).
     floors: Mutex<HashMap<u32, u64>>,
     closed: AtomicBool,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl ServerShared {
-    fn emit(&self, ev: TransportEvent<Bytes>) {
-        // inbound queue is bounded; blocking here backpressures readers
-        // (and with them the kernel socket buffers), which is the policy
-        let _ = self.events_tx.send(ev);
-    }
-}
-
 /// The coordinator's end of the socket transport: accepts worker sessions,
-/// fences stale incarnations at accept time, supervises per-peer writers.
+/// fences stale incarnations at accept time, keeps one outbound link per
+/// worker.
 pub struct SocketServer {
     inner: Arc<ServerShared>,
-    addr: TransportAddr,
+    /// The queue [`SocketServer::bind`]'s sink fills; `None` with a
+    /// caller's sink, and in the handles the server's own threads hold.
+    events: Option<Receiver<TransportEvent<Bytes>>>,
 }
 
 impl SocketServer {
     /// Binds `addr` and starts the accept loop. `peers_total` bounds the
     /// valid node-id space. Returns the server and its **resolved**
-    /// address (TCP `:0` binds report the real port).
+    /// address (TCP `:0` binds report the real port). Events queue (bounded;
+    /// a full queue backpressures the readers, and with them the kernel
+    /// socket buffers) until [`Transport::recv_timeout`] takes them.
     ///
     /// # Errors
     /// Propagates bind failures.
@@ -342,35 +591,63 @@ impl SocketServer {
         peers_total: u32,
         cfg: SocketConfig,
     ) -> io::Result<SocketServer> {
+        let (queue, events) = event_queue();
+        let mut server = SocketServer::bind_with_sink(addr, peers_total, cfg, queue)?;
+        server.events = Some(events);
+        Ok(server)
+    }
+
+    /// As [`SocketServer::bind`], but every event goes to `sink` on the
+    /// transport thread that produced it instead of a queue — see the
+    /// [module docs](self) for what a sink may not do. `recv_timeout` on
+    /// such a server reports [`TransportError::Closed`].
+    ///
+    /// # Errors
+    /// Propagates bind failures.
+    pub fn bind_with_sink(
+        addr: &TransportAddr,
+        peers_total: u32,
+        cfg: SocketConfig,
+        sink: Sink<SocketServer>,
+    ) -> io::Result<SocketServer> {
         let listener = Listener::bind(addr)?;
-        let resolved = listener.local_addr()?;
-        let (events_tx, events_rx) = bounded(INBOUND_CAPACITY);
-        let inner = Arc::new(ServerShared {
-            cfg,
-            peers_total,
-            events_tx,
-            events_rx,
-            slots: Mutex::new(HashMap::new()),
-            floors: Mutex::new(HashMap::new()),
-            closed: AtomicBool::new(false),
-            threads: Mutex::new(Vec::new()),
-        });
-        let accept_inner = Arc::clone(&inner);
+        let server = SocketServer {
+            inner: Arc::new(ServerShared {
+                cfg,
+                addr: listener.local_addr()?,
+                links: (0..peers_total).map(|_| Link::new(None)).collect(),
+                sink,
+                floors: Mutex::new(HashMap::new()),
+                closed: AtomicBool::new(false),
+                threads: Mutex::new(Vec::new()),
+            }),
+            events: None,
+        };
+        let acceptor = server.handle();
         let handle = std::thread::Builder::new()
             .name("oml-accept".into())
-            .spawn(move || accept_loop(&accept_inner, &listener))
+            .spawn(move || accept_loop(&acceptor, &listener))
             .expect("spawn accept thread");
-        inner.threads.lock().push(handle);
-        Ok(SocketServer {
-            inner,
-            addr: resolved,
-        })
+        server.inner.threads.lock().push(handle);
+        Ok(server)
+    }
+
+    /// Another handle to the same endpoint, for its own threads.
+    fn handle(&self) -> SocketServer {
+        SocketServer {
+            inner: Arc::clone(&self.inner),
+            events: None,
+        }
+    }
+
+    fn emit(&self, ev: TransportEvent<Bytes>) {
+        (self.inner.sink)(self, ev);
     }
 
     /// The resolved listen address — hand this to worker processes.
     #[must_use]
     pub fn addr(&self) -> &TransportAddr {
-        &self.addr
+        &self.inner.addr
     }
 
     /// Raises `node`'s fencing floor: handshakes presenting an incarnation
@@ -385,27 +662,25 @@ impl SocketServer {
     /// (`None` before any session).
     #[must_use]
     pub fn session_epoch(&self, node: u32) -> Option<u64> {
-        self.inner.slots.lock().get(&node).map(|s| s.epoch)
+        self.inner.links.get(node as usize)?.lock().epoch
     }
 }
 
 impl Transport<Bytes> for SocketServer {
     fn peers(&self) -> u32 {
-        self.inner.peers_total
+        self.inner.links.len() as u32
     }
 
     fn send(&self, to: u32, msg: Bytes) -> Result<(), TransportError> {
-        if self.inner.closed.load(Ordering::Acquire) {
-            return Err(TransportError::Closed);
+        let link = self
+            .inner
+            .links
+            .get(to as usize)
+            .ok_or(TransportError::Down { peer: to })?;
+        if link.send(to, msg, &self.inner.cfg)? {
+            self.emit(TransportEvent::Disconnected { peer: to });
         }
-        let tx = {
-            let slots = self.inner.slots.lock();
-            match slots.get(&to) {
-                Some(slot) => slot.outbox.clone(),
-                None => return Err(TransportError::Down { peer: to }),
-            }
-        };
-        send_with_deadline(&tx, msg, self.inner.cfg.send_deadline_ms)
+        Ok(())
     }
 
     fn recv_timeout(
@@ -413,81 +688,30 @@ impl Transport<Bytes> for SocketServer {
         _at: u32,
         timeout: Duration,
     ) -> Result<TransportEvent<Bytes>, TransportError> {
-        recv_event(&self.inner.events_rx, &self.inner.closed, timeout)
+        recv_event(self.events.as_ref(), &self.inner.closed, timeout)
     }
 
     fn link_health(&self, to: u32) -> LinkHealth {
-        let slots = self.inner.slots.lock();
-        match slots.get(&to) {
-            Some(slot) if slot.up => LinkHealth::Up,
-            _ => LinkHealth::Down,
+        match self.inner.links.get(to as usize) {
+            Some(link) => link.health(),
+            None => LinkHealth::Down,
         }
     }
 
     fn shutdown(&self) {
         self.inner.closed.store(true, Ordering::Release);
-        {
-            let mut slots = self.inner.slots.lock();
-            for slot in slots.values_mut() {
-                if let Some(s) = &slot.stream {
-                    s.shutdown_both();
-                }
-                slot.stream = None;
-                slot.up = false;
-            }
+        for link in &self.inner.links {
+            link.close();
         }
-        let handles: Vec<_> = self.inner.threads.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        join_all(&self.inner.threads);
     }
 }
 
-/// The next inbound event of an endpoint, shared by server and peer.
-fn recv_event(
-    events: &Receiver<TransportEvent<Bytes>>,
-    closed: &AtomicBool,
-    timeout: Duration,
-) -> Result<TransportEvent<Bytes>, TransportError> {
-    match events.recv_timeout(timeout) {
-        Ok(ev) => Ok(ev),
-        Err(_) if closed.load(Ordering::Acquire) => Err(TransportError::Closed),
-        Err(_) => Err(TransportError::Timeout {
-            waited_ms: ms(timeout),
-        }),
-    }
-}
-
-/// Blocking-with-deadline enqueue shared by server and peer send paths.
-fn send_with_deadline(
-    tx: &Sender<Bytes>,
-    msg: Bytes,
-    deadline_ms: u64,
-) -> Result<(), TransportError> {
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-    let mut msg = msg;
-    loop {
-        match tx.try_send(msg) {
-            Ok(()) => return Ok(()),
-            Err(TrySendError::Disconnected(_)) => return Err(TransportError::Closed),
-            Err(TrySendError::Full(back)) => {
-                if Instant::now() >= deadline {
-                    return Err(TransportError::Backpressure {
-                        waited_ms: deadline_ms,
-                    });
-                }
-                msg = back;
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
-}
-
-fn accept_loop(inner: &Arc<ServerShared>, listener: &Listener) {
-    while !inner.closed.load(Ordering::Acquire) {
+fn accept_loop(server: &SocketServer, listener: &Listener) {
+    while !server.inner.closed.load(Ordering::Acquire) {
         let deadline = Instant::now() + Duration::from_millis(50);
         match listener.accept_deadline(deadline) {
-            Ok(stream) => handle_accept(inner, stream),
+            Ok(stream) => handle_accept(server, stream),
             Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
             Err(_) => {
                 // bind torn down under us — poll the closed flag
@@ -501,38 +725,37 @@ fn accept_loop(inner: &Arc<ServerShared>, listener: &Listener) {
 /// `handshake_timeout_ms`), then installs the session and spawns its
 /// reader. A worker that stalls mid-handshake delays only this accept,
 /// never established sessions.
-fn handle_accept(inner: &Arc<ServerShared>, mut stream: Stream) {
+fn handle_accept(server: &SocketServer, mut stream: Stream) {
+    let inner = &server.inner;
     let deadline = Instant::now() + Duration::from_millis(inner.cfg.handshake_timeout_ms);
     let mut dec = FrameDecoder::new(FrameConfig::default());
-    let hello = match read_frame_deadline(&mut stream, &mut dec, deadline) {
-        Ok(frame) => match decode_session(&frame) {
-            Ok(SessionFrame::Hello {
-                node,
-                epoch,
-                attempt,
-            }) if node < inner.peers_total => (node, epoch, attempt),
-            _ => {
-                stream.shutdown_both();
-                return;
-            }
-        },
-        Err(_) => {
-            stream.shutdown_both();
-            return;
-        }
+    let hello = read_frame_deadline(&mut stream, &mut dec, deadline)
+        .ok()
+        .and_then(|frame| decode_session(&frame).ok());
+    let Some(SessionFrame::Hello {
+        node,
+        epoch,
+        attempt,
+    }) = hello
+    else {
+        stream.shutdown_both();
+        return;
     };
-    let (node, epoch, attempt) = hello;
+    let Some(link) = inner.links.get(node as usize) else {
+        stream.shutdown_both();
+        return;
+    };
 
     let floor = { *inner.floors.lock().entry(node).or_insert(0) };
     let accepted = epoch >= floor;
     let mut wire = Vec::new();
     write_session(&SessionFrame::HelloAck { accepted, floor }, &mut wire);
-    if write_all_deadline(&mut stream, &wire, deadline).is_err() {
+    if write_all_deadline(&stream, &wire, deadline).is_err() {
         stream.shutdown_both();
         return;
     }
     if !accepted {
-        inner.emit(TransportEvent::HandshakeFenced { peer: node, epoch });
+        server.emit(TransportEvent::HandshakeFenced { peer: node, epoch });
         stream.shutdown_both();
         return;
     }
@@ -544,175 +767,64 @@ fn handle_accept(inner: &Arc<ServerShared>, mut stream: Stream) {
         .entry(node)
         .and_modify(|f| *f = (*f).max(epoch));
 
-    let (generation, first_session, read_half) = {
-        let mut slots = inner.slots.lock();
-        let first = !slots.contains_key(&node);
-        let slot = slots.entry(node).or_insert_with(|| {
-            let (outbox_tx, outbox_rx) = bounded(inner.cfg.outbound_capacity);
-            // per-peer writer loop, started once, lives until shutdown
-            let w_inner = Arc::clone(inner);
-            let handle = std::thread::Builder::new()
-                .name(format!("oml-writer-{node}"))
-                .spawn(move || server_writer_loop(&w_inner, node, &outbox_rx))
-                .expect("spawn writer thread");
-            inner.threads.lock().push(handle);
-            PeerSlot {
-                outbox: outbox_tx,
-                stream: None,
-                generation: 0,
-                epoch,
-                up: false,
-            }
-        });
-        if let Some(old) = &slot.stream {
-            old.shutdown_both(); // replaced session: kill the old reader
-        }
-        slot.generation += 1;
-        slot.epoch = epoch;
-        slot.up = true;
-        let Ok(read_half) = stream.try_clone() else {
-            stream.shutdown_both();
-            slot.up = false;
-            return;
-        };
-        slot.stream = Some(stream);
-        (slot.generation, first, read_half)
+    let Ok(read_half) = stream.try_clone() else {
+        stream.shutdown_both();
+        return;
     };
-
-    let r_inner = Arc::clone(inner);
-    let handle = std::thread::Builder::new()
-        .name(format!("oml-reader-{node}"))
-        .spawn(move || server_reader_loop(&r_inner, node, epoch, generation, read_half))
-        .expect("spawn reader thread");
-    inner.threads.lock().push(handle);
-
-    if first_session {
-        inner.emit(TransportEvent::Connected { peer: node, epoch });
-    } else {
-        inner.emit(TransportEvent::Reconnected {
-            peer: node,
-            epoch,
-            attempt,
+    let downed = link.install(stream, epoch, &inner.cfg, |generation, first| {
+        server.emit(if first {
+            TransportEvent::Connected { peer: node, epoch }
+        } else {
+            TransportEvent::Reconnected {
+                peer: node,
+                epoch,
+                attempt,
+            }
         });
+        let reader = server.handle();
+        let handle = std::thread::Builder::new()
+            .name(format!("oml-reader-{node}"))
+            .spawn(move || server_reader_loop(&reader, node, epoch, generation, read_half))
+            .expect("spawn reader thread");
+        inner.threads.lock().push(handle);
+    });
+    if downed {
+        server.emit(TransportEvent::Disconnected { peer: node });
     }
 }
 
-/// Drains `node`'s outbox in batches and writes them to whatever stream
-/// the slot currently holds; frames caught in a failed write are retried
-/// on the next session.
-fn server_writer_loop(inner: &Arc<ServerShared>, node: u32, outbox: &Receiver<Bytes>) {
-    let mut out = Outbound::default();
-    // the write half of session `generation`, cloned once per session
-    let mut write_half: Option<(u64, Stream)> = None;
-    while !inner.closed.load(Ordering::Acquire) {
-        if !out.fill(outbox) {
-            // idle: the cached half must not outlive its session, or a
-            // dead session's descriptor stays open until the next send
-            if let Some((generation, _)) = &write_half {
-                let live = inner
-                    .slots
-                    .lock()
-                    .get(&node)
-                    .is_some_and(|slot| slot.up && slot.generation == *generation);
-                if !live {
-                    write_half = None;
-                }
-            }
-            continue;
-        }
-        {
-            let mut slots = inner.slots.lock();
-            match slots.get_mut(&node) {
-                Some(slot) if slot.up => {
-                    if write_half.as_ref().map(|(g, _)| *g) != Some(slot.generation) {
-                        match slot.stream.as_ref().map(Stream::try_clone) {
-                            Some(Ok(s)) => write_half = Some((slot.generation, s)),
-                            _ => {
-                                slot.up = false;
-                                continue;
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    drop(slots);
-                    write_half = None;
-                    std::thread::sleep(Duration::from_millis(5));
-                    continue;
-                }
-            }
-        }
-        let Some((generation, stream)) = write_half.as_mut() else {
-            continue;
-        };
-        let generation = *generation;
-        if out.write(stream, inner.cfg.write_timeout_ms).is_err() {
-            // connection is toast; the batch stays for the next session
-            write_half = None;
-            session_down(inner, node, generation);
-        }
-    }
-}
-
-/// Reads one session's frames into the shared event queue until EOF or a
-/// framing error; a stale generation (session since replaced) exits
-/// silently so a reconnect can't be torn down by its predecessor's reader.
+/// Hands one session's frames to the sink until EOF or a framing error; a
+/// stale generation (session since replaced) exits silently so a reconnect
+/// can't be torn down by its predecessor's reader.
 fn server_reader_loop(
-    inner: &Arc<ServerShared>,
+    server: &SocketServer,
     node: u32,
     epoch: u64,
     generation: u64,
     mut stream: Stream,
 ) {
-    let died = read_session(&mut stream, &inner.closed, |msg| {
-        inner.emit(TransportEvent::Delivery {
+    let died = read_session(&mut stream, &server.inner.closed, |msg| {
+        server.emit(TransportEvent::Delivery {
             from: node,
             epoch,
             msg,
         });
     });
-    if died {
-        session_down(inner, node, generation);
-    }
-}
-
-/// Marks `node`'s session dead if `generation` is still the live one — its
-/// reader saw EOF, or its writer a failed write.
-fn session_down(inner: &Arc<ServerShared>, node: u32, generation: u64) {
-    let mut slots = inner.slots.lock();
-    if let Some(slot) = slots.get_mut(&node) {
-        if slot.generation == generation && slot.up {
-            if let Some(s) = &slot.stream {
-                s.shutdown_both();
-            }
-            slot.stream = None;
-            slot.up = false;
-            drop(slots);
-            inner.emit(TransportEvent::Disconnected { peer: node });
-        }
+    if died && server.inner.links[node as usize].down(generation) {
+        server.emit(TransportEvent::Disconnected { peer: node });
     }
 }
 
 // ---------------------------------------------------------------------------
 // peer (client)
 
-const HEALTH_UP: u32 = 0;
-const HEALTH_DOWN: u32 = 1;
-const HEALTH_FENCED: u32 = 2;
-
 struct PeerShared {
     cfg: SocketConfig,
     addr: TransportAddr,
     node: u32,
     epoch: u64,
-    events_tx: Sender<TransportEvent<Bytes>>,
-    events_rx: Receiver<TransportEvent<Bytes>>,
-    outbox_tx: Sender<Bytes>,
-    outbox_rx: Receiver<Bytes>,
-    health: AtomicU32,
-    /// Highest session generation whose reader saw EOF/error — the run
-    /// loop compares with its current generation to notice silent death.
-    dead_gen: AtomicU64,
+    link: Link,
+    sink: Sink<SocketPeer>,
     closed: AtomicBool,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -721,6 +833,8 @@ struct PeerShared {
 /// towards the coordinator (`peer 0` in [`Transport`] terms).
 pub struct SocketPeer {
     inner: Arc<PeerShared>,
+    /// As [`SocketServer`]'s: the queue behind `recv_timeout`, if any.
+    events: Option<Receiver<TransportEvent<Bytes>>>,
 }
 
 impl SocketPeer {
@@ -730,52 +844,80 @@ impl SocketPeer {
     /// for the outcome of the first dial.
     #[must_use]
     pub fn connect(addr: TransportAddr, node: u32, epoch: u64, cfg: SocketConfig) -> SocketPeer {
-        let (events_tx, events_rx) = bounded(INBOUND_CAPACITY);
-        let (outbox_tx, outbox_rx) = bounded(cfg.outbound_capacity);
-        let inner = Arc::new(PeerShared {
-            cfg,
-            addr,
-            node,
-            epoch,
-            events_tx,
-            events_rx,
-            outbox_tx,
-            outbox_rx,
-            health: AtomicU32::new(HEALTH_DOWN),
-            dead_gen: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
-            threads: Mutex::new(Vec::new()),
-        });
-        let run_inner = Arc::clone(&inner);
-        let handle = std::thread::Builder::new()
-            .name(format!("oml-peer-{node}"))
-            .spawn(move || peer_run_loop(&run_inner))
-            .expect("spawn peer supervisor");
-        inner.threads.lock().push(handle);
-        SocketPeer { inner }
+        let (queue, events) = event_queue();
+        let mut peer = SocketPeer::connect_with_sink(addr, node, epoch, cfg, queue);
+        peer.events = Some(events);
+        peer
     }
 
-    /// Blocks until the first handshake resolves (accepted or fenced) or
-    /// `timeout` passes. `true` when connected.
+    /// As [`SocketPeer::connect`], but every event goes to `sink` on the
+    /// transport thread that produced it instead of a queue — see the
+    /// [module docs](self) for what a sink may not do. `recv_timeout` on
+    /// such a peer reports [`TransportError::Closed`].
+    #[must_use]
+    pub fn connect_with_sink(
+        addr: TransportAddr,
+        node: u32,
+        epoch: u64,
+        cfg: SocketConfig,
+        sink: Sink<SocketPeer>,
+    ) -> SocketPeer {
+        let peer = SocketPeer {
+            inner: Arc::new(PeerShared {
+                cfg,
+                addr,
+                node,
+                epoch,
+                link: Link::new(Some(epoch)),
+                sink,
+                closed: AtomicBool::new(false),
+                threads: Mutex::new(Vec::new()),
+            }),
+            events: None,
+        };
+        let supervisor = peer.handle();
+        let handle = std::thread::Builder::new()
+            .name(format!("oml-peer-{node}"))
+            .spawn(move || peer_run_loop(&supervisor))
+            .expect("spawn peer supervisor");
+        peer.inner.threads.lock().push(handle);
+        peer
+    }
+
+    /// Another handle to the same endpoint, for its own threads.
+    fn handle(&self) -> SocketPeer {
+        SocketPeer {
+            inner: Arc::clone(&self.inner),
+            events: None,
+        }
+    }
+
+    fn emit(&self, ev: TransportEvent<Bytes>) {
+        (self.inner.sink)(self, ev);
+    }
+
+    /// Blocks until a handshake resolves (accepted or fenced) or `timeout`
+    /// passes. `true` when connected.
     pub fn wait_connected(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
+        let link = &self.inner.link;
+        let mut out = link.lock();
         loop {
-            match self.inner.health.load(Ordering::Acquire) {
-                HEALTH_UP => return true,
-                HEALTH_FENCED => return false,
-                _ => {}
+            if out.session.is_some() {
+                return true;
             }
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if out.fenced || out.closed || left.is_zero() {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(2));
+            out = link.wait_timeout(out, left);
         }
     }
 
     /// Whether this peer's incarnation has been refused (terminal).
     #[must_use]
     pub fn is_fenced(&self) -> bool {
-        self.inner.health.load(Ordering::Acquire) == HEALTH_FENCED
+        self.inner.link.lock().fenced
     }
 }
 
@@ -785,21 +927,15 @@ impl Transport<Bytes> for SocketPeer {
     }
 
     fn send(&self, to: u32, msg: Bytes) -> Result<(), TransportError> {
-        if self.inner.closed.load(Ordering::Acquire) {
-            return Err(TransportError::Closed);
-        }
         if to != 0 {
             return Err(TransportError::Down { peer: to });
         }
-        // while down (non-fenced), frames still queue (bounded) — the
-        // supervisor flushes them after reconnecting
-        if self.inner.health.load(Ordering::Acquire) == HEALTH_FENCED {
-            return Err(TransportError::Fenced {
-                peer: 0,
-                epoch: self.inner.epoch,
-            });
+        // while down (non-fenced), frames still queue (bounded) — the next
+        // session's install writes them out
+        if self.inner.link.send(0, msg, &self.inner.cfg)? {
+            self.emit(TransportEvent::Disconnected { peer: 0 });
         }
-        send_with_deadline(&self.inner.outbox_tx, msg, self.inner.cfg.send_deadline_ms)
+        Ok(())
     }
 
     fn recv_timeout(
@@ -807,23 +943,17 @@ impl Transport<Bytes> for SocketPeer {
         _at: u32,
         timeout: Duration,
     ) -> Result<TransportEvent<Bytes>, TransportError> {
-        recv_event(&self.inner.events_rx, &self.inner.closed, timeout)
+        recv_event(self.events.as_ref(), &self.inner.closed, timeout)
     }
 
     fn link_health(&self, _to: u32) -> LinkHealth {
-        match self.inner.health.load(Ordering::Acquire) {
-            HEALTH_UP => LinkHealth::Up,
-            HEALTH_FENCED => LinkHealth::Fenced,
-            _ => LinkHealth::Down,
-        }
+        self.inner.link.health()
     }
 
     fn shutdown(&self) {
         self.inner.closed.store(true, Ordering::Release);
-        let handles: Vec<_> = self.inner.threads.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.inner.link.close();
+        join_all(&self.inner.threads);
     }
 }
 
@@ -843,7 +973,7 @@ fn peer_dial_attempt(inner: &PeerShared, attempt: u32) -> io::Result<Option<Stre
         },
         &mut wire,
     );
-    write_all_deadline(&mut stream, &wire, hs_deadline)?;
+    write_all_deadline(&stream, &wire, hs_deadline)?;
     let mut dec = FrameDecoder::new(FrameConfig::default());
     let ack = read_frame_deadline(&mut stream, &mut dec, hs_deadline)?;
     match decode_session(&ack) {
@@ -858,134 +988,312 @@ fn peer_dial_attempt(inner: &PeerShared, attempt: u32) -> io::Result<Option<Stre
     }
 }
 
-fn peer_run_loop(inner: &Arc<PeerShared>) {
+/// The dial supervisor: dials under backoff while the link is down and
+/// sleeps on the link's condvar while it is up. It writes nothing; whoever
+/// downs the session (its reader at EOF, a sender whose write failed) or
+/// closes the endpoint wakes it.
+fn peer_run_loop(peer: &SocketPeer) {
+    let inner = &*peer.inner;
     let mut sup = Supervisor::new(BackoffConfig {
         seed: inner.cfg.backoff.seed ^ (u64::from(inner.node) << 32) ^ inner.epoch,
         ..inner.cfg.backoff
     });
     let started = Instant::now();
-    let now_ms = |started: Instant| ms(started.elapsed());
-    let mut stream: Option<Stream> = None;
-    let mut generation: u64 = 0;
-    let mut out = Outbound::default();
-    let mut ever_connected = false;
-
-    while !inner.closed.load(Ordering::Acquire) {
-        // did our reader pronounce the current session dead?
-        if stream.is_some() && inner.dead_gen.load(Ordering::Acquire) >= generation {
-            if let Some(s) = &stream {
-                s.shutdown_both();
+    let now_ms = || ms(started.elapsed());
+    loop {
+        let mut out = inner.link.lock();
+        loop {
+            if out.closed {
+                return;
             }
-            stream = None;
-            inner.health.store(HEALTH_DOWN, Ordering::Release);
-            sup.on_failure(now_ms(started));
-            let _ = inner
-                .events_tx
-                .send(TransportEvent::Disconnected { peer: 0 });
-        }
-
-        match sup.state() {
-            LinkState::Fenced { .. } => return, // terminal; health already set
-            LinkState::Connected { .. } if stream.is_some() => {
-                // writer duties below
-            }
-            LinkState::Connected { .. } | LinkState::Probing => {
-                // lost the stream without a recorded failure (shouldn't
-                // happen, but never spin)
-                sup.on_failure(now_ms(started));
-                continue;
-            }
-            LinkState::Backoff { .. } => {
-                if sup.due(now_ms(started)) {
-                    sup.begin_probe();
-                    let attempt = sup.outage_attempts();
-                    match peer_dial_attempt(inner, attempt) {
-                        Ok(Some(s)) => {
-                            generation += 1;
-                            let attempts = sup.on_established(inner.epoch);
-                            // reader for this session
-                            if let Ok(read_half) = s.try_clone() {
-                                let r_inner = Arc::clone(inner);
-                                let gen = generation;
-                                let h = std::thread::Builder::new()
-                                    .name(format!("oml-peer-reader-{}", inner.node))
-                                    .spawn(move || peer_reader_loop(&r_inner, gen, read_half))
-                                    .expect("spawn peer reader");
-                                inner.threads.lock().push(h);
-                                stream = Some(s);
-                                inner.health.store(HEALTH_UP, Ordering::Release);
-                                let ev = if ever_connected {
-                                    TransportEvent::Reconnected {
-                                        peer: 0,
-                                        epoch: inner.epoch,
-                                        attempt: attempts,
-                                    }
-                                } else {
-                                    TransportEvent::Connected {
-                                        peer: 0,
-                                        epoch: inner.epoch,
-                                    }
-                                };
-                                ever_connected = true;
-                                let _ = inner.events_tx.send(ev);
-                            } else {
-                                s.shutdown_both();
-                                sup.on_failure(now_ms(started));
-                            }
-                        }
-                        Ok(None) => {
-                            sup.on_fenced(inner.epoch);
-                            inner.health.store(HEALTH_FENCED, Ordering::Release);
-                            let _ = inner.events_tx.send(TransportEvent::HandshakeFenced {
-                                peer: 0,
-                                epoch: inner.epoch,
-                            });
-                            return;
-                        }
-                        Err(_) => {
-                            sup.on_failure(now_ms(started));
-                            inner.health.store(HEALTH_DOWN, Ordering::Release);
-                        }
-                    }
-                } else {
-                    std::thread::sleep(Duration::from_millis(2));
+            let now = now_ms();
+            let idle = match sup.state() {
+                LinkState::Connected { .. } if out.session.is_none() => {
+                    sup.on_failure(now);
+                    continue;
                 }
-                continue;
+                LinkState::Connected { .. } => POLL,
+                LinkState::Backoff { retry_at_ms } if now < retry_at_ms => {
+                    Duration::from_millis(retry_at_ms - now).min(POLL)
+                }
+                _ => break, // a dial is due
+            };
+            out = inner.link.wait_timeout(out, idle);
+        }
+        drop(out);
+
+        sup.begin_probe();
+        match peer_dial_attempt(inner, sup.outage_attempts()) {
+            Ok(Some(stream)) => {
+                let attempt = sup.on_established(inner.epoch);
+                let Ok(read_half) = stream.try_clone() else {
+                    stream.shutdown_both();
+                    sup.on_failure(now_ms());
+                    continue;
+                };
+                let epoch = inner.epoch;
+                let downed = inner
+                    .link
+                    .install(stream, epoch, &inner.cfg, |generation, first| {
+                        peer.emit(if first {
+                            TransportEvent::Connected { peer: 0, epoch }
+                        } else {
+                            TransportEvent::Reconnected {
+                                peer: 0,
+                                epoch,
+                                attempt,
+                            }
+                        });
+                        let reader = peer.handle();
+                        let handle = std::thread::Builder::new()
+                            .name(format!("oml-peer-reader-{}", inner.node))
+                            .spawn(move || peer_reader_loop(&reader, generation, read_half))
+                            .expect("spawn peer reader");
+                        inner.threads.lock().push(handle);
+                    });
+                if downed {
+                    peer.emit(TransportEvent::Disconnected { peer: 0 });
+                }
+            }
+            Ok(None) => {
+                sup.on_fenced(inner.epoch);
+                inner.link.fence();
+                peer.emit(TransportEvent::HandshakeFenced {
+                    peer: 0,
+                    epoch: inner.epoch,
+                });
+                return;
+            }
+            Err(_) => {
+                sup.on_failure(now_ms());
             }
         }
-
-        // connected: drain the outbox and write a batch
-        if !out.fill(&inner.outbox_rx) {
-            continue;
-        }
-        let s = stream.as_mut().expect("stream present when connected");
-        if out.write(s, inner.cfg.write_timeout_ms).is_err() {
-            s.shutdown_both();
-            stream = None;
-            inner.health.store(HEALTH_DOWN, Ordering::Release);
-            sup.on_failure(now_ms(started));
-            let _ = inner
-                .events_tx
-                .send(TransportEvent::Disconnected { peer: 0 });
-            // the batch is retained and flushed after the reconnect
-        }
-    }
-    if let Some(s) = &stream {
-        s.shutdown_both();
     }
 }
 
-/// Reads the coordinator's frames for session `generation`; on EOF/error
-/// records the dead generation for the supervisor to notice.
-fn peer_reader_loop(inner: &Arc<PeerShared>, generation: u64, mut stream: Stream) {
-    let died = read_session(&mut stream, &inner.closed, |msg| {
-        let _ = inner.events_tx.send(TransportEvent::Delivery {
+/// Hands the coordinator's frames for session `generation` to the sink;
+/// on EOF/error downs the session, which wakes the supervisor.
+fn peer_reader_loop(peer: &SocketPeer, generation: u64, mut stream: Stream) {
+    let died = read_session(&mut stream, &peer.inner.closed, |msg| {
+        peer.emit(TransportEvent::Delivery {
             from: 0,
             epoch: 0,
             msg,
         });
     });
-    if died {
-        inner.dead_gen.fetch_max(generation, Ordering::AcqRel);
+    if died && peer.inner.link.down(generation) {
+        peer.emit(TransportEvent::Disconnected { peer: 0 });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fresh Unix-socket address in its own temp directory.
+    fn unix_addr(tag: &str) -> (std::path::PathBuf, TransportAddr) {
+        let dir = std::env::temp_dir().join(format!("oml-sock-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let addr = TransportAddr::Unix(dir.join("s.sock"));
+        (dir, addr)
+    }
+
+    /// A `len`-byte frame carrying `(a, b)` in its first eight bytes.
+    fn tagged(a: u32, b: u32, len: usize) -> Bytes {
+        let mut frame = vec![0u8; len.max(8)];
+        frame[..4].copy_from_slice(&a.to_le_bytes());
+        frame[4..8].copy_from_slice(&b.to_le_bytes());
+        Bytes::from(frame)
+    }
+
+    fn tag_of(frame: &[u8]) -> (u32, u32) {
+        let word = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().unwrap());
+        (word(0), word(4))
+    }
+
+    /// The stranded-frame race: a sender that finds `writing` set leaves
+    /// its frame to the writer; were the writer able to clear the flag
+    /// without looking at the queue again, that frame would sit there until
+    /// the next send. Eight senders, no pause between frames.
+    #[test]
+    fn concurrent_senders_strand_no_frame_and_keep_their_order() {
+        const THREADS: u32 = 8;
+        const FRAMES: u32 = 5_000;
+        let (dir, addr) = unix_addr("combine");
+        // a slow receiver (a sanitizer build) must show up as waiting, not
+        // as a torn session
+        let cfg = SocketConfig {
+            write_timeout_ms: 30_000,
+            send_deadline_ms: 30_000,
+            ..SocketConfig::default()
+        };
+        let server = SocketServer::bind(&addr, 1, cfg.clone()).unwrap();
+        let peer = SocketPeer::connect(server.addr().clone(), 0, 1, cfg);
+        assert!(peer.wait_connected(Duration::from_secs(5)));
+
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                // exactly once and in order per sender: every frame is the
+                // next one its thread sent, and all of them come
+                let mut next = [0u32; THREADS as usize];
+                let mut got = 0;
+                let deadline = Instant::now() + Duration::from_mins(2);
+                while got < THREADS * FRAMES {
+                    assert!(
+                        Instant::now() < deadline,
+                        "{got} of {} frames arrived: one is stranded",
+                        THREADS * FRAMES
+                    );
+                    if let Ok(TransportEvent::Delivery { msg, .. }) =
+                        peer.recv_timeout(0, Duration::from_millis(50))
+                    {
+                        let (thread, index) = tag_of(&msg);
+                        assert_eq!(index, next[thread as usize], "thread {thread}");
+                        next[thread as usize] += 1;
+                        got += 1;
+                    }
+                }
+            });
+            let server = &server;
+            let senders: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    s.spawn(move || {
+                        for index in 0..FRAMES {
+                            server.send(0, tagged(thread, index, 64)).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for sender in senders {
+                sender.join().unwrap();
+            }
+            // every sender has returned, so the last writer has: it saw the
+            // queue empty when it cleared the flag, and nobody pushed since
+            {
+                let out = server.inner.links[0].lock();
+                assert!(out.queue.is_empty(), "{} frames left", out.queue.len());
+                assert!(!out.writing);
+            }
+            receiver.join().unwrap();
+        });
+        peer.shutdown();
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Dials `addr` by hand and says Hello; the returned stream is a session
+    /// whose other end nobody reads unless the test does.
+    fn raw_session(addr: &TransportAddr, attempt: u32) -> (Stream, FrameDecoder) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut stream = connect_deadline(addr, deadline).unwrap();
+        let mut wire = Vec::new();
+        let hello = SessionFrame::Hello {
+            node: 0,
+            epoch: 1,
+            attempt,
+        };
+        write_session(&hello, &mut wire);
+        write_all_deadline(&stream, &wire, deadline).unwrap();
+        let mut dec = FrameDecoder::new(FrameConfig::default());
+        let ack = read_frame_deadline(&mut stream, &mut dec, deadline).unwrap();
+        assert!(matches!(
+            decode_session(&ack),
+            Ok(SessionFrame::HelloAck { accepted: true, .. })
+        ));
+        (stream, dec)
+    }
+
+    fn next_event(server: &SocketServer) -> TransportEvent<Bytes> {
+        server
+            .recv_timeout(0, Duration::from_secs(5))
+            .expect("a link event")
+    }
+
+    /// A peer that stops reading: the inline write gives up at
+    /// `write_timeout_ms`, the session goes down, the batch stays at the
+    /// head of the queue and leads the next session, a full queue still
+    /// answers `Backpressure` within `send_deadline_ms` — and no `send`
+    /// blocks longer than the larger of the two.
+    #[test]
+    fn a_peer_that_stops_reading_costs_one_write_timeout_and_no_frame() {
+        const FRAME: usize = 64 * 1024; // three fill a Unix socket buffer
+        let (dir, addr) = unix_addr("stall");
+        let cfg = SocketConfig {
+            write_timeout_ms: 100,
+            send_deadline_ms: 150,
+            outbound_capacity: 4,
+            ..SocketConfig::default()
+        };
+        // what either wait may cost on a loaded machine, over the timeout
+        let bound = Duration::from_secs(1);
+        let server = SocketServer::bind(&addr, 1, cfg).unwrap();
+        let (deaf, _) = raw_session(server.addr(), 1);
+        assert!(matches!(
+            next_event(&server),
+            TransportEvent::Connected { peer: 0, epoch: 1 }
+        ));
+
+        // send until a write stalls out; that frame is the failed batch
+        let mut sent = 0u32;
+        let failed = loop {
+            assert!(sent < 1_000, "the socket buffer never filled");
+            let t = Instant::now();
+            server.send(0, tagged(0, sent, FRAME)).unwrap();
+            assert!(t.elapsed() < bound, "send {sent} took {:?}", t.elapsed());
+            sent += 1;
+            if server.link_health(0) == LinkHealth::Down {
+                break sent - 1;
+            }
+        };
+        assert!(matches!(
+            next_event(&server),
+            TransportEvent::Disconnected { peer: 0 }
+        ));
+        {
+            let out = server.inner.links[0].lock();
+            assert_eq!(out.queue.len(), 1, "the failed batch was dropped");
+            assert_eq!(tag_of(&out.queue[0]), (0, failed));
+            assert!(!out.writing);
+        }
+        // the link is down: frames queue behind the batch until the queue
+        // is full, then the sender is turned away in bounded time
+        for _ in 0..3 {
+            server.send(0, tagged(0, sent, FRAME)).unwrap();
+            sent += 1;
+        }
+        let t = Instant::now();
+        assert_eq!(
+            server.send(0, tagged(0, sent, FRAME)),
+            Err(TransportError::Backpressure { waited_ms: 150 })
+        );
+        assert!(t.elapsed() >= Duration::from_millis(150) && t.elapsed() < bound);
+        drop(deaf);
+
+        // the next session carries the failed batch first, then what queued
+        // behind it, then what is sent after the reconnect
+        let (mut stream, mut dec) = raw_session(server.addr(), 2);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut read_data = || {
+            let frame = read_frame_deadline(&mut stream, &mut dec, deadline).unwrap();
+            match decode_session(&frame) {
+                Ok(SessionFrame::Data(payload)) => tag_of(&payload),
+                other => panic!("expected a data frame, got {other:?}"),
+            }
+        };
+        for index in failed..sent {
+            assert_eq!(read_data(), (0, index));
+        }
+        assert!(matches!(
+            next_event(&server),
+            TransportEvent::Reconnected {
+                peer: 0,
+                epoch: 1,
+                attempt: 2
+            }
+        ));
+        server.send(0, tagged(1, 0, 64)).unwrap();
+        assert_eq!(read_data(), (1, 0));
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -181,6 +181,129 @@ fn scenario() {
     println!("multiproc sigkill/recovery/zombie scenario: ok");
 }
 
+/// The names of this process's threads (`/proc/self/task/*/comm`).
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim().to_owned())
+        .collect()
+}
+
+/// Zero failures, counted: four closed-loop clients over two workers with
+/// no fault injected. A frame stranded in an outbound queue, or a reply
+/// whose waiter was lost, sleeps out `call_timeout_ms` and comes back as an
+/// error — at 2 s a failed test, not a latency tail. Then the structural
+/// guard against the hand-offs coming back: the coordinator runs an
+/// acceptor, one reader per worker and the monitor, and neither a writer
+/// thread per peer nor a dispatcher.
+fn zero_failure_scenario() {
+    const CLIENTS: u32 = 4;
+    const OWNED: u32 = 16; // objects per client, disjoint
+    const INVOKES: u32 = 50_000; // per client
+    const MIGRATE_EVERY: u32 = 100; // 500 per client
+    const WORKERS: u32 = 2;
+
+    let dir = std::env::temp_dir().join(format!("oml-mp-zero-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut c = cfg(TransportAddr::Unix(dir.join("coord.sock")));
+    c.workers = WORKERS;
+    c.call_timeout_ms = 2_000;
+    // no fault is injected, so the detector must not fire: with six busy
+    // threads on a small machine a beat can be late by scheduling rounds
+    c.suspect_after = 80;
+    c.dead_after = 240;
+    let cluster = MultiProcCluster::spawn(c).expect("spawn cluster");
+    assert!(
+        cluster.wait_ready(Duration::from_secs(10)),
+        "workers never heartbeat"
+    );
+    for object in 0..CLIENTS * OWNED {
+        cluster
+            .create(
+                object % WORKERS,
+                object,
+                "counter",
+                0u64.to_le_bytes().to_vec(),
+            )
+            .expect("create");
+    }
+
+    // each client: its first error (if any) and how often it added to each
+    // of its objects
+    let outcomes: Vec<(Option<String>, Vec<u64>)> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let cluster = &cluster;
+                s.spawn(move || {
+                    let first = client * OWNED;
+                    let mut acked = vec![0u64; OWNED as usize];
+                    let mut host: Vec<u32> = (first..first + OWNED).map(|o| o % WORKERS).collect();
+                    let mut error = None;
+                    for i in 0..INVOKES {
+                        let slot = (i % OWNED) as usize;
+                        let object = first + slot as u32;
+                        if i % MIGRATE_EVERY == MIGRATE_EVERY - 1 {
+                            let to = (host[slot] + 1) % WORKERS;
+                            match cluster.migrate(object, to) {
+                                Ok(()) => host[slot] = to,
+                                Err(e) => error = error.or(Some(format!("migrate {i}: {e}"))),
+                            }
+                        }
+                        match cluster.invoke(object, "add", &[1]) {
+                            Ok(_) => acked[slot] += 1,
+                            Err(e) => error = error.or(Some(format!("invoke {i}: {e}"))),
+                        }
+                    }
+                    (error, acked)
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+
+    for (client, (error, acked)) in outcomes.iter().enumerate() {
+        assert_eq!(*error, None, "client {client} saw a failed operation");
+        // exactly once: what the object counted is what was acknowledged
+        for (slot, &adds) in acked.iter().enumerate() {
+            let object = client as u32 * OWNED + slot as u32;
+            let value = cluster.invoke(object, "get", &[]).expect("final get");
+            assert_eq!(value_of(&value), adds, "object {object}");
+        }
+    }
+    // one reply per request, at least (heartbeats come on top)
+    let migrations = u64::from(CLIENTS * (INVOKES / MIGRATE_EVERY));
+    let calls = u64::from(CLIENTS * (OWNED + INVOKES)) + 2 * migrations;
+    let deliveries = cluster.stats().deliveries;
+    assert!(
+        deliveries >= calls,
+        "{deliveries} deliveries < {calls} calls"
+    );
+
+    let mut transport: Vec<String> = thread_names()
+        .into_iter()
+        .filter(|name| name.starts_with("oml-"))
+        .collect();
+    transport.sort();
+    assert_eq!(
+        transport,
+        [
+            "oml-accept",
+            "oml-mp-monitor",
+            "oml-reader-0",
+            "oml-reader-1"
+        ],
+        "a writer thread per peer or a dispatcher is a hand-off per message"
+    );
+
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    println!("multiproc zero-failure load + thread census scenario: ok");
+}
+
 /// Coordinator-death scenario: with a durable store configured, abandon
 /// the coordinator (no Shutdown protocol, no store flush, workers
 /// SIGKILLed) and cold-start a successor from the WAL alone. Both objects
@@ -370,6 +493,7 @@ fn main() {
         doomed_coordinator(std::path::Path::new(&dir));
     }
     scenario();
+    zero_failure_scenario();
     durable_scenario();
     orphan_scenario();
 }

@@ -5,7 +5,9 @@
 //! `write()` anywhere else can block forever on a half-dead peer and
 //! wedge a supervisor thread — the PR 1 "no bare `recv()`" rule, extended
 //! to sockets. This test scans the crate's sources and fails on any std
-//! networking or raw io-trait usage outside that one reviewed file.
+//! networking or raw io-trait usage outside that one reviewed file. Since
+//! senders, the dial supervisor and the worker's timer sleep on condition
+//! variables, the same goes for those: only the `wait_timeout` forms.
 
 use std::fs;
 use std::path::Path;
@@ -33,7 +35,8 @@ const FORBIDDEN: &[&str] = &[
 fn raw_socket_io_is_confined_to_netio() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     let mut offenders = Vec::new();
-    scan(&src, &mut offenders);
+    let raw_io = |line: &str| FORBIDDEN.iter().any(|pat| line.contains(pat));
+    scan(&src, Some(IO_BOUNDARY), &raw_io, &mut offenders);
     assert!(
         offenders.is_empty(),
         "raw socket i/o outside transport/netio.rs — route it through the \
@@ -43,11 +46,43 @@ fn raw_socket_io_is_confined_to_netio() {
     );
 }
 
-fn scan(dir: &Path, offenders: &mut Vec<String>) {
+/// `Condvar::wait(guard)` / `wait_while(guard, ..)`: a wait nothing bounds.
+/// (`Child::wait()` takes no argument and reaps a process already killed.)
+fn unbounded_wait(line: &str) -> bool {
+    line.contains(".wait_while(")
+        || line
+            .match_indices(".wait(")
+            .any(|(at, pat)| !line[at + pat.len()..].starts_with(')'))
+}
+
+#[test]
+fn every_condvar_wait_carries_a_timeout() {
+    assert!(unbounded_wait("out = self.changed.wait(out).unwrap();"));
+    assert!(!unbounded_wait("let _ = child.wait(); // reap"));
+    assert!(!unbounded_wait("self.changed.wait_timeout(out, left)"));
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut offenders = Vec::new();
+    scan(&src, None, &unbounded_wait, &mut offenders);
+    assert!(
+        offenders.is_empty(),
+        "a condition-variable wait without a deadline — use wait_timeout / \
+         wait_timeout_while, so a lost wake-up costs a bounded delay:\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// Collects every non-comment line under `dir` that `offends`, skipping
+/// the file named `except`.
+fn scan(
+    dir: &Path,
+    except: Option<&str>,
+    offends: &dyn Fn(&str) -> bool,
+    offenders: &mut Vec<String>,
+) {
     for entry in fs::read_dir(dir).expect("source dir readable") {
         let path = entry.expect("dir entry").path();
         if path.is_dir() {
-            scan(&path, offenders);
+            scan(&path, except, offends, offenders);
             continue;
         }
         if path.extension().and_then(|e| e.to_str()) != Some("rs") {
@@ -57,7 +92,7 @@ fn scan(dir: &Path, offenders: &mut Vec<String>) {
             .file_name()
             .and_then(|n| n.to_str())
             .expect("utf-8 file name");
-        if name == IO_BOUNDARY {
+        if Some(name) == except {
             continue;
         }
         let text = fs::read_to_string(&path).expect("source readable");
@@ -66,7 +101,7 @@ fn scan(dir: &Path, offenders: &mut Vec<String>) {
             if trimmed.starts_with("//") {
                 continue;
             }
-            if FORBIDDEN.iter().any(|pat| line.contains(pat)) {
+            if offends(line) {
                 offenders.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
             }
         }

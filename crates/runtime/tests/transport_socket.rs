@@ -4,6 +4,11 @@
 //! at-least-once redelivery of frames queued across the gap), the
 //! stale-incarnation handshake refusal (fenced zombie — refused, traced,
 //! terminal on the peer), and backpressure on the bounded outbound queue.
+//! The combining writer's own cases — concurrent senders, a peer that
+//! stops reading — need the link's queue in view and live beside it, in
+//! `transport/socket.rs`; here are the ones the public API shows: order
+//! across an outage, and every link event of a `bind`/`connect` endpoint
+//! through `recv_timeout`.
 
 use bytes::Bytes;
 use oml_runtime::transport::chaos_proxy::{FaultProxy, ProxyPlan};
@@ -126,6 +131,118 @@ fn reconnects_through_a_severed_proxy_and_redelivers() {
     server.shutdown();
 }
 
+/// The next event at `endpoint` that is not a `Delivery`.
+fn next_link_event<T: Transport<Bytes>>(endpoint: &T) -> TransportEvent<Bytes> {
+    let until = Instant::now() + Duration::from_secs(10);
+    loop {
+        assert!(Instant::now() < until, "no link event");
+        match endpoint.recv_timeout(0, Duration::from_millis(50)) {
+            Ok(TransportEvent::Delivery { .. }) | Err(_) => {}
+            Ok(event) => return event,
+        }
+    }
+}
+
+#[test]
+fn frames_queued_across_an_outage_lead_the_next_session_in_order() {
+    let server = SocketServer::bind(&tcp0(), 1, fast_cfg()).unwrap();
+    let proxy = FaultProxy::start(&tcp0(), server.addr().clone(), ProxyPlan::seeded(2)).unwrap();
+    let peer = SocketPeer::connect(proxy.addr().clone(), 0, 1, fast_cfg());
+    assert!(matches!(
+        next_link_event(&peer),
+        TransportEvent::Connected { .. }
+    ));
+
+    proxy.sever_all();
+    // the peer has seen the outage: nothing below can die in the severed
+    // connection's kernel buffer
+    assert!(matches!(
+        next_link_event(&peer),
+        TransportEvent::Disconnected { peer: 0 }
+    ));
+    // queued while the link is down (or already written by a quick redial:
+    // either way ahead of everything below) ...
+    for i in 0..20u8 {
+        peer.send(0, Bytes::from(vec![b'd', i])).unwrap();
+    }
+    assert!(peer.wait_connected(Duration::from_secs(10)));
+    // ... and sent on the new session
+    for i in 0..5u8 {
+        peer.send(0, Bytes::from(vec![b'a', i])).unwrap();
+    }
+    let expected: Vec<Vec<u8>> = (0..20u8)
+        .map(|i| vec![b'd', i])
+        .chain((0..5u8).map(|i| vec![b'a', i]))
+        .collect();
+    for want in &expected {
+        let (_, _, got) = next_delivery(&server, Duration::from_secs(10)).expect("delivery");
+        assert_eq!(got.as_ref(), want.as_slice());
+    }
+    peer.shutdown();
+    proxy.shutdown();
+    server.shutdown();
+}
+
+#[test]
+fn default_endpoints_report_every_link_event_through_recv_timeout() {
+    let server = SocketServer::bind(&tcp0(), 1, fast_cfg()).unwrap();
+    let proxy = FaultProxy::start(&tcp0(), server.addr().clone(), ProxyPlan::seeded(3)).unwrap();
+    let peer = SocketPeer::connect(proxy.addr().clone(), 0, 4, fast_cfg());
+
+    assert!(matches!(
+        next_link_event(&server),
+        TransportEvent::Connected { peer: 0, epoch: 4 }
+    ));
+    assert!(matches!(
+        next_link_event(&peer),
+        TransportEvent::Connected { peer: 0, epoch: 4 }
+    ));
+
+    proxy.sever_all();
+    assert!(matches!(
+        next_link_event(&peer),
+        TransportEvent::Disconnected { peer: 0 }
+    ));
+    match next_link_event(&peer) {
+        TransportEvent::Reconnected {
+            peer: 0,
+            epoch: 4,
+            attempt,
+        } => assert!(attempt >= 1),
+        other => panic!("expected Reconnected at the peer, got {other:?}"),
+    }
+    // the server sees its half die (EOF) or be replaced (the redial won the
+    // race); the reconnect is reported either way
+    let mut event = next_link_event(&server);
+    if matches!(event, TransportEvent::Disconnected { peer: 0 }) {
+        event = next_link_event(&server);
+    }
+    match event {
+        TransportEvent::Reconnected {
+            peer: 0,
+            epoch: 4,
+            attempt,
+        } => assert!(attempt >= 1),
+        other => panic!("expected Reconnected at the server, got {other:?}"),
+    }
+
+    // a zombie: refused at the server, terminal at the zombie
+    server.fence_below(0, 5);
+    let zombie = SocketPeer::connect(server.addr().clone(), 0, 4, fast_cfg());
+    assert!(matches!(
+        next_link_event(&zombie),
+        TransportEvent::HandshakeFenced { peer: 0, epoch: 4 }
+    ));
+    assert!(matches!(
+        next_link_event(&server),
+        TransportEvent::HandshakeFenced { peer: 0, epoch: 4 }
+    ));
+    zombie.shutdown();
+    peer.shutdown();
+    proxy.shutdown();
+    server.shutdown();
+}
+
 #[test]
 fn stale_incarnation_handshake_is_refused_and_traced() {
     let server = SocketServer::bind(&tcp0(), 1, fast_cfg()).unwrap();
@@ -133,6 +250,12 @@ fn stale_incarnation_handshake_is_refused_and_traced() {
     // incarnation 5 connects and works
     let live = SocketPeer::connect(server.addr().clone(), 0, 5, fast_cfg());
     assert!(live.wait_connected(Duration::from_secs(5)));
+    // the peer is connected once it has the server's ack, which the server
+    // writes before it installs its own half: wait for that, not for time
+    assert!(matches!(
+        next_link_event(&server),
+        TransportEvent::Connected { peer: 0, epoch: 5 }
+    ));
     assert_eq!(server.session_epoch(0), Some(5));
 
     // the node is declared dead and respawned as incarnation 6: fence 5
