@@ -71,7 +71,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::pedantic)]
 // ids and payload sizes cast between widths at the wire boundary; the rest

@@ -163,7 +163,8 @@ impl Listener {
 
     /// Accepts one connection, polling until `deadline`. The accepted
     /// stream is switched back to blocking mode (reads are then bounded
-    /// per-handle by `set_read_timeout`).
+    /// per-handle by `set_read_timeout`) and, over TCP, to `TCP_NODELAY`
+    /// like the dialling end: a reply must not wait for Nagle either.
     ///
     /// # Errors
     /// [`io::ErrorKind::TimedOut`] if nothing arrived by `deadline`.
@@ -177,7 +178,10 @@ impl Listener {
                 Ok(stream) => {
                     match &stream {
                         Stream::Unix(s) => s.set_nonblocking(false)?,
-                        Stream::Tcp(s) => s.set_nonblocking(false)?,
+                        Stream::Tcp(s) => {
+                            s.set_nonblocking(false)?;
+                            s.set_nodelay(true)?;
+                        }
                     }
                     return Ok(stream);
                 }
@@ -378,5 +382,21 @@ mod tests {
         let c = connect_deadline(&addr, Instant::now() + Duration::from_secs(5)).unwrap();
         write_all_deadline(&c, b"ping!", Instant::now() + Duration::from_secs(5)).unwrap();
         assert_eq!(t.join().unwrap(), b"ping!");
+    }
+
+    #[test]
+    fn both_ends_of_a_tcp_session_are_un_nagled() {
+        let l = Listener::bind(&TransportAddr::Tcp("127.0.0.1:0".into())).unwrap();
+        let addr = l.local_addr().unwrap();
+        let dialled = connect_deadline(&addr, Instant::now() + Duration::from_secs(5)).unwrap();
+        let accepted = l
+            .accept_deadline(Instant::now() + Duration::from_secs(5))
+            .unwrap();
+        for (end, stream) in [("dialled", &dialled), ("accepted", &accepted)] {
+            let Stream::Tcp(s) = stream else {
+                panic!("a TCP listener yields TCP streams")
+            };
+            assert!(s.nodelay().unwrap(), "{end} end without TCP_NODELAY");
+        }
     }
 }

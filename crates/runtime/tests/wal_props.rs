@@ -15,6 +15,9 @@ use proptest::prelude::*;
 
 const MAX_FRAME: u32 = 4096;
 
+/// A state of the size the runtime benchmark checkpoints.
+const LARGE_STATE: usize = 16 << 10;
+
 fn record() -> impl Strategy<Value = WalRecord> {
     prop_oneof![
         (
@@ -138,5 +141,39 @@ proptest! {
         // whatever prefix did come back must be bit-identical originals
         prop_assert!(seg.records.len() < recs.len());
         prop_assert_eq!(seg.records.as_slice(), &recs[..seg.records.len()]);
+    }
+
+    /// The same for a record of the size the runtime checkpoints (its
+    /// checksum is the carry-less kernel's, not the tables'): one bit
+    /// flipped inside a 16 KiB `Put`'s state stops the replay at the records
+    /// before it, flagged corrupt, and the record after it is not reached.
+    #[test]
+    fn a_bit_flipped_in_a_large_state_stops_the_replay_before_it(
+        before in records(),
+        state in proptest::collection::vec(any::<u8>(), LARGE_STATE..LARGE_STATE + 1),
+        pos_seed in any::<u32>(),
+        bit in 0u8..8,
+    ) {
+        let large = WalRecord::Put {
+            object: ObjectId::new(7),
+            ckpt: StoredCheckpoint {
+                type_tag: "blob".to_owned(),
+                state: Bytes::from(state),
+                object_epoch: 1,
+                seq: 1,
+            },
+        };
+        let valid = encode_all(&before).len();
+        let mut recs = before;
+        recs.extend([large, WalRecord::Clear]);
+        let mut wire = encode_all(&recs);
+        // the state is the tail of its record's frame
+        let state_end = frame_ends(&recs)[recs.len() - 2];
+        wire[state_end - 1 - pos_seed as usize % LARGE_STATE] ^= 1 << bit;
+        let seg = replay_segment(&wire, 1 << 20);
+        prop_assert!(seg.corrupt, "a flipped state bit read as a torn tail");
+        prop_assert_eq!(seg.records.as_slice(), &recs[..recs.len() - 2]);
+        prop_assert_eq!(seg.valid_bytes, valid as u64);
+        prop_assert_eq!(seg.torn_bytes, (wire.len() - valid) as u64);
     }
 }
