@@ -333,7 +333,7 @@ impl Model {
 
     /// The step's footprint in the current state (it must be enabled).
     #[must_use]
-    pub fn footprint(&self, step: Step) -> Footprint {
+    pub(crate) fn footprint(&self, step: Step) -> Footprint {
         let mut fp = Footprint {
             procs: 0,
             objects: 0,
@@ -630,7 +630,7 @@ impl Model {
     /// Runs the terminal lease drain: fires the sweeper until no lease
     /// remains, releasing each with `LeaseExpiry`. Mirrors what wall time
     /// would eventually do in the runtime; emitted events join the trace.
-    pub fn drain_quiesce(&mut self) {
+    pub(crate) fn drain_quiesce(&mut self) {
         while let Some(expiry) = self.policy.next_lease_expiry_ms() {
             self.clock.advance_to(self.clock.now_ms().max(expiry));
             self.expire_leases();
@@ -642,7 +642,7 @@ impl Model {
     /// produces these — the deadline denial exists precisely to keep a grant
     /// from landing on a dead block.
     #[must_use]
-    pub fn orphaned_locks(&self) -> Vec<(ObjectId, BlockId)> {
+    pub(crate) fn orphaned_locks(&self) -> Vec<(ObjectId, BlockId)> {
         if self.policy.lease_ttl_ms().is_some() {
             return Vec::new(); // a lease runs out by itself
         }
@@ -657,7 +657,7 @@ impl Model {
     /// and every future checker verdict over those events — is a function of
     /// this state alone (see DESIGN.md §12.4 for the argument and its caveats).
     #[must_use]
-    pub fn state_digest(&self) -> u64 {
+    pub(crate) fn state_digest(&self) -> u64 {
         let mut h = Fnv64::new();
         self.clock.now_ms().hash(&mut h);
         self.alive.hash(&mut h);

@@ -167,18 +167,6 @@ impl AllianceRegistry {
         self.alliances.get(&id)
     }
 
-    /// All alliances `object` belongs to, in id order.
-    ///
-    /// Objects "can be members of different alliances" (§3.4); this is the
-    /// reverse index.
-    pub fn alliances_of(&self, object: ObjectId) -> Vec<AllianceId> {
-        self.alliances
-            .values()
-            .filter(|a| a.members.contains(&object))
-            .map(|a| a.id)
-            .collect()
-    }
-
     /// Iterates over all alliances in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Alliance> {
         self.alliances.values()
@@ -265,7 +253,8 @@ mod tests {
         let b = reg.create("b");
         reg.join(a, obj(5)).unwrap();
         reg.join(b, obj(5)).unwrap();
-        assert_eq!(reg.alliances_of(obj(5)), vec![a, b]);
+        // "can be members of different alliances" (§3.4)
+        assert!(reg.is_member(a, obj(5)) && reg.is_member(b, obj(5)));
     }
 
     #[test]

@@ -641,18 +641,6 @@ impl AttachmentGraph {
             .extend(scratch.slots.iter().map(|&sl| self.objects[sl as usize]));
         scratch.members.sort_unstable();
     }
-
-    /// All objects that currently appear in at least one edge, in id order.
-    pub fn attached_objects(&self) -> BTreeSet<ObjectId> {
-        let mut set: BTreeSet<ObjectId> = BTreeSet::new();
-        for (s, edges) in self.out.iter().enumerate() {
-            if !edges.is_empty() {
-                set.insert(self.objects[s]);
-                set.extend(edges.iter().map(|&(t, _)| self.objects[t as usize]));
-            }
-        }
-        set
-    }
 }
 
 impl Default for AttachmentGraph {
@@ -928,18 +916,6 @@ mod tests {
         assert_eq!(
             g.neighbours(obj(1), Traversal::AllEdges),
             vec![obj(2), obj(3)]
-        );
-    }
-
-    #[test]
-    fn attached_objects_lists_every_endpoint() {
-        let mut g = AttachmentGraph::default();
-        g.attach(obj(1), obj(2), None).unwrap();
-        g.attach(obj(4), obj(2), None).unwrap();
-        let objs = g.attached_objects();
-        assert_eq!(
-            objs.into_iter().collect::<Vec<_>>(),
-            vec![obj(1), obj(2), obj(4)]
         );
     }
 

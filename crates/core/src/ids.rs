@@ -83,47 +83,6 @@ define_id!(
     "b"
 );
 
-/// Yields the sequence `prefix0, prefix1, …` of ids — convenient for building
-/// scenarios.
-///
-/// # Example
-///
-/// ```
-/// use oml_core::ids::{id_range, ObjectId};
-///
-/// let servers: Vec<ObjectId> = id_range(3, 5).collect();
-/// assert_eq!(servers.len(), 5);
-/// assert_eq!(servers[0], ObjectId::new(3));
-/// ```
-pub fn id_range<T: From32>(start: u32, count: u32) -> impl Iterator<Item = T> {
-    (start..start + count).map(T::from_u32)
-}
-
-/// Sealed helper for [`id_range`]; implemented by all id newtypes.
-pub trait From32: private::Sealed {
-    /// Builds the id from a raw index.
-    fn from_u32(raw: u32) -> Self;
-}
-
-mod private {
-    pub trait Sealed {}
-}
-
-macro_rules! impl_from32 {
-    ($($t:ty),*) => {
-        $(
-            impl private::Sealed for $t {}
-            impl From32 for $t {
-                fn from_u32(raw: u32) -> Self {
-                    <$t>::new(raw)
-                }
-            }
-        )*
-    };
-}
-
-impl_from32!(NodeId, ObjectId, AllianceId, ClientId, BlockId);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,12 +111,6 @@ mod tests {
         assert!(ObjectId::new(1) < ObjectId::new(2));
         let set: HashSet<ObjectId> = [ObjectId::new(1), ObjectId::new(1)].into_iter().collect();
         assert_eq!(set.len(), 1);
-    }
-
-    #[test]
-    fn id_range_produces_consecutive_ids() {
-        let ids: Vec<NodeId> = id_range(2, 3).collect();
-        assert_eq!(ids, vec![NodeId::new(2), NodeId::new(3), NodeId::new(4)]);
     }
 
     #[test]

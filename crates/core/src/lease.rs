@@ -134,7 +134,7 @@ impl LeaseTable {
     /// [`LeaseTable::acquire`] at the table's current clock — for callers
     /// (like [`crate::policy::MovePolicy::on_installed`]) that have no
     /// timestamp of their own.
-    pub fn acquire_now(&mut self, object: ObjectId, block: BlockId) -> Option<BlockId> {
+    pub(crate) fn acquire_now(&mut self, object: ObjectId, block: BlockId) -> Option<BlockId> {
         let now = self.now_ms;
         self.acquire(object, block, now)
     }
@@ -162,7 +162,7 @@ impl LeaseTable {
     /// hosted is volatile and dies with it, so the substrate forcibly frees
     /// the locks of every object stranded on the crashed node — no holder
     /// check, because the holder's end-request can never arrive.
-    pub fn force_release(&mut self, object: ObjectId) -> Option<BlockId> {
+    pub(crate) fn force_release(&mut self, object: ObjectId) -> Option<BlockId> {
         self.entries
             .get_mut(object.index())
             .and_then(Option::take)

@@ -73,12 +73,6 @@ impl<E> Scheduler<E> {
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
-
-    /// Total number of events scheduled over the lifetime of the simulation.
-    #[must_use]
-    pub fn scheduled_total(&self) -> u64 {
-        self.queue.scheduled_total()
-    }
 }
 
 impl<E> Default for Scheduler<E> {
@@ -134,19 +128,9 @@ impl<H: EventHandler> Engine<H> {
         &self.handler
     }
 
-    /// Mutably borrows the handler.
-    pub fn handler_mut(&mut self) -> &mut H {
-        &mut self.handler
-    }
-
     /// Borrows the scheduler, e.g. to seed initial events.
     pub fn scheduler_mut(&mut self) -> &mut Scheduler<H::Event> {
         &mut self.sched
-    }
-
-    /// Consumes the engine and returns the handler.
-    pub fn into_handler(self) -> H {
-        self.handler
     }
 
     /// Delivers the next event, advancing the clock to its activation time.

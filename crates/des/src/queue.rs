@@ -142,7 +142,7 @@ impl<E> EventQueue<E> {
 
     /// Returns the activation time of the earliest pending event.
     #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap
             .peek()
             .map(|Reverse((key, _))| SimTime::new(f64::from_bits((key >> 64) as u64)))
@@ -158,12 +158,6 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    #[must_use]
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
     }
 }
 
@@ -209,16 +203,14 @@ mod tests {
     }
 
     #[test]
-    fn len_and_totals_track_activity() {
+    fn len_tracks_activity() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         q.push(SimTime::ZERO, ());
         q.push(SimTime::ZERO, ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Seeded randomness and the distributions used by the paper's model.
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 /// A deterministic random source for simulations.
 ///
@@ -90,20 +90,6 @@ impl SimRng {
     pub fn unit(&mut self) -> f64 {
         self.inner.gen()
     }
-
-    /// Fisher–Yates shuffles `slice` in place.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
-            slice.swap(i, j);
-        }
-    }
-
-    /// Derives an independent child generator (for splitting streams between
-    /// e.g. workload generation and network latencies).
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from(self.inner.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -166,25 +152,6 @@ mod tests {
         for _ in 0..1_000 {
             assert!(rng.below(7) < 7);
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::seed_from(17);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = SimRng::seed_from(21);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        let same = (0..32).filter(|_| c1.exp(1.0) == c2.exp(1.0)).count();
-        assert!(same < 32);
     }
 
     #[test]

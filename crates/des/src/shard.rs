@@ -218,12 +218,6 @@ impl<H: ShardHandler> ShardedEngine<H> {
         self.now
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total events handled across all shards.
     #[must_use]
     pub fn events_handled(&self) -> u64 {
@@ -587,7 +581,7 @@ mod tests {
 
         assert_eq!(sharded.events_handled(), plain.events_handled());
         let sharded_h = sharded.into_handlers().pop().unwrap();
-        let plain_h = plain.into_handler();
+        let plain_h = plain.handler();
         assert_eq!(sharded_h.remaining, plain_h.remaining);
         assert_eq!(sharded_h.sum, plain_h.sum, "event times agree exactly");
     }

@@ -107,13 +107,13 @@ impl OnlineStats {
 
     /// Sample standard deviation.
     #[must_use]
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
     /// Standard error of the mean.
     #[must_use]
-    pub fn std_err(&self) -> f64 {
+    pub(crate) fn std_err(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -318,13 +318,6 @@ impl BatchMeans {
     #[must_use]
     pub fn sample_count(&self) -> u64 {
         self.raw.count()
-    }
-
-    /// Statistics over the raw samples (exact mean; variance is biased by
-    /// autocorrelation — use the batch interval for precision decisions).
-    #[must_use]
-    pub fn raw_stats(&self) -> &OnlineStats {
-        &self.raw
     }
 
     /// Confidence interval over the batch means, or `None` with fewer than

@@ -4,16 +4,12 @@
 //! explicitly advanced clock: lease expiries, client deadlines and failure
 //! detection windows all read the same monotonically advancing millisecond
 //! counter, and *advancing* it is itself a schedulable choice of the
-//! explorer. This adapter keeps that clock in `oml-des` terms so model
-//! timestamps and [`SimTime`] values stay interconvertible
-//! (1 ms of virtual time = 1.0 simulated time unit).
+//! explorer.
 //!
 //! The clock deliberately has no notion of "now" outside what the scheduler
-//! assigns: it only moves via [`VirtualClock::advance_to`] /
-//! [`VirtualClock::advance_by`], and moving backwards panics — a schedule
-//! that rewinds time is a bug in the explorer, not a state to tolerate.
-
-use crate::SimTime;
+//! assigns: it only moves via [`VirtualClock::advance_to`], and moving
+//! backwards panics — a schedule that rewinds time is a bug in the explorer,
+//! not a state to tolerate.
 
 /// A deterministic, explicitly advanced millisecond clock.
 ///
@@ -22,10 +18,9 @@ use crate::SimTime;
 ///
 /// let mut clock = VirtualClock::new();
 /// assert_eq!(clock.now_ms(), 0);
-/// clock.advance_by(250);
+/// clock.advance_to(250);
 /// clock.advance_to(1_000);
 /// assert_eq!(clock.now_ms(), 1_000);
-/// assert_eq!(clock.as_sim_time().as_f64(), 1_000.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VirtualClock {
@@ -60,18 +55,6 @@ impl VirtualClock {
         self.now_ms = at_ms;
     }
 
-    /// Advances the clock by `delta_ms`.
-    pub fn advance_by(&mut self, delta_ms: u64) {
-        self.now_ms += delta_ms;
-    }
-
-    /// The current virtual time as a simulation timestamp
-    /// (1 ms = 1.0 simulated time unit).
-    #[must_use]
-    pub fn as_sim_time(&self) -> SimTime {
-        SimTime::new(self.now_ms as f64)
-    }
-
     /// Builds a clock already advanced to `now_ms` (replay support).
     #[must_use]
     pub fn at(now_ms: u64) -> Self {
@@ -87,7 +70,7 @@ mod tests {
     fn starts_at_zero_and_advances() {
         let mut c = VirtualClock::new();
         assert_eq!(c.now_ms(), 0);
-        c.advance_by(10);
+        c.advance_to(10);
         c.advance_to(10); // equal target is fine
         c.advance_to(25);
         assert_eq!(c.now_ms(), 25);
@@ -98,11 +81,5 @@ mod tests {
     fn rewinding_panics() {
         let mut c = VirtualClock::at(100);
         c.advance_to(99);
-    }
-
-    #[test]
-    fn converts_to_sim_time() {
-        let c = VirtualClock::at(1_500);
-        assert_eq!(c.as_sim_time(), SimTime::new(1_500.0));
     }
 }

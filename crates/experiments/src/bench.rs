@@ -139,7 +139,7 @@ fn json_experiments(out: &mut String, rows: &[BenchExperiment]) {
 /// Human-readable label for a stopping rule: the named precision presets
 /// map back to their names, anything else is spelled out.
 #[must_use]
-pub fn precision_label(rule: &StoppingRule) -> String {
+pub(crate) fn precision_label(rule: &StoppingRule) -> String {
     if *rule == RunOptions::quick().stopping {
         "quick".to_owned()
     } else if *rule == RunOptions::paper().stopping {

@@ -2,92 +2,27 @@
 //!
 //! ```text
 //! repro <experiment> [--quick | --paper] [--seed N] [--threads N] [--csv DIR]
-//!
-//! experiments:
-//!   table1     the simulation-parameter glossary (Table 1)
-//!   fig4       analytic §3.2 conflict costs
-//!   fig8       usage-frequency sweep (Figs. 8/10/11)
-//!   fig10      the Fig. 10 view of fig8 (mean duration of one call)
-//!   fig11      the Fig. 11 view of fig8 (mean migration time per call)
-//!   fig12      client scaling, break-even points (Fig. 12)
-//!   fig14      dynamic placement strategies (Fig. 14)
-//!   fig16      attachment modes (Fig. 16)
-//!   fig16x     fig16 plus exclusive attachment (§3.4 extension)
-//!   topology   §4.1 robustness: other network structures
-//!   egoism     §2.4 extension: one egoistic mover vs three polite ones
-//!   break-even §4.2.2 extension: break-even client counts vs the N/M ratio
-//!   visit      §2.3 ablation: move blocks vs visit blocks
-//!   location   §4.1 ablation: the four object-location mechanisms
-//!   faults     robustness extension: degradation under message loss
-//!   availability  recovery extension: client-visible latency/denials across
-//!              a crash → detect → reinstantiate → heal cycle on the real
-//!              runtime, with and without the failure detector
-//!              (--multiprocess runs it instead over real worker OS
-//!              processes on a Unix-domain socket, with a real SIGKILL
-//!              mid-workload; exits nonzero if the denial-rate recovery
-//!              shape regresses)
-//!   durability robustness extension: fraction of objects surviving
-//!              correlated failures (host crash, host+home double crash,
-//!              replica-set-minus-one) as the checkpoint replication
-//!              factor k grows, on the real runtime; checkpoint stores are
-//!              WAL-backed under the --fsync policy (or OML_FSYNC)
-//!              (--cold-restart instead SIGKILLs a whole multi-process
-//!              cluster — coordinator and workers — and cold-starts a
-//!              successor from the on-disk WAL alone, reporting recovered
-//!              fraction and recovery latency per fsync policy plus a
-//!              torn-write negative control the checker must flag; exits
-//!              nonzero on any durability regression)
-//!   check      replay seeded chaos schedules with protocol tracing on and
-//!              verify the paper's invariants plus the lock-order graph
-//!              (--seeds chaos | --seeds N,M,... to pick the schedules;
-//!              --recovery adds the failure-detector schedules and the
-//!              unfenced zombie negative control; --durability adds the
-//!              quorum-replicated checkpoint schedules and the no-repair /
-//!              stale-promotion negative controls; --negative replays the
-//!              negative controls alone and exits nonzero — violations are
-//!              present by construction)
-//!   explore    DPOR model checker over the bundled small-scope matrix:
-//!              the clean configs must enumerate exhaustively with zero
-//!              violations and the seeded-mutation configs must yield
-//!              minimized counterexamples, saved under results/explore/ and
-//!              re-verified by bit-identical replay from disk (--smoke for
-//!              the CI budget, --budget N to cap enumerated schedules,
-//!              --replay FILE to re-execute a saved counterexample)
-//!   bench      fixed quick-precision perf suite; writes BENCH_02.json
-//!              (single-threaded unless --threads says otherwise, so the
-//!              tracked baseline stays comparable across commits)
-//!   scaling    threads-axis scaling suite over the parallel replication
-//!              runner; asserts bit-identical results across thread counts
-//!              and writes BENCH_03.json (--axis N,M,... picks the thread
-//!              counts, default 1,2,4,8; --no-mega skips the standing mega
-//!              world that is otherwise appended to the report)
-//!   mega       the standing large-scale world: >=1M Zipf-popular objects
-//!              on >=1024 nodes across 64 shards of the conservative
-//!              time-windowed engine (--smoke runs the small CI variant)
-//!   <file.csv> replot a previously saved result (no re-run)
-//!   custom     run a scenario loaded with --scenario FILE (key = value
-//!              format; see ScenarioConfig::to_config_text) under all five
-//!              policies
-//!   all        everything above
 //! ```
+//!
+//! The experiments are the rows of [`EXPERIMENTS`]; `repro` without
+//! arguments prints them, with every flag.
 
 use std::env;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use oml_experiments::bench::{
     render_bench_json, render_scaling_json, run_bench_suite, run_scaling_suite,
 };
 use oml_experiments::check::{
-    audit_lock_order, exercise_lock_sites, replay_chaos_seeds, replay_durability_seeds,
-    replay_no_repair_negative, replay_recovery_seeds, replay_stale_promotion_negative,
-    replay_zombie_negative, CHAOS_SEEDS,
+    audit_lock_order, exercise_lock_sites, replay_chaos_seed, replay_durability_seed,
+    replay_recovery_seed, CheckOutcome, CHAOS_SEEDS, NEGATIVE_CONTROLS,
 };
 use oml_experiments::experiments::{
     availability, availability_multiprocess, break_even_scaling, durability, egoism, faults, fig12,
-    fig14, fig16, fig16_exclusive, fig4_cost, fig8, location_ablation, multiproc_worker_types,
-    topology_ablation, visit_ablation, RunOptions,
+    fig14, fig16, fig16_exclusive, fig4_cost, fig8, fsync_from_env, location_ablation,
+    multiproc_worker_types, topology_ablation, visit_ablation, RunOptions,
 };
 use oml_experiments::explore::{render_outcome, replay_file, run_matrix};
 use oml_experiments::{render_plot, render_svg, ExperimentResult, SvgOptions};
@@ -95,6 +30,7 @@ use oml_workload::mega::{run_mega, MegaConfig};
 use oml_workload::table1::{table1, value_for};
 use oml_workload::{run_scenario, ScenarioConfig};
 
+#[derive(Default)]
 struct Cli {
     experiment: String,
     opts: RunOptions,
@@ -122,47 +58,30 @@ struct Cli {
 }
 
 fn parse_args() -> Result<Cli, String> {
-    let mut experiment = None;
-    let mut opts = RunOptions::quick();
+    let mut cli = Cli {
+        opts: RunOptions::quick(),
+        ..Cli::default()
+    };
     let mut precision_set = false;
-    let mut csv_dir = None;
-    let mut svg_dir = None;
-    let mut plot = false;
-    let mut scenario = None;
-    let mut seeds = None;
-    let mut recovery = false;
-    let mut durability_check = false;
-    let mut negative = false;
-    let mut budget = None;
-    let mut replay = None;
-    let mut threads_override = None;
-    let mut axis = None;
-    let mut no_mega = false;
-    let mut smoke = false;
-    let mut multiprocess = false;
-    let mut cold_restart = false;
-    let mut fsync = None;
 
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => {
-                opts = RunOptions {
-                    seed: opts.seed,
-                    ..RunOptions::quick()
+            "--quick" | "--paper" => {
+                let preset = if arg == "--quick" {
+                    RunOptions::quick()
+                } else {
+                    RunOptions::paper()
                 };
-                precision_set = true;
-            }
-            "--paper" => {
-                opts = RunOptions {
-                    seed: opts.seed,
-                    ..RunOptions::paper()
+                cli.opts = RunOptions {
+                    seed: cli.opts.seed,
+                    ..preset
                 };
                 precision_set = true;
             }
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed: {v}"))?;
+                cli.opts.seed = v.parse().map_err(|_| format!("bad seed: {v}"))?;
             }
             "--threads" => {
                 let v = args.next().ok_or("--threads needs a value")?;
@@ -170,15 +89,13 @@ fn parse_args() -> Result<Cli, String> {
                 if n == 0 {
                     return Err("--threads must be at least 1".into());
                 }
-                threads_override = Some(n);
+                cli.threads_override = Some(n);
             }
-            "--axis" => {
-                axis = Some(args.next().ok_or("--axis needs N,M,...")?);
-            }
-            "--no-mega" => no_mega = true,
-            "--smoke" => smoke = true,
-            "--multiprocess" => multiprocess = true,
-            "--cold-restart" => cold_restart = true,
+            "--axis" => cli.axis = Some(args.next().ok_or("--axis needs N,M,...")?),
+            "--no-mega" => cli.no_mega = true,
+            "--smoke" => cli.smoke = true,
+            "--multiprocess" => cli.multiprocess = true,
+            "--cold-restart" => cli.cold_restart = true,
             "--fsync" => {
                 let v = args.next().ok_or("--fsync needs always|never|batch:N:MS")?;
                 if oml_runtime::FsyncPolicy::parse(&v).is_none() {
@@ -187,91 +104,60 @@ fn parse_args() -> Result<Cli, String> {
                 // exported so the worker/seed/recover child processes this
                 // binary re-executes see the same policy
                 env::set_var("OML_FSYNC", &v);
-                fsync = Some(v);
+                cli.fsync = Some(v);
             }
-            "--csv" => {
-                let v = args.next().ok_or("--csv needs a directory")?;
-                csv_dir = Some(PathBuf::from(v));
-            }
-            "--plot" => plot = true,
+            "--csv" => cli.csv_dir = Some(args.next().ok_or("--csv needs a directory")?.into()),
+            "--plot" => cli.plot = true,
             "--scenario" => {
-                let v = args.next().ok_or("--scenario needs a file")?;
-                scenario = Some(PathBuf::from(v));
+                cli.scenario = Some(args.next().ok_or("--scenario needs a file")?.into());
             }
             "--seeds" => {
-                seeds = Some(args.next().ok_or("--seeds needs `chaos` or N,M,...")?);
+                cli.seeds = Some(args.next().ok_or("--seeds needs `chaos` or N,M,...")?);
             }
-            "--recovery" => recovery = true,
-            "--durability" => durability_check = true,
-            "--negative" => negative = true,
+            "--recovery" => cli.recovery = true,
+            "--durability" => cli.durability_check = true,
+            "--negative" => cli.negative = true,
             "--budget" => {
                 let v = args.next().ok_or("--budget needs a schedule count")?;
-                budget = Some(v.parse().map_err(|_| format!("bad budget: {v}"))?);
+                cli.budget = Some(v.parse().map_err(|_| format!("bad budget: {v}"))?);
             }
             "--replay" => {
-                let v = args.next().ok_or("--replay needs a schedule file")?;
-                replay = Some(PathBuf::from(v));
+                cli.replay = Some(args.next().ok_or("--replay needs a schedule file")?.into());
             }
-            "--svg" => {
-                let v = args.next().ok_or("--svg needs a directory")?;
-                svg_dir = Some(PathBuf::from(v));
-            }
+            "--svg" => cli.svg_dir = Some(args.next().ok_or("--svg needs a directory")?.into()),
             "--help" | "-h" => return Err(String::new()),
-            other if experiment.is_none() && !other.starts_with('-') => {
-                experiment = Some(other.to_owned());
+            name if cli.experiment.is_empty() && !name.starts_with('-') => {
+                if !name.ends_with(".csv") && !EXPERIMENTS.iter().any(|e| e.name == name) {
+                    return Err(format!("unknown experiment: {name}"));
+                }
+                cli.experiment = name.to_owned();
             }
             other => return Err(format!("unexpected argument: {other}")),
         }
     }
-    if !precision_set && !matches!(experiment.as_deref(), Some("check" | "explore")) {
+    if cli.experiment.is_empty() {
+        return Err("an experiment name is required".into());
+    }
+    if !precision_set && !matches!(cli.experiment.as_str(), "check" | "explore") {
         eprintln!(
             "(no precision flag given; defaulting to --quick — use --paper for the 1%/p=0.99 rule)"
         );
     }
     // applied last so `--threads 4 --paper` and `--paper --threads 4` agree
-    if let Some(n) = threads_override {
-        opts.threads = n;
+    if let Some(n) = cli.threads_override {
+        cli.opts.threads = n;
     }
-    Ok(Cli {
-        experiment: experiment.ok_or("an experiment name is required")?,
-        opts,
-        csv_dir,
-        svg_dir,
-        plot,
-        scenario,
-        seeds,
-        recovery,
-        durability_check,
-        negative,
-        budget,
-        replay,
-        threads_override,
-        axis,
-        no_mega,
-        smoke,
-        multiprocess,
-        cold_restart,
-        fsync,
-    })
+    Ok(cli)
 }
 
-/// One-line JSON record of the fsync policy an experiment actually ran
-/// under — `--fsync` if given, else `OML_FSYNC`, else the default.
-fn print_fsync_summary(experiment: &str, flag: Option<&str>) {
-    let policy = flag.map_or_else(
-        || {
-            env::var("OML_FSYNC")
-                .ok()
-                .and_then(|v| oml_runtime::FsyncPolicy::parse(v.trim()))
-                .unwrap_or_default()
-                .to_string()
-        },
-        str::to_owned,
-    );
+/// One-line JSON record of the fsync policy an experiment ran under:
+/// `OML_FSYNC`, which `--fsync` sets, else the default.
+fn print_fsync_summary(experiment: &str) {
+    let policy = fsync_from_env();
     println!("{{\"experiment\": \"{experiment}\", \"fsync\": \"{policy}\"}}");
 }
 
-fn print_table1() {
+fn print_table1() -> ExitCode {
     println!("# Table 1 — relevant simulation parameters");
     println!(
         "{:>8}  {:<38} {:>10}  {:>12} {:>12} {:>12} {:>12}",
@@ -298,24 +184,33 @@ fn print_table1() {
         }
         println!();
     }
+    println!();
+    ExitCode::SUCCESS
 }
 
-fn emit(result: &ExperimentResult, cli: &Cli) {
-    let csv_dir = cli.csv_dir.as_ref();
+/// Writes `contents` to `dir/file`, creating `dir`; says what happened.
+fn save(dir: &Path, file: String, contents: String) {
+    if let Err(e) = fs::create_dir_all(dir) {
+        eprintln!("cannot create {}: {e}", dir.display());
+        return;
+    }
+    let path = dir.join(file);
+    match fs::write(&path, contents) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
+    }
+}
+
+/// Prints `result` (and plots / saves it as the flags ask); an experiment
+/// that got this far has succeeded.
+fn emit(result: &ExperimentResult, cli: &Cli) -> ExitCode {
     println!("{}", result.to_ascii_table());
     if cli.plot {
         println!("{}", render_plot(result, 64, 20));
     }
     if let Some(dir) = &cli.svg_dir {
-        if let Err(e) = fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-        } else {
-            let path = dir.join(format!("{}.svg", result.id));
-            match fs::write(&path, render_svg(result, &SvgOptions::default())) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-            }
-        }
+        let svg = render_svg(result, &SvgOptions::default());
+        save(dir, format!("{}.svg", result.id), svg);
     }
     if result.id == "fig12" {
         if let Some(x) = result.crossover("migration", "without migration") {
@@ -326,42 +221,25 @@ fn emit(result: &ExperimentResult, cli: &Cli) {
         }
         println!();
     }
-    if let Some(dir) = csv_dir {
-        if let Err(e) = fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return;
-        }
-        let path = dir.join(format!("{}.csv", result.id));
-        match fs::write(&path, result.to_csv()) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-        }
+    if let Some(dir) = &cli.csv_dir {
+        save(dir, format!("{}.csv", result.id), result.to_csv());
     }
+    ExitCode::SUCCESS
 }
 
-/// Replays the requested chaos seeds with tracing on, prints every
-/// checker verdict and the lock-order audit, and reports overall success.
-/// With `recovery`, additionally replays the failure-detector schedules
-/// (crash → declare-dead → reinstantiate, plus a scripted zombie restart)
-/// and the unfenced negative control, which must be *flagged*. With
-/// `durability`, additionally replays the quorum-replicated checkpoint
-/// schedules (host+home double crash under duplicated checkpoint traffic)
-/// and the no-repair / stale-promotion negative controls, which must be
-/// *flagged*.
-/// The `--negative` path: replays the three rigged negative controls alone.
+/// The `--negative` path: replays the rigged negative controls alone.
 /// Violations are present *by construction*, so this path always exits
 /// nonzero — the exit code uniformly means "violations found", whether they
 /// were hoped for or not. A control that comes back clean is reported too
 /// (the invariant meant to catch it is not biting), and still exits
 /// nonzero.
-fn run_check_negative(seed: u64) -> ExitCode {
+fn run_check_negative() -> ExitCode {
+    let seed = CHAOS_SEEDS[0];
     println!("# repro check --negative — rigged controls, violations expected");
     let mut all_flagged = true;
-    for (name, outcome) in [
-        ("unfenced zombie", replay_zombie_negative(seed)),
-        ("no-repair", replay_no_repair_negative(seed)),
-        ("stale-promotion", replay_stale_promotion_negative(seed)),
-    ] {
+    for control in NEGATIVE_CONTROLS {
+        let name = control.name;
+        let outcome = (control.run)(seed);
         if outcome.report.is_clean() {
             eprintln!("{name}: CLEAN — the invariant meant to catch it is not biting");
             all_flagged = false;
@@ -380,8 +258,19 @@ fn run_check_negative(seed: u64) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn run_check(seeds_arg: Option<&str>, recovery: bool, durability: bool) -> ExitCode {
-    let seeds: Vec<u64> = match seeds_arg {
+/// Replays the requested chaos seeds with tracing on, prints every
+/// checker verdict and the lock-order audit, and reports overall success.
+/// With `--recovery`, additionally replays the failure-detector schedules
+/// (crash → declare-dead → reinstantiate, plus a scripted zombie restart);
+/// with `--durability`, the quorum-replicated checkpoint schedules
+/// (host+home double crash under duplicated checkpoint traffic). Each flag
+/// also replays its [`NEGATIVE_CONTROLS`], which must be *flagged*; with
+/// `--negative` those are all that runs.
+fn run_check(cli: &Cli) -> ExitCode {
+    if cli.negative {
+        return run_check_negative();
+    }
+    let seeds: Vec<u64> = match cli.seeds.as_deref() {
         None | Some("chaos") => CHAOS_SEEDS.to_vec(),
         Some(list) => {
             let mut parsed = Vec::new();
@@ -404,78 +293,58 @@ fn run_check(seeds_arg: Option<&str>, recovery: bool, durability: bool) -> ExitC
         }
     };
 
-    println!("# repro check — protocol invariants under seeded chaos");
     let mut clean = true;
-    for outcome in replay_chaos_seeds(&seeds) {
-        println!("\nseed {:#x}:", outcome.seed);
-        println!("{}", outcome.report);
-        clean &= outcome.report.is_clean();
+    // one schedule family: every seed replayed and printed, then the
+    // negative controls riding on `flag` — rigged so that a violation is
+    // present, which the named invariant MUST catch
+    let mut family =
+        |flag: &str, heading: &str, seed_label: &str, replay: fn(u64) -> CheckOutcome| {
+            println!("{heading}");
+            for &seed in &seeds {
+                let outcome = replay(seed);
+                println!("\n{seed_label} {:#x}:", outcome.seed);
+                println!("{}", outcome.report);
+                clean &= outcome.report.is_clean();
+            }
+            for control in NEGATIVE_CONTROLS.iter().filter(|c| c.gate == flag) {
+                let (name, invariant) = (control.name, control.invariant);
+                let outcome = (control.run)(seeds[0]);
+                if outcome.report.is_clean() {
+                    eprintln!(
+                        "\n{name} negative control came back CLEAN — the \
+                         {invariant} invariant is not biting"
+                    );
+                    clean = false;
+                } else {
+                    println!(
+                        "\n{name} negative control: flagged as expected \
+                         ({} violation(s))",
+                        outcome.report.violations.len()
+                    );
+                }
+            }
+        };
+    family(
+        "",
+        "# repro check — protocol invariants under seeded chaos",
+        "seed",
+        replay_chaos_seed,
+    );
+    if cli.recovery {
+        family(
+            "--recovery",
+            "\n# repro check --recovery — fenced reinstantiation under chaos",
+            "recovery seed",
+            replay_recovery_seed,
+        );
     }
-
-    if recovery {
-        println!("\n# repro check --recovery — fenced reinstantiation under chaos");
-        for outcome in replay_recovery_seeds(&seeds) {
-            println!("\nrecovery seed {:#x}:", outcome.seed);
-            println!("{}", outcome.report);
-            clean &= outcome.report.is_clean();
-        }
-        // the negative control: without fencing the zombie double-installs,
-        // and the stale-incarnation invariant MUST catch it
-        let negative = replay_zombie_negative(seeds[0]);
-        if negative.report.is_clean() {
-            eprintln!(
-                "\nunfenced zombie negative control came back CLEAN — the \
-                 stale-incarnation invariant is not biting"
-            );
-            clean = false;
-        } else {
-            println!(
-                "\nunfenced zombie negative control: flagged as expected \
-                 ({} violation(s))",
-                negative.report.violations.len()
-            );
-        }
-    }
-
-    if durability {
-        println!("\n# repro check --durability — quorum-replicated checkpoints");
-        for outcome in replay_durability_seeds(&seeds) {
-            println!("\ndurability seed {:#x}:", outcome.seed);
-            println!("{}", outcome.report);
-            clean &= outcome.report.is_clean();
-        }
-        // negative control one: with the repair sweep off, a declared death
-        // must leave a replica deficit the checker flags
-        let no_repair = replay_no_repair_negative(seeds[0]);
-        if no_repair.report.is_clean() {
-            eprintln!(
-                "\nno-repair negative control came back CLEAN — the \
-                 replication-factor invariant is not biting"
-            );
-            clean = false;
-        } else {
-            println!(
-                "\nno-repair negative control: flagged as expected \
-                 ({} violation(s))",
-                no_repair.report.violations.len()
-            );
-        }
-        // negative control two: rigged stalest-survivor promotion must trip
-        // the freshness invariant when a quorum-acked copy survives
-        let stale = replay_stale_promotion_negative(seeds[0]);
-        if stale.report.is_clean() {
-            eprintln!(
-                "\nstale-promotion negative control came back CLEAN — the \
-                 freshness invariant is not biting"
-            );
-            clean = false;
-        } else {
-            println!(
-                "\nstale-promotion negative control: flagged as expected \
-                 ({} violation(s))",
-                stale.report.violations.len()
-            );
-        }
+    if cli.durability_check {
+        family(
+            "--durability",
+            "\n# repro check --durability — quorum-replicated checkpoints",
+            "durability seed",
+            replay_durability_seed,
+        );
     }
 
     println!("\n# lock-order audit");
@@ -568,6 +437,15 @@ fn run_explore(cli: &Cli) -> ExitCode {
     }
 }
 
+/// The mega world `--smoke` selects: the small CI variant or the standing one.
+fn mega_config(cli: &Cli) -> MegaConfig {
+    if cli.smoke {
+        MegaConfig::smoke()
+    } else {
+        MegaConfig::standing()
+    }
+}
+
 fn print_mega(report: &oml_workload::mega::MegaReport) {
     println!("# repro mega — the standing large-scale world");
     println!(
@@ -636,11 +514,7 @@ fn run_scaling(cli: &Cli) -> ExitCode {
     let mega = if cli.no_mega {
         None
     } else {
-        let cfg = if cli.smoke {
-            MegaConfig::smoke()
-        } else {
-            MegaConfig::standing()
-        };
+        let cfg = mega_config(cli);
         let threads = cli
             .threads_override
             .unwrap_or_else(|| axis.iter().copied().max().unwrap_or(1));
@@ -682,6 +556,364 @@ fn run_scaling(cli: &Cli) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// One `repro` experiment. Dispatch, `all`, and the help `repro` prints
+/// without arguments are all read off [`EXPERIMENTS`]: adding an experiment
+/// is adding a row.
+struct Experiment {
+    name: &'static str,
+    /// Help text, one `\n`-separated line per printed line.
+    about: &'static str,
+    /// Whether `repro all` runs it (marked `*` in the help).
+    in_all: bool,
+    run: fn(&Cli) -> ExitCode,
+}
+
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "table1",
+        about: "the simulation-parameter glossary (Table 1)",
+        in_all: true,
+        run: |_| print_table1(),
+    },
+    Experiment {
+        name: "fig4",
+        about: "analytic §3.2 conflict costs",
+        in_all: true,
+        run: |cli| emit(&fig4_cost(), cli),
+    },
+    Experiment {
+        name: "fig8",
+        about: "usage-frequency sweep (Figs. 8/10/11)",
+        in_all: true,
+        run: |cli| emit(&fig8(&cli.opts), cli),
+    },
+    Experiment {
+        name: "fig10",
+        about: "the Fig. 10 view of fig8 (mean duration of one call)",
+        in_all: false,
+        run: |cli| {
+            let view =
+                fig8(&cli.opts).derive("fig10", "mean duration of one call", |m| m.call_time);
+            emit(&view, cli)
+        },
+    },
+    Experiment {
+        name: "fig11",
+        about: "the Fig. 11 view of fig8 (mean migration time per call)",
+        in_all: false,
+        run: |cli| {
+            let view = fig8(&cli.opts).derive("fig11", "mean migration time per call", |m| {
+                m.migration_time
+            });
+            emit(&view, cli)
+        },
+    },
+    Experiment {
+        name: "fig12",
+        about: "client scaling, break-even points (Fig. 12)",
+        in_all: true,
+        run: |cli| emit(&fig12(&cli.opts), cli),
+    },
+    Experiment {
+        name: "fig14",
+        about: "dynamic placement strategies (Fig. 14)",
+        in_all: true,
+        run: |cli| emit(&fig14(&cli.opts), cli),
+    },
+    Experiment {
+        name: "fig16",
+        about: "attachment modes (Fig. 16)",
+        in_all: true,
+        run: |cli| emit(&fig16(&cli.opts), cli),
+    },
+    Experiment {
+        name: "fig16x",
+        about: "fig16 plus exclusive attachment (§3.4 extension)",
+        in_all: true,
+        run: |cli| emit(&fig16_exclusive(&cli.opts), cli),
+    },
+    Experiment {
+        name: "topology",
+        about: "§4.1 robustness: other network structures",
+        in_all: true,
+        run: |cli| emit(&topology_ablation(&cli.opts), cli),
+    },
+    Experiment {
+        name: "egoism",
+        about: "§2.4 extension: one egoistic mover vs three polite ones",
+        in_all: true,
+        run: |cli| emit(&egoism(&cli.opts), cli),
+    },
+    Experiment {
+        name: "break-even",
+        about: "§4.2.2 extension: break-even client counts vs the N/M ratio",
+        in_all: true,
+        run: |cli| emit(&break_even_scaling(&cli.opts), cli),
+    },
+    Experiment {
+        name: "visit",
+        about: "§2.3 ablation: move blocks vs visit blocks",
+        in_all: true,
+        run: |cli| emit(&visit_ablation(&cli.opts), cli),
+    },
+    Experiment {
+        name: "location",
+        about: "§4.1 ablation: the four object-location mechanisms",
+        in_all: true,
+        run: |cli| emit(&location_ablation(&cli.opts), cli),
+    },
+    Experiment {
+        name: "faults",
+        about: "robustness extension: degradation under message loss",
+        in_all: true,
+        run: |cli| emit(&faults(&cli.opts), cli),
+    },
+    Experiment {
+        name: "availability",
+        about: "recovery extension: client-visible latency/denials across\n\
+                a crash → detect → reinstantiate → heal cycle on the real\n\
+                runtime, with and without the failure detector\n\
+                (--multiprocess runs it instead over real worker OS\n\
+                processes on a Unix-domain socket, with a real SIGKILL\n\
+                mid-workload; exits nonzero if the denial-rate recovery\n\
+                shape regresses)",
+        in_all: true,
+        run: run_availability,
+    },
+    Experiment {
+        name: "durability",
+        about: "robustness extension: fraction of objects surviving\n\
+                correlated failures (host crash, host+home double crash,\n\
+                replica-set-minus-one) as the checkpoint replication\n\
+                factor k grows, on the real runtime; checkpoint stores are\n\
+                WAL-backed under the --fsync policy (or OML_FSYNC)\n\
+                (--cold-restart instead SIGKILLs a whole multi-process\n\
+                cluster — coordinator and workers — and cold-starts a\n\
+                successor from the on-disk WAL alone, reporting recovered\n\
+                fraction and recovery latency per fsync policy plus a\n\
+                torn-write negative control the checker must flag; exits\n\
+                nonzero on any durability regression)",
+        in_all: true,
+        run: run_durability,
+    },
+    Experiment {
+        name: "check",
+        about: "replay seeded chaos schedules with protocol tracing on and\n\
+                verify the paper's invariants plus the lock-order graph\n\
+                (--seeds chaos | --seeds N,M,... to pick the schedules;\n\
+                --recovery adds the failure-detector schedules and the\n\
+                unfenced zombie negative control; --durability adds the\n\
+                quorum-replicated checkpoint schedules and the no-repair /\n\
+                stale-promotion negative controls; --negative replays the\n\
+                negative controls alone and exits nonzero — violations are\n\
+                present by construction)",
+        in_all: false,
+        run: run_check,
+    },
+    Experiment {
+        name: "explore",
+        about: "DPOR model checker over the bundled small-scope matrix:\n\
+                the clean configs must enumerate exhaustively with zero\n\
+                violations and the seeded-mutation configs must yield\n\
+                minimized counterexamples, saved under results/explore/ and\n\
+                re-verified by bit-identical replay from disk (--smoke for\n\
+                the CI budget, --budget N to cap enumerated schedules,\n\
+                --replay FILE to re-execute a saved counterexample)",
+        in_all: false,
+        run: run_explore,
+    },
+    Experiment {
+        name: "bench",
+        about: "fixed quick-precision perf suite; writes BENCH_02.json\n\
+                (single-threaded unless --threads says otherwise, so the\n\
+                tracked baseline stays comparable across commits)",
+        in_all: false,
+        run: run_bench,
+    },
+    Experiment {
+        name: "scaling",
+        about: "threads-axis scaling suite over the parallel replication\n\
+                runner; asserts bit-identical results across thread counts\n\
+                and writes BENCH_03.json (--axis N,M,... picks the thread\n\
+                counts, default 1,2,4,8; --no-mega skips the standing mega\n\
+                world that is otherwise appended to the report)",
+        in_all: false,
+        run: run_scaling,
+    },
+    Experiment {
+        name: "mega",
+        about: "the standing large-scale world: >=1M Zipf-popular objects\n\
+                on >=1024 nodes across 64 shards of the conservative\n\
+                time-windowed engine (--smoke runs the small CI variant)",
+        in_all: false,
+        run: |cli| {
+            let report = run_mega(&mega_config(cli), cli.opts.seed, cli.opts.threads);
+            print_mega(&report);
+            ExitCode::SUCCESS
+        },
+    },
+    Experiment {
+        name: "custom",
+        about: "run a scenario loaded with --scenario FILE (key = value\n\
+                format; see ScenarioConfig::to_config_text) under all five\n\
+                policies",
+        in_all: false,
+        run: run_custom,
+    },
+    Experiment {
+        name: "all",
+        about: "every experiment marked * above, in that order",
+        in_all: false,
+        run: |cli| {
+            for experiment in EXPERIMENTS.iter().filter(|e| e.in_all) {
+                (experiment.run)(cli);
+            }
+            ExitCode::SUCCESS
+        },
+    },
+];
+
+/// What `repro` prints when it cannot tell what to run: the flags, then
+/// one entry per [`EXPERIMENTS`] row.
+fn usage() -> String {
+    let mut text = String::from(
+        "usage: repro <experiment> [--quick|--paper] [--seed N] [--threads N] \
+         [--seeds chaos|N,M,...] [--recovery] [--durability] [--negative] \
+         [--budget N] [--replay FILE] [--axis N,M,...] [--no-mega] [--smoke] [--multiprocess] \
+         [--cold-restart] [--fsync always|never|batch:N:MS] [--scenario FILE] [--csv DIR] \
+         [--svg DIR] [--plot]\n\nexperiments (* = part of `all`):\n",
+    );
+    for experiment in EXPERIMENTS {
+        let mark = if experiment.in_all { "*" } else { "" };
+        let mut lines = experiment.about.lines();
+        let first = lines.next().unwrap_or_default();
+        text += &format!("  {:<12} {mark:<1} {first}\n", experiment.name);
+        for line in lines {
+            text += &format!("{:17}{line}\n", "");
+        }
+    }
+    text += "  <file.csv>     replot a previously saved result (no re-run)";
+    text
+}
+
+fn run_availability(cli: &Cli) -> ExitCode {
+    if !cli.multiprocess {
+        return emit(&availability(&cli.opts), cli);
+    }
+    let code = emit(&availability_multiprocess(), cli);
+    print_fsync_summary("availability-multiprocess");
+    code
+}
+
+fn run_durability(cli: &Cli) -> ExitCode {
+    if cli.cold_restart {
+        return oml_experiments::cold::run_cold_restart(cli.fsync.as_deref());
+    }
+    let code = emit(&durability(&cli.opts), cli);
+    print_fsync_summary("durability");
+    code
+}
+
+/// The bench suite is the tracked baseline: quick precision and one thread
+/// unless overridden explicitly, so numbers stay comparable across commits.
+/// The JSON records whatever precision and thread count actually ran.
+fn run_bench(cli: &Cli) -> ExitCode {
+    let opts = RunOptions {
+        seed: cli.opts.seed,
+        threads: cli.threads_override.unwrap_or(1),
+        ..RunOptions::quick()
+    };
+    let report = run_bench_suite(&opts);
+    for e in &report.experiments {
+        println!(
+            "{:<8} {:>8.3} s  {:>10} events  {:>12.0} events/s",
+            e.name, e.wall_s, e.events, e.events_per_sec
+        );
+    }
+    let json = render_bench_json(&report, &opts);
+    let path = PathBuf::from("BENCH_02.json");
+    match fs::write(&path, json) {
+        Ok(()) => {
+            println!("wrote {}", path.display());
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("cannot write {}: {e}", path.display());
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run_custom(cli: &Cli) -> ExitCode {
+    use oml_core::attach::AttachmentMode;
+    use oml_core::policy::PolicyKind;
+    use oml_sim::metrics::MetricsRow;
+    use std::collections::BTreeMap;
+
+    let Some(path) = &cli.scenario else {
+        eprintln!("error: `custom` needs --scenario FILE");
+        return ExitCode::FAILURE;
+    };
+    let text = match fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("cannot read {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+    };
+    let config = match ScenarioConfig::from_config_text(&text) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut series = BTreeMap::new();
+    for kind in PolicyKind::ALL {
+        let out = run_scenario(
+            &config,
+            kind,
+            AttachmentMode::Unrestricted,
+            cli.opts.stopping,
+            cli.opts.seed,
+        );
+        series.insert(kind.to_string(), MetricsRow::from(&out.metrics));
+    }
+    let result = ExperimentResult {
+        id: "custom".into(),
+        title: format!("custom scenario `{}`", config.name),
+        x_label: "clients".into(),
+        y_label: "mean communication time per call".into(),
+        points: vec![oml_experiments::SweepPoint {
+            x: f64::from(config.clients),
+            series,
+        }],
+    };
+    emit(&result, cli)
+}
+
+/// Replots a previously saved result without re-running it.
+fn replot(path: &str, cli: &Cli) -> ExitCode {
+    let id = PathBuf::from(path)
+        .file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "reloaded".into());
+    let csv = match fs::read_to_string(path) {
+        Ok(csv) => csv,
+        Err(e) => {
+            eprintln!("cannot read {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match ExperimentResult::from_csv(&id, &csv) {
+        Ok(result) => emit(&result, cli),
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn main() -> ExitCode {
     // worker role: `availability --multiprocess` re-executes this binary as
     // its worker processes with OML_MP_* set; nothing else may run in them
@@ -701,206 +933,13 @@ fn main() -> ExitCode {
             if !msg.is_empty() {
                 eprintln!("error: {msg}\n");
             }
-            eprintln!(
-                "usage: repro <table1|fig4|fig8|fig10|fig11|fig12|fig14|fig16|fig16x|availability|durability|check|explore|bench|scaling|mega|...|all> \
-                 [--quick|--paper] [--seed N] [--threads N] [--seeds chaos|N,M,...] [--recovery] [--durability] [--negative] \
-                 [--budget N] [--replay FILE] [--axis N,M,...] [--no-mega] [--smoke] [--multiprocess] \
-                 [--cold-restart] [--fsync always|never|batch:N:MS] [--csv DIR] [--svg DIR] [--plot]"
-            );
+            eprintln!("{}", usage());
             return ExitCode::FAILURE;
         }
     };
-
-    let run_one = |name: &str| -> bool {
-        match name {
-            "table1" => {
-                print_table1();
-                println!();
-            }
-            "fig4" => emit(&fig4_cost(), &cli),
-            "fig8" => emit(&fig8(&cli.opts), &cli),
-            "fig10" => emit(
-                &fig8(&cli.opts).derive("fig10", "mean duration of one call", |m| m.call_time),
-                &cli,
-            ),
-            "fig11" => emit(
-                &fig8(&cli.opts).derive("fig11", "mean migration time per call", |m| {
-                    m.migration_time
-                }),
-                &cli,
-            ),
-            "fig12" => emit(&fig12(&cli.opts), &cli),
-            "fig14" => emit(&fig14(&cli.opts), &cli),
-            "fig16" => emit(&fig16(&cli.opts), &cli),
-            "fig16x" => emit(&fig16_exclusive(&cli.opts), &cli),
-            "topology" => emit(&topology_ablation(&cli.opts), &cli),
-            "egoism" => emit(&egoism(&cli.opts), &cli),
-            "break-even" => emit(&break_even_scaling(&cli.opts), &cli),
-            "visit" => emit(&visit_ablation(&cli.opts), &cli),
-            "location" => emit(&location_ablation(&cli.opts), &cli),
-            "faults" => emit(&faults(&cli.opts), &cli),
-            "availability" if cli.multiprocess => {
-                emit(&availability_multiprocess(), &cli);
-                print_fsync_summary("availability-multiprocess", cli.fsync.as_deref());
-            }
-            "availability" => emit(&availability(&cli.opts), &cli),
-            "durability" => {
-                emit(&durability(&cli.opts), &cli);
-                print_fsync_summary("durability", cli.fsync.as_deref());
-            }
-            _ => return false,
-        }
-        true
-    };
-
-    match cli.experiment.as_str() {
-        "durability" if cli.cold_restart => {
-            oml_experiments::cold::run_cold_restart(cli.fsync.as_deref())
-        }
-        "check" if cli.negative => run_check_negative(CHAOS_SEEDS[0]),
-        "check" => run_check(cli.seeds.as_deref(), cli.recovery, cli.durability_check),
-        "explore" => run_explore(&cli),
-        "bench" => {
-            // The bench suite is the tracked baseline: quick precision and
-            // one thread unless overridden explicitly, so numbers stay
-            // comparable across commits. The JSON records whatever precision
-            // and thread count actually ran.
-            let opts = RunOptions {
-                seed: cli.opts.seed,
-                threads: cli.threads_override.unwrap_or(1),
-                ..RunOptions::quick()
-            };
-            let report = run_bench_suite(&opts);
-            for e in &report.experiments {
-                println!(
-                    "{:<8} {:>8.3} s  {:>10} events  {:>12.0} events/s",
-                    e.name, e.wall_s, e.events, e.events_per_sec
-                );
-            }
-            let json = render_bench_json(&report, &opts);
-            let path = PathBuf::from("BENCH_02.json");
-            match fs::write(&path, json) {
-                Ok(()) => {
-                    println!("wrote {}", path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "scaling" => run_scaling(&cli),
-        "mega" => {
-            let cfg = if cli.smoke {
-                MegaConfig::smoke()
-            } else {
-                MegaConfig::standing()
-            };
-            let report = run_mega(&cfg, cli.opts.seed, cli.opts.threads);
-            print_mega(&report);
-            ExitCode::SUCCESS
-        }
-        "custom" => {
-            let Some(path) = &cli.scenario else {
-                eprintln!("error: `custom` needs --scenario FILE");
-                return ExitCode::FAILURE;
-            };
-            let text = match fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            let config = match ScenarioConfig::from_config_text(&text) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            use oml_core::attach::AttachmentMode;
-            use oml_core::policy::PolicyKind;
-            use oml_sim::metrics::MetricsRow;
-            use std::collections::BTreeMap;
-            let mut series = BTreeMap::new();
-            for kind in PolicyKind::ALL {
-                let out = run_scenario(
-                    &config,
-                    kind,
-                    AttachmentMode::Unrestricted,
-                    cli.opts.stopping,
-                    cli.opts.seed,
-                );
-                series.insert(kind.to_string(), MetricsRow::from(&out.metrics));
-            }
-            let result = ExperimentResult {
-                id: "custom".into(),
-                title: format!("custom scenario `{}`", config.name),
-                x_label: "clients".into(),
-                y_label: "mean communication time per call".into(),
-                points: vec![oml_experiments::SweepPoint {
-                    x: f64::from(config.clients),
-                    series,
-                }],
-            };
-            emit(&result, &cli);
-            ExitCode::SUCCESS
-        }
-        path if path.ends_with(".csv") => {
-            // replot a previously saved result without re-running
-            let id = PathBuf::from(path)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "reloaded".into());
-            match fs::read_to_string(path) {
-                Ok(csv) => match ExperimentResult::from_csv(&id, &csv) {
-                    Ok(result) => {
-                        emit(&result, &cli);
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        ExitCode::FAILURE
-                    }
-                },
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "all" => {
-            for name in [
-                "table1",
-                "fig4",
-                "fig8",
-                "fig12",
-                "fig14",
-                "fig16",
-                "fig16x",
-                "topology",
-                "egoism",
-                "break-even",
-                "visit",
-                "location",
-                "faults",
-                "availability",
-                "durability",
-            ] {
-                let ok = run_one(name);
-                debug_assert!(ok);
-            }
-            ExitCode::SUCCESS
-        }
-        name => {
-            if run_one(name) {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("unknown experiment: {name}");
-                ExitCode::FAILURE
-            }
-        }
+    let name = cli.experiment.as_str();
+    match EXPERIMENTS.iter().find(|e| e.name == name) {
+        Some(experiment) => (experiment.run)(&cli),
+        None => replot(name, &cli), // `parse_args` let nothing else through
     }
 }

@@ -12,7 +12,9 @@ use oml_check::{check_trace, lockorder, CheckReport};
 use oml_core::ids::{NodeId, ObjectId};
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
-use oml_runtime::{Cluster, FaultPlan, MobileObject, RuntimeError, Sabotage, KNOWN_LOCK_ORDER};
+use oml_runtime::{Cluster, ClusterBuilder, FaultPlan, RuntimeError, Sabotage, KNOWN_LOCK_ORDER};
+
+use crate::experiments::{delinearize_counter, Counter, COUNTER};
 
 /// The chaos seeds `repro check --seeds chaos` replays: the canonical
 /// chaos-harness seed plus the two divergence seeds from its replay tests.
@@ -29,35 +31,6 @@ pub struct CheckOutcome {
     pub seed: u64,
     /// The checker's verdict over the collected trace.
     pub report: CheckReport,
-}
-
-struct Counter(u64);
-
-impl MobileObject for Counter {
-    fn type_tag(&self) -> &'static str {
-        "counter"
-    }
-    fn invoke(&mut self, method: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-        match method {
-            "add" => {
-                let mut r = WireReader::new(payload);
-                self.0 += r.u64()?;
-                Ok(WireWriter::new().u64(self.0).finish().to_vec())
-            }
-            "get" => Ok(WireWriter::new().u64(self.0).finish().to_vec()),
-            other => Err(format!("no such method: {other}")),
-        }
-    }
-    fn linearize(&self) -> Vec<u8> {
-        WireWriter::new().u64(self.0).finish().to_vec()
-    }
-}
-
-fn register_counter(cluster: &Cluster) {
-    cluster.register_type("counter", |bytes| {
-        let mut r = WireReader::new(bytes);
-        Box::new(Counter(r.u64().expect("valid counter state")))
-    });
 }
 
 fn n(i: u32) -> NodeId {
@@ -84,7 +57,29 @@ pub fn replay_chaos_seed(seed: u64) -> CheckOutcome {
         .duplicate_probability(0.05)
         .delay_probability(0.10, 3)
         .drop_end_requests(0.5);
-    let cluster = Cluster::builder()
+    let cluster = replay_cluster(replay_builder(plan));
+    let fail_fast = false; // no detector: a call at a dead node times out
+    drive_ops(&cluster, fail_fast, |i| match i {
+        10 => cluster.partition(n(0), n(1)).expect("valid nodes"),
+        18 => cluster.heal(n(0), n(1)).expect("valid nodes"),
+        22 => cluster.crash_node(n(2)).expect("crash joins the worker"),
+        30 => cluster.restart_node(n(2)).expect("restart respawns it"),
+        _ => {}
+    });
+
+    cluster.heal_all();
+    match cluster.restart_node(n(2)) {
+        // the node usually came back at op 30 and is simply still running
+        Ok(()) | Err(RuntimeError::NotDead(_)) => {}
+        Err(other) => panic!("quiesce restart: {other}"),
+    }
+    quiesced(seed, &cluster)
+}
+
+/// What every replay's cluster has in common: four nodes under transient
+/// placement, `plan`'s faults, a manual clock and tracing on.
+fn replay_builder(plan: FaultPlan) -> ClusterBuilder {
+    Cluster::builder()
         .nodes(NODES)
         .policy(PolicyKind::TransientPlacement)
         .faults(plan)
@@ -93,9 +88,25 @@ pub fn replay_chaos_seed(seed: u64) -> CheckOutcome {
         .lease_ms(LEASE_MS)
         .manual_clock()
         .trace()
-        .build();
-    register_counter(&cluster);
+}
 
+/// Builds the cluster and teaches it the [`Counter`] type.
+fn replay_cluster(builder: ClusterBuilder) -> Cluster {
+    let cluster = builder.build();
+    cluster.register_type(COUNTER, delinearize_counter);
+    cluster
+}
+
+/// The workload under every chaos schedule: three counters, one each on
+/// nodes 0–2, taking `OPS` adds in turn with a move block every third op;
+/// `scripted(i)` runs the schedule's own event before op `i`.
+///
+/// # Panics
+///
+/// Panics if an add fails with anything but a timeout — or, with
+/// `fail_fast` (a detector is on), a `NodeDown`: that is a harness bug, not
+/// a protocol violation.
+fn drive_ops(cluster: &Cluster, fail_fast: bool, scripted: impl Fn(u64)) {
     let objects: Vec<ObjectId> = (0..3)
         .map(|i| {
             cluster
@@ -103,16 +114,9 @@ pub fn replay_chaos_seed(seed: u64) -> CheckOutcome {
                 .expect("creation is on the reliable channel")
         })
         .collect();
-
     for i in 0..OPS {
         let obj = objects[(i % 3) as usize];
-        match i {
-            10 => cluster.partition(n(0), n(1)).expect("valid nodes"),
-            18 => cluster.heal(n(0), n(1)).expect("valid nodes"),
-            22 => cluster.crash_node(n(2)).expect("crash joins the worker"),
-            30 => cluster.restart_node(n(2)).expect("restart respawns it"),
-            _ => {}
-        }
+        scripted(i);
         if i % 3 == 0 {
             if let Ok(guard) = cluster.move_block(obj, n((i % u64::from(NODES)) as u32)) {
                 drop(guard);
@@ -120,41 +124,32 @@ pub fn replay_chaos_seed(seed: u64) -> CheckOutcome {
         }
         match cluster.invoke(obj, "add", &WireWriter::new().u64(1).finish()) {
             Ok(_) | Err(RuntimeError::Timeout { .. }) => {}
+            Err(RuntimeError::NodeDown(_)) if fail_fast => {}
             Err(other) => panic!("op {i}: unexpected error {other}"),
         }
     }
+}
 
-    // quiesce: heal everything and let orphaned leases expire so the trace
-    // ends in a protocol-consistent state
-    cluster.heal_all();
-    match cluster.restart_node(n(2)) {
-        // the node usually came back at op 30 and is simply still running
-        Ok(()) | Err(RuntimeError::NotDead(_)) => {}
-        Err(other) => panic!("quiesce restart: {other}"),
-    }
+/// Lets every orphaned lease expire so the trace ends in a
+/// protocol-consistent state, stops the (healed) cluster and checks what
+/// it traced.
+fn quiesced(seed: u64, cluster: &Cluster) -> CheckOutcome {
     cluster.advance_clock(2 * LEASE_MS);
     cluster.sweep_leases();
     cluster.shutdown();
-
     CheckOutcome {
         seed,
         report: check_trace(&cluster.take_trace()),
     }
 }
 
-/// Replays every seed in `seeds` and returns the outcomes in order.
-#[must_use]
-pub fn replay_chaos_seeds(seeds: &[u64]) -> Vec<CheckOutcome> {
-    seeds.iter().map(|&s| replay_chaos_seed(s)).collect()
-}
-
 /// Heartbeat interval of the recovery replays (`repro check --recovery`).
-pub const RECOVERY_HEARTBEAT_MS: u64 = 50;
+pub(crate) const RECOVERY_HEARTBEAT_MS: u64 = 50;
 /// Missed-beat threshold of the recovery replays.
-pub const RECOVERY_K_MISSED: u32 = 3;
+pub(crate) const RECOVERY_K_MISSED: u32 = 3;
 /// Past this many clock-milliseconds of silence the next sweep must declare
 /// a crashed node dead.
-const RECOVERY_DETECTION_MS: u64 = RECOVERY_HEARTBEAT_MS * RECOVERY_K_MISSED as u64 + 50;
+pub(crate) const RECOVERY_DETECTION_MS: u64 = RECOVERY_HEARTBEAT_MS * RECOVERY_K_MISSED as u64 + 50;
 
 /// Restarts `node` until the detector re-admits it — a fenced zombie exits
 /// asynchronously, so the first attempts may find its worker still winding
@@ -191,17 +186,7 @@ fn restart_until_up(cluster: &Cluster, node: NodeId) {
 /// (anything but a timeout or a fail-fast `NodeDown`).
 #[must_use]
 pub fn replay_recovery_seed(seed: u64) -> CheckOutcome {
-    let outcome = run_recovery_schedule(seed, true);
-    CheckOutcome {
-        seed,
-        report: outcome,
-    }
-}
-
-/// Replays every seed in `seeds` through the recovery schedule.
-#[must_use]
-pub fn replay_recovery_seeds(seeds: &[u64]) -> Vec<CheckOutcome> {
-    seeds.iter().map(|&s| replay_recovery_seed(s)).collect()
+    run_recovery_schedule(seed, true)
 }
 
 /// Negative control for `repro check --recovery`: the same zombie-restart
@@ -210,43 +195,21 @@ pub fn replay_recovery_seeds(seeds: &[u64]) -> Vec<CheckOutcome> {
 /// proving the stale-incarnation invariant actually bites.
 #[must_use]
 pub fn replay_zombie_negative(seed: u64) -> CheckOutcome {
-    let outcome = run_recovery_schedule(seed, false);
-    CheckOutcome {
-        seed,
-        report: outcome,
-    }
+    run_recovery_schedule(seed, false)
 }
 
-fn run_recovery_schedule(seed: u64, fenced: bool) -> CheckReport {
+fn run_recovery_schedule(seed: u64, fenced: bool) -> CheckOutcome {
     let plan = FaultPlan::seeded(seed)
         .drop_probability(0.05)
         .delay_probability(0.05, 2);
-    let mut builder = Cluster::builder()
-        .nodes(NODES)
-        .policy(PolicyKind::TransientPlacement)
-        .faults(plan)
-        .call_timeout(Duration::from_millis(100))
-        .invoke_retries(2)
-        .lease_ms(LEASE_MS)
-        .manual_clock()
-        .failure_detector(RECOVERY_HEARTBEAT_MS, RECOVERY_K_MISSED)
-        .trace();
+    let mut builder =
+        replay_builder(plan).failure_detector(RECOVERY_HEARTBEAT_MS, RECOVERY_K_MISSED);
     if !fenced {
         builder = builder.sabotage(Sabotage::Unfenced);
     }
-    let cluster = builder.build();
-    register_counter(&cluster);
-
-    let objects: Vec<ObjectId> = (0..3)
-        .map(|i| {
-            cluster
-                .create(n(i), Box::new(Counter(0)))
-                .expect("creation is on the reliable channel")
-        })
-        .collect();
-
-    for i in 0..OPS {
-        let obj = objects[(i % 3) as usize];
+    let cluster = replay_cluster(builder);
+    let fail_fast = true;
+    drive_ops(&cluster, fail_fast, |i| {
         match i {
             // a partition drives suspicion (and fail-fast), then heals: the
             // suspicion must be revoked, not escalated to death
@@ -275,25 +238,13 @@ fn run_recovery_schedule(seed: u64, fenced: bool) -> CheckReport {
             30 if fenced => restart_until_up(&cluster, n(2)),
             _ => {}
         }
-        if i % 3 == 0 {
-            if let Ok(guard) = cluster.move_block(obj, n((i % u64::from(NODES)) as u32)) {
-                drop(guard);
-            }
-        }
-        match cluster.invoke(obj, "add", &WireWriter::new().u64(1).finish()) {
-            Ok(_) | Err(RuntimeError::Timeout { .. } | RuntimeError::NodeDown(_)) => {}
-            Err(other) => panic!("op {i}: unexpected error {other}"),
-        }
-    }
+    });
 
     cluster.heal_all();
     if fenced {
         restart_until_up(&cluster, n(2));
     }
-    cluster.advance_clock(2 * LEASE_MS);
-    cluster.sweep_leases();
-    cluster.shutdown();
-    check_trace(&cluster.take_trace())
+    quiesced(seed, &cluster)
 }
 
 /// Polls `checkpoint_health` until `pred` holds for `obj` (the quorum of
@@ -324,23 +275,58 @@ fn await_health(
 /// (seeded) so the ack-dedup path is exercised on every replay; the negative
 /// controls pass the mechanism to break.
 fn durability_cluster(seed: u64, k: usize, sabotage: Option<Sabotage>) -> Cluster {
-    let mut builder = Cluster::builder()
-        .nodes(NODES)
-        .policy(PolicyKind::TransientPlacement)
-        .faults(FaultPlan::seeded(seed).checkpoint_faults(0.0, 0.5))
-        .call_timeout(Duration::from_millis(100))
-        .invoke_retries(2)
-        .lease_ms(LEASE_MS)
-        .manual_clock()
+    let mut builder = replay_builder(FaultPlan::seeded(seed).checkpoint_faults(0.0, 0.5))
         .failure_detector(RECOVERY_HEARTBEAT_MS, RECOVERY_K_MISSED)
-        .replication(k)
-        .trace();
+        .replication(k);
     if let Some(sabotage) = sabotage {
         builder = builder.sabotage(sabotage);
     }
-    let cluster = builder.build();
-    register_counter(&cluster);
+    replay_cluster(builder)
+}
+
+/// The opening of every durability trial, on a 4-node cluster with `k ≤ 3`
+/// replicas: a `Counter(7)` created at node 0 is hosted *off* its replica
+/// set (so a host crash never doubles as a replica crash), takes an
+/// acknowledged `add 5`, and ends a block — a consistency point whose
+/// refresh, carrying 12, reaches its write quorum before this returns.
+/// Gives the object, its replica set and its host.
+pub(crate) fn quorum_acked_counter(cluster: &Cluster) -> (ObjectId, Vec<NodeId>, NodeId) {
+    let obj = cluster
+        .create(n(0), Box::new(Counter(7)))
+        .expect("creation is on the reliable channel");
+    let set = cluster.replica_set(obj).expect("replicated object");
+    let host = (0..NODES)
+        .map(n)
+        .find(|cand| !set.contains(cand))
+        .expect("a node outside the replica set");
+    drop(cluster.move_block(obj, host).expect("move to host"));
     cluster
+        .invoke(obj, "add", &WireWriter::new().u64(5).finish())
+        .expect("acknowledged add");
+    drop(cluster.move_block(obj, host).expect("consistency point"));
+    await_health(cluster, obj, |h| h.quorum >= Some((0, 3)));
+    (obj, set, host)
+}
+
+/// Crashes `victims` inside one detector sweep, then asks `obj` for its
+/// value until it answers; `None` when it never does — the object is lost.
+pub(crate) fn value_after_crashes(
+    cluster: &Cluster,
+    obj: ObjectId,
+    victims: &[NodeId],
+) -> Option<u64> {
+    for &victim in victims {
+        cluster.crash_node(victim).expect("crash joins the worker");
+    }
+    cluster.advance_clock(RECOVERY_DETECTION_MS);
+    cluster.detector_sweep();
+    for _ in 0..500 {
+        if let Ok(out) = cluster.invoke(obj, "get", &[]) {
+            return Some(WireReader::new(&out).u64().expect("counter payload"));
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    None
 }
 
 /// Replays the durability schedule under `seed`: an object is hosted off
@@ -358,38 +344,9 @@ fn durability_cluster(seed: u64, k: usize, sabotage: Option<Sabotage>) -> Cluste
 #[must_use]
 pub fn replay_durability_seed(seed: u64) -> CheckOutcome {
     let cluster = durability_cluster(seed, 2, None);
-    let obj = cluster
-        .create(n(0), Box::new(Counter(7)))
-        .expect("creation is on the reliable channel");
-    let set = cluster.replica_set(obj).expect("replicated object");
-    let host = (0..NODES)
-        .map(n)
-        .find(|cand| !set.contains(cand))
-        .expect("4 nodes, 2 replicas");
-    drop(cluster.move_block(obj, host).expect("move to host"));
-    cluster
-        .invoke(obj, "add", &WireWriter::new().u64(5).finish())
-        .expect("acknowledged add");
-    // an ended block is a consistency point: the refresh carries 12 and
-    // must reach its write quorum before the failure lands
-    drop(cluster.move_block(obj, host).expect("consistency point"));
-    await_health(&cluster, obj, |h| h.quorum >= Some((0, 3)));
-
-    cluster.crash_node(host).expect("crash joins the worker");
-    cluster.crash_node(n(0)).expect("crash joins the worker");
-    cluster.advance_clock(RECOVERY_DETECTION_MS);
-    cluster.detector_sweep();
-
-    let mut recovered = None;
-    for _ in 0..500 {
-        if let Ok(out) = cluster.invoke(obj, "get", &[]) {
-            recovered = Some(WireReader::new(&out).u64().expect("counter payload"));
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    let (obj, _, host) = quorum_acked_counter(&cluster);
     assert_eq!(
-        recovered,
+        value_after_crashes(&cluster, obj, &[host, n(0)]),
         Some(12),
         "k=2 must survive a host+home double crash with the quorum-acked value"
     );
@@ -401,12 +358,6 @@ pub fn replay_durability_seed(seed: u64) -> CheckOutcome {
     }
 }
 
-/// Replays every seed in `seeds` through the durability schedule.
-#[must_use]
-pub fn replay_durability_seeds(seeds: &[u64]) -> Vec<CheckOutcome> {
-    seeds.iter().map(|&s| replay_durability_seed(s)).collect()
-}
-
 /// Negative control for `repro check --durability`: with the anti-entropy
 /// repair sweep disabled, a declared death leaves an object
 /// under-replicated to the end of the trace, and the checker's
@@ -416,7 +367,7 @@ pub fn replay_durability_seeds(seeds: &[u64]) -> Vec<CheckOutcome> {
 ///
 /// Panics if the runtime surfaces an error the schedule cannot produce.
 #[must_use]
-pub fn replay_no_repair_negative(seed: u64) -> CheckOutcome {
+pub(crate) fn replay_no_repair_negative(seed: u64) -> CheckOutcome {
     let cluster = durability_cluster(seed, 2, Some(Sabotage::NoRepair));
     let obj = cluster
         .create(n(0), Box::new(Counter(7)))
@@ -442,7 +393,7 @@ pub fn replay_no_repair_negative(seed: u64) -> CheckOutcome {
 ///
 /// Panics if the runtime surfaces an error the schedule cannot produce.
 #[must_use]
-pub fn replay_stale_promotion_negative(seed: u64) -> CheckOutcome {
+pub(crate) fn replay_stale_promotion_negative(seed: u64) -> CheckOutcome {
     let cluster = durability_cluster(seed, 3, Some(Sabotage::StalePromotion));
     let obj = cluster
         .create(n(0), Box::new(Counter(7)))
@@ -470,6 +421,41 @@ pub fn replay_stale_promotion_negative(seed: u64) -> CheckOutcome {
     }
 }
 
+/// A rigged replay whose trace the checker must flag.
+pub struct NegativeControl {
+    /// What `repro check` calls it.
+    pub name: &'static str,
+    /// The invariant it must trip, as `repro check` names it.
+    pub invariant: &'static str,
+    /// The `repro check` flag whose schedules it rides along with.
+    pub gate: &'static str,
+    /// Replays it under a fault-schedule seed.
+    pub run: fn(u64) -> CheckOutcome,
+}
+
+/// Every negative control, in the order `repro check --negative` replays
+/// them.
+pub const NEGATIVE_CONTROLS: &[NegativeControl] = &[
+    NegativeControl {
+        name: "unfenced zombie",
+        invariant: "stale-incarnation",
+        gate: "--recovery",
+        run: replay_zombie_negative,
+    },
+    NegativeControl {
+        name: "no-repair",
+        invariant: "replication-factor",
+        gate: "--durability",
+        run: replay_no_repair_negative,
+    },
+    NegativeControl {
+        name: "stale-promotion",
+        invariant: "freshness",
+        gate: "--durability",
+        run: replay_stale_promotion_negative,
+    },
+];
+
 /// Drives a small fault-free scenario that touches every named lock site —
 /// including the one legal nesting (`shared.alliances` before
 /// `shared.attachments`, taken by `attach`) — so the debug-build
@@ -486,14 +472,13 @@ pub fn replay_stale_promotion_negative(seed: u64) -> CheckOutcome {
 /// blame, so any error is a runtime bug.
 #[must_use]
 pub fn exercise_lock_sites() -> CheckReport {
-    let cluster = Cluster::builder()
+    let builder = Cluster::builder()
         .nodes(2)
         .policy(PolicyKind::CompareAndReinstantiate)
         .lease_ms(500)
         .manual_clock()
-        .trace()
-        .build();
-    register_counter(&cluster);
+        .trace();
+    let cluster = replay_cluster(builder);
     let a = cluster.create(n(0), Box::new(Counter(0))).expect("create");
     let b = cluster.create(n(1), Box::new(Counter(0))).expect("create");
     let ally = cluster.create_alliance("pair");
@@ -606,6 +591,22 @@ mod tests {
         assert!(
             rendered.contains("stale replica promoted"),
             "expected a stale-promotion violation, got: {rendered}"
+        );
+    }
+
+    #[test]
+    fn the_table_has_the_controls_repro_check_negative_prints() {
+        let rows: Vec<_> = NEGATIVE_CONTROLS
+            .iter()
+            .map(|c| (c.name, c.invariant, c.gate))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("unfenced zombie", "stale-incarnation", "--recovery"),
+                ("no-repair", "replication-factor", "--durability"),
+                ("stale-promotion", "freshness", "--durability"),
+            ]
         );
     }
 

@@ -28,6 +28,7 @@
 //! folded into a printed fingerprint; wall-clock latency is reported but
 //! excluded, so same-seed reruns are bit-identical.
 
+use crate::experiments::COUNTER;
 use oml_check::event::{EventKind, TraceEvent, CLIENT_PROCESS};
 use oml_check::explore::Fnv64;
 use oml_core::ids::ObjectId;
@@ -134,7 +135,7 @@ fn run_seed(dir: &Path) -> ExitCode {
             .create(
                 i % WORKERS,
                 i,
-                "avail-counter",
+                COUNTER,
                 WireWriter::new().u64(0).finish().to_vec(),
             )
             .expect("seed: create");

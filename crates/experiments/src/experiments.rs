@@ -12,7 +12,7 @@ use oml_sim::metrics::MetricsRow;
 use oml_sim::{BlockParams, SimulationBuilder};
 use oml_workload::{run_scenario, ScenarioConfig};
 
-use crate::result::{ExperimentResult, SweepPoint};
+use crate::result::{latency_row, ExperimentResult, SweepPoint};
 
 /// Precision/seed options for an experiment run.
 #[derive(Debug, Clone, Copy)]
@@ -323,6 +323,16 @@ fn fig16_with_series(opts: &RunOptions, series_defs: &[Series], id: &str) -> Exp
     }
 }
 
+/// A computed headline value standing for `calls` calls: no call-time
+/// decomposition, closures of one.
+fn analytic_row(value: f64, calls: u64) -> MetricsRow {
+    MetricsRow {
+        call_time: 0.0,
+        mean_closure: 1.0,
+        ..latency_row(value, calls, 0.0, 0.0)
+    }
+}
+
 /// Fig. 4 / §3.2 — the analytic two-mover conflict costs, as a table over
 /// the block size `N` (with the paper's `M = 6`, `C = 1`).
 #[must_use]
@@ -331,27 +341,16 @@ pub fn fig4_cost() -> ExperimentResult {
     let mut points = Vec::new();
     for n in [7u64, 8, 10, 12, 16, 24, 32, 48, 64] {
         let mut series = BTreeMap::new();
-        let mk = |v: f64| MetricsRow {
-            comm_time: v,
-            call_time: 0.0,
-            migration_time: 0.0,
-            control_time: 0.0,
-            ci_half_width: None,
-            calls: n,
-            denial_rate: 0.0,
-            mean_closure: 1.0,
-            transfer_load: 0.0,
-            call_p95: 0.0,
-        };
-        series.insert(
-            "conventional move (worst case)".to_owned(),
-            mk(model.conventional_conflict_worst(n)),
-        );
-        series.insert(
-            "transient placement".to_owned(),
-            mk(model.placement_conflict(n)),
-        );
-        series.insert("remote only".to_owned(), mk(model.remote_block(n)));
+        for (label, cost) in [
+            (
+                "conventional move (worst case)",
+                model.conventional_conflict_worst(n),
+            ),
+            ("transient placement", model.placement_conflict(n)),
+            ("remote only", model.remote_block(n)),
+        ] {
+            series.insert(label.to_owned(), analytic_row(cost, n));
+        }
         points.push(SweepPoint {
             x: n as f64,
             series,
@@ -525,27 +524,17 @@ pub fn break_even_scaling(opts: &RunOptions) -> ExperimentResult {
             points: sweep_points,
         };
 
-        let mk = |v: Option<f64>| MetricsRow {
-            comm_time: v.unwrap_or(f64::from(*clients.last().expect("non-empty"))),
-            call_time: 0.0,
-            migration_time: 0.0,
-            control_time: 0.0,
-            ci_half_width: None,
-            calls: 0,
-            denial_rate: 0.0,
-            mean_closure: 1.0,
-            transfer_load: 0.0,
-            call_p95: 0.0,
-        };
+        // a policy that never breaks even inside the sweep is capped at
+        // its last client count
+        let cap = f64::from(*clients.last().expect("non-empty"));
         let mut series = BTreeMap::new();
-        series.insert(
-            "migration break-even (clients)".to_owned(),
-            mk(sweep.crossover("migration", "without migration")),
-        );
-        series.insert(
-            "placement break-even (clients)".to_owned(),
-            mk(sweep.crossover("transient placement", "without migration")),
-        );
+        for (label, policy) in [
+            ("migration break-even (clients)", "migration"),
+            ("placement break-even (clients)", "transient placement"),
+        ] {
+            let at = sweep.crossover(policy, "without migration").unwrap_or(cap);
+            series.insert(label.to_owned(), analytic_row(at, 0));
+        }
         points.push(SweepPoint {
             x: mean_calls / 6.0,
             series,
@@ -706,25 +695,24 @@ pub fn faults(opts: &RunOptions) -> ExperimentResult {
     }
 }
 
-/// A minimal mobile counter for the runtime-backed availability runs.
-struct AvailCounter(u64);
+/// The mobile counter every runtime-backed experiment and `repro check`
+/// replay hosts: `add(u64)` and `get`, its state the one `u64`.
+pub(crate) struct Counter(pub(crate) u64);
 
-impl oml_runtime::MobileObject for AvailCounter {
+/// [`Counter`]'s type tag.
+pub(crate) const COUNTER: &str = "counter";
+
+impl oml_runtime::MobileObject for Counter {
     fn type_tag(&self) -> &'static str {
-        "avail-counter"
+        COUNTER
     }
     fn invoke(&mut self, method: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-        use oml_runtime::wire::{WireReader, WireWriter};
         match method {
             "add" => {
-                let mut r = WireReader::new(payload);
-                self.0 += r.u64()?;
-                Ok(WireWriter::new().u64(self.0).finish().to_vec())
+                self.0 += oml_runtime::wire::WireReader::new(payload).u64()?;
+                Ok(self.linearize())
             }
-            "get" => Ok(oml_runtime::wire::WireWriter::new()
-                .u64(self.0)
-                .finish()
-                .to_vec()),
+            "get" => Ok(self.linearize()),
             other => Err(format!("no such method: {other}")),
         }
     }
@@ -734,6 +722,24 @@ impl oml_runtime::MobileObject for AvailCounter {
             .finish()
             .to_vec()
     }
+}
+
+/// Delinearizer for [`Counter`] — a named function because the worker
+/// *processes* of the multi-process runs register it too
+/// ([`multiproc_worker_types`]).
+pub(crate) fn delinearize_counter(bytes: &[u8]) -> Box<dyn oml_runtime::MobileObject> {
+    let mut r = oml_runtime::wire::WireReader::new(bytes);
+    Box::new(Counter(r.u64().expect("valid counter state")))
+}
+
+/// Mean and 95th percentile of `samples_ms` (zeros when there are none).
+fn mean_p95(samples_ms: &[f64]) -> (f64, f64) {
+    let mean = samples_ms.iter().sum::<f64>() / samples_ms.len().max(1) as f64;
+    let mut sorted = samples_ms.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = (sorted.len() as f64 * 0.95).ceil() as usize;
+    let p95 = sorted.get(rank.saturating_sub(1)).copied().unwrap_or(0.0);
+    (mean, p95)
 }
 
 /// Availability extension — client-visible latency and denial rate across a
@@ -793,14 +799,11 @@ pub fn availability(opts: &RunOptions) -> ExperimentResult {
                 builder = builder.failure_detector(hb, k);
             }
             let cluster = builder.build();
-            cluster.register_type("avail-counter", |bytes| {
-                let mut r = oml_runtime::wire::WireReader::new(bytes);
-                Box::new(AvailCounter(r.u64().expect("valid counter state")))
-            });
+            cluster.register_type(COUNTER, delinearize_counter);
             let objects: Vec<_> = (0..3)
                 .map(|i| {
                     cluster
-                        .create(NodeId::new(i), Box::new(AvailCounter(0)))
+                        .create(NodeId::new(i), Box::new(Counter(0)))
                         .expect("creation is on the reliable channel")
                 })
                 .collect();
@@ -828,25 +831,10 @@ pub fn availability(opts: &RunOptions) -> ExperimentResult {
             }
             cluster.shutdown();
 
-            let mean = latencies_ms.iter().sum::<f64>() / latencies_ms.len() as f64;
-            let mut sorted = latencies_ms;
-            sorted.sort_by(f64::total_cmp);
-            let p95 =
-                sorted[((sorted.len() as f64 * 0.95).ceil() as usize - 1).min(sorted.len() - 1)];
+            let (mean, p95) = mean_p95(&latencies_ms);
             series.insert(
                 label.to_owned(),
-                MetricsRow {
-                    comm_time: mean,
-                    call_time: mean,
-                    migration_time: 0.0,
-                    control_time: 0.0,
-                    ci_half_width: None,
-                    calls: OPS,
-                    denial_rate: denied as f64 / OPS as f64,
-                    mean_closure: 0.0,
-                    transfer_load: 0.0,
-                    call_p95: p95,
-                },
+                latency_row(mean, OPS, denied as f64 / OPS as f64, p95),
             );
         }
         points.push(SweepPoint { x: loss, series });
@@ -864,20 +852,12 @@ pub fn availability(opts: &RunOptions) -> ExperimentResult {
     }
 }
 
-/// Delinearizer for [`AvailCounter`] — named (not a closure) because the
-/// worker *processes* of the multiprocess availability run must register
-/// it too ([`multiproc_worker_types`]).
-fn delinearize_avail_counter(bytes: &[u8]) -> Box<dyn oml_runtime::MobileObject> {
-    let mut r = oml_runtime::wire::WireReader::new(bytes);
-    Box::new(AvailCounter(r.u64().expect("valid counter state")))
-}
-
 /// The delinearizer table a worker process spawned by
 /// [`availability_multiprocess`] must pass to `oml_runtime::run_worker`
 /// (the `repro` binary re-executes itself as the workers).
 #[must_use]
 pub fn multiproc_worker_types() -> Vec<(&'static str, oml_runtime::Delinearizer)> {
-    vec![("avail-counter", delinearize_avail_counter)]
+    vec![(COUNTER, delinearize_counter)]
 }
 
 /// The fsync policy the durable-store experiments run under: `OML_FSYNC`
@@ -952,12 +932,7 @@ pub fn availability_multiprocess() -> ExperimentResult {
     );
     for i in 0..3u32 {
         cluster
-            .create(
-                i,
-                i,
-                "avail-counter",
-                WireWriter::new().u64(0).finish().to_vec(),
-            )
+            .create(i, i, COUNTER, WireWriter::new().u64(0).finish().to_vec())
             .expect("create over the socket transport");
     }
 
@@ -973,7 +948,7 @@ pub fn availability_multiprocess() -> ExperimentResult {
             // + reinstantiate cycle, like an operator replacing a box the
             // monitoring already wrote off
             let until = Instant::now() + Duration::from_secs(10);
-            while cluster.health(2) != NodeHealth::Dead {
+            while cluster.health(2) != Some(NodeHealth::Dead) {
                 assert!(Instant::now() < until, "detector never declared the kill");
                 std::thread::sleep(Duration::from_millis(10));
             }
@@ -1024,29 +999,11 @@ pub fn availability_multiprocess() -> ExperimentResult {
 
     let mut points = Vec::new();
     for b in 0..buckets {
-        let lat = &latencies[b];
-        let mean = lat.iter().sum::<f64>() / lat.len().max(1) as f64;
-        let mut sorted = lat.clone();
-        sorted.sort_by(f64::total_cmp);
-        let p95 = sorted
-            .get(((sorted.len() as f64 * 0.95).ceil() as usize).saturating_sub(1))
-            .copied()
-            .unwrap_or(0.0);
+        let (mean, p95) = mean_p95(&latencies[b]);
         let mut series = BTreeMap::new();
         series.insert(
             "multiprocess unix socket".to_owned(),
-            MetricsRow {
-                comm_time: mean,
-                call_time: mean,
-                migration_time: 0.0,
-                control_time: 0.0,
-                ci_half_width: None,
-                calls: BUCKET,
-                denial_rate: denied[b] as f64 / BUCKET as f64,
-                mean_closure: 0.0,
-                transfer_load: 0.0,
-                call_p95: p95,
-            },
+            latency_row(mean, BUCKET, denied[b] as f64 / BUCKET as f64, p95),
         );
         points.push(SweepPoint {
             x: (b as u64 * BUCKET) as f64,
@@ -1090,15 +1047,15 @@ pub fn availability_multiprocess() -> ExperimentResult {
 /// Panics if the runtime surfaces an error the schedule cannot produce.
 #[must_use]
 pub fn durability(opts: &RunOptions) -> ExperimentResult {
-    use oml_runtime::wire::{WireReader, WireWriter};
+    use crate::check::{
+        quorum_acked_counter, value_after_crashes, RECOVERY_HEARTBEAT_MS as HEARTBEAT_MS,
+        RECOVERY_K_MISSED as K_MISSED,
+    };
     use oml_runtime::Cluster;
     use std::time::Duration;
 
     const NODES: u32 = 4;
     const TRIALS: u64 = 3;
-    const HEARTBEAT_MS: u64 = 50;
-    const K_MISSED: u32 = 3;
-    const DETECTION_MS: u64 = HEARTBEAT_MS * K_MISSED as u64 + HEARTBEAT_MS;
 
     #[derive(Clone, Copy)]
     enum Pattern {
@@ -1148,61 +1105,16 @@ pub fn durability(opts: &RunOptions) -> ExperimentResult {
                     .replication(k)
                     .durable_store(&store_dir, fsync)
                     .build();
-                cluster.register_type("avail-counter", |bytes| {
-                    let mut r = WireReader::new(bytes);
-                    Box::new(AvailCounter(r.u64().expect("valid counter state")))
-                });
+                cluster.register_type(COUNTER, delinearize_counter);
 
-                let home = NodeId::new(0);
-                let obj = cluster
-                    .create(home, Box::new(AvailCounter(7)))
-                    .expect("creation is on the reliable channel");
-                let set = cluster.replica_set(obj).expect("replicated object");
-                // host the object off its replica set so a host crash never
-                // doubles as a replica crash (4 nodes, k ≤ 3: one exists)
-                let host = (0..NODES)
-                    .map(NodeId::new)
-                    .find(|cand| !set.contains(cand))
-                    .expect("a node outside the replica set");
-                drop(cluster.move_block(obj, host).expect("move to host"));
-                cluster
-                    .invoke(obj, "add", &WireWriter::new().u64(5).finish())
-                    .expect("acknowledged add");
-                // the ended block is a consistency point whose refresh must
-                // reach its write quorum before the failures land
-                drop(cluster.move_block(obj, host).expect("consistency point"));
-                for _ in 0..500 {
-                    let acked = cluster
-                        .checkpoint_health()
-                        .iter()
-                        .any(|h| h.object == obj && h.quorum >= Some((0, 3)));
-                    if acked {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-
+                let (obj, set, host) = quorum_acked_counter(&cluster);
                 let mut victims = vec![host];
                 match pattern {
                     Pattern::SingleNode => {}
-                    Pattern::HostAndHome => victims.push(home),
+                    Pattern::HostAndHome => victims.push(NodeId::new(0)),
                     Pattern::ReplicaSetMinusOne => victims.extend(&set[..k - 1]),
                 }
-                for &victim in &victims {
-                    cluster.crash_node(victim).expect("crash joins the worker");
-                }
-                cluster.advance_clock(DETECTION_MS);
-                cluster.detector_sweep();
-
-                let mut value = None;
-                for _ in 0..200 {
-                    if let Ok(out) = cluster.invoke(obj, "get", &[]) {
-                        value = Some(WireReader::new(&out).u64().expect("counter payload"));
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                match value {
+                match value_after_crashes(&cluster, obj, &victims) {
                     Some(12) => recovered += 1,
                     Some(v) => {
                         assert_eq!(v, 7, "recovered an impossible value {v}");
@@ -1217,18 +1129,12 @@ pub fn durability(opts: &RunOptions) -> ExperimentResult {
 
             series.insert(
                 label.to_owned(),
-                MetricsRow {
-                    comm_time: recovered as f64 / TRIALS as f64,
-                    call_time: recovered as f64 / TRIALS as f64,
-                    migration_time: 0.0,
-                    control_time: 0.0,
-                    ci_half_width: None,
-                    calls: TRIALS,
-                    denial_rate: stale as f64 / TRIALS as f64,
-                    mean_closure: 0.0,
-                    transfer_load: 0.0,
-                    call_p95: 0.0,
-                },
+                latency_row(
+                    recovered as f64 / TRIALS as f64,
+                    TRIALS,
+                    stale as f64 / TRIALS as f64,
+                    0.0,
+                ),
             );
         }
         points.push(SweepPoint {

@@ -40,7 +40,7 @@ pub struct ExploreOutcome {
 
 /// Explores one configuration under `budget` and verifies its expectation,
 /// writing any counterexample to `out_dir`.
-pub fn run_one(cfg: &ExploreConfig, budget: &Budget, out_dir: &Path) -> ExploreOutcome {
+pub(crate) fn run_one(cfg: &ExploreConfig, budget: &Budget, out_dir: &Path) -> ExploreOutcome {
     let start = Instant::now();
     let report = explore(cfg, budget);
     let wall_s = start.elapsed().as_secs_f64();

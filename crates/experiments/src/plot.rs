@@ -96,23 +96,12 @@ pub fn render_plot(result: &ExperimentResult, width: usize, height: usize) -> St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::result::SweepPoint;
+    use crate::result::{latency_row, SweepPoint};
     use oml_sim::metrics::MetricsRow;
     use std::collections::BTreeMap;
 
     fn row(v: f64) -> MetricsRow {
-        MetricsRow {
-            comm_time: v,
-            call_time: 0.0,
-            migration_time: 0.0,
-            control_time: 0.0,
-            ci_half_width: None,
-            calls: 1,
-            denial_rate: 0.0,
-            mean_closure: 1.0,
-            transfer_load: 0.0,
-            call_p95: 0.0,
-        }
+        latency_row(v, 1, 0.0, 0.0)
     }
 
     fn sample() -> ExperimentResult {

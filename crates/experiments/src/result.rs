@@ -53,16 +53,6 @@ impl ExperimentResult {
             .collect()
     }
 
-    /// Extracts a column other than the headline metric, e.g. the Fig. 10/11
-    /// decompositions.
-    #[must_use]
-    pub fn series_by<F: Fn(&MetricsRow) -> f64>(&self, label: &str, f: F) -> Vec<(f64, f64)> {
-        self.points
-            .iter()
-            .filter_map(|p| p.series.get(label).map(|m| (p.x, f(m))))
-            .collect()
-    }
-
     /// Derives a new result whose headline metric is `f(row)` — the Fig. 10
     /// (`call_time`) and Fig. 11 (`migration_time`) views of a Fig. 8 run.
     ///
@@ -309,6 +299,24 @@ impl ExperimentResult {
     }
 }
 
+/// A row for results measured outside the simulator: one value as both
+/// the headline and the call time (a latency, a recovered fraction), the
+/// calls behind it, a denial rate and a p95 — every other column zero.
+pub(crate) fn latency_row(value: f64, calls: u64, denial_rate: f64, call_p95: f64) -> MetricsRow {
+    MetricsRow {
+        comm_time: value,
+        call_time: value,
+        migration_time: 0.0,
+        control_time: 0.0,
+        ci_half_width: None,
+        calls,
+        denial_rate,
+        mean_closure: 0.0,
+        transfer_load: 0.0,
+        call_p95,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,9 +358,6 @@ mod tests {
         let r = sample_result();
         assert_eq!(r.labels(), vec!["alpha".to_owned(), "beta".to_owned()]);
         assert_eq!(r.series("alpha"), vec![(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]);
-        let call_times = r.series_by("beta", |m| m.call_time);
-        assert_eq!(call_times.len(), 3);
-        assert!((call_times[0].1 - 1.2).abs() < 1e-12);
     }
 
     #[test]

@@ -162,3 +162,60 @@ fn explore_replay_of_garbage_exits_nonzero() {
     assert!(!out.status.success(), "garbage schedule must not verify");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The experiment names `repro` lists when run without arguments: the
+/// first word of every entry line (two-space indent; continuation lines
+/// are indented further).
+fn listed_experiments() -> Vec<String> {
+    let out = repro().output().expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let entry = |line: &str| {
+        let name = line.strip_prefix("  ")?.split(' ').next()?;
+        (!name.is_empty() && !name.starts_with('<')).then(|| name.to_owned())
+    };
+    stderr.lines().filter_map(entry).collect()
+}
+
+/// The table is the CLI: what the help lists is what dispatches, once each.
+#[test]
+fn usage_lists_every_registered_experiment() {
+    let names = listed_experiments();
+    assert!(names.len() > 20, "the help lost its listing: {names:?}");
+    for (i, name) in names.iter().enumerate() {
+        assert!(!names[..i].contains(name), "`{name}` is listed twice");
+        // a registered name gets as far as the flag that does not exist; an
+        // unregistered one is refused by name before that
+        let out = repro().args([name, "--frobnicate"]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unexpected argument") && !stderr.contains("unknown experiment"),
+            "`{name}` is listed but does not dispatch:\n{stderr}"
+        );
+    }
+    assert_eq!(names.last().map(String::as_str), Some("all"));
+}
+
+/// Every `` `repro <word>` `` the two documents spell is a registered name.
+#[test]
+fn docs_name_only_registered_experiments() {
+    let names = listed_experiments();
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for doc in ["README.md", "DESIGN.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("document is readable");
+        let mut mentions = 0;
+        // `repro <file.csv>` names a placeholder, not an experiment
+        let named = |rest: &&str| !rest.starts_with('<');
+        for rest in text.split("`repro ").skip(1).filter(named) {
+            let word: String = rest
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                .collect();
+            assert!(
+                names.contains(&word),
+                "{doc} says `repro {word}`, which `repro` does not list"
+            );
+            mentions += 1;
+        }
+        assert!(mentions > 0, "{doc} no longer mentions `repro` at all");
+    }
+}

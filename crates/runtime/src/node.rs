@@ -243,7 +243,7 @@ impl NodeWorker {
         // the expired objects hosted here while their state is in hand
         if self.shared.detector_enabled() {
             let hosted = |&(object, _): &(ObjectId, BlockId)| {
-                Some(linearized(object, &**self.objects.get(&object)?))
+                Some((object, StoredCheckpoint::of(&**self.objects.get(&object)?)))
             };
             let fresh = expired.iter().filter_map(hosted).collect();
             self.shared.checkpoint_refresh(fresh, self.id, self.epoch);
@@ -626,7 +626,7 @@ impl NodeWorker {
             self.shared
                 .trace
                 .emit(self.id.as_u32(), EventKind::Ship { object, to });
-            members.push(linearized(object, &*instance));
+            members.push((object, StoredCheckpoint::of(&*instance)));
         }
         if members.is_empty() {
             return;
@@ -737,7 +737,10 @@ impl NodeWorker {
         // the end of a block is a consistency point: refresh the replicated
         // checkpoint before the policy possibly migrates the object away
         if self.shared.detector_enabled() {
-            let fresh = self.objects.get(&object).map(|i| linearized(object, &**i));
+            let fresh = self
+                .objects
+                .get(&object)
+                .map(|i| (object, StoredCheckpoint::of(&**i)));
             self.shared
                 .checkpoint_refresh(Vec::from_iter(fresh), self.id, self.epoch);
         }
@@ -778,16 +781,4 @@ impl NodeWorker {
             }
         }
     }
-}
-
-/// The instance's linearized state as a checkpoint record, its freshness
-/// coordinates still to be stamped.
-fn linearized(object: ObjectId, instance: &dyn MobileObject) -> Shipped {
-    let ckpt = StoredCheckpoint {
-        type_tag: instance.type_tag().to_owned(),
-        state: Bytes::from(instance.linearize()),
-        object_epoch: 0,
-        seq: 0,
-    };
-    (object, ckpt)
 }

@@ -41,7 +41,7 @@ pub type Delinearizer = fn(&[u8]) -> Box<dyn MobileObject>;
 /// Every node consults the same registry when an `Install` message arrives —
 /// the runtime analogue of all nodes running the same program text.
 #[derive(Clone, Default)]
-pub struct TypeRegistry {
+pub(crate) struct TypeRegistry {
     inner: Arc<RwLock<HashMap<String, Delinearizer>>>,
 }
 

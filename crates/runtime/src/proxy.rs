@@ -78,19 +78,6 @@ impl<'c> ObjRef<'c> {
         self.cluster.move_block(self.id, node)
     }
 
-    /// Opens a move-block in an explicit cooperation context (§3.4).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RuntimeError`].
-    pub fn move_to_in(
-        &self,
-        node: NodeId,
-        context: Option<AllianceId>,
-    ) -> Result<MoveGuard<'c>, RuntimeError> {
-        self.cluster.move_block_in(self.id, node, context)
-    }
-
     /// Opens a visit-block towards `node` (§2.3).
     ///
     /// # Errors

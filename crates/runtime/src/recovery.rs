@@ -60,7 +60,7 @@ impl DetectorConfig {
     /// The silence window after which a node is suspected:
     /// `k_missed * heartbeat_ms`.
     #[must_use]
-    pub fn suspicion_after_ms(&self) -> u64 {
+    pub(crate) fn suspicion_after_ms(&self) -> u64 {
         self.heartbeat_ms.saturating_mul(u64::from(self.k_missed))
     }
 }

@@ -134,12 +134,6 @@ impl FaultFs {
         self.inner.lock().files.get(path).map(|f| f.data.len())
     }
 
-    /// The durable prefix of `path`, if it exists.
-    #[must_use]
-    pub fn durable_len(&self, path: &Path) -> Option<usize> {
-        self.inner.lock().files.get(path).map(|f| f.durable)
-    }
-
     /// Counter snapshot.
     #[must_use]
     pub fn counters(&self) -> FaultFsCounters {
@@ -275,7 +269,6 @@ mod tests {
         fs.sync(&p("wal")).unwrap();
         fs.append(&p("wal"), b"bbbb").unwrap();
         assert_eq!(fs.file_len(&p("wal")), Some(8));
-        assert_eq!(fs.durable_len(&p("wal")), Some(4));
         fs.power_loss();
         assert_eq!(fs.read(&p("wal")).unwrap(), b"aaaa");
     }

@@ -47,7 +47,7 @@ use std::collections::HashMap;
 /// order on `(object_epoch, seq)`. The one checkpoint record of the crate:
 /// what a replica store holds, what a WAL `Put` logs and — as
 /// [`crate::wire::CheckpointFrame`] — what a `CheckpointPut` carries.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoredCheckpoint {
     /// The registered type tag used to delinearize the state.
     pub type_tag: String,
@@ -60,6 +60,17 @@ pub struct StoredCheckpoint {
 }
 
 impl StoredCheckpoint {
+    /// `instance` linearized now, its freshness coordinates (zero) still
+    /// to be stamped by whoever ships or stores it.
+    pub(crate) fn of(instance: &dyn crate::object::MobileObject) -> Self {
+        StoredCheckpoint {
+            type_tag: instance.type_tag().to_owned(),
+            state: Bytes::from(instance.linearize()),
+            object_epoch: 0,
+            seq: 0,
+        }
+    }
+
     /// The freshness coordinates: copies compare lexicographically.
     #[must_use]
     pub fn version(&self) -> (u64, u64) {

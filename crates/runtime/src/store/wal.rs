@@ -125,7 +125,7 @@ pub fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
 /// A description of the malformation. The CRC already passed when this is
 /// called, so an error here means a logic-level corruption — the replay
 /// treats it exactly like a checksum failure: terminal, reported.
-pub fn decode_record(payload: &Bytes) -> Result<WalRecord, String> {
+pub(crate) fn decode_record(payload: &Bytes) -> Result<WalRecord, String> {
     let mut r = WireReader::new(payload);
     let rec = match r.u32()? {
         REC_PUT => {
@@ -355,7 +355,7 @@ impl WalStore {
     ///
     /// # Errors
     /// As [`open`](Self::open).
-    pub fn open_with(
+    pub(crate) fn open_with(
         cfg: WalStoreConfig,
         fs: Arc<dyn Storage>,
     ) -> Result<(WalStore, RecoveryReport), StoreError> {

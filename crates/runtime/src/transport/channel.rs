@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 /// Sender identity reported by mesh deliveries: the mesh does not
 /// authenticate senders (they share an address space); identity travels
 /// inside the envelope.
-pub const MESH_ANON: u32 = u32::MAX;
+pub(crate) const MESH_ANON: u32 = u32::MAX;
 
 /// Tuning for a [`ChannelMesh`].
 #[derive(Debug, Clone, Copy)]

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 /// What the proxy does with one forwarded chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProxyAction {
+pub(crate) enum ProxyAction {
     /// Pass through unchanged.
     Forward,
     /// Discard the chunk (downstream framing breaks).
@@ -104,14 +104,14 @@ impl ProxyPlan {
 
     /// The stall duration this plan applies.
     #[must_use]
-    pub fn stall_duration(&self) -> Duration {
+    pub(crate) fn stall_duration(&self) -> Duration {
         Duration::from_millis(self.stall_ms)
     }
 
     /// The deterministic decision for chunk `chunk` of direction `dir`
     /// (0 = client→server, 1 = server→client) on connection `conn`.
     #[must_use]
-    pub fn decide(&self, conn: u64, dir: u8, chunk: u64) -> ProxyAction {
+    pub(crate) fn decide(&self, conn: u64, dir: u8, chunk: u64) -> ProxyAction {
         let u = unit_interval(mix64(
             self.seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -201,12 +201,6 @@ impl FaultProxy {
         for s in live.drain(..) {
             s.shutdown_both();
         }
-    }
-
-    /// Connections accepted so far.
-    #[must_use]
-    pub fn connections(&self) -> u64 {
-        self.inner.conn_counter.load(Ordering::Acquire)
     }
 
     /// Stops accepting, severs everything, joins the pump threads.

@@ -331,7 +331,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Appends one frame whose payload is the concatenation of `parts`: one
 /// CRC pass over them and one copy into `out`, so a caller holding a
 /// header and a body need not join them first.
-pub fn encode_frame_parts(parts: &[&[u8]], out: &mut Vec<u8>) {
+pub(crate) fn encode_frame_parts(parts: &[&[u8]], out: &mut Vec<u8>) {
     let len: usize = parts.iter().map(|p| p.len()).sum();
     let crc = parts
         .iter()

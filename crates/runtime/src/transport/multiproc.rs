@@ -91,16 +91,18 @@ const PARENT_ENV: &str = "OML_MP_PARENT";
 /// One coordinator↔worker protocol message, linearized with
 /// [`crate::wire`]. The byte fields of a decoded message are views of the
 /// frame it arrived in; encoding copies them once, into a buffer sized up
-/// front.
+/// front. An object travels as the crate's one checkpoint record, a
+/// [`StoredCheckpoint`] — `(type_tag, state, object_epoch)` on the wire;
+/// `seq` is unused in transit (as in `message::Shipped`) and stamped by
+/// `CoordShared::put_checkpoint`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum ProtoMsg {
-    /// Install (or create) an object under `obj_epoch`; refuse if stale.
+    /// Install (or create) an object under `ckpt.object_epoch`; refuse if
+    /// stale.
     Install {
         corr: u64,
         object: u32,
-        type_tag: String,
-        state: Bytes,
-        obj_epoch: u64,
+        ckpt: StoredCheckpoint,
     },
     /// Generic ok/err reply to `corr`.
     Ack { corr: u64, ok: bool, err: String },
@@ -116,9 +118,7 @@ pub(crate) enum ProtoMsg {
     InvokeResp {
         corr: u64,
         result: Result<Bytes, String>,
-        type_tag: String,
-        new_state: Bytes,
-        obj_epoch: u64,
+        ckpt: StoredCheckpoint,
     },
     /// Give up an object (first half of a migration).
     Surrender { corr: u64, object: u32 },
@@ -127,9 +127,7 @@ pub(crate) enum ProtoMsg {
         corr: u64,
         ok: bool,
         err: String,
-        type_tag: String,
-        state: Bytes,
-        obj_epoch: u64,
+        ckpt: StoredCheckpoint,
     },
     /// Worker liveness beat (node identity comes from the session).
     Heartbeat,
@@ -137,23 +135,38 @@ pub(crate) enum ProtoMsg {
     Shutdown,
 }
 
+/// Bytes the variable fields of `ckpt` take in a message.
+fn ckpt_len(ckpt: &StoredCheckpoint) -> usize {
+    ckpt.type_tag.len() + ckpt.state.len()
+}
+
+/// The tail of every message that carries an object.
+fn write_ckpt(w: WireWriter, ckpt: &StoredCheckpoint) -> Bytes {
+    w.str(&ckpt.type_tag)
+        .bytes(&ckpt.state)
+        .u64(ckpt.object_epoch)
+        .finish()
+}
+
+fn read_ckpt(r: &mut WireReader<'_>, buf: &Bytes) -> Result<StoredCheckpoint, String> {
+    Ok(StoredCheckpoint {
+        type_tag: r.str()?,
+        state: buf.slice_ref(r.bytes_ref()?),
+        object_epoch: r.u64()?,
+        seq: 0,
+    })
+}
+
 impl ProtoMsg {
     pub(crate) fn encode(&self) -> Bytes {
         match self {
-            ProtoMsg::Install {
-                corr,
-                object,
-                type_tag,
-                state,
-                obj_epoch,
-            } => WireWriter::with_capacity(32 + type_tag.len() + state.len())
-                .u32(TAG_INSTALL)
-                .u64(*corr)
-                .u32(*object)
-                .str(type_tag)
-                .bytes(state)
-                .u64(*obj_epoch)
-                .finish(),
+            ProtoMsg::Install { corr, object, ckpt } => write_ckpt(
+                WireWriter::with_capacity(32 + ckpt_len(ckpt))
+                    .u32(TAG_INSTALL)
+                    .u64(*corr)
+                    .u32(*object),
+                ckpt,
+            ),
             ProtoMsg::Ack { corr, ok, err } => WireWriter::new()
                 .u32(TAG_ACK)
                 .u64(*corr)
@@ -172,28 +185,20 @@ impl ProtoMsg {
                 .str(method)
                 .bytes(payload)
                 .finish(),
-            ProtoMsg::InvokeResp {
-                corr,
-                result,
-                type_tag,
-                new_state,
-                obj_epoch,
-            } => {
+            ProtoMsg::InvokeResp { corr, result, ckpt } => {
                 let (ok, data, err): (u32, &[u8], &str) = match result {
                     Ok(d) => (1, d, ""),
                     Err(e) => (0, &[], e),
                 };
-                let sized = data.len() + err.len() + type_tag.len() + new_state.len();
-                WireWriter::with_capacity(40 + sized)
-                    .u32(TAG_INVOKE_RESP)
-                    .u64(*corr)
-                    .u32(ok)
-                    .bytes(data)
-                    .str(err)
-                    .str(type_tag)
-                    .bytes(new_state)
-                    .u64(*obj_epoch)
-                    .finish()
+                write_ckpt(
+                    WireWriter::with_capacity(40 + data.len() + err.len() + ckpt_len(ckpt))
+                        .u32(TAG_INVOKE_RESP)
+                        .u64(*corr)
+                        .u32(ok)
+                        .bytes(data)
+                        .str(err),
+                    ckpt,
+                )
             }
             ProtoMsg::Surrender { corr, object } => WireWriter::new()
                 .u32(TAG_SURRENDER)
@@ -204,18 +209,15 @@ impl ProtoMsg {
                 corr,
                 ok,
                 err,
-                type_tag,
-                state,
-                obj_epoch,
-            } => WireWriter::with_capacity(36 + err.len() + type_tag.len() + state.len())
-                .u32(TAG_SURRENDER_RESP)
-                .u64(*corr)
-                .u32(u32::from(*ok))
-                .str(err)
-                .str(type_tag)
-                .bytes(state)
-                .u64(*obj_epoch)
-                .finish(),
+                ckpt,
+            } => write_ckpt(
+                WireWriter::with_capacity(36 + err.len() + ckpt_len(ckpt))
+                    .u32(TAG_SURRENDER_RESP)
+                    .u64(*corr)
+                    .u32(u32::from(*ok))
+                    .str(err),
+                ckpt,
+            ),
             ProtoMsg::Heartbeat => WireWriter::new().u32(TAG_HEARTBEAT).finish(),
             ProtoMsg::Shutdown => WireWriter::new().u32(TAG_SHUTDOWN).finish(),
         }
@@ -227,9 +229,7 @@ impl ProtoMsg {
             TAG_INSTALL => Ok(ProtoMsg::Install {
                 corr: r.u64()?,
                 object: r.u32()?,
-                type_tag: r.str()?,
-                state: buf.slice_ref(r.bytes_ref()?),
-                obj_epoch: r.u64()?,
+                ckpt: read_ckpt(&mut r, buf)?,
             }),
             TAG_ACK => Ok(ProtoMsg::Ack {
                 corr: r.u64()?,
@@ -250,9 +250,7 @@ impl ProtoMsg {
                 Ok(ProtoMsg::InvokeResp {
                     corr,
                     result: if ok { Ok(data) } else { Err(err) },
-                    type_tag: r.str()?,
-                    new_state: buf.slice_ref(r.bytes_ref()?),
-                    obj_epoch: r.u64()?,
+                    ckpt: read_ckpt(&mut r, buf)?,
                 })
             }
             TAG_SURRENDER => Ok(ProtoMsg::Surrender {
@@ -263,9 +261,7 @@ impl ProtoMsg {
                 corr: r.u64()?,
                 ok: r.u32()? != 0,
                 err: r.str()?,
-                type_tag: r.str()?,
-                state: buf.slice_ref(r.bytes_ref()?),
-                obj_epoch: r.u64()?,
+                ckpt: read_ckpt(&mut r, buf)?,
             }),
             TAG_HEARTBEAT => Ok(ProtoMsg::Heartbeat),
             TAG_SHUTDOWN => Ok(ProtoMsg::Shutdown),
@@ -460,17 +456,10 @@ impl CoordShared {
         &self,
         state: &mut CoordState,
         object: u32,
-        type_tag: &str,
-        bytes: Bytes,
-        obj_epoch: u64,
+        mut ckpt: StoredCheckpoint,
     ) -> Result<(), StoreError> {
         let id = ObjectId::new(object);
-        let ckpt = StoredCheckpoint {
-            type_tag: type_tag.to_owned(),
-            state: bytes,
-            object_epoch: obj_epoch,
-            seq: state.store.get(id).map_or(1, |c| c.seq + 1),
-        };
+        ckpt.seq = state.store.get(id).map_or(1, |c| c.seq + 1);
         put_traced(
             &mut *state.store,
             &self.core.trace,
@@ -501,25 +490,11 @@ impl CoordShared {
         reply
     }
 
-    /// Installs (or creates) `object` at `node` under `obj_epoch` and
-    /// awaits the worker's ack.
-    fn install(
-        &self,
-        node: u32,
-        object: u32,
-        type_tag: String,
-        state: Bytes,
-        obj_epoch: u64,
-    ) -> Result<(), RuntimeError> {
+    /// Installs (or creates) `object` at `node` under `ckpt.object_epoch`
+    /// and awaits the worker's ack.
+    fn install(&self, node: u32, object: u32, ckpt: StoredCheckpoint) -> Result<(), RuntimeError> {
         let corr = self.corr();
-        let msg = ProtoMsg::Install {
-            corr,
-            object,
-            type_tag,
-            state,
-            obj_epoch,
-        };
-        match self.call(node, corr, &msg)? {
+        match self.call(node, corr, &ProtoMsg::Install { corr, object, ckpt })? {
             ProtoMsg::Ack { ok: true, .. } => Ok(()),
             ProtoMsg::Ack { err, .. } => Err(failed(object, err)),
             other => Err(unexpected(object, &other)),
@@ -527,15 +502,14 @@ impl CoordShared {
     }
 
     /// Invokes `method` on `object` at `node`: the method's own result,
-    /// and the `(type_tag, new_state, obj_epoch)` the reply piggybacks.
-    #[allow(clippy::type_complexity)]
+    /// and the object's fresh state the reply piggybacks.
     fn invoke(
         &self,
         node: u32,
         object: u32,
         method: &str,
         payload: &[u8],
-    ) -> Result<(Result<Bytes, String>, String, Bytes, u64), RuntimeError> {
+    ) -> Result<(Result<Bytes, String>, StoredCheckpoint), RuntimeError> {
         let corr = self.corr();
         let msg = ProtoMsg::Invoke {
             corr,
@@ -544,28 +518,16 @@ impl CoordShared {
             payload: Bytes::copy_from_slice(payload),
         };
         match self.call(node, corr, &msg)? {
-            ProtoMsg::InvokeResp {
-                result,
-                type_tag,
-                new_state,
-                obj_epoch,
-                ..
-            } => Ok((result, type_tag, new_state, obj_epoch)),
+            ProtoMsg::InvokeResp { result, ckpt, .. } => Ok((result, ckpt)),
             other => Err(unexpected(object, &other)),
         }
     }
 
-    /// Has `node` give `object` up: its `(type_tag, state, obj_epoch)`.
-    fn surrender(&self, node: u32, object: u32) -> Result<(String, Bytes, u64), RuntimeError> {
+    /// Has `node` give `object` up: what it was, as linearized there.
+    fn surrender(&self, node: u32, object: u32) -> Result<StoredCheckpoint, RuntimeError> {
         let corr = self.corr();
         match self.call(node, corr, &ProtoMsg::Surrender { corr, object })? {
-            ProtoMsg::SurrenderResp {
-                ok: true,
-                type_tag,
-                state,
-                obj_epoch,
-                ..
-            } => Ok((type_tag, state, obj_epoch)),
+            ProtoMsg::SurrenderResp { ok: true, ckpt, .. } => Ok(ckpt),
             ProtoMsg::SurrenderResp { err, .. } => Err(failed(object, err)),
             other => Err(unexpected(object, &other)),
         }
@@ -575,33 +537,23 @@ impl CoordShared {
     /// under a bumped object epoch. Used by the sweep (dead host), the
     /// failed install leg of a migration and cold recovery.
     fn reinstall_from_checkpoint(&self, object: u32) -> Option<u32> {
-        let (type_tag, ck_state, next_epoch, target) = {
+        let (mut ckpt, target) = {
             let state = self.core.state.lock();
-            let ck = state.store.get(ObjectId::new(object))?;
+            let ckpt = state.store.get(ObjectId::new(object))?.clone();
             let target = state
                 .slots
                 .iter()
                 .position(|s| s.health == NodeHealth::Up)
                 .map(|i| i as u32)?;
-            (
-                ck.type_tag.clone(),
-                ck.state.clone(),
-                ck.object_epoch + 1,
-                target,
-            )
+            (ckpt, target)
         };
-        self.install(
-            target,
-            object,
-            type_tag.clone(),
-            ck_state.clone(),
-            next_epoch,
-        )
-        .ok()?;
+        ckpt.object_epoch += 1;
+        let next_epoch = ckpt.object_epoch;
+        self.install(target, object, ckpt.clone()).ok()?;
         {
             let mut state = self.core.state.lock();
             state.directory.insert(object, target);
-            let _ = self.put_checkpoint(&mut state, object, &type_tag, ck_state, next_epoch);
+            let _ = self.put_checkpoint(&mut state, object, ckpt);
             state.counters.reinstantiated += 1;
         }
         self.core.trace(EventKind::Reinstantiated {
@@ -861,15 +813,19 @@ impl MultiProcCluster {
         state: Vec<u8>,
     ) -> Result<(), RuntimeError> {
         self.admit(node)?;
-        let state = Bytes::from(state);
-        self.inner
-            .install(node, object, type_tag.to_owned(), state.clone(), 1)?;
+        let ckpt = StoredCheckpoint {
+            type_tag: type_tag.to_owned(),
+            state: Bytes::from(state),
+            object_epoch: 1,
+            seq: 0,
+        };
+        self.inner.install(node, object, ckpt.clone())?;
         // the create is acked to the caller only once the checkpoint is
         // recorded (durably, for a WalStore under fsync=Always)
         let mut st = self.inner.core.state.lock();
         st.directory.insert(object, node);
         self.inner
-            .put_checkpoint(&mut st, object, type_tag, state, 1)
+            .put_checkpoint(&mut st, object, ckpt)
             .map_err(|e| store_failed(object, &e))
     }
 
@@ -888,8 +844,7 @@ impl MultiProcCluster {
     ) -> Result<Vec<u8>, RuntimeError> {
         let node = self.host_of(object)?;
         self.admit(node)?;
-        let (result, type_tag, new_state, obj_epoch) =
-            self.inner.invoke(node, object, method, payload)?;
+        let (result, ckpt) = self.inner.invoke(node, object, method, payload)?;
         if result.is_ok() {
             // freshness-gated refresh: never let a stale epoch's
             // piggybacked state clobber a newer checkpoint
@@ -897,11 +852,9 @@ impl MultiProcCluster {
             let fresh = st
                 .store
                 .get(ObjectId::new(object))
-                .is_none_or(|c| obj_epoch >= c.object_epoch);
+                .is_none_or(|c| ckpt.object_epoch >= c.object_epoch);
             if fresh {
-                let _ = self
-                    .inner
-                    .put_checkpoint(&mut st, object, &type_tag, new_state, obj_epoch);
+                let _ = self.inner.put_checkpoint(&mut st, object, ckpt);
             }
         }
         result
@@ -922,20 +875,20 @@ impl MultiProcCluster {
         }
         self.admit(from)?;
         self.admit(to)?;
-        let (type_tag, state, obj_epoch) = self.inner.surrender(from, object)?;
+        let mut ckpt = self.inner.surrender(from, object)?;
         // the object now exists only as bytes; record the checkpoint
         // before attempting the install leg — if the store refuses, abort
         // the migration with the object still recoverable from the cache
-        let next_epoch = obj_epoch + 1;
+        ckpt.object_epoch += 1;
         {
             let mut st = self.inner.core.state.lock();
             // the WAL record and the install below share one buffer
             self.inner
-                .put_checkpoint(&mut st, object, &type_tag, state.clone(), next_epoch)
+                .put_checkpoint(&mut st, object, ckpt.clone())
                 .map_err(|e| store_failed(object, &e))?;
             st.directory.remove(&object);
         }
-        let installed = self.inner.install(to, object, type_tag, state, next_epoch);
+        let installed = self.inner.install(to, object, ckpt);
         match installed {
             Ok(()) => {
                 self.inner.core.state.lock().directory.insert(object, to);
@@ -961,18 +914,24 @@ impl MultiProcCluster {
         self.inner.core.state.lock().directory.get(&object).copied()
     }
 
-    /// The detector's verdict for `node`.
+    /// The detector's verdict for `node`; `None` for a node id outside
+    /// `0..workers`.
     #[must_use]
-    pub fn health(&self, node: u32) -> NodeHealth {
-        self.inner.core.state.lock().slots[node as usize].health
+    pub fn health(&self, node: u32) -> Option<NodeHealth> {
+        let state = self.inner.core.state.lock();
+        Some(state.slots.get(node as usize)?.health)
     }
 
     /// SIGKILLs worker `node` (no warning, no cleanup — the real thing).
-    /// The detector discovers the death from missed heartbeats.
+    /// The detector discovers the death from missed heartbeats. Nothing
+    /// happens for a node id outside `0..workers`.
     pub fn kill(&self, node: u32) {
         let child = {
             let mut state = self.inner.core.state.lock();
-            state.slots[node as usize].child.take()
+            let Some(slot) = state.slots.get_mut(node as usize) else {
+                return;
+            };
+            slot.child.take()
         };
         if let Some(mut child) = child {
             let _ = child.kill(); // SIGKILL on unix
@@ -987,11 +946,15 @@ impl MultiProcCluster {
     /// incarnation is fenced at the socket accept from here on.
     ///
     /// # Errors
-    /// Process spawn failures.
+    /// [`io::ErrorKind::InvalidInput`] for a node id outside `0..workers`;
+    /// process spawn failures.
     pub fn respawn(&self, node: u32) -> io::Result<()> {
         let incarnation = {
             let mut state = self.inner.core.state.lock();
-            let slot = &mut state.slots[node as usize];
+            let slot = state
+                .slots
+                .get_mut(node as usize)
+                .ok_or_else(no_such_node)?;
             slot.incarnation += 1;
             slot.health = NodeHealth::Up;
             slot.last_beat = Instant::now();
@@ -1012,11 +975,13 @@ impl MultiProcCluster {
     /// process observes the refusal and exits.
     ///
     /// # Errors
-    /// Process spawn failures.
+    /// [`io::ErrorKind::InvalidInput`] for a node id outside `0..workers`;
+    /// process spawn failures.
     pub fn respawn_zombie(&self, node: u32) -> io::Result<()> {
         let stale = {
             let state = self.inner.core.state.lock();
-            state.slots[node as usize].incarnation.saturating_sub(1)
+            let slot = state.slots.get(node as usize).ok_or_else(no_such_node)?;
+            slot.incarnation.saturating_sub(1)
         };
         let child = self.worker_command(node, stale).spawn()?;
         // the zombie is not this slot's child — it must die on its own
@@ -1164,6 +1129,10 @@ fn open_store(cfg: &MultiProcConfig) -> io::Result<(Box<dyn CheckpointStore>, Re
         }
         None => Ok((Box::new(MemStore::new()), RecoveryReport::default())),
     }
+}
+
+fn no_such_node() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, "node id outside 0..workers")
 }
 
 fn store_io_err(e: crate::store::StoreError) -> io::Error {
@@ -1349,24 +1318,18 @@ impl Worker {
     fn answer(&self, request: ProtoMsg) -> Option<ProtoMsg> {
         let mut objects = self.objects.lock();
         Some(match request {
-            ProtoMsg::Install {
-                corr,
-                object,
-                type_tag,
-                state,
-                obj_epoch,
-            } => match objects.get(&object) {
+            ProtoMsg::Install { corr, object, ckpt } => match objects.get(&object) {
                 // the same fencing rule as NodeWorker::handle_install:
                 // never let an older incarnation of an object replace
                 // a newer one
-                Some((_, have)) if obj_epoch <= *have => ProtoMsg::Ack {
+                Some((_, have)) if ckpt.object_epoch <= *have => ProtoMsg::Ack {
                     corr,
                     ok: false,
-                    err: format!("stale object epoch {obj_epoch} <= {have}"),
+                    err: format!("stale object epoch {} <= {have}", ckpt.object_epoch),
                 },
-                _ => match self.registry.get(type_tag.as_str()) {
+                _ => match self.registry.get(ckpt.type_tag.as_str()) {
                     Some(delin) => {
-                        objects.insert(object, (delin(&state), obj_epoch));
+                        objects.insert(object, (delin(&ckpt.state), ckpt.object_epoch));
                         ProtoMsg::Ack {
                             corr,
                             ok: true,
@@ -1376,7 +1339,7 @@ impl Worker {
                     None => ProtoMsg::Ack {
                         corr,
                         ok: false,
-                        err: format!("no delinearizer for `{type_tag}`"),
+                        err: format!("no delinearizer for `{}`", ckpt.type_tag),
                     },
                 },
             },
@@ -1386,22 +1349,18 @@ impl Worker {
                 method,
                 payload,
             } => match objects.get_mut(&object) {
-                Some((obj, obj_epoch)) => {
-                    let result = obj.invoke(&method, &payload).map(Bytes::from);
-                    ProtoMsg::InvokeResp {
-                        corr,
-                        result,
-                        type_tag: obj.type_tag().to_owned(),
-                        new_state: Bytes::from(obj.linearize()),
-                        obj_epoch: *obj_epoch,
-                    }
-                }
+                Some((obj, obj_epoch)) => ProtoMsg::InvokeResp {
+                    corr,
+                    result: obj.invoke(&method, &payload).map(Bytes::from),
+                    ckpt: StoredCheckpoint {
+                        object_epoch: *obj_epoch,
+                        ..StoredCheckpoint::of(&**obj)
+                    },
+                },
                 None => ProtoMsg::InvokeResp {
                     corr,
                     result: Err(format!("object o{object} is not hosted here")),
-                    type_tag: String::new(),
-                    new_state: Bytes::new(),
-                    obj_epoch: 0,
+                    ckpt: StoredCheckpoint::default(),
                 },
             },
             ProtoMsg::Surrender { corr, object } => match objects.remove(&object) {
@@ -1409,17 +1368,16 @@ impl Worker {
                     corr,
                     ok: true,
                     err: String::new(),
-                    type_tag: obj.type_tag().to_owned(),
-                    state: Bytes::from(obj.linearize()),
-                    obj_epoch,
+                    ckpt: StoredCheckpoint {
+                        object_epoch: obj_epoch,
+                        ..StoredCheckpoint::of(&*obj)
+                    },
                 },
                 None => ProtoMsg::SurrenderResp {
                     corr,
                     ok: false,
                     err: format!("object o{object} is not hosted here"),
-                    type_tag: String::new(),
-                    state: Bytes::new(),
-                    obj_epoch: 0,
+                    ckpt: StoredCheckpoint::default(),
                 },
             },
             // coordinator never sends these to a worker
@@ -1493,15 +1451,22 @@ pub fn run_worker(opts: &WorkerOptions, types: &[(&str, Delinearizer)]) -> io::R
 mod tests {
     use super::*;
 
+    fn ckpt(type_tag: &str, state: Bytes, object_epoch: u64) -> StoredCheckpoint {
+        StoredCheckpoint {
+            type_tag: type_tag.to_owned(),
+            state,
+            object_epoch,
+            seq: 0,
+        }
+    }
+
     #[test]
     fn proto_messages_round_trip() {
         let msgs = [
             ProtoMsg::Install {
                 corr: 7,
                 object: 3,
-                type_tag: "counter".into(),
-                state: vec![1, 2, 3].into(),
-                obj_epoch: 2,
+                ckpt: ckpt("counter", vec![1, 2, 3].into(), 2),
             },
             ProtoMsg::Ack {
                 corr: 7,
@@ -1517,16 +1482,12 @@ mod tests {
             ProtoMsg::InvokeResp {
                 corr: 8,
                 result: Ok(vec![4, 5].into()),
-                type_tag: "counter".into(),
-                new_state: vec![6].into(),
-                obj_epoch: 2,
+                ckpt: ckpt("counter", vec![6].into(), 2),
             },
             ProtoMsg::InvokeResp {
                 corr: 9,
                 result: Err("boom".into()),
-                type_tag: "counter".into(),
-                new_state: Bytes::new(),
-                obj_epoch: 2,
+                ckpt: ckpt("counter", Bytes::new(), 2),
             },
             ProtoMsg::Surrender {
                 corr: 10,
@@ -1536,9 +1497,7 @@ mod tests {
                 corr: 10,
                 ok: false,
                 err: "gone".into(),
-                type_tag: String::new(),
-                state: Bytes::new(),
-                obj_epoch: 0,
+                ckpt: StoredCheckpoint::default(),
             },
             ProtoMsg::Heartbeat,
             ProtoMsg::Shutdown,
@@ -1566,16 +1525,14 @@ mod tests {
         let wire = ProtoMsg::Install {
             corr: 1,
             object: 2,
-            type_tag: "t".into(),
-            state: vec![7; 100].into(),
-            obj_epoch: 3,
+            ckpt: ckpt("t", vec![7; 100].into(), 3),
         }
         .encode();
-        let ProtoMsg::Install { state, .. } = ProtoMsg::decode(&wire).unwrap() else {
+        let ProtoMsg::Install { ckpt, .. } = ProtoMsg::decode(&wire).unwrap() else {
             panic!("an Install decodes as an Install");
         };
-        let at = wire.len() - 8 - state.len();
-        assert_eq!(state.as_ptr(), wire[at..].as_ptr());
+        let at = wire.len() - 8 - ckpt.state.len();
+        assert_eq!(ckpt.state.as_ptr(), wire[at..].as_ptr());
     }
 
     /// What the previous byte path (bytewise CRC, `Vec` fields, a copy per
@@ -1588,19 +1545,19 @@ mod tests {
         let resp = ProtoMsg::InvokeResp {
             corr: 0x0102_0304_0506_0708,
             result: Ok(vec![0xAA, 0xBB, 0xCC].into()),
-            type_tag: "counter".into(),
-            new_state: (0u8..40).collect::<Vec<u8>>().into(),
-            obj_epoch: 7,
+            ckpt: ckpt("counter", (0u8..40).collect::<Vec<u8>>().into(), 7),
         };
         let install = ProtoMsg::Install {
             corr: 9,
             object: 3,
-            type_tag: "blob".into(),
-            state: (0u8..33)
-                .map(|i| i.wrapping_mul(7))
-                .collect::<Vec<u8>>()
-                .into(),
-            obj_epoch: 2,
+            ckpt: ckpt(
+                "blob",
+                (0u8..33)
+                    .map(|i| i.wrapping_mul(7))
+                    .collect::<Vec<u8>>()
+                    .into(),
+                2,
+            ),
         };
         let golden = [
             (

@@ -71,7 +71,7 @@ pub enum Stream {
 impl Stream {
     /// An independently owned handle to the same connection (a session's
     /// reader reads its own while senders write the other).
-    pub fn try_clone(&self) -> io::Result<Stream> {
+    pub(crate) fn try_clone(&self) -> io::Result<Stream> {
         Ok(match self {
             Stream::Unix(s) => Stream::Unix(s.try_clone()?),
             Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
@@ -79,7 +79,7 @@ impl Stream {
     }
 
     /// Bounds every subsequent blocking `read` on this handle.
-    pub fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
         match self {
             Stream::Unix(s) => s.set_read_timeout(t),
             Stream::Tcp(s) => s.set_read_timeout(t),
@@ -87,7 +87,7 @@ impl Stream {
     }
 
     /// Half-closes both directions, unblocking any reader.
-    pub fn shutdown_both(&self) {
+    pub(crate) fn shutdown_both(&self) {
         match self {
             Stream::Unix(s) => {
                 let _ = s.shutdown(std::net::Shutdown::Both);
@@ -118,7 +118,7 @@ impl Stream {
 /// A bound listener of either family. Dropping a Unix listener removes its
 /// socket file.
 #[derive(Debug)]
-pub enum Listener {
+pub(crate) enum Listener {
     /// Unix-domain listener plus its path (unlinked on drop).
     Unix(UnixListener, PathBuf),
     /// TCP listener.
@@ -154,7 +154,7 @@ impl Listener {
     }
 
     /// The bound address — resolves `:0` TCP binds to the actual port.
-    pub fn local_addr(&self) -> io::Result<TransportAddr> {
+    pub(crate) fn local_addr(&self) -> io::Result<TransportAddr> {
         Ok(match self {
             Listener::Unix(_, path) => TransportAddr::Unix(path.clone()),
             Listener::Tcp(l) => TransportAddr::Tcp(l.local_addr()?.to_string()),
@@ -203,7 +203,7 @@ impl Listener {
 /// or a signal interrupted the call (`Interrupted` — a profiler, `strace` or
 /// a debugger attaching to the thread). Every other error ends the session.
 #[must_use]
-pub fn retryable(e: &io::Error) -> bool {
+pub(crate) fn retryable(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted

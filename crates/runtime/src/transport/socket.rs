@@ -32,8 +32,8 @@
 //! writing leaves its frame in the queue and returns, so frames share a
 //! write syscall exactly when senders are concurrent. A failed write leaves
 //! its batch at the head of the queue and drops the connection; the
-//! supervisor ([`super::backoff::Supervisor`]) redials under capped
-//! exponential backoff with seeded jitter, and installing the next session
+//! peer's dial thread (`peer_run_loop`) redials under capped exponential
+//! backoff with seeded jitter ([`super::backoff`]), and installing the next session
 //! writes the queue out before anything sent after it (per-link FIFO,
 //! at-least-once). Senders block at most
 //! [`SocketConfig::send_deadline_ms`] on a full queue, then get
@@ -57,7 +57,7 @@
 //! while it runs, nothing is read from its session, and the other end's
 //! senders stall in their writes.
 
-use super::backoff::{BackoffConfig, LinkState, Supervisor};
+use super::backoff::{Backoff, BackoffConfig};
 use super::frame::{encode_frame, encode_frame_parts, FrameConfig, FrameDecoder, HEADER_LEN};
 use super::netio::{
     connect_deadline, retryable, write_all_deadline, Listener, Stream, TransportAddr,
@@ -958,9 +958,9 @@ impl Transport<Bytes> for SocketPeer {
 }
 
 /// Dials once under the config's deadlines, presenting `attempt` in the
-/// Hello (1 = first try of this outage). `Ok(Some(stream))` = session up,
-/// `Ok(None)` = fenced (terminal), `Err` = retry later.
-fn peer_dial_attempt(inner: &PeerShared, attempt: u32) -> io::Result<Option<Stream>> {
+/// Hello (1 = first try of this outage). `Ok(Some((stream, read_half)))` =
+/// session up, `Ok(None)` = fenced (terminal), `Err` = retry later.
+fn peer_dial_attempt(inner: &PeerShared, attempt: u32) -> io::Result<Option<(Stream, Stream)>> {
     let deadline = Instant::now() + Duration::from_millis(inner.cfg.connect_timeout_ms);
     let mut stream = connect_deadline(&inner.addr, deadline)?;
     let hs_deadline = Instant::now() + Duration::from_millis(inner.cfg.handshake_timeout_ms);
@@ -977,7 +977,10 @@ fn peer_dial_attempt(inner: &PeerShared, attempt: u32) -> io::Result<Option<Stre
     let mut dec = FrameDecoder::new(FrameConfig::default());
     let ack = read_frame_deadline(&mut stream, &mut dec, hs_deadline)?;
     match decode_session(&ack) {
-        Ok(SessionFrame::HelloAck { accepted: true, .. }) => Ok(Some(stream)),
+        Ok(SessionFrame::HelloAck { accepted: true, .. }) => {
+            let read_half = stream.try_clone()?;
+            Ok(Some((stream, read_half)))
+        }
         Ok(SessionFrame::HelloAck {
             accepted: false, ..
         }) => Ok(None),
@@ -991,15 +994,21 @@ fn peer_dial_attempt(inner: &PeerShared, attempt: u32) -> io::Result<Option<Stre
 /// The dial supervisor: dials under backoff while the link is down and
 /// sleeps on the link's condvar while it is up. It writes nothing; whoever
 /// downs the session (its reader at EOF, a sender whose write failed) or
-/// closes the endpoint wakes it.
+/// closes the endpoint wakes it. One dial is in flight at a time, so a dead
+/// server is hit by one connect per backoff window, not a stampede.
 fn peer_run_loop(peer: &SocketPeer) {
     let inner = &*peer.inner;
-    let mut sup = Supervisor::new(BackoffConfig {
+    let mut backoff = Backoff::new(BackoffConfig {
         seed: inner.cfg.backoff.seed ^ (u64::from(inner.node) << 32) ^ inner.epoch,
         ..inner.cfg.backoff
     });
     let started = Instant::now();
     let now_ms = || ms(started.elapsed());
+    // `Some(t)`: the link is down and the next dial is due at `t` — the
+    // first one at once. `None`: the last dial installed a session.
+    let mut retry_at_ms = Some(0);
+    // dials in the current outage; the Hello and `Reconnected` carry it
+    let mut attempt = 0u32;
     loop {
         let mut out = inner.link.lock();
         loop {
@@ -1007,31 +1016,28 @@ fn peer_run_loop(peer: &SocketPeer) {
                 return;
             }
             let now = now_ms();
-            let idle = match sup.state() {
-                LinkState::Connected { .. } if out.session.is_none() => {
-                    sup.on_failure(now);
+            let idle = match retry_at_ms {
+                None if out.session.is_some() => POLL,
+                // the session died: its outage opens with one backoff delay
+                None => {
+                    retry_at_ms = Some(now + backoff.next_delay_ms());
                     continue;
                 }
-                LinkState::Connected { .. } => POLL,
-                LinkState::Backoff { retry_at_ms } if now < retry_at_ms => {
-                    Duration::from_millis(retry_at_ms - now).min(POLL)
-                }
-                _ => break, // a dial is due
+                Some(at) if now < at => Duration::from_millis(at - now).min(POLL),
+                Some(_) => break, // a dial is due
             };
             out = inner.link.wait_timeout(out, idle);
         }
         drop(out);
 
-        sup.begin_probe();
-        match peer_dial_attempt(inner, sup.outage_attempts()) {
-            Ok(Some(stream)) => {
-                let attempt = sup.on_established(inner.epoch);
-                let Ok(read_half) = stream.try_clone() else {
-                    stream.shutdown_both();
-                    sup.on_failure(now_ms());
-                    continue;
-                };
-                let epoch = inner.epoch;
+        attempt += 1;
+        match peer_dial_attempt(inner, attempt) {
+            Ok(Some((stream, read_half))) => {
+                // the outage is over: `dials` says how many it took
+                let (epoch, dials) = (inner.epoch, attempt);
+                backoff.reset();
+                retry_at_ms = None;
+                attempt = 0;
                 let downed = inner
                     .link
                     .install(stream, epoch, &inner.cfg, |generation, first| {
@@ -1041,7 +1047,7 @@ fn peer_run_loop(peer: &SocketPeer) {
                             TransportEvent::Reconnected {
                                 peer: 0,
                                 epoch,
-                                attempt,
+                                attempt: dials,
                             }
                         });
                         let reader = peer.handle();
@@ -1056,7 +1062,6 @@ fn peer_run_loop(peer: &SocketPeer) {
                 }
             }
             Ok(None) => {
-                sup.on_fenced(inner.epoch);
                 inner.link.fence();
                 peer.emit(TransportEvent::HandshakeFenced {
                     peer: 0,
@@ -1064,9 +1069,7 @@ fn peer_run_loop(peer: &SocketPeer) {
                 });
                 return;
             }
-            Err(_) => {
-                sup.on_failure(now_ms());
-            }
+            Err(_) => retry_at_ms = Some(now_ms() + backoff.next_delay_ms()),
         }
     }
 }
@@ -1130,6 +1133,12 @@ mod tests {
         let server = SocketServer::bind(&addr, 1, cfg.clone()).unwrap();
         let peer = SocketPeer::connect(server.addr().clone(), 0, 1, cfg);
         assert!(peer.wait_connected(Duration::from_secs(5)));
+        // the peer has the server's ack, which the server writes before it
+        // installs its own half: until that is in, a send finds the link down
+        assert!(matches!(
+            next_event(&server),
+            TransportEvent::Connected { peer: 0, epoch: 1 }
+        ));
 
         std::thread::scope(|s| {
             let receiver = s.spawn(|| {
@@ -1201,6 +1210,71 @@ mod tests {
             Ok(SessionFrame::HelloAck { accepted: true, .. })
         ));
         (stream, dec)
+    }
+
+    /// The dial loop's bookkeeping, seen by a listener answering by hand:
+    /// the first dial says `attempt: 1`, every failed dial of an outage
+    /// counts, `Reconnected` carries the count of the dial that got through,
+    /// and a session starts the count over.
+    #[test]
+    fn hello_attempts_count_the_dials_of_one_outage() {
+        let (dir, addr) = unix_addr("attempts");
+        let listener = Listener::bind(&addr).unwrap();
+        let mut cfg = SocketConfig::default();
+        cfg.backoff.base_ms = 2;
+        cfg.backoff.cap_ms = 8;
+        let peer = SocketPeer::connect(addr, 0, 1, cfg);
+        // takes the next dial as far as its Hello, then acks it — a session,
+        // for as long as the caller keeps the stream — or hangs up
+        let dial = |ack: bool| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let mut stream = listener.accept_deadline(deadline).unwrap();
+            let mut dec = FrameDecoder::new(FrameConfig::default());
+            let hello = read_frame_deadline(&mut stream, &mut dec, deadline).unwrap();
+            let Ok(SessionFrame::Hello { attempt, .. }) = decode_session(&hello) else {
+                panic!("expected a Hello");
+            };
+            let session = ack.then(|| {
+                let mut wire = Vec::new();
+                let accepted = true;
+                write_session(&SessionFrame::HelloAck { accepted, floor: 0 }, &mut wire);
+                write_all_deadline(&stream, &wire, deadline).unwrap();
+                stream
+            });
+            (attempt, session)
+        };
+        let next_event = || peer.recv_timeout(0, Duration::from_secs(5)).unwrap();
+
+        // three dials hung up on mid-handshake, the fourth answered
+        for expected in 1..=3 {
+            assert_eq!(dial(false).0, expected);
+        }
+        let (attempt, session) = dial(true);
+        assert_eq!(attempt, 4);
+        assert!(matches!(
+            next_event(),
+            TransportEvent::Connected { peer: 0, epoch: 1 }
+        ));
+
+        // the session dies: a new outage, counted from 1 again
+        drop(session);
+        assert!(matches!(
+            next_event(),
+            TransportEvent::Disconnected { peer: 0 }
+        ));
+        assert_eq!(dial(false).0, 1);
+        let (attempt, _session) = dial(true);
+        assert_eq!(attempt, 2);
+        assert!(matches!(
+            next_event(),
+            TransportEvent::Reconnected {
+                peer: 0,
+                epoch: 1,
+                attempt: 2
+            }
+        ));
+        peer.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn next_event(server: &SocketServer) -> TransportEvent<Bytes> {

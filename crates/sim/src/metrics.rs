@@ -94,7 +94,7 @@ impl SimMetrics {
     }
 
     /// Resizes the per-client accumulators (called once at world build).
-    pub fn init_clients(&mut self, clients: usize) {
+    pub(crate) fn init_clients(&mut self, clients: usize) {
         self.per_client_comm = vec![OnlineStats::new(); clients];
     }
 
@@ -163,7 +163,7 @@ impl SimMetrics {
 
     /// The 95th-percentile call duration (0 if no calls completed).
     #[must_use]
-    pub fn call_time_p95(&self) -> f64 {
+    pub(crate) fn call_time_p95(&self) -> f64 {
         self.call_p95.value().unwrap_or(0.0)
     }
 

@@ -35,7 +35,7 @@ impl Location {
 
 /// A call waiting for an in-transit object.
 #[derive(Debug, Clone, Copy)]
-pub struct BlockedCall {
+pub(crate) struct BlockedCall {
     /// Dense call index.
     pub call: u64,
     /// Which leg was trying to reach the object.
@@ -46,7 +46,7 @@ pub struct BlockedCall {
 
 /// An end-request that reached an in-transit object and waits for landing.
 #[derive(Debug, Clone, Copy)]
-pub struct QueuedEnd {
+pub(crate) struct QueuedEnd {
     /// The ending block.
     pub block: BlockId,
     /// The ending block's node.
@@ -57,7 +57,7 @@ pub struct QueuedEnd {
 
 /// Dynamic state of one object.
 #[derive(Debug)]
-pub struct ObjectState {
+pub(crate) struct ObjectState {
     /// Static properties.
     pub descriptor: ObjectDescriptor,
     /// Current location.
@@ -238,7 +238,7 @@ impl BlockState {
 
 /// Dynamic state of one in-flight invocation.
 #[derive(Debug)]
-pub struct CallState {
+pub(crate) struct CallState {
     /// The issuing block.
     pub block: BlockId,
     /// The client's node (where the result must return to).

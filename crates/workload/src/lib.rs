@@ -159,7 +159,7 @@ pub const REPLICATIONS_PER_ROUND: u64 = 8;
 
 /// The per-call sample batch size `build_scenario` worlds use (the
 /// `SimulationBuilder` default).
-pub const SCENARIO_BATCH_SIZE: u64 = 500;
+pub(crate) const SCENARIO_BATCH_SIZE: u64 = 500;
 
 /// Samples each replication contributes before the round is re-evaluated.
 ///

@@ -70,12 +70,6 @@ impl Zipf {
         self.n
     }
 
-    /// The exponent `s`.
-    #[must_use]
-    pub fn exponent(&self) -> f64 {
-        self.exponent
-    }
-
     /// The envelope density `h(x) = x^{-s}`.
     fn h(&self, x: f64) -> f64 {
         x.powf(-self.exponent)
