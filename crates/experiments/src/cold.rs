@@ -125,7 +125,7 @@ pub fn maybe_run_child() -> Option<ExitCode> {
 fn run_seed(dir: &Path) -> ExitCode {
     let cfg = child_cfg(dir, "seed.sock");
     let fsync = cfg.fsync;
-    let cluster = MultiProcCluster::spawn(cfg).expect("seed: spawn cluster");
+    let cluster = MultiProcCluster::spawn_traced(cfg).expect("seed: spawn cluster");
     assert!(
         cluster.wait_ready(READY_TIMEOUT),
         "seed: workers never heartbeat"
@@ -183,13 +183,14 @@ fn run_seed(dir: &Path) -> ExitCode {
 /// back, publish `phase2`, and exit cleanly.
 fn run_recover(dir: &Path) -> ExitCode {
     let started = Instant::now();
-    let cluster = match MultiProcCluster::recover(child_cfg(dir, "recover.sock"), READY_TIMEOUT) {
-        Ok(c) => c,
-        Err(e) => {
-            write_phase(&dir.join("phase2"), &format!("error={e}\n"));
-            return ExitCode::FAILURE;
-        }
-    };
+    let cluster =
+        match MultiProcCluster::recover_traced(child_cfg(dir, "recover.sock"), READY_TIMEOUT) {
+            Ok(c) => c,
+            Err(e) => {
+                write_phase(&dir.join("phase2"), &format!("error={e}\n"));
+                return ExitCode::FAILURE;
+            }
+        };
     let mut manifest = String::new();
     for object in cluster.objects() {
         let out = cluster

@@ -911,7 +911,7 @@ pub fn availability_multiprocess() -> ExperimentResult {
     // the coordinator's checkpoint table is WAL-backed under OML_FSYNC so
     // the availability run also exercises the durable put-before-ack path
     let fsync = fsync_from_env();
-    let cluster = MultiProcCluster::spawn(MultiProcConfig {
+    let cluster = MultiProcCluster::spawn_traced(MultiProcConfig {
         workers: 3,
         addr: TransportAddr::Unix(dir.join("coord.sock")),
         call_timeout_ms: CALL_TIMEOUT_MS,

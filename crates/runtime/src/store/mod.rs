@@ -104,7 +104,13 @@ pub enum FsyncPolicy {
     #[default]
     Always,
     /// Sync after `n` unsynced records or `ms` milliseconds, whichever
-    /// comes first. Bounded loss window, amortized sync cost.
+    /// comes first. Bounded loss window, amortized sync cost. The store
+    /// has no thread of its own: a put checks both bounds, and for a store
+    /// gone idle someone has to call [`CheckpointStore::sync`]. The
+    /// multi-process coordinator does, on every detector pass (so its bound
+    /// is `max(ms, heartbeat_ms)`); the in-process node stores are left to
+    /// their next put, so that seeded [`FaultFs`] replays stay
+    /// bit-identical.
     Batch {
         /// Unsynced records that force a sync.
         n: u64,

@@ -17,6 +17,19 @@
 //! **corruption is terminal**: a CRC mismatch stops the replay at the
 //! longest valid prefix and is *reported*, never silently accepted.
 //!
+//! # What a put logs
+//!
+//! Whichever of two records encodes smaller: the whole copy
+//! ([`WalRecord::Put`]) or the splice that turns the state the store holds
+//! into the new one ([`WalRecord::Patch`]: what lies between their common
+//! prefix and common suffix). The image always takes the caller's copy;
+//! only replay rebuilds a state, from the image it has replayed so far. A
+//! patch is computed against exactly snapshot + log prefix, so whatever
+//! cuts the log short leaves a base for what is appended next, and a
+//! `Patch` that does **not** apply is corruption like any other: the replay
+//! stops there, keeps the prefix, reports it and truncates. Snapshots hold
+//! `Put`s only, so no chain outlives a compaction.
+//!
 //! Compaction writes the full state to `snap-<g+1>.bin` via
 //! write-temp-then-atomic-rename, starts an empty `wal-<g+1>.log`, then
 //! atomically flips `MANIFEST` — a crash at any point leaves either
@@ -30,7 +43,7 @@ use super::{
     CheckpointStore, Durability, FsyncPolicy, MemStore, StoreError, StoredCheckpoint, WalStats,
 };
 use crate::transport::frame::{
-    encode_frame, encode_frame_parts, FrameConfig, FrameDecoder, HEADER_LEN,
+    crc32, encode_frame, encode_frame_parts, Crc32, FrameConfig, FrameDecoder, HEADER_LEN,
 };
 use crate::wire::{WireReader, WireWriter};
 use bytes::Bytes;
@@ -44,6 +57,12 @@ const REC_REMOVE: u32 = 2;
 const REC_CLEAR: u32 = 3;
 const REC_EPOCH: u32 = 4;
 const REC_META: u32 = 5;
+const REC_PATCH: u32 = 6;
+
+/// Payload bytes of a `Put` besides its type tag and state, and of a
+/// `Patch` besides `with`.
+const PUT_HEAD: usize = 32;
+const PATCH_HEAD: usize = 40;
 
 /// `MANIFEST` magic: `OMLW`.
 const MANIFEST_MAGIC: u32 = 0x4F4D_4C57;
@@ -80,21 +99,44 @@ pub enum WalRecord {
         /// Value.
         value: u64,
     },
+    /// Install a checkpoint as an edit of the stored one: replace `cut`
+    /// bytes at offset `at` of its state with `with`, keep its type tag.
+    /// Logged in place of a `Put` whenever it encodes smaller. One that does
+    /// not apply on replay — no stored copy, a range outside it, a result
+    /// whose CRC-32 is not `check` — is corruption.
+    Patch {
+        /// The object.
+        object: ObjectId,
+        /// The new copy's object epoch (raises the floor as a `Put` does).
+        object_epoch: u64,
+        /// The new copy's refresh sequence number.
+        seq: u64,
+        /// Offset of the replaced range.
+        at: u32,
+        /// Length of the replaced range.
+        cut: u32,
+        /// What replaces it.
+        with: Bytes,
+        /// CRC-32 of the resulting state.
+        check: u32,
+    },
 }
 
-/// Appends `rec`, framed, to `out`. A `Put`'s state is summed and copied
-/// straight from its `Bytes` behind the record's small header, never
-/// joined with it first.
+/// Appends `rec`, framed, to `out`. A `Put`'s state (a `Patch`'s `with`) is
+/// summed and copied straight from its `Bytes` behind the record's small
+/// header, never joined with it first.
 pub fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
     let head = match rec {
-        WalRecord::Put { object, ckpt } => WireWriter::with_capacity(32 + ckpt.type_tag.len())
-            .u32(REC_PUT)
-            .u32(object.as_u32())
-            .u64(ckpt.object_epoch)
-            .u64(ckpt.seq)
-            .str(&ckpt.type_tag)
-            .u32(ckpt.state.len() as u32)
-            .finish(),
+        WalRecord::Put { object, ckpt } => {
+            WireWriter::with_capacity(PUT_HEAD + ckpt.type_tag.len())
+                .u32(REC_PUT)
+                .u32(object.as_u32())
+                .u64(ckpt.object_epoch)
+                .u64(ckpt.seq)
+                .str(&ckpt.type_tag)
+                .u32(ckpt.state.len() as u32)
+                .finish()
+        }
         WalRecord::Remove { object } => WireWriter::new()
             .u32(REC_REMOVE)
             .u32(object.as_u32())
@@ -110,16 +152,35 @@ pub fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
             .u32(*key)
             .u64(*value)
             .finish(),
+        WalRecord::Patch {
+            object,
+            object_epoch,
+            seq,
+            at,
+            cut,
+            with,
+            check,
+        } => WireWriter::with_capacity(PATCH_HEAD)
+            .u32(REC_PATCH)
+            .u32(object.as_u32())
+            .u64(*object_epoch)
+            .u64(*seq)
+            .u32(*at)
+            .u32(*cut)
+            .u32(*check)
+            .u32(with.len() as u32)
+            .finish(),
     };
     let body: &[u8] = match rec {
         WalRecord::Put { ckpt, .. } => &ckpt.state,
+        WalRecord::Patch { with, .. } => with,
         _ => &[],
     };
     encode_frame_parts(&[&head, body], out);
 }
 
-/// Decodes one frame payload into a [`WalRecord`]; a `Put`'s state is a
-/// view of `payload`.
+/// Decodes one frame payload into a [`WalRecord`]; a `Put`'s state and a
+/// `Patch`'s `with` are views of `payload`.
 ///
 /// # Errors
 /// A description of the malformation. The CRC already passed when this is
@@ -150,6 +211,15 @@ pub(crate) fn decode_record(payload: &Bytes) -> Result<WalRecord, String> {
         REC_META => WalRecord::Meta {
             key: r.u32()?,
             value: r.u64()?,
+        },
+        REC_PATCH => WalRecord::Patch {
+            object: ObjectId::new(r.u32()?),
+            object_epoch: r.u64()?,
+            seq: r.u64()?,
+            at: r.u32()?,
+            cut: r.u32()?,
+            check: r.u32()?,
+            with: payload.slice_ref(r.bytes_ref()?),
         },
         other => return Err(format!("unknown wal record tag {other}")),
     };
@@ -206,25 +276,13 @@ impl WalReplayer {
             return;
         }
         self.dec.extend(chunk);
-        loop {
-            match self.dec.next_frame() {
-                Ok(Some(payload)) => match decode_record(&payload) {
-                    Ok(rec) => {
-                        self.valid_bytes += (HEADER_LEN + payload.len()) as u64;
-                        self.records.push(rec);
-                    }
-                    Err(_) => {
-                        self.corrupt = true;
-                        return;
-                    }
-                },
-                Ok(None) => return,
-                Err(_) => {
-                    self.corrupt = true;
-                    return;
-                }
-            }
-        }
+        let records = &mut self.records;
+        let (valid_bytes, corrupt) = drain(&mut self.dec, |rec| {
+            records.push(rec);
+            true
+        });
+        self.valid_bytes += valid_bytes;
+        self.corrupt = corrupt;
     }
 
     /// The replayed segment.
@@ -236,6 +294,24 @@ impl WalReplayer {
             valid_bytes: self.valid_bytes,
             corrupt: self.corrupt,
         }
+    }
+}
+
+/// Hands `sink` each whole record `dec` holds until the frames run out, one
+/// fails its checksum or its decoding, or `sink` refuses one: `(bytes of
+/// the records taken, stopped on corruption)`.
+fn drain(dec: &mut FrameDecoder, mut sink: impl FnMut(WalRecord) -> bool) -> (u64, bool) {
+    let mut valid_bytes = 0;
+    loop {
+        let payload = match dec.next_frame() {
+            Ok(Some(payload)) => payload,
+            Ok(None) => return (valid_bytes, false),
+            Err(_) => return (valid_bytes, true),
+        };
+        if !decode_record(&payload).is_ok_and(&mut sink) {
+            return (valid_bytes, true);
+        }
+        valid_bytes += (HEADER_LEN + payload.len()) as u64;
     }
 }
 
@@ -414,12 +490,9 @@ impl WalStore {
             let snap = self.snap_path(self.generation);
             match self.fs.read(&snap) {
                 Ok(bytes) => {
-                    let seg = replay_segment(&bytes, self.cfg.max_frame);
-                    report.snapshot_records = seg.records.len() as u64;
-                    report.corrupt |= seg.corrupt;
-                    for rec in seg.records {
-                        self.apply(rec);
-                    }
+                    let (records, _, corrupt) = self.replay(&bytes);
+                    report.snapshot_records = records;
+                    report.corrupt |= corrupt;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                     report.missing_files += 1;
@@ -433,20 +506,17 @@ impl WalStore {
         let wal = self.wal_path(self.generation);
         match self.fs.read(&wal) {
             Ok(bytes) => {
-                let seg = replay_segment(&bytes, self.cfg.max_frame);
-                report.wal_records = seg.records.len() as u64;
-                report.torn_bytes = seg.torn_bytes;
-                report.corrupt |= seg.corrupt;
-                if seg.torn_bytes > 0 {
+                let (records, valid_bytes, corrupt) = self.replay(&bytes);
+                report.wal_records = records;
+                report.torn_bytes = bytes.len() as u64 - valid_bytes;
+                report.corrupt |= corrupt;
+                if report.torn_bytes > 0 {
                     self.fs
-                        .truncate(&wal, seg.valid_bytes)
+                        .truncate(&wal, valid_bytes)
                         .map_err(|e| StoreError::io("truncate", &wal, &e))?;
                 }
-                self.stats.wal_records = seg.records.len() as u64;
-                self.stats.wal_bytes = seg.valid_bytes;
-                for rec in seg.records {
-                    self.apply(rec);
-                }
+                self.stats.wal_records = records;
+                self.stats.wal_bytes = valid_bytes;
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(StoreError::io("read", &wal, &e)),
@@ -457,7 +527,26 @@ impl WalStore {
         Ok(report)
     }
 
-    fn apply(&mut self, rec: WalRecord) {
+    /// Replays one segment into the image, up to the first record that is
+    /// torn, corrupt or — a `Patch` — does not apply to the image replayed
+    /// so far: `(records applied, their bytes, stopped on corruption)`.
+    fn replay(&mut self, bytes: &[u8]) -> (u64, u64, bool) {
+        let mut dec = FrameDecoder::new(FrameConfig {
+            max_frame: self.cfg.max_frame,
+        });
+        dec.extend(bytes);
+        let mut records = 0;
+        let (valid_bytes, corrupt) = drain(&mut dec, |rec| {
+            let applied = self.apply(rec);
+            records += u64::from(applied);
+            applied
+        });
+        (records, valid_bytes, corrupt)
+    }
+
+    /// Applies `rec` to the image; `false` iff it is a `Patch` that does
+    /// not apply, with the image left as it was.
+    fn apply(&mut self, rec: WalRecord) -> bool {
         // the in-memory image cannot fail
         let _ = match rec {
             WalRecord::Put { object, ckpt } => self.image.put(object, ckpt).map(|_| ()),
@@ -465,14 +554,37 @@ impl WalStore {
             WalRecord::Clear => self.image.clear(),
             WalRecord::Epoch { object, epoch } => self.image.note_epoch(object, epoch).map(|_| ()),
             WalRecord::Meta { key, value } => self.image.set_meta(key, value).map(|_| ()),
+            WalRecord::Patch {
+                object,
+                object_epoch,
+                seq,
+                at,
+                cut,
+                with,
+                check,
+            } => {
+                let base = self.image.get(object);
+                let Some(mut ckpt) = base.and_then(|b| spliced(b, at, cut, &with, check)) else {
+                    return false;
+                };
+                (ckpt.object_epoch, ckpt.seq) = (object_epoch, seq);
+                self.image.put(object, ckpt).map(|_| ())
+            }
         };
+        true
     }
 
     /// Appends `rec` to the live WAL and applies it to the in-memory
     /// image, then syncs per policy.
     fn log(&mut self, rec: WalRecord) -> Result<Durability, StoreError> {
+        self.append(&rec)?;
+        self.commit(rec)
+    }
+
+    /// Appends `rec` to the live WAL: on disk, not yet in the image.
+    fn append(&mut self, rec: &WalRecord) -> Result<(), StoreError> {
         self.scratch.clear();
-        encode_record(&rec, &mut self.scratch);
+        encode_record(rec, &mut self.scratch);
         let wal = self.wal_path(self.generation);
         self.fs
             .append(&wal, &self.scratch)
@@ -484,6 +596,12 @@ impl WalStore {
             self.scratch = Vec::new();
         }
         self.unsynced += 1;
+        Ok(())
+    }
+
+    /// Applies the just-appended `rec` to the image, then syncs and
+    /// compacts per policy.
+    fn commit(&mut self, rec: WalRecord) -> Result<Durability, StoreError> {
         self.apply(rec);
         let durability = self.sync_per_policy()?;
         if self.cfg.compact_after > 0 && self.stats.wal_records >= self.cfg.compact_after {
@@ -608,6 +726,71 @@ impl WalStore {
     }
 }
 
+/// The `Patch` that turns `old` into `new`, if it encodes smaller than
+/// `new`'s `Put`. Both scans stop at the first difference: states that
+/// share nothing cost a word each.
+fn smaller_patch(
+    object: ObjectId,
+    old: &StoredCheckpoint,
+    new: &StoredCheckpoint,
+) -> Option<WalRecord> {
+    if old.type_tag != new.type_tag {
+        return None;
+    }
+    let (a, b) = (&old.state[..], &new.state[..]);
+    let at = common_prefix(a, b);
+    let kept = common_suffix(&a[at..], &b[at..]);
+    let with = new.state.slice(at..b.len() - kept);
+    if PATCH_HEAD + with.len() >= PUT_HEAD + new.type_tag.len() + b.len() {
+        return None;
+    }
+    Some(WalRecord::Patch {
+        object,
+        object_epoch: new.object_epoch,
+        seq: new.seq,
+        at: at as u32,
+        cut: (a.len() - at - kept) as u32,
+        with,
+        check: crc32(b),
+    })
+}
+
+/// How many leading pairs of `a` and `b` agree.
+fn agreeing<T: PartialEq>(a: impl Iterator<Item = T>, b: impl Iterator<Item = T>) -> usize {
+    a.zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// Length of the longest common prefix of `a` and `b`, a word at a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let at = 8 * agreeing(a.chunks_exact(8), b.chunks_exact(8));
+    at + agreeing(a[at..].iter(), b[at..].iter())
+}
+
+/// Length of the longest common suffix of `a` and `b`, a word at a time.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let kept = 8 * agreeing(a.rchunks_exact(8), b.rchunks_exact(8));
+    let (a, b) = (&a[..a.len() - kept], &b[..b.len() - kept]);
+    kept + agreeing(a.iter().rev(), b.iter().rev())
+}
+
+/// `base` with `cut` bytes of its state at `at` replaced by `with`, if the
+/// range lies inside it and the result sums to `check`; allocates only then.
+fn spliced(
+    base: &StoredCheckpoint,
+    at: u32,
+    cut: u32,
+    with: &[u8],
+    check: u32,
+) -> Option<StoredCheckpoint> {
+    let end = (at as usize).checked_add(cut as usize)?;
+    let (head, tail) = (base.state.get(..at as usize)?, base.state.get(end..)?);
+    let sum = Crc32::new().update(head).update(with).update(tail);
+    (sum.finish() == check).then(|| StoredCheckpoint {
+        state: Bytes::from([head, with, tail].concat()),
+        ..base.clone()
+    })
+}
+
 fn encode_manifest(generation: u64) -> Vec<u8> {
     let payload = WireWriter::new()
         .u32(MANIFEST_MAGIC)
@@ -636,7 +819,14 @@ impl CheckpointStore for WalStore {
     }
 
     fn put(&mut self, object: ObjectId, ckpt: StoredCheckpoint) -> Result<Durability, StoreError> {
-        self.log(WalRecord::Put { object, ckpt })
+        // the image gets the caller's copy either way: nothing is rebuilt
+        let patch = self
+            .image
+            .get(object)
+            .and_then(|old| smaller_patch(object, old, &ckpt));
+        let put = WalRecord::Put { object, ckpt };
+        self.append(patch.as_ref().unwrap_or(&put))?;
+        self.commit(put)
     }
 
     fn remove(&mut self, object: ObjectId) -> Result<(), StoreError> {
@@ -735,10 +925,27 @@ mod tests {
                 epoch: 4,
             },
             WalRecord::Meta { key: 2, value: 11 },
+            WalRecord::Patch {
+                object: ObjectId::new(7),
+                object_epoch: 3,
+                seq: 10,
+                at: 1,
+                cut: 2,
+                with: Bytes::copy_from_slice(&[9, 9, 9]),
+                check: 0xdead_beef,
+            },
         ];
         let mut wire = Vec::new();
         for rec in &records {
+            let before = wire.len();
             encode_record(rec, &mut wire);
+            // the lengths `put` compares are the lengths the encoder writes
+            let payload = match rec {
+                WalRecord::Put { ckpt, .. } => PUT_HEAD + ckpt.type_tag.len() + ckpt.state.len(),
+                WalRecord::Patch { with, .. } => PATCH_HEAD + with.len(),
+                _ => continue,
+            };
+            assert_eq!(wire.len() - before, HEADER_LEN + payload, "{rec:?}");
         }
         let seg = replay_segment(&wire, 4 << 20);
         assert!(!seg.corrupt);
@@ -962,6 +1169,148 @@ mod tests {
             hex(&encode_manifest(3)),
             "100000006521812f574c4d4f010000000300000000000000"
         );
+    }
+
+    /// One `Patch` record, field by field: tag 6, object, epoch, seq, `at`,
+    /// `cut`, `check`, then `with` behind its length.
+    #[test]
+    fn patch_record_matches_the_golden_bytes() {
+        let mut rec = Vec::new();
+        encode_record(
+            &WalRecord::Patch {
+                object: ObjectId::new(5),
+                object_epoch: 3,
+                seq: 10,
+                at: 8,
+                cut: 2,
+                with: Bytes::copy_from_slice(&[0xaa, 0xbb, 0xcc]),
+                check: 0x1234_5678,
+            },
+            &mut rec,
+        );
+        assert_eq!(
+            hex(&rec),
+            "2b000000d1136ee6060000000500000003000000000000000a000000000000000800000002000000\
+             7856341203000000aabbcc"
+        );
+    }
+
+    /// A 1 KiB state whose word at `edit` is `value`.
+    fn edited(edit: usize, value: u64) -> Vec<u8> {
+        let mut state: Vec<u8> = (0..1024).map(|i| (i * 31) as u8).collect();
+        state[edit..edit + 8].copy_from_slice(&value.to_le_bytes());
+        state
+    }
+
+    /// Puts `edited(512, i)` for `i` in `0..n`: one `Put`, then patches.
+    fn patched_run(s: &mut WalStore, o: ObjectId, n: u64) {
+        for i in 0..n {
+            let _ = s.put(o, ckpt(1, i, &edited(512, i))).unwrap();
+        }
+    }
+
+    #[test]
+    fn an_edit_of_the_stored_state_is_logged_as_a_patch_and_replays() {
+        let fs = Arc::new(FaultFs::new());
+        let o = ObjectId::new(1);
+        let wal = {
+            let (mut s, _) = WalStore::open_with(cfg(FsyncPolicy::Always), fs.clone()).unwrap();
+            patched_run(&mut s, o, 2);
+            let whole = s.wal_stats().wal_bytes;
+            let _ = s.put(o, ckpt(2, 0, &edited(512, 7))).unwrap();
+            assert!(s.wal_stats().wal_bytes - whole < 64, "an 8-byte edit");
+            assert_eq!(s.get(o).unwrap().state, Bytes::from(edited(512, 7)));
+            s.live_wal_path()
+        };
+        let seg = replay_segment(&fs.read(&wal).unwrap(), 4 << 20);
+        assert!(matches!(seg.records[0], WalRecord::Put { .. }));
+        assert!(matches!(seg.records[2], WalRecord::Patch { at: 512, .. }));
+        let (s, r) = WalStore::open_with(cfg(FsyncPolicy::Always), fs).unwrap();
+        assert!(!r.corrupt);
+        assert_eq!(r.wal_records, 3);
+        assert_eq!(s.get(o), Some(&ckpt(2, 0, &edited(512, 7))));
+        assert_eq!(
+            s.epoch_floor(o),
+            2,
+            "a patch raises the floor as a put does"
+        );
+    }
+
+    #[test]
+    fn a_bit_flipped_in_a_patched_run_stops_the_replay_there() {
+        // (flipped record, version recovered): inside the third patch the
+        // two before it stand; inside the `Put` nothing does, and the
+        // patches behind it are never reached
+        for (flipped, recovered) in [(3usize, Some((1, 2))), (0, None)] {
+            let fs = Arc::new(FaultFs::new());
+            let o = ObjectId::new(1);
+            let (wal, ends) = {
+                let (mut s, _) = WalStore::open_with(cfg(FsyncPolicy::Always), fs.clone()).unwrap();
+                let mut ends = Vec::new();
+                for i in 0..5 {
+                    let _ = s.put(o, ckpt(1, i, &edited(512, i))).unwrap();
+                    ends.push(s.wal_stats().wal_bytes);
+                }
+                (s.live_wal_path(), ends)
+            };
+            assert!(fs.flip_bit(&wal, (ends[flipped] - 2) * 8));
+            let (s, r) = WalStore::open_with(cfg(FsyncPolicy::Always), fs.clone()).unwrap();
+            assert!(r.corrupt, "record {flipped}");
+            assert_eq!(r.wal_records, flipped as u64);
+            assert_eq!(s.get(o).map(StoredCheckpoint::version), recovered);
+            let valid = if flipped == 0 { 0 } else { ends[flipped - 1] };
+            assert_eq!(fs.file_len(&wal), Some(valid as usize), "cut back to there");
+        }
+    }
+
+    /// A patch whose frame is intact but whose base is not what it was
+    /// computed against — here the snapshot under it vanished — is
+    /// corruption: flagged, the log cut there, later appends replayable.
+    #[test]
+    fn a_patch_without_its_base_is_flagged_and_truncated() {
+        let fs = Arc::new(FaultFs::new());
+        let (o, other) = (ObjectId::new(1), ObjectId::new(2));
+        let wal = {
+            let (mut s, _) = WalStore::open_with(cfg(FsyncPolicy::Always), fs.clone()).unwrap();
+            patched_run(&mut s, o, 1);
+            s.compact().unwrap();
+            let _ = s.put(other, ckpt(1, 0, b"kept")).unwrap();
+            patched_run(&mut s, o, 3);
+            fs.vanish_on_reopen(&s.snap_path(1));
+            s.live_wal_path()
+        };
+        let (mut s, r) = WalStore::open_with(cfg(FsyncPolicy::Always), fs.clone()).unwrap();
+        assert!(r.corrupt && r.missing_files == 1);
+        // `other`'s put, then `o`'s first put of the run: a patch of the
+        // snapshot's identical state, which is gone
+        assert_eq!(r.wal_records, 1);
+        assert!(s.get(o).is_none() && s.get(other).is_some());
+        assert_eq!(fs.file_len(&wal), Some(s.wal_stats().wal_bytes as usize));
+        patched_run(&mut s, o, 2);
+        drop(s);
+        let (s, r) = WalStore::open_with(cfg(FsyncPolicy::Always), fs).unwrap();
+        assert!(!r.corrupt, "what was appended after the cut has its base");
+        assert_eq!(s.get(o).unwrap().version(), (1, 1));
+    }
+
+    #[test]
+    fn power_loss_inside_a_patched_run_recovers_an_acknowledged_state() {
+        let fs = Arc::new(FaultFs::new());
+        let o = ObjectId::new(1);
+        {
+            let batch = FsyncPolicy::Batch {
+                n: 4,
+                ms: 1_000_000,
+            };
+            let (mut s, _) = WalStore::open_with(cfg(batch), fs.clone()).unwrap();
+            patched_run(&mut s, o, 11);
+            assert_eq!(s.wal_stats().synced, 8);
+        }
+        fs.power_loss();
+        let (s, r) = WalStore::open_with(cfg(FsyncPolicy::Always), fs).unwrap();
+        assert!(!r.corrupt, "a lost tail is not corruption");
+        assert_eq!(r.wal_records, 8);
+        assert_eq!(s.get(o), Some(&ckpt(1, 7, &edited(512, 7))));
     }
 
     /// `tests/fixtures/wal_pr11/` is a store directory written by the

@@ -596,7 +596,19 @@ impl MultiProcCluster {
     /// Bind, spawn or store-open failures.
     pub fn spawn(cfg: MultiProcConfig) -> io::Result<MultiProcCluster> {
         let (store, _report) = open_store(&cfg)?;
-        MultiProcCluster::boot(cfg, store, None)
+        MultiProcCluster::boot(cfg, store, None, false)
+    }
+
+    /// [`spawn`](Self::spawn), collecting the trace that
+    /// [`take_trace`](Self::take_trace) drains — opt-in, as
+    /// [`crate::ClusterBuilder::trace`] is: a collector holds every event
+    /// until someone drains it.
+    ///
+    /// # Errors
+    /// As [`spawn`](Self::spawn).
+    pub fn spawn_traced(cfg: MultiProcConfig) -> io::Result<MultiProcCluster> {
+        let (store, _report) = open_store(&cfg)?;
+        MultiProcCluster::boot(cfg, store, None, true)
     }
 
     /// Cold-starts a coordinator from the durable store a dead one left
@@ -610,6 +622,26 @@ impl MultiProcCluster {
     /// `cfg.store_dir` unset, store-open failures, bind/spawn failures,
     /// or workers not ready within `ready_timeout`.
     pub fn recover(cfg: MultiProcConfig, ready_timeout: Duration) -> io::Result<MultiProcCluster> {
+        MultiProcCluster::recover_with(cfg, ready_timeout, false)
+    }
+
+    /// [`recover`](Self::recover), collecting the trace
+    /// ([`EventKind::ColdRecovered`] included).
+    ///
+    /// # Errors
+    /// As [`recover`](Self::recover).
+    pub fn recover_traced(
+        cfg: MultiProcConfig,
+        ready_timeout: Duration,
+    ) -> io::Result<MultiProcCluster> {
+        MultiProcCluster::recover_with(cfg, ready_timeout, true)
+    }
+
+    fn recover_with(
+        cfg: MultiProcConfig,
+        ready_timeout: Duration,
+        trace: bool,
+    ) -> io::Result<MultiProcCluster> {
         if cfg.store_dir.is_none() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -617,7 +649,7 @@ impl MultiProcCluster {
             ));
         }
         let (store, report) = open_store(&cfg)?;
-        let cluster = MultiProcCluster::boot(cfg, store, Some(report))?;
+        let cluster = MultiProcCluster::boot(cfg, store, Some(report), trace)?;
         if !cluster.wait_ready(ready_timeout) {
             cluster.abandon();
             return Err(io::Error::new(
@@ -645,6 +677,7 @@ impl MultiProcCluster {
         cfg: MultiProcConfig,
         mut store: Box<dyn CheckpointStore>,
         recovering: Option<RecoveryReport>,
+        trace: bool,
     ) -> io::Result<MultiProcCluster> {
         let now = Instant::now();
         // on a cold restart every worker resumes above its persisted
@@ -688,7 +721,7 @@ impl MultiProcCluster {
                 pending: HashMap::new(),
                 counters: MultiProcStats::default(),
             }),
-            trace: TraceCollector::new(true),
+            trace: TraceCollector::new(trace),
         });
         let handler = Arc::clone(&core);
         let server = SocketServer::bind_with_sink(
@@ -1008,7 +1041,9 @@ impl MultiProcCluster {
     }
 
     /// Drains the collected protocol/transport trace (feed it to
-    /// `oml_check::check_trace`).
+    /// `oml_check::check_trace`). Empty unless the cluster was built by
+    /// [`spawn_traced`](Self::spawn_traced) or
+    /// [`recover_traced`](Self::recover_traced).
     #[must_use]
     pub fn take_trace(&self) -> Vec<TraceEvent> {
         self.inner.core.trace.take()
@@ -1156,7 +1191,8 @@ fn map_transport_err(e: &TransportError, node: u32) -> RuntimeError {
 
 /// One detector pass: Up→Suspected after `suspect_after` missed beats,
 /// Suspected→Dead after `dead_after`; death fences the incarnation and
-/// reinstantiates the dead worker's objects from checkpoints.
+/// reinstantiates the dead worker's objects from checkpoints. Under
+/// [`FsyncPolicy::Batch`] each pass also syncs what the store holds unsynced.
 fn sweep_impl(inner: &Arc<CoordShared>) {
     let hb = inner.cfg.heartbeat_ms;
     let mut newly_dead: Vec<u32> = Vec::new();
@@ -1188,6 +1224,11 @@ fn sweep_impl(inner: &Arc<CoordShared>) {
         for &node in &newly_dead {
             let incarnation = state.slots[node as usize].incarnation;
             let _ = state.store.set_meta(node, incarnation);
+        }
+        // `Batch { ms }` must hold for an idle store too, and only a put
+        // looks at the clock; never under `Never`, which must keep lying
+        if matches!(inner.cfg.fsync, FsyncPolicy::Batch { .. }) {
+            let _ = state.store.sync();
         }
     }
     for node in newly_suspected {

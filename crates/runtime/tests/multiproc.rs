@@ -123,7 +123,7 @@ fn scenario() {
     let dir = std::env::temp_dir().join(format!("oml-mp-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let addr = TransportAddr::Unix(dir.join("coord.sock"));
-    let cluster = MultiProcCluster::spawn(cfg(addr)).expect("spawn cluster");
+    let cluster = MultiProcCluster::spawn_traced(cfg(addr)).expect("spawn cluster");
     assert!(
         cluster.wait_ready(Duration::from_secs(10)),
         "workers never heartbeat"
@@ -337,7 +337,7 @@ fn durable_scenario() {
     let store_dir = dir.join("store");
     let mut c = cfg(TransportAddr::Unix(dir.join("coord.sock")));
     c.store_dir = Some(store_dir.clone());
-    let cluster = MultiProcCluster::spawn(c).expect("spawn durable cluster");
+    let cluster = MultiProcCluster::spawn_traced(c).expect("spawn durable cluster");
     assert!(
         cluster.wait_ready(Duration::from_secs(10)),
         "workers never heartbeat"
@@ -362,7 +362,8 @@ fn durable_scenario() {
 
     let mut c2 = cfg(TransportAddr::Unix(dir.join("coord2.sock")));
     c2.store_dir = Some(store_dir);
-    let revived = MultiProcCluster::recover(c2, Duration::from_secs(10)).expect("cold restart");
+    let revived =
+        MultiProcCluster::recover_traced(c2, Duration::from_secs(10)).expect("cold restart");
     assert_eq!(
         revived.objects(),
         vec![1, 2],
@@ -396,6 +397,46 @@ fn durable_scenario() {
     );
     let _ = std::fs::remove_dir_all(&dir);
     println!("multiproc coordinator kill/cold-restart scenario: ok");
+}
+
+/// `FsyncPolicy::Batch { ms }` holds for a coordinator gone idle: a put is
+/// the only thing in the store that looks at the clock, so the tail of a
+/// burst used to stay unsynced until the next one, whatever `ms` said. The
+/// detector pass is the clock now. (The store is on the real disk, so this
+/// counts syncs rather than cutting the power.)
+fn idle_batch_sync_scenario() {
+    let dir = std::env::temp_dir().join(format!("oml-mp-batch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut c = cfg(TransportAddr::Unix(dir.join("coord.sock")));
+    c.store_dir = Some(dir.join("store"));
+    c.fsync = FsyncPolicy::Batch { n: 1000, ms: 10 };
+    c.monitor = false;
+    let cluster = MultiProcCluster::spawn(c).expect("spawn cluster");
+    assert!(
+        cluster.wait_ready(Duration::from_secs(10)),
+        "workers never heartbeat"
+    );
+    // two in a row: the second lands inside the first's `ms` and is buffered
+    for object in [1, 2] {
+        cluster
+            .create(0, object, "counter", 0u64.to_le_bytes().to_vec())
+            .expect("create");
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    cluster.sweep();
+    let stats = cluster.wal_stats();
+    assert_eq!(
+        stats.synced, stats.appended,
+        "records left unsynced past `ms` on an idle store"
+    );
+    assert!(
+        cluster.take_trace().is_empty(),
+        "`spawn` collects no trace; `spawn_traced` does"
+    );
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    println!("multiproc idle batch sync scenario: ok");
 }
 
 /// Set for the process that plays the doomed coordinator of
@@ -516,5 +557,6 @@ fn main() {
     scenario();
     zero_failure_scenario();
     durable_scenario();
+    idle_batch_sync_scenario();
     orphan_scenario();
 }
