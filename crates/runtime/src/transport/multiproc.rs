@@ -33,16 +33,19 @@
 //! Neither process has a thread whose job is to pass messages on. A client
 //! thread in [`MultiProcCluster`] encodes its request and writes it to the
 //! worker's socket itself (the transport's sender-writes rule, see
-//! [`super::socket`]), then parks on its reply slot. The worker's reader
-//! thread decodes the request, applies it to the object table, and writes
-//! the reply from where it stands ([`run_worker`]). The coordinator's
-//! reader thread for that worker decodes the reply and wakes the client
-//! (`CoordCore::on_event`, installed as the server's sink). One invoke
-//! wakes three threads: worker reader, coordinator reader, caller. Beside
-//! those the coordinator runs the acceptor and the detector's monitor; a
-//! worker runs its dial supervisor and its main thread, which keeps the
-//! heartbeat timer. What the reader threads may and may not do is written
-//! down on `CoordShared`.
+//! [`super::socket`]), then reads the worker's link until its reply is in
+//! (the transport's caller-reads rule). The worker's reader thread decodes
+//! the request, applies it to the object table, and writes the reply from
+//! where it stands ([`run_worker`]). Back at the coordinator the reply is
+//! decoded by whichever thread holds the link's read turn — the caller
+//! itself, or a caller sharing the link, who then wakes it — and put in the
+//! caller's reply slot by `CoordCore::on_event`, the server's sink. One
+//! invoke wakes two threads: worker reader and caller. The coordinator's
+//! reader thread per worker reads only while no call is in flight on its
+//! link (heartbeats of an idle worker, EOF); beside those the coordinator
+//! runs the acceptor and the detector's monitor, and a worker runs its dial
+//! supervisor and its main thread, which keeps the heartbeat timer. What a
+//! handler may and may not do is written down on `CoordShared`.
 
 use super::netio::TransportAddr;
 use super::socket::{SocketConfig, SocketPeer, SocketServer};
@@ -331,27 +334,29 @@ struct CoordState {
     counters: MultiProcStats,
 }
 
-/// What the server's reader threads share with the client-facing half:
-/// the coordinator's tables and its trace. Deliberately without the
-/// server, so [`CoordCore::on_event`] cannot send, let alone call.
+/// What the server's sink shares with the client-facing half: the
+/// coordinator's tables and its trace. Deliberately without the server, so
+/// [`CoordCore::on_event`] cannot send, let alone call.
 struct CoordCore {
     state: Mutex<CoordState>,
     trace: TraceCollector,
 }
 
 /// The coordinator's shared half. Two rules keep its threads from waiting
-/// on each other, now that replies are dispatched on the server's reader
-/// threads and requests are written by the calling thread:
+/// on each other, since requests are written by the calling thread and
+/// replies are dispatched by whichever thread holds a link's read turn —
+/// under load a caller, inside its own `call`:
 ///
-/// * **A handler never makes a [`CoordShared::call`].** The reply to a call
-///   to worker *n* can only be delivered by worker *n*'s reader thread; a
-///   handler running on that thread would wait out `call_timeout_ms` for
-///   itself. The handler is a method of [`CoordCore`], which has no server
-///   to call through.
+/// * **A handler never makes a [`CoordShared::call`].** A handler runs
+///   *inside* a read turn — a caller's `send_and_await` or a reader thread
+///   — and the reply to a call to worker *n* can only be delivered by a
+///   turn on worker *n*'s link; a call from a handler on that link would
+///   wait out `call_timeout_ms` for the turn it is running in. The handler
+///   is a method of [`CoordCore`], which has no server to call through.
 /// * **`state` is never held across `server.send`.** A send writes to the
 ///   socket inline and may block for `write_timeout_ms` behind a worker
-///   that is itself blocked writing a reply; the reader that would drain
-///   that reply needs `state` to complete the call it answers.
+///   that is itself blocked writing a reply; the turn that would drain that
+///   reply needs `state` to complete the call it answers.
 struct CoordShared {
     cfg: MultiProcConfig,
     server: SocketServer,
@@ -473,15 +478,23 @@ impl CoordShared {
         self.next_corr.fetch_add(1, Ordering::AcqRel)
     }
 
-    /// Sends `msg` to `node` and awaits the correlated reply.
+    /// Sends `msg` to `node` and awaits the correlated reply, reading it off
+    /// the worker's link on this thread: whichever turn reads it runs
+    /// [`CoordCore::on_event`], which fills the reply slot.
     fn call(&self, node: u32, corr: u64, msg: &ProtoMsg) -> Result<ProtoMsg, RuntimeError> {
         let (tx, rx) = bounded(1);
         self.core.state.lock().pending.insert(corr, tx);
         let waited_ms = self.cfg.call_timeout_ms;
-        let reply = match self.server.send(node, msg.encode()) {
+        let deadline = Instant::now() + Duration::from_millis(waited_ms);
+        let answered = || !rx.is_empty();
+        let reply = match self
+            .server
+            .send_and_await(node, msg.encode(), deadline, answered)
+        {
+            Err(TransportError::Timeout { .. }) => Err(RuntimeError::Timeout { waited_ms }),
             Err(e) => Err(map_transport_err(&e, node)),
             Ok(()) => rx
-                .recv_timeout(Duration::from_millis(waited_ms))
+                .try_recv()
                 .map_err(|_| RuntimeError::Timeout { waited_ms }),
         };
         if reply.is_err() {

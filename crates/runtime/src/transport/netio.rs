@@ -18,6 +18,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Where a transport endpoint listens or dials.
@@ -59,52 +60,91 @@ impl TransportAddr {
     }
 }
 
-/// A connected stream of either family.
+/// A connected stream of either family, and the send timeout it last armed.
 #[derive(Debug)]
-pub enum Stream {
-    /// Unix-domain connection.
+pub struct Stream {
+    sock: Sock,
+    /// The `SO_SNDTIMEO` this handle last set, in µs; 0 before the first.
+    /// A cache of a socket option and nothing else, so `Relaxed`: one thread
+    /// writes a stream at a time, handed on under the link's lock.
+    armed_us: AtomicU64,
+}
+
+#[derive(Debug)]
+enum Sock {
     Unix(UnixStream),
-    /// TCP connection.
     Tcp(TcpStream),
 }
 
+/// The grain [`write_all_deadline`] arms the send timeout at: a budget is
+/// floored to it, so the next batch's full budget still covers what is armed.
+const ARM_GRAIN_US: u64 = 10_000;
+
 impl Stream {
+    fn new(sock: Sock) -> Stream {
+        Stream {
+            sock,
+            armed_us: AtomicU64::new(0),
+        }
+    }
+
     /// An independently owned handle to the same connection (a session's
     /// reader reads its own while senders write the other).
     pub(crate) fn try_clone(&self) -> io::Result<Stream> {
-        Ok(match self {
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-        })
+        Ok(Stream::new(match &self.sock {
+            Sock::Unix(s) => Sock::Unix(s.try_clone()?),
+            Sock::Tcp(s) => Sock::Tcp(s.try_clone()?),
+        }))
     }
 
     /// Bounds every subsequent blocking `read` on this handle.
     pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_read_timeout(t),
-            Stream::Tcp(s) => s.set_read_timeout(t),
+        match &self.sock {
+            Sock::Unix(s) => s.set_read_timeout(t),
+            Sock::Tcp(s) => s.set_read_timeout(t),
         }
+    }
+
+    /// Bounds the next `write` by at most `budget`. The socket keeps its
+    /// send timeout between writes, so it is re-armed only when the armed
+    /// one is longer than `budget` (or none is), and then to `budget`
+    /// floored to [`ARM_GRAIN_US`]: one `setsockopt` per session rather than
+    /// one per batch.
+    fn arm_write(&self, budget: Duration) -> io::Result<()> {
+        let budget_us = u64::try_from(budget.as_micros()).unwrap_or(u64::MAX);
+        let armed = self.armed_us.load(Ordering::Relaxed);
+        if armed != 0 && armed <= budget_us {
+            return Ok(());
+        }
+        let arm_us = if budget_us >= ARM_GRAIN_US {
+            budget_us - budget_us % ARM_GRAIN_US
+        } else {
+            budget_us.max(1)
+        };
+        let t = Some(Duration::from_micros(arm_us));
+        match &self.sock {
+            Sock::Unix(s) => s.set_write_timeout(t)?,
+            Sock::Tcp(s) => s.set_write_timeout(t)?,
+        }
+        self.armed_us.store(arm_us, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Half-closes both directions, unblocking any reader.
     pub(crate) fn shutdown_both(&self) {
-        match self {
-            Stream::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
+        let _ = match &self.sock {
+            Sock::Unix(s) => s.shutdown(std::net::Shutdown::Both),
+            Sock::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
+        };
     }
 
     /// One blocking `read` under the handle's read timeout. `Ok(0)` is EOF.
     /// `WouldBlock`/`TimedOut` are normalized to `Ok(None)`-style:
     /// returned as `Err(TimedOut)` so callers distinguish EOF from stall.
     pub fn read_chunk(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let r = match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
+        let r = match &mut self.sock {
+            Sock::Unix(s) => s.read(buf),
+            Sock::Tcp(s) => s.read(buf),
         };
         match r {
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -171,19 +211,19 @@ impl Listener {
     pub fn accept_deadline(&self, deadline: Instant) -> io::Result<Stream> {
         loop {
             let r = match self {
-                Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+                Listener::Unix(l, _) => l.accept().map(|(s, _)| Sock::Unix(s)),
+                Listener::Tcp(l) => l.accept().map(|(s, _)| Sock::Tcp(s)),
             };
             match r {
-                Ok(stream) => {
-                    match &stream {
-                        Stream::Unix(s) => s.set_nonblocking(false)?,
-                        Stream::Tcp(s) => {
+                Ok(sock) => {
+                    match &sock {
+                        Sock::Unix(s) => s.set_nonblocking(false)?,
+                        Sock::Tcp(s) => {
                             s.set_nonblocking(false)?;
                             s.set_nodelay(true)?;
                         }
                     }
-                    return Ok(stream);
+                    return Ok(Stream::new(sock));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
@@ -244,12 +284,12 @@ pub fn connect_deadline(addr: &TransportAddr, deadline: Instant) -> io::Result<S
                 .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable addr"))?;
             let s = TcpStream::connect_timeout(&sock, timeout)?;
             s.set_nodelay(true)?;
-            Ok(Stream::Tcp(s))
+            Ok(Stream::new(Sock::Tcp(s)))
         }
         TransportAddr::Unix(path) => loop {
             remaining(deadline, "connect")?;
             match UnixStream::connect(path) {
-                Ok(s) => return Ok(Stream::Unix(s)),
+                Ok(s) => return Ok(Stream::new(Sock::Unix(s))),
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::Interrupted =>
@@ -262,12 +302,13 @@ pub fn connect_deadline(addr: &TransportAddr, deadline: Instant) -> io::Result<S
     }
 }
 
-/// Writes all of `buf`, giving up at `deadline`. The stream's kernel write
-/// timeout is re-armed with the remaining budget before every attempt, so
-/// a stalled peer (full socket buffer — e.g. the fault proxy's `Stall`)
-/// surfaces as `TimedOut` instead of blocking the writing thread forever.
-/// Takes the stream shared: the write half of a session is written by
-/// whichever sender holds the link's `writing` flag, one at a time.
+/// Writes all of `buf`, giving up at `deadline`. Every attempt runs under a
+/// kernel send timeout no longer than the remaining budget (armed only when
+/// the one in place is longer, see `Stream::arm_write`), so a stalled peer
+/// (full socket buffer — e.g. the fault proxy's `Stall`) surfaces as
+/// `TimedOut` instead of blocking the writing thread forever. Takes the
+/// stream shared: the write half of a session is written by whichever
+/// sender holds the link's `writing` flag, one at a time.
 ///
 /// # Errors
 /// [`io::ErrorKind::TimedOut`] at deadline expiry (the peer may have
@@ -275,16 +316,10 @@ pub fn connect_deadline(addr: &TransportAddr, deadline: Instant) -> io::Result<S
 /// as-is.
 pub fn write_all_deadline(stream: &Stream, mut buf: &[u8], deadline: Instant) -> io::Result<()> {
     while !buf.is_empty() {
-        let budget = remaining(deadline, "write")?;
-        let n = match stream {
-            Stream::Unix(s) => {
-                s.set_write_timeout(Some(budget))?;
-                (&*s).write(buf)
-            }
-            Stream::Tcp(s) => {
-                s.set_write_timeout(Some(budget))?;
-                (&*s).write(buf)
-            }
+        stream.arm_write(remaining(deadline, "write")?)?;
+        let n = match &stream.sock {
+            Sock::Unix(s) => (&*s).write(buf),
+            Sock::Tcp(s) => (&*s).write(buf),
         };
         match n {
             Ok(0) => {
@@ -294,7 +329,7 @@ pub fn write_all_deadline(stream: &Stream, mut buf: &[u8], deadline: Instant) ->
                 ))
             }
             Ok(written) => buf = &buf[written..],
-            // the loop re-checks the deadline and re-arms the timeout
+            // the loop re-checks the deadline and, if need be, re-arms
             Err(e) if retryable(&e) => {}
             Err(e) => return Err(e),
         }
@@ -384,6 +419,50 @@ mod tests {
         assert_eq!(t.join().unwrap(), b"ping!");
     }
 
+    /// The send timeout is armed once for 1 000 writes that share a budget
+    /// (read back from the socket), and a shorter budget after a longer one
+    /// still bounds its write: against a peer that never reads, the short
+    /// write gives up on time.
+    #[test]
+    fn the_send_timeout_is_armed_once_and_never_outlasts_the_budget() {
+        let l = Listener::bind(&TransportAddr::Tcp("127.0.0.1:0".into())).unwrap();
+        let addr = l.local_addr().unwrap();
+        let writer = connect_deadline(&addr, Instant::now() + Duration::from_secs(5)).unwrap();
+        let _deaf = l
+            .accept_deadline(Instant::now() + Duration::from_secs(5))
+            .unwrap();
+        let Sock::Tcp(s) = &writer.sock else {
+            panic!("a TCP dial yields a TCP stream")
+        };
+        let write = || {
+            let deadline = Instant::now() + Duration::from_secs(1);
+            write_all_deadline(&writer, b"x", deadline).unwrap();
+        };
+        assert_eq!(s.write_timeout().unwrap(), None);
+        write();
+        let armed = s.write_timeout().unwrap().expect("the first write arms");
+        assert!(armed <= Duration::from_secs(1), "{armed:?}");
+        // overwritten behind the stream's back: a re-arm would replace it
+        s.set_write_timeout(Some(Duration::from_millis(777)))
+            .unwrap();
+        let marked = s.write_timeout().unwrap();
+        for _ in 1..1_000 {
+            write();
+        }
+        assert_eq!(s.write_timeout().unwrap(), marked, "a write re-armed");
+
+        let start = Instant::now();
+        let flood = vec![0u8; 16 << 20];
+        let err = write_all_deadline(&writer, &flood, start + Duration::from_millis(50))
+            .expect_err("nobody reads 16 MiB");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(
+            start.elapsed() < Duration::from_millis(150),
+            "a 50 ms write took {:?}",
+            start.elapsed()
+        );
+    }
+
     #[test]
     fn both_ends_of_a_tcp_session_are_un_nagled() {
         let l = Listener::bind(&TransportAddr::Tcp("127.0.0.1:0".into())).unwrap();
@@ -393,7 +472,7 @@ mod tests {
             .accept_deadline(Instant::now() + Duration::from_secs(5))
             .unwrap();
         for (end, stream) in [("dialled", &dialled), ("accepted", &accepted)] {
-            let Stream::Tcp(s) = stream else {
+            let Sock::Tcp(s) = &stream.sock else {
                 panic!("a TCP listener yields TCP streams")
             };
             assert!(s.nodelay().unwrap(), "{end} end without TCP_NODELAY");

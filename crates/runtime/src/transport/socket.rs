@@ -40,20 +40,37 @@
 //! [`TransportError::Backpressure`]; `send` returning `Ok` means *queued*,
 //! and — when the link was up and idle — *written*.
 //!
+//! # Who reads
+//!
+//! A session is read in **turns** — one `read_chunk`, then every frame it
+//! completed handed to the sink in stream order — by whoever holds its read
+//! half, one thread at a time, so frames keep stream order and none is
+//! delivered twice. **A caller waiting for a reply reads it**
+//! (`SocketServer::send_and_await`), asleep on the link's `turned` condvar
+//! while another thread holds the half; a turn that ends with callers
+//! parked wakes them, as do a new session and `shutdown` (which answers
+//! [`TransportError::Closed`]). **Each session's reader thread** reads only
+//! while no call has been awaited on its link within the last `POLL`, so
+//! under load the callers read, and an idle link — a peer's always — still
+//! delivers heartbeats and EOF at once. A turn ending on a replaced session
+//! drops that session's half; one that hits EOF or a corrupt stream downs
+//! its session, emitting `Disconnected` once.
+//!
 //! # Who dispatches
 //!
 //! Every [`TransportEvent`] leaves the transport through the endpoint's
 //! [`Sink`]. [`SocketServer::bind`] / [`SocketPeer::connect`] install the
 //! bounded event queue behind [`Transport::recv_timeout`];
 //! [`SocketServer::bind_with_sink`] / [`SocketPeer::connect_with_sink`]
-//! take the caller's, which then runs **on the transport's own threads**:
-//! a session's reader (every `Delivery`, and `Disconnected` at EOF), the
-//! acceptor or the dial supervisor (`Connected`, `Reconnected`,
-//! `HandshakeFenced`), and any thread inside `send` whose write failed
-//! (`Disconnected`). No transport lock is held while a sink runs, so it
-//! may `send` — a reply goes out inline. It may not wait for another frame
-//! from the same link (only the reader it is running on could deliver it),
-//! may not call `shutdown` (which joins that reader), and should not block:
+//! take the caller's, which then runs **on whichever thread produced the
+//! event**: whoever took the read turn (every `Delivery`, and
+//! `Disconnected` at EOF), the acceptor or the dial supervisor
+//! (`Connected`, `Reconnected`, `HandshakeFenced`), and any thread inside
+//! `send` whose write failed (`Disconnected`). No transport lock is held
+//! while a sink runs, so it may `send` — a reply goes out inline. It may
+//! not wait for another frame from the same link (it holds that link's
+//! read turn, so nobody else could deliver it — `send_and_await` included),
+//! may not call `shutdown` (which joins the readers), and should not block:
 //! while it runs, nothing is read from its session, and the other end's
 //! senders stall in their writes.
 
@@ -97,7 +114,9 @@ const INBOUND_CAPACITY: usize = 4_096;
 /// Most frames coalesced into one write syscall.
 const MAX_BATCH: usize = 64;
 
-/// Longest a transport thread sleeps without re-checking for shutdown.
+/// Longest a transport thread sleeps without re-checking for shutdown, and
+/// how long a session's reader stands aside after a caller awaited a reply
+/// on its link.
 const POLL: Duration = Duration::from_millis(20);
 
 impl Default for SocketConfig {
@@ -224,16 +243,92 @@ struct Out {
     /// The handshake was refused (a dialing end only; terminal).
     fenced: bool,
     /// The endpoint was shut down: its `closed` flag, repeated here for
-    /// those who sleep on `changed` (the readers poll the flag itself).
+    /// those who sleep on `changed` or `turned`.
     closed: bool,
+    /// Who reads the live session (the module docs' "Who reads").
+    reads: Reads,
+}
+
+/// A link's read side, under [`Link::out`] with the session it reads.
+#[derive(Default)]
+struct Reads {
+    /// The live session's read half; `None` while the link is down and
+    /// while a turn holds it — **one thread at a time**, so frames keep
+    /// stream order and none is delivered twice.
+    half: Option<ReadHalf>,
+    /// Callers asleep on `Link::turned`.
+    parked: usize,
+    /// When a caller last awaited a reply on this link; the session's
+    /// reader thread stands aside for `POLL` after it.
+    awaited: Option<Instant>,
+}
+
+/// One session's read half: the stream, the decoder holding any frame not
+/// yet whole, the chunk buffer, and what the session's deliveries carry.
+struct ReadHalf {
+    stream: Stream,
+    dec: FrameDecoder,
+    buf: Vec<u8>,
+    /// The `from` and `epoch` of every `Delivery`, and the `peer` of the
+    /// `Disconnected` at its end.
+    from: u32,
+    epoch: u64,
+}
+
+impl ReadHalf {
+    /// `dec` is the handshake's decoder: whatever arrived behind the Hello
+    /// or the HelloAck is this session's first frames.
+    fn new(stream: Stream, dec: FrameDecoder, from: u32, epoch: u64) -> ReadHalf {
+        // a turn blocks at most `POLL`, so a reader notices a replaced or
+        // closed session, and a caller its deadline, within `POLL`
+        let _ = stream.set_read_timeout(Some(POLL));
+        ReadHalf {
+            stream,
+            dec,
+            // once per session, and too large for the stack
+            buf: vec![0u8; 64 * 1024],
+            from,
+            epoch,
+        }
+    }
+
+    /// One read turn: one `read_chunk` (bounded by `POLL`), then every frame
+    /// completed so far handed to `emit` in stream order, a `Data` payload as
+    /// a `Delivery` viewing its own frame. `true` when the session died: EOF,
+    /// an I/O error or a corrupt stream.
+    fn turn(&mut self, emit: &impl Fn(TransportEvent<Bytes>)) -> bool {
+        match self.stream.read_chunk(&mut self.buf) {
+            Ok(0) => return true,
+            Ok(n) => self.dec.extend(&self.buf[..n]),
+            Err(e) if retryable(&e) => {}
+            Err(_) => return true,
+        }
+        loop {
+            match self.dec.next_frame() {
+                Ok(Some(frame)) => {
+                    if let Ok(SessionFrame::Data(msg)) = decode_session(&frame) {
+                        let (from, epoch) = (self.from, self.epoch);
+                        emit(TransportEvent::Delivery { from, epoch, msg });
+                    }
+                }
+                Ok(None) => return false,
+                Err(_) => return true,
+            }
+        }
+    }
 }
 
 struct Link {
     out: std::sync::Mutex<Out>,
     /// Notified on every session transition (installed, down, fenced), on
     /// close, and when a finished write makes room in a full queue: what a
-    /// blocked sender, the dial supervisor and `wait_connected` sleep on.
+    /// blocked sender, the dial supervisor, `wait_connected` and a reader
+    /// standing aside sleep on.
     changed: Condvar,
+    /// Notified when a turn ends with callers parked, when a session is
+    /// installed and on close: what a caller whose link is being read by
+    /// someone else, or is down, sleeps on.
+    turned: Condvar,
 }
 
 impl Link {
@@ -244,6 +339,7 @@ impl Link {
                 ..Out::default()
             }),
             changed: Condvar::new(),
+            turned: Condvar::new(),
         }
     }
 
@@ -358,15 +454,16 @@ impl Link {
         downed
     }
 
-    /// Publishes `stream` as the write half of a new session (replacing,
-    /// and so killing, any live one), lets `started(generation, first)`
-    /// start its reader and announce it, then writes out what was queued
-    /// while the link was down — first and in order, since later sends
-    /// queue behind it. `true` when that write already failed and downed
-    /// the new session.
+    /// Publishes `stream` and `half` as the write and read halves of a new
+    /// session (replacing, and so killing, any live one), lets
+    /// `started(generation, first)` start its reader and announce it, then
+    /// writes out what was queued while the link was down — first and in
+    /// order, since later sends queue behind it. `true` when that write
+    /// already failed and downed the new session.
     fn install(
         &self,
         stream: Stream,
+        half: ReadHalf,
         epoch: u64,
         cfg: &SocketConfig,
         started: impl FnOnce(u64, bool),
@@ -378,11 +475,14 @@ impl Link {
                 return false;
             }
             if let Some(old) = out.session.replace(Arc::new(stream)) {
-                old.shutdown_both(); // its reader sees EOF and exits
+                // a turn on its read half sees EOF and drops the half
+                old.shutdown_both();
             }
             out.generation += 1;
             out.epoch = Some(epoch);
+            out.reads.half = Some(half);
             self.changed.notify_all();
+            self.turned.notify_all();
             out.generation
         };
         // the reader runs before the queue is written out: were the other
@@ -396,13 +496,9 @@ impl Link {
         self.flush(self.lock(), cfg)
     }
 
-    /// Marks session `generation` dead if it is still the live one — its
-    /// reader saw EOF, or a writer a failed write. `true` when it was: the
-    /// caller owes its sink a `Disconnected`.
-    fn down(&self, generation: u64) -> bool {
-        self.down_locked(&mut self.lock(), generation)
-    }
-
+    /// Marks session `generation` dead if it is still the live one — a turn
+    /// saw EOF, or a writer a failed write. `true` when it was: the caller
+    /// owes its sink a `Disconnected`.
     fn down_locked(&self, out: &mut Out, generation: u64) -> bool {
         if out.generation != generation {
             return false;
@@ -411,8 +507,47 @@ impl Link {
             return false;
         };
         stream.shutdown_both();
+        out.reads.half = None;
         self.changed.notify_all();
         true
+    }
+
+    /// One read turn on the live session, for whichever thread took its
+    /// read `half` out of `out`: reads and delivers with the lock released,
+    /// then puts the half back — or drops it, if the session died or was
+    /// replaced meanwhile — wakes any callers parked for the turn, and
+    /// emits `Disconnected` if the turn downed the live session.
+    fn turn<'a>(
+        &'a self,
+        out: MutexGuard<'a, Out>,
+        mut half: ReadHalf,
+        emit: &impl Fn(TransportEvent<Bytes>),
+    ) -> MutexGuard<'a, Out> {
+        let generation = out.generation;
+        drop(out);
+        let died = half.turn(emit);
+        let peer = half.from;
+        let mut out = self.lock();
+        // under the generation check, so EOF downs only its own session and
+        // `Disconnected` is emitted once
+        let downed = died && self.down_locked(&mut out, generation);
+        if !died && out.generation == generation && out.session.is_some() {
+            out.reads.half = Some(half);
+        }
+        let wake = out.reads.parked > 0;
+        if wake || downed {
+            // parked callers wake with the lock free, so they do not wake
+            // only to block on it
+            drop(out);
+            if wake {
+                self.turned.notify_all();
+            }
+            if downed {
+                emit(TransportEvent::Disconnected { peer });
+            }
+            out = self.lock();
+        }
+        out
     }
 
     fn fence(&self) {
@@ -424,9 +559,11 @@ impl Link {
         let mut out = self.lock();
         out.closed = true;
         if let Some(stream) = out.session.take() {
-            stream.shutdown_both(); // unblocks its reader and any writer
+            stream.shutdown_both(); // unblocks a turn and any writer
         }
+        out.reads.half = None;
         self.changed.notify_all();
+        self.turned.notify_all();
     }
 
     fn health(&self) -> LinkHealth {
@@ -441,41 +578,26 @@ impl Link {
     }
 }
 
-/// Reads one session's frames until it dies or `closed` is set, handing
-/// every `Data` payload (a view of its own frame) to `deliver`. `true`
-/// when the session died: EOF, an IO error or a corrupt stream — the
-/// caller drops it and lets the peer redial.
-fn read_session(stream: &mut Stream, closed: &AtomicBool, mut deliver: impl FnMut(Bytes)) -> bool {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut dec = FrameDecoder::new(FrameConfig::default());
-    // heap-allocated once per reader thread; 64 KiB would be a large
-    // stack frame for something this long-lived
-    let mut buf = vec![0u8; 64 * 1024];
-    while !closed.load(Ordering::Acquire) {
-        loop {
-            match dec.next_frame() {
-                Ok(Some(frame)) => {
-                    if let Ok(SessionFrame::Data(payload)) = decode_session(&frame) {
-                        deliver(payload);
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => return true,
-            }
-        }
-        match stream.read_chunk(&mut buf) {
-            Ok(0) => return true,
-            Ok(n) => dec.extend(&buf[..n]),
-            Err(e) if retryable(&e) => {}
-            Err(_) => return true,
-        }
+/// A session's reader thread, at either end: takes turns on `link` while
+/// no caller has awaited a reply on it within the last `POLL`, stands aside
+/// (asleep on `changed`) otherwise, and returns once session `generation`
+/// is replaced, down or closed.
+fn reader_loop(link: &Link, generation: u64, emit: impl Fn(TransportEvent<Bytes>)) {
+    let mut out = link.lock();
+    while !out.closed && out.generation == generation && out.session.is_some() {
+        let aside = out.reads.awaited.map_or(Duration::ZERO, |at| {
+            (at + POLL).saturating_duration_since(Instant::now())
+        });
+        out = match out.reads.half.take_if(|_| aside.is_zero()) {
+            Some(half) => link.turn(out, half, &emit),
+            None => link.wait_timeout(out, if aside.is_zero() { POLL } else { aside }),
+        };
     }
-    false
 }
 
 /// Reads framed bytes off `stream` until one whole frame decodes, bounded
 /// by `deadline`. Used for the synchronous handshake exchange; steady-state
-/// reads live in the reader threads.
+/// reads are turns.
 fn read_frame_deadline(
     stream: &mut Stream,
     dec: &mut FrameDecoder,
@@ -664,6 +786,58 @@ impl SocketServer {
     pub fn session_epoch(&self, node: u32) -> Option<u64> {
         self.inner.links.get(node as usize)?.lock().epoch
     }
+
+    /// Sends `msg` to `to`, then waits until `answered()` or `deadline`,
+    /// reading the link itself: a read turn whenever nobody else holds the
+    /// session, asleep on `turned` while someone does or the link is down.
+    /// Whatever a turn reads goes to the sink as the reader thread would
+    /// deliver it, so the reply lands wherever the sink puts it, and
+    /// `answered` looks there. A sink must not call this (module docs).
+    ///
+    /// # Errors
+    /// What [`Transport::send`] returns; [`TransportError::Timeout`] at
+    /// `deadline`; [`TransportError::Closed`] once the server shuts down.
+    pub(crate) fn send_and_await(
+        &self,
+        to: u32,
+        msg: Bytes,
+        deadline: Instant,
+        answered: impl Fn() -> bool,
+    ) -> Result<(), TransportError> {
+        let start = Instant::now();
+        self.send(to, msg)?;
+        let link = &self.inner.links[to as usize]; // `send` checked `to`
+        let emit = |ev| self.emit(ev);
+        let mut out = link.lock();
+        loop {
+            // under the lock that every turn ends in: a reply delivered by
+            // a turn that has not ended yet is seen after its notify
+            if answered() {
+                return Ok(());
+            }
+            if out.closed {
+                return Err(TransportError::Closed);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(TransportError::Timeout {
+                    waited_ms: ms(now - start),
+                });
+            }
+            out.reads.awaited = Some(now);
+            if let Some(half) = out.reads.half.take() {
+                out = link.turn(out, half, &emit);
+            } else {
+                out.reads.parked += 1;
+                out = link
+                    .turned
+                    .wait_timeout(out, deadline - now)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+                out.reads.parked -= 1;
+            }
+        }
+    }
 }
 
 impl Transport<Bytes> for SocketServer {
@@ -771,7 +945,8 @@ fn handle_accept(server: &SocketServer, mut stream: Stream) {
         stream.shutdown_both();
         return;
     };
-    let downed = link.install(stream, epoch, &inner.cfg, |generation, first| {
+    let half = ReadHalf::new(read_half, dec, node, epoch);
+    let downed = link.install(stream, half, epoch, &inner.cfg, |generation, first| {
         server.emit(if first {
             TransportEvent::Connected { peer: node, epoch }
         } else {
@@ -784,33 +959,14 @@ fn handle_accept(server: &SocketServer, mut stream: Stream) {
         let reader = server.handle();
         let handle = std::thread::Builder::new()
             .name(format!("oml-reader-{node}"))
-            .spawn(move || server_reader_loop(&reader, node, epoch, generation, read_half))
+            .spawn(move || {
+                let link = &reader.inner.links[node as usize];
+                reader_loop(link, generation, |ev| reader.emit(ev));
+            })
             .expect("spawn reader thread");
         inner.threads.lock().push(handle);
     });
     if downed {
-        server.emit(TransportEvent::Disconnected { peer: node });
-    }
-}
-
-/// Hands one session's frames to the sink until EOF or a framing error; a
-/// stale generation (session since replaced) exits silently so a reconnect
-/// can't be torn down by its predecessor's reader.
-fn server_reader_loop(
-    server: &SocketServer,
-    node: u32,
-    epoch: u64,
-    generation: u64,
-    mut stream: Stream,
-) {
-    let died = read_session(&mut stream, &server.inner.closed, |msg| {
-        server.emit(TransportEvent::Delivery {
-            from: node,
-            epoch,
-            msg,
-        });
-    });
-    if died && server.inner.links[node as usize].down(generation) {
         server.emit(TransportEvent::Disconnected { peer: node });
     }
 }
@@ -960,7 +1116,7 @@ impl Transport<Bytes> for SocketPeer {
 /// Dials once under the config's deadlines, presenting `attempt` in the
 /// Hello (1 = first try of this outage). `Ok(Some((stream, read_half)))` =
 /// session up, `Ok(None)` = fenced (terminal), `Err` = retry later.
-fn peer_dial_attempt(inner: &PeerShared, attempt: u32) -> io::Result<Option<(Stream, Stream)>> {
+fn peer_dial_attempt(inner: &PeerShared, attempt: u32) -> io::Result<Option<(Stream, ReadHalf)>> {
     let deadline = Instant::now() + Duration::from_millis(inner.cfg.connect_timeout_ms);
     let mut stream = connect_deadline(&inner.addr, deadline)?;
     let hs_deadline = Instant::now() + Duration::from_millis(inner.cfg.handshake_timeout_ms);
@@ -978,8 +1134,9 @@ fn peer_dial_attempt(inner: &PeerShared, attempt: u32) -> io::Result<Option<(Str
     let ack = read_frame_deadline(&mut stream, &mut dec, hs_deadline)?;
     match decode_session(&ack) {
         Ok(SessionFrame::HelloAck { accepted: true, .. }) => {
-            let read_half = stream.try_clone()?;
-            Ok(Some((stream, read_half)))
+            // the server's `Delivery` epoch is not known here: 0
+            let half = ReadHalf::new(stream.try_clone()?, dec, 0, 0);
+            Ok(Some((stream, half)))
         }
         Ok(SessionFrame::HelloAck {
             accepted: false, ..
@@ -1032,31 +1189,32 @@ fn peer_run_loop(peer: &SocketPeer) {
 
         attempt += 1;
         match peer_dial_attempt(inner, attempt) {
-            Ok(Some((stream, read_half))) => {
+            Ok(Some((stream, half))) => {
                 // the outage is over: `dials` says how many it took
                 let (epoch, dials) = (inner.epoch, attempt);
                 backoff.reset();
                 retry_at_ms = None;
                 attempt = 0;
-                let downed = inner
-                    .link
-                    .install(stream, epoch, &inner.cfg, |generation, first| {
-                        peer.emit(if first {
-                            TransportEvent::Connected { peer: 0, epoch }
-                        } else {
-                            TransportEvent::Reconnected {
-                                peer: 0,
-                                epoch,
-                                attempt: dials,
-                            }
-                        });
-                        let reader = peer.handle();
-                        let handle = std::thread::Builder::new()
-                            .name(format!("oml-peer-reader-{}", inner.node))
-                            .spawn(move || peer_reader_loop(&reader, generation, read_half))
-                            .expect("spawn peer reader");
-                        inner.threads.lock().push(handle);
+                let started = |generation, first| {
+                    peer.emit(if first {
+                        TransportEvent::Connected { peer: 0, epoch }
+                    } else {
+                        TransportEvent::Reconnected {
+                            peer: 0,
+                            epoch,
+                            attempt: dials,
+                        }
                     });
+                    let reader = peer.handle();
+                    let handle = std::thread::Builder::new()
+                        .name(format!("oml-peer-reader-{}", inner.node))
+                        .spawn(move || {
+                            reader_loop(&reader.inner.link, generation, |ev| reader.emit(ev));
+                        })
+                        .expect("spawn peer reader");
+                    inner.threads.lock().push(handle);
+                };
+                let downed = inner.link.install(stream, half, epoch, &inner.cfg, started);
                 if downed {
                     peer.emit(TransportEvent::Disconnected { peer: 0 });
                 }
@@ -1074,24 +1232,10 @@ fn peer_run_loop(peer: &SocketPeer) {
     }
 }
 
-/// Hands the coordinator's frames for session `generation` to the sink;
-/// on EOF/error downs the session, which wakes the supervisor.
-fn peer_reader_loop(peer: &SocketPeer, generation: u64, mut stream: Stream) {
-    let died = read_session(&mut stream, &peer.inner.closed, |msg| {
-        peer.emit(TransportEvent::Delivery {
-            from: 0,
-            epoch: 0,
-            msg,
-        });
-    });
-    if died && peer.inner.link.down(generation) {
-        peer.emit(TransportEvent::Disconnected { peer: 0 });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU32;
 
     /// A fresh Unix-socket address in its own temp directory.
     fn unix_addr(tag: &str) -> (std::path::PathBuf, TransportAddr) {
@@ -1277,6 +1421,35 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A frame the server writes right behind its HelloAck arrives in the
+    /// dialing end's handshake read; it is the session's first frame, not
+    /// lost with the handshake's decoder.
+    #[test]
+    fn a_frame_behind_the_hello_ack_is_delivered() {
+        let (dir, addr) = unix_addr("behind");
+        let listener = Listener::bind(&addr).unwrap();
+        let peer = SocketPeer::connect(addr, 0, 1, SocketConfig::default());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut stream = listener.accept_deadline(deadline).unwrap();
+        let mut dec = FrameDecoder::new(FrameConfig::default());
+        read_frame_deadline(&mut stream, &mut dec, deadline).unwrap();
+        let mut wire = Vec::new();
+        let accepted = true;
+        write_session(&SessionFrame::HelloAck { accepted, floor: 0 }, &mut wire);
+        write_session(&SessionFrame::Data(tagged(7, 7, 64)), &mut wire);
+        write_all_deadline(&stream, &wire, deadline).unwrap();
+        let msg = loop {
+            match peer.recv_timeout(0, Duration::from_secs(5)) {
+                Ok(TransportEvent::Delivery { msg, .. }) => break msg,
+                Ok(_) => {}
+                Err(e) => panic!("the frame behind the ack never came: {e}"),
+            }
+        };
+        assert_eq!(tag_of(&msg), (7, 7));
+        peer.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     fn next_event(server: &SocketServer) -> TransportEvent<Bytes> {
         server
             .recv_timeout(0, Duration::from_secs(5))
@@ -1368,6 +1541,301 @@ mod tests {
         server.send(0, tagged(1, 0, 64)).unwrap();
         assert_eq!(read_data(), (1, 0));
         server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // -----------------------------------------------------------------------
+    // the read turn: callers in `send_and_await` read their own replies
+
+    /// Spins until `ready`; a hang is a failure, not a wait.
+    fn until(what: &str, ready: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ready() {
+            assert!(Instant::now() < deadline, "never: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// What a recording sink saw: each delivery's tag and the thread that
+    /// delivered it, and how many `Disconnected`s.
+    #[derive(Default)]
+    struct Seen {
+        deliveries: Mutex<Vec<((u32, u32), std::thread::ThreadId)>>,
+        disconnects: AtomicU32,
+    }
+
+    impl Seen {
+        fn has(&self, tag: (u32, u32)) -> bool {
+            self.deliveries.lock().iter().any(|(t, _)| *t == tag)
+        }
+
+        fn disconnects(&self) -> u32 {
+            self.disconnects.load(Ordering::SeqCst)
+        }
+    }
+
+    /// A server on `addr` whose sink records into the returned `Seen`.
+    fn recording_server(addr: &TransportAddr) -> (SocketServer, Arc<Seen>) {
+        let seen = Arc::new(Seen::default());
+        let record = Arc::clone(&seen);
+        let sink: Sink<SocketServer> = Box::new(move |_, ev| match ev {
+            TransportEvent::Delivery { msg, .. } => {
+                let by = std::thread::current().id();
+                record.deliveries.lock().push((tag_of(&msg), by));
+            }
+            TransportEvent::Disconnected { .. } => {
+                record.disconnects.fetch_add(1, Ordering::SeqCst);
+            }
+            _ => {}
+        });
+        let server = SocketServer::bind_with_sink(addr, 1, SocketConfig::default(), sink).unwrap();
+        (server, seen)
+    }
+
+    /// A raw session to `server`, once the server has installed its half.
+    fn raw_session_up(server: &SocketServer, attempt: u32) -> (Stream, FrameDecoder) {
+        let generation = server.inner.links[0].lock().generation;
+        let session = raw_session(server.addr(), attempt);
+        until("the server installs the session", || {
+            server.inner.links[0].lock().generation > generation
+        });
+        session
+    }
+
+    fn write_data_frames(stream: &Stream, tags: &[(u32, u32)]) {
+        let mut wire = Vec::new();
+        for &(a, b) in tags {
+            write_session(&SessionFrame::Data(tagged(a, b, 64)), &mut wire);
+        }
+        write_all_deadline(stream, &wire, Instant::now() + Duration::from_secs(5)).unwrap();
+    }
+
+    /// Eight callers share one link to an echo peer: each gets its own
+    /// replies, in order, none twice, none lost to a timeout — whoever of
+    /// them (or the reader thread) happened to read it.
+    #[test]
+    fn callers_sharing_a_link_each_get_their_own_reply_once() {
+        const THREADS: u32 = 8;
+        const CALLS: u32 = 5_000;
+        let (dir, addr) = unix_addr("await");
+        // per caller, the index of the next reply it expects
+        let next: Arc<Vec<AtomicU32>> = Arc::new((0..THREADS).map(|_| AtomicU32::new(0)).collect());
+        let strays = Arc::new(AtomicU32::new(0));
+        let (expect, stray) = (Arc::clone(&next), Arc::clone(&strays));
+        let sink: Sink<SocketServer> = Box::new(move |_, ev| {
+            if let TransportEvent::Delivery { msg, .. } = ev {
+                let (thread, index) = tag_of(&msg);
+                let slot = &expect[thread as usize];
+                if slot
+                    .compare_exchange(index, index + 1, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_err()
+                {
+                    stray.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        });
+        let server = SocketServer::bind_with_sink(&addr, 1, SocketConfig::default(), sink).unwrap();
+        let echo: Sink<SocketPeer> = Box::new(|peer, ev| {
+            if let TransportEvent::Delivery { msg, .. } = ev {
+                let _ = peer.send(0, msg);
+            }
+        });
+        let peer = SocketPeer::connect_with_sink(
+            server.addr().clone(),
+            0,
+            1,
+            SocketConfig::default(),
+            echo,
+        );
+        until("the link is up", || server.link_health(0) == LinkHealth::Up);
+
+        let timeouts: u32 = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let (server, next) = (&server, &next);
+                    s.spawn(move || {
+                        let mut timeouts = 0;
+                        for index in 0..CALLS {
+                            let deadline = Instant::now() + Duration::from_secs(10);
+                            let answered = || next[thread as usize].load(Ordering::SeqCst) > index;
+                            let msg = tagged(thread, index, 64);
+                            match server.send_and_await(0, msg, deadline, answered) {
+                                Ok(()) => {}
+                                Err(TransportError::Timeout { .. }) => timeouts += 1,
+                                Err(e) => panic!("caller {thread}, call {index}: {e}"),
+                            }
+                        }
+                        timeouts
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).sum()
+        });
+        assert_eq!(timeouts, 0);
+        assert_eq!(
+            strays.load(Ordering::SeqCst),
+            0,
+            "a reply twice or out of order"
+        );
+        for (thread, next) in next.iter().enumerate() {
+            assert_eq!(next.load(Ordering::SeqCst), CALLS, "caller {thread}");
+        }
+        assert_eq!(server.inner.links[0].lock().reads.parked, 0);
+        peer.shutdown();
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Frames nobody asked for (a heartbeat) that arrive around a reply
+    /// reach the sink in stream order when the caller reads them, as they
+    /// would from the reader thread.
+    #[test]
+    fn a_caller_delivers_unsolicited_frames_in_stream_order() {
+        const ROUNDS: u32 = 20;
+        let (dir, addr) = unix_addr("order");
+        let (server, seen) = recording_server(&addr);
+        let (mut raw, mut dec) = raw_session_up(&server, 1);
+        let caller = std::thread::scope(|s| {
+            let caller = s.spawn(|| {
+                for round in 0..ROUNDS {
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    let answered = || seen.has((1, round));
+                    server
+                        .send_and_await(0, tagged(0, round, 64), deadline, answered)
+                        .unwrap();
+                }
+                std::thread::current().id()
+            });
+            // each request is answered by a heartbeat, the reply and
+            // another heartbeat, in one write
+            for round in 0..ROUNDS {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                read_frame_deadline(&mut raw, &mut dec, deadline).unwrap();
+                write_data_frames(&raw, &[(2, round), (1, round), (3, round)]);
+            }
+            caller.join().unwrap()
+        });
+        let deliveries = seen.deliveries.lock();
+        let tags: Vec<(u32, u32)> = deliveries.iter().map(|(tag, _)| *tag).collect();
+        let expected: Vec<(u32, u32)> =
+            (0..ROUNDS).flat_map(|r| [(2, r), (1, r), (3, r)]).collect();
+        // the last heartbeat may still be on its way when the caller returns
+        assert_eq!(tags[..], expected[..tags.len()]);
+        assert!(tags.len() >= expected.len() - 1);
+        // the reader thread stood aside after the first await: callers read
+        assert!(
+            deliveries.iter().any(|(_, by)| *by == caller),
+            "no frame was read by the caller"
+        );
+        drop(deliveries);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The link dies halfway through a frame while a caller waits: the
+    /// session goes down with exactly one `Disconnected`, and the caller,
+    /// whose reply will never come, gives up at its deadline.
+    #[test]
+    fn a_link_dying_mid_turn_disconnects_once_and_the_caller_keeps_its_deadline() {
+        let (dir, addr) = unix_addr("dies");
+        let (server, seen) = recording_server(&addr);
+        let (mut raw, mut dec) = raw_session_up(&server, 1);
+        let wait = Duration::from_millis(500);
+        std::thread::scope(|s| {
+            let caller = s.spawn(|| {
+                let start = Instant::now();
+                let r = server.send_and_await(0, tagged(0, 0, 64), start + wait, || false);
+                (r, start.elapsed())
+            });
+            read_frame_deadline(&mut raw, &mut dec, Instant::now() + Duration::from_secs(5))
+                .unwrap();
+            let mut wire = Vec::new();
+            write_session(&SessionFrame::Data(tagged(1, 0, 64)), &mut wire);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            write_all_deadline(&raw, &wire[..wire.len() / 2], deadline).unwrap();
+            drop(raw);
+            let (r, took) = caller.join().unwrap();
+            assert!(
+                matches!(
+                    r,
+                    Err(TransportError::Timeout { .. } | TransportError::Closed)
+                ),
+                "{r:?}"
+            );
+            // one turn's `POLL` past the deadline, and a loaded machine's
+            // scheduling on top
+            assert!(took < wait + Duration::from_secs(1), "{took:?}");
+        });
+        until("the session is down", || {
+            server.link_health(0) == LinkHealth::Down
+        });
+        std::thread::sleep(2 * POLL);
+        assert_eq!(seen.disconnects(), 1);
+        assert!(!seen.has((1, 0)), "half a frame was delivered");
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A caller reading a session that is replaced under it goes on to read
+    /// the new one: the old half is dropped, the new one stays readable,
+    /// and replacing is not disconnecting.
+    #[test]
+    fn a_replaced_sessions_turn_leaves_the_new_session_readable() {
+        let (dir, addr) = unix_addr("replace");
+        let (server, seen) = recording_server(&addr);
+        let (mut old, mut dec) = raw_session_up(&server, 1);
+        std::thread::scope(|s| {
+            let caller = s.spawn(|| {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                server.send_and_await(0, tagged(0, 0, 64), deadline, || seen.has((1, 0)))
+            });
+            // the request is out: the caller is past its send and awaiting
+            read_frame_deadline(&mut old, &mut dec, Instant::now() + Duration::from_secs(5))
+                .unwrap();
+            let (new, _) = raw_session_up(&server, 2);
+            write_data_frames(&new, &[(1, 0)]);
+            assert_eq!(caller.join().unwrap(), Ok(()));
+            let out = server.inner.links[0].lock();
+            assert!(out.session.is_some() && out.reads.parked == 0);
+        });
+        assert_eq!(seen.disconnects(), 0);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `shutdown` answers every waiting caller `Closed` at once — the one
+    /// reading and the ones parked behind it — rather than at its deadline.
+    #[test]
+    fn shutdown_answers_waiting_callers_closed() {
+        let (dir, addr) = unix_addr("shut");
+        let (server, _seen) = recording_server(&addr);
+        let _silent = raw_session_up(&server, 1);
+        let results = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..3)
+                .map(|i| {
+                    let server = &server;
+                    s.spawn(move || {
+                        let start = Instant::now();
+                        let deadline = start + Duration::from_secs(30);
+                        let r = server.send_and_await(0, tagged(0, i, 64), deadline, || false);
+                        (r, start.elapsed())
+                    })
+                })
+                .collect();
+            until("two callers park behind a turn", || {
+                let out = server.inner.links[0].lock();
+                out.reads.parked >= 2 && out.reads.half.is_none()
+            });
+            server.shutdown();
+            callers
+                .into_iter()
+                .map(|c| c.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        for (r, took) in results {
+            assert_eq!(r, Err(TransportError::Closed));
+            assert!(took < Duration::from_secs(5), "{took:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

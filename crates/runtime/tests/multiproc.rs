@@ -325,6 +325,78 @@ fn zero_failure_scenario() {
     println!("multiproc zero-failure load + thread census scenario: ok");
 }
 
+/// Voluntary context switches this process's threads have made so far
+/// (`/proc/self/task/*/status`): one each time a thread blocks.
+fn voluntary_switches() -> u64 {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("status")).ok())
+        .filter_map(|status| {
+            status
+                .lines()
+                .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+                .and_then(|n| n.trim().parse::<u64>().ok())
+        })
+        .sum()
+}
+
+/// The hand-off guard, counted rather than timed: one client, sequential
+/// invokes on one worker. The caller reads its own reply off the socket, so
+/// an invoke blocks the coordinator once — the caller, in that read. A
+/// reader thread handing the reply over makes it two: the caller parks on
+/// its reply slot, and the reader blocks again after the hand-off.
+///
+/// Only an optimized build is held to the bound. A Unix socket also wakes a
+/// reader blocked on it when the other end consumes what this end wrote;
+/// while the worker's handler is quicker than that wake-up the caller finds
+/// its reply when it runs, but an unoptimized or sanitized worker lets it
+/// wake, find nothing and sleep again — one switch more per invoke on both
+/// designs, and the kernel's rather than a hand-off.
+fn wake_up_scenario() {
+    const INVOKES: u32 = 20_000;
+    const MAX_PER_INVOKE: f64 = 1.5;
+    let dir = std::env::temp_dir().join(format!("oml-mp-wake-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut c = cfg(TransportAddr::Unix(dir.join("coord.sock")));
+    c.workers = 1;
+    c.call_timeout_ms = 2_000;
+    c.suspect_after = 80;
+    c.dead_after = 240;
+    let cluster = MultiProcCluster::spawn(c).expect("spawn cluster");
+    assert!(
+        cluster.wait_ready(Duration::from_secs(10)),
+        "workers never heartbeat"
+    );
+    cluster
+        .create(0, 1, "counter", 0u64.to_le_bytes().to_vec())
+        .expect("create");
+    for _ in 0..1_000 {
+        cluster.invoke(1, "get", &[]).expect("warm-up invoke");
+    }
+    let before = voluntary_switches();
+    for _ in 0..INVOKES {
+        cluster.invoke(1, "add", &[1]).expect("invoke");
+    }
+    let per_invoke = (voluntary_switches() - before) as f64 / f64::from(INVOKES);
+    let value = cluster.invoke(1, "get", &[]).expect("final get");
+    assert_eq!(value_of(&value), u64::from(INVOKES));
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    let bound = if cfg!(debug_assertions) {
+        "not held in an unoptimized build".to_owned()
+    } else {
+        format!("at most {MAX_PER_INVOKE}")
+    };
+    println!(
+        "multiproc wake-up guard: {per_invoke:.2} voluntary context switches per invoke \
+         in the coordinator ({bound})"
+    );
+    assert!(
+        cfg!(debug_assertions) || per_invoke <= MAX_PER_INVOKE,
+        "{per_invoke:.2} switches per invoke: the reply is handed over, not read by its caller"
+    );
+}
+
 /// Coordinator-death scenario: with a durable store configured, abandon
 /// the coordinator (no Shutdown protocol, no store flush, workers
 /// SIGKILLed) and cold-start a successor from the WAL alone. Both objects
@@ -556,6 +628,7 @@ fn main() {
     }
     scenario();
     zero_failure_scenario();
+    wake_up_scenario();
     durable_scenario();
     idle_batch_sync_scenario();
     orphan_scenario();

@@ -2,23 +2,71 @@
 //!
 //! Provides `crossbeam::channel`'s unbounded and bounded MPMC channels — the
 //! only part of crossbeam this workspace uses — implemented with a
-//! `Mutex<VecDeque>` and a `Condvar`. Both halves are cloneable;
+//! `Mutex<VecDeque>` and two `Condvar`s. Both halves are cloneable;
 //! disconnection is tracked by reference-counting each side, exactly like
 //! the real crate.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
     use std::time::{Duration, Instant};
 
+    /// Everything a channel's threads share, under one mutex: each count
+    /// changes, and each wake-up is decided, in one acquisition, so none
+    /// falls between a waiter's test and its sleep.
+    struct State<T> {
+        queue: VecDeque<T>,
+        senders: usize,
+        receivers: usize,
+        /// Receivers asleep on `ready`: whom a push or the last sender's
+        /// drop must wake. Nobody is woken when nobody sleeps.
+        recv_parked: usize,
+        /// Senders asleep on `room` (bounded channels only).
+        send_parked: usize,
+    }
+
     struct Inner<T> {
-        queue: Mutex<VecDeque<T>>,
+        state: Mutex<State<T>>,
+        /// Not empty, or no sender left.
         ready: Condvar,
-        senders: AtomicUsize,
-        receivers: AtomicUsize,
+        /// Not full, or no receiver left.
+        room: Condvar,
         capacity: Option<usize>,
+    }
+
+    impl<T> Inner<T> {
+        fn lock(&self) -> MutexGuard<'_, State<T>> {
+            // every update leaves `State` whole, so a panic elsewhere cannot
+            // have left it half-done
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Pushes `value`, releases the lock, then wakes a parked receiver if
+        /// there is one — with the lock free, so it does not wake only to
+        /// block on it.
+        fn push(&self, mut s: MutexGuard<'_, State<T>>, value: T) {
+            s.queue.push_back(value);
+            let wake = s.recv_parked > 0;
+            drop(s);
+            if wake {
+                self.ready.notify_one();
+            }
+        }
+
+        /// Pops the oldest value, releases the lock, then wakes a parked
+        /// sender if there is one; an empty queue hands the lock back.
+        fn pop<'a>(&self, mut s: MutexGuard<'a, State<T>>) -> Result<T, MutexGuard<'a, State<T>>> {
+            let Some(value) = s.queue.pop_front() else {
+                return Err(s);
+            };
+            let wake = s.send_parked > 0;
+            drop(s);
+            if wake {
+                self.room.notify_one();
+            }
+            Ok(value)
+        }
     }
 
     /// The sending half of an unbounded channel.
@@ -112,10 +160,15 @@ pub mod channel {
 
     fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let inner = Arc::new(Inner {
-            queue: Mutex::new(VecDeque::new()),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                senders: 1,
+                receivers: 1,
+                recv_parked: 0,
+                send_parked: 0,
+            }),
             ready: Condvar::new(),
-            senders: AtomicUsize::new(1),
-            receivers: AtomicUsize::new(1),
+            room: Condvar::new(),
             capacity,
         });
         (
@@ -145,48 +198,41 @@ pub mod channel {
         ///
         /// On a bounded channel this blocks until a slot frees up.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            if self.inner.receivers.load(Ordering::Acquire) == 0 {
-                return Err(SendError(value));
-            }
-            let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(cap) = self.inner.capacity {
-                while q.len() >= cap {
-                    if self.inner.receivers.load(Ordering::Acquire) == 0 {
-                        drop(q);
-                        return Err(SendError(value));
-                    }
-                    q = self.inner.ready.wait(q).unwrap_or_else(|e| e.into_inner());
+            let inner = &*self.inner;
+            let mut s = inner.lock();
+            loop {
+                if s.receivers == 0 {
+                    return Err(SendError(value));
                 }
+                if inner.capacity.is_none_or(|cap| s.queue.len() < cap) {
+                    inner.push(s, value);
+                    return Ok(());
+                }
+                s.send_parked += 1;
+                s = inner.room.wait(s).unwrap_or_else(PoisonError::into_inner);
+                s.send_parked -= 1;
             }
-            q.push_back(value);
-            drop(q);
-            self.inner.ready.notify_one();
-            Ok(())
         }
 
         /// Enqueues `value` without blocking, failing if the channel is full
         /// or every receiver has been dropped.
         pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            if self.inner.receivers.load(Ordering::Acquire) == 0 {
+            let inner = &*self.inner;
+            let s = inner.lock();
+            if s.receivers == 0 {
                 return Err(TrySendError::Disconnected(value));
             }
-            let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(cap) = self.inner.capacity {
-                if q.len() >= cap {
-                    drop(q);
-                    return Err(TrySendError::Full(value));
-                }
+            if inner.capacity.is_some_and(|cap| s.queue.len() >= cap) {
+                return Err(TrySendError::Full(value));
             }
-            q.push_back(value);
-            drop(q);
-            self.inner.ready.notify_one();
+            inner.push(s, value);
             Ok(())
         }
     }
 
     impl<T> Clone for Sender<T> {
         fn clone(&self) -> Self {
-            self.inner.senders.fetch_add(1, Ordering::AcqRel);
+            self.inner.lock().senders += 1;
             Sender {
                 inner: Arc::clone(&self.inner),
             }
@@ -195,7 +241,9 @@ pub mod channel {
 
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
-            if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let mut s = self.inner.lock();
+            s.senders -= 1;
+            if s.senders == 0 && s.recv_parked > 0 {
                 self.inner.ready.notify_all();
             }
         }
@@ -210,88 +258,74 @@ pub mod channel {
     impl<T> Receiver<T> {
         /// Blocks until a message arrives or every sender is dropped.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let inner = &*self.inner;
+            let mut s = inner.lock();
             loop {
-                if let Some(v) = q.pop_front() {
-                    drop(q);
-                    self.notify_if_bounded();
-                    return Ok(v);
-                }
-                if self.inner.senders.load(Ordering::Acquire) == 0 {
+                s = match inner.pop(s) {
+                    Ok(v) => return Ok(v),
+                    Err(s) => s,
+                };
+                if s.senders == 0 {
                     return Err(RecvError);
                 }
-                q = self.inner.ready.wait(q).unwrap_or_else(|e| e.into_inner());
+                s.recv_parked += 1;
+                s = inner.ready.wait(s).unwrap_or_else(PoisonError::into_inner);
+                s.recv_parked -= 1;
             }
         }
 
         /// Blocks up to `timeout` for a message.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+            let inner = &*self.inner;
             let deadline = Instant::now() + timeout;
-            let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut s = inner.lock();
             loop {
-                if let Some(v) = q.pop_front() {
-                    drop(q);
-                    self.notify_if_bounded();
-                    return Ok(v);
-                }
-                if self.inner.senders.load(Ordering::Acquire) == 0 {
+                s = match inner.pop(s) {
+                    Ok(v) => return Ok(v),
+                    Err(s) => s,
+                };
+                if s.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
-                let now = Instant::now();
                 let Some(remaining) = deadline
-                    .checked_duration_since(now)
+                    .checked_duration_since(Instant::now())
                     .filter(|d| !d.is_zero())
                 else {
                     return Err(RecvTimeoutError::Timeout);
                 };
-                let (guard, _timed_out) = self
-                    .inner
+                s.recv_parked += 1;
+                s = inner
                     .ready
-                    .wait_timeout(q, remaining)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
+                    .wait_timeout(s, remaining)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+                s.recv_parked -= 1;
             }
         }
 
         /// Returns a message if one is immediately available.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(v) = q.pop_front() {
-                drop(q);
-                self.notify_if_bounded();
-                return Ok(v);
-            }
-            if self.inner.senders.load(Ordering::Acquire) == 0 {
-                Err(TryRecvError::Disconnected)
-            } else {
-                Err(TryRecvError::Empty)
+            match self.inner.pop(self.inner.lock()) {
+                Ok(v) => Ok(v),
+                Err(s) if s.senders == 0 => Err(TryRecvError::Disconnected),
+                Err(_) => Err(TryRecvError::Empty),
             }
         }
 
         /// Number of messages currently queued.
         pub fn len(&self) -> usize {
-            self.inner
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .len()
+            self.inner.lock().queue.len()
         }
 
         /// Whether the queue is currently empty.
         pub fn is_empty(&self) -> bool {
             self.len() == 0
         }
-
-        fn notify_if_bounded(&self) {
-            if self.inner.capacity.is_some() {
-                self.inner.ready.notify_all();
-            }
-        }
     }
 
     impl<T> Clone for Receiver<T> {
         fn clone(&self) -> Self {
-            self.inner.receivers.fetch_add(1, Ordering::AcqRel);
+            self.inner.lock().receivers += 1;
             Receiver {
                 inner: Arc::clone(&self.inner),
             }
@@ -300,7 +334,11 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            self.inner.receivers.fetch_sub(1, Ordering::AcqRel);
+            let mut s = self.inner.lock();
+            s.receivers -= 1;
+            if s.receivers == 0 && s.send_parked > 0 {
+                self.inner.room.notify_all();
+            }
         }
     }
 
@@ -374,6 +412,91 @@ pub mod channel {
             assert_eq!(rx.recv(), Ok(1));
             assert_eq!(rx.recv(), Ok(2));
             t.join().unwrap().unwrap();
+        }
+
+        /// `(receivers, senders)` asleep on the channel.
+        fn parked<T>(inner: &Inner<T>) -> (usize, usize) {
+            let s = inner.lock();
+            (s.recv_parked, s.send_parked)
+        }
+
+        /// Spins until `ready`; a hang is a failure, not a wait.
+        fn until(ready: impl Fn() -> bool) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !ready() {
+                assert!(Instant::now() < deadline, "never happened");
+                std::thread::yield_now();
+            }
+        }
+
+        #[test]
+        fn a_parked_receiver_is_woken_by_a_send() {
+            let (tx, rx) = unbounded();
+            let inner = Arc::clone(&rx.inner);
+            let t = std::thread::spawn(move || rx.recv_timeout(Duration::from_secs(30)));
+            until(|| parked(&inner) == (1, 0));
+            tx.send(5).unwrap();
+            assert_eq!(t.join().unwrap(), Ok(5));
+            assert_eq!(parked(&inner), (0, 0));
+        }
+
+        #[test]
+        fn a_parked_sender_is_woken_by_a_receive() {
+            let (tx, rx) = bounded(1);
+            tx.send(1).unwrap();
+            let inner = Arc::clone(&tx.inner);
+            let t = std::thread::spawn(move || tx.send(2));
+            until(|| parked(&inner) == (0, 1));
+            assert_eq!(rx.recv(), Ok(1));
+            t.join().unwrap().unwrap();
+            assert_eq!(rx.recv(), Ok(2));
+            assert_eq!(parked(&inner), (0, 0));
+        }
+
+        #[test]
+        fn nobody_parked_means_nobody_to_wake() {
+            let (tx, rx) = bounded(4);
+            for i in 0..10_000 {
+                tx.send(i).unwrap();
+                assert_eq!(rx.recv(), Ok(i));
+            }
+            assert_eq!(parked(&rx.inner), (0, 0));
+        }
+
+        /// A sender blocked on a full channel is told when the last
+        /// receiver goes; `send` has no timeout, so nothing else ends it.
+        #[test]
+        fn dropping_the_last_receiver_wakes_a_blocked_sender() {
+            let (tx, rx) = bounded(1);
+            tx.send(1).unwrap();
+            let inner = Arc::clone(&rx.inner);
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || done_tx.send(tx.send(2)));
+            until(|| parked(&inner) == (0, 1));
+            drop(rx);
+            match done_rx.recv_timeout(Duration::from_secs(1)) {
+                Ok(Err(SendError(2))) => {}
+                other => panic!("the blocked sender got {other:?}"),
+            }
+        }
+
+        /// The last sender's drop and a receiver's decision to sleep share
+        /// the mutex, so the wake-up cannot fall between the two.
+        #[test]
+        fn the_last_sender_dropping_during_a_wait_disconnects_it() {
+            let (drop_tx, drop_rx) = std::sync::mpsc::channel::<Sender<u8>>();
+            let dropper = std::thread::spawn(move || while drop_rx.recv().is_ok() {});
+            for i in 0..10_000 {
+                let (tx, rx) = unbounded::<u8>();
+                drop_tx.send(tx).unwrap();
+                assert_eq!(
+                    rx.recv_timeout(Duration::from_secs(1)),
+                    Err(RecvTimeoutError::Disconnected),
+                    "iteration {i}"
+                );
+            }
+            drop(drop_tx);
+            dropper.join().unwrap();
         }
 
         #[test]
