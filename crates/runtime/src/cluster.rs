@@ -129,10 +129,10 @@ pub(crate) type StashedObject = (NodeId, ObjectId, Box<dyn MobileObject>, u64);
 /// State shared by every node worker and the cluster facade.
 pub(crate) struct Shared {
     /// The in-process transport: bounded per-node inboxes behind the
-    /// [`Transport`] seam. The mesh (not the worker) owns each channel, so
-    /// queued messages survive a worker crash and are drained by the
-    /// restarted incarnation — the pre-trait behaviour, preserved.
-    mesh: ChannelMesh<Envelope>,
+    /// [`Transport`] seam, each with a slot for its node's state. The mesh
+    /// (not the worker) owns each queue, so queued messages survive a
+    /// worker crash and are drained by the restarted incarnation.
+    pub(crate) mesh: ChannelMesh<Envelope, NodeWorker>,
     directory: OrderedRwLock<HashMap<ObjectId, NodeId>>,
     mobility: OrderedRwLock<HashMap<ObjectId, Mobility>>,
     pub(crate) policy: OrderedMutex<Box<dyn MovePolicy>>,
@@ -231,19 +231,23 @@ impl Shared {
                     }
                 };
                 let msgs = self.envelopes(from_raw, epoch, to, msg, copies);
-                let tx = self.mesh.sender(to.as_u32());
                 if delay_ms > 0 {
                     // deliver later from a detached thread; a message landing
                     // after shutdown sits in a queue nobody reads — harmless
+                    let tx = self.mesh.sender(to.as_u32());
                     std::thread::spawn(move || {
                         std::thread::sleep(Duration::from_millis(delay_ms));
                         for m in msgs {
-                            let _ = tx.send(m);
+                            tx(m);
                         }
                     });
                 } else {
+                    // a client call to an idle node runs on this thread
+                    // (DESIGN.md §10.1); anything else queues as it always did
+                    let inline = |node: &NodeWorker| from_raw == fault::CLIENT && node.is_current();
                     for m in msgs {
-                        let _ = tx.send(m);
+                        self.mesh
+                            .send_or_run(to.as_u32(), m, inline, NodeWorker::deliver);
                     }
                 }
                 Ok(())
@@ -252,7 +256,8 @@ impl Shared {
     }
 
     /// The envelopes one delivery decision puts on the wire: `msg`, preceded
-    /// by its clone when the injector duplicated it.
+    /// by its clone when the injector duplicated it. Both are traced here, in
+    /// the sender's program order, whenever they are handed over.
     fn envelopes(
         &self,
         from: u32,
@@ -260,15 +265,11 @@ impl Shared {
         to: NodeId,
         msg: Message,
         copies: u8,
-    ) -> Vec<Envelope> {
-        let mut msgs = Vec::with_capacity(copies as usize);
-        if copies > 1 {
-            if let Some(dup) = clone_control(&msg) {
-                msgs.push(self.trace_envelope(from, epoch, to, dup));
-            }
-        }
-        msgs.push(self.trace_envelope(from, epoch, to, msg));
-        msgs
+    ) -> impl Iterator<Item = Envelope> + Send {
+        let dup = (copies > 1).then(|| clone_control(&msg)).flatten();
+        let dup = dup.map(|dup| self.trace_envelope(from, epoch, to, dup));
+        dup.into_iter()
+            .chain(std::iter::once(self.trace_envelope(from, epoch, to, msg)))
     }
 
     /// Wraps a message for the wire, assigning it a trace id and emitting
@@ -1325,7 +1326,7 @@ impl ClusterBuilder {
     /// Spawns the node threads and returns the running cluster.
     #[must_use]
     pub fn build(self) -> Cluster {
-        let mesh = ChannelMesh::new(self.nodes, MeshConfig::default());
+        let mesh = ChannelMesh::owned(self.nodes, MeshConfig::default());
         let policy = match (self.custom_policy, self.lease_ms) {
             (Some(p), _) => p,
             (None, Some(ttl)) => self.policy.build_with_lease(ttl),
@@ -1476,10 +1477,9 @@ fn map_mesh_err(e: TransportError) -> RuntimeError {
 
 fn spawn_worker(shared: &Arc<Shared>, id: NodeId, epoch: u64) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
-    let rx = shared.mesh.endpoint(id.as_u32());
     std::thread::Builder::new()
         .name(format!("oml-node-{}", id.index()))
-        .spawn(move || NodeWorker::new(id, shared, rx, epoch).run())
+        .spawn(move || NodeWorker::new(id, shared, epoch).run())
         .expect("spawn node worker")
 }
 
@@ -2027,11 +2027,7 @@ impl Cluster {
         // message fault
         // raw (deadline-free) sender: the scripted crash command must reach
         // the worker even through a full inbox
-        let _ = self
-            .shared
-            .mesh
-            .sender(node.as_u32())
-            .send(Envelope::untraced(Message::Crash));
+        self.shared.mesh.sender(node.as_u32())(Envelope::untraced(Message::Crash));
         let _ = handle.join();
         self.shared.injector.note(format!("crash {node}"));
         self.shared
@@ -2251,11 +2247,7 @@ impl Cluster {
         }
         // raw senders: Shutdown must be deliverable through full inboxes
         for i in 0..self.shared.mesh.peers() {
-            let _ = self
-                .shared
-                .mesh
-                .sender(i)
-                .send(Envelope::untraced(Message::Shutdown));
+            self.shared.mesh.sender(i)(Envelope::untraced(Message::Shutdown));
         }
         for handle in self.handles.lock().iter_mut().filter_map(Option::take) {
             let _ = handle.join();
@@ -2419,7 +2411,8 @@ mod tests {
     use std::sync::mpsc;
 
     /// One byte of state; `hold` reports that the worker is inside the call
-    /// and parks it there until the test lets go.
+    /// and parks it there until the test lets go, `where` names the thread
+    /// the call runs on.
     struct Cell(u8, Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>);
 
     impl MobileObject for Cell {
@@ -2430,6 +2423,10 @@ mod tests {
             if let ("hold", Some((entered, gate))) = (method, &self.1) {
                 let _ = entered.send(());
                 let _ = gate.recv();
+            }
+            if method == "where" {
+                let here = std::thread::current();
+                return Ok(here.name().unwrap_or_default().as_bytes().to_vec());
             }
             Ok(vec![self.0])
         }
@@ -2540,6 +2537,82 @@ mod tests {
             Some((0, 6))
         );
         assert_eq!(installed(&cluster.take_trace(), 1), vec![blocker, a, b]);
+    }
+
+    /// Whether the call ran on the node's own thread rather than inline on
+    /// the caller's.
+    fn ran_on_node_thread(cluster: &Cluster, object: ObjectId) -> bool {
+        let name = cluster.invoke(object, "where", &[]).expect("where");
+        name.starts_with(b"oml-node-")
+    }
+
+    /// A crashed node has no state in its inbox slot, and a zombie's is not
+    /// its node's current incarnation: a client call to either queues for
+    /// the node's thread instead of running on the caller's. Meanwhile a
+    /// second client calls across every crash and restart, and no handler
+    /// runs on a stale incarnation's state (`NodeWorker::deliver` asserts
+    /// it in debug builds).
+    #[test]
+    fn calls_never_run_inline_on_a_crashed_or_stale_incarnation() {
+        let build = |sabotage: Option<Sabotage>| {
+            let builder = Cluster::builder()
+                .nodes(2)
+                .manual_clock()
+                .failure_detector(50, 3)
+                .call_timeout(Duration::from_millis(100))
+                .invoke_retries(0);
+            let cluster = match sabotage {
+                Some(s) => builder.sabotage(s),
+                None => builder,
+            }
+            .build();
+            cluster.register_type("cell", |bytes| Box::new(Cell(bytes[0], None)));
+            cluster
+        };
+        let node = NodeId::new(1);
+        let cluster = build(None);
+        let obj = cluster.create(node, Box::new(Cell(5, None))).unwrap();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let _ = cluster.invoke(obj, "get", &[]);
+                }
+            });
+            for _ in 0..20 {
+                cluster.crash_node(node).unwrap();
+                // nothing pops while the node is down, so the call must add
+                // to the queue its next incarnation drains
+                let queued = cluster.shared.mesh.queued(1);
+                assert!(cluster.invoke(obj, "get", &[]).is_err());
+                assert!(cluster.shared.mesh.queued(1) > queued);
+                cluster.restart_node(node).unwrap();
+                assert_eq!(cluster.invoke(obj, "get", &[]).unwrap(), [5]);
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        // once idle again, the current incarnation's calls run inline
+        assert!((0..1_000).any(|_| !ran_on_node_thread(&cluster, obj)));
+        // a fenced zombie exits before it runs anything: calls queue
+        cluster.crash_node(node).unwrap();
+        cluster.zombie_restart_node(node).unwrap();
+        assert!(cluster.invoke(obj, "get", &[]).is_err());
+        while cluster.restart_node(node) == Err(RuntimeError::NotDead(node)) {
+            std::thread::yield_now();
+        }
+        assert_eq!(cluster.invoke(obj, "get", &[]).unwrap(), [5]);
+        cluster.shutdown();
+
+        // an unfenced zombie runs, but its state is never current: each of
+        // its calls runs on its own thread, never inline
+        let cluster = build(Some(Sabotage::Unfenced));
+        let obj = cluster.create(node, Box::new(Cell(5, None))).unwrap();
+        cluster.crash_node(node).unwrap();
+        cluster.restart_node(node).unwrap();
+        cluster.crash_node(node).unwrap();
+        cluster.zombie_restart_node(node).unwrap();
+        assert!((0..100).all(|_| ran_on_node_thread(&cluster, obj)));
+        cluster.shutdown();
     }
 
     /// The retry-jitter stream of seed `0xC0A5`, captured at the commit

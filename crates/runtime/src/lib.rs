@@ -1,9 +1,10 @@
 //! # oml-runtime — a real enactment of the paper's run-time support
 //!
 //! Where `oml-sim` *models* the distributed object system to measure policy
-//! behaviour, this crate *implements* it: every node is a thread, every
-//! message is a real crossbeam channel send, objects are linearized to bytes
-//! and shipped when they migrate, and the same
+//! behaviour, this crate *implements* it: every node is a thread with a
+//! bounded inbox (a client call to an idle node runs on the caller's thread
+//! — a co-located call costs no hand-off, as in the paper's cost model),
+//! objects are linearized to bytes and shipped when they migrate, and the same
 //! [`oml_core::policy::MovePolicy`] objects interpret `move()`-requests at
 //! the callee's node (§3.1, Fig. 3).
 //!

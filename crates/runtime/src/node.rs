@@ -1,11 +1,15 @@
-//! The per-node worker: a thread owning the objects hosted at that node.
+//! The per-node state and the thread that owns it. A [`NodeWorker`] holds
+//! everything one node knows; whoever holds it runs the node's messages
+//! through [`NodeWorker::deliver`], one at a time. The node's thread runs
+//! what was queued, heartbeats, lease sweeps and stash reclaim; a client
+//! call that finds the node idle runs on the caller's thread (DESIGN.md
+//! §10.1, "Who runs a delivery").
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use oml_check::event::{EventKind, ReleaseCause};
 use oml_core::attach::ClosureScratch;
 use oml_core::ids::{AllianceId, BlockId, NodeId, ObjectId};
@@ -27,7 +31,6 @@ use crate::store::StoredCheckpoint;
 pub(crate) struct NodeWorker {
     id: NodeId,
     shared: Arc<Shared>,
-    rx: Receiver<Envelope>,
     /// The incarnation this worker was spawned under; stamped on every
     /// message it sends. A worker whose node has a newer incarnation is a
     /// zombie and (when fencing is on) exits instead of acting.
@@ -45,11 +48,10 @@ pub(crate) struct NodeWorker {
 }
 
 impl NodeWorker {
-    pub(crate) fn new(id: NodeId, shared: Arc<Shared>, rx: Receiver<Envelope>, epoch: u64) -> Self {
+    pub(crate) fn new(id: NodeId, shared: Arc<Shared>, epoch: u64) -> Self {
         NodeWorker {
             id,
             shared,
-            rx,
             epoch,
             objects: HashMap::new(),
             awaiting: HashMap::new(),
@@ -64,6 +66,7 @@ impl NodeWorker {
             return;
         }
         self.reclaim_stash();
+        let shared = Arc::clone(&self.shared);
         loop {
             if self.is_fenced() {
                 // fenced while running (the node was declared dead behind
@@ -71,35 +74,45 @@ impl NodeWorker {
                 // has already reinstantiated what it owned
                 return;
             }
-            self.shared.beat(self.id, self.epoch);
-            match self.rx.recv_timeout(self.shared.schedule.tick(self.id)) {
-                Ok(env) => {
-                    self.note_recv(&env);
-                    if self.reject_stale(&env) {
-                        continue;
-                    }
-                    match env.msg {
-                        Message::Shutdown => {
-                            self.drain_for_shutdown();
-                            break;
-                        }
-                        Message::Crash => {
-                            self.stash_for_crash();
-                            break;
-                        }
-                        msg => self.handle(msg, env.from),
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => self.sweep_leases(),
-                Err(RecvTimeoutError::Disconnected) => break,
+            shared.beat(self.id, self.epoch);
+            let tick = shared.schedule.tick(self.id);
+            // the state waits in the inbox slot between messages, where an
+            // idle node's client calls find it; the thread exits holding it
+            let (node, env) = shared.mesh.turn(self.id.as_u32(), self, tick);
+            self = node;
+            let Some(env) = env else {
+                self.sweep_leases();
+                continue;
+            };
+            match env.msg {
+                Message::Shutdown => return self.drain_for_shutdown(),
+                Message::Crash => return self.stash_for_crash(),
+                _ => self.deliver(env),
             }
         }
+    }
+
+    /// Runs one envelope — the step the worker loop and an inline client
+    /// call share: notes the receive, drops a stale incarnation's message,
+    /// handles the rest.
+    pub(crate) fn deliver(&mut self, env: Envelope) {
+        debug_assert!(!self.is_fenced(), "a stale incarnation ran a message");
+        self.note_recv(&env);
+        if !self.reject_stale(&env) {
+            self.handle(env.msg, env.from);
+        }
+    }
+
+    /// Whether this is the state of its node's current incarnation — a
+    /// crashed node has none in its slot, and a zombie's is not current.
+    pub(crate) fn is_current(&self) -> bool {
+        self.epoch == self.shared.incarnation(self.id.as_u32())
     }
 
     /// Whether a newer incarnation of this node has been installed (fencing
     /// on): this worker is a zombie and must not act.
     fn is_fenced(&self) -> bool {
-        self.shared.fenced() && self.shared.incarnation(self.id.as_u32()) > self.epoch
+        self.shared.fenced() && !self.is_current()
     }
 
     /// Epoch fencing on receive: a message stamped with an incarnation older
@@ -215,7 +228,7 @@ impl NodeWorker {
     /// processed (locks released) and still-blocked callers get an explicit
     /// `ShuttingDown` instead of a silent timeout.
     fn drain_for_shutdown(&mut self) {
-        while let Ok(env) = self.rx.try_recv() {
+        while let Some(env) = self.shared.mesh.try_pop(self.id.as_u32()) {
             self.note_recv(&env);
             match env.msg {
                 // queued replica writes are still applied, so the final

@@ -8,11 +8,11 @@
 //! terms of *send to peer N* and *receive the next event*, and the
 //! [`Transport`] trait is that seam. Two production implementations exist:
 //!
-//! * [`channel::ChannelMesh`] — the in-process mesh of crossbeam channels
-//!   the [`crate::Cluster`] has always run on, now behind the trait and
-//!   with **bounded** per-node inboxes. Messages are passed by ownership,
-//!   so this transport carries the full in-memory `Envelope` (live trait
-//!   objects, reply channels).
+//! * [`channel::ChannelMesh`] — the in-process mesh of **bounded** per-node
+//!   inboxes the [`crate::Cluster`] runs on; a client call to an idle node
+//!   runs on the caller's thread instead of queueing. Messages are passed
+//!   by ownership, so this transport carries the full in-memory `Envelope`
+//!   (live trait objects, reply channels).
 //! * [`socket::SocketServer`] / [`socket::SocketPeer`] — stream sockets
 //!   (Unix-domain or TCP) for nodes that are **separate OS processes**.
 //!   Payloads must be real bytes here, so this transport carries

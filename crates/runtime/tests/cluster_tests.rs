@@ -5,6 +5,8 @@ use oml_core::ids::NodeId;
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
 use oml_runtime::{Cluster, MobileObject, RuntimeError};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A counter whose state survives linearization.
 struct Counter(u64);
@@ -21,6 +23,12 @@ impl MobileObject for Counter {
                 Ok(WireWriter::new().u64(self.0).finish().to_vec())
             }
             "get" => Ok(WireWriter::new().u64(self.0).finish().to_vec()),
+            // the thread the call runs on: the node's, or inline the caller's
+            "where" => Ok(std::thread::current()
+                .name()
+                .unwrap_or_default()
+                .as_bytes()
+                .to_vec()),
             other => Err(format!("no such method: {other}")),
         }
     }
@@ -478,4 +486,149 @@ fn concurrent_movers_never_lose_the_object() {
     // every increment survived every migration
     assert_eq!(add(&cluster, obj, 0), 100);
     assert!(cluster.location_of(obj).is_some());
+}
+
+/// The delivery-order contract under inline runs: the caller runs a call on
+/// its own thread only when nothing is queued at the node, so an `end`
+/// queued behind node-to-node traffic is never overtaken by the same
+/// client's next `move` (which transient placement would then deny). A
+/// second client keeps node 1 busy installing another closure, so some of
+/// the calls below queue for the node's thread and some run inline.
+#[test]
+fn a_queued_end_is_never_overtaken_by_the_next_move() {
+    const ROUNDS: usize = 10_000;
+    let cluster = Cluster::builder()
+        .nodes(3)
+        .policy(PolicyKind::TransientPlacement)
+        .build();
+    register_counter(&cluster);
+    let root = cluster.create(n(0), Box::new(Counter(0))).unwrap();
+    let other = cluster.create(n(2), Box::new(Counter(0))).unwrap();
+    for _ in 0..3 {
+        let helper = cluster.create(n(2), Box::new(Counter(0))).unwrap();
+        cluster.attach(helper, other, None).unwrap();
+    }
+    let stop = AtomicBool::new(false);
+    let (mut inline, mut queued, mut denied) = (0, 0, None);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for to in [n(1), n(2)].into_iter().cycle() {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                if let Ok(guard) = cluster.move_block(other, to) {
+                    guard.end();
+                }
+            }
+        });
+        'rounds: for round in 0..ROUNDS {
+            for which in ["first", "second"] {
+                let guard = cluster.move_block(root, n(1)).expect("move");
+                if !guard.granted() {
+                    denied = Some((round, which));
+                    break 'rounds;
+                }
+                guard.end();
+            }
+            let at = cluster.invoke(root, "where", &[]).expect("where");
+            if at.starts_with(b"oml-node-") {
+                queued += 1;
+            } else {
+                inline += 1;
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    if let Some((round, which)) = denied {
+        panic!("round {round}: the {which} move overtook the end before it and was denied");
+    }
+    assert!(
+        inline > 0 && queued > 0,
+        "inline {inline}, queued {queued}: the schedule never mixed the two"
+    );
+}
+
+/// An object of the `add`s it saw: how many and the sum of their words,
+/// and how many arrived before an earlier `add` of the same client.
+#[derive(Default)]
+struct Ledger {
+    adds: u64,
+    sum: u64,
+    last: HashMap<u64, u64>,
+    out_of_order: u64,
+}
+
+impl MobileObject for Ledger {
+    fn type_tag(&self) -> &'static str {
+        "ledger"
+    }
+    fn invoke(&mut self, method: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
+        if method == "add" {
+            let mut r = WireReader::new(payload);
+            let (client, seq, word) = (r.u64()?, r.u64()?, r.u64()?);
+            if self
+                .last
+                .insert(client, seq)
+                .is_some_and(|last| last >= seq)
+            {
+                self.out_of_order += 1;
+            }
+            self.adds += 1;
+            self.sum = self.sum.wrapping_add(word);
+        }
+        let w = WireWriter::new().u64(self.adds).u64(self.sum);
+        Ok(w.u64(self.out_of_order).finish().to_vec())
+    }
+    fn linearize(&self) -> Vec<u8> {
+        Vec::new()
+    }
+}
+
+/// Four clients call objects of one node at once, so some calls run on
+/// their callers' threads and the rest queue for the node's: every `add`
+/// lands exactly once, and each client's in the order it made them.
+#[test]
+fn concurrent_clients_of_one_node_see_every_add_once_and_in_order() {
+    const CLIENTS: u64 = 4;
+    const ADDS: u64 = 5_000;
+    const OBJECTS: usize = 4;
+    let cluster = Cluster::builder().nodes(2).build();
+    let objects: Vec<_> = (0..OBJECTS)
+        .map(|_| cluster.create(n(1), Box::new(Ledger::default())).unwrap())
+        .collect();
+    // per client and object: the acknowledged adds and the sum of their words
+    let tallies: Vec<Vec<(u64, u64)>> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let (cluster, objects) = (&cluster, &objects);
+                scope.spawn(move || {
+                    let mut tally = vec![(0u64, 0u64); OBJECTS];
+                    for seq in 0..ADDS {
+                        let o = (client + seq) as usize % OBJECTS;
+                        let word = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ client;
+                        let payload = WireWriter::new().u64(client).u64(seq).u64(word);
+                        cluster
+                            .invoke(objects[o], "add", &payload.finish())
+                            .expect("add");
+                        tally[o] = (tally[o].0 + 1, tally[o].1.wrapping_add(word));
+                    }
+                    tally
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    for (o, &object) in objects.iter().enumerate() {
+        let out = cluster.invoke(object, "get", &[]).unwrap();
+        let mut r = WireReader::new(&out);
+        let (adds, sum, out_of_order) = (r.u64().unwrap(), r.u64().unwrap(), r.u64().unwrap());
+        let want = tallies.iter().fold((0, 0), |(adds, sum): (u64, u64), t| {
+            (adds + t[o].0, sum.wrapping_add(t[o].1))
+        });
+        assert_eq!((adds, sum), want, "object {o}: not exactly once");
+        assert_eq!(
+            out_of_order, 0,
+            "object {o}: a client's adds were reordered"
+        );
+    }
 }
