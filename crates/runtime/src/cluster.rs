@@ -176,7 +176,9 @@ impl Shared {
     /// Control messages (invocations, move-requests, end-requests) are
     /// subject to drops, duplicates, delays and partitions; state transfer
     /// (`Create`/`Install`/`Surrender`) and control sentinels are always
-    /// reliable — see [`crate::fault`] for the model.
+    /// reliable — see [`crate::fault`] for the model. What survives with no
+    /// delay is handed over by `ChannelMesh::hand`: an idle node runs it on
+    /// this thread, at once or after this thread's step (DESIGN.md §10.1).
     ///
     /// A faithfully *lost* message still returns `Ok` (the sender cannot
     /// observe a drop — that is what deadlines are for); `Err(ShuttingDown)`
@@ -200,15 +202,14 @@ impl Shared {
             // replica traffic between nodes has its own (silent) decision
             // stream: drops and duplicates, never delays. Client-originated
             // checkpoint traffic (creation seeding, repair) is reliable.
-            return match self.injector.decide_checkpoint(from_raw, to.as_u32()) {
-                Delivery::Drop => Ok(()),
-                Delivery::Deliver { copies, .. } => {
-                    for m in self.envelopes(from_raw, epoch, to, msg, copies) {
-                        let _ = self.mesh.send(to.as_u32(), m);
-                    }
-                    Ok(())
+            if let Delivery::Deliver { copies, .. } =
+                self.injector.decide_checkpoint(from_raw, to.as_u32())
+            {
+                for m in self.envelopes(from_raw, epoch, to, msg, copies) {
+                    let _ = self.mesh.hand(to.as_u32(), m, false);
                 }
-            };
+            }
+            return Ok(());
         }
         let faultable = matches!(
             msg,
@@ -216,7 +217,16 @@ impl Shared {
         );
         if !faultable {
             let env = self.trace_envelope(from_raw, epoch, to, msg);
-            return self.mesh.send(to.as_u32(), env).map_err(map_mesh_err);
+            // a full inbox past the send deadline: a timeout the caller can retry
+            return self
+                .mesh
+                .hand(to.as_u32(), env, false)
+                .map_err(|e| match e {
+                    TransportError::Backpressure { waited_ms } => {
+                        RuntimeError::Timeout { waited_ms }
+                    }
+                    _ => RuntimeError::ShuttingDown,
+                });
         }
         let is_end = matches!(msg, Message::EndRequest { .. });
         match self.injector.decide(from_raw, to.as_u32(), is_end, &msg) {
@@ -242,12 +252,9 @@ impl Shared {
                         }
                     });
                 } else {
-                    // a client call to an idle node runs on this thread
-                    // (DESIGN.md §10.1); anything else queues as it always did
-                    let inline = |node: &NodeWorker| from_raw == fault::CLIENT && node.is_current();
+                    // a client call waits for room as long as it takes
                     for m in msgs {
-                        self.mesh
-                            .send_or_run(to.as_u32(), m, inline, NodeWorker::deliver);
+                        let _ = self.mesh.hand(to.as_u32(), m, from_raw == fault::CLIENT);
                     }
                 }
                 Ok(())
@@ -1463,23 +1470,11 @@ impl ClusterBuilder {
     }
 }
 
-/// Maps a mesh-transport failure onto the runtime's error surface:
-/// backpressure (the bounded inbox stayed full past the send deadline)
-/// is a timeout the caller can retry; everything else means shutdown.
-fn map_mesh_err(e: TransportError) -> RuntimeError {
-    match e {
-        TransportError::Backpressure { waited_ms } | TransportError::Timeout { waited_ms } => {
-            RuntimeError::Timeout { waited_ms }
-        }
-        _ => RuntimeError::ShuttingDown,
-    }
-}
-
 fn spawn_worker(shared: &Arc<Shared>, id: NodeId, epoch: u64) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
         .name(format!("oml-node-{}", id.index()))
-        .spawn(move || NodeWorker::new(id, shared, epoch).run())
+        .spawn(move || Box::new(NodeWorker::new(id, shared, epoch)).run())
         .expect("spawn node worker")
 }
 

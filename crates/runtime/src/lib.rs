@@ -2,8 +2,8 @@
 //!
 //! Where `oml-sim` *models* the distributed object system to measure policy
 //! behaviour, this crate *implements* it: every node is a thread with a
-//! bounded inbox (a client call to an idle node runs on the caller's thread
-//! — a co-located call costs no hand-off, as in the paper's cost model),
+//! bounded inbox (a message to an idle node runs on its sender's thread —
+//! a co-located call costs no hand-off, as in the paper's cost model),
 //! objects are linearized to bytes and shipped when they migrate, and the same
 //! [`oml_core::policy::MovePolicy`] objects interpret `move()`-requests at
 //! the callee's node (§3.1, Fig. 3).

@@ -1,9 +1,9 @@
 //! The per-node state and the thread that owns it. A [`NodeWorker`] holds
 //! everything one node knows; whoever holds it runs the node's messages
-//! through [`NodeWorker::deliver`], one at a time. The node's thread runs
-//! what was queued, heartbeats, lease sweeps and stash reclaim; a client
-//! call that finds the node idle runs on the caller's thread (DESIGN.md
-//! §10.1, "Who runs a delivery").
+//! through its `deliver`, one at a time. The node's thread runs what was
+//! queued, heartbeats, lease sweeps and stash reclaim; a message that finds
+//! the node idle — a client call or node-to-node traffic — runs on its
+//! sender's thread (DESIGN.md §10.1, "Who runs a delivery").
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,6 +21,7 @@ use crate::fault;
 use crate::message::{group_push, Envelope, InvokeReply, Message, MoveReply, Shipped};
 use crate::object::MobileObject;
 use crate::store::StoredCheckpoint;
+use crate::transport::channel::Handler;
 
 // How long a worker waits for a message before running its maintenance
 // tick (lease sweeps) is a scheduling decision: the installed
@@ -47,6 +48,26 @@ pub(crate) struct NodeWorker {
     local: Vec<ObjectId>,
 }
 
+impl Handler<Envelope> for NodeWorker {
+    /// Whether this is the state of its node's current incarnation — a
+    /// crashed node has none in its slot, and a zombie's is not current.
+    fn is_current(&self) -> bool {
+        self.epoch == self.shared.incarnation(self.id.as_u32())
+    }
+
+    /// Runs one envelope — the step the worker loop and every sender that
+    /// found the node idle share: notes the receive, drops a stale
+    /// incarnation's message, handles the rest.
+    fn deliver(&mut self, env: Envelope) {
+        debug_assert!(!self.is_fenced(), "a stale incarnation ran a message");
+        debug_assert!(self.shared.mesh.in_step(), "a handler ran outside a step");
+        self.note_recv(&env);
+        if !self.reject_stale(&env) {
+            self.handle(env.msg, env.from);
+        }
+    }
+}
+
 impl NodeWorker {
     pub(crate) fn new(id: NodeId, shared: Arc<Shared>, epoch: u64) -> Self {
         NodeWorker {
@@ -60,7 +81,7 @@ impl NodeWorker {
         }
     }
 
-    pub(crate) fn run(mut self) {
+    pub(crate) fn run(mut self: Box<Self>) {
         if self.is_fenced() {
             // a newer incarnation of this node exists: touch nothing
             return;
@@ -77,36 +98,20 @@ impl NodeWorker {
             shared.beat(self.id, self.epoch);
             let tick = shared.schedule.tick(self.id);
             // the state waits in the inbox slot between messages, where an
-            // idle node's client calls find it; the thread exits holding it
+            // idle node's senders find it; the thread exits holding it
             let (node, env) = shared.mesh.turn(self.id.as_u32(), self, tick);
             self = node;
+            // each step runs what it hands to idle nodes after it returns
             let Some(env) = env else {
-                self.sweep_leases();
+                shared.mesh.step(|| self.sweep_leases());
                 continue;
             };
             match env.msg {
-                Message::Shutdown => return self.drain_for_shutdown(),
+                Message::Shutdown => return shared.mesh.step(|| self.drain_for_shutdown()),
                 Message::Crash => return self.stash_for_crash(),
-                _ => self.deliver(env),
+                _ => shared.mesh.step(|| self.deliver(env)),
             }
         }
-    }
-
-    /// Runs one envelope — the step the worker loop and an inline client
-    /// call share: notes the receive, drops a stale incarnation's message,
-    /// handles the rest.
-    pub(crate) fn deliver(&mut self, env: Envelope) {
-        debug_assert!(!self.is_fenced(), "a stale incarnation ran a message");
-        self.note_recv(&env);
-        if !self.reject_stale(&env) {
-            self.handle(env.msg, env.from);
-        }
-    }
-
-    /// Whether this is the state of its node's current incarnation — a
-    /// crashed node has none in its slot, and a zombie's is not current.
-    pub(crate) fn is_current(&self) -> bool {
-        self.epoch == self.shared.incarnation(self.id.as_u32())
     }
 
     /// Whether a newer incarnation of this node has been installed (fencing

@@ -9,11 +9,11 @@
 //! # Who runs a delivery
 //!
 //! Each inbox is one mutex over the node's FIFO queue, a slot for the node's
-//! state (a [`crate::Cluster`]'s `NodeWorker`) and the counts of who sleeps
-//! on it. The node's own thread drains the queue (`ChannelMesh::turn`),
-//! never popping while the state is out of its slot; a sender that finds
-//! the queue empty and the state idle runs its message itself, with the
-//! lock released (`ChannelMesh::send_or_run`, DESIGN.md §10.1).
+//! state (a `Handler`: a [`crate::Cluster`]'s `NodeWorker`) and the counts
+//! of who sleeps on it. The node's own thread pops only while the state is
+//! idle in its slot (`ChannelMesh::turn`). Whoever sends to an idle node
+//! runs the message (`ChannelMesh::hand`, DESIGN.md §10.1): at once, or
+//! after its own step (`ChannelMesh::step`), never inside it.
 //!
 //! # Backpressure policy (documented per path)
 //!
@@ -34,6 +34,7 @@
 //!   is indistinguishable from more network delay.
 
 use super::{LinkHealth, Transport, TransportError, TransportEvent};
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -67,6 +68,14 @@ impl Default for MeshConfig {
     }
 }
 
+/// An endpoint's state: whoever holds it runs its messages, one at a time.
+pub(crate) trait Handler<M> {
+    /// Whether a sender may run this state (a stale incarnation's may not).
+    fn is_current(&self) -> bool;
+    /// Runs one message.
+    fn deliver(&mut self, msg: M);
+}
+
 /// A full mesh of bounded in-process inboxes: any holder may send to any
 /// endpoint. `S` is the state each endpoint's owner runs its messages on;
 /// in a mesh built by [`ChannelMesh::new`] every slot holds `()` for good,
@@ -93,8 +102,11 @@ struct Inbox<M, S> {
 #[derive(Debug)]
 struct Slots<M, S> {
     queue: VecDeque<M>,
-    /// The node's state while nobody runs it.
-    state: Option<S>,
+    /// The node's state while nobody runs it (boxed: hand-overs move a pointer).
+    state: Option<Box<S>>,
+    /// How many messages at the front of `queue` a sender claimed to run
+    /// after its step; until then the state in the slot is not the owner's.
+    claimed: usize,
     /// Receivers asleep on `ready`.
     parked: usize,
     /// The owner's tick passed while a sender ran the state: it now waits
@@ -105,6 +117,13 @@ struct Slots<M, S> {
 }
 
 type Guard<'a, M, S> = MutexGuard<'a, Slots<M, S>>;
+
+impl<M, S> Slots<M, S> {
+    /// Whether the state is in its slot for the owner to take.
+    fn idle(&self) -> bool {
+        self.state.is_some() && self.claimed == 0
+    }
+}
 
 impl<M, S> Inbox<M, S> {
     fn lock(&self) -> Guard<'_, M, S> {
@@ -132,7 +151,7 @@ impl<M, S> Inbox<M, S> {
             s.senders_parked -= 1;
         }
         s.queue.push_back(msg);
-        let wake = s.parked > 0 && s.state.is_some();
+        let wake = s.parked > 0 && s.idle();
         drop(s);
         if wake {
             self.ready.notify_one();
@@ -143,7 +162,7 @@ impl<M, S> Inbox<M, S> {
     /// Waits until a message can be popped — one queued while the state is
     /// in its slot — or a due owner's state is back, or `deadline` passes.
     fn until_ready<'a>(&self, mut s: Guard<'a, M, S>, deadline: Instant) -> Guard<'a, M, S> {
-        while s.state.is_none() || (s.queue.is_empty() && !s.due) {
+        while !s.idle() || (s.queue.is_empty() && !s.due) {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 break;
@@ -170,25 +189,83 @@ impl<M, S> Inbox<M, S> {
         }
         msg
     }
-}
 
-/// A state a sender took out of its slot: it goes back on drop, also when
-/// the run panicked, so the owner is never left waiting for it. Putting it
-/// back wakes the owner if anything queued, or its tick fell due, meanwhile.
-struct Claim<'a, M, S> {
-    inbox: &'a Inbox<M, S>,
-    state: Option<S>,
-}
-
-impl<M, S> Drop for Claim<'_, M, S> {
-    fn drop(&mut self) {
-        let mut s = self.inbox.lock();
-        s.state = self.state.take();
+    /// Ends a sender's hold on the state, back in its slot, and wakes the
+    /// owner if anything queued, or its tick fell due, meanwhile.
+    fn release(&self, mut s: Guard<'_, M, S>, state: &mut Option<Box<S>>) {
+        if state.is_some() {
+            s.state = state.take();
+        }
+        s.claimed = 0;
         let wake = s.parked > 0 && (s.due || !s.queue.is_empty());
         drop(s);
         if wake {
-            self.inbox.ready.notify_one();
+            self.ready.notify_one();
         }
+    }
+}
+
+thread_local! {
+    /// The address of the mesh this thread runs a step of (0: none), and the
+    /// endpoints it claimed meanwhile and has not run, in claim order.
+    static STEP: Cell<usize> = const { Cell::new(0) };
+    static CLAIMS: RefCell<VecDeque<u32>> = const { RefCell::new(VecDeque::new()) };
+}
+
+/// This thread's step on a mesh, and the state of `at` its runs use. Drop —
+/// also after a panic — hands that state and every claim not run back to
+/// their owners; a claim's messages never left the front of its queue.
+struct Step<'a, M: Send + 'static, S: Handler<M> + Send + 'static> {
+    mesh: &'a ChannelMesh<M, S>,
+    at: u32,
+    state: Option<Box<S>>,
+}
+
+impl<'a, M: Send + 'static, S: Handler<M> + Send + 'static> Step<'a, M, S> {
+    fn enter(mesh: &'a ChannelMesh<M, S>, at: u32, state: Option<Box<S>>) -> Self {
+        // so no handler is on this thread's stack when one starts
+        debug_assert_eq!(STEP.get(), 0, "a step started inside another");
+        STEP.set(mesh.addr());
+        Step { mesh, at, state }
+    }
+
+    /// Runs the claimed messages, claim by claim in claim order; each
+    /// claim's state goes back to its slot before the next claim's run.
+    fn drain(&mut self) {
+        loop {
+            if let Some(state) = &mut self.state {
+                let inbox = &self.mesh.inboxes[self.at as usize];
+                let mut s = inbox.lock();
+                if s.claimed > 0 {
+                    s.claimed -= 1;
+                    if let Some(msg) = inbox.pop(s) {
+                        state.deliver(msg);
+                    }
+                    continue;
+                }
+                inbox.release(s, &mut self.state);
+            }
+            let Some(at) = CLAIMS.with_borrow_mut(VecDeque::pop_front) else {
+                return;
+            };
+            let state = self.mesh.inboxes[at as usize].lock().state.take();
+            self.state = Some(state.expect("a claimed state waits in its slot"));
+            self.at = at;
+        }
+    }
+}
+
+impl<M: Send + 'static, S: Handler<M> + Send + 'static> Drop for Step<'_, M, S> {
+    fn drop(&mut self) {
+        while let Some(at) = CLAIMS.with_borrow_mut(VecDeque::pop_front) {
+            let inbox = &self.mesh.inboxes[at as usize];
+            inbox.release(inbox.lock(), &mut None);
+        }
+        if self.state.is_some() {
+            let inbox = &self.mesh.inboxes[self.at as usize];
+            inbox.release(inbox.lock(), &mut self.state);
+        }
+        STEP.set(0);
     }
 }
 
@@ -199,7 +276,7 @@ impl<M: Send> ChannelMesh<M> {
         let mesh = Self::owned(n, cfg);
         mesh.inboxes
             .iter()
-            .for_each(|inbox| inbox.lock().state = Some(()));
+            .for_each(|inbox| inbox.lock().state = Some(Box::new(())));
         mesh
     }
 }
@@ -212,6 +289,7 @@ impl<M: Send, S: Send> ChannelMesh<M, S> {
             slots: Mutex::new(Slots {
                 queue: VecDeque::new(),
                 state: None,
+                claimed: 0,
                 parked: 0,
                 due: false,
                 senders_parked: 0,
@@ -227,6 +305,11 @@ impl<M: Send, S: Send> ChannelMesh<M, S> {
         }
     }
 
+    /// This mesh's identity in [`STEP`].
+    fn addr(&self) -> usize {
+        std::ptr::from_ref(self) as usize
+    }
+
     /// A deadline-free send towards `to` that outlives the caller's borrow
     /// of the mesh (the crash and shutdown sentinels, delayed deliveries).
     pub(crate) fn sender(&self, to: u32) -> impl Fn(M) + Send + 'static
@@ -240,46 +323,19 @@ impl<M: Send, S: Send> ChannelMesh<M, S> {
         }
     }
 
-    /// Hands `msg` to endpoint `to`: runs `run(state, msg)` on this thread,
-    /// with the lock released, if the acquisition that would queue `msg`
-    /// finds nothing queued, the owner not due, and the state in its slot
-    /// and passing `current`; queues `msg` otherwise, blocking while the
-    /// inbox is full.
-    pub(crate) fn send_or_run(
-        &self,
-        to: u32,
-        msg: M,
-        current: impl FnOnce(&S) -> bool,
-        run: impl FnOnce(&mut S, M),
-    ) {
-        let inbox = &*self.inboxes[to as usize];
-        let mut s = inbox.lock();
-        if !s.queue.is_empty() || s.due || !s.state.as_ref().is_some_and(current) {
-            let _ = inbox.push(s, msg, None);
-            return;
-        }
-        let mut claim = Claim {
-            inbox,
-            state: s.state.take(),
-        };
-        drop(s);
-        if let Some(state) = &mut claim.state {
-            run(state, msg);
-        }
-    }
-
     /// The owner's turn at `at`: puts `state` back in its slot, waits up to
     /// `tick`, and takes the state out again with the oldest message, or
     /// with `None` when `tick` passed with nothing queued. A sender running
     /// the state at that moment wakes the owner when it puts it back.
-    pub(crate) fn turn(&self, at: u32, state: S, tick: Duration) -> (S, Option<M>) {
+    pub(crate) fn turn(&self, at: u32, state: Box<S>, tick: Duration) -> (Box<S>, Option<M>) {
         let inbox = &*self.inboxes[at as usize];
         let mut s = inbox.lock();
         debug_assert!(s.state.is_none(), "one state per inbox");
         s.state = Some(state);
         s = inbox.until_ready(s, Instant::now() + tick);
         loop {
-            if let Some(state) = s.state.take() {
+            let free = s.claimed == 0;
+            if let Some(state) = s.state.take_if(|_| free) {
                 s.due = false;
                 return (state, inbox.pop(s));
             }
@@ -298,6 +354,74 @@ impl<M: Send, S: Send> ChannelMesh<M, S> {
     #[must_use]
     pub fn queued(&self, at: u32) -> usize {
         self.inboxes[at as usize].lock().queue.len()
+    }
+}
+
+impl<M: Send + 'static, S: Send + 'static> ChannelMesh<M, S> {
+    /// Runs `f`, a step of a node whose state this thread holds, then what
+    /// [`ChannelMesh::hand`] claimed meanwhile.
+    pub(crate) fn step<R>(&self, f: impl FnOnce() -> R) -> R
+    where
+        S: Handler<M>,
+    {
+        let mut step = Step::enter(self, 0, None);
+        let out = f();
+        step.drain();
+        out
+    }
+
+    /// Whether this thread is inside a step of this mesh.
+    pub(crate) fn in_step(&self) -> bool {
+        STEP.get() == self.addr()
+    }
+
+    /// Hands `msg` to endpoint `to`. The acquisition that would queue it
+    /// takes an idle, current state if nothing is queued and the owner is
+    /// not due, to run `msg` at once — or after the step this thread is in.
+    /// A message for an endpoint this thread claimed and has not run joins
+    /// the claim if nothing queued there since. Anything else queues, for as
+    /// long as the inbox is full if `patient`, else up to the send deadline.
+    pub(crate) fn hand(&self, to: u32, msg: M, patient: bool) -> Result<(), TransportError>
+    where
+        S: Handler<M>,
+    {
+        let inbox = &*self.inboxes[to as usize];
+        let here = STEP.get();
+        let in_step = here == self.addr();
+        let mine = in_step && CLAIMS.with_borrow(|claims| claims.contains(&to));
+        let mut s = inbox.lock();
+        if mine && s.claimed == s.queue.len() {
+            s.claimed += 1;
+            s.queue.push_back(msg);
+            return Ok(());
+        }
+        if (here == 0 || in_step)
+            && s.queue.is_empty()
+            && !s.due
+            && s.state.as_ref().is_some_and(|state| state.is_current())
+        {
+            if in_step {
+                s.claimed = 1;
+                s.queue.push_back(msg);
+                drop(s);
+                CLAIMS.with_borrow_mut(|claims| claims.push_back(to));
+            } else {
+                let mut step = Step::enter(self, to, s.state.take());
+                drop(s);
+                if let Some(state) = &mut step.state {
+                    state.deliver(msg);
+                }
+                step.drain();
+            }
+            return Ok(());
+        }
+        let deadline =
+            (!patient).then(|| Instant::now() + Duration::from_millis(self.cfg.send_deadline_ms));
+        inbox
+            .push(s, msg, deadline)
+            .map_err(|_| TransportError::Backpressure {
+                waited_ms: self.cfg.send_deadline_ms,
+            })
     }
 }
 
@@ -331,11 +455,7 @@ impl<M: Send, S: Send> Transport<M> for ChannelMesh<M, S> {
             return Err(TransportError::Closed);
         };
         let s = inbox.until_ready(inbox.lock(), Instant::now() + timeout);
-        let msg = if s.state.is_some() {
-            inbox.pop(s)
-        } else {
-            None
-        };
+        let msg = if s.idle() { inbox.pop(s) } else { None };
         match msg {
             Some(msg) => Ok(TransportEvent::Delivery {
                 from: MESH_ANON,
@@ -365,6 +485,8 @@ impl<M: Send, S: Send> Transport<M> for ChannelMesh<M, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
+    use std::thread::{self, ThreadId};
 
     #[test]
     fn delivers_between_endpoints() {
@@ -413,7 +535,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(10);
         while !ready() {
             assert!(Instant::now() < deadline, "never happened");
-            std::thread::yield_now();
+            thread::yield_now();
         }
     }
 
@@ -427,7 +549,7 @@ mod tests {
         };
         let mesh: ChannelMesh<u64> = ChannelMesh::new(1, cfg);
         mesh.send(0, 1).unwrap();
-        std::thread::scope(|scope| {
+        thread::scope(|scope| {
             let sender = scope.spawn(|| mesh.send(0, 2));
             until(|| mesh.inboxes[0].lock().senders_parked == 1);
             let _ = mesh.recv_timeout(0, Duration::from_secs(1)).unwrap();
@@ -437,78 +559,214 @@ mod tests {
         assert_eq!(mesh.inboxes[0].lock().senders_parked, 0);
     }
 
+    /// What the test endpoints ran, in order: each message's label and the
+    /// thread that ran it, logged when its run returned.
+    type Log = Arc<Mutex<Vec<(&'static str, ThreadId)>>>;
+
+    /// A test message: a label, and what running it does before it logs.
+    struct Msg(&'static str, Box<dyn FnOnce(&mut Probe) + Send>);
+
+    fn msg(label: &'static str) -> Msg {
+        Msg(label, Box::new(|_| {}))
+    }
+
+    /// A test endpoint's state.
+    struct Probe {
+        log: Log,
+        stale: bool,
+    }
+
+    impl Handler<Msg> for Probe {
+        fn is_current(&self) -> bool {
+            !self.stale
+        }
+        fn deliver(&mut self, Msg(label, run): Msg) {
+            run(self);
+            self.log
+                .lock()
+                .unwrap()
+                .push((label, thread::current().id()));
+        }
+    }
+
+    type Probes = ChannelMesh<Msg, Probe>;
+
+    /// `n` endpoints sharing one log, each state in its slot.
+    fn probes(n: u32) -> (Arc<Probes>, Log) {
+        let log = Log::default();
+        let mesh = Probes::owned(n, MeshConfig::default());
+        for inbox in &mesh.inboxes {
+            inbox.lock().state = Some(Box::new(Probe {
+                log: Arc::clone(&log),
+                stale: false,
+            }));
+        }
+        (Arc::new(mesh), log)
+    }
+
+    fn labels(log: &Log) -> Vec<&'static str> {
+        log.lock()
+            .unwrap()
+            .iter()
+            .map(|&(label, _)| label)
+            .collect()
+    }
+
+    /// Endpoint `at`'s owner runs what is queued there, each message in a
+    /// step of its own, and puts the state back.
+    fn run_queued(mesh: &Probes, at: u32) {
+        let mut state = mesh.inboxes[at as usize].lock().state.take().unwrap();
+        while mesh.queued(at) > 0 {
+            let (next, queued) = mesh.turn(at, state, Duration::ZERO);
+            state = next;
+            mesh.step(|| state.deliver(queued.unwrap()));
+        }
+        let inbox = &mesh.inboxes[at as usize];
+        inbox.release(inbox.lock(), &mut Some(state));
+    }
+
     /// A sender runs its message itself only on an idle state and with the
     /// lock released (the run below sends again from inside); one that finds
-    /// the state out, or not current, queues, and the owner pops it only
-    /// once the state is back.
+    /// the state out queues, and the owner pops it only once the state is
+    /// back.
     #[test]
     fn a_sender_runs_on_an_idle_state_and_queues_behind_a_busy_one() {
-        // the state is a log of (message, ran on the sender's thread)
-        let mesh: ChannelMesh<u32, Vec<(u32, bool)>> = ChannelMesh::owned(1, MeshConfig::default());
-        let log = std::thread::scope(|scope| {
-            let owner = scope.spawn(|| {
-                let mut log = Vec::new();
-                loop {
-                    let (mut state, msg) = mesh.turn(0, log, Duration::from_mins(1));
-                    match msg {
-                        Some(0) => return state,
-                        Some(m) => state.push((m, false)),
-                        None => {}
+        let (mesh, log) = probes(1);
+        let mut state = mesh.inboxes[0].lock().state.take().unwrap();
+        let owner = thread::scope(|scope| {
+            let owner = scope.spawn(|| loop {
+                let (next, queued) = mesh.turn(0, state, Duration::from_mins(1));
+                state = next;
+                if let Some(queued) = queued {
+                    let last = queued.0 == "3";
+                    mesh.step(|| state.deliver(queued));
+                    if last {
+                        return thread::current().id();
                     }
-                    log = state;
                 }
             });
             until(|| {
                 let s = mesh.inboxes[0].lock();
                 s.parked == 1 && s.state.is_some()
             });
-            mesh.send_or_run(
-                0,
-                1,
-                |_| true,
-                |log, m| {
-                    mesh.send_or_run(0, 2, |_| true, |log, m| log.push((m, true)));
-                    assert_eq!(mesh.queued(0), 1, "the state is out: 2 queues");
-                    log.push((m, true));
-                },
-            );
-            mesh.send_or_run(0, 3, |_| false, |log, m| log.push((m, true)));
-            mesh.sender(0)(0);
+            let m = Arc::clone(&mesh);
+            let send_2 = move |_: &mut Probe| {
+                m.hand(0, msg("2"), true).unwrap();
+                assert_eq!(m.queued(0), 1, "the state is out: 2 queues");
+            };
+            mesh.hand(0, Msg("1", Box::new(send_2)), true).unwrap();
+            mesh.sender(0)(msg("3"));
             owner.join().unwrap()
         });
-        assert_eq!(log, [(1, true), (2, false), (3, false)]);
+        let me = thread::current().id();
+        assert_eq!(
+            *log.lock().unwrap(),
+            [("1", me), ("2", owner), ("3", owner)]
+        );
+    }
+
+    /// A state that is not current (a stale incarnation's) is never run by
+    /// a sender: the message queues for the owner.
+    #[test]
+    fn a_stale_state_is_left_to_its_owner() {
+        let (mesh, log) = probes(1);
+        mesh.inboxes[0].lock().state.as_mut().unwrap().stale = true;
+        mesh.hand(0, msg("1"), true).unwrap();
+        assert_eq!(mesh.queued(0), 1);
+        assert!(log.lock().unwrap().is_empty());
     }
 
     /// An owner whose tick passes while a sender runs its state marks itself
     /// due and waits; the sender putting the state back hands it over.
     #[test]
     fn a_due_owner_gets_its_state_back_from_the_sender() {
-        let mesh: ChannelMesh<u32, u32> = ChannelMesh::owned(1, MeshConfig::default());
-        std::thread::scope(|scope| {
+        let (mesh, log) = probes(1);
+        let mut state = mesh.inboxes[0].lock().state.take().unwrap();
+        thread::scope(|scope| {
+            // runs nothing it pops; a stale state stops it
             let owner = scope.spawn(|| {
-                let mut state = 7;
-                while state != 8 {
+                while !state.stale {
                     state = mesh.turn(0, state, Duration::from_millis(1)).0;
                 }
             });
             // the owner ticks every millisecond: retry until a send finds
             // its state idle in the slot (a miss only queues a message)
-            let mut ran = false;
-            while !ran {
-                mesh.send_or_run(
-                    0,
-                    1,
-                    |_| true,
-                    |state, _| {
-                        until(|| mesh.inboxes[0].lock().due);
-                        *state = 8;
-                        ran = true;
-                    },
-                );
+            while log.lock().unwrap().is_empty() {
+                let m = Arc::clone(&mesh);
+                let stop = move |state: &mut Probe| {
+                    until(|| m.inboxes[0].lock().due);
+                    state.stale = true;
+                };
+                mesh.hand(0, Msg("stop", Box::new(stop)), true).unwrap();
             }
             owner.join().unwrap();
             assert!(!mesh.inboxes[0].lock().due);
         });
+    }
+
+    /// What one step sends to an idle endpoint runs on the sender's thread
+    /// after that step returned, in send order: the first message claims
+    /// the state, the second joins the claim, and nothing queues.
+    #[test]
+    fn what_a_step_sends_to_an_idle_endpoint_runs_after_it_in_send_order() {
+        let (mesh, log) = probes(2);
+        let m = Arc::clone(&mesh);
+        let send = move |_: &mut Probe| {
+            m.hand(1, msg("a"), false).unwrap();
+            m.hand(1, msg("b"), false).unwrap();
+            assert_eq!(m.inboxes[1].lock().claimed, 2, "b joined a's claim");
+        };
+        mesh.hand(0, Msg("step", Box::new(send)), true).unwrap();
+        let me = thread::current().id();
+        assert_eq!(*log.lock().unwrap(), [("step", me), ("a", me), ("b", me)]);
+        assert!(mesh
+            .inboxes
+            .iter()
+            .all(|inbox| inbox.lock().state.is_some()));
+    }
+
+    /// Once another thread queued at an endpoint this step claimed, what
+    /// the step sends there next queues behind that message instead of
+    /// joining the claim, and both are left to the owner.
+    #[test]
+    fn a_message_never_joins_a_claim_behind_a_queued_one() {
+        let (mesh, log) = probes(2);
+        let m = Arc::clone(&mesh);
+        let send = move |_: &mut Probe| {
+            m.hand(1, msg("claimed"), false).unwrap();
+            thread::scope(|scope| drop(scope.spawn(|| m.hand(1, msg("queued"), true).unwrap())));
+            m.hand(1, msg("after"), false).unwrap();
+        };
+        mesh.hand(0, Msg("step", Box::new(send)), true).unwrap();
+        assert_eq!(mesh.queued(1), 2);
+        run_queued(&mesh, 1);
+        assert_eq!(labels(&log), ["step", "claimed", "queued", "after"]);
+    }
+
+    /// A run that claims endpoint 1 and then panics unwinds into the thread
+    /// that started the step: both states are back in their slots, the
+    /// claimed messages are back at the front of endpoint 1's queue in
+    /// order, and the thread starts steps again.
+    #[test]
+    fn a_panicking_run_loses_no_state_and_no_message() {
+        let (mesh, log) = probes(2);
+        let m = Arc::clone(&mesh);
+        let send = move |_: &mut Probe| {
+            m.hand(1, msg("claimed"), false).unwrap();
+            m.hand(1, msg("joined"), false).unwrap();
+            thread::scope(|scope| drop(scope.spawn(|| m.hand(1, msg("queued"), true).unwrap())));
+            panic!("a handler failed");
+        };
+        let run = AssertUnwindSafe(|| mesh.hand(0, Msg("step", Box::new(send)), true));
+        assert!(std::panic::catch_unwind(run).is_err());
+        assert!(mesh
+            .inboxes
+            .iter()
+            .all(|inbox| inbox.lock().state.is_some()));
+        assert!(CLAIMS.with_borrow(VecDeque::is_empty));
+        mesh.hand(0, msg("again"), true).unwrap();
+        run_queued(&mesh, 1);
+        assert_eq!(labels(&log), ["again", "claimed", "joined", "queued"]);
     }
 
     #[test]

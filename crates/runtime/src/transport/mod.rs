@@ -9,8 +9,8 @@
 //! [`Transport`] trait is that seam. Two production implementations exist:
 //!
 //! * [`channel::ChannelMesh`] — the in-process mesh of **bounded** per-node
-//!   inboxes the [`crate::Cluster`] runs on; a client call to an idle node
-//!   runs on the caller's thread instead of queueing. Messages are passed
+//!   inboxes the [`crate::Cluster`] runs on; a message to an idle node
+//!   runs on its sender's thread instead of queueing. Messages are passed
 //!   by ownership, so this transport carries the full in-memory `Envelope`
 //!   (live trait objects, reply channels).
 //! * [`socket::SocketServer`] / [`socket::SocketPeer`] — stream sockets

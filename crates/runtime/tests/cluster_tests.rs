@@ -4,9 +4,12 @@ use oml_core::attach::AttachmentMode;
 use oml_core::ids::NodeId;
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
-use oml_runtime::{Cluster, MobileObject, RuntimeError};
+use oml_runtime::{Cluster, MobileObject, RuntimeError, ScheduleSource};
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A counter whose state survives linearization.
 struct Counter(u64);
@@ -630,5 +633,58 @@ fn concurrent_clients_of_one_node_see_every_add_once_and_in_order() {
             out_of_order, 0,
             "object {o}: a client's adds were reordered"
         );
+    }
+}
+
+/// An hour-long idle tick: a node thread wakes only for what is queued for
+/// it, so once a node is idle every call to it runs on its caller's thread.
+#[derive(Debug)]
+struct Drowsy;
+
+impl ScheduleSource for Drowsy {
+    fn tick(&self, _node: NodeId) -> Duration {
+        Duration::from_secs(3_600)
+    }
+}
+
+/// A run that panics on the caller's thread — here the closure's `Install`
+/// at its destination, which the caller runs after the move step it started
+/// — unwinds into the caller and loses no node: every state it claimed went
+/// back to its slot, so every node still answers within the call timeout.
+#[test]
+fn a_panicking_install_unwinds_into_the_caller_and_every_node_still_answers() {
+    const MARKED: u64 = u64::MAX;
+    let cluster = Cluster::builder()
+        .nodes(3)
+        .policy(PolicyKind::ConventionalMigration)
+        .schedule_source(Arc::new(Drowsy))
+        .call_timeout(Duration::from_secs(1))
+        .invoke_retries(0)
+        .build();
+    cluster.register_type("counter", |bytes| {
+        let value = WireReader::new(bytes).u64().expect("valid counter state");
+        assert_ne!(value, MARKED, "a delinearizer failed on a marked state");
+        Box::new(Counter(value))
+    });
+    let probes: Vec<_> = (0..3)
+        .map(|i| cluster.create(n(i), Box::new(Counter(i.into()))).unwrap())
+        .collect();
+    let root = cluster.create(n(0), Box::new(Counter(0))).unwrap();
+    let marked = cluster.create(n(0), Box::new(Counter(MARKED))).unwrap();
+    cluster.attach(marked, root, None).unwrap();
+    for &probe in &probes {
+        while cluster
+            .invoke(probe, "where", &[])
+            .unwrap()
+            .starts_with(b"oml-node-")
+        {}
+    }
+    let moved = std::panic::catch_unwind(AssertUnwindSafe(|| cluster.move_block(root, n(1))));
+    assert!(
+        moved.is_err(),
+        "the install's panic did not reach the caller"
+    );
+    for (i, &probe) in probes.iter().enumerate() {
+        assert_eq!(add(&cluster, probe, 0), i as u64, "node {i} answers");
     }
 }

@@ -1,15 +1,22 @@
-//! The hand-off guard of the in-process mesh, counted rather than timed. A
-//! client call to an idle node runs on the caller's thread, so a sequential
-//! invoke wakes no thread at all; handing each call to the node's thread and
-//! its reply back would cost two voluntary context switches per invoke
-//! (1.95–2.00 measured with every call handed over). This file holds one
+//! The hand-off guards of the in-process mesh, counted rather than timed. A
+//! message to an idle node runs on its sender's thread — after the sender's
+//! own step when a node sends it — so a sequential invoke wakes no thread at
+//! all, and neither does a sequential move block: the move, its closure's
+//! `Install` and the checkpoint puts and acks between nodes all run on the
+//! client's thread, one after the other. Handing each call to the node's
+//! thread and its reply back costs two voluntary context switches per invoke
+//! (1.95–2.00 measured with every call handed over); handing node-to-node
+//! traffic to node threads costs 7.1–8.3 per move block. This file holds one
 //! test so that no other test's threads are counted with it.
 
+use oml_core::attach::AttachmentMode;
 use oml_core::ids::{NodeId, ObjectId};
+use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
 use oml_runtime::{Cluster, MobileObject};
 
-struct Counter(u64);
+/// A counter carrying `pad` bytes of state besides its count.
+struct Counter(u64, Vec<u8>);
 
 impl MobileObject for Counter {
     fn type_tag(&self) -> &'static str {
@@ -22,8 +29,15 @@ impl MobileObject for Counter {
         Ok(WireWriter::new().u64(self.0).finish().to_vec())
     }
     fn linearize(&self) -> Vec<u8> {
-        WireWriter::new().u64(self.0).finish().to_vec()
+        let mut state = WireWriter::new().u64(self.0).finish().to_vec();
+        state.extend_from_slice(&self.1);
+        state
     }
+}
+
+fn delinearize(state: &[u8]) -> Box<dyn MobileObject> {
+    let n = WireReader::new(state).u64().expect("counter state");
+    Box::new(Counter(n, state[8..].to_vec()))
 }
 
 /// Voluntary context switches this process's threads have made so far
@@ -41,57 +55,110 @@ fn voluntary_switches() -> u64 {
         .sum()
 }
 
-/// One client, 20 000 sequential invokes on objects spread over three
-/// nodes, at most 0.2 voluntary context switches per invoke summed over the
-/// process.
+/// Voluntary context switches per call of `op` over `ops` calls, after
+/// `ops / 10` uncounted ones, checked against `max` in an optimized build.
+fn switches_per_op(what: &str, ops: u64, max: f64, mut op: impl FnMut(u64)) {
+    for i in 0..ops / 10 {
+        op(i);
+    }
+    let before = voluntary_switches();
+    for i in 0..ops {
+        op(i);
+    }
+    let per_op = (voluntary_switches() - before) as f64 / ops as f64;
+    let bound = if cfg!(debug_assertions) {
+        "not held in an unoptimized build".to_owned()
+    } else {
+        format!("at most {max}")
+    };
+    println!("mesh wake-up guard: {per_op:.3} voluntary context switches per {what} ({bound})");
+    assert!(
+        cfg!(debug_assertions) || per_op <= max,
+        "{per_op:.3} switches per {what}: messages to idle nodes are handed to their threads"
+    );
+}
+
+fn add(cluster: &Cluster, object: ObjectId) {
+    let one = WireWriter::new().u64(1).finish();
+    cluster.invoke(object, "add", &one).expect("invoke");
+}
+
+fn count(cluster: &Cluster, object: ObjectId) -> u64 {
+    let out = cluster.invoke(object, "get", &[]).expect("get");
+    WireReader::new(&out).u64().expect("counter")
+}
+
+/// One client on three nodes: 20 000 sequential invokes, at most 0.2
+/// voluntary context switches each summed over the process; then 5 000
+/// sequential move blocks — a granted move that ships a closure of eight
+/// 1 KiB objects with a quorum refresh at replication 2, four `add`s, `end`
+/// — at most 0.5 each.
 ///
 /// Only an optimized build, the one the benchmark measures, is held to the
-/// bound. The count also takes in each node thread's idle tick (every
-/// 25 ms, 120 a second for three nodes), which grows with wall time, not
-/// with calls: the 20 000 calls take ~0.02 s optimized and ~0.09 s
-/// unoptimized here (0.000 and 0.001 switches per invoke), but a build
-/// slowed enough — a sanitizer on a loaded runner — would read its own
-/// speed rather than its hand-offs.
+/// bounds. The count also takes in each node thread's idle tick (every
+/// 25 ms, 120 a second for three nodes) and the detector's sweeps, which
+/// grow with wall time, not with calls: the 20 000 calls take ~0.02 s
+/// optimized and ~0.09 s unoptimized here (0.000 and 0.001 switches per
+/// invoke), but a build slowed enough — a sanitizer on a loaded runner —
+/// would read its own speed rather than its hand-offs.
 #[test]
-fn a_sequential_invoke_wakes_no_thread() {
+fn a_sequential_invoke_or_move_block_wakes_no_thread() {
     const NODES: u32 = 3;
-    const INVOKES: u64 = 20_000;
-    const MAX_PER_INVOKE: f64 = 0.2;
     let cluster = Cluster::builder().nodes(NODES).build();
     let objects: Vec<ObjectId> = (0..4 * NODES)
         .map(|i| {
             let at = NodeId::new(i % NODES);
-            cluster.create(at, Box::new(Counter(0))).expect("create")
+            cluster
+                .create(at, Box::new(Counter(0, Vec::new())))
+                .expect("create")
         })
         .collect();
-    let add = |i: u64| {
-        let object = objects[i as usize % objects.len()];
-        let one = WireWriter::new().u64(1).finish();
-        cluster.invoke(object, "add", &one).expect("invoke")
-    };
-    for i in 0..1_000 {
-        add(i);
-    }
-    let before = voluntary_switches();
-    for i in 0..INVOKES {
-        add(i);
-    }
-    let per_invoke = (voluntary_switches() - before) as f64 / INVOKES as f64;
-    let total: u64 = objects
-        .iter()
-        .map(|&o| WireReader::new(&cluster.invoke(o, "get", &[]).expect("get")).u64())
-        .map(|n| n.expect("counter"))
-        .sum();
-    assert_eq!(total, 1_000 + INVOKES);
+    let pick = |i: u64| objects[i as usize % objects.len()];
+    switches_per_op("invoke", 20_000, 0.2, |i| add(&cluster, pick(i)));
+    let total: u64 = objects.iter().map(|&o| count(&cluster, o)).sum();
+    assert_eq!(total, 22_000);
     cluster.shutdown();
-    let bound = if cfg!(debug_assertions) {
-        "not held in an unoptimized build".to_owned()
-    } else {
-        format!("at most {MAX_PER_INVOKE}")
+
+    // four working sets of eight, each move to the next node over
+    let cluster = Cluster::builder()
+        .nodes(NODES)
+        .policy(PolicyKind::TransientPlacement)
+        .attachment_mode(AttachmentMode::ATransitive)
+        .failure_detector(50, 4)
+        .replication(2)
+        .build();
+    cluster.register_type("counter", delinearize);
+    let work = cluster.create_alliance("work");
+    let create = || {
+        let object = cluster.create(NodeId::new(0), Box::new(Counter(0, vec![7; 1024])));
+        let object = object.expect("create");
+        cluster.join_alliance(work, object).expect("join");
+        object
     };
-    println!("mesh wake-up guard: {per_invoke:.3} voluntary context switches per invoke ({bound})");
-    assert!(
-        cfg!(debug_assertions) || per_invoke <= MAX_PER_INVOKE,
-        "{per_invoke:.3} switches per invoke: calls to idle nodes are handed to their threads"
-    );
+    let roots: Vec<ObjectId> = (0..4)
+        .map(|_| {
+            let root = create();
+            for _ in 1..8 {
+                cluster.attach(create(), root, Some(work)).expect("attach");
+            }
+            root
+        })
+        .collect();
+    let mut adds = 0;
+    switches_per_op("move block", 5_000, 0.5, |i| {
+        let root = roots[i as usize % roots.len()];
+        let at = cluster.location_of(root).expect("located").as_u32();
+        let guard = cluster
+            .move_block_in(root, NodeId::new((at + 1) % NODES), Some(work))
+            .expect("move");
+        assert!(guard.granted(), "a lone client's move is granted");
+        for _ in 0..4 {
+            add(&cluster, root);
+            adds += 1;
+        }
+        guard.end();
+    });
+    let total: u64 = roots.iter().map(|&root| count(&cluster, root)).sum();
+    assert_eq!(total, adds);
+    cluster.shutdown();
 }
