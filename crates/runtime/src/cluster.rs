@@ -2534,6 +2534,57 @@ mod tests {
         assert_eq!(installed(&cluster.take_trace(), 1), vec![blocker, a, b]);
     }
 
+    /// A node thread's answers reach their callers before it exits: a call
+    /// it ran just before popping `Crash` has its reply, and one its
+    /// shutdown drain refuses has `ShuttingDown` — not a disconnect — once
+    /// the thread is joined.
+    #[test]
+    fn a_node_thread_answers_before_it_exits() {
+        for crash in [true, false] {
+            let cluster = cell_cluster();
+            let (gate, hold) = mpsc::channel();
+            let (entered, inside) = mpsc::channel();
+            let node = NodeId::new(1);
+            let blocker = Box::new(Cell(0, Some((entered, hold))));
+            let blocker = cluster.create(node, blocker).unwrap();
+            let object = cluster.create(node, Box::new(Cell(7, None))).unwrap();
+            let (reply, answered) = bounded(1);
+            let call = Message::Invoke {
+                object,
+                method: "get".to_owned(),
+                payload: Bytes::new(),
+                hops: MAX_HOPS,
+                reply,
+            };
+            std::thread::scope(|scope| {
+                scope.spawn(|| cluster.invoke(blocker, "hold", &[]));
+                inside.recv().unwrap();
+                // the node's state is out with that call: the rest queues
+                // for its thread, the call ahead of `Crash`, behind `Shutdown`
+                if crash {
+                    cluster.shared.send_from(None, node, call).unwrap();
+                    scope.spawn(|| cluster.crash_node(node));
+                } else {
+                    scope.spawn(|| cluster.shutdown());
+                    while cluster.shared.mesh.queued(1) == 0 {
+                        std::thread::yield_now();
+                    }
+                    cluster.shared.send_from(None, node, call).unwrap();
+                }
+                while cluster.shared.mesh.queued(1) < 2 {
+                    std::thread::yield_now();
+                }
+                gate.send(()).unwrap();
+            });
+            let want = if crash {
+                Ok(vec![7].into())
+            } else {
+                Err(RuntimeError::ShuttingDown)
+            };
+            assert_eq!(answered.try_recv(), Ok(want), "crash: {crash}");
+        }
+    }
+
     /// Whether the call ran on the node's own thread rather than inline on
     /// the caller's.
     fn ran_on_node_thread(cluster: &Cluster, object: ObjectId) -> bool {

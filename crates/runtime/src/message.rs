@@ -9,6 +9,7 @@ use oml_core::ids::{AllianceId, BlockId, NodeId, ObjectId};
 use crate::error::RuntimeError;
 use crate::object::MobileObject;
 use crate::store::StoredCheckpoint;
+use crate::transport::channel::answer;
 
 /// Reply channel for invocations.
 pub(crate) type InvokeReply = Sender<Result<Bytes, RuntimeError>>;
@@ -104,13 +105,13 @@ impl Message {
     pub(crate) fn refuse(self, err: RuntimeError) {
         match self {
             Message::Create { reply, .. } => {
-                let _ = reply.try_send(Err(err));
+                answer(reply, Err(err));
             }
             Message::Invoke { reply, .. } => {
-                let _ = reply.try_send(Err(err));
+                answer(reply, Err(err));
             }
             Message::MoveRequest { reply, .. } => {
-                let _ = reply.try_send(Err(err));
+                answer(reply, Err(err));
             }
             _ => {}
         }

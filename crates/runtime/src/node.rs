@@ -3,7 +3,9 @@
 //! through its `deliver`, one at a time. The node's thread runs what was
 //! queued, heartbeats, lease sweeps and stash reclaim; a message that finds
 //! the node idle — a client call or node-to-node traffic — runs on its
-//! sender's thread (DESIGN.md §10.1, "Who runs a delivery").
+//! sender's thread (DESIGN.md §10.1, "Who runs a delivery"). A reply the
+//! node's thread gives (`channel::answer`) wakes its caller only once the
+//! node's state is back in its slot, where that caller's next call finds it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,7 +23,7 @@ use crate::fault;
 use crate::message::{group_push, Envelope, InvokeReply, Message, MoveReply, Shipped};
 use crate::object::MobileObject;
 use crate::store::StoredCheckpoint;
-use crate::transport::channel::Handler;
+use crate::transport::channel::{answer, Handler};
 
 // How long a worker waits for a message before running its maintenance
 // tick (lease sweeps) is a scheduling decision: the installed
@@ -282,7 +284,7 @@ impl NodeWorker {
                 self.shared
                     .trace
                     .emit(self.id.as_u32(), EventKind::Install { object });
-                let _ = reply.try_send(Ok(()));
+                answer(reply, Ok(()));
                 self.drain_awaiting(object);
             }
             // not (or no longer) installed here: park or forward
@@ -297,7 +299,7 @@ impl NodeWorker {
                 payload,
                 reply,
                 ..
-            } => self.handle_invoke(object, &method, &payload, &reply),
+            } => self.handle_invoke(object, &method, &payload, reply),
             // an expired request is denied here, wherever its object is: an
             // abandoned request chases nothing
             Message::MoveRequest {
@@ -398,7 +400,7 @@ impl NodeWorker {
         object: ObjectId,
         method: &str,
         payload: &[u8],
-        reply: &InvokeReply,
+        reply: InvokeReply,
     ) {
         let instance = self.objects.get_mut(&object).expect("checked by handle()");
         let result = instance
@@ -426,7 +428,7 @@ impl NodeWorker {
                 );
             }
         }
-        let _ = reply.try_send(result);
+        answer(reply, result);
     }
 
     // ------------------------------------------------------------------
@@ -458,7 +460,7 @@ impl NodeWorker {
             self.shared
                 .trace
                 .emit(self.id.as_u32(), EventKind::MoveDenied { object, block });
-            let _ = reply.try_send(Ok(false));
+            answer(reply, Ok(false));
             return;
         }
 
@@ -502,11 +504,11 @@ impl NodeWorker {
                     policy.on_installed(object, self.id, block);
                     self.emit_lock_acquired(&**policy, object, block);
                 }
-                let _ = reply.try_send(Ok(true));
+                answer(reply, Ok(true));
             }
             MoveDecision::Grant => self.migrate_closure(object, to, context, Some((block, reply))),
             MoveDecision::Deny => {
-                let _ = reply.try_send(Ok(false));
+                answer(reply, Ok(false));
             }
         }
     }
@@ -558,7 +560,7 @@ impl NodeWorker {
             // of the failure and nothing moves
             if let (Some(instance), Some((_, reply))) = (self.objects.get(&main), install_for) {
                 let tag = instance.type_tag().to_owned();
-                let _ = reply.try_send(Err(RuntimeError::UnknownType(tag)));
+                answer(reply, Err(RuntimeError::UnknownType(tag)));
             }
             return;
         }
@@ -701,7 +703,7 @@ impl NodeWorker {
                 // The sender checked, but the registry is shared and mutable;
                 // fail the requester rather than panic the node.
                 if let Some((_, _, reply)) = install_for.take_if(|(main, ..)| main == object) {
-                    let _ = reply.try_send(Err(RuntimeError::UnknownType(ckpt.type_tag.clone())));
+                    answer(reply, Err(RuntimeError::UnknownType(ckpt.type_tag.clone())));
                 }
                 return false;
             };
@@ -734,7 +736,7 @@ impl NodeWorker {
             }
         }
         if let Some((_, _, reply)) = install_for {
-            let _ = reply.try_send(Ok(true));
+            answer(reply, Ok(true));
         }
         if !self.awaiting.is_empty() {
             for object in arrived {

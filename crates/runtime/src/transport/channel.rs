@@ -15,6 +15,14 @@
 //! runs the message (`ChannelMesh::hand`, DESIGN.md §10.1): at once, or
 //! after its own step (`ChannelMesh::step`), never inside it.
 //!
+//! # When a reply wakes its caller
+//!
+//! What a node thread's step and its claims `answer` is kept until the
+//! node's state is back in its slot (the next `turn`), or the thread would
+//! sleep on a full inbox, panics or exits: a woken caller finds the node
+//! idle instead of queueing behind the thread that woke it. Other threads
+//! answer at once: a caller's own chain almost always answers itself.
+//!
 //! # Backpressure policy (documented per path)
 //!
 //! * **Node inboxes** (this mesh): bounded at [`MeshConfig::capacity`].
@@ -34,6 +42,7 @@
 //!   is indistinguishable from more network delay.
 
 use super::{LinkHealth, Transport, TransportError, TransportEvent};
+use crossbeam::channel::Sender;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -132,12 +141,16 @@ impl<M, S> Inbox<M, S> {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Queues `msg` once there is room — waiting until `deadline`, or as
-    /// long as it takes without one — then wakes a parked receiver if the
-    /// state is in for it. `Err` hands `msg` back when the deadline passed.
-    fn push(&self, mut s: Guard<'_, M, S>, msg: M, deadline: Option<Instant>) -> Result<(), M> {
+    /// Queues `msg` once there is room — waiting until `by`, or as long as
+    /// it takes without a deadline — then wakes a parked receiver if the
+    /// state is in for it. `Err` hands `msg` back when `by` passed.
+    fn push<'a>(&'a self, mut s: Guard<'a, M, S>, msg: M, by: Option<Instant>) -> Result<(), M> {
         while s.queue.len() >= self.capacity {
-            let wait = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+            if KEPT.with_borrow(|kept| !kept.0.is_empty()) {
+                s = self.wake_kept(s);
+                continue;
+            }
+            let wait = match by.map(|d| d.saturating_duration_since(Instant::now())) {
                 None => PARK,
                 Some(left) if !left.is_zero() => left,
                 Some(_) => return Err(msg),
@@ -203,6 +216,14 @@ impl<M, S> Inbox<M, S> {
             self.ready.notify_one();
         }
     }
+
+    /// Puts out the answers this thread kept, with the lock released (it
+    /// stays a leaf), and takes it again.
+    fn wake_kept<'a>(&'a self, s: Guard<'a, M, S>) -> Guard<'a, M, S> {
+        drop(s);
+        drop(KEPT.take());
+        self.lock()
+    }
 }
 
 thread_local! {
@@ -210,11 +231,39 @@ thread_local! {
     /// endpoints it claimed meanwhile and has not run, in claim order.
     static STEP: Cell<usize> = const { Cell::new(0) };
     static CLAIMS: RefCell<VecDeque<u32>> = const { RefCell::new(VecDeque::new()) };
+    /// Whether this thread runs a [`ChannelMesh::step`], and the answers it
+    /// kept since its node's state was last in its slot.
+    static OWNER: Cell<bool> = const { Cell::new(false) };
+    static KEPT: RefCell<Kept> = const { RefCell::new(Kept(Vec::new())) };
+}
+
+/// Answers kept for their callers; dropping them — also at the thread's
+/// exit — puts them out, in answer order.
+#[derive(Default)]
+struct Kept(Vec<Box<dyn FnOnce()>>);
+
+impl Drop for Kept {
+    fn drop(&mut self) {
+        self.0.drain(..).for_each(|send| send());
+    }
+}
+
+/// Answers the caller waiting on `reply` with `value`: at once, or, inside
+/// a node thread's step, once that thread's state is back in its slot.
+/// Either way one `try_send`: a caller past its deadline has dropped its end.
+pub(crate) fn answer<T: 'static>(reply: Sender<T>, value: T) {
+    let send = move || drop(reply.try_send(value));
+    if OWNER.get() {
+        KEPT.with_borrow_mut(|kept| kept.0.push(Box::new(send)));
+    } else {
+        send();
+    }
 }
 
 /// This thread's step on a mesh, and the state of `at` its runs use. Drop —
 /// also after a panic — hands that state and every claim not run back to
-/// their owners; a claim's messages never left the front of its queue.
+/// their owners; a claim's messages never left the front of its queue. A
+/// panic out of a node thread's step also puts out the answers it kept.
 struct Step<'a, M: Send + 'static, S: Handler<M> + Send + 'static> {
     mesh: &'a ChannelMesh<M, S>,
     at: u32,
@@ -266,6 +315,9 @@ impl<M: Send + 'static, S: Handler<M> + Send + 'static> Drop for Step<'_, M, S> 
             inbox.release(inbox.lock(), &mut self.state);
         }
         STEP.set(0);
+        if OWNER.replace(false) && std::thread::panicking() {
+            drop(KEPT.take());
+        }
     }
 }
 
@@ -323,15 +375,18 @@ impl<M: Send, S: Send> ChannelMesh<M, S> {
         }
     }
 
-    /// The owner's turn at `at`: puts `state` back in its slot, waits up to
-    /// `tick`, and takes the state out again with the oldest message, or
-    /// with `None` when `tick` passed with nothing queued. A sender running
-    /// the state at that moment wakes the owner when it puts it back.
+    /// The owner's turn at `at`: puts `state` back in its slot and what it
+    /// kept ([`answer`]) out, waits up to `tick`, and takes the state out
+    /// again with the oldest message, or `None` when `tick` passed with
+    /// nothing queued; a sender running the state then wakes it when done.
     pub(crate) fn turn(&self, at: u32, state: Box<S>, tick: Duration) -> (Box<S>, Option<M>) {
         let inbox = &*self.inboxes[at as usize];
         let mut s = inbox.lock();
         debug_assert!(s.state.is_none(), "one state per inbox");
         s.state = Some(state);
+        if KEPT.with_borrow(|kept| !kept.0.is_empty()) {
+            s = inbox.wake_kept(s);
+        }
         s = inbox.until_ready(s, Instant::now() + tick);
         loop {
             let free = s.claimed == 0;
@@ -359,12 +414,14 @@ impl<M: Send, S: Send> ChannelMesh<M, S> {
 
 impl<M: Send + 'static, S: Send + 'static> ChannelMesh<M, S> {
     /// Runs `f`, a step of a node whose state this thread holds, then what
-    /// [`ChannelMesh::hand`] claimed meanwhile.
+    /// [`ChannelMesh::hand`] claimed meanwhile, keeping what both [`answer`]
+    /// until that state is back in its slot.
     pub(crate) fn step<R>(&self, f: impl FnOnce() -> R) -> R
     where
         S: Handler<M>,
     {
         let mut step = Step::enter(self, 0, None);
+        OWNER.set(true);
         let out = f();
         step.drain();
         out
@@ -593,8 +650,12 @@ mod tests {
 
     /// `n` endpoints sharing one log, each state in its slot.
     fn probes(n: u32) -> (Arc<Probes>, Log) {
+        probes_under(n, MeshConfig::default())
+    }
+
+    fn probes_under(n: u32, cfg: MeshConfig) -> (Arc<Probes>, Log) {
         let log = Log::default();
-        let mesh = Probes::owned(n, MeshConfig::default());
+        let mesh = Probes::owned(n, cfg);
         for inbox in &mesh.inboxes {
             inbox.lock().state = Some(Box::new(Probe {
                 log: Arc::clone(&log),
@@ -767,6 +828,167 @@ mod tests {
         mesh.hand(0, msg("again"), true).unwrap();
         run_queued(&mesh, 1);
         assert_eq!(labels(&log), ["again", "claimed", "joined", "queued"]);
+    }
+
+    /// Endpoint `at`'s owner, run the way a node's own thread runs it: it
+    /// takes its state, turns and steps until it pops `stop`, and leaves
+    /// the state in its slot.
+    fn own(mesh: &Probes, at: u32) {
+        let inbox = &mesh.inboxes[at as usize];
+        let mut state = inbox.lock().state.take().unwrap();
+        loop {
+            let (next, queued) = mesh.turn(at, state, Duration::from_mins(1));
+            state = next;
+            match queued {
+                Some(Msg("stop", _)) => break,
+                Some(queued) => mesh.step(|| state.deliver(queued)),
+                None => {}
+            }
+        }
+        inbox.release(inbox.lock(), &mut Some(state));
+    }
+
+    /// Per woken caller: the endpoint that answered it, and whether that
+    /// endpoint's state was in its slot when it woke.
+    type Woken = Arc<Mutex<Vec<(u32, bool)>>>;
+
+    /// A caller parked on an answer from endpoint `at`, reporting in `woken`
+    /// once it wakes.
+    fn caller<'scope, 'env>(
+        scope: &'scope thread::Scope<'scope, 'env>,
+        mesh: &'env Probes,
+        at: u32,
+        woken: &'env Woken,
+    ) -> Sender<()> {
+        let (reply, answered) = crossbeam::channel::bounded(1);
+        scope.spawn(move || {
+            answered.recv_timeout(Duration::from_secs(10)).unwrap();
+            let idle = mesh.inboxes[at as usize].lock().idle();
+            woken.lock().unwrap().push((at, idle));
+        });
+        reply
+    }
+
+    /// A run that answers `reply`, then gives its caller 200 ms to report in
+    /// `woken` — time enough if the answer woke it inside the run.
+    fn answer_and_wait(reply: Sender<()>, woken: &Woken) -> Box<dyn FnOnce(&mut Probe) + Send> {
+        let woken = Arc::clone(woken);
+        Box::new(move |_| {
+            let reports = woken.lock().unwrap().len();
+            answer(reply, ());
+            let deadline = Instant::now() + Duration::from_millis(200);
+            while woken.lock().unwrap().len() == reports && Instant::now() < deadline {
+                thread::yield_now();
+            }
+        })
+    }
+
+    /// A node's own thread answers one caller in its step and another in a
+    /// claim that step made; each caller, once woken, finds the endpoint
+    /// that answered it idle in its slot — not out with the thread that
+    /// woke it, which it would then have to queue behind.
+    #[test]
+    fn a_woken_caller_finds_the_node_back_in_its_slot() {
+        let (mesh, log) = probes(2);
+        let woken = Woken::default();
+        let woken_by_turns = thread::scope(|scope| {
+            let node = scope.spawn(|| own(&mesh, 0));
+            let first = answer_and_wait(caller(scope, &mesh, 0, &woken), &woken);
+            let claimed = answer_and_wait(caller(scope, &mesh, 1, &woken), &woken);
+            let m = Arc::clone(&mesh);
+            let run = move |probe: &mut Probe| {
+                first(probe);
+                m.hand(1, Msg("claimed", claimed), false).unwrap();
+            };
+            mesh.sender(0)(Msg("answer", Box::new(run)));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while woken.lock().unwrap().len() < 2 && Instant::now() < deadline {
+                thread::yield_now();
+            }
+            let woken_by_turns = woken.lock().unwrap().len();
+            mesh.sender(0)(msg("stop"));
+            node.join().unwrap();
+            woken_by_turns
+        });
+        assert_eq!(woken_by_turns, 2, "not woken before the owner stopped");
+        assert_eq!(labels(&log), ["answer", "claimed"]);
+        let mut woken = woken.lock().unwrap().clone();
+        woken.sort_unstable();
+        assert_eq!(
+            woken,
+            [(0, true), (1, true)],
+            "woken while its node was out"
+        );
+    }
+
+    /// A chain on a node's own thread that answers a parked caller and then
+    /// panics still wakes that caller with its answer — not a timeout, not
+    /// a disconnect — and loses no state: its claim goes back to its owner.
+    #[test]
+    fn a_panicking_chain_still_wakes_whom_it_answered() {
+        let (mesh, log) = probes(2);
+        let (reply, answered) = crossbeam::channel::bounded(1);
+        let m = Arc::clone(&mesh);
+        let run = move |_: &mut Probe| {
+            answer(reply, ());
+            m.hand(1, msg("claimed"), false).unwrap();
+            panic!("a handler failed");
+        };
+        mesh.sender(0)(Msg("step", Box::new(run)));
+        thread::scope(|scope| {
+            let caller = scope.spawn(|| answered.recv_timeout(Duration::from_secs(1)));
+            let inbox = &mesh.inboxes[0];
+            let state = inbox.lock().state.take().unwrap();
+            let (mut state, queued) = mesh.turn(0, state, Duration::ZERO);
+            let step = AssertUnwindSafe(|| mesh.step(|| state.deliver(queued.unwrap())));
+            assert!(std::panic::catch_unwind(step).is_err());
+            assert_eq!(caller.join().unwrap(), Ok(()));
+            inbox.release(inbox.lock(), &mut Some(state));
+        });
+        assert!(mesh
+            .inboxes
+            .iter()
+            .all(|inbox| inbox.lock().state.is_some()));
+        assert!(CLAIMS.with_borrow(VecDeque::is_empty));
+        run_queued(&mesh, 1);
+        assert_eq!(labels(&log), ["claimed"]);
+    }
+
+    /// A node's own thread that kept an answer wakes its caller before it
+    /// sleeps on a full inbox: the caller has its answer while the send is
+    /// still blocked, since only the caller's pop makes room for it.
+    #[test]
+    fn an_owner_wakes_whom_it_answered_before_it_sleeps_on_a_full_inbox() {
+        let cfg = MeshConfig {
+            capacity: 1,
+            send_deadline_ms: 60_000,
+        };
+        let (mesh, log) = probes_under(2, cfg);
+        // endpoint 1's state is out and its one place taken
+        let state_1 = mesh.inboxes[1].lock().state.take();
+        mesh.sender(1)(msg("first"));
+        let (reply, answered) = crossbeam::channel::bounded(1);
+        let m = Arc::clone(&mesh);
+        let run = move |_: &mut Probe| {
+            answer(reply, ());
+            m.hand(1, msg("second"), false).unwrap();
+        };
+        mesh.sender(0)(Msg("step", Box::new(run)));
+        thread::scope(|scope| {
+            let caller = scope.spawn(|| {
+                let answer = answered.recv_timeout(Duration::from_secs(2));
+                (answer, mesh.try_pop(1).map(|Msg(label, _)| label))
+            });
+            let inbox = &mesh.inboxes[0];
+            let state = inbox.lock().state.take().unwrap();
+            let (mut state, queued) = mesh.turn(0, state, Duration::ZERO);
+            mesh.step(|| state.deliver(queued.unwrap()));
+            inbox.release(inbox.lock(), &mut Some(state));
+            assert_eq!(caller.join().unwrap(), (Ok(()), Some("first")));
+        });
+        mesh.inboxes[1].lock().state = state_1;
+        run_queued(&mesh, 1);
+        assert_eq!(labels(&log), ["step", "second"]);
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //! client's thread, one after the other. Handing each call to the node's
 //! thread and its reply back costs two voluntary context switches per invoke
 //! (1.95–2.00 measured with every call handed over); handing node-to-node
-//! traffic to node threads costs 7.1–8.3 per move block. This file holds one
-//! test so that no other test's threads are counted with it.
+//! traffic to node threads costs 7.1–8.3 per move block. With two clients
+//! some calls find their node busy and queue for its thread, which wakes
+//! their callers only once the node is back in its slot: woken earlier, a
+//! caller preempts that thread, finds the node still out, queues again and
+//! feeds the same thread its next call. This file holds one test so that no
+//! other test's threads are counted with it.
 
 use oml_core::attach::AttachmentMode;
 use oml_core::ids::{NodeId, ObjectId};
@@ -78,6 +82,61 @@ fn switches_per_op(what: &str, ops: u64, max: f64, mut op: impl FnMut(u64)) {
     );
 }
 
+/// Context switches of either kind the node threads (`oml-node-N`) have
+/// made so far (`/proc/self/task/*/{comm,status}`): a voluntary one each
+/// time one waits for work, an involuntary one each time a thread it woke
+/// takes its CPU.
+fn node_thread_switches() -> u64 {
+    let count = |status: String| -> u64 {
+        let counts = status.lines().filter_map(|line| {
+            let n = line.strip_prefix("voluntary_ctxt_switches:");
+            n.or_else(|| line.strip_prefix("nonvoluntary_ctxt_switches:"))
+        });
+        counts.filter_map(|n| n.trim().parse::<u64>().ok()).sum()
+    };
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|task| {
+            let task = task.ok()?.path();
+            let comm = std::fs::read_to_string(task.join("comm")).ok()?;
+            let node = comm.starts_with("oml-node-");
+            node.then(|| std::fs::read_to_string(task.join("status")).ok().map(count))?
+        })
+        .sum()
+}
+
+/// Pins this process — every thread it has and every thread those start —
+/// to one CPU it may run on, with `taskset` as the benchmark does. On one
+/// CPU a woken caller runs only once the thread that woke it sleeps or is
+/// preempted, so what the node threads run is what queued behind them, not
+/// what two clients on two cores happen to collide on.
+fn pin_to_one_cpu() {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let allowed = status
+        .lines()
+        .find_map(|line| line.strip_prefix("Cpus_allowed_list:"))
+        .expect("Cpus_allowed_list");
+    let cpu: String = allowed
+        .trim()
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    let pid = std::process::id().to_string();
+    let taskset = std::process::Command::new("taskset")
+        .args(["-a", "-c", "-p", &cpu, &pid])
+        .output()
+        .expect("run taskset (util-linux)");
+    let err = String::from_utf8_lossy(&taskset.stderr);
+    assert!(taskset.status.success(), "taskset: {err}");
+}
+
+/// A draw in `0..n` from `seed` (SplitMix64's finalizer).
+fn draw(seed: u64, n: u64) -> u64 {
+    let z = (seed ^ (seed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) % n
+}
+
 fn add(cluster: &Cluster, object: ObjectId) {
     let one = WireWriter::new().u64(1).finish();
     cluster.invoke(object, "add", &one).expect("invoke");
@@ -92,7 +151,12 @@ fn count(cluster: &Cluster, object: ObjectId) -> u64 {
 /// voluntary context switches each summed over the process; then 5 000
 /// sequential move blocks — a granted move that ships a closure of eight
 /// 1 KiB objects with a quorum refresh at replication 2, four `add`s, `end`
-/// — at most 0.5 each.
+/// — at most 0.5 each. Then two clients at once on one CPU, shaped like
+/// the benchmark's `mesh_move`: 2 × 10 000 move blocks on sixteen working
+/// sets, a root and a destination drawn per block, the node threads making
+/// at most 0.1 context switches per block, voluntary and involuntary
+/// together (0.01–0.03 here, beside two busy loops too; 0.5–1.5 while a
+/// node thread woke its callers before its state was back in its slot).
 ///
 /// Only an optimized build, the one the benchmark measures, is held to the
 /// bounds. The count also takes in each node thread's idle tick (every
@@ -158,6 +222,78 @@ fn a_sequential_invoke_or_move_block_wakes_no_thread() {
         }
         guard.end();
     });
+    let total: u64 = roots.iter().map(|&root| count(&cluster, root)).sum();
+    assert_eq!(total, adds);
+    cluster.shutdown();
+
+    // two clients on one CPU, sixteen working sets starting at node 2; a
+    // move the other client's block holds up is denied and its adds go remote
+    pin_to_one_cpu();
+    const CLIENTS: u64 = 2;
+    const BLOCKS: u64 = 10_000;
+    let cluster = Cluster::builder()
+        .nodes(NODES)
+        .policy(PolicyKind::TransientPlacement)
+        .attachment_mode(AttachmentMode::ATransitive)
+        .failure_detector(50, 4)
+        .replication(2)
+        .build();
+    cluster.register_type("counter", delinearize);
+    let work = cluster.create_alliance("work");
+    let create = || {
+        let object = cluster.create(NodeId::new(2), Box::new(Counter(0, vec![7; 1024])));
+        let object = object.expect("create");
+        cluster.join_alliance(work, object).expect("join");
+        object
+    };
+    let roots: Vec<ObjectId> = (0..16)
+        .map(|_| {
+            let root = create();
+            for _ in 1..8 {
+                cluster.attach(create(), root, Some(work)).expect("attach");
+            }
+            root
+        })
+        .collect();
+    // each client's blocks `first..first + blocks`; returns the adds made
+    let run = |first: u64, blocks: u64| -> u64 {
+        let (cluster, roots) = (&cluster, &roots);
+        std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|client| {
+                    scope.spawn(move || {
+                        for seed in (first..first + blocks).map(|i| i * CLIENTS + client) {
+                            let root = roots[draw(seed, roots.len() as u64) as usize];
+                            let to = NodeId::new(draw(!seed, NODES.into()) as u32);
+                            let guard = cluster.move_block_in(root, to, Some(work));
+                            let guard = guard.expect("move");
+                            for _ in 0..4 {
+                                add(cluster, root);
+                            }
+                            guard.end();
+                        }
+                        4 * blocks
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).sum()
+        })
+    };
+    let mut adds = run(0, BLOCKS / 10);
+    let before = node_thread_switches();
+    adds += run(BLOCKS / 10, BLOCKS);
+    let per_block = (node_thread_switches() - before) as f64 / (CLIENTS * BLOCKS) as f64;
+    let bound = if cfg!(debug_assertions) {
+        "not held in an unoptimized build".to_owned()
+    } else {
+        "at most 0.1".to_owned()
+    };
+    let what = "node-thread context switches per block of two clients";
+    println!("mesh wake-up guard: {per_block:.3} {what} ({bound})");
+    assert!(
+        cfg!(debug_assertions) || per_block <= 0.1,
+        "{per_block:.3} {what}: callers are woken while their node is out"
+    );
     let total: u64 = roots.iter().map(|&root| count(&cluster, root)).sum();
     assert_eq!(total, adds);
     cluster.shutdown();
