@@ -5,7 +5,11 @@
 //! event throughput per experiment, and writes `BENCH_02.json` at the
 //! invocation directory. The suite re-uses the *exact* configs, series and
 //! per-point seeds of the corresponding `figNN` experiment functions, so its
-//! numbers track the same work the figures do.
+//! numbers track the same work the figures do. Beside the sweeps it times
+//! the simulator's inner steps no other harness times ([`run_micro_rows`]):
+//! the closure query's lazy rebuild, the query at a stress size, and the
+//! event queue. It is the simulator's one benchmark harness; the threaded
+//! and multi-process runtime's is the separate `bench/` package.
 //!
 //! The recorded [`BASELINE`] values were measured on this suite immediately
 //! **before** the dense-arena/incremental-closure rework (commit `966c926`,
@@ -46,6 +50,9 @@ pub struct BenchExperiment {
 pub struct BenchReport {
     /// Per-experiment measurements, in suite order.
     pub experiments: Vec<BenchExperiment>,
+    /// Nanoseconds per operation of the simulator's inner steps, by row
+    /// name (see [`run_micro_rows`]).
+    pub micro: Vec<(String, f64)>,
 }
 
 /// Pre-rework reference numbers: `(name, wall_s, events)`, quick precision,
@@ -76,6 +83,81 @@ fn run_grid(configs: &[ScenarioConfig], series: &[Series], opts: &RunOptions) ->
         out.events
     });
     (start.elapsed().as_secs_f64(), outs.iter().sum())
+}
+
+/// Nanoseconds per call of `op`: the median of five batches, each sized
+/// to run at least 2 ms so the clock reads vanish in it.
+fn ns_per_op(mut op: impl FnMut()) -> f64 {
+    let mut batch = |iters: u64| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            op();
+        }
+        start.elapsed().as_nanos() as f64
+    };
+    let mut iters = 1u64;
+    while batch(iters) < 2e6 {
+        iters *= 2;
+    }
+    let mut per_op: Vec<f64> = (0..5).map(|_| batch(iters) / iters as f64).collect();
+    per_op.sort_by(f64::total_cmp);
+    per_op[2]
+}
+
+/// Pending events at a pop, averaged over every event of the suite's five
+/// sweeps: 5.9 (per sweep 3.0–10.4, p95 ≤ 24, max 26), counted by sampling
+/// `EventQueue::len` before each pop. A count, not a timing, so it is the
+/// same on every host; the `queue_churn` row is timed at this depth.
+const QUEUE_DEPTH: u64 = 6;
+
+/// The simulator's inner steps that no other harness times, each alone:
+/// the closure query a migration makes on a chain of `k` attached objects
+/// after a detach has forced the lazy rebuild (the incremental structure's
+/// worst case), and on a clean component at k = 512 (`bench/`'s
+/// `core.closure_ns_k8`/`core.closure_ns_k64` rows time the clean query at
+/// the smaller sizes); then one pop + push of the event queue at
+/// `QUEUE_DEPTH`. The figures' closures have at most 12 members (fig16's
+/// mean is 7.0, fig16x's 5.6), so k = 64 and k = 512 are stress sizes.
+#[must_use]
+pub fn run_micro_rows() -> Vec<(String, f64)> {
+    use oml_core::attach::{AttachmentGraph, AttachmentMode, ClosureScratch};
+    use oml_core::ids::ObjectId;
+    use oml_des::{EventQueue, SimRng, SimTime};
+
+    let mut rows = Vec::new();
+    for k in [8u32, 64, 512] {
+        let mut graph = AttachmentGraph::new(AttachmentMode::Unrestricted);
+        for i in 1..k {
+            let _ = graph.attach(ObjectId::new(i - 1), ObjectId::new(i), None);
+        }
+        let mut scratch = ClosureScratch::new();
+        let mid = ObjectId::new(k / 2);
+        let mut query = |graph: &mut AttachmentGraph| {
+            graph.migration_closure_into(mid, None, &mut scratch);
+            std::hint::black_box(scratch.members().len());
+        };
+        if k == 512 {
+            let steady = ns_per_op(|| query(&mut graph));
+            rows.push(("closure_steady_k512".to_owned(), steady));
+        }
+        let rebuild = ns_per_op(|| {
+            graph.detach(ObjectId::new(0), ObjectId::new(1));
+            let _ = graph.attach(ObjectId::new(0), ObjectId::new(1), None);
+            query(&mut graph);
+        });
+        rows.push((format!("closure_detach_rebuild_k{k}"), rebuild));
+    }
+    let mut queue = EventQueue::new();
+    let mut rng = SimRng::seed_from(5);
+    for i in 0..QUEUE_DEPTH {
+        queue.push(SimTime::new(i as f64), i);
+    }
+    let churn = ns_per_op(|| {
+        let ev = queue.pop().expect("the queue stays primed");
+        queue.push(ev.time + rng.unit(), ev.event);
+    });
+    rows.push((format!("queue_churn_{QUEUE_DEPTH}"), churn));
+    rows
 }
 
 /// Runs the fixed benchmark suite at the given precision and seed.
@@ -122,7 +204,10 @@ pub fn run_bench_suite(opts: &RunOptions) -> BenchReport {
             },
         });
     }
-    BenchReport { experiments }
+    BenchReport {
+        experiments,
+        micro: run_micro_rows(),
+    }
 }
 
 fn json_experiments(out: &mut String, rows: &[BenchExperiment]) {
@@ -203,6 +288,12 @@ pub fn render_bench_json(report: &BenchReport, opts: &RunOptions) -> String {
         let base = baseline.iter().find(|b| b.name == e.name);
         let speedup = base.map_or(f64::NAN, |b| b.wall_s / e.wall_s);
         let _ = writeln!(out, "    \"{}\": {:.2}{}", e.name, speedup, sep);
+    }
+    out.push_str("  },\n");
+    out.push_str("  \"micro_ns_per_op\": {\n");
+    for (i, (name, ns)) in report.micro.iter().enumerate() {
+        let sep = if i + 1 == report.micro.len() { "" } else { "," };
+        let _ = writeln!(out, "    \"{name}\": {ns:.1}{sep}");
     }
     out.push_str("  }\n");
     out.push_str("}\n");
@@ -397,6 +488,13 @@ mod tests {
         assert!(json.contains("\"bench_id\": \"BENCH_02\""));
         assert!(json.contains("\"fig16\""));
         assert!(json.contains("speedup_vs_baseline"));
+        assert_eq!(report.micro.len(), 5);
+        for (name, ns) in &report.micro {
+            assert!(
+                *ns > 0.0 && json.contains(&format!("\"{name}\": ")),
+                "{name}"
+            );
+        }
         // the actual precision and thread count are recorded, not assumed
         assert!(json.contains("\"precision\": \"custom(rp=0.2"));
         assert!(json.contains("\"threads\": 1,"));

@@ -830,6 +830,9 @@ fn run_bench(cli: &Cli) -> ExitCode {
             e.name, e.wall_s, e.events, e.events_per_sec
         );
     }
+    for (name, ns) in &report.micro {
+        println!("{name:<28} {ns:>10.1} ns/op");
+    }
     let json = render_bench_json(&report, &opts);
     let path = PathBuf::from("BENCH_02.json");
     match fs::write(&path, json) {

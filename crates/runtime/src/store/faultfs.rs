@@ -1,7 +1,7 @@
 //! `FaultFs` — a seeded, in-memory [`Storage`] that injects the storage
 //! faults real disks produce: torn appends, fsyncs that lie, bit rot and
-//! files missing on reopen. The storage-side sibling of the transport's
-//! `FaultProxy`.
+//! files missing on reopen. The storage-side sibling of the message-level
+//! [`crate::FaultPlan`].
 //!
 //! The crucial capability a real filesystem cannot offer a test is
 //! **deterministic power loss**: a SIGKILLed process keeps every completed

@@ -21,8 +21,8 @@
 //! All *real* filesystem IO is confined to [`fsio`] (enforced by the
 //! `store_io.rs` source-scan test); [`FaultFs`] is a purely in-memory
 //! [`fsio::Storage`] that injects torn writes, skipped fsyncs, bit flips
-//! and vanishing files — the storage-side sibling of the transport's
-//! `FaultProxy` — so the chaos tests can simulate power loss
+//! and vanishing files — the storage-side sibling of the message-level
+//! `FaultPlan` — so the chaos tests can simulate power loss
 //! deterministically (a real SIGKILL never loses completed `write`s: the
 //! page cache survives the process).
 

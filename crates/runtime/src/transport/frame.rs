@@ -12,8 +12,8 @@
 //! multiplication, 64 bytes per step, on a CPU that has PCLMULQDQ, and
 //! through lookup tables, sixteen bytes per step, on any other and for
 //! payloads under 64 bytes. Both give the same 32 bits.
-//! The decoder is **incremental**: feed it arbitrary chunks (a stalled
-//! proxy may deliver one byte at a time, a batch write may deliver ten
+//! The decoder is **incremental**: feed it arbitrary chunks (a slow
+//! peer may deliver one byte at a time, a batch write may deliver ten
 //! frames at once) and pop complete frames as they materialize. Truncation is
 //! therefore not an error — it is the steady state between reads — but
 //! *corruption* is terminal for the connection:

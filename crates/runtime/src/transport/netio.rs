@@ -305,7 +305,7 @@ pub fn connect_deadline(addr: &TransportAddr, deadline: Instant) -> io::Result<S
 /// Writes all of `buf`, giving up at `deadline`. Every attempt runs under a
 /// kernel send timeout no longer than the remaining budget (armed only when
 /// the one in place is longer, see `Stream::arm_write`), so a stalled peer
-/// (full socket buffer — e.g. the fault proxy's `Stall`) surfaces as
+/// (full socket buffer — a peer that stopped reading) surfaces as
 /// `TimedOut` instead of blocking the writing thread forever. Takes the
 /// stream shared: the write half of a session is written by whichever
 /// sender holds the link's `writing` flag, one at a time.

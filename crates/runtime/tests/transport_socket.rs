@@ -1,6 +1,6 @@
 //! Socket-transport integration tests: real TCP/Unix sockets, real
-//! threads, the chaos proxy between them. Covers the satellite
-//! requirements: reconnect after induced connection loss (with the
+//! threads, a severable proxy between them. Covers reconnect after
+//! induced connection loss (with the
 //! at-least-once redelivery of frames queued across the gap), the
 //! stale-incarnation handshake refusal (fenced zombie — refused, traced,
 //! terminal on the peer), and backpressure on the bounded outbound queue.
@@ -11,7 +11,7 @@
 //! through `recv_timeout`.
 
 use bytes::Bytes;
-use oml_runtime::transport::chaos_proxy::{FaultProxy, ProxyPlan};
+use oml_runtime::transport::chaos_proxy::FaultProxy;
 use oml_runtime::transport::socket::{SocketConfig, SocketPeer, SocketServer};
 use oml_runtime::transport::{LinkHealth, Transport, TransportError, TransportEvent};
 use oml_runtime::TransportAddr;
@@ -70,8 +70,8 @@ fn round_trip_over_tcp() {
 #[test]
 fn reconnects_through_a_severed_proxy_and_redelivers() {
     let server = SocketServer::bind(&tcp0(), 1, fast_cfg()).unwrap();
-    // fault-free proxy: we induce the outage explicitly with sever_all
-    let proxy = FaultProxy::start(&tcp0(), server.addr().clone(), ProxyPlan::seeded(1)).unwrap();
+    // the proxy forwards everything: we induce the outage with sever_all
+    let proxy = FaultProxy::start(&tcp0(), server.addr().clone()).unwrap();
     let peer = SocketPeer::connect(proxy.addr().clone(), 0, 1, fast_cfg());
     assert!(peer.wait_connected(Duration::from_secs(5)));
 
@@ -146,7 +146,7 @@ fn next_link_event<T: Transport<Bytes>>(endpoint: &T) -> TransportEvent<Bytes> {
 #[test]
 fn frames_queued_across_an_outage_lead_the_next_session_in_order() {
     let server = SocketServer::bind(&tcp0(), 1, fast_cfg()).unwrap();
-    let proxy = FaultProxy::start(&tcp0(), server.addr().clone(), ProxyPlan::seeded(2)).unwrap();
+    let proxy = FaultProxy::start(&tcp0(), server.addr().clone()).unwrap();
     let peer = SocketPeer::connect(proxy.addr().clone(), 0, 1, fast_cfg());
     assert!(matches!(
         next_link_event(&peer),
@@ -186,7 +186,7 @@ fn frames_queued_across_an_outage_lead_the_next_session_in_order() {
 #[test]
 fn default_endpoints_report_every_link_event_through_recv_timeout() {
     let server = SocketServer::bind(&tcp0(), 1, fast_cfg()).unwrap();
-    let proxy = FaultProxy::start(&tcp0(), server.addr().clone(), ProxyPlan::seeded(3)).unwrap();
+    let proxy = FaultProxy::start(&tcp0(), server.addr().clone()).unwrap();
     let peer = SocketPeer::connect(proxy.addr().clone(), 0, 4, fast_cfg());
 
     assert!(matches!(

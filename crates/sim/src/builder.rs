@@ -319,7 +319,6 @@ impl SimulationBuilder {
         }
         let id = ClientId::new(self.clients.len() as u32);
         self.clients.push(ClientState {
-            id,
             node,
             servers,
             params,

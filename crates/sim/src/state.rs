@@ -162,8 +162,6 @@ pub enum BlockFlavor {
 /// Dynamic state of one client.
 #[derive(Debug)]
 pub struct ClientState {
-    /// The client's identity.
-    pub id: ClientId,
     /// The node the client is pinned to (clients are sedentary, §4.1).
     pub node: NodeId,
     /// First-layer servers this client uses (one is picked per block).
@@ -179,8 +177,6 @@ pub struct ClientState {
 /// Dynamic state of one move-block.
 #[derive(Debug)]
 pub struct BlockState {
-    /// The block's identity.
-    pub id: BlockId,
     /// The issuing client.
     pub client: ClientId,
     /// The client's node.
@@ -212,15 +208,8 @@ pub struct BlockState {
 impl BlockState {
     /// Creates a pending block.
     #[must_use]
-    pub fn new(
-        id: BlockId,
-        client: ClientId,
-        client_node: NodeId,
-        target: ObjectId,
-        n_calls: u64,
-    ) -> Self {
+    pub fn new(client: ClientId, client_node: NodeId, target: ObjectId, n_calls: u64) -> Self {
         BlockState {
-            id,
             client,
             client_node,
             target,
@@ -269,8 +258,6 @@ pub struct MigrationState {
     /// The block whose granted move caused this migration (`None` for
     /// policy-initiated reinstantiation).
     pub block: Option<BlockId>,
-    /// Total migration cost (`Σ M · size_factor`).
-    pub cost: f64,
 }
 
 #[cfg(test)]
@@ -309,13 +296,7 @@ mod tests {
 
     #[test]
     fn block_state_initialization() {
-        let b = BlockState::new(
-            BlockId::new(1),
-            ClientId::new(2),
-            NodeId::new(3),
-            ObjectId::new(4),
-            7,
-        );
+        let b = BlockState::new(ClientId::new(2), NodeId::new(3), ObjectId::new(4), 7);
         assert_eq!(b.n_calls, 7);
         assert_eq!(b.calls_done, 0);
         assert!(b.granted.is_none());

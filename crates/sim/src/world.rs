@@ -143,7 +143,7 @@ impl World {
         };
         let block_id = BlockId::new(self.next_block);
         self.next_block += 1;
-        let mut block = BlockState::new(block_id, client_id, node, target, n_calls);
+        let mut block = BlockState::new(client_id, node, target, n_calls);
 
         self.record_trace(
             now,
@@ -408,7 +408,6 @@ impl World {
                 movers,
                 to,
                 block: install_block,
-                cost: transfer_load,
             },
         );
         sched.schedule_in(land_delay, Event::MigrationLand { migration: mid });
