@@ -142,7 +142,7 @@ impl<E> EventQueue<E> {
 
     /// Returns the activation time of the earliest pending event.
     #[must_use]
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.heap
             .peek()
             .map(|Reverse((key, _))| SimTime::new(f64::from_bits((key >> 64) as u64)))

@@ -1,12 +1,14 @@
-//! The cluster facade: public API over the node workers.
+//! The cluster facade: public API over the nodes, and the timer thread
+//! that runs their ticks and delayed deliveries.
 
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::transport::channel::{ChannelMesh, MeshConfig};
+use crate::transport::channel::{self, ChannelMesh, Handler, MeshConfig};
 use crate::transport::{Transport, TransportError};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
@@ -17,6 +19,7 @@ use oml_core::error::AttachError;
 use oml_core::ids::{AllianceId, BlockId, NodeId, ObjectId};
 use oml_core::object::Mobility;
 use oml_core::policy::{MovePolicy, PolicyKind};
+use oml_des::{EventQueue, SimTime};
 
 use crate::error::RuntimeError;
 use crate::fault::{self, Delivery, FaultInjector, FaultPlan};
@@ -113,26 +116,49 @@ pub struct CheckpointHealth {
     pub quorum: Option<(u64, u64)>,
 }
 
-/// The cluster's notion of lease time: wall-clock milliseconds since build,
-/// or a hand-advanced counter for deterministic tests.
-pub(crate) enum RuntimeClock {
-    Wall(Instant),
-    Manual(AtomicU64),
-}
-
-/// One object stranded by a crashed worker: its host node, identity, live
+/// One object stranded by a crashed node: its host node, identity, live
 /// instance and object epoch at stash time, parked until that node restarts.
 /// A restart only reclaims entries whose epoch is still current — an object
 /// reinstantiated elsewhere while the node was down stays where it is.
 pub(crate) type StashedObject = (NodeId, ObjectId, Box<dyn MobileObject>, u64);
 
-/// State shared by every node worker and the cluster facade.
+/// What the timer runs when its instant comes.
+enum Due {
+    /// A node's maintenance tick.
+    Tick(u32),
+    /// A failure-detector sweep (wall clock only).
+    Sweep,
+    /// A delayed delivery.
+    Deliver(u32, Envelope),
+}
+
+/// The cluster's one deadline heap — node ticks, detector sweeps and delayed
+/// deliveries, keyed by wall-clock milliseconds since the cluster was built
+/// (in both clock modes), ties in insertion order — and the `oml-timer`
+/// thread that serves it: `None` before it starts and once shutdown
+/// stopped it.
+#[derive(Default)]
+struct Timer {
+    due: EventQueue<Due>,
+    thread: Option<JoinHandle<()>>,
+}
+
+/// The first instant after `now` on the grid of `period`: ticks of every
+/// node with the same period fall due together and fire in one wake-up.
+fn next_on_grid(now: f64, period: Duration) -> f64 {
+    let period = period.as_millis().max(1) as f64;
+    ((now / period).floor() + 1.0) * period
+}
+
+/// State shared by every node and the cluster facade.
 pub(crate) struct Shared {
     /// The in-process transport: bounded per-node inboxes behind the
     /// [`Transport`] seam, each with a slot for its node's state. The mesh
-    /// (not the worker) owns each queue, so queued messages survive a
-    /// worker crash and are drained by the restarted incarnation.
+    /// owns each queue, so queued messages survive a crash and are drained
+    /// by the restarted incarnation.
     pub(crate) mesh: ChannelMesh<Envelope, NodeWorker>,
+    timer: OrderedMutex<Timer>,
+    born: Instant,
     directory: OrderedRwLock<HashMap<ObjectId, NodeId>>,
     mobility: OrderedRwLock<HashMap<ObjectId, Mobility>>,
     pub(crate) policy: OrderedMutex<Box<dyn MovePolicy>>,
@@ -141,15 +167,18 @@ pub(crate) struct Shared {
     pub(crate) registry: TypeRegistry,
     pub(crate) counters: Counters,
     pub(crate) injector: FaultInjector,
-    /// The scheduling seam: decides message hand-off timing and worker
+    /// The scheduling seam: decides message hand-off timing and node
     /// ticks. [`FreeRun`] unless a test harness installed a custom source.
     pub(crate) schedule: Arc<dyn ScheduleSource>,
-    /// Objects stranded by a crashed worker, waiting for its restart.
+    /// Objects stranded by a crashed node, waiting for its restart.
     pub(crate) stash: OrderedMutex<Vec<StashedObject>>,
     /// The crash-recovery subsystem; `None` unless a failure detector was
     /// configured, in which case the runtime behaves exactly as before.
     pub(crate) recovery: Option<RecoveryState>,
-    pub(crate) clock: RuntimeClock,
+    /// The lease clock when hand-advanced for deterministic tests
+    /// ([`ClusterBuilder::manual_clock`]); else wall-clock milliseconds
+    /// since `born`, the timer's clock in both modes.
+    manual_clock: Option<AtomicU64>,
     /// Protocol trace collection (disabled unless built with
     /// [`ClusterBuilder::trace`]).
     pub(crate) trace: TraceCollector,
@@ -163,8 +192,8 @@ pub(crate) struct Shared {
     /// Shutdown has been initiated: new client operations are refused, but
     /// sends still flow so queued end-requests can be flushed.
     closing: AtomicBool,
-    /// Workers have been joined: sends now fail with `ShuttingDown` instead
-    /// of silently queueing into dead channels.
+    /// The nodes have been shut down: sends now fail with `ShuttingDown`
+    /// instead of silently queueing where nothing runs them.
     down: AtomicBool,
 }
 
@@ -182,7 +211,7 @@ impl Shared {
     ///
     /// A faithfully *lost* message still returns `Ok` (the sender cannot
     /// observe a drop — that is what deadlines are for); `Err(ShuttingDown)`
-    /// means the cluster's workers are gone and the message can never be
+    /// means the cluster's nodes are gone and the message can never be
     /// processed.
     pub(crate) fn send_from(
         &self,
@@ -242,15 +271,15 @@ impl Shared {
                 };
                 let msgs = self.envelopes(from_raw, epoch, to, msg, copies);
                 if delay_ms > 0 {
-                    // deliver later from a detached thread; a message landing
-                    // after shutdown sits in a queue nobody reads — harmless
-                    let tx = self.mesh.sender(to.as_u32());
-                    std::thread::spawn(move || {
-                        std::thread::sleep(Duration::from_millis(delay_ms));
-                        for m in msgs {
-                            tx(m);
+                    // the timer delivers it; once shutdown stopped the timer,
+                    // the shutdown rule answers it now
+                    let at = self.timer_ms() + delay_ms as f64;
+                    for m in msgs {
+                        let due = Due::Deliver(to.as_u32(), m);
+                        if let Err(Due::Deliver(_, m)) = self.at(at, due) {
+                            let _ = self.mesh.hand(to.as_u32(), m, true);
                         }
-                    });
+                    }
                 } else {
                     // a client call waits for room as long as it takes
                     for m in msgs {
@@ -259,6 +288,68 @@ impl Shared {
                 }
                 Ok(())
             }
+        }
+    }
+
+    /// Milliseconds on the timer's clock.
+    fn timer_ms(&self) -> f64 {
+        self.born.elapsed().as_secs_f64() * 1e3
+    }
+
+    /// Schedules `due` at `ms` on the timer, waking it if that is its
+    /// earliest entry; hands `due` back once the timer has stopped.
+    fn at(&self, ms: f64, due: Due) -> Result<(), Due> {
+        let mut timer = self.timer.lock();
+        let Some(thread) = timer.thread.as_ref().map(|t| t.thread().clone()) else {
+            return Err(due);
+        };
+        if timer.due.peek_time().is_none_or(|t| ms < t.as_f64()) {
+            thread.unpark();
+        }
+        timer.due.push(SimTime::new(ms), due);
+        Ok(())
+    }
+
+    /// Serves the heap on this thread until shutdown stops it: runs each
+    /// entry once its instant has come, and sleeps until the earliest one.
+    /// A panic in what an entry runs ends that entry, not the timer.
+    fn serve_timer(&self) {
+        channel::serve_as_timer();
+        loop {
+            let mut timer = self.timer.lock();
+            let next = timer.due.peek_time().map(|t| t.as_f64() - self.timer_ms());
+            if timer.thread.is_none() {
+                return;
+            } else if next.is_some_and(|wait| wait <= 0.0) {
+                let due = timer.due.pop().expect("peeked").event;
+                drop(timer);
+                let _ = std::panic::catch_unwind(AssertUnwindSafe(|| self.run_due(due)));
+            } else {
+                drop(timer);
+                let wait = next.map_or(Duration::MAX, |ms| Duration::from_secs_f64(ms / 1e3));
+                std::thread::park_timeout(wait);
+            }
+        }
+    }
+
+    /// Runs one heap entry; a tick or a sweep first re-arms itself on its
+    /// grid.
+    fn run_due(&self, due: Due) {
+        let now = self.timer_ms();
+        match due {
+            Due::Tick(node) => {
+                let _ = self.at(
+                    next_on_grid(now, self.schedule.tick(NodeId::new(node))),
+                    due,
+                );
+                self.mesh.tick(node);
+            }
+            Due::Sweep => {
+                let heartbeat = self.recovery.as_ref().map_or(1, |r| r.config.heartbeat_ms);
+                let _ = self.at(next_on_grid(now, Duration::from_millis(heartbeat)), due);
+                self.detector_sweep();
+            }
+            Due::Deliver(node, env) => drop(self.mesh.hand(node, env, true)),
         }
     }
 
@@ -284,23 +375,18 @@ impl Shared {
     /// message passes through twice and gets two ids — two physical copies,
     /// two sends, exactly what the happens-before construction expects.
     fn trace_envelope(&self, from: u32, epoch: u64, to: NodeId, msg: Message) -> Envelope {
-        if !self.trace.is_enabled() {
-            let mut env = Envelope::untraced(msg);
-            env.from = from;
-            env.epoch = epoch;
-            return env;
-        }
-        let msg_id = self.trace.next_msg_id();
-        self.trace.emit(
-            from,
-            EventKind::Send {
-                msg_id,
+        let trace_id = self.trace.next_msg_id();
+        if trace_id != 0 {
+            let desc = format!("{msg:?}");
+            let send = EventKind::Send {
+                msg_id: trace_id,
                 to: to.as_u32(),
-                desc: format!("{msg:?}"),
-            },
-        );
+                desc,
+            };
+            self.trace.emit(from, send);
+        }
         Envelope {
-            trace_id: msg_id,
+            trace_id,
             from,
             epoch,
             msg,
@@ -341,9 +427,9 @@ impl Shared {
 
     /// Milliseconds on the cluster's lease clock.
     pub(crate) fn now_ms(&self) -> u64 {
-        match &self.clock {
-            RuntimeClock::Wall(epoch) => epoch.elapsed().as_millis() as u64,
-            RuntimeClock::Manual(t) => t.load(Ordering::Relaxed),
+        match &self.manual_clock {
+            Some(t) => t.load(Ordering::Relaxed),
+            None => self.born.elapsed().as_millis() as u64,
         }
     }
 
@@ -366,7 +452,7 @@ impl Shared {
 
     // ---- crash-recovery plumbing (all no-ops without a detector) ----
 
-    /// Whether the crash-recovery subsystem is active at all — workers use
+    /// Whether the crash-recovery subsystem is active at all — nodes use
     /// this to skip checkpoint linearization entirely when it is not.
     pub(crate) fn detector_enabled(&self) -> bool {
         self.recovery.is_some()
@@ -696,7 +782,7 @@ impl Shared {
         }
     }
 
-    /// Marks the node's worker as gone (crash stash path).
+    /// Marks the node's state as gone (crash stash path).
     pub(crate) fn mark_crashed(&self, node: NodeId) {
         if let Some(rec) = &self.recovery {
             rec.mark_crashed(node.index());
@@ -705,7 +791,7 @@ impl Shared {
 
     /// Re-admits a restarting node under a fresh incarnation: marks it
     /// alive and healthy and gives an open breaker a probe slot. Returns the
-    /// new incarnation the respawned worker must stamp its messages with.
+    /// new incarnation the respawned state must stamp its messages with.
     pub(crate) fn rejoin(&self, node: NodeId) -> u64 {
         let Some(rec) = &self.recovery else {
             return 1;
@@ -721,7 +807,7 @@ impl Shared {
     }
 
     /// Refreshes every live node's heartbeat to the current clock — called
-    /// when the manual clock jumps, standing in for the beats the workers
+    /// when the manual clock jumps, standing in for the beats the nodes
     /// would have produced continuously across the (instantaneous) jump.
     pub(crate) fn refresh_beats(&self) {
         if let Some(rec) = &self.recovery {
@@ -731,7 +817,7 @@ impl Shared {
 
     /// One failure-detector sweep: suspects silent or partitioned nodes,
     /// clears suspicions (and half-opens breakers) when beats resume, and
-    /// declares dead the nodes whose workers are actually gone.
+    /// declares dead the nodes whose states are actually gone.
     pub(crate) fn detector_sweep(&self) {
         let Some(rec) = &self.recovery else {
             return;
@@ -746,7 +832,7 @@ impl Shared {
             let missed = now.saturating_sub(rec.last_beat(i)) > window;
             let isolated = self.injector.is_isolated(i as u32);
             if missed && !rec.is_alive(i) {
-                // silent *and* its worker is gone: this is a real death
+                // silent *and* its state is gone: this is a real death
                 self.declare_dead(node);
                 continue;
             }
@@ -1154,7 +1240,7 @@ pub struct ClusterBuilder {
 }
 
 impl ClusterBuilder {
-    /// Number of nodes (worker threads). Defaults to 2.
+    /// Number of nodes. Defaults to 2.
     #[must_use]
     pub fn nodes(mut self, n: u32) -> Self {
         assert!(n > 0, "a cluster needs at least one node");
@@ -1247,7 +1333,7 @@ impl ClusterBuilder {
     /// [`RuntimeError::NodeDown`]). Without this call the runtime behaves
     /// exactly as before.
     ///
-    /// Under a wall clock a monitor thread sweeps the detector every
+    /// Under a wall clock the cluster's timer sweeps the detector every
     /// `heartbeat_ms`; under [`ClusterBuilder::manual_clock`] call
     /// [`Cluster::detector_sweep`] after advancing the clock.
     ///
@@ -1308,7 +1394,7 @@ impl ClusterBuilder {
     }
 
     /// Installs a custom [`ScheduleSource`]: every surviving control-message
-    /// hand-off and every worker idle tick is decided by it instead of the
+    /// hand-off and every node tick is decided by it instead of the
     /// free-running default. This is the seam a deterministic scheduler (or
     /// a schedule-perturbing test harness) plugs into — see
     /// [`crate::schedule`].
@@ -1330,7 +1416,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Spawns the node threads and returns the running cluster.
+    /// Starts the cluster's timer thread and returns the running cluster.
     #[must_use]
     pub fn build(self) -> Cluster {
         let mesh = ChannelMesh::owned(self.nodes, MeshConfig::default());
@@ -1379,6 +1465,8 @@ impl ClusterBuilder {
         });
         let shared = Arc::new(Shared {
             mesh,
+            timer: OrderedMutex::new("shared.timer", Timer::default()),
+            born: Instant::now(),
             directory: OrderedRwLock::new("shared.directory", HashMap::new()),
             mobility: OrderedRwLock::new("shared.mobility", HashMap::new()),
             policy: OrderedMutex::new("shared.policy", policy),
@@ -1393,11 +1481,7 @@ impl ClusterBuilder {
             schedule: self.schedule,
             stash: OrderedMutex::new("shared.stash", Vec::new()),
             recovery,
-            clock: if self.manual_clock {
-                RuntimeClock::Manual(AtomicU64::new(0))
-            } else {
-                RuntimeClock::Wall(Instant::now())
-            },
+            manual_clock: self.manual_clock.then(|| AtomicU64::new(0)),
             trace: TraceCollector::new(self.trace),
             call_timeout: self.call_timeout,
             invoke_retries: self.invoke_retries,
@@ -1431,60 +1515,36 @@ impl ClusterBuilder {
                 );
             }
         }
-        let handles = (0..self.nodes as usize)
-            .map(|i| Some(spawn_worker(&shared, NodeId::new(i as u32), 1)))
-            .collect();
-        // under a wall clock the detector needs someone to sweep it; under a
-        // manual clock tests drive Cluster::detector_sweep themselves
-        let monitor = match (&shared.recovery, self.manual_clock) {
-            (Some(rec), false) => {
-                let hb = rec.config.heartbeat_ms;
-                let monitor_shared = Arc::clone(&shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name("oml-monitor".to_owned())
-                        .spawn(move || {
-                            // short steps so shutdown is prompt even with
-                            // long heartbeat intervals
-                            let step = Duration::from_millis(hb.clamp(1, 10));
-                            let mut last_sweep = 0u64;
-                            while !monitor_shared.is_closing() {
-                                std::thread::sleep(step);
-                                let now = monitor_shared.now_ms();
-                                if now.saturating_sub(last_sweep) >= hb {
-                                    last_sweep = now;
-                                    monitor_shared.detector_sweep();
-                                }
-                            }
-                        })
-                        .expect("spawn detector monitor"),
-                )
-            }
-            _ => None,
-        };
-        Cluster {
-            shared,
-            handles: OrderedMutex::new("cluster.handles", handles),
-            monitor: OrderedMutex::new("cluster.monitor", monitor),
+        for i in 0..self.nodes {
+            let node = NodeWorker::new(NodeId::new(i), Arc::clone(&shared), 1);
+            shared.mesh.put(i, Some(Box::new(node)));
         }
+        // one timer serves every node's tick, and under a wall clock the
+        // detector's sweeps; under a manual clock tests drive
+        // Cluster::detector_sweep themselves.
+        let mut timer = shared.timer.lock();
+        for i in 0..self.nodes {
+            let first = next_on_grid(0.0, shared.schedule.tick(NodeId::new(i)));
+            timer.due.push(SimTime::new(first), Due::Tick(i));
+        }
+        if shared.recovery.is_some() && !self.manual_clock {
+            timer.due.push(SimTime::ZERO, Due::Sweep);
+        }
+        // the thread's first look at the heap waits for this guard
+        let serving = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
+            .name("oml-timer".to_owned())
+            .spawn(move || serving.serve_timer())
+            .expect("spawn the cluster's timer");
+        timer.thread = Some(thread);
+        drop(timer);
+        Cluster { shared }
     }
-}
-
-fn spawn_worker(shared: &Arc<Shared>, id: NodeId, epoch: u64) -> JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(format!("oml-node-{}", id.index()))
-        .spawn(move || Box::new(NodeWorker::new(id, shared, epoch)).run())
-        .expect("spawn node worker")
 }
 
 /// A running multi-node object system.
 pub struct Cluster {
     shared: Arc<Shared>,
-    /// One slot per node; `None` while that node is crashed.
-    handles: OrderedMutex<Vec<Option<JoinHandle<()>>>>,
-    /// The failure-detector sweep thread (wall-clock detectors only).
-    monitor: OrderedMutex<Option<JoinHandle<()>>>,
 }
 
 impl Cluster {
@@ -1631,7 +1691,7 @@ impl Cluster {
                     return Ok(res?.to_vec());
                 }
                 Err(_) => {
-                    // Timeout, or the worker crashed holding our reply
+                    // Timeout, or the node crashed holding our reply
                     // channel — both mean "no answer within the deadline"
                     self.shared.settle_call(node, false);
                     waited_ms += timeout.as_millis() as u64;
@@ -1998,11 +2058,12 @@ impl Cluster {
         self.shared.alliances.lock().join(alliance, object)
     }
 
-    /// Crashes `node`: its worker stashes the hosted objects (they survive
-    /// the "machine", like disk state) and exits without draining its
-    /// queue. Messages keep queueing for the node and are processed after
-    /// [`Cluster::restart_node`]; until then, calls against its objects
-    /// time out. Idempotent — crashing a crashed node is a no-op.
+    /// Crashes `node`: once whoever runs it puts its state back, the state
+    /// is taken out of its slot, stashes the hosted objects (they survive
+    /// the "machine", like disk state) and is gone. Messages keep queueing
+    /// for the node and are processed after [`Cluster::restart_node`];
+    /// until then, calls against its objects time out. Idempotent —
+    /// crashing a crashed node is a no-op.
     ///
     /// Placement locks on the stashed objects were *volatile* state of the
     /// dead host: the blocks holding them ran there and their end-requests
@@ -2014,36 +2075,23 @@ impl Cluster {
     /// [`RuntimeError::UnknownNode`] for an out-of-range node.
     pub fn crash_node(&self, node: NodeId) -> Result<(), RuntimeError> {
         self.check_node(node)?;
-        let handle = self.handles.lock()[node.index()].take();
-        let Some(handle) = handle else {
+        let (mesh, at) = (&self.shared.mesh, node.as_u32());
+        let stranded = mesh.take(at).map(|mut state| state.stash_for_crash());
+        mesh.put(at, None);
+        let Some(stranded) = stranded else {
             return Ok(());
         };
-        // the crash command bypasses the injector: it is scripted, not a
-        // message fault
-        // raw (deadline-free) sender: the scripted crash command must reach
-        // the worker even through a full inbox
-        self.shared.mesh.sender(node.as_u32())(Envelope::untraced(Message::Crash));
-        let _ = handle.join();
         self.shared.injector.note(format!("crash {node}"));
         self.shared
             .trace
             .emit(CLIENT_PROCESS, EventKind::Crash { node });
-        // the worker has stashed its objects (join() ordered that before
-        // this read); release the locks their dead blocks held
-        let stranded: Vec<ObjectId> = {
-            let stash = self.shared.stash.lock();
-            stash
-                .iter()
-                .filter(|(home, _, _, _)| *home == node)
-                .map(|(_, object, _, _)| *object)
-                .collect()
-        };
+        // release the locks the stashed objects' dead blocks held
         self.shared.release_stranded(&stranded);
         Ok(())
     }
 
-    /// Restarts a crashed node: a fresh worker resumes on the node's
-    /// (still-queued) channel and reclaims the stashed objects.
+    /// Restarts a crashed node: a fresh state takes its slot, reclaims the
+    /// stashed objects and runs what queued meanwhile.
     ///
     /// With a failure detector the node rejoins under a **fresh
     /// incarnation**: its old epoch stays fenced, and reclamation skips any
@@ -2052,15 +2100,14 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::UnknownNode`] for an out-of-range node;
-    /// [`RuntimeError::NotDead`] if the node's worker is still running —
-    /// restarting a live node would bump its incarnation out from under the
-    /// live worker and re-seed its health inconsistently, so only crashed
-    /// (or fenced-zombie-exited) nodes can be restarted. `NotDead` is also
-    /// returned transiently while a fenced zombie is still winding down;
-    /// retry after it exits.
+    /// [`RuntimeError::UnknownNode`] for an out-of-range node,
+    /// [`RuntimeError::ShuttingDown`] once the cluster is stopping, and
+    /// [`RuntimeError::NotDead`] while the node's current incarnation is
+    /// running — restarting a live node would bump its incarnation out from
+    /// under it and re-seed its health inconsistently, so only crashed
+    /// nodes, or ones a zombie's stale state occupies, can be restarted.
     pub fn restart_node(&self, node: NodeId) -> Result<(), RuntimeError> {
-        if self.reap_and_respawn(node, "restart", || self.shared.rejoin(node))? {
+        if self.respawn(node, "restart", || self.shared.rejoin(node))? {
             Ok(())
         } else {
             Err(RuntimeError::NotDead(node))
@@ -2068,61 +2115,65 @@ impl Cluster {
     }
 
     /// The shared tail of [`Cluster::restart_node`] and
-    /// [`Cluster::zombie_restart_node`]: reaps `node`'s exited worker, if
-    /// any, and spawns a fresh one under the incarnation `epoch` picks.
-    /// `Ok(false)`, with nothing touched, while a worker is still running.
-    /// The handle table stays locked throughout: reap-check, rejoin and
-    /// respawn must be atomic against a concurrent restart.
-    fn reap_and_respawn(
+    /// [`Cluster::zombie_restart_node`]: a new state of `node`, under the
+    /// incarnation `epoch` picks, reclaims the stash and takes the slot a
+    /// crash left empty or a stale state occupies (`ChannelMesh::put`).
+    /// `Ok(false)`, with nothing touched, while a current state occupies it.
+    /// Holding the slot makes check and swap atomic against a concurrent
+    /// restart or crash.
+    fn respawn(
         &self,
         node: NodeId,
         label: &str,
         epoch: impl FnOnce() -> u64,
     ) -> Result<bool, RuntimeError> {
         self.check_node(node)?;
-        let mut handles = self.handles.lock();
-        if let Some(handle) = handles[node.index()].take() {
-            if !handle.is_finished() {
-                handles[node.index()] = Some(handle);
-                return Ok(false);
-            }
-            // a fenced zombie exited on its own; reap it
-            let _ = handle.join();
+        self.check_live()?;
+        let (mesh, at) = (&self.shared.mesh, node.as_u32());
+        if let Some(held) = mesh.take(at).filter(|state| state.is_current()) {
+            mesh.put(at, Some(held));
+            return Ok(false);
         }
         self.shared.injector.note(format!("{label} {node}"));
         self.shared
             .trace
             .emit(CLIENT_PROCESS, EventKind::Restart { node });
-        handles[node.index()] = Some(spawn_worker(&self.shared, node, epoch()));
+        let mut state = Box::new(NodeWorker::new(node, Arc::clone(&self.shared), epoch()));
+        // a fenced one — a newer incarnation exists — touches nothing
+        if !state.is_fenced() {
+            state.reclaim_stash();
+        }
+        mesh.put(at, Some(state));
         Ok(true)
     }
 
     /// Fault-injection hook: restarts a crashed node under its **old**
     /// incarnation — a "zombie" that believes it still owns its stashed
-    /// objects. With fencing (the default) the zombie notices the newer
-    /// epoch and exits without reclaiming anything; under
-    /// [`Sabotage::Unfenced`] it double-installs state the cluster
-    /// already reinstantiated elsewhere — the corruption `oml-check`'s
-    /// stale-incarnation invariant flags. Idempotent on a running node.
+    /// objects. With fencing (the default) the zombie is fenced and dropped
+    /// without reclaiming anything; under [`Sabotage::Unfenced`] it
+    /// double-installs state the cluster already reinstantiated elsewhere —
+    /// the corruption `oml-check`'s stale-incarnation invariant flags — and
+    /// only the timer runs its messages. Idempotent on a running node.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::UnknownNode`] for an out-of-range node.
+    /// [`RuntimeError::UnknownNode`] for an out-of-range node,
+    /// [`RuntimeError::ShuttingDown`] once the cluster is stopping.
     pub fn zombie_restart_node(&self, node: NodeId) -> Result<(), RuntimeError> {
         // the incarnation it crashed with: one before the current fence
         let stale_epoch = || {
             let current = self.shared.incarnation(node.as_u32());
             current.saturating_sub(1).max(1)
         };
-        self.reap_and_respawn(node, "zombie-restart", stale_epoch)
+        self.respawn(node, "zombie-restart", stale_epoch)
             .map(|_| ())
     }
 
     /// Runs one failure-detector sweep at the current clock: suspects
     /// silent or partitioned nodes, clears suspicions whose beats resumed,
     /// and declares dead (reinstantiating their objects) the silent nodes
-    /// whose workers are actually gone. Under a wall clock the monitor
-    /// thread calls this every heartbeat; manual-clock tests call it
+    /// whose states are actually gone. Under a wall clock the cluster's
+    /// timer calls this every heartbeat; manual-clock tests call it
     /// directly after [`Cluster::advance_clock`]. A no-op without a
     /// detector.
     pub fn detector_sweep(&self) {
@@ -2217,41 +2268,51 @@ impl Cluster {
     /// Panics unless the cluster was built with
     /// [`ClusterBuilder::manual_clock`].
     pub fn advance_clock(&self, ms: u64) {
-        match &self.shared.clock {
-            RuntimeClock::Manual(t) => {
-                t.fetch_add(ms, Ordering::Relaxed);
-                // the jump is instantaneous for the workers: credit every
-                // live node with the beats it would have produced across it
-                // (a crashed node's silence is exactly what must remain)
-                self.shared.refresh_beats();
-            }
-            RuntimeClock::Wall(_) => {
-                panic!("advance_clock requires ClusterBuilder::manual_clock")
-            }
-        }
+        let Some(t) = &self.shared.manual_clock else {
+            panic!("advance_clock requires ClusterBuilder::manual_clock")
+        };
+        t.fetch_add(ms, Ordering::Relaxed);
+        // the jump is instantaneous for the nodes: credit every live node
+        // with the beats it would have produced across it (a crashed node's
+        // silence is exactly what must remain)
+        self.shared.refresh_beats();
     }
 
-    /// Stops all node threads and waits for them. Pending end-requests
-    /// already queued are flushed (workers drain their queues, answering
-    /// any still-waiting callers with [`RuntimeError::ShuttingDown`]); once
-    /// the workers are joined, further sends fail explicitly instead of
-    /// queueing into dead channels. Idempotent; also invoked by `Drop`.
+    /// Stops the cluster: new client operations are refused, the timer
+    /// stops, and each node's queue is drained under the shutdown rule —
+    /// pending end-requests, installs and replica writes are still applied,
+    /// and callers still waiting, delayed deliveries included, get
+    /// [`RuntimeError::ShuttingDown`]. Then the nodes' states are dropped,
+    /// and further sends fail explicitly instead of queueing where nothing
+    /// runs them. Idempotent; also invoked by `Drop`.
     pub fn shutdown(&self) {
-        if self.shared.closing.swap(true, Ordering::AcqRel) {
+        let shared = &self.shared;
+        if shared.closing.swap(true, Ordering::AcqRel) {
             return;
         }
-        // raw senders: Shutdown must be deliverable through full inboxes
-        for i in 0..self.shared.mesh.peers() {
-            self.shared.mesh.sender(i)(Envelope::untraced(Message::Shutdown));
+        let mut timer = std::mem::take(&mut *shared.timer.lock());
+        if let Some(thread) = timer.thread.take() {
+            thread.thread().unpark();
+            let _ = thread.join();
         }
-        for handle in self.handles.lock().iter_mut().filter_map(Option::take) {
-            let _ = handle.join();
+        // the delayed deliveries, in the order the timer would have made
+        // them: closing, each meets the shutdown rule at once
+        while let Some(due) = timer.due.pop() {
+            if let Due::Deliver(node, env) = due.event {
+                let _ = shared.mesh.hand(node, env, true);
+            }
         }
-        if let Some(monitor) = self.monitor.lock().take() {
-            let _ = monitor.join();
+        for at in 0..shared.mesh.peers() {
+            // runs what queued, then drops the state: it holds the cluster
+            let state = shared.mesh.take(at);
+            shared.mesh.put(at, state);
+            if let Some(mut state) = shared.mesh.take(at) {
+                state.refuse_awaiting();
+            }
+            shared.mesh.put(at, None);
         }
-        self.shared.mesh.shutdown();
-        self.shared.down.store(true, Ordering::Release);
+        shared.mesh.shutdown();
+        shared.down.store(true, Ordering::Release);
     }
 
     fn check_node(&self, node: NodeId) -> Result<(), RuntimeError> {
@@ -2279,7 +2340,7 @@ impl Cluster {
         let timeout = self.shared.call_timeout;
         match rx.recv_timeout(timeout) {
             Ok(res) => Ok(res),
-            // A disconnect outside shutdown means the worker crashed while
+            // A disconnect outside shutdown means the node crashed while
             // holding our reply channel — same contract as a timeout.
             Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
                 self.shared
@@ -2347,7 +2408,7 @@ impl MoveGuard<'_> {
     }
 
     /// Ends the block, surfacing whether the end-request could be sent —
-    /// `Err(ShuttingDown)` when the cluster's workers are already gone (a
+    /// `Err(ShuttingDown)` when the cluster's nodes are already gone (a
     /// plain drop swallows that; under leases the lock still expires).
     ///
     /// # Errors
@@ -2405,7 +2466,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
 
-    /// One byte of state; `hold` reports that the worker is inside the call
+    /// One byte of state; `hold` reports that the node is inside the call
     /// and parks it there until the test lets go, `where` names the thread
     /// the call runs on.
     struct Cell(u8, Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>);
@@ -2487,8 +2548,8 @@ mod tests {
         assert_eq!(installed(&cluster.take_trace(), 1), vec![fresh]);
     }
 
-    /// What already sits behind `Shutdown` in a worker's queue is still
-    /// applied, list-carrying puts and installs included.
+    /// What queues behind a busy node once shutdown began is still applied,
+    /// list-carrying puts and installs included.
     #[test]
     fn shutdown_drains_queued_lists() {
         let cluster = cell_cluster();
@@ -2501,10 +2562,10 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| cluster.invoke(blocker, "hold", &[]));
             inside.recv().unwrap();
-            // the worker is parked: the sentinel stays queued, and so does
-            // what follows it
+            // the node's state is out with that call: shutdown waits for
+            // it, and what follows queues
             scope.spawn(|| cluster.shutdown());
-            while cluster.shared.mesh.queued(1) == 0 {
+            while cluster.shared.mesh.waiting(1) == 0 {
                 std::thread::yield_now();
             }
             let put = Message::CheckpointPut {
@@ -2534,12 +2595,12 @@ mod tests {
         assert_eq!(installed(&cluster.take_trace(), 1), vec![blocker, a, b]);
     }
 
-    /// A node thread's answers reach their callers before it exits: a call
-    /// it ran just before popping `Crash` has its reply, and one its
-    /// shutdown drain refuses has `ShuttingDown` — not a disconnect — once
-    /// the thread is joined.
+    /// A call that queued behind a busy node is answered before a crash or
+    /// a shutdown waiting for that node takes its state: once the crash
+    /// returns the call has its reply, and once the shutdown returns one the
+    /// shutdown rule refused has `ShuttingDown` — not a disconnect.
     #[test]
-    fn a_node_thread_answers_before_it_exits() {
+    fn what_queued_before_a_crash_or_shutdown_is_answered() {
         for crash in [true, false] {
             let cluster = cell_cluster();
             let (gate, hold) = mpsc::channel();
@@ -2559,19 +2620,19 @@ mod tests {
             std::thread::scope(|scope| {
                 scope.spawn(|| cluster.invoke(blocker, "hold", &[]));
                 inside.recv().unwrap();
-                // the node's state is out with that call: the rest queues
-                // for its thread, the call ahead of `Crash`, behind `Shutdown`
+                // the node's state is out with that call: the call queues,
+                // and the crash or the shutdown waits for the state
                 if crash {
                     cluster.shared.send_from(None, node, call).unwrap();
                     scope.spawn(|| cluster.crash_node(node));
                 } else {
                     scope.spawn(|| cluster.shutdown());
-                    while cluster.shared.mesh.queued(1) == 0 {
+                    while cluster.shared.mesh.waiting(1) == 0 {
                         std::thread::yield_now();
                     }
                     cluster.shared.send_from(None, node, call).unwrap();
                 }
-                while cluster.shared.mesh.queued(1) < 2 {
+                while cluster.shared.mesh.waiting(1) == 0 || cluster.shared.mesh.queued(1) == 0 {
                     std::thread::yield_now();
                 }
                 gate.send(()).unwrap();
@@ -2585,19 +2646,17 @@ mod tests {
         }
     }
 
-    /// Whether the call ran on the node's own thread rather than inline on
-    /// the caller's.
-    fn ran_on_node_thread(cluster: &Cluster, object: ObjectId) -> bool {
-        let name = cluster.invoke(object, "where", &[]).expect("where");
-        name.starts_with(b"oml-node-")
+    /// The name of the thread the call ran on.
+    fn ran_on(cluster: &Cluster, object: ObjectId) -> Vec<u8> {
+        cluster.invoke(object, "where", &[]).expect("where")
     }
 
     /// A crashed node has no state in its inbox slot, and a zombie's is not
-    /// its node's current incarnation: a client call to either queues for
-    /// the node's thread instead of running on the caller's. Meanwhile a
-    /// second client calls across every crash and restart, and no handler
-    /// runs on a stale incarnation's state (`NodeWorker::deliver` asserts
-    /// it in debug builds).
+    /// its node's current incarnation: a client call to either queues
+    /// instead of running on the caller's thread — for the restart, or for
+    /// the timer. Meanwhile a second client calls across every crash and
+    /// restart, and no handler runs on a fenced incarnation's state
+    /// (`NodeWorker::deliver` asserts it in debug builds).
     #[test]
     fn calls_never_run_inline_on_a_crashed_or_stale_incarnation() {
         let build = |sabotage: Option<Sabotage>| {
@@ -2638,8 +2697,9 @@ mod tests {
             stop.store(true, Ordering::Relaxed);
         });
         // once idle again, the current incarnation's calls run inline
-        assert!((0..1_000).any(|_| !ran_on_node_thread(&cluster, obj)));
-        // a fenced zombie exits before it runs anything: calls queue
+        let me = std::thread::current();
+        assert!((0..1_000).any(|_| ran_on(&cluster, obj) == me.name().unwrap().as_bytes()));
+        // a fenced zombie is dropped before it runs anything: calls queue
         cluster.crash_node(node).unwrap();
         cluster.zombie_restart_node(node).unwrap();
         assert!(cluster.invoke(obj, "get", &[]).is_err());
@@ -2650,14 +2710,14 @@ mod tests {
         cluster.shutdown();
 
         // an unfenced zombie runs, but its state is never current: each of
-        // its calls runs on its own thread, never inline
+        // its calls runs on the timer, never inline
         let cluster = build(Some(Sabotage::Unfenced));
         let obj = cluster.create(node, Box::new(Cell(5, None))).unwrap();
         cluster.crash_node(node).unwrap();
         cluster.restart_node(node).unwrap();
         cluster.crash_node(node).unwrap();
         cluster.zombie_restart_node(node).unwrap();
-        assert!((0..100).all(|_| ran_on_node_thread(&cluster, obj)));
+        assert!((0..100).all(|_| ran_on(&cluster, obj) == b"oml-timer"));
         cluster.shutdown();
     }
 

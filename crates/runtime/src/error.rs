@@ -37,10 +37,10 @@ pub enum RuntimeError {
     /// deadline. Retrying after the object is reinstantiated (or the node
     /// heals) will succeed.
     NodeDown(NodeId),
-    /// [`crate::Cluster::restart_node`] was called on a node whose worker is
-    /// still running — restarting a live node would re-seed its recovery
-    /// state (incarnation, health, breaker) inconsistently with the live
-    /// worker's view. Only crashed or declared-dead nodes can be restarted.
+    /// [`crate::Cluster::restart_node`] was called on a node whose current
+    /// incarnation is running — restarting a live node would re-seed its
+    /// recovery state (incarnation, health, breaker) inconsistently with its
+    /// own view. Only crashed or declared-dead nodes can be restarted.
     NotDead(NodeId),
     /// An operation declaration was invoked with the wrong number of object
     /// arguments.

@@ -25,7 +25,7 @@ pub(crate) type MoveReply = Sender<Result<bool, RuntimeError>>;
 /// nothing in transit; the refresh at the receiving host assigns it.
 pub(crate) type Shipped = (ObjectId, StoredCheckpoint);
 
-/// Everything node workers exchange.
+/// Everything nodes exchange.
 pub(crate) enum Message {
     /// Install a freshly created object (ships the live instance).
     Create {
@@ -58,7 +58,7 @@ pub(crate) enum Message {
     },
     /// A closure arriving at its new node: every member that shipped
     /// together, main object last. The receiver installs the whole list in
-    /// one step of its worker, so no observer sees half a working set.
+    /// one step, so no observer sees half a working set.
     Install {
         members: Vec<Shipped>,
         /// `Some` when this install completes a granted move: the main
@@ -92,11 +92,6 @@ pub(crate) enum Message {
         items: Vec<(ObjectId, u64, u64)>,
         replica: NodeId,
     },
-    /// Stop the worker loop.
-    Shutdown,
-    /// Fault injection: the worker "crashes" — it stashes its objects for a
-    /// later restart and exits without draining its queue.
-    Crash,
 }
 
 impl Message {
@@ -137,8 +132,6 @@ impl std::fmt::Debug for Message {
             Message::CheckpointAck { items, replica } => {
                 write!(f, "CheckpointAck({items:?} from {replica})")
             }
-            Message::Shutdown => write!(f, "Shutdown"),
-            Message::Crash => write!(f, "Crash"),
         }
     }
 }
@@ -150,7 +143,7 @@ pub(crate) const MAX_HOPS: u8 = 16;
 /// closure's size at one node, decides how many there are to send: the
 /// checkpoint puts (and so acks) of a refresh or a repair sweep, the
 /// installs of a dead node's objects, the surrenders asked of one host. A
-/// worker handles a message in one step between two heartbeats; 64 members
+/// node handles a message in one step between two heartbeats; 64 members
 /// of a few KiB keep that step to tens of microseconds, far below any
 /// heartbeat interval, however many objects a sweep or a dead host has.
 const MAX_BATCH: usize = 64;
@@ -168,9 +161,9 @@ pub(crate) fn group_push<T>(groups: &mut Vec<(NodeId, Vec<T>)>, node: NodeId, it
 }
 
 /// What actually travels on the channels: a message plus the trace id its
-/// `Send` event carried (0 when tracing is off or the message is a control
-/// sentinel — the receiver then emits no `Recv`), stamped with the sender's
-/// identity and incarnation epoch for fencing.
+/// `Send` event carried (0 when tracing is off — the receiver then emits no
+/// `Recv`), stamped with the sender's identity and incarnation epoch for
+/// fencing.
 pub(crate) struct Envelope {
     pub(crate) trace_id: u64,
     /// Raw id of the sending node, or [`crate::fault::CLIENT`] for the
@@ -181,18 +174,4 @@ pub(crate) struct Envelope {
     /// no detector is configured.
     pub(crate) epoch: u64,
     pub(crate) msg: Message,
-}
-
-impl Envelope {
-    /// Wraps a message that is not part of the traced protocol (shutdown and
-    /// crash sentinels, and every message when tracing is disabled). Control
-    /// sentinels originate at the client facade and are never fenced.
-    pub(crate) fn untraced(msg: Message) -> Self {
-        Envelope {
-            trace_id: 0,
-            from: crate::fault::CLIENT,
-            epoch: 0,
-            msg,
-        }
-    }
 }

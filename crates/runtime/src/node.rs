@@ -1,11 +1,12 @@
-//! The per-node state and the thread that owns it. A [`NodeWorker`] holds
-//! everything one node knows; whoever holds it runs the node's messages
-//! through its `deliver`, one at a time. The node's thread runs what was
-//! queued, heartbeats, lease sweeps and stash reclaim; a message that finds
-//! the node idle — a client call or node-to-node traffic — runs on its
-//! sender's thread (DESIGN.md §10.1, "Who runs a delivery"). A reply the
-//! node's thread gives (`channel::answer`) wakes its caller only once the
-//! node's state is back in its slot, where that caller's next call finds it.
+//! The per-node state. A [`NodeWorker`] holds everything one node knows; it
+//! waits in its inbox slot, no thread of its own, and whoever holds it runs
+//! the node's messages through its `deliver`, one at a time (DESIGN.md
+//! §10.1, "Who runs a delivery"): a message that finds the node idle — a
+//! client call or node-to-node traffic — runs on its sender's thread, one
+//! that finds it busy on the thread that puts it back, and the cluster's
+//! timer runs its ticks. A reply given while running what queued
+//! (`channel::answer`) wakes its caller only once the node's state is back
+//! in its slot, where that caller's next call finds it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,8 +26,8 @@ use crate::object::MobileObject;
 use crate::store::StoredCheckpoint;
 use crate::transport::channel::{answer, Handler};
 
-// How long a worker waits for a message before running its maintenance
-// tick (lease sweeps) is a scheduling decision: the installed
+// How often a node's maintenance tick (a heartbeat and a lease sweep) runs
+// is a scheduling decision: the installed
 // [`crate::schedule::ScheduleSource`] supplies it, defaulting to 25 ms.
 // Reads treat expired leases as free immediately, so the tick only affects
 // garbage collection, never grant/deny outcomes.
@@ -57,16 +58,31 @@ impl Handler<Envelope> for NodeWorker {
         self.epoch == self.shared.incarnation(self.id.as_u32())
     }
 
-    /// Runs one envelope — the step the worker loop and every sender that
-    /// found the node idle share: notes the receive, drops a stale
-    /// incarnation's message, handles the rest.
+    /// Whether a newer incarnation of this node has been installed (fencing
+    /// on): this state is a zombie's and must not act.
+    fn is_fenced(&self) -> bool {
+        self.shared.fenced() && !self.is_current()
+    }
+
+    /// Runs one envelope: notes the receive, then — once the cluster is
+    /// closing — applies the shutdown rule, else drops a stale
+    /// incarnation's message and handles the rest.
     fn deliver(&mut self, env: Envelope) {
         debug_assert!(!self.is_fenced(), "a stale incarnation ran a message");
         debug_assert!(self.shared.mesh.in_step(), "a handler ran outside a step");
         self.note_recv(&env);
-        if !self.reject_stale(&env) {
+        if self.shared.is_closing() {
+            self.wind_down(env.msg);
+        } else if !self.reject_stale(&env) {
             self.handle(env.msg, env.from);
         }
+    }
+
+    /// The maintenance tick: a heartbeat, and a sweep of the placement locks
+    /// whose leases ran out.
+    fn tick(&mut self) {
+        self.shared.beat(self.id, self.epoch);
+        self.sweep_leases();
     }
 }
 
@@ -81,45 +97,6 @@ impl NodeWorker {
             closure: ClosureScratch::new(),
             local: Vec::new(),
         }
-    }
-
-    pub(crate) fn run(mut self: Box<Self>) {
-        if self.is_fenced() {
-            // a newer incarnation of this node exists: touch nothing
-            return;
-        }
-        self.reclaim_stash();
-        let shared = Arc::clone(&self.shared);
-        loop {
-            if self.is_fenced() {
-                // fenced while running (the node was declared dead behind
-                // this worker's back): exit without stashing — the cluster
-                // has already reinstantiated what it owned
-                return;
-            }
-            shared.beat(self.id, self.epoch);
-            let tick = shared.schedule.tick(self.id);
-            // the state waits in the inbox slot between messages, where an
-            // idle node's senders find it; the thread exits holding it
-            let (node, env) = shared.mesh.turn(self.id.as_u32(), self, tick);
-            self = node;
-            // each step runs what it hands to idle nodes after it returns
-            let Some(env) = env else {
-                shared.mesh.step(|| self.sweep_leases());
-                continue;
-            };
-            match env.msg {
-                Message::Shutdown => return shared.mesh.step(|| self.drain_for_shutdown()),
-                Message::Crash => return self.stash_for_crash(),
-                _ => shared.mesh.step(|| self.deliver(env)),
-            }
-        }
-    }
-
-    /// Whether a newer incarnation of this node has been installed (fencing
-    /// on): this worker is a zombie and must not act.
-    fn is_fenced(&self) -> bool {
-        self.shared.fenced() && !self.is_current()
     }
 
     /// Epoch fencing on receive: a message stamped with an incarnation older
@@ -166,7 +143,7 @@ impl NodeWorker {
     /// current one are discarded instead of reclaimed: the object was
     /// reinstantiated elsewhere while this node was down, and the stashed
     /// copy belongs to a fenced incarnation.
-    fn reclaim_stash(&mut self) {
+    pub(crate) fn reclaim_stash(&mut self) {
         let mine: Vec<(ObjectId, Box<dyn MobileObject>, u64)> = {
             let mut stash = self.shared.stash.lock();
             let mut rest = Vec::new();
@@ -209,10 +186,11 @@ impl NodeWorker {
     }
 
     /// Injected crash: park the hosted objects for a later restart (they
-    /// survive the "machine", like disk state) and vanish without draining
-    /// the queue. Parked `awaiting` messages are dropped — their reply
-    /// channels disconnect and the callers see their deadlines out.
-    fn stash_for_crash(&mut self) {
+    /// survive the "machine", like disk state); the queue stays for the
+    /// next incarnation. Parked `awaiting` messages are dropped with this
+    /// state — their reply channels disconnect and the callers see their
+    /// deadlines out. Returns the objects it stashed.
+    pub(crate) fn stash_for_crash(&mut self) -> Vec<ObjectId> {
         // object epochs are read before the stash lock so the two Ordered
         // locks never nest
         let epochs: HashMap<ObjectId, u64> = self
@@ -220,35 +198,36 @@ impl NodeWorker {
             .keys()
             .map(|&object| (object, self.shared.object_epoch(object)))
             .collect();
-        // the detector learns the worker is gone before the objects land in
+        // the detector learns the node is gone before the objects land in
         // the stash; death is only declared after the suspicion window, long
-        // after the join() in crash_node ordered this stashing
+        // after crash_node has stashed them
         self.shared.mark_crashed(self.id);
         let mut stash = self.shared.stash.lock();
         for (object, instance) in self.objects.drain() {
             let epoch = epochs.get(&object).copied().unwrap_or(0);
             stash.push((self.id, object, instance, epoch));
         }
+        epochs.into_keys().collect()
     }
 
-    /// Graceful shutdown: drain the queue so already-sent end-requests are
-    /// processed (locks released) and still-blocked callers get an explicit
-    /// `ShuttingDown` instead of a silent timeout.
-    fn drain_for_shutdown(&mut self) {
-        while let Some(env) = self.shared.mesh.try_pop(self.id.as_u32()) {
-            self.note_recv(&env);
-            match env.msg {
-                // queued replica writes are still applied, so the final
-                // replica stores reflect everything that was sent; their
-                // acks are suppressed (a put from the client gets none) —
-                // the refresher is shutting down too
-                msg @ (Message::EndRequest { .. }
-                | Message::Install { .. }
-                | Message::CheckpointPut { .. }
-                | Message::CheckpointAck { .. }) => self.handle(msg, fault::CLIENT),
-                msg => msg.refuse(RuntimeError::ShuttingDown),
-            }
+    /// The shutdown rule, for what runs once the cluster is closing: sent
+    /// end-requests, installs and replica writes are still applied (locks
+    /// released, final replica stores complete; acks suppressed — the
+    /// refresher is stopping too), every other call is refused with an
+    /// explicit `ShuttingDown` instead of a silent timeout.
+    fn wind_down(&mut self, msg: Message) {
+        match msg {
+            msg @ (Message::EndRequest { .. }
+            | Message::Install { .. }
+            | Message::CheckpointPut { .. }
+            | Message::CheckpointAck { .. }) => self.handle(msg, fault::CLIENT),
+            msg => msg.refuse(RuntimeError::ShuttingDown),
         }
+    }
+
+    /// At shutdown: refuses every call parked for an object that never
+    /// arrived.
+    pub(crate) fn refuse_awaiting(&mut self) {
         for (_, queued) in self.awaiting.drain() {
             for msg in queued {
                 msg.refuse(RuntimeError::ShuttingDown);
@@ -341,7 +320,6 @@ impl NodeWorker {
                 self.shared
                     .checkpoint_ack(&items, replica, self.id.as_u32());
             }
-            Message::Shutdown | Message::Crash => unreachable!("handled in run()"),
         }
     }
 

@@ -6,9 +6,9 @@
 //! supplies the machinery that makes doing so safe in the threads-and-
 //! channels runtime:
 //!
-//! * **Failure detector** — node workers heartbeat on every loop tick; a
+//! * **Failure detector** — every node heartbeats on each of its ticks; a
 //!   node that misses `k_missed` consecutive heartbeat intervals is
-//!   *suspected*, and *declared dead* only when its worker is also known to
+//!   *suspected*, and *declared dead* only when its state is also known to
 //!   be gone. A partitioned node keeps beating (the detector also consults
 //!   the fault injector's partition table) so it is only ever suspected,
 //!   never declared dead.
@@ -16,7 +16,7 @@
 //!   bumped when the node is declared dead and again when it rejoins. Every
 //!   message is stamped with its sender's incarnation; receivers drop
 //!   messages from incarnations older than the latest they know of, so a
-//!   zombie worker (or its delayed messages) cannot corrupt state installed
+//!   zombie's state (or its delayed messages) cannot corrupt state installed
 //!   by its successor.
 //! * **Replicated checkpoints** — each object keeps `k` linearized passive
 //!   copies on a deterministic, home-preferred, rendezvous-hashed replica
@@ -52,7 +52,7 @@ pub struct DetectorConfig {
     /// Expected heartbeat interval in milliseconds.
     pub heartbeat_ms: u64,
     /// Consecutive missed beats before a node is suspected (and, if its
-    /// worker is gone, declared dead).
+    /// state is gone, declared dead).
     pub k_missed: u32,
 }
 
@@ -86,7 +86,7 @@ pub enum NodeHealth {
 /// sets one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sabotage {
-    /// Epoch fencing is off: zombie workers and their stale messages are
+    /// Epoch fencing is off: zombie states and their stale messages are
     /// *not* rejected, so [`crate::Cluster::zombie_restart_node`] observably
     /// corrupts state — the scenario the stale-incarnation invariant exists
     /// to catch.
@@ -168,7 +168,7 @@ pub(crate) struct RecoveryState {
     pub(crate) sabotage: Option<Sabotage>,
     /// Current incarnation per node; starts at 1.
     incarnations: Vec<AtomicU64>,
-    /// Whether the node's worker thread is (believed) running. Gates *death*
+    /// Whether the node's state is (believed) in its slot. Gates *death*
     /// only — suspicion is pure heartbeat observation.
     alive: Vec<AtomicBool>,
     /// Lease-clock timestamp of each node's last accepted heartbeat.
@@ -285,7 +285,7 @@ impl RecoveryState {
     }
 
     /// Refreshes every live node's heartbeat to `now_ms` — called when the
-    /// manual clock jumps, modelling the beats the workers would have
+    /// manual clock jumps, modelling the beats the nodes would have
     /// produced continuously across the (instantaneous) jump.
     pub(crate) fn refresh_alive_beats(&self, now_ms: u64) {
         for (i, beat) in self.last_beat.iter().enumerate() {

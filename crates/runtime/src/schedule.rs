@@ -1,8 +1,8 @@
 //! The scheduler seam: where the runtime's nondeterminism is decided.
 //!
 //! Two sources of schedule nondeterminism exist in the threaded runtime:
-//! *when a routed message reaches its destination queue* and *when a worker's
-//! idle tick fires* (the tick drives lease sweeps and heartbeats). Both are
+//! *when a routed message reaches its destination queue* and *when a node's
+//! tick fires* (the tick drives lease sweeps and heartbeats). Both are
 //! routed through a [`ScheduleSource`] so they can be observed or steered
 //! without touching the transport: the default [`FreeRun`] source reproduces
 //! the historical behavior exactly (immediate hand-off, 25 ms ticks), while
@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use oml_core::ids::NodeId;
 
-/// The worker idle tick of the free-running schedule (and the default for
+/// The node tick period of the free-running schedule (and the default for
 /// any source that does not override [`ScheduleSource::tick`]).
 pub const DEFAULT_TICK: Duration = Duration::from_millis(25);
 
@@ -37,7 +37,7 @@ pub enum SendAction {
 }
 
 /// A source of scheduling decisions for the cluster's message hand-offs and
-/// worker ticks.
+/// node ticks.
 ///
 /// Implementations must be cheap and lock-free where possible: `on_send`
 /// runs on every routed message, inside the sender's hot path.
@@ -50,8 +50,8 @@ pub trait ScheduleSource: Send + Sync + fmt::Debug {
         SendAction::Deliver
     }
 
-    /// How long node `node`'s worker waits for a message before running its
-    /// maintenance sweep (lease expiry, heartbeat).
+    /// The period of node `node`'s tick on the cluster's timer heap: its
+    /// maintenance (heartbeat, lease expiry), on a grid shared by all nodes.
     fn tick(&self, node: NodeId) -> Duration {
         let _ = node;
         DEFAULT_TICK
@@ -59,7 +59,7 @@ pub trait ScheduleSource: Send + Sync + fmt::Debug {
 }
 
 /// The threads-and-channels default: every hand-off is immediate and every
-/// worker ticks at [`DEFAULT_TICK`].
+/// node ticks at [`DEFAULT_TICK`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FreeRun;
 

@@ -3,25 +3,29 @@
 //! This is the wire the [`crate::Cluster`] runs on, behind [`Transport`].
 //! Messages pass by ownership, so this transport carries the full in-memory
 //! envelope type and the fault injector keeps operating on envelopes, not
-//! bytes. The mesh, not a node's thread, holds each queue, so queued
-//! messages survive a worker crash and restart.
+//! bytes. The mesh holds each queue, so queued messages survive a crash and
+//! restart of their node.
 //!
 //! # Who runs a delivery
 //!
 //! Each inbox is one mutex over the node's FIFO queue, a slot for the node's
 //! state (a `Handler`: a [`crate::Cluster`]'s `NodeWorker`) and the counts
-//! of who sleeps on it. The node's own thread pops only while the state is
-//! idle in its slot (`ChannelMesh::turn`). Whoever sends to an idle node
-//! runs the message (`ChannelMesh::hand`, DESIGN.md §10.1): at once, or
-//! after its own step (`ChannelMesh::step`), never inside it.
+//! of who sleeps on it. No thread belongs to a node. Whoever sends to an
+//! idle node runs the message (`ChannelMesh::hand`, DESIGN.md §10.1): at
+//! once, or after its own step, never inside it. A message that finds the
+//! state out queues, and the thread that holds the state runs it before it
+//! puts the state back: the releaser drains. A cluster's timer thread runs
+//! each node's tick (`ChannelMesh::tick`), and what queued behind a state
+//! no sender may run.
 //!
 //! # When a reply wakes its caller
 //!
-//! What a node thread's step and its claims `answer` is kept until the
-//! node's state is back in its slot (the next `turn`), or the thread would
-//! sleep on a full inbox, panics or exits: a woken caller finds the node
-//! idle instead of queueing behind the thread that woke it. Other threads
-//! answer at once: a caller's own chain almost always answers itself.
+//! What a thread answers (`answer`) once it runs a message that queued, or
+//! anything on the timer, is kept until the thread holds no node's state, or
+//! would sleep on a full inbox, or panics: a woken caller finds the node
+//! idle in its slot instead of queueing behind the thread that woke it. A
+//! sender's own run answers at once: a caller's own chain almost always
+//! answers itself.
 //!
 //! # Backpressure policy (documented per path)
 //!
@@ -30,23 +34,22 @@
 //!   with [`TransportError::Backpressure`]; a blocked sender sleeps until
 //!   the pop that makes room wakes it. Blocking (rather than
 //!   dropping) preserves the delivery guarantees the protocol tests pin;
-//!   the deadline keeps a wedged worker from propagating an unbounded
+//!   the deadline keeps a wedged node from propagating an unbounded
 //!   stall. The capacity default (4096) is ~70× the deepest queue any
 //!   chaos schedule in the suite produces.
 //! * **Reply channels** (created per call in `cluster.rs`): stay
 //!   `bounded(1)` + `try_send` fail-fast — a reply past its caller's
-//!   deadline is dropped, never blocks a worker (PR 4 decision, unchanged).
-//! * **Deadline-free sends** (the crash command, the shutdown broadcast,
-//!   the fault injector's delayed-delivery threads, client calls): block
-//!   until there is room; a full inbox delays the delivery further, which
-//!   is indistinguishable from more network delay.
+//!   deadline is dropped and never blocks a node.
+//! * **Deadline-free sends** (client calls, the delayed deliveries the
+//!   timer hands over): block until there is room; a full inbox delays the
+//!   delivery further, which is indistinguishable from more network delay.
 
 use super::{LinkHealth, Transport, TransportError, TransportEvent};
 use crossbeam::channel::Sender;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Sender identity reported by mesh deliveries: the mesh does not
@@ -54,8 +57,8 @@ use std::time::{Duration, Instant};
 /// inside the envelope.
 pub(crate) const MESH_ANON: u32 = u32::MAX;
 
-/// How long a deadline-free sender, or an owner waiting for its state, sleeps
-/// before looking again: only a wake-up that went missing costs this.
+/// How long a deadline-free sender, or a thread waiting to take a state,
+/// sleeps before looking again: only a wake-up that went missing costs this.
 const PARK: Duration = Duration::from_millis(100);
 
 /// Tuning for a [`ChannelMesh`].
@@ -81,27 +84,32 @@ impl Default for MeshConfig {
 pub(crate) trait Handler<M> {
     /// Whether a sender may run this state (a stale incarnation's may not).
     fn is_current(&self) -> bool;
+    /// Whether this state may never run again (a fenced stale
+    /// incarnation's): whoever finds it drops it.
+    fn is_fenced(&self) -> bool;
     /// Runs one message.
     fn deliver(&mut self, msg: M);
+    /// Runs the endpoint's periodic maintenance.
+    fn tick(&mut self);
 }
 
 /// A full mesh of bounded in-process inboxes: any holder may send to any
-/// endpoint. `S` is the state each endpoint's owner runs its messages on;
-/// in a mesh built by [`ChannelMesh::new`] every slot holds `()` for good,
-/// so its endpoints simply queue and pop.
+/// endpoint. `S` is the state each endpoint's messages run on; in a mesh
+/// built by [`ChannelMesh::new`] every slot holds `()` for good, so its
+/// endpoints simply queue and pop.
 #[derive(Debug)]
 pub struct ChannelMesh<M, S = ()> {
-    inboxes: Vec<Arc<Inbox<M, S>>>,
+    inboxes: Vec<Inbox<M, S>>,
     cfg: MeshConfig,
     closed: AtomicBool,
 }
 
-/// One endpoint: queue or run, pop or wait, wake or not — each decided in
+/// One endpoint: queue or run, take or wait, wake or not — each decided in
 /// one acquisition of its mutex.
 #[derive(Debug)]
 struct Inbox<M, S> {
     slots: Mutex<Slots<M, S>>,
-    /// Something to pop, or the state back for a due owner.
+    /// Something to pop, or the state back for a thread waiting to take it.
     ready: Condvar,
     /// Room in the queue.
     room: Condvar,
@@ -113,13 +121,16 @@ struct Slots<M, S> {
     queue: VecDeque<M>,
     /// The node's state while nobody runs it (boxed: hand-overs move a pointer).
     state: Option<Box<S>>,
+    /// A thread took the state out; it runs what queues meanwhile before it
+    /// puts the state back.
+    out: bool,
     /// How many messages at the front of `queue` a sender claimed to run
-    /// after its step; until then the state in the slot is not the owner's.
+    /// after its step; until then the state in the slot is the claimer's.
     claimed: usize,
-    /// Receivers asleep on `ready`.
+    /// Threads asleep on `ready`.
     parked: usize,
-    /// The owner's tick passed while a sender ran the state: it now waits
-    /// like a queued message, so senders cannot starve its heartbeats.
+    /// A tick fell due while the state was out or claimed: whoever puts the
+    /// state back runs it.
     due: bool,
     /// Senders asleep on `room`.
     senders_parked: usize,
@@ -128,7 +139,7 @@ struct Slots<M, S> {
 type Guard<'a, M, S> = MutexGuard<'a, Slots<M, S>>;
 
 impl<M, S> Slots<M, S> {
-    /// Whether the state is in its slot for the owner to take.
+    /// Whether the state is in its slot, free for any thread to take.
     fn idle(&self) -> bool {
         self.state.is_some() && self.claimed == 0
     }
@@ -142,12 +153,15 @@ impl<M, S> Inbox<M, S> {
     }
 
     /// Queues `msg` once there is room — waiting until `by`, or as long as
-    /// it takes without a deadline — then wakes a parked receiver if the
-    /// state is in for it. `Err` hands `msg` back when `by` passed.
+    /// it takes without a deadline — then wakes a parked receiver. `Err`
+    /// hands `msg` back when `by` passed.
     fn push<'a>(&'a self, mut s: Guard<'a, M, S>, msg: M, by: Option<Instant>) -> Result<(), M> {
         while s.queue.len() >= self.capacity {
-            if KEPT.with_borrow(|kept| !kept.0.is_empty()) {
-                s = self.wake_kept(s);
+            if KEPT.with_borrow(|kept| !kept.is_empty()) {
+                // whoever this thread answered may be the one to make room
+                drop(s);
+                put_out_kept();
+                s = self.lock();
                 continue;
             }
             let wait = match by.map(|d| d.saturating_duration_since(Instant::now())) {
@@ -164,7 +178,7 @@ impl<M, S> Inbox<M, S> {
             s.senders_parked -= 1;
         }
         s.queue.push_back(msg);
-        let wake = s.parked > 0 && s.idle();
+        let wake = s.parked > 0;
         drop(s);
         if wake {
             self.ready.notify_one();
@@ -172,22 +186,15 @@ impl<M, S> Inbox<M, S> {
         Ok(())
     }
 
-    /// Waits until a message can be popped — one queued while the state is
-    /// in its slot — or a due owner's state is back, or `deadline` passes.
-    fn until_ready<'a>(&self, mut s: Guard<'a, M, S>, deadline: Instant) -> Guard<'a, M, S> {
-        while !s.idle() || (s.queue.is_empty() && !s.due) {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            s.parked += 1;
-            s = self
-                .ready
-                .wait_timeout(s, left)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-            s.parked -= 1;
-        }
+    /// Sleeps on `ready` for up to `wait`.
+    fn sleep<'a>(&self, mut s: Guard<'a, M, S>, wait: Duration) -> Guard<'a, M, S> {
+        s.parked += 1;
+        s = self
+            .ready
+            .wait_timeout(s, wait)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+        s.parked -= 1;
         s
     }
 
@@ -203,26 +210,23 @@ impl<M, S> Inbox<M, S> {
         msg
     }
 
-    /// Ends a sender's hold on the state, back in its slot, and wakes the
-    /// owner if anything queued, or its tick fell due, meanwhile.
-    fn release(&self, mut s: Guard<'_, M, S>, state: &mut Option<Box<S>>) {
-        if state.is_some() {
-            s.state = state.take();
-        }
+    /// Ends a hold on the state and any claim on it: puts `state` back in
+    /// its slot — a fenced one is dropped instead — and wakes whoever waits
+    /// to take it.
+    fn release(&self, mut s: Guard<'_, M, S>, state: &mut Option<Box<S>>)
+    where
+        S: Handler<M>,
+    {
+        let fenced = state.take_if(|state| state.is_fenced());
+        s.state = state.take().or_else(|| s.state.take());
+        s.out = false;
         s.claimed = 0;
-        let wake = s.parked > 0 && (s.due || !s.queue.is_empty());
+        let wake = s.parked > 0;
         drop(s);
         if wake {
-            self.ready.notify_one();
+            self.ready.notify_all();
         }
-    }
-
-    /// Puts out the answers this thread kept, with the lock released (it
-    /// stays a leaf), and takes it again.
-    fn wake_kept<'a>(&'a self, s: Guard<'a, M, S>) -> Guard<'a, M, S> {
-        drop(s);
-        drop(KEPT.take());
-        self.lock()
+        drop(fenced);
     }
 }
 
@@ -231,39 +235,50 @@ thread_local! {
     /// endpoints it claimed meanwhile and has not run, in claim order.
     static STEP: Cell<usize> = const { Cell::new(0) };
     static CLAIMS: RefCell<VecDeque<u32>> = const { RefCell::new(VecDeque::new()) };
-    /// Whether this thread runs a [`ChannelMesh::step`], and the answers it
-    /// kept since its node's state was last in its slot.
-    static OWNER: Cell<bool> = const { Cell::new(false) };
-    static KEPT: RefCell<Kept> = const { RefCell::new(Kept(Vec::new())) };
+    /// Whether this thread is a cluster's timer: it keeps what it answers
+    /// and may run a state no sender may.
+    static TIMER: Cell<bool> = const { Cell::new(false) };
+    /// Whether this thread keeps what it [`answer`]s until it holds no
+    /// state, and the answers it kept, in answer order.
+    static KEEP: Cell<bool> = const { Cell::new(false) };
+    static KEPT: RefCell<Vec<Box<dyn FnOnce()>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Answers kept for their callers; dropping them — also at the thread's
-/// exit — puts them out, in answer order.
-#[derive(Default)]
-struct Kept(Vec<Box<dyn FnOnce()>>);
-
-impl Drop for Kept {
-    fn drop(&mut self) {
-        self.0.drain(..).for_each(|send| send());
-    }
+/// Makes this thread a cluster's timer: every answer it gives is kept until
+/// it holds no state, and it may run a stale (unfenced) state's messages.
+pub(crate) fn serve_as_timer() {
+    TIMER.set(true);
+    KEEP.set(true);
 }
 
-/// Answers the caller waiting on `reply` with `value`: at once, or, inside
-/// a node thread's step, once that thread's state is back in its slot.
-/// Either way one `try_send`: a caller past its deadline has dropped its end.
+/// Whether this thread may run `state`: a sender only a current one, the
+/// timer any but a fenced one.
+fn may_run<M, S: Handler<M>>(state: &S) -> bool {
+    state.is_current() || (TIMER.get() && !state.is_fenced())
+}
+
+/// Puts out the answers this thread kept, in answer order.
+fn put_out_kept() {
+    KEPT.take().into_iter().for_each(|send| send());
+}
+
+/// Answers the caller waiting on `reply` with `value`: at once, or, once this
+/// thread runs what queued or runs on the timer, when it holds no state any
+/// more. Either way one `try_send`: a caller past its deadline has dropped
+/// its end.
 pub(crate) fn answer<T: 'static>(reply: Sender<T>, value: T) {
-    let send = move || drop(reply.try_send(value));
-    if OWNER.get() {
-        KEPT.with_borrow_mut(|kept| kept.0.push(Box::new(send)));
+    if KEEP.get() {
+        let send = move || drop(reply.try_send(value));
+        KEPT.with_borrow_mut(|kept| kept.push(Box::new(send)));
     } else {
-        send();
+        drop(reply.try_send(value));
     }
 }
 
 /// This thread's step on a mesh, and the state of `at` its runs use. Drop —
 /// also after a panic — hands that state and every claim not run back to
-/// their owners; a claim's messages never left the front of its queue. A
-/// panic out of a node thread's step also puts out the answers it kept.
+/// their slots (a claim's messages never left the front of its queue), and
+/// puts out the answers this thread kept.
 struct Step<'a, M: Send + 'static, S: Handler<M> + Send + 'static> {
     mesh: &'a ChannelMesh<M, S>,
     at: u32,
@@ -278,27 +293,39 @@ impl<'a, M: Send + 'static, S: Handler<M> + Send + 'static> Step<'a, M, S> {
         Step { mesh, at, state }
     }
 
-    /// Runs the claimed messages, claim by claim in claim order; each
-    /// claim's state goes back to its slot before the next claim's run.
+    /// Runs the claimed messages, then what queued meanwhile and a due tick,
+    /// node by node in claim order: a state goes back to its slot only once
+    /// nothing this thread may run waits there. What queued is someone
+    /// else's, so its answers are kept until this step ends.
     fn drain(&mut self) {
         loop {
             if let Some(state) = &mut self.state {
                 let inbox = &self.mesh.inboxes[self.at as usize];
                 let mut s = inbox.lock();
-                if s.claimed > 0 {
-                    s.claimed -= 1;
-                    if let Some(msg) = inbox.pop(s) {
-                        state.deliver(msg);
+                if may_run(&**state) {
+                    if s.claimed > 0 || !s.queue.is_empty() {
+                        KEEP.set(KEEP.get() || s.claimed == 0);
+                        s.claimed = s.claimed.saturating_sub(1);
+                        if let Some(msg) = inbox.pop(s) {
+                            state.deliver(msg);
+                        }
+                        continue;
                     }
-                    continue;
+                    if std::mem::take(&mut s.due) {
+                        drop(s);
+                        KEEP.set(true);
+                        state.tick();
+                        continue;
+                    }
                 }
                 inbox.release(s, &mut self.state);
             }
             let Some(at) = CLAIMS.with_borrow_mut(VecDeque::pop_front) else {
                 return;
             };
-            let state = self.mesh.inboxes[at as usize].lock().state.take();
-            self.state = Some(state.expect("a claimed state waits in its slot"));
+            let mut s = self.mesh.inboxes[at as usize].lock();
+            s.out = true;
+            self.state = Some(s.state.take().expect("a claimed state waits in its slot"));
             self.at = at;
         }
     }
@@ -315,9 +342,8 @@ impl<M: Send + 'static, S: Handler<M> + Send + 'static> Drop for Step<'_, M, S> 
             inbox.release(inbox.lock(), &mut self.state);
         }
         STEP.set(0);
-        if OWNER.replace(false) && std::thread::panicking() {
-            drop(KEPT.take());
-        }
+        put_out_kept();
+        KEEP.set(TIMER.get());
     }
 }
 
@@ -334,13 +360,14 @@ impl<M: Send> ChannelMesh<M> {
 }
 
 impl<M: Send, S: Send> ChannelMesh<M, S> {
-    /// A mesh whose slots start empty: an endpoint pops nothing before its
-    /// owner's first `turn` puts the state in.
+    /// A mesh whose slots start empty: an endpoint runs nothing before a
+    /// [`ChannelMesh::put`] puts its state in.
     pub(crate) fn owned(n: u32, cfg: MeshConfig) -> Self {
         let inbox = || Inbox {
             slots: Mutex::new(Slots {
                 queue: VecDeque::new(),
                 state: None,
+                out: false,
                 claimed: 0,
                 parked: 0,
                 due: false,
@@ -351,7 +378,7 @@ impl<M: Send, S: Send> ChannelMesh<M, S> {
             capacity: cfg.capacity.max(1),
         };
         ChannelMesh {
-            inboxes: (0..n).map(|_| Arc::new(inbox())).collect(),
+            inboxes: (0..n).map(|_| inbox()).collect(),
             cfg,
             closed: AtomicBool::new(false),
         }
@@ -362,47 +389,17 @@ impl<M: Send, S: Send> ChannelMesh<M, S> {
         std::ptr::from_ref(self) as usize
     }
 
-    /// A deadline-free send towards `to` that outlives the caller's borrow
-    /// of the mesh (the crash and shutdown sentinels, delayed deliveries).
-    pub(crate) fn sender(&self, to: u32) -> impl Fn(M) + Send + 'static
-    where
-        M: 'static,
-        S: 'static,
-    {
-        let inbox = Arc::clone(&self.inboxes[to as usize]);
-        move |msg| {
-            let _ = inbox.push(inbox.lock(), msg, None);
-        }
-    }
-
-    /// The owner's turn at `at`: puts `state` back in its slot and what it
-    /// kept ([`answer`]) out, waits up to `tick`, and takes the state out
-    /// again with the oldest message, or `None` when `tick` passed with
-    /// nothing queued; a sender running the state then wakes it when done.
-    pub(crate) fn turn(&self, at: u32, state: Box<S>, tick: Duration) -> (Box<S>, Option<M>) {
-        let inbox = &*self.inboxes[at as usize];
+    /// Waits until nobody holds or has claimed `at`'s state, and takes it out
+    /// of its slot (`None`: the slot is empty); the slot stays held until
+    /// [`ChannelMesh::put`].
+    pub(crate) fn take(&self, at: u32) -> Option<Box<S>> {
+        let inbox = &self.inboxes[at as usize];
         let mut s = inbox.lock();
-        debug_assert!(s.state.is_none(), "one state per inbox");
-        s.state = Some(state);
-        if KEPT.with_borrow(|kept| !kept.0.is_empty()) {
-            s = inbox.wake_kept(s);
+        while s.out || s.claimed > 0 {
+            s = inbox.sleep(s, PARK);
         }
-        s = inbox.until_ready(s, Instant::now() + tick);
-        loop {
-            let free = s.claimed == 0;
-            if let Some(state) = s.state.take_if(|_| free) {
-                s.due = false;
-                return (state, inbox.pop(s));
-            }
-            s.due = true;
-            s = inbox.until_ready(s, Instant::now() + PARK);
-        }
-    }
-
-    /// The owner's pop while it holds the state (its shutdown drain).
-    pub(crate) fn try_pop(&self, at: u32) -> Option<M> {
-        let inbox = &*self.inboxes[at as usize];
-        inbox.pop(inbox.lock())
+        s.out = true;
+        s.state.take()
     }
 
     /// Messages currently queued at endpoint `at` (diagnostics).
@@ -413,18 +410,34 @@ impl<M: Send, S: Send> ChannelMesh<M, S> {
 }
 
 impl<M: Send + 'static, S: Send + 'static> ChannelMesh<M, S> {
-    /// Runs `f`, a step of a node whose state this thread holds, then what
-    /// [`ChannelMesh::hand`] claimed meanwhile, keeping what both [`answer`]
-    /// until that state is back in its slot.
-    pub(crate) fn step<R>(&self, f: impl FnOnce() -> R) -> R
+    /// Ends a [`ChannelMesh::take`], or fills an empty slot: puts `state` in
+    /// `at`'s slot, having first run a due tick and what queued meanwhile if
+    /// this thread may run it (what it may not, the timer's next tick runs).
+    pub(crate) fn put(&self, at: u32, state: Option<Box<S>>)
     where
         S: Handler<M>,
     {
-        let mut step = Step::enter(self, 0, None);
-        OWNER.set(true);
-        let out = f();
-        step.drain();
-        out
+        match state {
+            Some(_) => Step::enter(self, at, state).drain(),
+            None => self.inboxes[at as usize].release(self.inboxes[at as usize].lock(), &mut None),
+        }
+    }
+
+    /// The timer's tick at `at`: marks it due and, if the state is idle in
+    /// its slot, runs it — and what queued there — on this thread. A tick
+    /// that finds the state out is run by whoever puts the state back.
+    pub(crate) fn tick(&self, at: u32)
+    where
+        S: Handler<M>,
+    {
+        let mut s = self.inboxes[at as usize].lock();
+        s.due = true;
+        if s.idle() {
+            s.out = true;
+            let state = s.state.take();
+            drop(s);
+            Step::enter(self, at, state).drain();
+        }
     }
 
     /// Whether this thread is inside a step of this mesh.
@@ -433,16 +446,18 @@ impl<M: Send + 'static, S: Send + 'static> ChannelMesh<M, S> {
     }
 
     /// Hands `msg` to endpoint `to`. The acquisition that would queue it
-    /// takes an idle, current state if nothing is queued and the owner is
-    /// not due, to run `msg` at once — or after the step this thread is in.
-    /// A message for an endpoint this thread claimed and has not run joins
-    /// the claim if nothing queued there since. Anything else queues, for as
-    /// long as the inbox is full if `patient`, else up to the send deadline.
+    /// takes an idle, current state if nothing is queued, to run `msg` at
+    /// once — or after the step this thread is in. A message for an
+    /// endpoint this thread claimed and has not run joins the claim if
+    /// nothing queued there since. Anything else queues, for as long as the
+    /// inbox is full if `patient`, else up to the send deadline; behind a
+    /// state in its slot that no sender may run (a stale one), it waits for
+    /// the timer's next tick.
     pub(crate) fn hand(&self, to: u32, msg: M, patient: bool) -> Result<(), TransportError>
     where
         S: Handler<M>,
     {
-        let inbox = &*self.inboxes[to as usize];
+        let inbox = &self.inboxes[to as usize];
         let here = STEP.get();
         let in_step = here == self.addr();
         let mine = in_step && CLAIMS.with_borrow(|claims| claims.contains(&to));
@@ -454,7 +469,6 @@ impl<M: Send + 'static, S: Send + 'static> ChannelMesh<M, S> {
         }
         if (here == 0 || in_step)
             && s.queue.is_empty()
-            && !s.due
             && s.state.as_ref().is_some_and(|state| state.is_current())
         {
             if in_step {
@@ -463,6 +477,7 @@ impl<M: Send + 'static, S: Send + 'static> ChannelMesh<M, S> {
                 drop(s);
                 CLAIMS.with_borrow_mut(|claims| claims.push_back(to));
             } else {
+                s.out = true;
                 let mut step = Step::enter(self, to, s.state.take());
                 drop(s);
                 if let Some(state) = &mut step.state {
@@ -502,7 +517,7 @@ impl<M: Send, S: Send> Transport<M> for ChannelMesh<M, S> {
             })
     }
 
-    /// Pops the oldest message at `at` while the state is in its slot.
+    /// Pops the oldest message at `at` (a pull mesh's state never leaves).
     fn recv_timeout(
         &self,
         at: u32,
@@ -511,9 +526,16 @@ impl<M: Send, S: Send> Transport<M> for ChannelMesh<M, S> {
         let Some(inbox) = self.inboxes.get(at as usize) else {
             return Err(TransportError::Closed);
         };
-        let s = inbox.until_ready(inbox.lock(), Instant::now() + timeout);
-        let msg = if s.idle() { inbox.pop(s) } else { None };
-        match msg {
+        let deadline = Instant::now() + timeout;
+        let mut s = inbox.lock();
+        while s.queue.is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            s = inbox.sleep(s, left);
+        }
+        match inbox.pop(s) {
             Some(msg) => Ok(TransportEvent::Delivery {
                 from: MESH_ANON,
                 epoch: 0,
@@ -543,7 +565,15 @@ impl<M: Send, S: Send> Transport<M> for ChannelMesh<M, S> {
 mod tests {
     use super::*;
     use std::panic::AssertUnwindSafe;
+    use std::sync::Arc;
     use std::thread::{self, ThreadId};
+
+    impl<M, S> ChannelMesh<M, S> {
+        /// Threads waiting to take endpoint `at`'s state.
+        pub(crate) fn waiting(&self, at: u32) -> usize {
+            self.inboxes[at as usize].lock().parked
+        }
+    }
 
     #[test]
     fn delivers_between_endpoints() {
@@ -616,8 +646,8 @@ mod tests {
         assert_eq!(mesh.inboxes[0].lock().senders_parked, 0);
     }
 
-    /// What the test endpoints ran, in order: each message's label and the
-    /// thread that ran it, logged when its run returned.
+    /// What the test endpoints ran, in order: each message's label (`tick`
+    /// for a tick) and the thread that ran it, logged when its run returned.
     type Log = Arc<Mutex<Vec<(&'static str, ThreadId)>>>;
 
     /// A test message: a label, and what running it does before it logs.
@@ -631,18 +661,29 @@ mod tests {
     struct Probe {
         log: Log,
         stale: bool,
+        fenced: bool,
+    }
+
+    impl Probe {
+        fn note(&self, label: &'static str) {
+            let me = thread::current().id();
+            self.log.lock().unwrap().push((label, me));
+        }
     }
 
     impl Handler<Msg> for Probe {
         fn is_current(&self) -> bool {
             !self.stale
         }
+        fn is_fenced(&self) -> bool {
+            self.fenced
+        }
         fn deliver(&mut self, Msg(label, run): Msg) {
             run(self);
-            self.log
-                .lock()
-                .unwrap()
-                .push((label, thread::current().id()));
+            self.note(label);
+        }
+        fn tick(&mut self) {
+            self.note("tick");
         }
     }
 
@@ -656,11 +697,13 @@ mod tests {
     fn probes_under(n: u32, cfg: MeshConfig) -> (Arc<Probes>, Log) {
         let log = Log::default();
         let mesh = Probes::owned(n, cfg);
-        for inbox in &mesh.inboxes {
-            inbox.lock().state = Some(Box::new(Probe {
+        for at in 0..n {
+            let probe = Probe {
                 log: Arc::clone(&log),
                 stale: false,
-            }));
+                fenced: false,
+            };
+            mesh.put(at, Some(Box::new(probe)));
         }
         (Arc::new(mesh), log)
     }
@@ -673,96 +716,76 @@ mod tests {
             .collect()
     }
 
-    /// Endpoint `at`'s owner runs what is queued there, each message in a
-    /// step of its own, and puts the state back.
-    fn run_queued(mesh: &Probes, at: u32) {
-        let mut state = mesh.inboxes[at as usize].lock().state.take().unwrap();
-        while mesh.queued(at) > 0 {
-            let (next, queued) = mesh.turn(at, state, Duration::ZERO);
-            state = next;
-            mesh.step(|| state.deliver(queued.unwrap()));
-        }
-        let inbox = &mesh.inboxes[at as usize];
-        inbox.release(inbox.lock(), &mut Some(state));
+    fn all_in_their_slots(mesh: &Probes) -> bool {
+        mesh.inboxes.iter().all(|inbox| inbox.lock().idle())
     }
 
-    /// A sender runs its message itself only on an idle state and with the
-    /// lock released (the run below sends again from inside); one that finds
-    /// the state out queues, and the owner pops it only once the state is
-    /// back.
+    /// A sender runs its message itself on an idle state, with the lock
+    /// released (the run below sends again from inside). What finds the
+    /// state out — the run's own send, another thread's — queues, and the
+    /// thread holding the state runs it before it puts the state back.
     #[test]
-    fn a_sender_runs_on_an_idle_state_and_queues_behind_a_busy_one() {
+    fn what_finds_the_state_out_runs_on_the_thread_that_puts_it_back() {
         let (mesh, log) = probes(1);
-        let mut state = mesh.inboxes[0].lock().state.take().unwrap();
-        let owner = thread::scope(|scope| {
-            let owner = scope.spawn(|| loop {
-                let (next, queued) = mesh.turn(0, state, Duration::from_mins(1));
-                state = next;
-                if let Some(queued) = queued {
-                    let last = queued.0 == "3";
-                    mesh.step(|| state.deliver(queued));
-                    if last {
-                        return thread::current().id();
-                    }
-                }
-            });
-            until(|| {
-                let s = mesh.inboxes[0].lock();
-                s.parked == 1 && s.state.is_some()
-            });
-            let m = Arc::clone(&mesh);
-            let send_2 = move |_: &mut Probe| {
-                m.hand(0, msg("2"), true).unwrap();
-                assert_eq!(m.queued(0), 1, "the state is out: 2 queues");
-            };
-            mesh.hand(0, Msg("1", Box::new(send_2)), true).unwrap();
-            mesh.sender(0)(msg("3"));
-            owner.join().unwrap()
-        });
+        let m = Arc::clone(&mesh);
+        let send_2_and_3 = move |_: &mut Probe| {
+            m.hand(0, msg("2"), true).unwrap();
+            thread::scope(|scope| drop(scope.spawn(|| m.hand(0, msg("3"), true).unwrap())));
+            assert_eq!(m.queued(0), 2, "the state is out: 2 and 3 queue");
+        };
+        mesh.hand(0, Msg("1", Box::new(send_2_and_3)), true)
+            .unwrap();
         let me = thread::current().id();
-        assert_eq!(
-            *log.lock().unwrap(),
-            [("1", me), ("2", owner), ("3", owner)]
-        );
+        assert_eq!(*log.lock().unwrap(), [("1", me), ("2", me), ("3", me)]);
+        assert!(all_in_their_slots(&mesh));
     }
 
     /// A state that is not current (a stale incarnation's) is never run by
-    /// a sender: the message queues for the owner.
+    /// a sender: the message queues, and the timer's next tick runs it. A
+    /// fenced state runs nowhere: the timer's tick drops it from its slot.
     #[test]
-    fn a_stale_state_is_left_to_its_owner() {
-        let (mesh, log) = probes(1);
-        mesh.inboxes[0].lock().state.as_mut().unwrap().stale = true;
+    fn a_stale_state_is_left_to_the_timer_and_a_fenced_one_dropped() {
+        let (mesh, log) = probes(2);
+        for (at, fenced) in [(0, false), (1, true)] {
+            let mut s = mesh.inboxes[at].lock();
+            let state = s.state.as_mut().unwrap();
+            (state.stale, state.fenced) = (true, fenced);
+        }
         mesh.hand(0, msg("1"), true).unwrap();
-        assert_eq!(mesh.queued(0), 1);
+        mesh.hand(1, msg("2"), true).unwrap();
+        assert_eq!((mesh.queued(0), mesh.queued(1)), (1, 1));
         assert!(log.lock().unwrap().is_empty());
+        let timer = thread::scope(|scope| {
+            let timer = scope.spawn(|| {
+                serve_as_timer();
+                mesh.tick(0);
+                mesh.tick(1);
+            });
+            timer.thread().id()
+        });
+        assert_eq!(*log.lock().unwrap(), [("1", timer), ("tick", timer)]);
+        assert!(mesh.inboxes[1].lock().state.is_none(), "not dropped");
+        assert_eq!(mesh.queued(1), 1);
     }
 
-    /// An owner whose tick passes while a sender runs its state marks itself
-    /// due and waits; the sender putting the state back hands it over.
+    /// A tick that finds the state out is not lost: whoever puts the state
+    /// back runs it. One that finds the state idle runs on the ticking
+    /// thread.
     #[test]
-    fn a_due_owner_gets_its_state_back_from_the_sender() {
+    fn a_tick_that_finds_the_state_out_runs_on_the_thread_that_puts_it_back() {
         let (mesh, log) = probes(1);
-        let mut state = mesh.inboxes[0].lock().state.take().unwrap();
-        thread::scope(|scope| {
-            // runs nothing it pops; a stale state stops it
-            let owner = scope.spawn(|| {
-                while !state.stale {
-                    state = mesh.turn(0, state, Duration::from_millis(1)).0;
-                }
-            });
-            // the owner ticks every millisecond: retry until a send finds
-            // its state idle in the slot (a miss only queues a message)
-            while log.lock().unwrap().is_empty() {
-                let m = Arc::clone(&mesh);
-                let stop = move |state: &mut Probe| {
-                    until(|| m.inboxes[0].lock().due);
-                    state.stale = true;
-                };
-                mesh.hand(0, Msg("stop", Box::new(stop)), true).unwrap();
-            }
-            owner.join().unwrap();
-            assert!(!mesh.inboxes[0].lock().due);
-        });
+        let m = Arc::clone(&mesh);
+        let tick_meanwhile = move |_: &mut Probe| {
+            thread::scope(|scope| drop(scope.spawn(|| m.tick(0))));
+            assert!(m.inboxes[0].lock().due);
+        };
+        mesh.hand(0, Msg("run", Box::new(tick_meanwhile)), true)
+            .unwrap();
+        let me = thread::current().id();
+        assert_eq!(*log.lock().unwrap(), [("run", me), ("tick", me)]);
+        let ticker = thread::scope(|scope| scope.spawn(|| mesh.tick(0)).thread().id());
+        assert_eq!(log.lock().unwrap()[2], ("tick", ticker));
+        assert!(!mesh.inboxes[0].lock().due);
     }
 
     /// What one step sends to an idle endpoint runs on the sender's thread
@@ -780,15 +803,12 @@ mod tests {
         mesh.hand(0, Msg("step", Box::new(send)), true).unwrap();
         let me = thread::current().id();
         assert_eq!(*log.lock().unwrap(), [("step", me), ("a", me), ("b", me)]);
-        assert!(mesh
-            .inboxes
-            .iter()
-            .all(|inbox| inbox.lock().state.is_some()));
+        assert!(all_in_their_slots(&mesh));
     }
 
     /// Once another thread queued at an endpoint this step claimed, what
     /// the step sends there next queues behind that message instead of
-    /// joining the claim, and both are left to the owner.
+    /// joining the claim; the claimer runs all three in queue order.
     #[test]
     fn a_message_never_joins_a_claim_behind_a_queued_one() {
         let (mesh, log) = probes(2);
@@ -797,17 +817,17 @@ mod tests {
             m.hand(1, msg("claimed"), false).unwrap();
             thread::scope(|scope| drop(scope.spawn(|| m.hand(1, msg("queued"), true).unwrap())));
             m.hand(1, msg("after"), false).unwrap();
+            assert_eq!(m.inboxes[1].lock().claimed, 1, "after joined the claim");
         };
         mesh.hand(0, Msg("step", Box::new(send)), true).unwrap();
-        assert_eq!(mesh.queued(1), 2);
-        run_queued(&mesh, 1);
+        assert_eq!(mesh.queued(1), 0);
         assert_eq!(labels(&log), ["step", "claimed", "queued", "after"]);
     }
 
     /// A run that claims endpoint 1 and then panics unwinds into the thread
     /// that started the step: both states are back in their slots, the
     /// claimed messages are back at the front of endpoint 1's queue in
-    /// order, and the thread starts steps again.
+    /// order, and the endpoint's next tick runs them.
     #[test]
     fn a_panicking_run_loses_no_state_and_no_message() {
         let (mesh, log) = probes(2);
@@ -820,32 +840,11 @@ mod tests {
         };
         let run = AssertUnwindSafe(|| mesh.hand(0, Msg("step", Box::new(send)), true));
         assert!(std::panic::catch_unwind(run).is_err());
-        assert!(mesh
-            .inboxes
-            .iter()
-            .all(|inbox| inbox.lock().state.is_some()));
+        assert!(all_in_their_slots(&mesh));
         assert!(CLAIMS.with_borrow(VecDeque::is_empty));
-        mesh.hand(0, msg("again"), true).unwrap();
-        run_queued(&mesh, 1);
-        assert_eq!(labels(&log), ["again", "claimed", "joined", "queued"]);
-    }
-
-    /// Endpoint `at`'s owner, run the way a node's own thread runs it: it
-    /// takes its state, turns and steps until it pops `stop`, and leaves
-    /// the state in its slot.
-    fn own(mesh: &Probes, at: u32) {
-        let inbox = &mesh.inboxes[at as usize];
-        let mut state = inbox.lock().state.take().unwrap();
-        loop {
-            let (next, queued) = mesh.turn(at, state, Duration::from_mins(1));
-            state = next;
-            match queued {
-                Some(Msg("stop", _)) => break,
-                Some(queued) => mesh.step(|| state.deliver(queued)),
-                None => {}
-            }
-        }
-        inbox.release(inbox.lock(), &mut Some(state));
+        assert_eq!(mesh.queued(1), 3);
+        mesh.tick(1);
+        assert_eq!(labels(&log), ["claimed", "joined", "queued", "tick"]);
     }
 
     /// Per woken caller: the endpoint that answered it, and whether that
@@ -883,16 +882,16 @@ mod tests {
         })
     }
 
-    /// A node's own thread answers one caller in its step and another in a
-    /// claim that step made; each caller, once woken, finds the endpoint
-    /// that answered it idle in its slot — not out with the thread that
-    /// woke it, which it would then have to queue behind.
+    /// A message that queued while endpoint 0's state was out runs on the
+    /// thread that puts the state back; it answers one caller and another
+    /// in a claim it made on endpoint 1. Each caller, once woken, finds the
+    /// endpoint that answered it idle in its slot — not out with the thread
+    /// that woke it, which it would then have to queue behind.
     #[test]
     fn a_woken_caller_finds_the_node_back_in_its_slot() {
         let (mesh, log) = probes(2);
         let woken = Woken::default();
-        let woken_by_turns = thread::scope(|scope| {
-            let node = scope.spawn(|| own(&mesh, 0));
+        thread::scope(|scope| {
             let first = answer_and_wait(caller(scope, &mesh, 0, &woken), &woken);
             let claimed = answer_and_wait(caller(scope, &mesh, 1, &woken), &woken);
             let m = Arc::clone(&mesh);
@@ -900,17 +899,10 @@ mod tests {
                 first(probe);
                 m.hand(1, Msg("claimed", claimed), false).unwrap();
             };
-            mesh.sender(0)(Msg("answer", Box::new(run)));
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while woken.lock().unwrap().len() < 2 && Instant::now() < deadline {
-                thread::yield_now();
-            }
-            let woken_by_turns = woken.lock().unwrap().len();
-            mesh.sender(0)(msg("stop"));
-            node.join().unwrap();
-            woken_by_turns
+            let state = mesh.take(0);
+            mesh.hand(0, Msg("answer", Box::new(run)), true).unwrap();
+            mesh.put(0, state);
         });
-        assert_eq!(woken_by_turns, 2, "not woken before the owner stopped");
         assert_eq!(labels(&log), ["answer", "claimed"]);
         let mut woken = woken.lock().unwrap().clone();
         woken.sort_unstable();
@@ -921,9 +913,9 @@ mod tests {
         );
     }
 
-    /// A chain on a node's own thread that answers a parked caller and then
-    /// panics still wakes that caller with its answer — not a timeout, not
-    /// a disconnect — and loses no state: its claim goes back to its owner.
+    /// A queued chain that answers a parked caller and then panics still
+    /// wakes that caller with its answer — not a timeout, not a disconnect —
+    /// and loses no state: its claim goes back to its slot.
     #[test]
     fn a_panicking_chain_still_wakes_whom_it_answered() {
         let (mesh, log) = probes(2);
@@ -934,60 +926,51 @@ mod tests {
             m.hand(1, msg("claimed"), false).unwrap();
             panic!("a handler failed");
         };
-        mesh.sender(0)(Msg("step", Box::new(run)));
+        let state = mesh.take(0);
+        mesh.hand(0, Msg("step", Box::new(run)), true).unwrap();
         thread::scope(|scope| {
             let caller = scope.spawn(|| answered.recv_timeout(Duration::from_secs(1)));
-            let inbox = &mesh.inboxes[0];
-            let state = inbox.lock().state.take().unwrap();
-            let (mut state, queued) = mesh.turn(0, state, Duration::ZERO);
-            let step = AssertUnwindSafe(|| mesh.step(|| state.deliver(queued.unwrap())));
-            assert!(std::panic::catch_unwind(step).is_err());
+            let put = AssertUnwindSafe(|| mesh.put(0, state));
+            assert!(std::panic::catch_unwind(put).is_err());
             assert_eq!(caller.join().unwrap(), Ok(()));
-            inbox.release(inbox.lock(), &mut Some(state));
         });
-        assert!(mesh
-            .inboxes
-            .iter()
-            .all(|inbox| inbox.lock().state.is_some()));
+        assert!(all_in_their_slots(&mesh));
         assert!(CLAIMS.with_borrow(VecDeque::is_empty));
-        run_queued(&mesh, 1);
-        assert_eq!(labels(&log), ["claimed"]);
+        mesh.tick(1);
+        assert_eq!(labels(&log), ["claimed", "tick"]);
     }
 
-    /// A node's own thread that kept an answer wakes its caller before it
-    /// sleeps on a full inbox: the caller has its answer while the send is
-    /// still blocked, since only the caller's pop makes room for it.
+    /// A thread that kept an answer wakes its caller before it sleeps on a
+    /// full inbox: the caller has its answer while the send is still
+    /// blocked, since only the caller's pop makes room for it.
     #[test]
-    fn an_owner_wakes_whom_it_answered_before_it_sleeps_on_a_full_inbox() {
+    fn a_releaser_wakes_whom_it_answered_before_it_sleeps_on_a_full_inbox() {
         let cfg = MeshConfig {
             capacity: 1,
             send_deadline_ms: 60_000,
         };
         let (mesh, log) = probes_under(2, cfg);
         // endpoint 1's state is out and its one place taken
-        let state_1 = mesh.inboxes[1].lock().state.take();
-        mesh.sender(1)(msg("first"));
+        let state_1 = mesh.take(1);
+        mesh.hand(1, msg("first"), true).unwrap();
         let (reply, answered) = crossbeam::channel::bounded(1);
         let m = Arc::clone(&mesh);
         let run = move |_: &mut Probe| {
             answer(reply, ());
             m.hand(1, msg("second"), false).unwrap();
         };
-        mesh.sender(0)(Msg("step", Box::new(run)));
+        let state_0 = mesh.take(0);
+        mesh.hand(0, Msg("step", Box::new(run)), true).unwrap();
         thread::scope(|scope| {
             let caller = scope.spawn(|| {
                 let answer = answered.recv_timeout(Duration::from_secs(2));
-                (answer, mesh.try_pop(1).map(|Msg(label, _)| label))
+                let inbox = &mesh.inboxes[1];
+                (answer, inbox.pop(inbox.lock()).map(|Msg(label, _)| label))
             });
-            let inbox = &mesh.inboxes[0];
-            let state = inbox.lock().state.take().unwrap();
-            let (mut state, queued) = mesh.turn(0, state, Duration::ZERO);
-            mesh.step(|| state.deliver(queued.unwrap()));
-            inbox.release(inbox.lock(), &mut Some(state));
+            mesh.put(0, state_0);
             assert_eq!(caller.join().unwrap(), (Ok(()), Some("first")));
         });
-        mesh.inboxes[1].lock().state = state_1;
-        run_queued(&mesh, 1);
+        mesh.put(1, state_1);
         assert_eq!(labels(&log), ["step", "second"]);
     }
 

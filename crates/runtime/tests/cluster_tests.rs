@@ -4,12 +4,12 @@ use oml_core::attach::AttachmentMode;
 use oml_core::ids::NodeId;
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
-use oml_runtime::{Cluster, MobileObject, RuntimeError, ScheduleSource};
+use oml_runtime::{Cluster, FaultPlan, MobileObject, RuntimeError, ScheduleSource};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A counter whose state survives linearization.
 struct Counter(u64);
@@ -26,7 +26,8 @@ impl MobileObject for Counter {
                 Ok(WireWriter::new().u64(self.0).finish().to_vec())
             }
             "get" => Ok(WireWriter::new().u64(self.0).finish().to_vec()),
-            // the thread the call runs on: the node's, or inline the caller's
+            // the thread the call runs on: inline the caller's, or whichever
+            // thread ran what queued
             "where" => Ok(std::thread::current()
                 .name()
                 .unwrap_or_default()
@@ -496,7 +497,8 @@ fn concurrent_movers_never_lose_the_object() {
 /// queued behind node-to-node traffic is never overtaken by the same
 /// client's next `move` (which transient placement would then deny). A
 /// second client keeps node 1 busy installing another closure, so some of
-/// the calls below queue for the node's thread and some run inline.
+/// the calls below queue — and run on the thread that puts the node back —
+/// and some run inline.
 #[test]
 fn a_queued_end_is_never_overtaken_by_the_next_move() {
     const ROUNDS: usize = 10_000;
@@ -513,6 +515,8 @@ fn a_queued_end_is_never_overtaken_by_the_next_move() {
     }
     let stop = AtomicBool::new(false);
     let (mut inline, mut queued, mut denied) = (0, 0, None);
+    let caller = std::thread::current();
+    let me = caller.name().expect("a named test thread");
     std::thread::scope(|scope| {
         scope.spawn(|| {
             for to in [n(1), n(2)].into_iter().cycle() {
@@ -534,7 +538,7 @@ fn a_queued_end_is_never_overtaken_by_the_next_move() {
                 guard.end();
             }
             let at = cluster.invoke(root, "where", &[]).expect("where");
-            if at.starts_with(b"oml-node-") {
+            if at != me.as_bytes() {
                 queued += 1;
             } else {
                 inline += 1;
@@ -687,4 +691,62 @@ fn a_panicking_install_unwinds_into_the_caller_and_every_node_still_answers() {
     for (i, &probe) in probes.iter().enumerate() {
         assert_eq!(add(&cluster, probe, 0), i as u64, "node {i} answers");
     }
+}
+
+/// The delay the fault trace records for the first message whose line
+/// names `what` (e.g. `Invoke(`), in milliseconds.
+fn delay_of(cluster: &Cluster, what: &str) -> u64 {
+    let trace = cluster.fault_trace();
+    let line = trace.iter().find(|line| line.contains(what));
+    let line = line.unwrap_or_else(|| panic!("no {what} in {trace:?}"));
+    let ms = line
+        .strip_prefix("delay(")
+        .and_then(|rest| rest.split("ms)").next());
+    ms.and_then(|ms| ms.parse().ok())
+        .unwrap_or_else(|| panic!("not a delay: {line}"))
+}
+
+/// Messages the fault plan delays past a shutdown meet the shutdown rule
+/// when the shutdown begins: a call is refused with `ShuttingDown` at once
+/// — it does not wait out its whole call timeout for a delivery nobody
+/// runs — and an end-request is still applied, releasing its lock.
+#[test]
+fn what_is_delayed_at_shutdown_meets_the_shutdown_rule_at_once() {
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .faults(FaultPlan::seeded(1).delay_probability(1.0, 3_000))
+        .call_timeout(Duration::from_secs(8))
+        .invoke_retries(0)
+        .build();
+    register_counter(&cluster);
+    let obj = cluster.create(n(1), Box::new(Counter(0))).unwrap();
+    let guard = cluster.move_block(obj, n(0)).expect("move");
+    assert!(guard.granted());
+    std::thread::scope(|scope| {
+        let call = scope.spawn(|| cluster.invoke(obj, "get", &[]));
+        guard.end();
+        while cluster.fault_trace().len() < 3 {
+            std::thread::yield_now();
+        }
+        for what in ["Invoke(", "End("] {
+            let ms = delay_of(&cluster, what);
+            assert!(
+                ms > 200,
+                "{what} falls due too soon to outlive shutdown: {ms} ms"
+            );
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        let shutdown = Instant::now();
+        cluster.shutdown();
+        assert_eq!(call.join().unwrap(), Err(RuntimeError::ShuttingDown));
+        let waited = shutdown.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "answered {waited:?} after shutdown"
+        );
+    });
+    assert!(
+        cluster.held_locks().is_empty(),
+        "the delayed end was not applied"
+    );
 }

@@ -3,15 +3,15 @@
 //! own step when a node sends it — so a sequential invoke wakes no thread at
 //! all, and neither does a sequential move block: the move, its closure's
 //! `Install` and the checkpoint puts and acks between nodes all run on the
-//! client's thread, one after the other. Handing each call to the node's
-//! thread and its reply back costs two voluntary context switches per invoke
-//! (1.95–2.00 measured with every call handed over); handing node-to-node
-//! traffic to node threads costs 7.1–8.3 per move block. With two clients
-//! some calls find their node busy and queue for its thread, which wakes
-//! their callers only once the node is back in its slot: woken earlier, a
-//! caller preempts that thread, finds the node still out, queues again and
-//! feeds the same thread its next call. This file holds one test so that no
-//! other test's threads are counted with it.
+//! client's thread, one after the other. Handing each call to a thread of
+//! the node's own and its reply back cost two voluntary context switches per
+//! invoke (1.95–2.00 measured with every call handed over); handing
+//! node-to-node traffic to such threads cost 7.1–8.3 per move block. With
+//! two clients some calls find their node busy and queue; the thread that
+//! puts the node back runs them, and wakes their callers only once the node
+//! is back in its slot. The cluster's one thread, its timer, runs ticks and
+//! delayed deliveries only. This file holds one test so that no other
+//! test's threads are counted with it.
 
 use oml_core::attach::AttachmentMode;
 use oml_core::ids::{NodeId, ObjectId};
@@ -82,11 +82,11 @@ fn switches_per_op(what: &str, ops: u64, max: f64, mut op: impl FnMut(u64)) {
     );
 }
 
-/// Context switches of either kind the node threads (`oml-node-N`) have
-/// made so far (`/proc/self/task/*/{comm,status}`): a voluntary one each
-/// time one waits for work, an involuntary one each time a thread it woke
-/// takes its CPU.
-fn node_thread_switches() -> u64 {
+/// Context switches of either kind the cluster's timer thread (`oml-timer`)
+/// has made so far (`/proc/self/task/*/{comm,status}`): a voluntary one each
+/// time it waits for its next deadline, an involuntary one each time a
+/// thread it woke takes its CPU.
+fn timer_switches() -> u64 {
     let count = |status: String| -> u64 {
         let counts = status.lines().filter_map(|line| {
             let n = line.strip_prefix("voluntary_ctxt_switches:");
@@ -99,8 +99,8 @@ fn node_thread_switches() -> u64 {
         .filter_map(|task| {
             let task = task.ok()?.path();
             let comm = std::fs::read_to_string(task.join("comm")).ok()?;
-            let node = comm.starts_with("oml-node-");
-            node.then(|| std::fs::read_to_string(task.join("status")).ok().map(count))?
+            let timer = comm.trim_end() == "oml-timer";
+            timer.then(|| std::fs::read_to_string(task.join("status")).ok().map(count))?
         })
         .sum()
 }
@@ -108,8 +108,8 @@ fn node_thread_switches() -> u64 {
 /// Pins this process — every thread it has and every thread those start —
 /// to one CPU it may run on, with `taskset` as the benchmark does. On one
 /// CPU a woken caller runs only once the thread that woke it sleeps or is
-/// preempted, so what the node threads run is what queued behind them, not
-/// what two clients on two cores happen to collide on.
+/// preempted, so what queues is what found a node held by the other client,
+/// not what two clients on two cores happen to collide on.
 fn pin_to_one_cpu() {
     let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
     let allowed = status
@@ -153,14 +153,15 @@ fn count(cluster: &Cluster, object: ObjectId) -> u64 {
 /// 1 KiB objects with a quorum refresh at replication 2, four `add`s, `end`
 /// — at most 0.5 each. Then two clients at once on one CPU, shaped like
 /// the benchmark's `mesh_move`: 2 × 10 000 move blocks on sixteen working
-/// sets, a root and a destination drawn per block, the node threads making
+/// sets, a root and a destination drawn per block, the timer thread making
 /// at most 0.1 context switches per block, voluntary and involuntary
-/// together (0.01–0.03 here, beside two busy loops too; 0.5–1.5 while a
-/// node thread woke its callers before its state was back in its slot).
+/// together: it runs ticks, not calls (the node threads it replaced read
+/// 0.01–0.03 here, and 0.5–1.5 while they woke their callers before their
+/// state was back in its slot).
 ///
 /// Only an optimized build, the one the benchmark measures, is held to the
-/// bounds. The count also takes in each node thread's idle tick (every
-/// 25 ms, 120 a second for three nodes) and the detector's sweeps, which
+/// bounds. The count also takes in the timer's ticks (every 25 ms, 40 a
+/// second for the three nodes together, detector sweeps included), which
 /// grow with wall time, not with calls: the 20 000 calls take ~0.02 s
 /// optimized and ~0.09 s unoptimized here (0.000 and 0.001 switches per
 /// invoke), but a build slowed enough — a sanitizer on a loaded runner —
@@ -280,19 +281,19 @@ fn a_sequential_invoke_or_move_block_wakes_no_thread() {
         })
     };
     let mut adds = run(0, BLOCKS / 10);
-    let before = node_thread_switches();
+    let before = timer_switches();
     adds += run(BLOCKS / 10, BLOCKS);
-    let per_block = (node_thread_switches() - before) as f64 / (CLIENTS * BLOCKS) as f64;
+    let per_block = (timer_switches() - before) as f64 / (CLIENTS * BLOCKS) as f64;
     let bound = if cfg!(debug_assertions) {
         "not held in an unoptimized build".to_owned()
     } else {
         "at most 0.1".to_owned()
     };
-    let what = "node-thread context switches per block of two clients";
+    let what = "timer-thread context switches per block of two clients";
     println!("mesh wake-up guard: {per_block:.3} {what} ({bound})");
     assert!(
         cfg!(debug_assertions) || per_block <= 0.1,
-        "{per_block:.3} {what}: callers are woken while their node is out"
+        "{per_block:.3} {what}: calls are left to the timer"
     );
     let total: u64 = roots.iter().map(|&root| count(&cluster, root)).sum();
     assert_eq!(total, adds);
