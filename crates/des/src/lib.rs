@@ -15,9 +15,8 @@
 //!   paper's stopping rule ("run until the 99 % confidence interval half-width
 //!   is below 1 % of the mean"),
 //! * [`par`] — a deterministic work-stealing `parallel_map` for fanning
-//!   independent jobs (sweep points, replications) across cores,
-//! * [`shard`] — a conservatively synchronized sharded engine that runs one
-//!   huge world on many cores, bit-identical at any thread count,
+//!   independent jobs (sweep points, replications) across cores: the
+//!   simulator's one multi-core path,
 //! * [`virt`] — an explicitly advanced millisecond clock for model-checked
 //!   executions (the `oml-check` explorer's notion of time).
 //!
@@ -76,7 +75,6 @@ mod rng;
 mod time;
 
 pub mod par;
-pub mod shard;
 pub mod stats;
 pub mod trace;
 pub mod virt;

@@ -24,7 +24,6 @@ use std::time::Instant;
 use oml_check::explore::Fnv64;
 use oml_des::stats::StoppingRule;
 use oml_sim::metrics::MetricsRow;
-use oml_workload::mega::MegaReport;
 use oml_workload::{run_scenario, run_scenario_replicated, ScenarioConfig};
 
 use crate::experiments::{
@@ -397,14 +396,9 @@ pub fn run_scaling_suite(opts: &RunOptions, threads_axis: &[usize]) -> ScalingRe
     }
 }
 
-/// Renders the scaling report (and optionally a mega run) as
-/// `BENCH_03.json`.
+/// Renders the scaling report as `BENCH_03.json`.
 #[must_use]
-pub fn render_scaling_json(
-    report: &ScalingReport,
-    mega: Option<&MegaReport>,
-    opts: &RunOptions,
-) -> String {
+pub fn render_scaling_json(report: &ScalingReport, opts: &RunOptions) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"bench_id\": \"BENCH_03\",");
@@ -437,26 +431,7 @@ pub fn render_scaling_json(
         let speedup = if r.wall_s > 0.0 { base / r.wall_s } else { 0.0 };
         let _ = writeln!(out, "    \"{}\": {:.2}{}", r.threads, speedup, sep);
     }
-    out.push_str("  }");
-    if let Some(m) = mega {
-        out.push_str(",\n  \"mega\": {\n");
-        let _ = writeln!(out, "    \"objects\": {},", m.objects);
-        let _ = writeln!(out, "    \"nodes\": {},", m.nodes);
-        let _ = writeln!(out, "    \"shards\": {},", m.shards);
-        let _ = writeln!(out, "    \"threads\": {},", m.threads);
-        let _ = writeln!(out, "    \"sim_time\": {},", m.sim_time);
-        let _ = writeln!(out, "    \"events\": {},", m.events);
-        let _ = writeln!(out, "    \"wall_s\": {:.4},", m.wall_s);
-        let _ = writeln!(out, "    \"events_per_sec\": {:.0},", m.events_per_sec);
-        let _ = writeln!(out, "    \"calls_issued\": {},", m.calls_issued);
-        let _ = writeln!(out, "    \"calls_completed\": {},", m.calls_completed);
-        let _ = writeln!(out, "    \"migrations\": {},", m.migrations);
-        let _ = writeln!(out, "    \"mean_response\": {:.4},", m.mean_response);
-        let _ = writeln!(out, "    \"peak_rss_bytes\": {}", m.peak_rss_bytes);
-        out.push_str("  }\n");
-    } else {
-        out.push('\n');
-    }
+    out.push_str("  }\n");
     out.push_str("}\n");
     out
 }
@@ -527,7 +502,7 @@ mod tests {
         assert_eq!(report.runs.len(), 2);
         assert!(report.bit_identical, "threads must not change results");
         assert!(report.runs[0].events > 0);
-        let json = render_scaling_json(&report, None, &opts);
+        let json = render_scaling_json(&report, &opts);
         assert!(json.contains("\"bench_id\": \"BENCH_03\""));
         assert!(json.contains("\"bit_identical\": true"));
         assert!(json.contains("speedup_vs_1_thread"));

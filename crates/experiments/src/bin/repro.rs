@@ -26,7 +26,6 @@ use oml_experiments::experiments::{
 };
 use oml_experiments::explore::{render_outcome, replay_file, run_matrix};
 use oml_experiments::{render_plot, render_svg, ExperimentResult, SvgOptions};
-use oml_workload::mega::{run_mega, MegaConfig};
 use oml_workload::table1::{table1, value_for};
 use oml_workload::{run_scenario, ScenarioConfig};
 
@@ -48,7 +47,6 @@ struct Cli {
     /// baseline comparability, everything else to `default_threads()`).
     threads_override: Option<usize>,
     axis: Option<String>,
-    no_mega: bool,
     smoke: bool,
     multiprocess: bool,
     cold_restart: bool,
@@ -92,7 +90,6 @@ fn parse_args() -> Result<Cli, String> {
                 cli.threads_override = Some(n);
             }
             "--axis" => cli.axis = Some(args.next().ok_or("--axis needs N,M,...")?),
-            "--no-mega" => cli.no_mega = true,
             "--smoke" => cli.smoke = true,
             "--multiprocess" => cli.multiprocess = true,
             "--cold-restart" => cli.cold_restart = true,
@@ -437,43 +434,8 @@ fn run_explore(cli: &Cli) -> ExitCode {
     }
 }
 
-/// The mega world `--smoke` selects: the small CI variant or the standing one.
-fn mega_config(cli: &Cli) -> MegaConfig {
-    if cli.smoke {
-        MegaConfig::smoke()
-    } else {
-        MegaConfig::standing()
-    }
-}
-
-fn print_mega(report: &oml_workload::mega::MegaReport) {
-    println!("# repro mega — the standing large-scale world");
-    println!(
-        "{} objects on {} nodes across {} shards, {} worker thread(s)",
-        report.objects, report.nodes, report.shards, report.threads
-    );
-    println!(
-        "simulated {:.0} time units: {} events in {:.2} s wall ({:.0} events/s)",
-        report.sim_time, report.events, report.wall_s, report.events_per_sec
-    );
-    println!(
-        "{} ticks, {} calls issued / {} completed ({} local), {} migrations",
-        report.ticks,
-        report.calls_issued,
-        report.calls_completed,
-        report.local_calls,
-        report.migrations
-    );
-    println!(
-        "mean response {:.3} time units, peak RSS {:.1} MiB",
-        report.mean_response,
-        report.peak_rss_bytes as f64 / (1024.0 * 1024.0)
-    );
-}
-
 /// The `scaling` experiment: run the replicated fig16 sweep once per thread
-/// count, demand bit-identical metrics, append a mega-world run unless
-/// `--no-mega`, and write `BENCH_03.json`.
+/// count, demand bit-identical metrics, and write `BENCH_03.json`.
 fn run_scaling(cli: &Cli) -> ExitCode {
     let axis: Vec<usize> = match &cli.axis {
         None => vec![1, 2, 4, 8],
@@ -511,20 +473,7 @@ fn run_scaling(cli: &Cli) -> ExitCode {
         report.bit_identical, report.host_cores
     );
 
-    let mega = if cli.no_mega {
-        None
-    } else {
-        let cfg = mega_config(cli);
-        let threads = cli
-            .threads_override
-            .unwrap_or_else(|| axis.iter().copied().max().unwrap_or(1));
-        let m = run_mega(&cfg, cli.opts.seed, threads);
-        println!();
-        print_mega(&m);
-        Some(m)
-    };
-
-    let json = render_scaling_json(&report, mega.as_ref(), &cli.opts);
+    let json = render_scaling_json(&report, &cli.opts);
     let path = PathBuf::from("BENCH_03.json");
     if let Err(e) = fs::write(&path, json) {
         eprintln!("cannot write {}: {e}", path.display());
@@ -735,22 +684,9 @@ const EXPERIMENTS: &[Experiment] = &[
         about: "threads-axis scaling suite over the parallel replication\n\
                 runner; asserts bit-identical results across thread counts\n\
                 and writes BENCH_03.json (--axis N,M,... picks the thread\n\
-                counts, default 1,2,4,8; --no-mega skips the standing mega\n\
-                world that is otherwise appended to the report)",
+                counts, default 1,2,4,8)",
         in_all: false,
         run: run_scaling,
-    },
-    Experiment {
-        name: "mega",
-        about: "the standing large-scale world: >=1M Zipf-popular objects\n\
-                on >=1024 nodes across 64 shards of the conservative\n\
-                time-windowed engine (--smoke runs the small CI variant)",
-        in_all: false,
-        run: |cli| {
-            let report = run_mega(&mega_config(cli), cli.opts.seed, cli.opts.threads);
-            print_mega(&report);
-            ExitCode::SUCCESS
-        },
     },
     Experiment {
         name: "custom",
@@ -779,7 +715,7 @@ fn usage() -> String {
     let mut text = String::from(
         "usage: repro <experiment> [--quick|--paper] [--seed N] [--threads N] \
          [--seeds chaos|N,M,...] [--recovery] [--durability] [--negative] \
-         [--budget N] [--replay FILE] [--axis N,M,...] [--no-mega] [--smoke] [--multiprocess] \
+         [--budget N] [--replay FILE] [--axis N,M,...] [--smoke] [--multiprocess] \
          [--cold-restart] [--fsync always|never|batch:N:MS] [--scenario FILE] [--csv DIR] \
          [--svg DIR] [--plot]\n\nexperiments (* = part of `all`):\n",
     );

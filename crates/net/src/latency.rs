@@ -106,22 +106,6 @@ impl LatencyModel {
             LatencyModel::ShiftedExponential { offset, mean } => offset + mean,
         }
     }
-
-    /// The infimum of the latency distribution — no sample is ever smaller.
-    ///
-    /// This is the conservative lookahead a sharded simulation may assume
-    /// between nodes: a bare exponential admits arbitrarily short messages
-    /// (minimum 0, no safe window), while a shifted exponential guarantees
-    /// at least its `offset`.
-    #[must_use]
-    pub fn min_latency(&self) -> f64 {
-        match *self {
-            LatencyModel::Exponential { .. } => 0.0,
-            LatencyModel::Deterministic { value } => value,
-            LatencyModel::Uniform { lo, .. } => lo,
-            LatencyModel::ShiftedExponential { offset, .. } => offset,
-        }
-    }
 }
 
 impl Default for LatencyModel {

@@ -245,18 +245,6 @@ impl Network {
         self.topology.len() == 0
     }
 
-    /// Lower bound on the delay of any **remote** message in this network.
-    ///
-    /// This is the conservative lookahead of a sharded simulation over this
-    /// network: no node can influence another faster than this. Local
-    /// messages are free and irrelevant (they never cross shards). Hop
-    /// scaling only multiplies (`hops ≥ 1`) and fault retransmissions only
-    /// add, so [`LatencyModel::min_latency`] is the bound either way.
-    #[must_use]
-    pub fn min_remote_delay(&self) -> f64 {
-        self.latency.min_latency()
-    }
-
     /// Samples the duration of one message from `from` to `to`.
     ///
     /// Local messages (same node) take zero time — local actions are "about

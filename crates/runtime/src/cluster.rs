@@ -2721,6 +2721,46 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// A delivery the timer hands to a crashed node's full inbox joins its
+    /// queue: the timer does not sleep on room nobody makes, and a call
+    /// that falls due after it is still delivered and answered.
+    #[test]
+    fn a_delayed_delivery_to_a_full_inbox_never_stalls_the_timer() {
+        let cluster = Cluster::builder().nodes(2).build();
+        cluster.register_type("cell", |bytes| Box::new(Cell(bytes[0], None)));
+        let (shared, live, down) = (&cluster.shared, NodeId::new(0), NodeId::new(1));
+        let object = cluster.create(live, Box::new(Cell(3, None))).unwrap();
+        cluster.crash_node(down).unwrap();
+        // empty surrenders, a no-op once run
+        let surrender = || Message::Surrender {
+            members: Vec::new(),
+            to: down,
+        };
+        for _ in 0..MeshConfig::default().capacity {
+            shared.send_from(None, down, surrender()).unwrap();
+        }
+        let (reply, answered) = bounded(1);
+        let call = Message::Invoke {
+            object,
+            method: "get".to_owned(),
+            payload: Bytes::new(),
+            hops: MAX_HOPS,
+            reply,
+        };
+        let env = |to, msg| shared.trace_envelope(fault::CLIENT, 0, to, msg);
+        let now = shared.timer_ms();
+        assert!(shared
+            .at(now + 10.0, Due::Deliver(1, env(down, surrender())))
+            .is_ok());
+        assert!(shared
+            .at(now + 50.0, Due::Deliver(0, env(live, call)))
+            .is_ok());
+        let answer = answered.recv_timeout(Duration::from_secs(1));
+        // the restart drains the queue, which frees a timer asleep on it
+        cluster.restart_node(down).unwrap();
+        assert_eq!(answer, Ok(Ok(vec![3].into())));
+    }
+
     /// The retry-jitter stream of seed `0xC0A5`, captured at the commit
     /// before its finalizer became [`fault::mix64`]; see
     /// `fault::tests::seeded_streams_match_their_pinned_values`.

@@ -39,15 +39,10 @@ use oml_check::event::{EventKind, TraceEvent};
 ///   critical section bumps the stranded objects' epochs (and stash
 ///   reclamation reads them) under the epoch lock — the fencing decision
 ///   and the epoch bump must be atomic.
-/// * `cluster.handles -> shared.epoch_lock`: `Cluster::restart_node` once
-///   held a node-thread handle table while rejoining. Restarts now hold the
-///   node's inbox slot, which is not a lock, so no run takes this edge; it
-///   stays listed, still one-way, so the documented order is unchanged.
 pub const KNOWN_LOCK_ORDER: &[(&str, &str)] = &[
     ("shared.alliances", "shared.attachments"),
     ("shared.epoch_lock", "shared.directory"),
     ("shared.epoch_lock", "shared.object_epochs"),
-    ("cluster.handles", "shared.epoch_lock"),
 ];
 
 /// Collects protocol trace events from every thread of a cluster (or, in

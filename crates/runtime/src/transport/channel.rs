@@ -40,9 +40,13 @@
 //! * **Reply channels** (created per call in `cluster.rs`): stay
 //!   `bounded(1)` + `try_send` fail-fast — a reply past its caller's
 //!   deadline is dropped and never blocks a node.
-//! * **Deadline-free sends** (client calls, the delayed deliveries the
-//!   timer hands over): block until there is room; a full inbox delays the
-//!   delivery further, which is indistinguishable from more network delay.
+//! * **Deadline-free sends**: a client call blocks until there is room; a
+//!   full inbox delays it further, which is indistinguishable from more
+//!   network delay. A delayed delivery the timer hands over joins the queue
+//!   even past capacity: it already waited on the timer's heap, which has
+//!   no bound either, so this holds no extra memory and keeps each node's
+//!   order — and the timer never sleeps on an inbox that only a restart, or
+//!   its own next tick, would pop.
 
 use super::{LinkHealth, Transport, TransportError, TransportEvent};
 use crossbeam::channel::Sender;
@@ -153,8 +157,8 @@ impl<M, S> Inbox<M, S> {
     }
 
     /// Queues `msg` once there is room — waiting until `by`, or as long as
-    /// it takes without a deadline — then wakes a parked receiver. `Err`
-    /// hands `msg` back when `by` passed.
+    /// it takes without a deadline, or on the timer not at all — then wakes
+    /// a parked receiver. `Err` hands `msg` back when `by` passed.
     fn push<'a>(&'a self, mut s: Guard<'a, M, S>, msg: M, by: Option<Instant>) -> Result<(), M> {
         while s.queue.len() >= self.capacity {
             if KEPT.with_borrow(|kept| !kept.is_empty()) {
@@ -165,6 +169,8 @@ impl<M, S> Inbox<M, S> {
                 continue;
             }
             let wait = match by.map(|d| d.saturating_duration_since(Instant::now())) {
+                // the timer's one deadline-free send: a delayed delivery
+                None if TIMER.get() => break,
                 None => PARK,
                 Some(left) if !left.is_zero() => left,
                 Some(_) => return Err(msg),
@@ -450,9 +456,9 @@ impl<M: Send + 'static, S: Send + 'static> ChannelMesh<M, S> {
     /// once — or after the step this thread is in. A message for an
     /// endpoint this thread claimed and has not run joins the claim if
     /// nothing queued there since. Anything else queues, for as long as the
-    /// inbox is full if `patient`, else up to the send deadline; behind a
-    /// state in its slot that no sender may run (a stale one), it waits for
-    /// the timer's next tick.
+    /// inbox is full if `patient` (on the timer, past a full inbox at once),
+    /// else up to the send deadline; behind a state in its slot that no
+    /// sender may run (a stale one), it waits for the timer's next tick.
     pub(crate) fn hand(&self, to: u32, msg: M, patient: bool) -> Result<(), TransportError>
     where
         S: Handler<M>,

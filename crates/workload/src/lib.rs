@@ -10,7 +10,9 @@
 //!
 //! A [`scenario::ScenarioConfig`] captures Table 1's parameters; constructors
 //! exist for every figure. [`run_scenario`] turns a config plus a policy and
-//! an attachment mode into a finished simulation run.
+//! an attachment mode into a finished simulation run;
+//! [`run_scenario_replicated`] spreads independent replications over cores,
+//! the simulator's one multi-core path, bit-identical at any thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,10 +38,8 @@
     clippy::wildcard_imports
 )]
 
-pub mod mega;
 pub mod scenario;
 pub mod table1;
-pub mod zipf;
 
 pub use scenario::ScenarioConfig;
 
