@@ -301,6 +301,9 @@ fn run_check(cli: &Cli) -> ExitCode {
                 let outcome = replay(seed);
                 println!("\n{seed_label} {:#x}:", outcome.seed);
                 println!("{}", outcome.report);
+                // one line per seed, the same on every run of that seed
+                let digest = outcome.digest;
+                println!("trace_digest {seed_label} {seed:#x} {digest:#018x}");
                 clean &= outcome.report.is_clean();
             }
             for control in NEGATIVE_CONTROLS.iter().filter(|c| c.gate == flag) {

@@ -8,6 +8,7 @@
 
 use std::time::Duration;
 
+use oml_check::explore::trace_digest;
 use oml_check::{check_trace, lockorder, CheckReport};
 use oml_core::ids::{NodeId, ObjectId};
 use oml_core::policy::PolicyKind;
@@ -31,6 +32,9 @@ pub struct CheckOutcome {
     pub seed: u64,
     /// The checker's verdict over the collected trace.
     pub report: CheckReport,
+    /// [`trace_digest`] of the collected trace: under the manual clock one
+    /// seed gives one digest, run after run.
+    pub digest: u64,
 }
 
 fn n(i: u32) -> NodeId {
@@ -135,11 +139,17 @@ fn drive_ops(cluster: &Cluster, fail_fast: bool, scripted: impl Fn(u64)) {
 /// it traced.
 fn quiesced(seed: u64, cluster: &Cluster) -> CheckOutcome {
     cluster.advance_clock(2 * LEASE_MS);
-    cluster.sweep_leases();
+    checked(seed, cluster)
+}
+
+/// Stops the cluster and checks what it traced.
+fn checked(seed: u64, cluster: &Cluster) -> CheckOutcome {
     cluster.shutdown();
+    let trace = cluster.take_trace();
     CheckOutcome {
         seed,
-        report: check_trace(&cluster.take_trace()),
+        report: check_trace(&trace),
+        digest: trace_digest(&trace),
     }
 }
 
@@ -151,23 +161,16 @@ pub(crate) const RECOVERY_K_MISSED: u32 = 3;
 /// a crashed node dead.
 pub(crate) const RECOVERY_DETECTION_MS: u64 = RECOVERY_HEARTBEAT_MS * RECOVERY_K_MISSED as u64 + 50;
 
-/// Restarts `node` until the detector re-admits it — a fenced zombie exits
-/// asynchronously, so the first attempts may find its worker still winding
-/// down and no-op.
-fn restart_until_up(cluster: &Cluster, node: NodeId) {
-    for _ in 0..500 {
-        match cluster.restart_node(node) {
-            // NotDead: the previous incarnation's worker is still winding
-            // down (or the restart already took) — poll health and retry
-            Ok(()) | Err(RuntimeError::NotDead(_)) => {}
-            Err(other) => panic!("restart {node}: {other}"),
-        }
-        if cluster.node_health(node) == Some(oml_runtime::NodeHealth::Up) {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(2));
+/// Restarts `node` — `NotDead` when its current incarnation already runs —
+/// and checks that the detector admitted it back: a restart, a fenced
+/// zombie's included, is done when it returns.
+fn rejoin(cluster: &Cluster, node: NodeId) {
+    match cluster.restart_node(node) {
+        Ok(()) | Err(RuntimeError::NotDead(_)) => {}
+        Err(other) => panic!("restart {node}: {other}"),
     }
-    panic!("{node} never came back up");
+    let health = cluster.node_health(node);
+    assert_eq!(health, Some(oml_runtime::NodeHealth::Up), "{node} not up");
 }
 
 /// Replays the recovery chaos schedule under `seed` with the failure
@@ -232,42 +235,32 @@ fn run_recovery_schedule(seed: u64, fenced: bool) -> CheckOutcome {
             24 => cluster
                 .zombie_restart_node(n(2))
                 .expect("zombie respawns under the stale epoch"),
-            // the honest restart reaps the exited zombie and rejoins under a
-            // fresh epoch — only meaningful when fencing made the zombie
-            // exit; an unfenced zombie keeps running as the node's worker
-            30 if fenced => restart_until_up(&cluster, n(2)),
+            // the honest restart rejoins under a fresh epoch — only
+            // meaningful when fencing dropped the zombie's state; an
+            // unfenced zombie's state keeps the node's slot
+            30 if fenced => rejoin(&cluster, n(2)),
             _ => {}
         }
     });
 
     cluster.heal_all();
     if fenced {
-        restart_until_up(&cluster, n(2));
+        rejoin(&cluster, n(2));
     }
     quiesced(seed, &cluster)
 }
 
-/// Polls `checkpoint_health` until `pred` holds for `obj` (the quorum of
-/// acks lands asynchronously).
-fn await_health(
+/// Asserts `pred` of `obj`'s checkpoint health. A manual-clock cluster
+/// runs every message on its caller's thread, so the quorum of acks a
+/// refresh collects has landed once the call that sent it returned.
+fn assert_health(
     cluster: &Cluster,
     obj: ObjectId,
     pred: impl Fn(&oml_runtime::CheckpointHealth) -> bool,
 ) {
-    for _ in 0..500 {
-        if cluster
-            .checkpoint_health()
-            .iter()
-            .any(|h| h.object == obj && pred(h))
-        {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    panic!(
-        "{obj} health never converged: {:?}",
-        cluster.checkpoint_health()
-    );
+    let health = cluster.checkpoint_health();
+    let met = health.iter().any(|h| h.object == obj && pred(h));
+    assert!(met, "{obj} health short of its quorum: {health:?}");
 }
 
 /// Builds the replicated-checkpoint durability cluster: 4 nodes, `k = 2`,
@@ -304,12 +297,13 @@ pub(crate) fn quorum_acked_counter(cluster: &Cluster) -> (ObjectId, Vec<NodeId>,
         .invoke(obj, "add", &WireWriter::new().u64(5).finish())
         .expect("acknowledged add");
     drop(cluster.move_block(obj, host).expect("consistency point"));
-    await_health(cluster, obj, |h| h.quorum >= Some((0, 3)));
+    assert_health(cluster, obj, |h| h.quorum >= Some((0, 3)));
     (obj, set, host)
 }
 
 /// Crashes `victims` inside one detector sweep, then asks `obj` for its
-/// value until it answers; `None` when it never does — the object is lost.
+/// value; `None` when it does not answer — the object is lost. The sweep
+/// reinstantiated what it could on this thread before it returned.
 pub(crate) fn value_after_crashes(
     cluster: &Cluster,
     obj: ObjectId,
@@ -320,13 +314,8 @@ pub(crate) fn value_after_crashes(
     }
     cluster.advance_clock(RECOVERY_DETECTION_MS);
     cluster.detector_sweep();
-    for _ in 0..500 {
-        if let Ok(out) = cluster.invoke(obj, "get", &[]) {
-            return Some(WireReader::new(&out).u64().expect("counter payload"));
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    None
+    let out = cluster.invoke(obj, "get", &[]).ok()?;
+    Some(WireReader::new(&out).u64().expect("counter payload"))
 }
 
 /// Replays the durability schedule under `seed`: an object is hosted off
@@ -351,11 +340,7 @@ pub fn replay_durability_seed(seed: u64) -> CheckOutcome {
         "k=2 must survive a host+home double crash with the quorum-acked value"
     );
 
-    cluster.shutdown();
-    CheckOutcome {
-        seed,
-        report: check_trace(&cluster.take_trace()),
-    }
+    checked(seed, &cluster)
 }
 
 /// Negative control for `repro check --durability`: with the anti-entropy
@@ -376,11 +361,7 @@ pub(crate) fn replay_no_repair_negative(seed: u64) -> CheckOutcome {
     cluster.crash_node(second).expect("crash joins the worker");
     cluster.advance_clock(RECOVERY_DETECTION_MS);
     cluster.detector_sweep();
-    cluster.shutdown();
-    CheckOutcome {
-        seed,
-        report: check_trace(&cluster.take_trace()),
-    }
+    checked(seed, &cluster)
 }
 
 /// Negative control for `repro check --durability`: reinstantiation is
@@ -400,7 +381,7 @@ pub(crate) fn replay_stale_promotion_negative(seed: u64) -> CheckOutcome {
         .expect("creation is on the reliable channel");
     let set = cluster.replica_set(obj).expect("replicated object");
     drop(cluster.move_block(obj, n(0)).expect("consistency point"));
-    await_health(&cluster, obj, |h| h.quorum >= Some((0, 1)));
+    assert_health(&cluster, obj, |h| h.quorum >= Some((0, 1)));
 
     // the last replica misses the post-add refresh behind a partition,
     // while the quorum (host's own store plus the middle replica) carries it
@@ -409,16 +390,12 @@ pub(crate) fn replay_stale_promotion_negative(seed: u64) -> CheckOutcome {
         .invoke(obj, "add", &WireWriter::new().u64(5).finish())
         .expect("acknowledged add");
     drop(cluster.move_block(obj, n(0)).expect("consistency point"));
-    await_health(&cluster, obj, |h| h.quorum >= Some((0, 2)));
+    assert_health(&cluster, obj, |h| h.quorum >= Some((0, 2)));
 
     cluster.crash_node(n(0)).expect("crash joins the worker");
     cluster.advance_clock(RECOVERY_DETECTION_MS);
     cluster.detector_sweep();
-    cluster.shutdown();
-    CheckOutcome {
-        seed,
-        report: check_trace(&cluster.take_trace()),
-    }
+    checked(seed, &cluster)
 }
 
 /// A rigged replay whose trace the checker must flag.
@@ -489,7 +466,6 @@ pub fn exercise_lock_sites() -> CheckReport {
     drop(cluster.move_block_in(a, n(1), Some(ally)).expect("move"));
     cluster.invoke(a, "get", &[]).expect("invoke");
     cluster.advance_clock(1_000);
-    cluster.sweep_leases();
     cluster.crash_node(n(1)).expect("crash");
     cluster.restart_node(n(1)).expect("restart");
     cluster.shutdown();

@@ -1,5 +1,5 @@
-//! The cluster facade: public API over the nodes, and the timer thread
-//! that runs their ticks and delayed deliveries.
+//! The cluster facade: public API over the nodes, and the timer heap that
+//! runs their ticks and delayed deliveries on the cluster's one clock.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -122,7 +122,10 @@ pub struct CheckpointHealth {
 /// reinstantiated elsewhere while the node was down stays where it is.
 pub(crate) type StashedObject = (NodeId, ObjectId, Box<dyn MobileObject>, u64);
 
-/// What the timer runs when its instant comes.
+/// A placement lock: the object, and the block holding it.
+pub(crate) type Lock = (ObjectId, BlockId);
+
+/// What the heap runs when its instant comes.
 enum Due {
     /// A node's maintenance tick.
     Tick(u32),
@@ -133,10 +136,10 @@ enum Due {
 }
 
 /// The cluster's one deadline heap — node ticks, detector sweeps and delayed
-/// deliveries, keyed by wall-clock milliseconds since the cluster was built
-/// (in both clock modes), ties in insertion order — and the `oml-timer`
-/// thread that serves it: `None` before it starts and once shutdown
-/// stopped it.
+/// deliveries, keyed by milliseconds on the cluster's clock
+/// ([`Shared::now_ms`]), ties in insertion order. Under a wall clock the
+/// `oml-timer` thread serves it; under a manual clock whoever advances the
+/// clock does, and there is no thread.
 #[derive(Default)]
 struct Timer {
     due: EventQueue<Due>,
@@ -145,9 +148,9 @@ struct Timer {
 
 /// The first instant after `now` on the grid of `period`: ticks of every
 /// node with the same period fall due together and fire in one wake-up.
-fn next_on_grid(now: f64, period: Duration) -> f64 {
-    let period = period.as_millis().max(1) as f64;
-    ((now / period).floor() + 1.0) * period
+fn next_on_grid(now: u64, period: Duration) -> u64 {
+    let period = (period.as_millis() as u64).max(1);
+    (now / period + 1) * period
 }
 
 /// State shared by every node and the cluster facade.
@@ -175,9 +178,8 @@ pub(crate) struct Shared {
     /// The crash-recovery subsystem; `None` unless a failure detector was
     /// configured, in which case the runtime behaves exactly as before.
     pub(crate) recovery: Option<RecoveryState>,
-    /// The lease clock when hand-advanced for deterministic tests
-    /// ([`ClusterBuilder::manual_clock`]); else wall-clock milliseconds
-    /// since `born`, the timer's clock in both modes.
+    /// The cluster's clock when hand-advanced
+    /// ([`ClusterBuilder::manual_clock`]); else milliseconds since `born`.
     manual_clock: Option<AtomicU64>,
     /// Protocol trace collection (disabled unless built with
     /// [`ClusterBuilder::trace`]).
@@ -271,13 +273,12 @@ impl Shared {
                 };
                 let msgs = self.envelopes(from_raw, epoch, to, msg, copies);
                 if delay_ms > 0 {
-                    // the timer delivers it; once shutdown stopped the timer,
+                    // the heap delivers it; once shutdown began,
                     // the shutdown rule answers it now
-                    let at = self.timer_ms() + delay_ms as f64;
+                    let at = self.now_ms().saturating_add(delay_ms);
                     for m in msgs {
-                        let due = Due::Deliver(to.as_u32(), m);
-                        if let Err(Due::Deliver(_, m)) = self.at(at, due) {
-                            let _ = self.mesh.hand(to.as_u32(), m, true);
+                        if let Err(due) = self.at(at, Due::Deliver(to.as_u32(), m)) {
+                            channel::serving_heap(|| self.run_due(due));
                         }
                     }
                 } else {
@@ -291,63 +292,73 @@ impl Shared {
         }
     }
 
-    /// Milliseconds on the timer's clock.
-    fn timer_ms(&self) -> f64 {
-        self.born.elapsed().as_secs_f64() * 1e3
-    }
-
-    /// Schedules `due` at `ms` on the timer, waking it if that is its
-    /// earliest entry; hands `due` back once the timer has stopped.
-    fn at(&self, ms: f64, due: Due) -> Result<(), Due> {
+    /// Schedules `due` at `ms` on the heap, waking the `oml-timer` thread if
+    /// that is its earliest entry; hands `due` back once shutdown began.
+    fn at(&self, ms: u64, due: Due) -> Result<(), Due> {
         let mut timer = self.timer.lock();
-        let Some(thread) = timer.thread.as_ref().map(|t| t.thread().clone()) else {
+        if self.is_closing() {
             return Err(due);
-        };
-        if timer.due.peek_time().is_none_or(|t| ms < t.as_f64()) {
-            thread.unpark();
+        }
+        let ms = ms as f64;
+        let earliest = timer.due.peek_time().is_none_or(|t| ms < t.as_f64());
+        if let (true, Some(thread)) = (earliest, &timer.thread) {
+            thread.thread().unpark();
         }
         timer.due.push(SimTime::new(ms), due);
         Ok(())
     }
 
-    /// Serves the heap on this thread until shutdown stops it: runs each
-    /// entry once its instant has come, and sleeps until the earliest one.
-    /// A panic in what an entry runs ends that entry, not the timer.
-    fn serve_timer(&self) {
-        channel::serve_as_timer();
-        loop {
+    /// Serves the heap — the `oml-timer` thread, `advance_clock` and
+    /// `shutdown` alike: runs every entry due by `by` on this thread, in
+    /// time order, in the role [`channel::serving_heap`] grants, a manual
+    /// clock first moved to the entry's instant; returns the next instant.
+    /// A panic in what an entry runs ends that entry, not the heap.
+    fn run_heap(&self, by: u64) -> Option<u64> {
+        channel::serving_heap(|| loop {
             let mut timer = self.timer.lock();
-            let next = timer.due.peek_time().map(|t| t.as_f64() - self.timer_ms());
-            if timer.thread.is_none() {
-                return;
-            } else if next.is_some_and(|wait| wait <= 0.0) {
-                let due = timer.due.pop().expect("peeked").event;
-                drop(timer);
-                let _ = std::panic::catch_unwind(AssertUnwindSafe(|| self.run_due(due)));
-            } else {
-                drop(timer);
-                let wait = next.map_or(Duration::MAX, |ms| Duration::from_secs_f64(ms / 1e3));
-                std::thread::park_timeout(wait);
+            let next = timer.due.peek_time().map(|t| t.as_f64() as u64);
+            if next.is_none_or(|at| at > by) {
+                return next;
             }
+            let due = timer.due.pop().expect("peeked").event;
+            drop(timer);
+            if let (Some(clock), Some(at)) = (&self.manual_clock, next) {
+                clock.fetch_max(at, Ordering::Relaxed);
+            }
+            let _ = std::panic::catch_unwind(AssertUnwindSafe(|| self.run_due(due)));
+        })
+    }
+
+    /// The `oml-timer` thread: serves the heap on the wall clock until
+    /// shutdown, sleeping until the earliest entry.
+    fn serve_timer(&self) {
+        while !self.is_closing() {
+            let next = self.run_heap(self.now_ms());
+            let at = next.map(|ms| self.born + Duration::from_millis(ms));
+            let wait = at.map_or(Duration::MAX, |at| {
+                at.saturating_duration_since(Instant::now())
+            });
+            std::thread::park_timeout(wait);
         }
     }
 
     /// Runs one heap entry; a tick or a sweep first re-arms itself on its
-    /// grid.
+    /// grid, and runs only until shutdown.
     fn run_due(&self, due: Due) {
-        let now = self.timer_ms();
+        let now = self.now_ms();
         match due {
             Due::Tick(node) => {
-                let _ = self.at(
-                    next_on_grid(now, self.schedule.tick(NodeId::new(node))),
-                    due,
-                );
-                self.mesh.tick(node);
+                let next = next_on_grid(now, self.schedule.tick(NodeId::new(node)));
+                if self.at(next, due).is_ok() {
+                    self.mesh.tick(node);
+                }
             }
             Due::Sweep => {
                 let heartbeat = self.recovery.as_ref().map_or(1, |r| r.config.heartbeat_ms);
-                let _ = self.at(next_on_grid(now, Duration::from_millis(heartbeat)), due);
-                self.detector_sweep();
+                let next = next_on_grid(now, Duration::from_millis(heartbeat));
+                if self.at(next, due).is_ok() {
+                    self.detector_sweep();
+                }
             }
             Due::Deliver(node, env) => drop(self.mesh.hand(node, env, true)),
         }
@@ -425,7 +436,8 @@ impl Shared {
         objects.retain(|o| mobility.get(o).copied().unwrap_or_default().is_movable());
     }
 
-    /// Milliseconds on the cluster's lease clock.
+    /// Milliseconds on the cluster's clock: leases, the detector and the
+    /// timer heap all read it.
     pub(crate) fn now_ms(&self) -> u64 {
         match &self.manual_clock {
             Some(t) => t.load(Ordering::Relaxed),
@@ -806,15 +818,6 @@ impl Shared {
         epoch
     }
 
-    /// Refreshes every live node's heartbeat to the current clock — called
-    /// when the manual clock jumps, standing in for the beats the nodes
-    /// would have produced continuously across the (instantaneous) jump.
-    pub(crate) fn refresh_beats(&self) {
-        if let Some(rec) = &self.recovery {
-            rec.refresh_alive_beats(self.now_ms());
-        }
-    }
-
     /// One failure-detector sweep: suspects silent or partitioned nodes,
     /// clears suspicions (and half-opens breakers) when beats resume, and
     /// declares dead the nodes whose states are actually gone.
@@ -947,27 +950,13 @@ impl Shared {
         self.send_puts(None, puts);
     }
 
-    /// One lease sweep at the current clock, on behalf of `process`:
-    /// releases (and returns) the placement locks whose leases ran out. The
-    /// expiry events are emitted under the policy guard — lock-state events
-    /// are ordered by the policy mutex.
-    pub(crate) fn expire_leases(&self, process: u32) -> Vec<(ObjectId, BlockId)> {
-        let now = self.now_ms();
-        let expired = {
-            let mut policy = self.policy.lock();
-            let expired = policy.expire_leases(now);
-            for &(object, block) in &expired {
-                self.trace.emit(
-                    process,
-                    EventKind::LockReleased {
-                        object,
-                        block,
-                        cause: ReleaseCause::LeaseExpiry,
-                    },
-                );
-            }
-            expired
-        };
+    /// One lease sweep at `now_ms`, on behalf of `process`: releases (and
+    /// returns) the placement locks whose leases ran out by then.
+    pub(crate) fn expire_leases(&self, process: u32, now_ms: u64) -> Vec<Lock> {
+        let mut policy = self.policy.lock();
+        let expired = policy.expire_leases(now_ms);
+        self.trace_released(process, ReleaseCause::LeaseExpiry, &expired);
+        drop(policy);
         self.counters
             .leases_expired
             .fetch_add(expired.len() as u64, Ordering::Relaxed);
@@ -975,24 +964,28 @@ impl Shared {
     }
 
     /// Releases the placement locks on `stranded` — objects whose host died
-    /// with the blocks holding them, so no end-request can ever arrive. The
-    /// releases are emitted under the policy guard: lock-state events are
-    /// ordered by the policy mutex so the trace mirrors the lock table.
+    /// with the blocks holding them, so no end-request can ever arrive.
     /// Idempotent: locks already released yield nothing.
     pub(crate) fn release_stranded(&self, stranded: &[ObjectId]) {
         if stranded.is_empty() {
             return;
         }
         let mut policy = self.policy.lock();
-        for (object, block) in policy.release_locks_for(stranded) {
-            self.trace.emit(
-                CLIENT_PROCESS,
-                EventKind::LockReleased {
-                    object,
-                    block,
-                    cause: ReleaseCause::Crash,
-                },
-            );
+        let released = policy.release_locks_for(stranded);
+        self.trace_released(CLIENT_PROCESS, ReleaseCause::Crash, &released);
+    }
+
+    /// Traces the release of each of `locks` for `cause` by `process`.
+    /// Call under the policy guard: lock-state events are ordered by the
+    /// policy mutex, so the trace mirrors the lock table.
+    pub(crate) fn trace_released(&self, process: u32, cause: ReleaseCause, locks: &[Lock]) {
+        for &(object, block) in locks {
+            let released = EventKind::LockReleased {
+                object,
+                block,
+                cause,
+            };
+            self.trace.emit(process, released);
         }
     }
 
@@ -1014,13 +1007,15 @@ impl Shared {
             }
             rec.set_health(i, NodeHealth::Dead);
             rec.bump_incarnation(i);
-            let stranded: Vec<ObjectId> = {
+            // in id order: the order of the reinstantiations and their trace
+            let mut stranded: Vec<ObjectId> = {
                 let dir = self.directory.read();
                 dir.iter()
                     .filter(|&(_, &n)| n == node)
                     .map(|(&o, _)| o)
                     .collect()
             };
+            stranded.sort_unstable();
             let mut epochs = rec.object_epochs.write();
             stranded
                 .iter()
@@ -1317,8 +1312,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Replaces the wall-clock lease clock with a counter advanced only by
-    /// [`Cluster::advance_clock`] — deterministic lease expiry for tests.
+    /// Replaces the cluster's wall clock with a counter advanced only by
+    /// [`Cluster::advance_clock`], which leases, the failure detector and
+    /// the timer heap all read. The cluster starts no thread: whoever
+    /// advances the clock runs what fell due, in an order its inputs fix.
     #[must_use]
     pub fn manual_clock(mut self) -> Self {
         self.manual_clock = true;
@@ -1334,8 +1331,9 @@ impl ClusterBuilder {
     /// exactly as before.
     ///
     /// Under a wall clock the cluster's timer sweeps the detector every
-    /// `heartbeat_ms`; under [`ClusterBuilder::manual_clock`] call
-    /// [`Cluster::detector_sweep`] after advancing the clock.
+    /// `heartbeat_ms`; under [`ClusterBuilder::manual_clock`] the nodes beat
+    /// as the clock advances, and the caller sweeps
+    /// ([`Cluster::detector_sweep`]).
     ///
     /// # Panics
     ///
@@ -1416,7 +1414,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Starts the cluster's timer thread and returns the running cluster.
+    /// Builds the running cluster: under a wall clock with its one thread,
+    /// `oml-timer`; under [`ClusterBuilder::manual_clock`] with none.
     #[must_use]
     pub fn build(self) -> Cluster {
         let mesh = ChannelMesh::owned(self.nodes, MeshConfig::default());
@@ -1519,24 +1518,25 @@ impl ClusterBuilder {
             let node = NodeWorker::new(NodeId::new(i), Arc::clone(&shared), 1);
             shared.mesh.put(i, Some(Box::new(node)));
         }
-        // one timer serves every node's tick, and under a wall clock the
-        // detector's sweeps; under a manual clock tests drive
-        // Cluster::detector_sweep themselves.
+        // one heap serves every node's tick, and under a wall clock the
+        // detector's sweeps; under a manual clock the caller sweeps
         let mut timer = shared.timer.lock();
         for i in 0..self.nodes {
-            let first = next_on_grid(0.0, shared.schedule.tick(NodeId::new(i)));
-            timer.due.push(SimTime::new(first), Due::Tick(i));
+            let first = next_on_grid(0, shared.schedule.tick(NodeId::new(i)));
+            timer.due.push(SimTime::new(first as f64), Due::Tick(i));
         }
-        if shared.recovery.is_some() && !self.manual_clock {
-            timer.due.push(SimTime::ZERO, Due::Sweep);
+        if !self.manual_clock {
+            if shared.recovery.is_some() {
+                timer.due.push(SimTime::ZERO, Due::Sweep);
+            }
+            // the thread's first look at the heap waits for this guard
+            let serving = Arc::clone(&shared);
+            let thread = std::thread::Builder::new()
+                .name("oml-timer".to_owned())
+                .spawn(move || serving.serve_timer())
+                .expect("spawn the cluster's timer");
+            timer.thread = Some(thread);
         }
-        // the thread's first look at the heap waits for this guard
-        let serving = Arc::clone(&shared);
-        let thread = std::thread::Builder::new()
-            .name("oml-timer".to_owned())
-            .spawn(move || serving.serve_timer())
-            .expect("spawn the cluster's timer");
-        timer.thread = Some(thread);
         drop(timer);
         Cluster { shared }
     }
@@ -2153,7 +2153,7 @@ impl Cluster {
     /// without reclaiming anything; under [`Sabotage::Unfenced`] it
     /// double-installs state the cluster already reinstantiated elsewhere —
     /// the corruption `oml-check`'s stale-incarnation invariant flags — and
-    /// only the timer runs its messages. Idempotent on a running node.
+    /// only the heap's ticks run its messages. Idempotent on a running node.
     ///
     /// # Errors
     ///
@@ -2169,13 +2169,12 @@ impl Cluster {
             .map(|_| ())
     }
 
-    /// Runs one failure-detector sweep at the current clock: suspects
-    /// silent or partitioned nodes, clears suspicions whose beats resumed,
-    /// and declares dead (reinstantiating their objects) the silent nodes
-    /// whose states are actually gone. Under a wall clock the cluster's
-    /// timer calls this every heartbeat; manual-clock tests call it
-    /// directly after [`Cluster::advance_clock`]. A no-op without a
-    /// detector.
+    /// Runs one failure-detector sweep at the current clock, on this thread:
+    /// suspects silent or partitioned nodes, clears suspicions whose beats
+    /// resumed, and declares dead (reinstantiating their objects) the silent
+    /// nodes whose states are actually gone. Under a wall clock the timer
+    /// calls this every heartbeat; under a manual clock the caller does,
+    /// after [`Cluster::advance_clock`] ran the ticks that beat.
     pub fn detector_sweep(&self) {
         self.shared.detector_sweep();
     }
@@ -2254,54 +2253,48 @@ impl Cluster {
         self.shared.policy.lock().held_locks()
     }
 
-    /// Forces a lease sweep at the current clock, returning the locks it
-    /// expired. Workers sweep on their idle ticks anyway; this is for tests
-    /// that want the sweep *now*.
-    pub fn sweep_leases(&self) -> Vec<(ObjectId, BlockId)> {
-        self.shared.expire_leases(CLIENT_PROCESS)
-    }
-
-    /// Advances the manual lease clock by `ms` milliseconds.
+    /// Advances the cluster's clock by `ms` milliseconds, running on this
+    /// thread, before it returns, every timer-heap entry due by then — node
+    /// ticks (heartbeats, lease sweeps) and delayed deliveries — in time
+    /// order, ties in insertion order, the clock set to each entry's instant
+    /// as it runs. Returns with the clock `ms` later. Detector sweeps are
+    /// not on the heap under a manual clock: see [`Cluster::detector_sweep`].
     ///
     /// # Panics
     ///
     /// Panics unless the cluster was built with
     /// [`ClusterBuilder::manual_clock`].
     pub fn advance_clock(&self, ms: u64) {
-        let Some(t) = &self.shared.manual_clock else {
+        let Some(clock) = &self.shared.manual_clock else {
             panic!("advance_clock requires ClusterBuilder::manual_clock")
         };
-        t.fetch_add(ms, Ordering::Relaxed);
-        // the jump is instantaneous for the nodes: credit every live node
-        // with the beats it would have produced across it (a crashed node's
-        // silence is exactly what must remain)
-        self.shared.refresh_beats();
+        let to = clock.load(Ordering::Relaxed).saturating_add(ms);
+        self.shared.run_heap(to);
+        clock.fetch_max(to, Ordering::Relaxed);
     }
 
     /// Stops the cluster: new client operations are refused, the timer
-    /// stops, and each node's queue is drained under the shutdown rule —
+    /// heap stops, and each node's queue is drained under the shutdown rule —
     /// pending end-requests, installs and replica writes are still applied,
     /// and callers still waiting, delayed deliveries included, get
     /// [`RuntimeError::ShuttingDown`]. Then the nodes' states are dropped,
-    /// and further sends fail explicitly instead of queueing where nothing
-    /// runs them. Idempotent; also invoked by `Drop`.
+    /// every placement lease still held expires (a guard that outlives the
+    /// cluster can no longer end its block), and further sends fail
+    /// explicitly instead of queueing where nothing runs them. Idempotent;
+    /// also invoked by `Drop`.
     pub fn shutdown(&self) {
         let shared = &self.shared;
         if shared.closing.swap(true, Ordering::AcqRel) {
             return;
         }
-        let mut timer = std::mem::take(&mut *shared.timer.lock());
-        if let Some(thread) = timer.thread.take() {
+        let thread = shared.timer.lock().thread.take();
+        if let Some(thread) = thread {
             thread.thread().unpark();
             let _ = thread.join();
         }
-        // the delayed deliveries, in the order the timer would have made
+        // the delayed deliveries, in the order the heap would have made
         // them: closing, each meets the shutdown rule at once
-        while let Some(due) = timer.due.pop() {
-            if let Due::Deliver(node, env) = due.event {
-                let _ = shared.mesh.hand(node, env, true);
-            }
-        }
+        shared.run_heap(u64::MAX);
         for at in 0..shared.mesh.peers() {
             // runs what queued, then drops the state: it holds the cluster
             let state = shared.mesh.take(at);
@@ -2311,6 +2304,9 @@ impl Cluster {
             }
             shared.mesh.put(at, None);
         }
+        // no end-request arrives any more and no tick runs: every lease
+        // still held runs out now, not never
+        shared.expire_leases(CLIENT_PROCESS, u64::MAX);
         shared.mesh.shutdown();
         shared.down.store(true, Ordering::Release);
     }
@@ -2511,6 +2507,20 @@ mod tests {
         }
     }
 
+    /// A client call of `method` on `object`, and where its answer lands.
+    fn call(object: ObjectId, method: &str) -> (Message, Receiver<Result<Bytes, RuntimeError>>) {
+        let (reply, answered) = bounded(1);
+        let (method, payload, hops) = (method.to_owned(), Bytes::new(), MAX_HOPS);
+        let call = Message::Invoke {
+            object,
+            method,
+            payload,
+            hops,
+            reply,
+        };
+        (call, answered)
+    }
+
     fn installed(trace: &[TraceEvent], at: u32) -> Vec<ObjectId> {
         let at_node = trace.iter().filter(|ev| ev.process == at);
         at_node
@@ -2654,17 +2664,17 @@ mod tests {
     /// A crashed node has no state in its inbox slot, and a zombie's is not
     /// its node's current incarnation: a client call to either queues
     /// instead of running on the caller's thread — for the restart, or for
-    /// the timer. Meanwhile a second client calls across every crash and
-    /// restart, and no handler runs on a fenced incarnation's state
-    /// (`NodeWorker::deliver` asserts it in debug builds).
+    /// the heap's next tick. Meanwhile a second client calls across every
+    /// crash and restart, and no handler runs on a fenced incarnation's
+    /// state (`NodeWorker::deliver` asserts it in debug builds).
     #[test]
     fn calls_never_run_inline_on_a_crashed_or_stale_incarnation() {
-        let build = |sabotage: Option<Sabotage>| {
+        let build = |sabotage: Option<Sabotage>, timeout_ms| {
             let builder = Cluster::builder()
                 .nodes(2)
                 .manual_clock()
                 .failure_detector(50, 3)
-                .call_timeout(Duration::from_millis(100))
+                .call_timeout(Duration::from_millis(timeout_ms))
                 .invoke_retries(0);
             let cluster = match sabotage {
                 Some(s) => builder.sabotage(s),
@@ -2675,7 +2685,7 @@ mod tests {
             cluster
         };
         let node = NodeId::new(1);
-        let cluster = build(None);
+        let cluster = build(None, 100);
         let obj = cluster.create(node, Box::new(Cell(5, None))).unwrap();
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -2710,15 +2720,52 @@ mod tests {
         cluster.shutdown();
 
         // an unfenced zombie runs, but its state is never current: each of
-        // its calls runs on the timer, never inline
-        let cluster = build(Some(Sabotage::Unfenced));
+        // its calls queues, and the node's next tick runs it on the thread
+        // that advanced the clock, never inline on its caller's
+        let cluster = build(Some(Sabotage::Unfenced), 10_000);
         let obj = cluster.create(node, Box::new(Cell(5, None))).unwrap();
         cluster.crash_node(node).unwrap();
         cluster.restart_node(node).unwrap();
         cluster.crash_node(node).unwrap();
         cluster.zombie_restart_node(node).unwrap();
-        assert!((0..100).all(|_| ran_on(&cluster, obj) == b"oml-timer"));
+        let advancing = me.name().unwrap().as_bytes();
+        std::thread::scope(|scope| {
+            for _ in 0..100 {
+                let call = scope.spawn(|| ran_on(&cluster, obj));
+                while cluster.shared.mesh.queued(1) == 0 {
+                    std::thread::yield_now();
+                }
+                cluster.advance_clock(crate::schedule::DEFAULT_TICK.as_millis() as u64);
+                assert_eq!(call.join().unwrap(), advancing);
+            }
+        });
         cluster.shutdown();
+    }
+
+    /// An empty surrender to `to`: a no-op once run.
+    fn surrender(to: NodeId) -> Message {
+        Message::Surrender {
+            members: Vec::new(),
+            to,
+        }
+    }
+
+    /// Crashes `down` and fills its inbox to capacity.
+    fn crash_and_fill(cluster: &Cluster, down: NodeId) {
+        cluster.crash_node(down).unwrap();
+        for _ in 0..MeshConfig::default().capacity {
+            cluster
+                .shared
+                .send_from(None, down, surrender(down))
+                .unwrap();
+        }
+    }
+
+    /// Puts a delivery of `msg` to `to` on the heap, `ms` from now.
+    fn deliver_in(shared: &Shared, ms: u64, to: NodeId, msg: Message) {
+        let env = shared.trace_envelope(fault::CLIENT, 0, to, msg);
+        let due = Due::Deliver(to.as_u32(), env);
+        assert!(shared.at(shared.now_ms() + ms, due).is_ok());
     }
 
     /// A delivery the timer hands to a crashed node's full inbox joins its
@@ -2730,35 +2777,61 @@ mod tests {
         cluster.register_type("cell", |bytes| Box::new(Cell(bytes[0], None)));
         let (shared, live, down) = (&cluster.shared, NodeId::new(0), NodeId::new(1));
         let object = cluster.create(live, Box::new(Cell(3, None))).unwrap();
-        cluster.crash_node(down).unwrap();
-        // empty surrenders, a no-op once run
-        let surrender = || Message::Surrender {
-            members: Vec::new(),
-            to: down,
-        };
-        for _ in 0..MeshConfig::default().capacity {
-            shared.send_from(None, down, surrender()).unwrap();
-        }
-        let (reply, answered) = bounded(1);
-        let call = Message::Invoke {
-            object,
-            method: "get".to_owned(),
-            payload: Bytes::new(),
-            hops: MAX_HOPS,
-            reply,
-        };
-        let env = |to, msg| shared.trace_envelope(fault::CLIENT, 0, to, msg);
-        let now = shared.timer_ms();
-        assert!(shared
-            .at(now + 10.0, Due::Deliver(1, env(down, surrender())))
-            .is_ok());
-        assert!(shared
-            .at(now + 50.0, Due::Deliver(0, env(live, call)))
-            .is_ok());
+        crash_and_fill(&cluster, down);
+        let (call, answered) = call(object, "get");
+        deliver_in(shared, 10, down, surrender(down));
+        deliver_in(shared, 50, live, call);
         let answer = answered.recv_timeout(Duration::from_secs(1));
         // the restart drains the queue, which frees a timer asleep on it
         cluster.restart_node(down).unwrap();
         assert_eq!(answer, Ok(Ok(vec![3].into())));
+    }
+
+    /// Shutdown hands what is left on the heap over in the heap-serving
+    /// role: a delivery to a crashed node's full inbox joins its queue
+    /// instead of parking the caller of `shutdown` on room nobody makes.
+    #[test]
+    fn shutdown_never_stalls_on_a_leftover_delivery_to_a_full_inbox() {
+        let cluster = Arc::new(Cluster::builder().nodes(2).build());
+        let (shared, down) = (&cluster.shared, NodeId::new(1));
+        crash_and_fill(&cluster, down);
+        deliver_in(shared, 60_000, down, surrender(down));
+        let (stopped, returned) = bounded(1);
+        let stopping = Arc::clone(&cluster);
+        std::thread::spawn(move || {
+            stopping.shutdown();
+            let _ = stopped.send(());
+        });
+        assert_eq!(returned.recv_timeout(Duration::from_secs(1)), Ok(()));
+    }
+
+    /// Delays every control message by 30 ms.
+    #[derive(Debug)]
+    struct Lag;
+
+    impl ScheduleSource for Lag {
+        fn on_send(&self, _from: u32, _to: NodeId) -> SendAction {
+            SendAction::Delay(Duration::from_millis(30))
+        }
+    }
+
+    /// Under a manual clock a delayed call waits on the heap until the
+    /// clock reaches its instant, and then runs on the thread that advanced
+    /// the clock.
+    #[test]
+    fn a_delayed_call_runs_when_the_clock_reaches_it_on_the_advancing_thread() {
+        let lag = Cluster::builder()
+            .manual_clock()
+            .schedule_source(Arc::new(Lag));
+        let (cluster, node) = (lag.build(), NodeId::new(1));
+        let object = cluster.create(node, Box::new(Cell(3, None))).unwrap();
+        let (call, answered) = call(object, "where");
+        cluster.shared.send_from(None, node, call).unwrap();
+        cluster.advance_clock(29);
+        assert!(answered.try_recv().is_err(), "delivered early");
+        cluster.advance_clock(1);
+        let here = std::thread::current().name().unwrap().as_bytes().to_vec();
+        assert_eq!(answered.try_recv(), Ok(Ok(here.into())));
     }
 
     /// The retry-jitter stream of seed `0xC0A5`, captured at the commit

@@ -196,40 +196,6 @@ impl FaultPlan {
     }
 }
 
-/// Which nodes a correlated-failure schedule kills in one sweep — the
-/// durability experiment's independent variable alongside the replication
-/// factor `k`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailurePattern {
-    /// Crash only the object's current host.
-    SingleNode,
-    /// Crash the object's host and its home node in the same detector sweep
-    /// — the double-crash that defeats a single home-node checkpoint.
-    HostAndHome,
-    /// Crash every member of the object's replica set except one, plus the
-    /// host if it lies outside the set — the worst correlated loss `k = f+1`
-    /// is designed to survive.
-    ReplicaSetMinusOne,
-}
-
-impl FailurePattern {
-    /// Short label for tables and CSV output.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            FailurePattern::SingleNode => "single-node",
-            FailurePattern::HostAndHome => "host+home",
-            FailurePattern::ReplicaSetMinusOne => "replica-set-minus-one",
-        }
-    }
-}
-
-impl std::fmt::Display for FailurePattern {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// What the injector decided for one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Delivery {
@@ -644,17 +610,5 @@ mod tests {
             "02143 10234 23014 34102 40132 03124 12403 23401 30412 40213 04312 10432 20134 \
              32104 43102 03124"
         );
-    }
-
-    #[test]
-    fn failure_pattern_labels_are_distinct() {
-        let labels = [
-            FailurePattern::SingleNode.label(),
-            FailurePattern::HostAndHome.label(),
-            FailurePattern::ReplicaSetMinusOne.label(),
-        ];
-        let set: HashSet<_> = labels.iter().collect();
-        assert_eq!(set.len(), labels.len());
-        assert_eq!(FailurePattern::HostAndHome.to_string(), "host+home");
     }
 }

@@ -114,7 +114,7 @@ pub mod wire;
 
 pub use cluster::{CheckpointHealth, Cluster, ClusterBuilder, ClusterStats, MoveGuard};
 pub use error::RuntimeError;
-pub use fault::{FailurePattern, FaultPlan};
+pub use fault::FaultPlan;
 pub use object::{Delinearizer, MobileObject};
 pub use proxy::ObjRef;
 pub use recovery::{DetectorConfig, NodeHealth, Sabotage};

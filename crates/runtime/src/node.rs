@@ -3,10 +3,10 @@
 //! the node's messages through its `deliver`, one at a time (DESIGN.md
 //! §10.1, "Who runs a delivery"): a message that finds the node idle — a
 //! client call or node-to-node traffic — runs on its sender's thread, one
-//! that finds it busy on the thread that puts it back, and the cluster's
-//! timer runs its ticks. A reply given while running what queued
-//! (`channel::answer`) wakes its caller only once the node's state is back
-//! in its slot, where that caller's next call finds it.
+//! that finds it busy on the thread that puts it back, and whoever serves
+//! the cluster's timer heap runs its ticks. A reply given while running
+//! what queued (`channel::answer`) wakes its caller only once the node's
+//! state is back in its slot, where that caller's next call finds it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use oml_core::attach::ClosureScratch;
 use oml_core::ids::{AllianceId, BlockId, NodeId, ObjectId};
 use oml_core::policy::{EndAction, EndRequest, MoveDecision, MovePolicy, MoveRequest};
 
-use crate::cluster::Shared;
+use crate::cluster::{Shared, StashedObject};
 use crate::error::RuntimeError;
 use crate::fault;
 use crate::message::{group_push, Envelope, InvokeReply, Message, MoveReply, Shipped};
@@ -189,25 +189,23 @@ impl NodeWorker {
     /// survive the "machine", like disk state); the queue stays for the
     /// next incarnation. Parked `awaiting` messages are dropped with this
     /// state — their reply channels disconnect and the callers see their
-    /// deadlines out. Returns the objects it stashed.
+    /// deadlines out. Returns the objects it stashed, in id order — the
+    /// order the stash, and so a restart's reclaim, keeps.
     pub(crate) fn stash_for_crash(&mut self) -> Vec<ObjectId> {
         // object epochs are read before the stash lock so the two Ordered
         // locks never nest
-        let epochs: HashMap<ObjectId, u64> = self
-            .objects
-            .keys()
-            .map(|&object| (object, self.shared.object_epoch(object)))
+        let (id, shared) = (self.id, &self.shared);
+        let mut stashed: Vec<StashedObject> = (self.objects.drain())
+            .map(|(object, instance)| (id, object, instance, shared.object_epoch(object)))
             .collect();
+        stashed.sort_unstable_by_key(|&(_, object, ..)| object);
+        let objects = stashed.iter().map(|&(_, object, ..)| object).collect();
         // the detector learns the node is gone before the objects land in
         // the stash; death is only declared after the suspicion window, long
         // after crash_node has stashed them
-        self.shared.mark_crashed(self.id);
-        let mut stash = self.shared.stash.lock();
-        for (object, instance) in self.objects.drain() {
-            let epoch = epochs.get(&object).copied().unwrap_or(0);
-            stash.push((self.id, object, instance, epoch));
-        }
-        epochs.into_keys().collect()
+        shared.mark_crashed(id);
+        shared.stash.lock().extend(stashed);
+        objects
     }
 
     /// The shutdown rule, for what runs once the cluster is closing: sent
@@ -235,9 +233,11 @@ impl NodeWorker {
         }
     }
 
-    /// Maintenance tick: release placement locks whose leases ran out.
+    /// Maintenance tick: release placement locks whose leases ran out by
+    /// the cluster's clock.
     fn sweep_leases(&mut self) {
-        let expired = self.shared.expire_leases(self.id.as_u32());
+        let now = self.shared.now_ms();
+        let expired = self.shared.expire_leases(self.id.as_u32(), now);
         // a lease expiry is a consistency point: refresh the checkpoints of
         // the expired objects hosted here while their state is in hand
         if self.shared.detector_enabled() {
@@ -762,14 +762,9 @@ impl NodeWorker {
                     .iter()
                     .any(|&(o, b)| o == object && b == block)
             {
-                self.shared.trace.emit(
-                    self.id.as_u32(),
-                    EventKind::LockReleased {
-                        object,
-                        block,
-                        cause: ReleaseCause::End,
-                    },
-                );
+                let released = [(object, block)];
+                self.shared
+                    .trace_released(self.id.as_u32(), ReleaseCause::End, &released);
             }
             action
         };

@@ -284,17 +284,6 @@ impl RecoveryState {
         self.last_beat[node].load(Ordering::Acquire)
     }
 
-    /// Refreshes every live node's heartbeat to `now_ms` — called when the
-    /// manual clock jumps, modelling the beats the nodes would have
-    /// produced continuously across the (instantaneous) jump.
-    pub(crate) fn refresh_alive_beats(&self, now_ms: u64) {
-        for (i, beat) in self.last_beat.iter().enumerate() {
-            if self.alive[i].load(Ordering::Acquire) {
-                beat.fetch_max(now_ms, Ordering::AcqRel);
-            }
-        }
-    }
-
     pub(crate) fn health(&self, node: usize) -> NodeHealth {
         match self.health[node].load(Ordering::Acquire) {
             HEALTH_SUSPECTED => NodeHealth::Suspected,

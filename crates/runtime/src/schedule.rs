@@ -1,18 +1,12 @@
-//! The scheduler seam: where the runtime's nondeterminism is decided.
-//!
-//! Two sources of schedule nondeterminism exist in the threaded runtime:
-//! *when a routed message reaches its destination queue* and *when a node's
-//! tick fires* (the tick drives lease sweeps and heartbeats). Both are
-//! routed through a [`ScheduleSource`] so they can be observed or steered
-//! without touching the transport: the default [`FreeRun`] source reproduces
-//! the historical behavior exactly (immediate hand-off, 25 ms ticks), while
-//! a test harness can delay chosen edges or stretch ticks to force the
-//! interleavings it wants to witness.
-//!
-//! This is the runtime half of the exploration story: `oml-check::explore`
-//! enumerates schedules of a *protocol model* today, and this seam is the
-//! hook a future virtual-scheduler backend drives the real runtime from —
-//! every decision it would need to own already flows through here.
+//! The scheduler seam: when a routed control message reaches its
+//! destination's queue, and how often each node's maintenance tick
+//! (heartbeat, lease sweep) falls due on the cluster's timer heap. Both are
+//! decided by a [`ScheduleSource`], so they can be observed or steered
+//! without touching the transport: the default [`FreeRun`] hands every
+//! message over at once and ticks every 25 ms, while a test harness can
+//! delay chosen edges or stretch ticks. A delayed message waits on the
+//! timer heap, so under a manual clock it arrives when the clock reaches
+//! it, on the thread that advances the clock.
 //!
 //! Install a custom source with
 //! [`ClusterBuilder::schedule_source`](crate::ClusterBuilder::schedule_source).

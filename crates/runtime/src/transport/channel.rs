@@ -14,18 +14,18 @@
 //! idle node runs the message (`ChannelMesh::hand`, DESIGN.md §10.1): at
 //! once, or after its own step, never inside it. A message that finds the
 //! state out queues, and the thread that holds the state runs it before it
-//! puts the state back: the releaser drains. A cluster's timer thread runs
-//! each node's tick (`ChannelMesh::tick`), and what queued behind a state
-//! no sender may run.
+//! puts the state back: the releaser drains. Whoever serves a cluster's
+//! timer heap (`serving_heap`) runs each node's tick (`ChannelMesh::tick`),
+//! and what queued behind a state no sender may run.
 //!
 //! # When a reply wakes its caller
 //!
 //! What a thread answers (`answer`) once it runs a message that queued, or
-//! anything on the timer, is kept until the thread holds no node's state, or
-//! would sleep on a full inbox, or panics: a woken caller finds the node
-//! idle in its slot instead of queueing behind the thread that woke it. A
-//! sender's own run answers at once: a caller's own chain almost always
-//! answers itself.
+//! anything from the timer heap, is kept until the thread holds no node's
+//! state, or would sleep on a full inbox, or panics: a woken caller finds
+//! the node idle in its slot instead of queueing behind the thread that
+//! woke it. A sender's own run answers at once: a caller's own chain almost
+//! always answers itself.
 //!
 //! # Backpressure policy (documented per path)
 //!
@@ -42,11 +42,11 @@
 //!   deadline is dropped and never blocks a node.
 //! * **Deadline-free sends**: a client call blocks until there is room; a
 //!   full inbox delays it further, which is indistinguishable from more
-//!   network delay. A delayed delivery the timer hands over joins the queue
-//!   even past capacity: it already waited on the timer's heap, which has
-//!   no bound either, so this holds no extra memory and keeps each node's
-//!   order — and the timer never sleeps on an inbox that only a restart, or
-//!   its own next tick, would pop.
+//!   network delay. A delayed delivery the heap hands over joins the queue
+//!   even past capacity: it already waited on the heap, which has no bound
+//!   either, so this holds no extra memory and keeps each node's order —
+//!   and whoever serves the heap never sleeps on an inbox that only a
+//!   restart, or its own next tick, would pop.
 
 use super::{LinkHealth, Transport, TransportError, TransportEvent};
 use crossbeam::channel::Sender;
@@ -157,8 +157,8 @@ impl<M, S> Inbox<M, S> {
     }
 
     /// Queues `msg` once there is room — waiting until `by`, or as long as
-    /// it takes without a deadline, or on the timer not at all — then wakes
-    /// a parked receiver. `Err` hands `msg` back when `by` passed.
+    /// it takes without a deadline, or serving the heap not at all — then
+    /// wakes a parked receiver. `Err` hands `msg` back when `by` passed.
     fn push<'a>(&'a self, mut s: Guard<'a, M, S>, msg: M, by: Option<Instant>) -> Result<(), M> {
         while s.queue.len() >= self.capacity {
             if KEPT.with_borrow(|kept| !kept.is_empty()) {
@@ -169,7 +169,7 @@ impl<M, S> Inbox<M, S> {
                 continue;
             }
             let wait = match by.map(|d| d.saturating_duration_since(Instant::now())) {
-                // the timer's one deadline-free send: a delayed delivery
+                // the heap's one deadline-free send: a delayed delivery
                 None if TIMER.get() => break,
                 None => PARK,
                 Some(left) if !left.is_zero() => left,
@@ -241,8 +241,8 @@ thread_local! {
     /// endpoints it claimed meanwhile and has not run, in claim order.
     static STEP: Cell<usize> = const { Cell::new(0) };
     static CLAIMS: RefCell<VecDeque<u32>> = const { RefCell::new(VecDeque::new()) };
-    /// Whether this thread is a cluster's timer: it keeps what it answers
-    /// and may run a state no sender may.
+    /// Whether this thread is serving a cluster's timer heap: it keeps what
+    /// it answers and may run a state no sender may.
     static TIMER: Cell<bool> = const { Cell::new(false) };
     /// Whether this thread keeps what it [`answer`]s until it holds no
     /// state, and the answers it kept, in answer order.
@@ -250,15 +250,28 @@ thread_local! {
     static KEPT: RefCell<Vec<Box<dyn FnOnce()>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Makes this thread a cluster's timer: every answer it gives is kept until
-/// it holds no state, and it may run a stale (unfenced) state's messages.
-pub(crate) fn serve_as_timer() {
-    TIMER.set(true);
-    KEEP.set(true);
+/// Runs `serve` as a cluster's timer heap: meanwhile every answer this
+/// thread gives is kept until it holds no state, it may run a stale
+/// (unfenced) state's messages, and a full inbox takes a delivery at once.
+/// Afterwards — also after a panic — it is what it was before, and puts out
+/// what it kept unless it is inside a step, whose end does.
+pub(crate) fn serving_heap<R>(serve: impl FnOnce() -> R) -> R {
+    struct Restore(bool, bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            if STEP.get() == 0 {
+                put_out_kept();
+            }
+            TIMER.set(self.0);
+            KEEP.set(self.1);
+        }
+    }
+    let _restore = Restore(TIMER.replace(true), KEEP.replace(true));
+    serve()
 }
 
 /// Whether this thread may run `state`: a sender only a current one, the
-/// timer any but a fenced one.
+/// heap's server any but a fenced one.
 fn may_run<M, S: Handler<M>>(state: &S) -> bool {
     state.is_current() || (TIMER.get() && !state.is_fenced())
 }
@@ -269,9 +282,9 @@ fn put_out_kept() {
 }
 
 /// Answers the caller waiting on `reply` with `value`: at once, or, once this
-/// thread runs what queued or runs on the timer, when it holds no state any
-/// more. Either way one `try_send`: a caller past its deadline has dropped
-/// its end.
+/// thread runs what queued or serves the timer heap, when it holds no state
+/// any more. Either way one `try_send`: a caller past its deadline has
+/// dropped its end.
 pub(crate) fn answer<T: 'static>(reply: Sender<T>, value: T) {
     if KEEP.get() {
         let send = move || drop(reply.try_send(value));
@@ -418,7 +431,7 @@ impl<M: Send, S: Send> ChannelMesh<M, S> {
 impl<M: Send + 'static, S: Send + 'static> ChannelMesh<M, S> {
     /// Ends a [`ChannelMesh::take`], or fills an empty slot: puts `state` in
     /// `at`'s slot, having first run a due tick and what queued meanwhile if
-    /// this thread may run it (what it may not, the timer's next tick runs).
+    /// this thread may run it (what it may not, the heap's next tick runs).
     pub(crate) fn put(&self, at: u32, state: Option<Box<S>>)
     where
         S: Handler<M>,
@@ -429,7 +442,7 @@ impl<M: Send + 'static, S: Send + 'static> ChannelMesh<M, S> {
         }
     }
 
-    /// The timer's tick at `at`: marks it due and, if the state is idle in
+    /// The heap's tick at `at`: marks it due and, if the state is idle in
     /// its slot, runs it — and what queued there — on this thread. A tick
     /// that finds the state out is run by whoever puts the state back.
     pub(crate) fn tick(&self, at: u32)
@@ -456,9 +469,9 @@ impl<M: Send + 'static, S: Send + 'static> ChannelMesh<M, S> {
     /// once — or after the step this thread is in. A message for an
     /// endpoint this thread claimed and has not run joins the claim if
     /// nothing queued there since. Anything else queues, for as long as the
-    /// inbox is full if `patient` (on the timer, past a full inbox at once),
-    /// else up to the send deadline; behind a state in its slot that no
-    /// sender may run (a stale one), it waits for the timer's next tick.
+    /// inbox is full if `patient` (serving the heap, past a full inbox at
+    /// once), else up to the send deadline; behind a state in its slot that
+    /// no sender may run (a stale one), it waits for the heap's next tick.
     pub(crate) fn hand(&self, to: u32, msg: M, patient: bool) -> Result<(), TransportError>
     where
         S: Handler<M>,
@@ -747,8 +760,9 @@ mod tests {
     }
 
     /// A state that is not current (a stale incarnation's) is never run by
-    /// a sender: the message queues, and the timer's next tick runs it. A
-    /// fenced state runs nowhere: the timer's tick drops it from its slot.
+    /// a sender: the message queues, and the heap's next tick runs it on
+    /// the thread serving the heap. A fenced state runs nowhere: the tick
+    /// drops it from its slot.
     #[test]
     fn a_stale_state_is_left_to_the_timer_and_a_fenced_one_dropped() {
         let (mesh, log) = probes(2);
@@ -761,17 +775,17 @@ mod tests {
         mesh.hand(1, msg("2"), true).unwrap();
         assert_eq!((mesh.queued(0), mesh.queued(1)), (1, 1));
         assert!(log.lock().unwrap().is_empty());
-        let timer = thread::scope(|scope| {
-            let timer = scope.spawn(|| {
-                serve_as_timer();
-                mesh.tick(0);
-                mesh.tick(1);
-            });
-            timer.thread().id()
+        serving_heap(|| {
+            mesh.tick(0);
+            mesh.tick(1);
         });
-        assert_eq!(*log.lock().unwrap(), [("1", timer), ("tick", timer)]);
+        let me = thread::current().id();
+        assert_eq!(*log.lock().unwrap(), [("1", me), ("tick", me)]);
         assert!(mesh.inboxes[1].lock().state.is_none(), "not dropped");
         assert_eq!(mesh.queued(1), 1);
+        // the role ends with the heap run: a stale state queues again
+        mesh.hand(0, msg("2"), true).unwrap();
+        assert_eq!(mesh.queued(0), 1);
     }
 
     /// A tick that finds the state out is not lost: whoever puts the state
@@ -978,6 +992,25 @@ mod tests {
         });
         mesh.put(1, state_1);
         assert_eq!(labels(&log), ["step", "second"]);
+    }
+
+    /// A heap run inside a step — a node's send delayed past shutdown —
+    /// puts out nothing: what the step kept waits for the step's end.
+    #[test]
+    fn a_heap_run_inside_a_step_leaves_what_the_step_kept_to_its_end() {
+        let (mesh, log) = probes(1);
+        let (reply, answered) = crossbeam::channel::bounded(1);
+        let early = answered.clone();
+        let run = move |_: &mut Probe| {
+            answer(reply, ());
+            serving_heap(|| ());
+            assert!(early.try_recv().is_err(), "put out inside the step");
+        };
+        let state = mesh.take(0);
+        mesh.hand(0, Msg("step", Box::new(run)), true).unwrap();
+        mesh.put(0, state);
+        assert_eq!(answered.try_recv(), Ok(()));
+        assert_eq!(labels(&log), ["step"]);
     }
 
     #[test]

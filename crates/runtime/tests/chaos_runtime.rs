@@ -121,8 +121,9 @@ fn run_chaos(seed: u64) -> RunRecord {
         }
     }
 
-    // quiesce: heal everything, let every lease (including ones orphaned
-    // by dropped end-requests or the crash) expire, and collect them
+    // quiesce: heal everything, and let every lease (including ones
+    // orphaned by dropped end-requests or the crash) expire: the nodes'
+    // ticks that fall due as the clock advances sweep them
     cluster.heal_all();
     match cluster.restart_node(n(2)) {
         // the node usually came back at op 30 and is simply still running
@@ -130,7 +131,6 @@ fn run_chaos(seed: u64) -> RunRecord {
         Err(other) => panic!("quiesce restart: {other}"),
     }
     cluster.advance_clock(2 * LEASE_MS);
-    cluster.sweep_leases();
 
     // invariant: no leaked placement locks after expiry
     assert_eq!(cluster.held_locks(), vec![], "locks must not leak");

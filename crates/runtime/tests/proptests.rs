@@ -190,8 +190,8 @@ fn release(guard: oml_runtime::MoveGuard<'_>, how: Release, shut: bool) {
 fn run_guard_sequence(script: &[GuardStep], shutdown_at: Option<usize>) {
     const NODES: u32 = 3;
     // leased locks on a manual clock: time stands still during the
-    // script (no spurious expiry), and a lock orphaned by a guard that
-    // outlives the cluster is reclaimable by advancing the clock
+    // script (no spurious expiry), and a lock held by a guard that
+    // outlives the cluster expires when the cluster shuts down
     let cluster = Cluster::builder()
         .nodes(NODES)
         .policy(PolicyKind::TransientPlacement)
@@ -239,9 +239,7 @@ fn run_guard_sequence(script: &[GuardStep], shutdown_at: Option<usize>) {
     }
     cluster.shutdown();
     // a guard released after shutdown cannot deliver its end-request —
-    // its lock is reclaimed by the lease, never leaked forever
-    cluster.advance_clock(2_000);
-    cluster.sweep_leases();
+    // shutdown expired its lease, so the lock is never leaked forever
     assert_eq!(cluster.held_locks(), vec![], "leaked a lock past shutdown");
 }
 

@@ -1,9 +1,10 @@
-//! A cluster runs one thread of its own, its timer: no thread per node, no
-//! failure-detector monitor and no thread per delayed message. A node is a
-//! value in its inbox slot, run by whoever finds it idle or puts it back;
-//! the timer serves every tick, sweep and delayed delivery from one heap.
-//! This file holds one test so that no other test's threads are counted
-//! with it.
+//! A cluster runs one thread of its own, its timer — and under a manual
+//! clock none: no thread per node, no failure-detector monitor and no
+//! thread per delayed message. A node is a value in its inbox slot, run by
+//! whoever finds it idle or puts it back; the timer serves every tick,
+//! sweep and delayed delivery from one heap, which under a manual clock
+//! the thread that advances the clock serves. This file holds one test so
+//! that no other test's threads are counted with it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -51,7 +52,9 @@ fn add(cluster: &Cluster, object: ObjectId) -> u64 {
 /// ran before the cluster, a sampler, the callers and one timer (12 here,
 /// where one thread per node and per delayed message peaked at 22), and no
 /// thread is a node's or a monitor's. Then a cluster of 1 024 nodes answers
-/// a call at every node and adds exactly one thread.
+/// a call at every node and adds exactly one thread, and a manual-clock
+/// cluster with a failure detector adds none, through calls, ticks and a
+/// detector sweep.
 #[test]
 fn a_cluster_runs_one_thread_whatever_its_nodes_and_delays() {
     const NODES: u32 = 3;
@@ -128,5 +131,23 @@ fn a_cluster_runs_one_thread_whatever_its_nodes_and_delays() {
     }
     assert_eq!(threads().len(), during);
     assert_eq!(during, before + 1, "{:?}", threads());
+    cluster.shutdown();
+    drop(cluster);
+
+    let before = threads().len();
+    let cluster = Cluster::builder()
+        .nodes(NODES)
+        .manual_clock()
+        .failure_detector(50, 4)
+        .build();
+    for i in 0..NODES {
+        let object = cluster
+            .create(NodeId::new(i), Box::new(Counter(0)))
+            .expect("create");
+        assert_eq!(add(&cluster, object), 1);
+    }
+    cluster.advance_clock(1_000);
+    cluster.detector_sweep();
+    assert_eq!(threads().len(), before, "{:?}", threads());
     cluster.shutdown();
 }

@@ -295,7 +295,6 @@ fn chaos_schedule_trace_upholds_the_protocol_invariants() {
         Err(other) => panic!("quiesce restart: {other}"),
     }
     cluster.advance_clock(2 * LEASE_MS);
-    cluster.sweep_leases();
     cluster.shutdown();
 
     let trace = cluster.take_trace();
@@ -326,7 +325,6 @@ fn lock_acquisition_graph_is_acyclic_and_allowlisted() {
     drop(guard);
     cluster.invoke(a, "get", &[]).unwrap();
     cluster.advance_clock(1_000);
-    cluster.sweep_leases();
     cluster.crash_node(n(1)).unwrap();
     cluster.restart_node(n(1)).unwrap();
     cluster.shutdown();

@@ -99,10 +99,11 @@ fn drill(seed: u64, chatty: bool) -> Vec<String> {
         }
     }
 
-    // recovery: let every orphaned lease expire, then read the queue
+    // recovery: let every orphaned lease expire — the nodes' ticks that
+    // fall due as the clock advances sweep them — then read the queue
     let locks_before = cluster.held_locks().len();
     cluster.advance_clock(2_000);
-    let reclaimed = cluster.sweep_leases();
+    let released = locks_before - cluster.held_locks().len();
     let out = cluster
         .invoke(queue, "depth", &[])
         .expect("post-recovery read");
@@ -115,7 +116,7 @@ fn drill(seed: u64, chatty: bool) -> Vec<String> {
         println!("  deadline timeouts        {timeouts}");
         println!("  retries spent            {}", stats.retries);
         println!("  locks held pre-expiry    {locks_before}");
-        println!("  leases reclaimed         {}", reclaimed.len());
+        println!("  locks freed by advance   {released}");
         println!("  final queue depth        {depth} (≥ acknowledged: at-least-once)");
         assert!(depth >= acknowledged, "an acknowledged push vanished");
         assert!(
