@@ -1,7 +1,7 @@
 //! oml-check — protocol invariant and race checker for the migration
 //! runtime.
 //!
-//! Two analysis engines:
+//! Three analysis engines:
 //!
 //! 1. **Trace invariant checker** ([`checker::check_trace`]): consumes the
 //!    structured event traces the runtime emits when built with tracing
@@ -9,10 +9,10 @@
 //!    ([`vclock`]), and verifies the paper's safety invariants — single
 //!    residency, place-lock exclusivity (denied movers never mutate
 //!    placement), closure atomicity, and lease soundness.
-//! 2. **Lock-order analyzer** ([`lockorder`]): a debug-build recorder over
+//! 2. **Lock-nesting recorder** ([`lockorder`]): a debug-build recorder over
 //!    the runtime's named `Mutex`/`RwLock` sites that accumulates the lock
-//!    acquisition graph and fails on cycles (potential deadlocks), with an
-//!    allowlist check so undocumented nestings fail CI.
+//!    acquisition graph; the runtime holds one lock at a time, so CI fails
+//!    on any edge.
 //! 3. **Schedule explorer** ([`explore`]): a bounded model checker that
 //!    enumerates every interleaving of a small cluster configuration under
 //!    a virtual scheduler — dynamic partial-order reduction with sleep sets

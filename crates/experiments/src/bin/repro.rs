@@ -354,25 +354,16 @@ fn run_check(cli: &Cli) -> ExitCode {
     println!("attach scenario: {}", attach_report);
     clean &= attach_report.is_clean();
     let audit = audit_lock_order();
-    if audit.edges.is_empty() {
-        if cfg!(debug_assertions) {
-            println!("no lock nestings observed");
-        } else {
-            println!("(release build: lock-order recording is compiled out; run a debug build for the graph)");
-        }
-    } else {
-        print!("{}", oml_check::lockorder::render_edges(&audit.edges));
-    }
-    if let Some(cycle) = &audit.cycle {
-        eprintln!("lock-order CYCLE: {}", cycle.join(" -> "));
-        clean = false;
-    }
-    if !audit.unknown.is_empty() {
-        eprintln!(
-            "undocumented lock nesting(s): {:?} — review and add to KNOWN_LOCK_ORDER + DESIGN.md §12.3",
-            audit.unknown
+    if !audit.is_clean() {
+        eprint!(
+            "lock taken while another was held, held -> taken (DESIGN.md §12.3):\n{}",
+            oml_check::lockorder::render_edges(&audit.edges)
         );
         clean = false;
+    } else if cfg!(debug_assertions) {
+        println!("no lock nestings observed");
+    } else {
+        println!("(release build: lock-order recording is compiled out; run a debug build for the graph)");
     }
 
     if clean {

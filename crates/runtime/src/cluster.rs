@@ -27,8 +27,8 @@ use crate::message::{group_push, Envelope, Message, Shipped, MAX_HOPS};
 use crate::node::NodeWorker;
 use crate::object::{Delinearizer, MobileObject, TypeRegistry};
 use crate::recovery::{
-    preference_order, Admission, DetectorConfig, NodeHealth, PendingRefresh, RecoveryState,
-    ReplicationInfo, Sabotage,
+    epoch_floors, preference_order, Admission, DetectorConfig, NodeHealth, PendingRefresh,
+    RecoveryState, ReplicationInfo, Sabotage,
 };
 use crate::schedule::{FreeRun, ScheduleSource, SendAction};
 use crate::store::{put_traced, CheckpointStore, FsyncPolicy, StoredCheckpoint};
@@ -125,6 +125,27 @@ pub(crate) type StashedObject = (NodeId, ObjectId, Box<dyn MobileObject>, u64);
 /// A placement lock: the object, and the block holding it.
 pub(crate) type Lock = (ObjectId, BlockId);
 
+/// One object's row in [`Shared::objects`]: where it is, whether it may move
+/// (§2.2), and its fencing epoch — 0 at birth, bumped by each
+/// reinstantiation, so always 0 without a detector. A `fix` before the
+/// object exists, or an epoch floor from a durable store, makes a row with
+/// no location.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ObjectRecord {
+    pub(crate) at: Option<NodeId>,
+    pub(crate) mobility: Mobility,
+    pub(crate) epoch: u64,
+}
+
+/// The application's cooperation structure (§3): the attachment graph and
+/// the alliances that scope its edges. Alliances are only created and
+/// joined, never left or dissolved, so an edge `attach` validated stays
+/// valid.
+pub(crate) struct Cooperation {
+    pub(crate) attachments: AttachmentGraph,
+    pub(crate) alliances: AllianceRegistry,
+}
+
 /// What the heap runs when its instant comes.
 enum Due {
     /// A node's maintenance tick.
@@ -162,11 +183,13 @@ pub(crate) struct Shared {
     pub(crate) mesh: ChannelMesh<Envelope, NodeWorker>,
     timer: OrderedMutex<Timer>,
     born: Instant,
-    directory: OrderedRwLock<HashMap<ObjectId, NodeId>>,
-    mobility: OrderedRwLock<HashMap<ObjectId, Mobility>>,
+    /// Every object's record. A decision across location, mobility and
+    /// epoch — a declare-dead's verdict and epoch bump, a rejoin, a
+    /// shipment's stamp and re-point — takes one guard of it. Like every
+    /// lock of `Shared`, it is never held while another is taken.
+    pub(crate) objects: OrderedRwLock<HashMap<ObjectId, ObjectRecord>>,
     pub(crate) policy: OrderedMutex<Box<dyn MovePolicy>>,
-    pub(crate) attachments: OrderedMutex<AttachmentGraph>,
-    pub(crate) alliances: OrderedMutex<AllianceRegistry>,
+    pub(crate) cooperation: OrderedMutex<Cooperation>,
     pub(crate) registry: TypeRegistry,
     pub(crate) counters: Counters,
     pub(crate) injector: FaultInjector,
@@ -188,7 +211,7 @@ pub(crate) struct Shared {
     invoke_retries: u32,
     /// SplitMix64 state for retry-backoff jitter (seeded from the fault
     /// plan, so even the jitter is reproducible).
-    jitter: OrderedMutex<u64>,
+    jitter: AtomicU64,
     next_object: AtomicU32,
     next_block: AtomicU32,
     /// Shutdown has been initiated: new client operations are refused, but
@@ -404,36 +427,30 @@ impl Shared {
         }
     }
 
-    pub(crate) fn directory_get(&self, object: ObjectId) -> Option<NodeId> {
-        self.directory.read().get(&object).copied()
-    }
-
-    pub(crate) fn directory_set(&self, object: ObjectId, node: NodeId) {
-        self.directory.write().insert(object, node);
-    }
-
-    /// Points every one of `objects` at `node` under one write guard — a
-    /// closure changes hosts in the directory all at once.
-    pub(crate) fn directory_set_all(&self, objects: impl Iterator<Item = ObjectId>, node: NodeId) {
-        let mut dir = self.directory.write();
-        for object in objects {
-            dir.insert(object, node);
-        }
-    }
-
-    pub(crate) fn is_movable(&self, object: ObjectId) -> bool {
-        self.mobility
+    /// The object's record; nowhere, mobile and at epoch 0 if it has none.
+    pub(crate) fn object(&self, object: ObjectId) -> ObjectRecord {
+        self.objects
             .read()
             .get(&object)
             .copied()
             .unwrap_or_default()
-            .is_movable()
     }
 
-    /// Drops the immovable from `objects`, under one read guard.
-    pub(crate) fn retain_movable(&self, objects: &mut Vec<ObjectId>) {
-        let mobility = self.mobility.read();
-        objects.retain(|o| mobility.get(o).copied().unwrap_or_default().is_movable());
+    /// Points `object` at `node`.
+    pub(crate) fn place(&self, object: ObjectId, node: NodeId) {
+        self.objects.write().entry(object).or_default().at = Some(node);
+    }
+
+    /// Stamps each copy shipped to `to` with its object's current epoch and
+    /// points the object at `to`, under one guard: a closure changes hosts
+    /// all at once, and calls are routed (and parked) at `to` from here on.
+    pub(crate) fn ship_to(&self, items: &mut [Shipped], to: NodeId) {
+        let mut objects = self.objects.write();
+        for (object, ckpt) in items {
+            let record = objects.entry(*object).or_default();
+            ckpt.object_epoch = record.epoch;
+            record.at = Some(to);
+        }
     }
 
     /// Milliseconds on the cluster's clock: leases, the detector and the
@@ -459,7 +476,8 @@ impl Shared {
     }
 
     fn next_jitter_ms(&self, bound_ms: u64) -> u64 {
-        fault::splitmix64(&mut self.jitter.lock()) % bound_ms.max(1)
+        let state = self.jitter.fetch_add(fault::GAMMA, Ordering::Relaxed);
+        fault::mix64(state.wrapping_add(fault::GAMMA)) % bound_ms.max(1)
     }
 
     // ---- crash-recovery plumbing (all no-ops without a detector) ----
@@ -491,42 +509,31 @@ impl Shared {
         }
     }
 
-    /// The object's current epoch (0 without a detector or before any
-    /// reinstantiation).
-    pub(crate) fn object_epoch(&self, object: ObjectId) -> u64 {
-        self.recovery.as_ref().map_or(0, |r| {
-            r.object_epochs.read().get(&object).copied().unwrap_or(0)
-        })
-    }
-
-    /// Stamps each copy with its object's current epoch, under one guard.
-    pub(crate) fn stamp_epochs(&self, items: &mut [Shipped]) {
-        if let Some(rec) = &self.recovery {
-            let epochs = rec.object_epochs.read();
-            for (object, ckpt) in items {
-                ckpt.object_epoch = epochs.get(object).copied().unwrap_or(0);
-            }
-        }
-    }
-
     /// The per-item fence: drops (and reports to `fenced`) every copy
-    /// linearized under an epoch older than its object's current one. A
-    /// no-op when fencing is off.
-    pub(crate) fn retain_current(
+    /// linearized under an epoch older than its object's current one — only
+    /// when fencing is on — and, given `at`, points each survivor there,
+    /// under the same guard.
+    pub(crate) fn fence(
         &self,
         items: &mut Vec<Shipped>,
+        at: Option<NodeId>,
         mut fenced: impl FnMut(&StoredCheckpoint),
     ) {
-        if let Some(rec) = self.recovery.as_ref().filter(|_| self.fenced()) {
-            let epochs = rec.object_epochs.read();
-            items.retain(|(object, ckpt)| {
-                let current = ckpt.object_epoch >= epochs.get(object).copied().unwrap_or(0);
-                if !current {
-                    fenced(ckpt);
-                }
-                current
-            });
+        let fencing = self.fenced();
+        if !fencing && at.is_none() {
+            return;
         }
+        let mut objects = self.objects.write();
+        items.retain(|(object, ckpt)| {
+            let epoch = objects.get(object).map_or(0, |r| r.epoch);
+            let current = !fencing || ckpt.object_epoch >= epoch;
+            if !current {
+                fenced(ckpt);
+            } else if at.is_some() {
+                objects.entry(*object).or_default().at = at;
+            }
+            current
+        });
     }
 
     /// Seeds the replicated checkpoint at creation: records the home node
@@ -586,7 +593,12 @@ impl Shared {
         let Some(rec) = &self.recovery else {
             return;
         };
-        self.stamp_epochs(&mut fresh);
+        {
+            let objects = self.objects.read();
+            for (object, ckpt) in &mut fresh {
+                ckpt.object_epoch = objects.get(object).map_or(0, |r| r.epoch);
+            }
+        }
         let now = self.now_ms();
         let mut own = Vec::new();
         let mut puts = Vec::new();
@@ -701,7 +713,7 @@ impl Shared {
             .into_iter()
             .filter_map(|(object, frame)| Some((object, StoredCheckpoint::decode(&frame).ok()?)))
             .collect();
-        self.retain_current(&mut ckpts, |_| {});
+        self.fence(&mut ckpts, None, |_| {});
         // re-ack even when a copy was not fresher: the sender may be
         // retrying a refresh whose previous ack was lost
         let acks = versions(&ckpts);
@@ -805,12 +817,14 @@ impl Shared {
     /// alive and healthy and gives an open breaker a probe slot. Returns the
     /// new incarnation the respawned state must stamp its messages with.
     pub(crate) fn rejoin(&self, node: NodeId) -> u64 {
+        // the object table's guard serializes this against a concurrent
+        // declare-dead: whichever runs second sees the other's verdict, and
+        // the trace has the two in that order
+        let _guard = self.objects.write();
+        self.trace.emit(CLIENT_PROCESS, EventKind::Restart { node });
         let Some(rec) = &self.recovery else {
             return 1;
         };
-        // the epoch lock serializes this against a concurrent declare-dead:
-        // whichever runs second sees the other's verdict and stays consistent
-        let _guard = rec.epoch_lock.lock();
         let epoch = rec.bump_incarnation(node.index());
         rec.mark_alive(node.index(), self.now_ms());
         rec.set_health(node.index(), NodeHealth::Up);
@@ -901,8 +915,8 @@ impl Shared {
         objects.sort_unstable_by_key(|&(o, _)| o);
         // epoch snapshot before the stores lock (the two are never nested)
         let epochs: Vec<u64> = {
-            let epochs = rec.object_epochs.read();
-            let current = |(o, _): &(ObjectId, _)| epochs.get(o).copied().unwrap_or(0);
+            let table = self.objects.read();
+            let current = |(o, _): &(ObjectId, _)| table.get(o).map_or(0, |r| r.epoch);
             objects.iter().map(current).collect()
         };
         let mut puts = Vec::new();
@@ -997,43 +1011,37 @@ impl Shared {
             return;
         };
         let i = node.index();
-        // Epoch arithmetic under the epoch lock; everything that sends (or
-        // takes the policy lock) happens after it is released.
+        // Verdict, snapshot, epoch bump and their trace under one guard of
+        // the object table; everything that sends (or takes another lock)
+        // comes after.
         let reinstated: Vec<(ObjectId, u64)> = {
-            let _guard = rec.epoch_lock.lock();
+            let mut objects = self.objects.write();
             if rec.is_alive(i) || rec.health(i) == NodeHealth::Dead {
                 // restarted concurrently, or a racing sweep got here first
                 return;
             }
             rec.set_health(i, NodeHealth::Dead);
             rec.bump_incarnation(i);
-            // in id order: the order of the reinstantiations and their trace
-            let mut stranded: Vec<ObjectId> = {
-                let dir = self.directory.read();
-                dir.iter()
-                    .filter(|&(_, &n)| n == node)
-                    .map(|(&o, _)| o)
-                    .collect()
-            };
-            stranded.sort_unstable();
-            let mut epochs = rec.object_epochs.write();
-            stranded
-                .iter()
-                .map(|&o| {
-                    let e = epochs.entry(o).or_insert(0);
-                    *e += 1;
-                    (o, *e)
-                })
-                .collect()
-        };
-        if rec.open_breaker(i) {
-            self.counters.breaker_opens.fetch_add(1, Ordering::Relaxed);
+            if rec.open_breaker(i) {
+                self.counters.breaker_opens.fetch_add(1, Ordering::Relaxed);
+                self.trace
+                    .emit(CLIENT_PROCESS, EventKind::BreakerOpen { node });
+            }
+            self.injector.note(format!("declare-dead {node}"));
             self.trace
-                .emit(CLIENT_PROCESS, EventKind::BreakerOpen { node });
-        }
-        self.injector.note(format!("declare-dead {node}"));
-        self.trace
-            .emit(CLIENT_PROCESS, EventKind::DeclaredDead { node });
+                .emit(CLIENT_PROCESS, EventKind::DeclaredDead { node });
+            let mut stranded: Vec<(ObjectId, u64)> = objects
+                .iter_mut()
+                .filter(|(_, r)| r.at == Some(node))
+                .map(|(&o, r)| {
+                    r.epoch += 1;
+                    (o, r.epoch)
+                })
+                .collect();
+            // in id order: the order of the reinstantiations and their trace
+            stranded.sort_unstable();
+            stranded
+        };
         let stranded: Vec<ObjectId> = reinstated.iter().map(|&(o, _)| o).collect();
         self.release_stranded(&stranded);
         // the dead node's replica holdings died with it
@@ -1104,7 +1112,7 @@ impl Shared {
             };
             // directory first: invocations park at the target until the
             // Install drains, exactly like creation
-            self.directory_set(object, target);
+            self.place(object, target);
             self.trace.emit(
                 CLIENT_PROCESS,
                 EventKind::Reinstantiated {
@@ -1430,6 +1438,7 @@ impl ClusterBuilder {
         // once the collector exists
         type NodeRecovery = (u32, Vec<(ObjectId, u64, u64)>, bool, bool);
         let mut recovered: Vec<NodeRecovery> = Vec::new();
+        let mut objects = HashMap::new();
         let recovery = self.detector.map(|cfg| {
             let stores: Vec<Box<dyn CheckpointStore>> = match &self.store_dir {
                 Some(dir) => (0..self.nodes)
@@ -1454,6 +1463,7 @@ impl ClusterBuilder {
                     .map(|_| Box::new(crate::store::MemStore::new()) as Box<dyn CheckpointStore>)
                     .collect(),
             };
+            objects = epoch_floors(&stores);
             RecoveryState::new(
                 self.nodes as usize,
                 cfg,
@@ -1466,14 +1476,15 @@ impl ClusterBuilder {
             mesh,
             timer: OrderedMutex::new("shared.timer", Timer::default()),
             born: Instant::now(),
-            directory: OrderedRwLock::new("shared.directory", HashMap::new()),
-            mobility: OrderedRwLock::new("shared.mobility", HashMap::new()),
+            objects: OrderedRwLock::new("shared.objects", objects),
             policy: OrderedMutex::new("shared.policy", policy),
-            attachments: OrderedMutex::new(
-                "shared.attachments",
-                AttachmentGraph::new(self.attachment_mode),
+            cooperation: OrderedMutex::new(
+                "shared.cooperation",
+                Cooperation {
+                    attachments: AttachmentGraph::new(self.attachment_mode),
+                    alliances: AllianceRegistry::new(),
+                },
             ),
-            alliances: OrderedMutex::new("shared.alliances", AllianceRegistry::new()),
             registry: TypeRegistry::new(),
             counters: Counters::default(),
             injector: FaultInjector::new(plan),
@@ -1484,7 +1495,7 @@ impl ClusterBuilder {
             trace: TraceCollector::new(self.trace),
             call_timeout: self.call_timeout,
             invoke_retries: self.invoke_retries,
-            jitter: OrderedMutex::new("shared.jitter", jitter_seed),
+            jitter: AtomicU64::new(jitter_seed),
             next_object: AtomicU32::new(0),
             next_block: AtomicU32::new(0),
             closing: AtomicBool::new(false),
@@ -1604,7 +1615,7 @@ impl Cluster {
         let object = ObjectId::new(self.shared.next_object.fetch_add(1, Ordering::Relaxed));
         // the directory knows the object before the Create lands, so early
         // invocations park at the right node
-        self.shared.directory_set(object, node);
+        self.shared.place(object, node);
         // the home checkpoint starts as the object's birth state
         self.shared.checkpoint_init(
             object,
@@ -1658,10 +1669,7 @@ impl Cluster {
             // re-resolve: the object may have moved (or its node restarted,
             // or the object been reinstantiated elsewhere) since the lost
             // attempt
-            let node = self
-                .shared
-                .directory_get(object)
-                .ok_or(RuntimeError::UnknownObject(object))?;
+            let node = self.locate(object)?;
             if let Err(down) = self.shared.admit(node) {
                 // fail fast without touching the wire (no fault-plan
                 // sequence is consumed, so seeded runs stay reproducible);
@@ -1741,10 +1749,7 @@ impl Cluster {
     ) -> Result<MoveGuard<'_>, RuntimeError> {
         self.check_node(to)?;
         self.check_live()?;
-        let node = self
-            .shared
-            .directory_get(object)
-            .ok_or(RuntimeError::UnknownObject(object))?;
+        let node = self.locate(object)?;
         // both ends must be admitted: the host processes the request, the
         // destination receives the object
         self.shared.admit(node)?;
@@ -1800,7 +1805,7 @@ impl Cluster {
     ///
     /// Propagates [`RuntimeError`].
     pub fn visit_block(&self, object: ObjectId, to: NodeId) -> Result<MoveGuard<'_>, RuntimeError> {
-        let origin = self.shared.directory_get(object);
+        let origin = self.location_of(object);
         let mut guard = self.move_block_in(object, to, None)?;
         if guard.granted {
             guard.migrate_back = origin.filter(|&o| o != to);
@@ -1837,10 +1842,7 @@ impl Cluster {
                 got: args.len(),
             });
         }
-        let callee_node = self
-            .shared
-            .directory_get(callee)
-            .ok_or(RuntimeError::UnknownObject(callee))?;
+        let callee_node = self.locate(callee)?;
 
         // open the parameter move-blocks; the guards end them (and run the
         // visit migrate-backs) when the invocation completes
@@ -1860,15 +1862,18 @@ impl Cluster {
     /// Where the object currently is (per the directory).
     #[must_use]
     pub fn location_of(&self, object: ObjectId) -> Option<NodeId> {
-        self.shared.directory_get(object)
+        self.shared.object(object).at
     }
 
     /// A snapshot of every object's current location, in id order — the
     /// operator's view of the placement the policies produced.
     #[must_use]
     pub fn placement_snapshot(&self) -> Vec<(ObjectId, NodeId)> {
-        let dir = self.shared.directory.read();
-        let mut v: Vec<(ObjectId, NodeId)> = dir.iter().map(|(&o, &n)| (o, n)).collect();
+        let objects = self.shared.objects.read();
+        let mut v: Vec<(ObjectId, NodeId)> = objects
+            .iter()
+            .filter_map(|(&o, r)| Some((o, r.at?)))
+            .collect();
         v.sort_unstable_by_key(|&(o, _)| o);
         v
     }
@@ -1963,7 +1968,7 @@ impl Cluster {
     /// reinstantiation. Always 0 without a failure detector.
     #[must_use]
     pub fn object_epoch(&self, object: ObjectId) -> u64 {
-        self.shared.object_epoch(object)
+        self.shared.object(object).epoch
     }
 
     /// Whether the object is currently resident at `node`.
@@ -1974,32 +1979,20 @@ impl Cluster {
 
     /// `fix()` — transiently pins the object (§2.2).
     pub fn fix(&self, object: ObjectId) {
-        self.shared
-            .mobility
-            .write()
-            .entry(object)
-            .or_default()
-            .fix();
+        let mut objects = self.shared.objects.write();
+        objects.entry(object).or_default().mobility.fix();
     }
 
     /// `unfix()` — lifts a transient fix.
     pub fn unfix(&self, object: ObjectId) {
-        self.shared
-            .mobility
-            .write()
-            .entry(object)
-            .or_default()
-            .unfix();
+        let mut objects = self.shared.objects.write();
+        objects.entry(object).or_default().mobility.unfix();
     }
 
     /// `refix()` — re-establishes a transient fix.
     pub fn refix(&self, object: ObjectId) {
-        self.shared
-            .mobility
-            .write()
-            .entry(object)
-            .or_default()
-            .refix();
+        let mut objects = self.shared.objects.write();
+        objects.entry(object).or_default().mobility.refix();
     }
 
     /// `attach(object, to)` in an optional cooperation context.
@@ -2015,11 +2008,12 @@ impl Cluster {
         context: Option<AllianceId>,
     ) -> Result<AttachOutcome, AttachError> {
         let outcome = {
-            let alliances = self.shared.alliances.lock();
-            self.shared
-                .attachments
-                .lock()
-                .attach_checked(object, to, context, &alliances)
+            let mut cooperation = self.shared.cooperation.lock();
+            let Cooperation {
+                attachments,
+                alliances,
+            } = &mut *cooperation;
+            attachments.attach_checked(object, to, context, alliances)
         };
         if outcome.is_ok() {
             self.shared
@@ -2031,7 +2025,12 @@ impl Cluster {
 
     /// `detach(object, to)`; returns whether an edge was removed.
     pub fn detach(&self, object: ObjectId, to: ObjectId) -> bool {
-        let removed = self.shared.attachments.lock().detach(object, to);
+        let removed = self
+            .shared
+            .cooperation
+            .lock()
+            .attachments
+            .detach(object, to);
         if removed {
             self.shared
                 .trace
@@ -2042,7 +2041,7 @@ impl Cluster {
 
     /// Creates an alliance.
     pub fn create_alliance(&self, name: &str) -> AllianceId {
-        self.shared.alliances.lock().create(name)
+        self.shared.cooperation.lock().alliances.create(name)
     }
 
     /// Adds an object to an alliance.
@@ -2055,7 +2054,11 @@ impl Cluster {
         alliance: AllianceId,
         object: ObjectId,
     ) -> Result<(), oml_core::error::AllianceError> {
-        self.shared.alliances.lock().join(alliance, object)
+        self.shared
+            .cooperation
+            .lock()
+            .alliances
+            .join(alliance, object)
     }
 
     /// Crashes `node`: once whoever runs it puts its state back, the state
@@ -2116,7 +2119,7 @@ impl Cluster {
 
     /// The shared tail of [`Cluster::restart_node`] and
     /// [`Cluster::zombie_restart_node`]: a new state of `node`, under the
-    /// incarnation `epoch` picks, reclaims the stash and takes the slot a
+    /// incarnation `epoch` picks and traces the restart with, reclaims the stash and takes the slot a
     /// crash left empty or a stale state occupies (`ChannelMesh::put`).
     /// `Ok(false)`, with nothing touched, while a current state occupies it.
     /// Holding the slot makes check and swap atomic against a concurrent
@@ -2135,9 +2138,6 @@ impl Cluster {
             return Ok(false);
         }
         self.shared.injector.note(format!("{label} {node}"));
-        self.shared
-            .trace
-            .emit(CLIENT_PROCESS, EventKind::Restart { node });
         let mut state = Box::new(NodeWorker::new(node, Arc::clone(&self.shared), epoch()));
         // a fenced one — a newer incarnation exists — touches nothing
         if !state.is_fenced() {
@@ -2162,6 +2162,8 @@ impl Cluster {
     pub fn zombie_restart_node(&self, node: NodeId) -> Result<(), RuntimeError> {
         // the incarnation it crashed with: one before the current fence
         let stale_epoch = || {
+            let restart = EventKind::Restart { node };
+            self.shared.trace.emit(CLIENT_PROCESS, restart);
             let current = self.shared.incarnation(node.as_u32());
             current.saturating_sub(1).max(1)
         };
@@ -2311,6 +2313,12 @@ impl Cluster {
         shared.down.store(true, Ordering::Release);
     }
 
+    /// Where the object is, or `UnknownObject`.
+    fn locate(&self, object: ObjectId) -> Result<NodeId, RuntimeError> {
+        self.location_of(object)
+            .ok_or(RuntimeError::UnknownObject(object))
+    }
+
     fn check_node(&self, node: NodeId) -> Result<(), RuntimeError> {
         if node.index() < self.shared.mesh.peers() as usize {
             Ok(())
@@ -2365,7 +2373,7 @@ impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
             .field("nodes", &self.nodes())
-            .field("objects", &self.shared.directory.read().len())
+            .field("objects", &self.placement_snapshot().len())
             .finish()
     }
 }
@@ -2422,7 +2430,7 @@ impl MoveGuard<'_> {
         self.ended = true;
         let shared = &self.cluster.shared;
         let mut sent = Ok(());
-        if let Some(node) = shared.directory_get(self.object) {
+        if let Some(node) = self.cluster.location_of(self.object) {
             sent = shared.send_from(
                 None,
                 node,
@@ -2538,14 +2546,19 @@ mod tests {
     fn a_stale_member_is_fenced_without_the_rest_of_its_install() {
         let cluster = cell_cluster();
         let (stale, fresh) = (ObjectId::new(100), ObjectId::new(101));
-        let rec = cluster.shared.recovery.as_ref().expect("detector on");
-        rec.object_epochs.write().insert(stale, 1);
+        cluster
+            .shared
+            .objects
+            .write()
+            .entry(stale)
+            .or_default()
+            .epoch = 1;
         let install = Message::Install {
             members: vec![(stale, cell_ckpt(1, 0, 0)), (fresh, cell_ckpt(2, 0, 0))],
             install_for: None,
         };
         // a sender points the directory at the destination as it ships
-        cluster.shared.directory_set(fresh, NodeId::new(1));
+        cluster.shared.place(fresh, NodeId::new(1));
         cluster
             .shared
             .send_from(None, NodeId::new(1), install)

@@ -123,7 +123,6 @@ pub use store::{
     CheckpointStore, Durability, FaultFs, FsyncPolicy, MemStore, RecoveryReport, StoreError,
     StoredCheckpoint, WalStats, WalStore, WalStoreConfig,
 };
-pub use trace::KNOWN_LOCK_ORDER;
 pub use transport::multiproc::{
     run_worker, MultiProcCluster, MultiProcConfig, MultiProcStats, WorkerExit, WorkerOptions,
 };

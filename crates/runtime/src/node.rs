@@ -136,15 +136,15 @@ impl NodeWorker {
     }
 
     /// On (re)start: adopt any objects a previous incarnation of this node
-    /// stashed when it crashed. The stash guard is dropped before the
-    /// directory updates so the stash lock never nests around another.
+    /// stashed when it crashed. The stash guard is dropped before the object
+    /// table's is taken, so the two never nest.
     ///
     /// With fencing active, entries whose object epoch is older than the
     /// current one are discarded instead of reclaimed: the object was
     /// reinstantiated elsewhere while this node was down, and the stashed
     /// copy belongs to a fenced incarnation.
     pub(crate) fn reclaim_stash(&mut self) {
-        let mine: Vec<(ObjectId, Box<dyn MobileObject>, u64)> = {
+        let mut mine: Vec<(ObjectId, Box<dyn MobileObject>, u64)> = {
             let mut stash = self.shared.stash.lock();
             let mut rest = Vec::new();
             let mut mine = Vec::new();
@@ -158,25 +158,24 @@ impl NodeWorker {
             *stash = rest;
             mine
         };
-        let mine: Vec<(ObjectId, Box<dyn MobileObject>, u64)> = match &self.shared.recovery {
-            Some(rec) if self.shared.fenced() => {
-                // filtered under the epoch lock so a concurrent declare-dead
-                // either bumped the epochs before we read them (entry
-                // dropped) or runs after and reinstantiates from checkpoints
-                // while we reclaim — it will abort on seeing the node alive
-                let _guard = rec.epoch_lock.lock();
-                let epochs = rec.object_epochs.read();
-                mine.into_iter()
-                    .filter(|(object, _, stashed_epoch)| {
-                        *stashed_epoch >= epochs.get(object).copied().unwrap_or(0)
-                    })
-                    .collect()
-            }
-            _ => mine,
-        };
+        {
+            // filtered and re-pointed under one guard of the object table, so
+            // a concurrent declare-dead either bumped the epochs before we
+            // read them (entry dropped) or runs after and aborts on seeing
+            // the node alive
+            let fencing = self.shared.fenced();
+            let mut objects = self.shared.objects.write();
+            mine.retain(|&(object, _, stashed_epoch)| {
+                let record = objects.entry(object).or_default();
+                let current = !fencing || stashed_epoch >= record.epoch;
+                if current {
+                    record.at = Some(self.id);
+                }
+                current
+            });
+        }
         for (object, instance, _) in mine {
             self.objects.insert(object, instance);
-            self.shared.directory_set(object, self.id);
             // a reclaim is a refresh of the same residency, not a second
             // replica — the object never left this node
             self.shared
@@ -196,7 +195,7 @@ impl NodeWorker {
         // locks never nest
         let (id, shared) = (self.id, &self.shared);
         let mut stashed: Vec<StashedObject> = (self.objects.drain())
-            .map(|(object, instance)| (id, object, instance, shared.object_epoch(object)))
+            .map(|(object, instance)| (id, object, instance, shared.object(object).epoch))
             .collect();
         stashed.sort_unstable_by_key(|&(_, object, ..)| object);
         let objects = stashed.iter().map(|&(_, object, ..)| object).collect();
@@ -259,7 +258,7 @@ impl NodeWorker {
                 reply,
             } => {
                 self.objects.insert(object, instance);
-                self.shared.directory_set(object, self.id);
+                self.shared.place(object, self.id);
                 self.shared
                     .trace
                     .emit(self.id.as_u32(), EventKind::Install { object });
@@ -334,7 +333,7 @@ impl NodeWorker {
     /// is then simply dropped (nothing to unlock: the object's new host
     /// processes queued messages in order).
     fn route_elsewhere(&mut self, object: ObjectId, msg: Message) {
-        match self.shared.directory_get(object) {
+        match self.shared.object(object).at {
             Some(n) if n == self.id => {
                 // headed here; park until the Install arrives
                 self.awaiting.entry(object).or_default().push(msg);
@@ -442,8 +441,7 @@ impl NodeWorker {
             return;
         }
 
-        let movable = self.shared.is_movable(object);
-        let decision = if movable {
+        let decision = if self.shared.object(object).mobility.is_movable() {
             self.shared.policy.lock().on_move(&MoveRequest {
                 object,
                 at: self.id,
@@ -543,29 +541,38 @@ impl NodeWorker {
             return;
         }
         self.shared
-            .attachments
+            .cooperation
             .lock()
+            .attachments
             .migration_closure_into(main, context, &mut self.closure);
         // the locks are taken one after the other, never nested
         let mut local = std::mem::take(&mut self.local);
         local.clear();
         local.extend(self.closure.members().iter().filter(|&&m| m != main));
+        let mut surrenders = Vec::new();
         if !local.is_empty() {
-            self.shared.retain_movable(&mut local);
             let policy = self.shared.policy.lock();
             local.retain(|&member| !policy.is_pinned(member));
+            drop(policy);
+            // one look at the table: which members may move, and where the
+            // ones hosted elsewhere are
+            let objects = self.shared.objects.read();
+            local.retain(|member| {
+                let record = objects.get(member).copied().unwrap_or_default();
+                if !record.mobility.is_movable() {
+                    return false;
+                }
+                if self.objects.contains_key(member) {
+                    return true;
+                }
+                if let Some(host) = record.at.filter(|&host| host != to) {
+                    group_push(&mut surrenders, host, *member);
+                }
+                false
+            });
+            drop(objects);
+            local.retain(|&member| self.can_ship(member));
         }
-        let mut surrenders = Vec::new();
-        local.retain(|&member| {
-            if self.objects.contains_key(&member) {
-                return self.can_ship(member);
-            }
-            match self.shared.directory_get(member) {
-                Some(host) if host != to => group_push(&mut surrenders, host, member),
-                _ => {}
-            }
-            false
-        });
         if self.shared.trace.is_enabled() && !(local.is_empty() && surrenders.is_empty()) {
             self.shared.trace.emit(
                 self.id.as_u32(),
@@ -608,8 +615,9 @@ impl NodeWorker {
 
     /// Linearizes the locally hosted `objects` (each one [`Self::can_ship`])
     /// and sends them to `to` in one `Install`. The directory is updated
-    /// here, under one guard and atomically with the removal, so calls are
-    /// routed (and parked) at the destination from this instant on.
+    /// here, with the epoch stamps under one guard and atomically with the
+    /// removal, so calls are routed (and parked) at the destination from
+    /// this instant on.
     fn ship(
         &mut self,
         objects: &[ObjectId],
@@ -629,13 +637,11 @@ impl NodeWorker {
         if members.is_empty() {
             return;
         }
-        self.shared.stamp_epochs(&mut members);
+        self.shared.ship_to(&mut members, to);
         self.shared
             .counters
             .objects_migrated
             .fetch_add(members.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        self.shared
-            .directory_set_all(members.iter().map(|&(o, _)| o), to);
         if to == self.id {
             // degenerate self-migration: reinstall immediately
             self.handle_install(members, install_for);
@@ -660,7 +666,8 @@ impl NodeWorker {
         mut members: Vec<Shipped>,
         mut install_for: Option<(ObjectId, BlockId, MoveReply)>,
     ) {
-        self.shared.retain_current(&mut members, |stale| {
+        // fenced per member, the survivors pointed here under the same guard
+        self.shared.fence(&mut members, Some(self.id), |stale| {
             // a pre-crash install queued (or delayed) behind a
             // reinstantiation: the state it carries belongs to a fenced
             // incarnation of the object. Drop it without replying — the
@@ -694,8 +701,6 @@ impl NodeWorker {
         // a fenced main object installs no block either
         let install_for = install_for.filter(|(main, ..)| members.iter().any(|(o, _)| o == main));
         let arrived: Vec<ObjectId> = members.iter().map(|&(o, _)| o).collect();
-        self.shared
-            .directory_set_all(arrived.iter().copied(), self.id);
         for &object in &arrived {
             self.shared
                 .trace

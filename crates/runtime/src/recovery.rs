@@ -34,6 +34,11 @@
 //!   when heartbeats resume, at which point exactly one probe call is
 //!   admitted; its success closes the breaker, its failure reopens it.
 //!
+//! Per-node state (incarnation, liveness, health, breaker) is atomics here;
+//! an object's epoch lives in the cluster's object table beside its
+//! location, so each decision across them — declare-dead, rejoin, stash
+//! reclamation — runs under that table's one write guard and no lock nests.
+//!
 //! The whole subsystem is inert unless [`crate::ClusterBuilder::failure_detector`]
 //! is called: without a detector the runtime behaves exactly as before.
 
@@ -42,8 +47,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
 use oml_core::ids::{NodeId, ObjectId};
 
+use crate::cluster::ObjectRecord;
 use crate::store::CheckpointStore;
-use crate::trace::{OrderedMutex, OrderedRwLock};
+use crate::trace::OrderedMutex;
 
 /// Failure-detector tuning: how often nodes are expected to beat, and how
 /// many missed beats arouse suspicion.
@@ -175,14 +181,6 @@ pub(crate) struct RecoveryState {
     last_beat: Vec<AtomicU64>,
     health: Vec<AtomicU8>,
     breakers: Vec<AtomicU8>,
-    /// Serializes epoch decisions (declare-dead vs restart vs stash
-    /// reclamation). Held only around epoch/stash arithmetic, never across
-    /// message sends. Registered with the lock-order analyzer: declare-dead
-    /// nests the directory and object-epoch locks under it (see
-    /// [`crate::trace::KNOWN_LOCK_ORDER`]).
-    pub(crate) epoch_lock: OrderedMutex<()>,
-    /// Current epoch per object; bumped at reinstantiation. Absent = 0.
-    pub(crate) object_epochs: OrderedRwLock<HashMap<ObjectId, u64>>,
     /// Per-node replica stores: `replica_stores[n]` is node `n`'s local
     /// [`CheckpointStore`] of passive copies — in-memory by default, WAL-
     /// backed via [`crate::ClusterBuilder::durable_store`]. One lock over
@@ -202,16 +200,6 @@ impl RecoveryState {
         stores: Vec<Box<dyn CheckpointStore>>,
     ) -> Self {
         assert_eq!(stores.len(), nodes, "one checkpoint store per node");
-        // epoch monotonicity across restarts: the recovered floors seed the
-        // live epoch table, so a reinstantiation after a cold restart can
-        // never hand out an epoch a previous incarnation already used
-        let mut epochs: HashMap<ObjectId, u64> = HashMap::new();
-        for store in &stores {
-            for (object, floor) in store.epoch_floors() {
-                let e = epochs.entry(object).or_insert(0);
-                *e = (*e).max(floor);
-            }
-        }
         RecoveryState {
             config,
             replica_k,
@@ -221,8 +209,6 @@ impl RecoveryState {
             last_beat: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             health: (0..nodes).map(|_| AtomicU8::new(HEALTH_UP)).collect(),
             breakers: (0..nodes).map(|_| AtomicU8::new(BREAKER_CLOSED)).collect(),
-            epoch_lock: OrderedMutex::new("shared.epoch_lock", ()),
-            object_epochs: OrderedRwLock::new("shared.object_epochs", epochs),
             replica_stores: OrderedMutex::new("shared.replica_stores", stores),
             replication: OrderedMutex::new("shared.replication", HashMap::new()),
         }
@@ -366,6 +352,19 @@ impl RecoveryState {
     }
 }
 
+/// The object table a cluster over `stores` starts from: each object's
+/// highest recovered epoch floor, and no location. Epochs are monotone
+/// across restarts, so a reinstantiation after a cold restart can never hand
+/// out an epoch a previous incarnation already used.
+pub(crate) fn epoch_floors(stores: &[Box<dyn CheckpointStore>]) -> HashMap<ObjectId, ObjectRecord> {
+    let mut objects: HashMap<ObjectId, ObjectRecord> = HashMap::new();
+    for (object, floor) in stores.iter().flat_map(|store| store.epoch_floors()) {
+        let epoch = &mut objects.entry(object).or_default().epoch;
+        *epoch = (*epoch).max(floor);
+    }
+    objects
+}
+
 /// The deterministic replica-placement order for `object`: its home node
 /// first, then every other node ranked by rendezvous (highest-random-weight)
 /// hashing of `(object, node)`. The first `k` *available* entries form the
@@ -482,22 +481,12 @@ mod tests {
 
     #[test]
     fn recovered_floors_seed_the_epoch_table() {
-        let mut store = crate::store::MemStore::new();
-        let _ = store.note_epoch(ObjectId::new(3), 7).unwrap();
-        let r = RecoveryState::new(
-            1,
-            DetectorConfig {
-                heartbeat_ms: 10,
-                k_missed: 2,
-            },
-            1,
-            None,
-            vec![Box::new(store)],
-        );
-        assert_eq!(
-            r.object_epochs.read().get(&ObjectId::new(3)).copied(),
-            Some(7)
-        );
+        let (mut low, mut high) = (crate::store::MemStore::new(), crate::store::MemStore::new());
+        let _ = low.note_epoch(ObjectId::new(3), 5).unwrap();
+        let _ = high.note_epoch(ObjectId::new(3), 7).unwrap();
+        let objects = epoch_floors(&[Box::new(low), Box::new(high)]);
+        assert_eq!(objects[&ObjectId::new(3)].epoch, 7);
+        assert_eq!(objects[&ObjectId::new(3)].at, None);
     }
 
     #[test]

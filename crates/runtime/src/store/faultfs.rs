@@ -1,7 +1,8 @@
-//! `FaultFs` — a seeded, in-memory [`Storage`] that injects the storage
+//! `FaultFs` — a scripted, in-memory [`Storage`] that injects the storage
 //! faults real disks produce: torn appends, fsyncs that lie, bit rot and
-//! files missing on reopen. The storage-side sibling of the message-level
-//! [`crate::FaultPlan`].
+//! files missing on reopen. A test arms each fault by hand, at an exact
+//! append, file or offset; nothing is drawn from a seed. The storage-side
+//! sibling of the message-level [`crate::FaultPlan`].
 //!
 //! The crucial capability a real filesystem cannot offer a test is
 //! **deterministic power loss**: a SIGKILLed process keeps every completed
@@ -70,17 +71,6 @@ impl FaultFs {
     #[must_use]
     pub fn new() -> FaultFs {
         FaultFs::default()
-    }
-
-    /// Derives deterministic fault parameters from `seed` via SplitMix64 —
-    /// the same generator the chaos schedules use — so a failing seed
-    /// replays bit-identically.
-    #[must_use]
-    pub fn mix(seed: u64, stream: u64) -> u64 {
-        crate::fault::mix64(
-            seed.wrapping_add(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                .wrapping_add(0x9e37_79b9_7f4a_7c15),
-        )
     }
 
     /// Arms a torn write: the `at_append`-th append (1-based, across all
@@ -314,11 +304,5 @@ mod tests {
         fs.write_atomic(&p("m.tmp"), &p("m"), b"gen 3").unwrap();
         fs.power_loss();
         assert_eq!(fs.read(&p("m")).unwrap(), b"gen 3");
-    }
-
-    #[test]
-    fn mix_is_deterministic() {
-        assert_eq!(FaultFs::mix(1, 2), FaultFs::mix(1, 2));
-        assert_ne!(FaultFs::mix(1, 2), FaultFs::mix(1, 3));
     }
 }

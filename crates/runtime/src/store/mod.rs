@@ -109,7 +109,7 @@ pub enum FsyncPolicy {
     /// gone idle someone has to call [`CheckpointStore::sync`]. The
     /// multi-process coordinator does, on every detector pass (so its bound
     /// is `max(ms, heartbeat_ms)`); the in-process node stores are left to
-    /// their next put, so that seeded [`FaultFs`] replays stay
+    /// their next put, so that scripted [`FaultFs`] replays stay
     /// bit-identical.
     Batch {
         /// Unsynced records that force a sync.

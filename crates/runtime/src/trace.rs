@@ -11,39 +11,18 @@
 //!   vector-clock construction requires.
 //! * [`OrderedMutex`] / [`OrderedRwLock`] — the runtime's named lock sites.
 //!   In debug builds every acquisition/release is reported to
-//!   [`oml_check::lockorder`], which accumulates the global lock-acquisition
-//!   graph and fails on cycles. Release builds compile the recording away
-//!   entirely.
+//!   [`oml_check::lockorder`], which records each lock taken while another
+//!   is held. The runtime takes none that way: `repro check` and
+//!   `traced_invariants.rs` fail on any nesting (DESIGN.md §12.3). Release
+//!   builds compile the recording away entirely.
 //!
 //! The collector's own mutex and the fault injector's internal locks are
 //! deliberately *not* ordered sites: they are leaf infrastructure that never
-//! acquires another lock while held. The documented allowlist of legal
-//! orderings lives in [`KNOWN_LOCK_ORDER`] and DESIGN.md §12.3.
+//! acquires another lock while held.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use oml_check::event::{EventKind, TraceEvent};
-
-/// The legal (documented) lock-acquisition orderings of this crate. The
-/// `repro check` lock-order gate fails when an execution exhibits a nesting
-/// outside this list — a new nesting must be reviewed for deadlock safety
-/// and added here *and* to DESIGN.md §12.3.
-///
-/// * `shared.alliances -> shared.attachments`: `Cluster::attach` validates
-///   the cooperation context against the alliance registry while inserting
-///   the edge, so the registry guard spans the attachment update.
-/// * `shared.epoch_lock -> shared.directory`: declare-dead snapshots the
-///   dead node's directory entries while holding the epoch decision lock,
-///   so a concurrent rejoin cannot interleave between verdict and snapshot.
-/// * `shared.epoch_lock -> shared.object_epochs`: the same declare-dead
-///   critical section bumps the stranded objects' epochs (and stash
-///   reclamation reads them) under the epoch lock — the fencing decision
-///   and the epoch bump must be atomic.
-pub const KNOWN_LOCK_ORDER: &[(&str, &str)] = &[
-    ("shared.alliances", "shared.attachments"),
-    ("shared.epoch_lock", "shared.directory"),
-    ("shared.epoch_lock", "shared.object_epochs"),
-];
 
 /// Collects protocol trace events from every thread of a cluster (or, in
 /// the multi-process runtime, of the coordinator).
@@ -132,7 +111,7 @@ impl std::fmt::Debug for TraceCollector {
 }
 
 /// A `parking_lot::Mutex` that reports its acquisitions to the lock-order
-/// analyzer in debug builds. The site name must be unique per lock.
+/// recorder in debug builds. The site name must be unique per lock.
 pub(crate) struct OrderedMutex<T> {
     #[cfg(debug_assertions)]
     name: &'static str,
@@ -195,7 +174,7 @@ impl<T> Drop for OrderedMutexGuard<'_, T> {
 
 /// A `parking_lot::RwLock` that reports its acquisitions (read and write
 /// alike — the deadlock analysis does not distinguish shared from exclusive
-/// holds) to the lock-order analyzer in debug builds.
+/// holds) to the lock-order recorder in debug builds.
 pub(crate) struct OrderedRwLock<T> {
     #[cfg(debug_assertions)]
     name: &'static str,

@@ -10,6 +10,7 @@
 //! checker's stale-incarnation invariant), and the whole schedule must stay
 //! replayable under the same seed.
 
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use oml_check::check_trace;
@@ -338,6 +339,65 @@ fn crash_recover_restart_keeps_single_residency() {
     cluster.shutdown();
     let report = check_trace(&cluster.take_trace());
     assert!(report.is_clean(), "{report}");
+}
+
+/// The crash → declare-dead → restart race, run on two threads: each round
+/// crashes the node hosting every object, lets the suspicion window pass,
+/// and releases the node's restart and a detector sweep at once. Whichever
+/// decides first, the other sees its verdict: every object stays on exactly
+/// one node and answers, its epoch never goes back, and the trace so far
+/// checks clean.
+#[test]
+fn a_restart_racing_a_declare_dead_keeps_every_object_once() {
+    let cluster = Cluster::builder()
+        .nodes(3)
+        .call_timeout(Duration::from_millis(200))
+        .invoke_retries(1)
+        .manual_clock()
+        .failure_detector(HEARTBEAT_MS, K_MISSED)
+        .replication(2)
+        .trace()
+        .build();
+    register_counter(&cluster);
+    let objects: Vec<ObjectId> = (0..3)
+        .map(|i| cluster.create(n(1), Box::new(Counter(i))).unwrap())
+        .collect();
+    let mut epochs = vec![0; objects.len()];
+    let mut trace = Vec::new();
+    let start = Barrier::new(2);
+    for round in 0..200 {
+        for &obj in &objects {
+            if cluster.location_of(obj) != Some(n(1)) {
+                let home = cluster.move_block(obj, n(1)).unwrap();
+                assert!(home.granted(), "round {round}: {obj} stays away");
+            }
+        }
+        cluster.crash_node(n(1)).unwrap();
+        cluster.advance_clock(DETECTION_MS);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                cluster.restart_node(n(1)).unwrap();
+            });
+            start.wait();
+            cluster.detector_sweep();
+        });
+        // a sweep that read the silence before the restart suspects the
+        // node; the next one, after its beats, clears that
+        cluster.advance_clock(HEARTBEAT_MS);
+        cluster.detector_sweep();
+        for (i, &obj) in objects.iter().enumerate() {
+            let hosts = (0..3).filter(|&h| cluster.is_resident(obj, n(h))).count();
+            assert_eq!(hosts, 1, "round {round}: {obj} on {hosts} nodes");
+            assert_eq!(get(&cluster, obj), i as u64, "round {round}: {obj}");
+            let epoch = cluster.object_epoch(obj);
+            assert!(epoch >= epochs[i], "round {round}: {obj} went back");
+            epochs[i] = epoch;
+        }
+        trace.extend(cluster.take_trace());
+        let report = check_trace(&trace);
+        assert!(report.is_clean(), "round {round}: {report}");
+    }
 }
 
 /// What one recovery chaos run leaves behind: the injector's fault trace,

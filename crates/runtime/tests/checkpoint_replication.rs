@@ -559,7 +559,7 @@ proptest! {
     /// Across arbitrary interleavings of crashes, restarts, declare-dead
     /// sweeps and migrations, an object's epoch never moves backwards.
     #[test]
-    fn object_epochs_are_monotone_under_chaos(script in chaos_ops(3)) {
+    fn every_object_epoch_is_monotone_under_chaos(script in chaos_ops(3)) {
         let cluster = builder(3).replication(2).build();
         register_counter(&cluster);
         let obj = cluster.create(n(0), Box::new(Counter(0))).unwrap();

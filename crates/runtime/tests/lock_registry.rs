@@ -1,5 +1,5 @@
 //! Every long-lived lock in oml-runtime must be a *named* `OrderedMutex` /
-//! `OrderedRwLock` so the lock-order analyzer sees its acquisitions. This
+//! `OrderedRwLock` so the lock-order recorder sees its acquisitions. This
 //! test scans the crate's sources for raw `parking_lot` constructions and
 //! fails on any outside the reviewed allowlist — a new raw lock must either
 //! be converted or explicitly allowlisted here with a justification.

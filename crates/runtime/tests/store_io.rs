@@ -1,6 +1,6 @@
 //! Every filesystem operation in the checkpoint store must live in
 //! `store/fsio.rs`, behind the [`Storage`] trait — that is what lets the
-//! chaos suites swap in the seeded `FaultFs` and prove torn writes,
+//! chaos suites swap in the scripted `FaultFs` and prove torn writes,
 //! skipped fsyncs, and bit flips are handled, and what keeps the WAL's
 //! error paths honest: a filesystem error must surface as a
 //! `StoreError`, never a panic. This test is the `transport_deadlines.rs`
