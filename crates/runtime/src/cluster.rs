@@ -23,12 +23,12 @@ use oml_des::{EventQueue, SimTime};
 
 use crate::error::RuntimeError;
 use crate::fault::{self, Delivery, FaultInjector, FaultPlan};
-use crate::message::{group_push, Envelope, Message, Shipped, MAX_HOPS};
+use crate::message::{group_push, Acked, Envelope, Message, Shipped, MAX_HOPS};
 use crate::node::NodeWorker;
 use crate::object::{Delinearizer, MobileObject, TypeRegistry};
 use crate::recovery::{
     epoch_floors, preference_order, Admission, DetectorConfig, NodeHealth, PendingRefresh,
-    RecoveryState, ReplicationInfo, Sabotage,
+    RecoveryState, Replicas, ReplicationInfo, Sabotage,
 };
 use crate::schedule::{FreeRun, ScheduleSource, SendAction};
 use crate::store::{put_traced, CheckpointStore, FsyncPolicy, StoredCheckpoint};
@@ -558,10 +558,11 @@ impl Shared {
             object_epoch: 0,
             seq: 0,
         };
+        let mut replicas = rec.replicas.lock();
         for target in rec.replica_targets(&order) {
-            self.store_replicas(target, [(object, ckpt.clone())]);
+            self.store_replicas(&mut replicas, target, [(object, ckpt.clone())]);
         }
-        rec.replication.lock().insert(
+        replicas.objects.insert(
             object,
             ReplicationInfo {
                 order,
@@ -580,10 +581,10 @@ impl Shared {
     /// with the current object epoch and the next refresh sequence (what
     /// the caller put in those fields is overwritten) and starts counting
     /// acks against a majority write quorum; an unacked previous refresh is
-    /// superseded and counted as a quorum failure. Per closure: one lock
-    /// round, the host's own copies stored and self-acked together, and one
-    /// `CheckpointPut` to each other replica node. `host` is the node
-    /// holding the live objects.
+    /// superseded and counted as a quorum failure. Per closure: one guard
+    /// of the replica table for the stamping and the host's own copies,
+    /// stored and self-acked together, then one `CheckpointPut` to each
+    /// other replica node. `host` is the node holding the live objects.
     pub(crate) fn checkpoint_refresh(
         &self,
         mut fresh: Vec<Shipped>,
@@ -603,42 +604,40 @@ impl Shared {
         let mut own = Vec::new();
         let mut puts = Vec::new();
         let (mut refreshed, mut superseded) = (0, 0);
-        {
-            let mut repl = rec.replication.lock();
-            for (object, mut ckpt) in fresh {
-                let Some(info) = repl.get_mut(&object) else {
-                    continue; // detector configured after the object was created
-                };
-                superseded += u64::from(info.pending.take().is_some());
-                info.seq += 1;
-                ckpt.seq = info.seq;
-                let mut targets = 0;
-                let mut at_host = false;
-                let mut encoded = None;
-                for target in rec.replica_targets(&info.order) {
-                    targets += 1;
-                    if target == host {
-                        // the host's own store needs no message round-trip
-                        at_host = true;
-                    } else {
-                        let frame = encoded.get_or_insert_with(|| ckpt.encode()).clone();
-                        group_push(&mut puts, target, (object, frame));
-                    }
+        // nothing sends under the guard: a send can run the target's
+        // handler inline, and that handler takes this lock
+        let mut replicas = rec.replicas.lock();
+        for (object, mut ckpt) in fresh {
+            let Some(info) = replicas.objects.get_mut(&object) else {
+                continue; // detector configured after the object was created
+            };
+            superseded += u64::from(info.pending.take().is_some());
+            info.seq += 1;
+            ckpt.seq = info.seq;
+            let mut targets = 0;
+            let mut at_host = false;
+            for target in rec.replica_targets(&info.order) {
+                targets += 1;
+                if target == host {
+                    // the host's own store needs no message round-trip
+                    at_host = true;
+                } else {
+                    group_push(&mut puts, target, (object, ckpt.clone()));
                 }
-                if targets == 0 {
-                    continue;
-                }
-                info.pending = Some(PendingRefresh {
-                    object_epoch: ckpt.object_epoch,
-                    seq: ckpt.seq,
-                    quorum: targets / 2 + 1,
-                    acked: Vec::new(),
-                });
-                info.last_refresh_at_ms = now;
-                refreshed += 1;
-                if at_host {
-                    own.push((object, ckpt));
-                }
+            }
+            if targets == 0 {
+                continue;
+            }
+            info.pending = Some(PendingRefresh {
+                object_epoch: ckpt.object_epoch,
+                seq: ckpt.seq,
+                quorum: targets / 2 + 1,
+                acked: Vec::new(),
+            });
+            info.last_refresh_at_ms = now;
+            refreshed += 1;
+            if at_host {
+                own.push((object, ckpt));
             }
         }
         self.counters
@@ -649,28 +648,30 @@ impl Shared {
             .fetch_add(refreshed, Ordering::Relaxed);
         if !own.is_empty() {
             let acks = versions(&own);
-            self.store_replicas(host, own);
-            self.checkpoint_ack(&acks, host, host.as_u32());
+            self.store_replicas(&mut replicas, host, own);
+            self.count_acks(&mut replicas, &acks, host, host.as_u32());
         }
+        drop(replicas);
         self.send_puts(Some((host, host_epoch)), puts);
     }
 
     /// Sends each list, grouped by [`group_push`], as one `CheckpointPut`.
-    fn send_puts(&self, from: Option<(NodeId, u64)>, puts: Vec<(NodeId, Vec<(ObjectId, Bytes)>)>) {
+    fn send_puts(&self, from: Option<(NodeId, u64)>, puts: Vec<(NodeId, Vec<Shipped>)>) {
         for (target, items) in puts {
             let _ = self.send_from(from, target, Message::CheckpointPut { items });
         }
     }
 
-    /// Writes each of `ckpts` into `at`'s replica store, under one guard,
-    /// if it is fresher than the copy already there (lexicographic
-    /// `(object_epoch, seq)`).
-    pub(crate) fn store_replicas(&self, at: NodeId, ckpts: impl IntoIterator<Item = Shipped>) {
-        let Some(rec) = &self.recovery else {
-            return;
-        };
-        let mut stores = rec.replica_stores.lock();
-        let store = &mut stores[at.index()];
+    /// Writes each of `ckpts` into `at`'s replica store if it is fresher
+    /// than the copy already there (lexicographic `(object_epoch, seq)`).
+    /// The caller holds the replica table's guard.
+    fn store_replicas(
+        &self,
+        replicas: &mut Replicas,
+        at: NodeId,
+        ckpts: impl IntoIterator<Item = Shipped>,
+    ) {
+        let store = &mut replicas.stores[at.index()];
         for (object, ckpt) in ckpts {
             let (object_epoch, seq) = ckpt.version();
             let stale = store
@@ -695,29 +696,25 @@ impl Shared {
 
     /// Applies an incoming `CheckpointPut` at node `at` and (for node-to-
     /// node puts) acks the applied list back to the sender in one message.
-    /// Undecodable frames are dropped; with fencing, a put linearized under
-    /// a superseded object epoch is *quietly* ignored — it is not a protocol
-    /// violation, just a refresh that lost a race with a reinstantiation,
-    /// and the repair sweep will re-replicate under the current epoch.
+    /// With fencing, a put linearized under a superseded object epoch is
+    /// *quietly* ignored — it is not a protocol violation, just a refresh
+    /// that lost a race with a reinstantiation, and the repair sweep will
+    /// re-replicate under the current epoch.
     pub(crate) fn apply_checkpoint_put(
         &self,
         at: NodeId,
         at_epoch: u64,
-        items: Vec<(ObjectId, Bytes)>,
+        mut ckpts: Vec<Shipped>,
         from: u32,
     ) {
-        if self.recovery.is_none() {
+        let Some(rec) = &self.recovery else {
             return;
-        }
-        let mut ckpts: Vec<Shipped> = items
-            .into_iter()
-            .filter_map(|(object, frame)| Some((object, StoredCheckpoint::decode(&frame).ok()?)))
-            .collect();
+        };
         self.fence(&mut ckpts, None, |_| {});
         // re-ack even when a copy was not fresher: the sender may be
         // retrying a refresh whose previous ack was lost
         let acks = versions(&ckpts);
-        self.store_replicas(at, ckpts);
+        self.store_replicas(&mut rec.replicas.lock(), at, ckpts);
         if from != fault::CLIENT && !acks.is_empty() {
             let _ = self.send_from(
                 Some((at, at_epoch)),
@@ -730,51 +727,48 @@ impl Shared {
         }
     }
 
+    /// [`Shared::count_acks`] under one guard of the replica table.
+    pub(crate) fn checkpoint_ack(&self, items: &[Acked], replica: NodeId, process: u32) {
+        if let Some(rec) = &self.recovery {
+            self.count_acks(&mut rec.replicas.lock(), items, replica, process);
+        }
+    }
+
     /// Counts one replica's acks, each toward its own object's pending
-    /// refresh. Acks are deduplicated by replica id (duplicated or re-sent
-    /// acks count once) and acks for any other `(object_epoch, seq)` than
-    /// the pending write are ignored.
-    pub(crate) fn checkpoint_ack(
-        &self,
-        items: &[(ObjectId, u64, u64)],
-        replica: NodeId,
-        process: u32,
-    ) {
-        let Some(rec) = &self.recovery else {
-            return;
-        };
+    /// refresh; the caller holds the replica table's guard. Acks are
+    /// deduplicated by replica id (duplicated or re-sent acks count once)
+    /// and acks for any other `(object_epoch, seq)` than the pending write
+    /// are ignored.
+    fn count_acks(&self, replicas: &mut Replicas, items: &[Acked], replica: NodeId, process: u32) {
         let mut quorums = 0;
-        {
-            let mut repl = rec.replication.lock();
-            for &(object, object_epoch, seq) in items {
-                let Some(info) = repl.get_mut(&object) else {
-                    continue;
-                };
-                let Some(pending) = info.pending.as_mut() else {
-                    continue;
-                };
-                if pending.object_epoch != object_epoch
-                    || pending.seq != seq
-                    || pending.acked.contains(&replica.as_u32())
-                {
-                    continue; // another write's ack, or one already counted
-                }
-                pending.acked.push(replica.as_u32());
-                self.trace.emit(
-                    process,
-                    EventKind::CheckpointAcked {
-                        object,
-                        object_epoch,
-                        seq,
-                        replica,
-                        quorum: pending.quorum as u32,
-                    },
-                );
-                if pending.acked.len() >= pending.quorum {
-                    info.pending = None;
-                    info.last_quorum = Some((object_epoch, seq));
-                    quorums += 1;
-                }
+        for &(object, object_epoch, seq) in items {
+            let Some(info) = replicas.objects.get_mut(&object) else {
+                continue;
+            };
+            let Some(pending) = info.pending.as_mut() else {
+                continue;
+            };
+            if pending.object_epoch != object_epoch
+                || pending.seq != seq
+                || pending.acked.contains(&replica.as_u32())
+            {
+                continue; // another write's ack, or one already counted
+            }
+            pending.acked.push(replica.as_u32());
+            self.trace.emit(
+                process,
+                EventKind::CheckpointAcked {
+                    object,
+                    object_epoch,
+                    seq,
+                    replica,
+                    quorum: pending.quorum as u32,
+                },
+            );
+            if pending.acked.len() >= pending.quorum {
+                info.pending = None;
+                info.last_quorum = Some((object_epoch, seq));
+                quorums += 1;
             }
         }
         self.counters
@@ -900,59 +894,32 @@ impl Shared {
         if rec.sabotage == Some(Sabotage::NoRepair) {
             return;
         }
-        // every object's current replica set, end to end in `targets`
-        let mut targets: Vec<NodeId> = Vec::new();
-        let mut objects: Vec<(ObjectId, std::ops::Range<usize>)> = {
-            let repl = rec.replication.lock();
-            repl.iter()
-                .map(|(&o, info)| {
-                    let start = targets.len();
-                    targets.extend(rec.replica_targets(&info.order));
-                    (o, start..targets.len())
-                })
-                .collect()
-        };
-        objects.sort_unstable_by_key(|&(o, _)| o);
-        // epoch snapshot before the stores lock (the two are never nested)
-        let epochs: Vec<u64> = {
-            let table = self.objects.read();
-            let current = |(o, _): &(ObjectId, _)| table.get(o).map_or(0, |r| r.epoch);
-            objects.iter().map(current).collect()
-        };
+        // epoch snapshot before the replica table's guard (the two are
+        // never held together)
+        let table = self.objects.read();
+        let epochs: HashMap<ObjectId, u64> = table.iter().map(|(&o, r)| (o, r.epoch)).collect();
+        drop(table);
         let mut puts = Vec::new();
         let mut repairs = 0;
         {
-            let stores = rec.replica_stores.lock();
-            for ((object, set), current_epoch) in objects.into_iter().zip(epochs) {
-                let mut freshest: Option<&StoredCheckpoint> = None;
-                for (n, store) in stores.iter().enumerate() {
-                    if !rec.replica_available(n) {
-                        continue;
-                    }
-                    if let Some(ckpt) = store.get(object) {
-                        if freshest.is_none_or(|f| ckpt.version() > f.version()) {
-                            freshest = Some(ckpt);
-                        }
-                    }
-                }
-                let Some(freshest) = freshest else {
+            let replicas = rec.replicas.lock();
+            let mut objects: Vec<_> = replicas.objects.iter().collect();
+            objects.sort_unstable_by_key(|&(&o, _)| o);
+            let available = |n: usize| rec.replica_available(n);
+            for (&object, info) in objects {
+                let Some((_, freshest)) = replicas.freshest(object, available, false) else {
                     continue; // no surviving copy — nothing to replicate from
                 };
-                if freshest.object_epoch < current_epoch {
+                if freshest.object_epoch < epochs.get(&object).copied().unwrap_or(0) {
                     // a reinstantiation is in flight: its install will issue
                     // a refresh under the new epoch; replicating the old one
                     // would only be fenced on arrival
                     continue;
                 }
-                let mut encoded = None;
-                for &target in &targets[set] {
-                    let needs = match stores[target.index()].get(object) {
-                        None => true,
-                        Some(c) => c.version() < freshest.version(),
-                    };
-                    if needs {
-                        let frame = encoded.get_or_insert_with(|| freshest.encode()).clone();
-                        group_push(&mut puts, target, (object, frame));
+                for target in rec.replica_targets(&info.order) {
+                    let held = replicas.stores[target.index()].get(object);
+                    if held.is_none_or(|c| c.version() < freshest.version()) {
+                        group_push(&mut puts, target, (object, freshest.clone()));
                         repairs += 1;
                     }
                 }
@@ -1044,60 +1011,36 @@ impl Shared {
         };
         let stranded: Vec<ObjectId> = reinstated.iter().map(|&(o, _)| o).collect();
         self.release_stranded(&stranded);
-        // the dead node's replica holdings died with it
-        // a clear() persists a tombstone record on WAL-backed stores;
-        // epoch floors survive it by the store contract
-        let _ = rec.replica_stores.lock()[i].clear();
-        // persist the bumped epochs as floors at every surviving store, so
-        // a cold restart cannot reinstantiate below them
-        if !reinstated.is_empty() {
-            let mut stores = rec.replica_stores.lock();
-            for (n, store) in stores.iter_mut().enumerate() {
-                if n == i {
-                    continue;
-                }
+        // one guard of the replica table: the dead node's holdings died
+        // with it (a clear() persists a tombstone record on WAL-backed
+        // stores; epoch floors survive it by the store contract), the bumped
+        // epochs persist as floors at every surviving store, so a cold
+        // restart cannot reinstantiate below them, and each object's source
+        // is the freshest surviving replica — ordered by (object epoch,
+        // refresh sequence), inverted by the stale-promotion sabotage
+        let promoted: Vec<_> = {
+            let mut replicas = rec.replicas.lock();
+            let _ = replicas.stores[i].clear();
+            let stores = replicas.stores.iter_mut().enumerate();
+            for (_, store) in stores.filter(|&(n, _)| n != i) {
                 for &(object, epoch) in &reinstated {
                     let _ = store.note_epoch(object, epoch);
                 }
             }
-        }
+            let stalest = rec.sabotage == Some(Sabotage::StalePromotion);
+            let available = |n: usize| rec.replica_available(n);
+            // an object without a replication record predates the
+            // detector; one without a surviving copy is lost until a node
+            // restart
+            let source = |(object, epoch)| {
+                let home = replicas.objects.get(&object)?.order[0];
+                let (replica, ckpt) = replicas.freshest(object, available, stalest)?;
+                Some((object, epoch, home, replica, ckpt.clone()))
+            };
+            reinstated.into_iter().filter_map(source).collect()
+        };
         let mut installs = Vec::new();
-        for (object, epoch) in reinstated {
-            let home = {
-                let repl = rec.replication.lock();
-                repl.get(&object).map(|info| info.order[0])
-            };
-            let Some(home) = home else {
-                continue; // no replication record (object predates the detector)
-            };
-            // reinstantiate from the freshest surviving replica, ordered by
-            // (object epoch, refresh sequence); the stale-promotion sabotage
-            // inverts the choice
-            let source = {
-                let stores = rec.replica_stores.lock();
-                let mut best: Option<(NodeId, StoredCheckpoint)> = None;
-                for (n, store) in stores.iter().enumerate() {
-                    if !rec.replica_available(n) {
-                        continue;
-                    }
-                    if let Some(ckpt) = store.get(object) {
-                        let better = best.as_ref().is_none_or(|(_, b)| {
-                            if rec.sabotage == Some(Sabotage::StalePromotion) {
-                                ckpt.version() < b.version()
-                            } else {
-                                ckpt.version() > b.version()
-                            }
-                        });
-                        if better {
-                            best = Some((NodeId::new(n as u32), ckpt.clone()));
-                        }
-                    }
-                }
-                best
-            };
-            let Some((replica, mut ckpt)) = source else {
-                continue; // every copy died too — lost until a node restart
-            };
+        for (object, epoch, home, replica, mut ckpt) in promoted {
             self.trace.emit(
                 CLIENT_PROCESS,
                 EventKind::PromotedFrom {
@@ -1154,7 +1097,7 @@ impl Shared {
 }
 
 /// What a `CheckpointAck` says about each of `ckpts`.
-fn versions(ckpts: &[Shipped]) -> Vec<(ObjectId, u64, u64)> {
+fn versions(ckpts: &[Shipped]) -> Vec<Acked> {
     let version = |(object, ckpt): &Shipped| (*object, ckpt.object_epoch, ckpt.seq);
     ckpts.iter().map(version).collect()
 }
@@ -1924,31 +1867,24 @@ impl Cluster {
             return Vec::new();
         };
         let now = self.shared.now_ms();
-        // sequential acquisition (stores, then replication) — never nested
-        let counts: HashMap<ObjectId, u32> = {
-            let stores = rec.replica_stores.lock();
-            let mut m = HashMap::new();
-            for (n, store) in stores.iter().enumerate() {
-                if !rec.replica_available(n) {
-                    continue;
-                }
-                for o in store.objects() {
-                    *m.entry(o).or_insert(0) += 1;
-                }
-            }
-            m
-        };
-        let mut v: Vec<CheckpointHealth> = {
-            let repl = rec.replication.lock();
-            repl.iter()
-                .map(|(&object, info)| CheckpointHealth {
-                    object,
-                    replicas: counts.get(&object).copied().unwrap_or(0),
-                    refresh_age_ms: now.saturating_sub(info.last_refresh_at_ms),
-                    quorum: info.last_quorum,
-                })
-                .collect()
-        };
+        let replicas = rec.replicas.lock();
+        let live = replicas.stores.iter().enumerate();
+        let live = live.filter(|&(n, _)| rec.replica_available(n));
+        let mut counts: HashMap<ObjectId, u32> = HashMap::new();
+        for object in live.flat_map(|(_, store)| store.objects()) {
+            *counts.entry(object).or_default() += 1;
+        }
+        let mut v: Vec<CheckpointHealth> = replicas
+            .objects
+            .iter()
+            .map(|(&object, info)| CheckpointHealth {
+                object,
+                replicas: counts.get(&object).copied().unwrap_or(0),
+                refresh_age_ms: now.saturating_sub(info.last_refresh_at_ms),
+                quorum: info.last_quorum,
+            })
+            .collect();
+        drop(replicas);
         v.sort_unstable_by_key(|h| h.object);
         v
     }
@@ -1960,8 +1896,11 @@ impl Cluster {
     #[must_use]
     pub fn replica_set(&self, object: ObjectId) -> Option<Vec<NodeId>> {
         let rec = self.shared.recovery.as_ref()?;
-        let repl = rec.replication.lock();
-        Some(rec.replica_targets(&repl.get(&object)?.order).collect())
+        let replicas = rec.replicas.lock();
+        Some(
+            rec.replica_targets(&replicas.objects.get(&object)?.order)
+                .collect(),
+        )
     }
 
     /// The object's current epoch: 0 at birth, bumped by every
@@ -2539,6 +2478,38 @@ mod tests {
             .collect()
     }
 
+    /// A refresh puts one record in every replica store: the host's own
+    /// copy and the one its `CheckpointPut` carried to the other replica
+    /// share a single state buffer — nothing is encoded and decoded again
+    /// on the way.
+    #[test]
+    fn a_refresh_shares_one_state_buffer_across_its_replicas() {
+        let cluster = Cluster::builder()
+            .nodes(3)
+            .manual_clock()
+            .failure_detector(50, 3)
+            .replication(2)
+            .build();
+        cluster.register_type("cell", |bytes| Box::new(Cell(bytes[0], None)));
+        let home = NodeId::new(0);
+        let object = cluster.create(home, Box::new(Cell(1, None))).unwrap();
+        let epoch = cluster.shared.incarnation(home.as_u32());
+        let fresh = vec![(object, cell_ckpt(2, 0, 0))];
+        cluster.shared.checkpoint_refresh(fresh, home, epoch);
+        let rec = cluster.shared.recovery.as_ref().expect("detector on");
+        let replicas = rec.replicas.lock();
+        let copies: Vec<_> = replicas
+            .stores
+            .iter()
+            .filter_map(|s| s.get(object))
+            .collect();
+        assert_eq!(copies.len(), 2);
+        assert!(copies
+            .iter()
+            .all(|c| c.version() == (0, 1) && c.state[..] == [2]));
+        assert_eq!(copies[0].state.as_ptr(), copies[1].state.as_ptr());
+    }
+
     /// An `Install` is fenced item by item: the member that was
     /// reinstantiated while the message sat in a queue is dropped, the rest
     /// of the list arrives.
@@ -2592,10 +2563,7 @@ mod tests {
                 std::thread::yield_now();
             }
             let put = Message::CheckpointPut {
-                items: vec![
-                    (a, cell_ckpt(1, 0, 5).encode()),
-                    (b, cell_ckpt(2, 0, 6).encode()),
-                ],
+                items: vec![(a, cell_ckpt(1, 0, 5)), (b, cell_ckpt(2, 0, 6))],
             };
             let install = Message::Install {
                 members: vec![(a, cell_ckpt(1, 0, 0)), (b, cell_ckpt(2, 0, 0))],
@@ -2606,15 +2574,10 @@ mod tests {
             gate.send(()).unwrap();
         });
         let rec = cluster.shared.recovery.as_ref().expect("detector on");
-        let stores = rec.replica_stores.lock();
-        assert_eq!(
-            stores[1].get(a).map(StoredCheckpoint::version),
-            Some((0, 5))
-        );
-        assert_eq!(
-            stores[1].get(b).map(StoredCheckpoint::version),
-            Some((0, 6))
-        );
+        let replicas = rec.replicas.lock();
+        let version = |o| replicas.stores[1].get(o).map(StoredCheckpoint::version);
+        assert_eq!(version(a), Some((0, 5)));
+        assert_eq!(version(b), Some((0, 6)));
         assert_eq!(installed(&cluster.take_trace(), 1), vec![blocker, a, b]);
     }
 

@@ -16,14 +16,19 @@ pub(crate) type InvokeReply = Sender<Result<Bytes, RuntimeError>>;
 /// Reply channel for move-requests (`Ok(true)` = granted).
 pub(crate) type MoveReply = Sender<Result<bool, RuntimeError>>;
 
-/// One object in transit inside a [`Message::Install`]: its id and its
-/// linearized copy, in the crate's one checkpoint record. `object_epoch` is
-/// the object's epoch at ship time: when the failure detector is active,
-/// receivers reject items older than the object's current epoch — a
-/// pre-crash install queued behind a reinstantiation can never resurrect the
-/// dead incarnation's copy. Always 0 without a detector. `seq` means
-/// nothing in transit; the refresh at the receiving host assigns it.
+/// One object in transit inside a [`Message::Install`] or a
+/// [`Message::CheckpointPut`]: its id and its linearized copy, in the
+/// crate's one checkpoint record. `object_epoch` is the object's epoch at
+/// ship time: when the failure detector is active, receivers reject items
+/// older than the object's current epoch — a pre-crash install queued
+/// behind a reinstantiation can never resurrect the dead incarnation's
+/// copy. Always 0 without a detector. In an install `seq` means nothing;
+/// the refresh at the receiving host assigns it.
 pub(crate) type Shipped = (ObjectId, StoredCheckpoint);
+
+/// What a [`Message::CheckpointAck`] says about one copy: `(object,
+/// object_epoch, seq)`.
+pub(crate) type Acked = (ObjectId, u64, u64);
 
 /// Everything nodes exchange.
 pub(crate) enum Message {
@@ -77,21 +82,19 @@ pub(crate) enum Message {
         context: Option<AllianceId>,
         hops: u8,
     },
-    /// Checkpoint refreshes propagating to one replica node: per object the
-    /// wire-encoded [`crate::wire::CheckpointFrame`] (type tag, linearized
-    /// state and the `(object_epoch, seq)` freshness stamp). The receiver
-    /// stores each frame that is fresher than its current copy and always
-    /// acks the whole list back to the sender in one message.
-    CheckpointPut { items: Vec<(ObjectId, Bytes)> },
+    /// Checkpoint refreshes propagating to one replica node: per object
+    /// the same record an [`Message::Install`] carries — type tag,
+    /// linearized state and the `(object_epoch, seq)` freshness stamp —
+    /// with its state shared, not copied. The receiver stores each copy
+    /// that is fresher than its current one and always acks the whole list
+    /// back to the sender in one message.
+    CheckpointPut { items: Vec<Shipped> },
     /// A replica's acknowledgement of a [`Message::CheckpointPut`]:
     /// `(object, object_epoch, seq)` per item. Acks are deduplicated by
     /// `(object, object_epoch, seq, replica)` before they count toward each
     /// object's write quorum, so duplicated or re-sent acks cannot inflate
     /// durability.
-    CheckpointAck {
-        items: Vec<(ObjectId, u64, u64)>,
-        replica: NodeId,
-    },
+    CheckpointAck { items: Vec<Acked>, replica: NodeId },
 }
 
 impl Message {
@@ -115,20 +118,15 @@ impl Message {
 
 impl std::fmt::Debug for Message {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ids = |list: &[Shipped]| list.iter().map(|&(o, _)| o).collect::<Vec<_>>();
         match self {
             Message::Create { object, .. } => write!(f, "Create({object})"),
             Message::Invoke { object, method, .. } => write!(f, "Invoke({object}.{method})"),
             Message::MoveRequest { object, to, .. } => write!(f, "MoveRequest({object} → {to})"),
-            Message::Install { members, .. } => {
-                let objects = members.iter().map(|(o, _)| o);
-                write!(f, "Install{:?}", objects.collect::<Vec<_>>())
-            }
+            Message::Install { members, .. } => write!(f, "Install{:?}", ids(members)),
             Message::Surrender { members, to } => write!(f, "Surrender({members:?} → {to})"),
             Message::EndRequest { object, block, .. } => write!(f, "End({object}, {block})"),
-            Message::CheckpointPut { items } => {
-                let objects = items.iter().map(|(o, _)| o);
-                write!(f, "CheckpointPut{:?}", objects.collect::<Vec<_>>())
-            }
+            Message::CheckpointPut { items } => write!(f, "CheckpointPut{:?}", ids(items)),
             Message::CheckpointAck { items, replica } => {
                 write!(f, "CheckpointAck({items:?} from {replica})")
             }

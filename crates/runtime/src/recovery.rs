@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use oml_core::ids::{NodeId, ObjectId};
 
 use crate::cluster::ObjectRecord;
-use crate::store::CheckpointStore;
+use crate::store::{CheckpointStore, StoredCheckpoint};
 use crate::trace::OrderedMutex;
 
 /// Failure-detector tuning: how often nodes are expected to beat, and how
@@ -163,6 +163,41 @@ pub(crate) struct ReplicationInfo {
     pub(crate) last_refresh_at_ms: u64,
 }
 
+/// The replica table: every node's store of passive copies and every
+/// object's replication bookkeeping, one value behind one lock.
+pub(crate) struct Replicas {
+    /// `stores[n]` is node `n`'s [`CheckpointStore`] — in-memory by
+    /// default, WAL-backed via [`crate::ClusterBuilder::durable_store`].
+    pub(crate) stores: Vec<Box<dyn CheckpointStore>>,
+    /// Per-object replication bookkeeping (home, sequencing, quorum acks).
+    pub(crate) objects: HashMap<ObjectId, ReplicationInfo>,
+}
+
+impl Replicas {
+    /// The freshest copy of `object` on a store `available` admits, and
+    /// its node: the highest `(object_epoch, seq)`, the lowest node among
+    /// equals. `stalest` inverts the order ([`Sabotage::StalePromotion`]).
+    pub(crate) fn freshest(
+        &self,
+        object: ObjectId,
+        available: impl Fn(usize) -> bool,
+        stalest: bool,
+    ) -> Option<(NodeId, &StoredCheckpoint)> {
+        let stores = self.stores.iter().enumerate();
+        let stores = stores.filter(|&(n, _)| available(n));
+        let copies = stores.filter_map(|(n, s)| Some((NodeId::new(n as u32), s.get(object)?)));
+        copies.reduce(|best, copy| {
+            let (new, old) = (copy.1.version(), best.1.version());
+            let better = if stalest { new < old } else { new > old };
+            if better {
+                copy
+            } else {
+                best
+            }
+        })
+    }
+}
+
 /// All recovery-subsystem state, held in `Shared` when a detector is
 /// configured.
 pub(crate) struct RecoveryState {
@@ -181,14 +216,9 @@ pub(crate) struct RecoveryState {
     last_beat: Vec<AtomicU64>,
     health: Vec<AtomicU8>,
     breakers: Vec<AtomicU8>,
-    /// Per-node replica stores: `replica_stores[n]` is node `n`'s local
-    /// [`CheckpointStore`] of passive copies — in-memory by default, WAL-
-    /// backed via [`crate::ClusterBuilder::durable_store`]. One lock over
-    /// all stores — cross-store scans (promotion, repair planning) then see
-    /// a consistent cut.
-    pub(crate) replica_stores: OrderedMutex<Vec<Box<dyn CheckpointStore>>>,
-    /// Per-object replication bookkeeping (home, sequencing, quorum acks).
-    pub(crate) replication: OrderedMutex<HashMap<ObjectId, ReplicationInfo>>,
+    /// The replica table, one lock: promotion and repair planning read one
+    /// cut, and no path takes a second lock for the other half.
+    pub(crate) replicas: OrderedMutex<Replicas>,
 }
 
 impl RecoveryState {
@@ -200,6 +230,10 @@ impl RecoveryState {
         stores: Vec<Box<dyn CheckpointStore>>,
     ) -> Self {
         assert_eq!(stores.len(), nodes, "one checkpoint store per node");
+        let replicas = Replicas {
+            stores,
+            objects: HashMap::new(),
+        };
         RecoveryState {
             config,
             replica_k,
@@ -209,8 +243,7 @@ impl RecoveryState {
             last_beat: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             health: (0..nodes).map(|_| AtomicU8::new(HEALTH_UP)).collect(),
             breakers: (0..nodes).map(|_| AtomicU8::new(BREAKER_CLOSED)).collect(),
-            replica_stores: OrderedMutex::new("shared.replica_stores", stores),
-            replication: OrderedMutex::new("shared.replication", HashMap::new()),
+            replicas: OrderedMutex::new("shared.replicas", replicas),
         }
     }
 

@@ -45,8 +45,9 @@ use std::collections::HashMap;
 /// One passive copy of an object, stamped with the freshness coordinates
 /// that order it against other copies: freshness is the lexicographic
 /// order on `(object_epoch, seq)`. The one checkpoint record of the crate:
-/// what a replica store holds, what a WAL `Put` logs and — as
-/// [`crate::wire::CheckpointFrame`] — what a `CheckpointPut` carries.
+/// what a replica store holds, what a WAL `Put` logs, what an `Install` and
+/// a `CheckpointPut` carry and — as [`crate::wire::CheckpointFrame`] — what
+/// a copy is as bytes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoredCheckpoint {
     /// The registered type tag used to delinearize the state.

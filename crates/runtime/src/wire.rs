@@ -202,16 +202,17 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// The payload of a `CheckpointPut`: an object's linearized passive state
-/// plus the `(object_epoch, seq)` freshness stamp that orders it against
-/// other replicas — the [`StoredCheckpoint`] a replica stores, under the
-/// name it travels by. Encoded with [`WireWriter`] like any object payload
-/// — replicas on the far side of a lossy link can always decode or reject
-/// it.
+/// An object's linearized passive state plus the `(object_epoch, seq)`
+/// freshness stamp that orders it against other replicas — the
+/// [`StoredCheckpoint`] a replica stores, under the name it has as bytes.
+/// In-process, a `CheckpointPut` carries the record itself, as an
+/// `Install` does; this encoding, written with [`WireWriter`] like any
+/// object payload, is for a copy that must cross a byte stream — a reader
+/// on the far side of a lossy link can always decode or reject it.
 pub type CheckpointFrame = StoredCheckpoint;
 
 impl StoredCheckpoint {
-    /// Encodes the frame for a `CheckpointPut` message.
+    /// Encodes the frame.
     #[must_use]
     pub fn encode(&self) -> Bytes {
         // two length prefixes + two u64s around the variable parts
@@ -223,8 +224,7 @@ impl StoredCheckpoint {
             .finish()
     }
 
-    /// Decodes a frame from a `CheckpointPut` payload. The decoded `state`
-    /// is a view of `buf`, not a copy.
+    /// Decodes a frame; its `state` is a view of `buf`, not a copy.
     ///
     /// # Errors
     ///

@@ -8,7 +8,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use oml_core::ids::{NodeId, ObjectId};
 use oml_runtime::wire::{WireReader, WireWriter};
@@ -41,6 +41,24 @@ fn threads() -> Vec<String> {
         .collect()
 }
 
+/// This process's thread count once the previous phase's threads have left
+/// `/proc/self/task`: a joined thread can stay listed for a moment after
+/// its `join` returned. Polls, for at most five seconds, until no
+/// `oml-timer` is listed and two reads 5 ms apart agree.
+fn settled_threads() -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut last = threads();
+    loop {
+        std::thread::sleep(Duration::from_millis(5));
+        let now = threads();
+        let settled = now.len() == last.len() && !now.iter().any(|name| name == "oml-timer");
+        if settled || Instant::now() >= deadline {
+            return now.len();
+        }
+        last = now;
+    }
+}
+
 fn add(cluster: &Cluster, object: ObjectId) -> u64 {
     let one = WireWriter::new().u64(1).finish();
     let out = cluster.invoke(object, "add", &one).expect("invoke");
@@ -59,7 +77,7 @@ fn add(cluster: &Cluster, object: ObjectId) -> u64 {
 fn a_cluster_runs_one_thread_whatever_its_nodes_and_delays() {
     const NODES: u32 = 3;
     const CALLERS: usize = 8;
-    let before = threads().len();
+    let before = settled_threads();
     let cluster = Cluster::builder()
         .nodes(NODES)
         .failure_detector(50, 4)
@@ -120,7 +138,7 @@ fn a_cluster_runs_one_thread_whatever_its_nodes_and_delays() {
     cluster.shutdown();
     drop(cluster);
 
-    let before = threads().len();
+    let before = settled_threads();
     let cluster = Cluster::builder().nodes(1024).build();
     let during = threads().len();
     for i in 0..1024 {
@@ -134,7 +152,7 @@ fn a_cluster_runs_one_thread_whatever_its_nodes_and_delays() {
     cluster.shutdown();
     drop(cluster);
 
-    let before = threads().len();
+    let before = settled_threads();
     let cluster = Cluster::builder()
         .nodes(NODES)
         .manual_clock()
