@@ -263,6 +263,15 @@ fn assert_health(
     assert!(met, "{obj} health short of its quorum: {health:?}");
 }
 
+/// The freshest write of `obj` known to have reached its quorum.
+fn quorum_of(cluster: &Cluster, obj: ObjectId) -> Option<(u64, u64)> {
+    let health = cluster.checkpoint_health();
+    health
+        .iter()
+        .find(|h| h.object == obj)
+        .and_then(|h| h.quorum)
+}
+
 /// Builds the replicated-checkpoint durability cluster: 4 nodes, `k = 2`,
 /// detector + manual clock, tracing on, with duplicated checkpoint traffic
 /// (seeded) so the ack-dedup path is exercised on every replay; the negative
@@ -293,11 +302,12 @@ pub(crate) fn quorum_acked_counter(cluster: &Cluster) -> (ObjectId, Vec<NodeId>,
         .find(|cand| !set.contains(cand))
         .expect("a node outside the replica set");
     drop(cluster.move_block(obj, host).expect("move to host"));
+    let before = quorum_of(cluster, obj);
     cluster
         .invoke(obj, "add", &WireWriter::new().u64(5).finish())
         .expect("acknowledged add");
     drop(cluster.move_block(obj, host).expect("consistency point"));
-    assert_health(cluster, obj, |h| h.quorum >= Some((0, 3)));
+    assert_health(cluster, obj, |h| h.quorum > before);
     (obj, set, host)
 }
 

@@ -1,7 +1,6 @@
 //! The cluster facade: public API over the nodes, and the timer heap that
 //! runs their ticks and delayed deliveries on the cluster's one clock.
 
-use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,6 +22,7 @@ use oml_des::{EventQueue, SimTime};
 
 use crate::error::RuntimeError;
 use crate::fault::{self, Delivery, FaultInjector, FaultPlan};
+use crate::idmap::IdMap;
 use crate::message::{group_push, Acked, Envelope, Message, Shipped, MAX_HOPS};
 use crate::node::NodeWorker;
 use crate::object::{Delinearizer, MobileObject, TypeRegistry};
@@ -90,7 +90,8 @@ pub struct ClusterStats {
     /// Circuit-breaker open transitions (suspicion, death, failed probes).
     pub breaker_opens: u64,
     /// Checkpoint refreshes issued to the replica sets (create-time seeding
-    /// is not counted — it writes synchronously, without a quorum round).
+    /// is not counted — it writes synchronously, without a quorum round —
+    /// and neither is a copy every replica already holds).
     pub checkpoint_refreshes: u64,
     /// Refreshes that collected a write quorum of replica acks.
     pub quorum_refreshes: u64,
@@ -109,7 +110,9 @@ pub struct CheckpointHealth {
     pub object: ObjectId,
     /// Live (non-dead, non-crashed) nodes currently holding a copy.
     pub replicas: u32,
-    /// Milliseconds since the last refresh (or creation) was issued.
+    /// Milliseconds since the last refresh was issued or confirmed current
+    /// (a refresh of a copy every replica already holds writes nothing),
+    /// or since creation.
     pub refresh_age_ms: u64,
     /// Freshest `(object_epoch, seq)` known to have reached a write quorum;
     /// `None` until the first quorum-acknowledged refresh completes.
@@ -187,7 +190,7 @@ pub(crate) struct Shared {
     /// epoch — a declare-dead's verdict and epoch bump, a rejoin, a
     /// shipment's stamp and re-point — takes one guard of it. Like every
     /// lock of `Shared`, it is never held while another is taken.
-    pub(crate) objects: OrderedRwLock<HashMap<ObjectId, ObjectRecord>>,
+    pub(crate) objects: OrderedRwLock<IdMap<ObjectId, ObjectRecord>>,
     pub(crate) policy: OrderedMutex<Box<dyn MovePolicy>>,
     pub(crate) cooperation: OrderedMutex<Cooperation>,
     pub(crate) registry: TypeRegistry,
@@ -577,14 +580,17 @@ impl Shared {
     /// Refreshes the replicated checkpoints of `fresh` — the objects of one
     /// closure, or a lone one — at an install / end / lease event, the
     /// points where a consistent linearized copy is in hand anyway. Per
-    /// object, exactly as if each were refreshed alone: stamps the copy
-    /// with the current object epoch and the next refresh sequence (what
-    /// the caller put in those fields is overwritten) and starts counting
-    /// acks against a majority write quorum; an unacked previous refresh is
-    /// superseded and counted as a quorum failure. Per closure: one guard
-    /// of the replica table for the stamping and the host's own copies,
-    /// stored and self-acked together, then one `CheckpointPut` to each
-    /// other replica node. `host` is the node holding the live objects.
+    /// object, exactly as if each were refreshed alone: a copy its replica
+    /// set already holds ([`RecoveryState::is_held`]) is only confirmed
+    /// current — its age restarts, nothing is written, sent or counted;
+    /// any other is stamped with the current object epoch and the next
+    /// refresh sequence (what the caller put in those fields is
+    /// overwritten) and starts counting acks against a majority write
+    /// quorum, an unacked previous refresh superseded and counted as a
+    /// quorum failure. Per closure: one guard of the replica table for the
+    /// decisions, the stamping and the host's own copies, stored and
+    /// self-acked together, then one `CheckpointPut` to each other replica
+    /// node. `host` is the node holding the live objects.
     pub(crate) fn checkpoint_refresh(
         &self,
         mut fresh: Vec<Shipped>,
@@ -607,10 +613,15 @@ impl Shared {
         // nothing sends under the guard: a send can run the target's
         // handler inline, and that handler takes this lock
         let mut replicas = rec.replicas.lock();
+        let Replicas { stores, objects } = &mut *replicas;
         for (object, mut ckpt) in fresh {
-            let Some(info) = replicas.objects.get_mut(&object) else {
+            let Some(info) = objects.get_mut(&object) else {
                 continue; // detector configured after the object was created
             };
+            if rec.is_held(stores, object, info, &ckpt) {
+                info.last_refresh_at_ms = now; // confirmed current
+                continue;
+            }
             superseded += u64::from(info.pending.take().is_some());
             info.seq += 1;
             ckpt.seq = info.seq;
@@ -897,7 +908,7 @@ impl Shared {
         // epoch snapshot before the replica table's guard (the two are
         // never held together)
         let table = self.objects.read();
-        let epochs: HashMap<ObjectId, u64> = table.iter().map(|(&o, r)| (o, r.epoch)).collect();
+        let epochs: IdMap<ObjectId, u64> = table.iter().map(|(&o, r)| (o, r.epoch)).collect();
         drop(table);
         let mut puts = Vec::new();
         let mut repairs = 0;
@@ -1381,7 +1392,7 @@ impl ClusterBuilder {
         // once the collector exists
         type NodeRecovery = (u32, Vec<(ObjectId, u64, u64)>, bool, bool);
         let mut recovered: Vec<NodeRecovery> = Vec::new();
-        let mut objects = HashMap::new();
+        let mut objects = IdMap::default();
         let recovery = self.detector.map(|cfg| {
             let stores: Vec<Box<dyn CheckpointStore>> = match &self.store_dir {
                 Some(dir) => (0..self.nodes)
@@ -1870,7 +1881,7 @@ impl Cluster {
         let replicas = rec.replicas.lock();
         let live = replicas.stores.iter().enumerate();
         let live = live.filter(|&(n, _)| rec.replica_available(n));
-        let mut counts: HashMap<ObjectId, u32> = HashMap::new();
+        let mut counts: IdMap<ObjectId, u32> = IdMap::default();
         for object in live.flat_map(|(_, store)| store.objects()) {
             *counts.entry(object).or_default() += 1;
         }

@@ -99,6 +99,7 @@
 
 mod cluster;
 mod fault;
+mod idmap;
 mod message;
 mod node;
 mod proxy;

@@ -8,7 +8,6 @@
 //! what queued (`channel::answer`) wakes its caller only once the node's
 //! state is back in its slot, where that caller's next call finds it.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -21,6 +20,7 @@ use oml_core::policy::{EndAction, EndRequest, MoveDecision, MovePolicy, MoveRequ
 use crate::cluster::{Shared, StashedObject};
 use crate::error::RuntimeError;
 use crate::fault;
+use crate::idmap::IdMap;
 use crate::message::{group_push, Envelope, InvokeReply, Message, MoveReply, Shipped};
 use crate::object::MobileObject;
 use crate::store::StoredCheckpoint;
@@ -40,11 +40,11 @@ pub(crate) struct NodeWorker {
     /// zombie and (when fencing is on) exits instead of acting.
     epoch: u64,
     /// Objects installed at this node.
-    objects: HashMap<ObjectId, Box<dyn MobileObject>>,
+    objects: IdMap<ObjectId, Box<dyn MobileObject>>,
     /// Messages for objects the directory says are headed here but whose
     /// `Install` has not arrived yet — the run-time blocking of calls on
     /// in-transit objects (§4.1).
-    awaiting: HashMap<ObjectId, Vec<Message>>,
+    awaiting: IdMap<ObjectId, Vec<Message>>,
     /// Buffers for the attachment-closure query of every migration, and
     /// for picking out the members hosted here.
     closure: ClosureScratch,
@@ -92,8 +92,8 @@ impl NodeWorker {
             id,
             shared,
             epoch,
-            objects: HashMap::new(),
-            awaiting: HashMap::new(),
+            objects: IdMap::default(),
+            awaiting: IdMap::default(),
             closure: ClosureScratch::new(),
             local: Vec::new(),
         }

@@ -42,12 +42,12 @@
 //! The whole subsystem is inert unless [`crate::ClusterBuilder::failure_detector`]
 //! is called: without a detector the runtime behaves exactly as before.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
 use oml_core::ids::{NodeId, ObjectId};
 
 use crate::cluster::ObjectRecord;
+use crate::idmap::IdMap;
 use crate::store::{CheckpointStore, StoredCheckpoint};
 use crate::trace::OrderedMutex;
 
@@ -158,8 +158,9 @@ pub(crate) struct ReplicationInfo {
     pub(crate) pending: Option<PendingRefresh>,
     /// Freshest `(object_epoch, seq)` known to have reached a write quorum.
     pub(crate) last_quorum: Option<(u64, u64)>,
-    /// Lease-clock timestamp of the last issued refresh (or the initial
-    /// checkpoint), for the oldest-refresh-age health metric.
+    /// Lease-clock timestamp of the last refresh issued or confirmed
+    /// current (or of the initial checkpoint), for the oldest-refresh-age
+    /// health metric.
     pub(crate) last_refresh_at_ms: u64,
 }
 
@@ -170,7 +171,7 @@ pub(crate) struct Replicas {
     /// default, WAL-backed via [`crate::ClusterBuilder::durable_store`].
     pub(crate) stores: Vec<Box<dyn CheckpointStore>>,
     /// Per-object replication bookkeeping (home, sequencing, quorum acks).
-    pub(crate) objects: HashMap<ObjectId, ReplicationInfo>,
+    pub(crate) objects: IdMap<ObjectId, ReplicationInfo>,
 }
 
 impl Replicas {
@@ -232,7 +233,7 @@ impl RecoveryState {
         assert_eq!(stores.len(), nodes, "one checkpoint store per node");
         let replicas = Replicas {
             stores,
-            objects: HashMap::new(),
+            objects: IdMap::default(),
         };
         RecoveryState {
             config,
@@ -265,6 +266,35 @@ impl RecoveryState {
             .copied()
             .filter(|n| self.replica_available(n.index()))
             .take(self.replica_k)
+    }
+
+    /// Whether a refresh of `object` to `ckpt` (stamped with the current
+    /// object epoch) would write nothing new: no refresh of it is pending,
+    /// its last write to reach a quorum is `(that epoch, info.seq)`, and
+    /// every current replica target holds exactly that version, with the
+    /// same type tag and state bytes. *Every* target, not a quorum of them:
+    /// a target that missed the write — partitioned, dropped, or new to the
+    /// set — gets the copy with this refresh rather than at the next repair
+    /// sweep. A reinstantiation's epoch bump, a changed state or a changed
+    /// replica set is never held.
+    pub(crate) fn is_held(
+        &self,
+        stores: &[Box<dyn CheckpointStore>],
+        object: ObjectId,
+        info: &ReplicationInfo,
+        ckpt: &StoredCheckpoint,
+    ) -> bool {
+        let version = (ckpt.object_epoch, info.seq);
+        let holds = |target: NodeId| {
+            stores[target.index()].get(object).is_some_and(|c| {
+                c.version() == version && c.type_tag == ckpt.type_tag && c.state == ckpt.state
+            })
+        };
+        let mut targets = self.replica_targets(&info.order).peekable();
+        info.pending.is_none()
+            && info.last_quorum == Some(version)
+            && targets.peek().is_some()
+            && targets.all(holds)
     }
 
     pub(crate) fn incarnation(&self, node: usize) -> u64 {
@@ -389,8 +419,8 @@ impl RecoveryState {
 /// highest recovered epoch floor, and no location. Epochs are monotone
 /// across restarts, so a reinstantiation after a cold restart can never hand
 /// out an epoch a previous incarnation already used.
-pub(crate) fn epoch_floors(stores: &[Box<dyn CheckpointStore>]) -> HashMap<ObjectId, ObjectRecord> {
-    let mut objects: HashMap<ObjectId, ObjectRecord> = HashMap::new();
+pub(crate) fn epoch_floors(stores: &[Box<dyn CheckpointStore>]) -> IdMap<ObjectId, ObjectRecord> {
+    let mut objects: IdMap<ObjectId, ObjectRecord> = IdMap::default();
     for (object, floor) in stores.iter().flat_map(|store| store.epoch_floors()) {
         let epoch = &mut objects.entry(object).or_default().epoch;
         *epoch = (*epoch).max(floor);

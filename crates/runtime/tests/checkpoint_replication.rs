@@ -95,6 +95,15 @@ fn await_health(
     );
 }
 
+/// The freshest write of `obj` known to have reached its quorum.
+fn quorum_of(cluster: &Cluster, obj: ObjectId) -> Option<(u64, u64)> {
+    let health = cluster.checkpoint_health();
+    health
+        .iter()
+        .find(|h| h.object == obj)
+        .and_then(|h| h.quorum)
+}
+
 /// A granted-and-ended move block is a consistency point: `handle_end`
 /// refreshes the replicated checkpoint with the object's current state.
 fn refresh_via_block(cluster: &Cluster, obj: ObjectId, at: NodeId) {
@@ -180,6 +189,7 @@ fn host_and_home_double_crash_survives_with_k2() {
         .find(|cand| !set.contains(cand))
         .expect("4 nodes, 2 replicas");
     refresh_via_block(&cluster, obj, host);
+    let before = quorum_of(&cluster, obj);
 
     let out = cluster
         .invoke(obj, "add", &WireWriter::new().u64(5).finish())
@@ -189,7 +199,7 @@ fn host_and_home_double_crash_survives_with_k2() {
     // capture the post-add state in a quorum-acked refresh: with two
     // targets the quorum is both of them, so the survivor holds 12
     refresh_via_block(&cluster, obj, host);
-    await_health(&cluster, obj, |h| h.quorum >= Some((0, 3)));
+    await_health(&cluster, obj, |h| h.quorum > before);
 
     // host and home die in the same sweep — the correlated failure that
     // loses the object under the old single-home-checkpoint design
@@ -412,16 +422,25 @@ fn duplicated_checkpoint_traffic_is_deduplicated() {
     let set = closure_of_8(&cluster);
 
     // two moves of the whole closure, every put and ack — each carrying
-    // all eight members — delivered twice. Each write's full (duplicated)
-    // ack set drains before the next one supersedes it: the install's
-    // before the block ends, the end's (the root alone) before the next move.
+    // all eight members — delivered twice. Every member is written before
+    // each move and the root before each end, so every refresh carries a
+    // new state and none is skipped as already held. Each write's full
+    // (duplicated) ack set drains before the next one supersedes it: the
+    // install's before the block ends, the end's (the root alone) before
+    // the next move.
+    let add = |obj| {
+        let one = WireWriter::new().u64(1).finish();
+        cluster.invoke(obj, "add", &one).expect("add");
+    };
     for (round, to) in [(1, n(1)), (2, n(2))] {
+        set.iter().for_each(|&member| add(member));
         let guard = cluster.move_block(set[0], to).expect("move block");
         assert!(guard.granted());
         await_health(&cluster, set[0], |h| h.quorum >= Some((0, 2 * round - 1)));
         for &helper in &set[1..] {
             await_health(&cluster, helper, |h| h.quorum >= Some((0, round)));
         }
+        add(set[0]);
         drop(guard);
         await_health(&cluster, set[0], |h| h.quorum >= Some((0, 2 * round)));
     }

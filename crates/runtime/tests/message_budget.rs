@@ -2,13 +2,17 @@
 //! than timed: a granted move of a closure costs one `Install` and one
 //! `CheckpointPut`/`CheckpointAck` per remote replica node, however many
 //! objects it carries, and a dead host's objects are reinstantiated in
-//! bounded chunks per target. This is the guard against a return to one
-//! message per object; CI names it explicitly.
+//! bounded chunks per target. A refresh re-replicates only what its
+//! replica set does not hold yet: an unchanged closure moves with no
+//! checkpoint traffic, a changed member travels alone, and an epoch bump or
+//! a replica that missed a write is always re-sent. This is the guard
+//! against a return to one message per object, or per member of an
+//! unchanged closure; CI names it explicitly.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use oml_check::EventKind;
+use oml_check::{EventKind, TraceEvent};
 use oml_core::ids::{NodeId, ObjectId};
 use oml_core::policy::PolicyKind;
 use oml_runtime::{Cluster, ClusterBuilder, MobileObject};
@@ -19,7 +23,10 @@ impl MobileObject for Cell {
     fn type_tag(&self) -> &'static str {
         "cell"
     }
-    fn invoke(&mut self, _method: &str, _payload: &[u8]) -> Result<Vec<u8>, String> {
+    fn invoke(&mut self, method: &str, _payload: &[u8]) -> Result<Vec<u8>, String> {
+        if method == "add" {
+            self.0 = self.0.wrapping_add(1);
+        }
         Ok(vec![self.0])
     }
     fn linearize(&self) -> Vec<u8> {
@@ -154,5 +161,148 @@ fn a_dead_host_is_reinstantiated_in_bounded_installs_per_target() {
             "{objects} objects to node {target}"
         );
     }
+    cluster.shutdown();
+}
+
+/// Every `(object, replica, version)` a store applied, per the trace.
+fn stored(trace: &[TraceEvent]) -> Vec<(ObjectId, NodeId, (u64, u64))> {
+    let stored = trace.iter().filter_map(|ev| match ev.kind {
+        EventKind::CheckpointStored {
+            object,
+            replica,
+            object_epoch,
+            seq,
+        } => Some((object, replica, (object_epoch, seq))),
+        _ => None,
+    });
+    stored.collect()
+}
+
+/// The `CheckpointPut`s the trace shows being sent: `(to, description)`.
+fn puts(trace: &[TraceEvent]) -> Vec<(u32, String)> {
+    let sends = trace.iter().filter_map(|ev| match &ev.kind {
+        EventKind::Send { to, desc, .. } if desc.starts_with("CheckpointPut") => {
+            Some((*to, desc.clone()))
+        }
+        _ => None,
+    });
+    sends.collect()
+}
+
+#[test]
+fn an_unchanged_closure_moves_with_no_checkpoint_traffic() {
+    let cluster = builder().build();
+    let set = closure_at_node_0(&cluster, 8);
+    // the first move writes every member at its replica set
+    drop(cluster.move_block(set[0], n(1)).unwrap());
+    let refreshes = cluster.stats().checkpoint_refreshes;
+    assert_eq!(refreshes, 8);
+    let _ = cluster.take_trace();
+
+    let guard = cluster.move_block(set[0], n(2)).unwrap();
+    assert!(guard.granted());
+    assert!(set.iter().all(|&o| cluster.is_resident(o, n(2))));
+    drop(guard);
+    let sends = sends_by_kind(&cluster);
+    let count = |kind: &str| sends.get(kind).copied().unwrap_or(0);
+    assert_eq!(count("Install"), 1, "{sends:?}");
+    assert_eq!(count("CheckpointPut"), 0, "{sends:?}");
+    assert_eq!(count("CheckpointAck"), 0, "{sends:?}");
+    assert_eq!(cluster.stats().checkpoint_refreshes, refreshes);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_changed_member_travels_alone_in_one_put_per_remote_replica() {
+    let cluster = builder().build();
+    let set = closure_at_node_0(&cluster, 8);
+    drop(cluster.move_block(set[0], n(1)).unwrap());
+    let helper = set[3];
+    cluster.invoke(helper, "add", &[]).unwrap();
+    let refreshes = cluster.stats().checkpoint_refreshes;
+    let _ = cluster.take_trace();
+
+    let guard = cluster.move_block(set[0], n(2)).unwrap();
+    assert!(guard.granted());
+    let trace = cluster.take_trace();
+    let remote: Vec<(u32, String)> = cluster
+        .replica_set(helper)
+        .unwrap()
+        .into_iter()
+        .filter(|&r| r != n(2))
+        .map(|r| (r.as_u32(), format!("CheckpointPut{:?}", [helper])))
+        .collect();
+    assert!(!remote.is_empty());
+    assert_eq!(puts(&trace), remote);
+    assert_eq!(cluster.stats().checkpoint_refreshes, refreshes + 1);
+    drop(guard);
+    cluster.shutdown();
+}
+
+#[test]
+fn an_epoch_bump_refreshes_every_member_of_an_unchanged_closure() {
+    let cluster = builder().build();
+    cluster.register_type("cell", |bytes| Box::new(Cell(bytes[0])));
+    // eight objects whose replica set is {0, 1}: a host at node 2 dies
+    // without taking a replica with it, so only the epoch changes
+    let mut set = Vec::new();
+    while set.len() < 8 {
+        let object = cluster.create(n(0), Box::new(Cell(1))).unwrap();
+        if cluster.replica_set(object).unwrap() == [n(0), n(1)] {
+            set.push(object);
+        }
+    }
+    for &helper in &set[1..] {
+        cluster.attach(helper, set[0], None).unwrap();
+    }
+    drop(cluster.move_block(set[0], n(2)).unwrap());
+    let refreshes = cluster.stats().checkpoint_refreshes;
+    let _ = cluster.take_trace();
+
+    cluster.crash_node(n(2)).unwrap();
+    cluster.advance_clock(10_000);
+    cluster.detector_sweep();
+    assert_eq!(cluster.stats().reinstantiations, 8);
+    // the reinstantiation's install, at the home, re-writes all eight
+    assert_eq!(cluster.stats().checkpoint_refreshes, refreshes + 8);
+    let trace = cluster.take_trace();
+    let stored = stored(&trace);
+    for &member in &set {
+        for replica in [n(0), n(1)] {
+            assert!(
+                stored.contains(&(member, replica, (1, 2))),
+                "{member} at {replica}: {stored:?}"
+            );
+        }
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn a_replica_that_missed_a_quorum_write_gets_it_at_the_next_block() {
+    let cluster = builder().replication(3).build();
+    let set = closure_at_node_0(&cluster, 1);
+    let object = set[0];
+    drop(cluster.move_block(object, n(0)).unwrap());
+
+    // quorum is 2 of 3: the host's own store and node 1 carry the write
+    // while node 2's copy drowns in the partition
+    cluster.partition(n(0), n(2)).unwrap();
+    cluster.invoke(object, "add", &[]).unwrap();
+    drop(cluster.move_block(object, n(0)).unwrap());
+    let health = cluster.checkpoint_health();
+    assert_eq!(health[0].quorum, Some((0, 2)));
+    cluster.heal(n(0), n(2)).unwrap();
+    let _ = cluster.take_trace();
+
+    // an unchanged block, no detector sweep: node 2 is re-sent the state
+    drop(cluster.move_block(object, n(0)).unwrap());
+    let trace = cluster.take_trace();
+    assert!(
+        puts(&trace).iter().any(|(to, _)| *to == 2),
+        "{:?}",
+        puts(&trace)
+    );
+    assert!(stored(&trace).contains(&(object, n(2), (0, 3))));
     cluster.shutdown();
 }

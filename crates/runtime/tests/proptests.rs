@@ -245,11 +245,14 @@ fn run_guard_sequence(script: &[GuardStep], shutdown_at: Option<usize>) {
 
 /// Moves a working set of `size` around at replication `k` and holds the
 /// outcome against what one message per object used to produce: `size`
-/// objects migrated and `size` checkpoints refreshed per real move (plus the
-/// root's at every block end), every member resident where the root went,
-/// and at every replica each member's copy at exactly its own
-/// `(object_epoch, seq)`.
-fn run_closure_moves(size: usize, k: usize, dests: &[u32]) {
+/// objects migrated per real move, every member resident where the root
+/// went, and at every replica each member's copy at exactly its own
+/// `(object_epoch, seq)`. Each step is a destination and a touch mask: bit
+/// `i` writes member `i` before the move. A refresh writes a member only
+/// when the replica set does not hold its state yet — its first refresh,
+/// or the first after a touch — so that is what the model counts: at a
+/// real move for every such member, at the block's end for the root.
+fn run_closure_moves(size: usize, k: usize, steps: &[(u32, u64)]) {
     use oml_check::EventKind;
     use std::collections::HashMap;
 
@@ -281,20 +284,16 @@ fn run_closure_moves(size: usize, k: usize, dests: &[u32]) {
 
     let mut at = 0;
     let mut seq = vec![0u64; size];
-    let (mut migrated, mut refreshed) = (0u64, 0u64);
-    for &dest in dests {
-        let guard = cluster.move_block(set[0], NodeId::new(dest)).expect("move");
-        assert!(guard.granted());
-        guard.end();
-        if dest != at {
-            at = dest;
-            migrated += size as u64;
-            refreshed += size as u64;
-            seq.iter_mut().for_each(|s| *s += 1);
-        }
-        refreshed += 1;
-        seq[0] += 1;
-        // each write collects its quorum before the next supersedes it
+    // whether the replica set lacks member `i`'s current state
+    let mut unheld = vec![true; size];
+    let (mut migrated, mut refreshed, mut fresh_value) = (0u64, 0u64, 1u64 << 32);
+    // a refresh of the members `which` writes those unheld, and counts them
+    fn refresh(seq: &mut [u64], unheld: &mut [bool], which: std::ops::Range<usize>) -> u64 {
+        let written = which.filter(|&i| std::mem::take(&mut unheld[i]));
+        written.map(|i| seq[i] += 1).count() as u64
+    }
+    // each write collects its quorum before the next supersedes it
+    let settle = |seq: &[u64]| {
         for _ in 0..2_000 {
             let health = cluster.checkpoint_health();
             let settled = |i: usize| {
@@ -307,6 +306,25 @@ fn run_closure_moves(size: usize, k: usize, dests: &[u32]) {
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
+    };
+    for &(dest, touch) in steps {
+        for (i, &member) in set.iter().enumerate().filter(|&(i, _)| touch >> i & 1 == 1) {
+            fresh_value += 1;
+            let value = WireWriter::new().u64(fresh_value).finish();
+            cluster.invoke(member, "set", &value).expect("touch");
+            unheld[i] = true;
+        }
+        let guard = cluster.move_block(set[0], NodeId::new(dest)).expect("move");
+        assert!(guard.granted());
+        if dest != at {
+            at = dest;
+            migrated += size as u64;
+            refreshed += refresh(&mut seq, &mut unheld, 0..size);
+        }
+        settle(&seq);
+        guard.end();
+        refreshed += refresh(&mut seq, &mut unheld, 0..1);
+        settle(&seq);
     }
     for &member in &set {
         assert!(
@@ -323,7 +341,7 @@ fn run_closure_moves(size: usize, k: usize, dests: &[u32]) {
         stats.quorum_refreshes + stats.quorum_refresh_failures,
         refreshed
     );
-    assert!(stats.quorum_refresh_failures <= dests.len() as u64);
+    assert!(stats.quorum_refresh_failures <= steps.len() as u64);
 
     // shutdown drains the puts still queued at replicas beyond the quorum
     cluster.shutdown();
@@ -358,9 +376,12 @@ proptest! {
     fn closures_of_any_size_keep_the_per_object_outcome(
         size in 1usize..65,
         k in 1usize..4,
-        dests in proptest::collection::vec(0u32..3, 1..4),
+        steps in proptest::collection::vec(
+            (0u32..3, prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()]),
+            1..4,
+        ),
     ) {
-        run_closure_moves(size, k, &dests);
+        run_closure_moves(size, k, &steps);
     }
 
     #[test]
