@@ -7,10 +7,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::transport::channel::{self, ChannelMesh, Handler, MeshConfig};
+use crate::transport::channel::{self, Call, ChannelMesh, Handler, MeshConfig};
 use crate::transport::{Transport, TransportError};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
+use crossbeam::channel::RecvTimeoutError;
 use oml_check::event::{EventKind, ReleaseCause, TraceEvent, CLIENT_PROCESS};
 use oml_core::alliance::AllianceRegistry;
 use oml_core::attach::{AttachOutcome, AttachmentGraph, AttachmentMode};
@@ -1119,14 +1119,14 @@ fn clone_control(msg: &Message) -> Option<Message> {
     match msg {
         Message::Invoke {
             object,
-            method,
-            payload,
+            request,
+            method_len,
             hops,
             reply,
         } => Some(Message::Invoke {
             object: *object,
-            method: method.clone(),
-            payload: payload.clone(),
+            request: request.clone(),
+            method_len: *method_len,
             hops: *hops,
             reply: reply.clone(),
         }),
@@ -1577,7 +1577,7 @@ impl Cluster {
             instance.type_tag().to_owned(),
             Bytes::from(instance.linearize()),
         );
-        let (reply, rx) = bounded(1);
+        let (reply, rx) = channel::call();
         self.shared.send_from(
             None,
             node,
@@ -1635,14 +1635,14 @@ impl Cluster {
                 continue;
             }
             fast_fail = None;
-            let (reply, rx) = bounded(1);
+            let (reply, rx) = channel::call();
             self.shared.send_from(
                 None,
                 node,
                 Message::Invoke {
                     object,
-                    method: method.to_owned(),
-                    payload: Bytes::copy_from_slice(payload),
+                    request: [method.as_bytes(), payload].concat(),
+                    method_len: method.len(),
                     hops: MAX_HOPS,
                     reply,
                 },
@@ -1650,11 +1650,11 @@ impl Cluster {
             match rx.recv_timeout(timeout) {
                 Ok(res) => {
                     self.shared.settle_call(node, true);
-                    return Ok(res?.to_vec());
+                    return res;
                 }
                 Err(_) => {
-                    // Timeout, or the node crashed holding our reply
-                    // channel — both mean "no answer within the deadline"
+                    // Timeout, or every handle on our reply slot dropped
+                    // unanswered — both mean "no answer within the deadline"
                     self.shared.settle_call(node, false);
                     waited_ms += timeout.as_millis() as u64;
                     self.shared
@@ -1717,7 +1717,7 @@ impl Cluster {
             CLIENT_PROCESS,
             EventKind::MoveRequested { object, to, block },
         );
-        let (reply, rx) = bounded(1);
+        let (reply, rx) = channel::call();
         self.shared.send_from(
             None,
             node,
@@ -2287,15 +2287,16 @@ impl Cluster {
 
     /// Waits for a reply under the call deadline. The outer `Result` is the
     /// transport's verdict (timeout / shutdown), the inner one the reply.
-    fn await_reply<T>(
+    fn await_reply<T: Send + 'static>(
         &self,
-        rx: &Receiver<Result<T, RuntimeError>>,
+        rx: &Call<Result<T, RuntimeError>>,
     ) -> Result<Result<T, RuntimeError>, RuntimeError> {
         let timeout = self.shared.call_timeout;
         match rx.recv_timeout(timeout) {
             Ok(res) => Ok(res),
-            // A disconnect outside shutdown means the node crashed while
-            // holding our reply channel — same contract as a timeout.
+            // A disconnect outside shutdown means every handle on our reply
+            // slot was dropped unanswered (a crash, a dropped message) —
+            // same contract as a timeout.
             Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
                 self.shared
                     .counters
@@ -2466,14 +2467,13 @@ mod tests {
     }
 
     /// A client call of `method` on `object`, and where its answer lands.
-    fn call(object: ObjectId, method: &str) -> (Message, Receiver<Result<Bytes, RuntimeError>>) {
-        let (reply, answered) = bounded(1);
-        let (method, payload, hops) = (method.to_owned(), Bytes::new(), MAX_HOPS);
+    fn call(object: ObjectId, method: &str) -> (Message, Call<Result<Vec<u8>, RuntimeError>>) {
+        let (reply, answered) = channel::call();
         let call = Message::Invoke {
             object,
-            method,
-            payload,
-            hops,
+            request: method.as_bytes().to_vec(),
+            method_len: method.len(),
+            hops: MAX_HOPS,
             reply,
         };
         (call, answered)
@@ -2606,14 +2606,7 @@ mod tests {
             let blocker = Box::new(Cell(0, Some((entered, hold))));
             let blocker = cluster.create(node, blocker).unwrap();
             let object = cluster.create(node, Box::new(Cell(7, None))).unwrap();
-            let (reply, answered) = bounded(1);
-            let call = Message::Invoke {
-                object,
-                method: "get".to_owned(),
-                payload: Bytes::new(),
-                hops: MAX_HOPS,
-                reply,
-            };
+            let (call, answered) = call(object, "get");
             std::thread::scope(|scope| {
                 scope.spawn(|| cluster.invoke(blocker, "hold", &[]));
                 inside.recv().unwrap();
@@ -2635,11 +2628,15 @@ mod tests {
                 gate.send(()).unwrap();
             });
             let want = if crash {
-                Ok(vec![7].into())
+                Ok(vec![7])
             } else {
                 Err(RuntimeError::ShuttingDown)
             };
-            assert_eq!(answered.try_recv(), Ok(want), "crash: {crash}");
+            assert_eq!(
+                answered.recv_timeout(Duration::ZERO),
+                Ok(want),
+                "crash: {crash}"
+            );
         }
     }
 
@@ -2771,7 +2768,7 @@ mod tests {
         let answer = answered.recv_timeout(Duration::from_secs(1));
         // the restart drains the queue, which frees a timer asleep on it
         cluster.restart_node(down).unwrap();
-        assert_eq!(answer, Ok(Ok(vec![3].into())));
+        assert_eq!(answer, Ok(Ok(vec![3])));
     }
 
     /// Shutdown hands what is left on the heap over in the heap-serving
@@ -2783,7 +2780,7 @@ mod tests {
         let (shared, down) = (&cluster.shared, NodeId::new(1));
         crash_and_fill(&cluster, down);
         deliver_in(shared, 60_000, down, surrender(down));
-        let (stopped, returned) = bounded(1);
+        let (stopped, returned) = crossbeam::channel::bounded(1);
         let stopping = Arc::clone(&cluster);
         std::thread::spawn(move || {
             stopping.shutdown();
@@ -2815,10 +2812,13 @@ mod tests {
         let (call, answered) = call(object, "where");
         cluster.shared.send_from(None, node, call).unwrap();
         cluster.advance_clock(29);
-        assert!(answered.try_recv().is_err(), "delivered early");
+        assert!(
+            answered.recv_timeout(Duration::ZERO).is_err(),
+            "delivered early"
+        );
         cluster.advance_clock(1);
         let here = std::thread::current().name().unwrap().as_bytes().to_vec();
-        assert_eq!(answered.try_recv(), Ok(Ok(here.into())));
+        assert_eq!(answered.recv_timeout(Duration::ZERO), Ok(Ok(here)));
     }
 
     /// The retry-jitter stream of seed `0xC0A5`, captured at the commit

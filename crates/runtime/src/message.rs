@@ -2,19 +2,17 @@
 
 use std::time::Instant;
 
-use bytes::Bytes;
-use crossbeam::channel::Sender;
 use oml_core::ids::{AllianceId, BlockId, NodeId, ObjectId};
 
 use crate::error::RuntimeError;
 use crate::object::MobileObject;
 use crate::store::StoredCheckpoint;
-use crate::transport::channel::answer;
+use crate::transport::channel::{answer, Reply};
 
-/// Reply channel for invocations.
-pub(crate) type InvokeReply = Sender<Result<Bytes, RuntimeError>>;
-/// Reply channel for move-requests (`Ok(true)` = granted).
-pub(crate) type MoveReply = Sender<Result<bool, RuntimeError>>;
+/// Reply to an invocation: the object's own reply bytes.
+pub(crate) type InvokeReply = Reply<Result<Vec<u8>, RuntimeError>>;
+/// Reply to a move-request (`Ok(true)` = granted).
+pub(crate) type MoveReply = Reply<Result<bool, RuntimeError>>;
 
 /// One object in transit inside a [`Message::Install`] or a
 /// [`Message::CheckpointPut`]: its id and its linearized copy, in the
@@ -36,13 +34,14 @@ pub(crate) enum Message {
     Create {
         object: ObjectId,
         instance: Box<dyn MobileObject>,
-        reply: Sender<Result<(), RuntimeError>>,
+        reply: Reply<Result<(), RuntimeError>>,
     },
-    /// A trapped invocation, forwarded to the object's location.
+    /// A trapped invocation, forwarded to the object's location: the
+    /// method's name followed by the payload, in one buffer.
     Invoke {
         object: ObjectId,
-        method: String,
-        payload: Bytes,
+        request: Vec<u8>,
+        method_len: usize,
         hops: u8,
         reply: InvokeReply,
     },
@@ -121,7 +120,15 @@ impl std::fmt::Debug for Message {
         let ids = |list: &[Shipped]| list.iter().map(|&(o, _)| o).collect::<Vec<_>>();
         match self {
             Message::Create { object, .. } => write!(f, "Create({object})"),
-            Message::Invoke { object, method, .. } => write!(f, "Invoke({object}.{method})"),
+            Message::Invoke {
+                object,
+                request,
+                method_len,
+                ..
+            } => {
+                let (method, _) = split_request(request, *method_len);
+                write!(f, "Invoke({object}.{method})")
+            }
             Message::MoveRequest { object, to, .. } => write!(f, "MoveRequest({object} → {to})"),
             Message::Install { members, .. } => write!(f, "Install{:?}", ids(members)),
             Message::Surrender { members, to } => write!(f, "Surrender({members:?} → {to})"),
@@ -132,6 +139,13 @@ impl std::fmt::Debug for Message {
             }
         }
     }
+}
+
+/// An [`Message::Invoke`]'s request as the method's name and the payload.
+/// The name was a `&str` cut at a character boundary, so it always decodes.
+pub(crate) fn split_request(request: &[u8], method_len: usize) -> (&str, &[u8]) {
+    let (method, payload) = request.split_at(method_len);
+    (std::str::from_utf8(method).unwrap_or_default(), payload)
 }
 
 /// Forwarding budget for messages chasing a migrating object.

@@ -11,7 +11,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::Bytes;
 use oml_check::event::{EventKind, ReleaseCause};
 use oml_core::attach::ClosureScratch;
 use oml_core::ids::{AllianceId, BlockId, NodeId, ObjectId};
@@ -21,7 +20,9 @@ use crate::cluster::{Shared, StashedObject};
 use crate::error::RuntimeError;
 use crate::fault;
 use crate::idmap::IdMap;
-use crate::message::{group_push, Envelope, InvokeReply, Message, MoveReply, Shipped};
+use crate::message::{
+    group_push, split_request, Envelope, InvokeReply, Message, MoveReply, Shipped,
+};
 use crate::object::MobileObject;
 use crate::store::StoredCheckpoint;
 use crate::transport::channel::{answer, Handler};
@@ -187,8 +188,9 @@ impl NodeWorker {
     /// Injected crash: park the hosted objects for a later restart (they
     /// survive the "machine", like disk state); the queue stays for the
     /// next incarnation. Parked `awaiting` messages are dropped with this
-    /// state — their reply channels disconnect and the callers see their
-    /// deadlines out. Returns the objects it stashed, in id order — the
+    /// state — their reply handles go with them, so each caller wakes at
+    /// once with `Disconnected` and reports a timeout without waiting out
+    /// its deadline. Returns the objects it stashed, in id order — the
     /// order the stash, and so a restart's reclaim, keeps.
     pub(crate) fn stash_for_crash(&mut self) -> Vec<ObjectId> {
         // object epochs are read before the stash lock so the two Ordered
@@ -273,11 +275,14 @@ impl NodeWorker {
             }
             Message::Invoke {
                 object,
-                method,
-                payload,
+                request,
+                method_len,
                 reply,
                 ..
-            } => self.handle_invoke(object, &method, &payload, reply),
+            } => {
+                let (method, payload) = split_request(&request, method_len);
+                self.handle_invoke(object, method, payload, reply);
+            }
             // an expired request is denied here, wherever its object is: an
             // abandoned request chases nothing
             Message::MoveRequest {
@@ -382,7 +387,6 @@ impl NodeWorker {
         let instance = self.objects.get_mut(&object).expect("checked by handle()");
         let result = instance
             .invoke(method, payload)
-            .map(Bytes::from)
             .map_err(|message| RuntimeError::MethodFailed { object, message });
         self.shared
             .counters
@@ -426,7 +430,7 @@ impl NodeWorker {
         if Instant::now() >= expires {
             // The requester's deadline passed while this request sat in a
             // queue (typically across a crash/restart of this node). It has
-            // timed out, dropped its reply channel and moved on; granting now
+            // timed out, closed its call and moved on; granting now
             // would take a lock no end-request will ever release and ship the
             // object concurrently with whatever the requester does next —
             // which would also make seeded fault schedules unreplayable.

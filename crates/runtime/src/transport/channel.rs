@@ -37,9 +37,11 @@
 //!   the deadline keeps a wedged node from propagating an unbounded
 //!   stall. The capacity default (4096) is ~70× the deepest queue any
 //!   chaos schedule in the suite produces.
-//! * **Reply channels** (created per call in `cluster.rs`): stay
-//!   `bounded(1)` + `try_send` fail-fast — a reply past its caller's
-//!   deadline is dropped and never blocks a node.
+//! * **Reply slots** ([`call`], one per call in `cluster.rs`): hold one
+//!   answer and never block whoever answers — an answer past its caller's
+//!   deadline is dropped. The calling thread reuses its slot from call to
+//!   call, and each call has a number of its own, so a late answer to an
+//!   abandoned call never satisfies the next one.
 //! * **Deadline-free sends**: a client call blocks until there is room; a
 //!   full inbox delays it further, which is indistinguishable from more
 //!   network delay. A delayed delivery the heap hands over joins the queue
@@ -49,11 +51,12 @@
 //!   restart, or its own next tick, would pop.
 
 use super::{LinkHealth, Transport, TransportError, TransportEvent};
-use crossbeam::channel::Sender;
+use crossbeam::channel::RecvTimeoutError;
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Sender identity reported by mesh deliveries: the mesh does not
@@ -283,14 +286,185 @@ fn put_out_kept() {
 
 /// Answers the caller waiting on `reply` with `value`: at once, or, once this
 /// thread runs what queued or serves the timer heap, when it holds no state
-/// any more. Either way one `try_send`: a caller past its deadline has
-/// dropped its end.
-pub(crate) fn answer<T: 'static>(reply: Sender<T>, value: T) {
+/// any more. Either way it never blocks: a caller past its deadline has
+/// closed its call, and the answer is dropped.
+pub(crate) fn answer<T: Send + 'static>(reply: Reply<T>, value: T) {
     if KEEP.get() {
-        let send = move || drop(reply.try_send(value));
+        let send = move || reply.send(value);
         KEPT.with_borrow_mut(|kept| kept.push(Box::new(send)));
     } else {
-        drop(reply.try_send(value));
+        reply.send(value);
+    }
+}
+
+/// Where one call's answer lands: a caller's thread reuses it from call to
+/// call. Its mutex is a leaf: nothing else is locked while it is held.
+struct Slot<T> {
+    state: Mutex<SlotState<T>>,
+    /// The answer, or the last handle gone, for a parked caller.
+    ready: Condvar,
+}
+
+struct SlotState<T> {
+    /// The open call's number (bumped at every open and close): a handle of
+    /// any other call answers nothing.
+    call: u64,
+    /// Handles of the open call neither answered nor dropped.
+    senders: usize,
+    /// Whether the open call has had its answer (later ones are dropped).
+    answered: bool,
+    value: Option<T>,
+    /// Whether the caller sleeps on `ready`.
+    parked: bool,
+}
+
+impl<T> Slot<T> {
+    fn lock(&self) -> MutexGuard<'_, SlotState<T>> {
+        // every update leaves the state whole
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One handle of call `call` is done: answered with `value`, or dropped
+    /// unanswered (`None`). Wakes the caller if that settles its call.
+    fn settle(&self, call: u64, value: Option<T>) {
+        let mut s = self.lock();
+        if s.call != call {
+            return;
+        }
+        s.senders -= 1;
+        if value.is_some() && !s.answered {
+            (s.answered, s.value) = (true, value);
+        }
+        let wake = s.parked && (s.value.is_some() || s.senders == 0);
+        drop(s);
+        if wake {
+            self.ready.notify_one();
+        }
+    }
+}
+
+/// A thread's reply slots not in use, of whatever answer type.
+type FreeSlots = RefCell<Vec<Arc<dyn Any + Send + Sync>>>;
+
+thread_local! {
+    static SLOTS: FreeSlots = const { RefCell::new(Vec::new()) };
+}
+
+/// One handle on a call's answer: the first handle to answer wins, and once
+/// every handle is gone unanswered the caller wakes with `Disconnected`.
+pub(crate) struct Reply<T: Send + 'static> {
+    /// `None` once this handle answered.
+    slot: Option<Arc<Slot<T>>>,
+    call: u64,
+}
+
+impl<T: Send + 'static> Reply<T> {
+    fn send(mut self, value: T) {
+        if let Some(slot) = self.slot.take() {
+            slot.settle(self.call, Some(value));
+        }
+    }
+}
+
+impl<T: Send + 'static> Clone for Reply<T> {
+    /// A duplicate of the handle (a duplicated message): one more sender.
+    fn clone(&self) -> Self {
+        if let Some(slot) = &self.slot {
+            let mut s = slot.lock();
+            if s.call == self.call {
+                s.senders += 1;
+            }
+        }
+        Reply {
+            slot: self.slot.clone(),
+            call: self.call,
+        }
+    }
+}
+
+impl<T: Send + 'static> Drop for Reply<T> {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot.take() {
+            slot.settle(self.call, None);
+        }
+    }
+}
+
+/// The caller's end of a call: closing it (drop) drops any answer still to
+/// come and hands the slot back to this thread.
+pub(crate) struct Call<T: Send + 'static> {
+    slot: Arc<Slot<T>>,
+}
+
+/// Opens a call on this thread's free slot for answers of type `T` — a new
+/// one if none is free (a call made while another is open) — and returns
+/// its one handle and the caller's end.
+pub(crate) fn call<T: Send + 'static>() -> (Reply<T>, Call<T>) {
+    let free = |slots: &FreeSlots| {
+        let mut slots = slots.borrow_mut();
+        let at = slots.iter().rposition(|slot| slot.is::<Slot<T>>())?;
+        slots.swap_remove(at).downcast().ok()
+    };
+    let slot = SLOTS.try_with(free).ok().flatten().unwrap_or_else(|| {
+        Arc::new(Slot {
+            state: Mutex::new(SlotState {
+                call: 0,
+                senders: 0,
+                answered: false,
+                value: None,
+                parked: false,
+            }),
+            ready: Condvar::new(),
+        })
+    });
+    let call = {
+        let mut s = slot.lock();
+        (s.call, s.senders, s.answered) = (s.call + 1, 1, false);
+        s.call
+    };
+    let reply = Reply {
+        slot: Some(Arc::clone(&slot)),
+        call,
+    };
+    (reply, Call { slot })
+}
+
+impl<T: Send + 'static> Call<T> {
+    /// Waits up to `timeout` for the answer; `Disconnected` at once when
+    /// every handle is gone without one.
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+        let mut deadline = None;
+        let mut s = self.slot.lock();
+        loop {
+            if let Some(value) = s.value.take() {
+                return Ok(value);
+            }
+            if s.senders == 0 {
+                return Err(RecvTimeoutError::Disconnected);
+            }
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            s.parked = true;
+            s = (self.slot.ready)
+                .wait_timeout(s, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            s.parked = false;
+        }
+    }
+}
+
+impl<T: Send + 'static> Drop for Call<T> {
+    fn drop(&mut self) {
+        let mut s = self.slot.lock();
+        (s.call, s.senders, s.value) = (s.call + 1, 0, None);
+        drop(s);
+        let slot: Arc<dyn Any + Send + Sync> = self.slot.clone();
+        // a thread past its locals' teardown keeps no slot
+        let _ = SLOTS.try_with(|slots| slots.borrow_mut().push(slot));
     }
 }
 
@@ -878,8 +1052,8 @@ mod tests {
         mesh: &'env Probes,
         at: u32,
         woken: &'env Woken,
-    ) -> Sender<()> {
-        let (reply, answered) = crossbeam::channel::bounded(1);
+    ) -> Reply<()> {
+        let (reply, answered) = call();
         scope.spawn(move || {
             answered.recv_timeout(Duration::from_secs(10)).unwrap();
             let idle = mesh.inboxes[at as usize].lock().idle();
@@ -890,7 +1064,7 @@ mod tests {
 
     /// A run that answers `reply`, then gives its caller 200 ms to report in
     /// `woken` — time enough if the answer woke it inside the run.
-    fn answer_and_wait(reply: Sender<()>, woken: &Woken) -> Box<dyn FnOnce(&mut Probe) + Send> {
+    fn answer_and_wait(reply: Reply<()>, woken: &Woken) -> Box<dyn FnOnce(&mut Probe) + Send> {
         let woken = Arc::clone(woken);
         Box::new(move |_| {
             let reports = woken.lock().unwrap().len();
@@ -939,7 +1113,7 @@ mod tests {
     #[test]
     fn a_panicking_chain_still_wakes_whom_it_answered() {
         let (mesh, log) = probes(2);
-        let (reply, answered) = crossbeam::channel::bounded(1);
+        let (reply, answered) = call();
         let m = Arc::clone(&mesh);
         let run = move |_: &mut Probe| {
             answer(reply, ());
@@ -973,7 +1147,7 @@ mod tests {
         // endpoint 1's state is out and its one place taken
         let state_1 = mesh.take(1);
         mesh.hand(1, msg("first"), true).unwrap();
-        let (reply, answered) = crossbeam::channel::bounded(1);
+        let (reply, answered) = call();
         let m = Arc::clone(&mesh);
         let run = move |_: &mut Probe| {
             answer(reply, ());
@@ -999,18 +1173,101 @@ mod tests {
     #[test]
     fn a_heap_run_inside_a_step_leaves_what_the_step_kept_to_its_end() {
         let (mesh, log) = probes(1);
-        let (reply, answered) = crossbeam::channel::bounded(1);
-        let early = answered.clone();
+        let (reply, answered) = call();
+        let answered = Arc::new(answered);
+        let early = Arc::clone(&answered);
         let run = move |_: &mut Probe| {
             answer(reply, ());
             serving_heap(|| ());
-            assert!(early.try_recv().is_err(), "put out inside the step");
+            let now = early.recv_timeout(Duration::ZERO);
+            assert!(now.is_err(), "put out inside the step");
         };
         let state = mesh.take(0);
         mesh.hand(0, Msg("step", Box::new(run)), true).unwrap();
         mesh.put(0, state);
-        assert_eq!(answered.try_recv(), Ok(()));
+        assert_eq!(answered.recv_timeout(Duration::ZERO), Ok(()));
         assert_eq!(labels(&log), ["step"]);
+    }
+
+    /// Every handle of a call dropped unanswered — a dropped message, a
+    /// fenced install, a crash — wakes its caller with `Disconnected` at
+    /// once, not at its deadline.
+    #[test]
+    fn every_handle_dropped_unanswered_wakes_the_caller_at_once() {
+        let (reply, answered) = call::<u32>();
+        let copy = reply.clone();
+        let start = Instant::now();
+        thread::scope(|scope| {
+            let caller = scope.spawn(|| answered.recv_timeout(Duration::from_secs(10)));
+            until(|| answered.slot.lock().parked);
+            drop(reply);
+            drop(copy);
+            let got = caller.join().unwrap();
+            assert_eq!(got, Err(RecvTimeoutError::Disconnected));
+        });
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "woke at the deadline"
+        );
+    }
+
+    /// A thread reuses its slot, but an answer to a call it gave up on —
+    /// or a handle of that call dropped — never settles its next call.
+    #[test]
+    fn an_answer_to_a_timed_out_call_never_satisfies_the_next() {
+        let (late, first) = call::<u32>();
+        let stale = late.clone();
+        assert_eq!(
+            first.recv_timeout(Duration::from_millis(1)),
+            Err(RecvTimeoutError::Timeout)
+        );
+        let used = Arc::as_ptr(&first.slot);
+        drop(first);
+        let (reply, next) = call::<u32>();
+        assert_eq!(Arc::as_ptr(&next.slot), used, "the slot was not reused");
+        answer(late, 1);
+        drop(stale);
+        assert_eq!(
+            next.recv_timeout(Duration::ZERO),
+            Err(RecvTimeoutError::Timeout)
+        );
+        answer(reply, 2);
+        assert_eq!(next.recv_timeout(Duration::ZERO), Ok(2));
+    }
+
+    /// A duplicated message's handles answer one call once: the first
+    /// answer wins and the second is dropped.
+    #[test]
+    fn a_duplicated_reply_is_answered_once() {
+        let (reply, answered) = call::<u32>();
+        let duplicate = reply.clone();
+        answer(reply, 1);
+        answer(duplicate, 2);
+        assert_eq!(answered.recv_timeout(Duration::ZERO), Ok(1));
+        let again = answered.recv_timeout(Duration::ZERO);
+        assert_eq!(again, Err(RecvTimeoutError::Disconnected));
+    }
+
+    /// A call made while another is open on the same thread gets a slot of
+    /// its own; once both close, the thread keeps both for its next calls.
+    #[test]
+    fn a_nested_call_gets_its_own_slot() {
+        let (outer_reply, outer) = call::<u32>();
+        let (inner_reply, inner) = call::<u32>();
+        let slots = [Arc::as_ptr(&outer.slot), Arc::as_ptr(&inner.slot)];
+        assert_ne!(slots[0], slots[1]);
+        answer(inner_reply, 2);
+        answer(outer_reply, 1);
+        assert_eq!(inner.recv_timeout(Duration::ZERO), Ok(2));
+        assert_eq!(outer.recv_timeout(Duration::ZERO), Ok(1));
+        drop((inner, outer));
+        let (_, again) = call::<u32>();
+        let (_, nested) = call::<u32>();
+        let mut reused = [Arc::as_ptr(&again.slot), Arc::as_ptr(&nested.slot)];
+        reused.sort_unstable();
+        let mut slots = slots;
+        slots.sort_unstable();
+        assert_eq!(reused, slots);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   inboxes the [`crate::Cluster`] runs on; a message to an idle node
 //!   runs on its sender's thread instead of queueing. Messages are passed
 //!   by ownership, so this transport carries the full in-memory `Envelope`
-//!   (live trait objects, reply channels).
+//!   (live trait objects, reply-slot handles).
 //! * [`socket::SocketServer`] / [`socket::SocketPeer`] — stream sockets
 //!   (Unix-domain or TCP) for nodes that are **separate OS processes**.
 //!   Payloads must be real bytes here, so this transport carries

@@ -1688,37 +1688,53 @@ mod tests {
 
     /// Frames nobody asked for (a heartbeat) that arrive around a reply
     /// reach the sink in stream order when the caller reads them, as they
-    /// would from the reader thread.
+    /// would from the reader thread. The caller runs at least `ROUNDS`
+    /// rounds, and on until it has read a frame itself, within one 10 s
+    /// deadline.
     #[test]
     fn a_caller_delivers_unsolicited_frames_in_stream_order() {
         const ROUNDS: u32 = 20;
         let (dir, addr) = unix_addr("order");
         let (server, seen) = recording_server(&addr);
         let (mut raw, mut dec) = raw_session_up(&server, 1);
-        let caller = std::thread::scope(|s| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        // after each round the caller says whether another follows
+        let (more, next) = std::sync::mpsc::channel();
+        let (caller, rounds) = std::thread::scope(|s| {
             let caller = s.spawn(|| {
-                for round in 0..ROUNDS {
-                    let deadline = Instant::now() + Duration::from_secs(10);
+                let me = std::thread::current().id();
+                let mut round = 0;
+                loop {
                     let answered = || seen.has((1, round));
                     server
                         .send_and_await(0, tagged(0, round, 64), deadline, answered)
                         .unwrap();
+                    round += 1;
+                    let read = seen.deliveries.lock().iter().any(|(_, by)| *by == me);
+                    let again = round < ROUNDS || (!read && Instant::now() < deadline);
+                    more.send(again).unwrap();
+                    if !again {
+                        return (me, round);
+                    }
                 }
-                std::thread::current().id()
             });
             // each request is answered by a heartbeat, the reply and
             // another heartbeat, in one write
-            for round in 0..ROUNDS {
-                let deadline = Instant::now() + Duration::from_secs(10);
+            let mut round = 0;
+            loop {
                 read_frame_deadline(&mut raw, &mut dec, deadline).unwrap();
                 write_data_frames(&raw, &[(2, round), (1, round), (3, round)]);
+                round += 1;
+                if !next.recv_timeout(Duration::from_secs(10)).unwrap() {
+                    break;
+                }
             }
             caller.join().unwrap()
         });
         let deliveries = seen.deliveries.lock();
         let tags: Vec<(u32, u32)> = deliveries.iter().map(|(tag, _)| *tag).collect();
         let expected: Vec<(u32, u32)> =
-            (0..ROUNDS).flat_map(|r| [(2, r), (1, r), (3, r)]).collect();
+            (0..rounds).flat_map(|r| [(2, r), (1, r), (3, r)]).collect();
         // the last heartbeat may still be on its way when the caller returns
         assert_eq!(tags[..], expected[..tags.len()]);
         assert!(tags.len() >= expected.len() - 1);

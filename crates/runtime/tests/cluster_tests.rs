@@ -498,10 +498,13 @@ fn concurrent_movers_never_lose_the_object() {
 /// client's next `move` (which transient placement would then deny). A
 /// second client keeps node 1 busy installing another closure, so some of
 /// the calls below queue — and run on the thread that puts the node back —
-/// and some run inline.
+/// and some run inline. It runs at least `ROUNDS` rounds, and on until each
+/// kind has been seen `SEEN` times (or a generous cap has passed), so a
+/// schedule that rarely queues still covers both.
 #[test]
 fn a_queued_end_is_never_overtaken_by_the_next_move() {
     const ROUNDS: usize = 10_000;
+    const SEEN: usize = 100;
     let cluster = Cluster::builder()
         .nodes(3)
         .policy(PolicyKind::TransientPlacement)
@@ -528,7 +531,9 @@ fn a_queued_end_is_never_overtaken_by_the_next_move() {
                 }
             }
         });
-        'rounds: for round in 0..ROUNDS {
+        let cap = Instant::now() + Duration::from_secs(120);
+        let mut round = 0;
+        'rounds: while round < ROUNDS || (inline.min(queued) < SEEN && Instant::now() < cap) {
             for which in ["first", "second"] {
                 let guard = cluster.move_block(root, n(1)).expect("move");
                 if !guard.granted() {
@@ -543,6 +548,7 @@ fn a_queued_end_is_never_overtaken_by_the_next_move() {
             } else {
                 inline += 1;
             }
+            round += 1;
         }
         stop.store(true, Ordering::Relaxed);
     });
@@ -691,6 +697,26 @@ fn a_panicking_install_unwinds_into_the_caller_and_every_node_still_answers() {
     for (i, &probe) in probes.iter().enumerate() {
         assert_eq!(add(&cluster, probe, 0), i as u64, "node {i} answers");
     }
+}
+
+/// A call whose message the fault plan drops wakes its caller at once:
+/// with nothing left to answer it, it fails with `Timeout` without waiting
+/// out its call timeout.
+#[test]
+fn a_dropped_call_fails_at_once_not_at_its_deadline() {
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .faults(FaultPlan::seeded(3).drop_probability(1.0))
+        .call_timeout(Duration::from_secs(10))
+        .invoke_retries(0)
+        .build();
+    register_counter(&cluster);
+    let obj = cluster.create(n(1), Box::new(Counter(0))).unwrap();
+    let start = Instant::now();
+    let got = cluster.invoke(obj, "get", &[]);
+    assert!(matches!(got, Err(RuntimeError::Timeout { .. })), "{got:?}");
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "waited {took:?}");
 }
 
 /// The delay the fault trace records for the first message whose line

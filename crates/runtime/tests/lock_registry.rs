@@ -34,10 +34,12 @@ const ALLOWLIST: &[(&str, &str)] = &[
     // one node inbox's queue, state slot and sleeper counts: held to queue
     // or pop a message or move the node's state in or out of its slot; a
     // handler runs only after the state is taken out and the lock released,
-    // so no other lock is ever taken while it is held
+    // so no other lock is ever taken while it is held. A caller's reply
+    // slot: held only to open, answer, wait on or close one call, and
+    // nothing else is locked while it is held
     (
         "channel.rs",
-        "in-process inbox leaf lock (with its condvars)",
+        "in-process inbox and reply-slot leaf locks (with their condvars)",
     ),
 ];
 
