@@ -192,6 +192,10 @@ pub(crate) struct Shared {
     /// lock of `Shared`, it is never held while another is taken.
     pub(crate) objects: OrderedRwLock<IdMap<ObjectId, ObjectRecord>>,
     pub(crate) policy: OrderedMutex<Box<dyn MovePolicy>>,
+    /// Whether the policy's placement locks can run out — a lease TTL was
+    /// set, or the policy is a custom one — so an invocation must renew
+    /// its object's lease.
+    pub(crate) leases_expire: bool,
     pub(crate) cooperation: OrderedMutex<Cooperation>,
     pub(crate) registry: TypeRegistry,
     pub(crate) counters: Counters,
@@ -590,19 +594,16 @@ impl Shared {
     /// quorum failure. Per closure: one guard of the replica table for the
     /// decisions, the stamping and the host's own copies, stored and
     /// self-acked together, then one `CheckpointPut` to each other replica
-    /// node. `host` is the node holding the live objects.
-    pub(crate) fn checkpoint_refresh(
-        &self,
-        mut fresh: Vec<Shipped>,
-        host: NodeId,
-        host_epoch: u64,
-    ) {
+    /// node. `host` is the node holding the live objects. The copies stay
+    /// the caller's, stamped, and each shares its state buffer with the
+    /// replicas that hold it.
+    pub(crate) fn checkpoint_refresh(&self, fresh: &mut [Shipped], host: NodeId, host_epoch: u64) {
         let Some(rec) = &self.recovery else {
             return;
         };
         {
             let objects = self.objects.read();
-            for (object, ckpt) in &mut fresh {
+            for (object, ckpt) in fresh.iter_mut() {
                 ckpt.object_epoch = objects.get(object).map_or(0, |r| r.epoch);
             }
         }
@@ -614,11 +615,12 @@ impl Shared {
         // handler inline, and that handler takes this lock
         let mut replicas = rec.replicas.lock();
         let Replicas { stores, objects } = &mut *replicas;
-        for (object, mut ckpt) in fresh {
+        for (object, ckpt) in fresh.iter_mut() {
+            let object = *object;
             let Some(info) = objects.get_mut(&object) else {
                 continue; // detector configured after the object was created
             };
-            if rec.is_held(stores, object, info, &ckpt) {
+            if rec.is_held(stores, object, info, ckpt) {
                 info.last_refresh_at_ms = now; // confirmed current
                 continue;
             }
@@ -648,7 +650,7 @@ impl Shared {
             info.last_refresh_at_ms = now;
             refreshed += 1;
             if at_host {
-                own.push((object, ckpt));
+                own.push((object, ckpt.clone()));
             }
         }
         self.counters
@@ -1381,6 +1383,7 @@ impl ClusterBuilder {
     #[must_use]
     pub fn build(self) -> Cluster {
         let mesh = ChannelMesh::owned(self.nodes, MeshConfig::default());
+        let leases_expire = self.custom_policy.is_some() || self.lease_ms.is_some();
         let policy = match (self.custom_policy, self.lease_ms) {
             (Some(p), _) => p,
             (None, Some(ttl)) => self.policy.build_with_lease(ttl),
@@ -1432,6 +1435,7 @@ impl ClusterBuilder {
             born: Instant::now(),
             objects: OrderedRwLock::new("shared.objects", objects),
             policy: OrderedMutex::new("shared.policy", policy),
+            leases_expire,
             cooperation: OrderedMutex::new(
                 "shared.cooperation",
                 Cooperation {
@@ -2505,20 +2509,32 @@ mod tests {
         let home = NodeId::new(0);
         let object = cluster.create(home, Box::new(Cell(1, None))).unwrap();
         let epoch = cluster.shared.incarnation(home.as_u32());
-        let fresh = vec![(object, cell_ckpt(2, 0, 0))];
-        cluster.shared.checkpoint_refresh(fresh, home, epoch);
+        let mut fresh = [(object, cell_ckpt(2, 0, 0))];
+        cluster.shared.checkpoint_refresh(&mut fresh, home, epoch);
         let rec = cluster.shared.recovery.as_ref().expect("detector on");
-        let replicas = rec.replicas.lock();
-        let copies: Vec<_> = replicas
-            .stores
-            .iter()
-            .filter_map(|s| s.get(object))
-            .collect();
+        let stored = || {
+            let replicas = rec.replicas.lock();
+            let copies = replicas.stores.iter().filter_map(|s| s.get(object));
+            copies
+                .map(|c| (c.version(), c.state.clone()))
+                .collect::<Vec<_>>()
+        };
+        let copies = stored();
         assert_eq!(copies.len(), 2);
         assert!(copies
             .iter()
-            .all(|c| c.version() == (0, 1) && c.state[..] == [2]));
-        assert_eq!(copies[0].state.as_ptr(), copies[1].state.as_ptr());
+            .all(|(v, state)| *v == (0, 1) && state[..] == [2]));
+        assert_eq!(copies[0].1.as_ptr(), copies[1].1.as_ptr());
+        // the caller keeps its copy, stamped, in the replicas' buffer
+        assert_eq!(fresh[0].1.version(), (0, 1));
+        assert_eq!(fresh[0].1.state.as_ptr(), copies[0].1.as_ptr());
+
+        // an equal copy in a buffer of its own is held: nothing is
+        // written, and the caller's copy adopts the replicas' buffer
+        let mut again = [(object, cell_ckpt(2, 0, 0))];
+        cluster.shared.checkpoint_refresh(&mut again, home, epoch);
+        assert_eq!(stored(), copies);
+        assert_eq!(again[0].1.state.as_ptr(), copies[0].1.as_ptr());
     }
 
     /// An `Install` is fenced item by item: the member that was

@@ -33,6 +33,31 @@ use crate::transport::channel::{answer, Handler};
 // Reads treat expired leases as free immediately, so the tick only affects
 // garbage collection, never grant/deny outcomes.
 
+/// An object installed at a node, and its image: the copy of its state
+/// the node last shipped, installed or refreshed from. The state changes
+/// only through `invoke` ([`MobileObject::linearize`]), so the image stays
+/// exact until the next invocation drops it, and a shipment or refresh of
+/// an object not invoked since reuses it instead of linearizing again.
+struct Hosted {
+    instance: Box<dyn MobileObject>,
+    image: Option<StoredCheckpoint>,
+}
+
+impl Hosted {
+    fn new(instance: Box<dyn MobileObject>) -> Self {
+        Hosted {
+            instance,
+            image: None,
+        }
+    }
+
+    /// The image, linearized now if none is kept; the caller hands it back
+    /// with [`NodeWorker::keep_images`] or ships it.
+    fn take_image(&mut self) -> StoredCheckpoint {
+        (self.image.take()).unwrap_or_else(|| StoredCheckpoint::of(&*self.instance))
+    }
+}
+
 pub(crate) struct NodeWorker {
     id: NodeId,
     shared: Arc<Shared>,
@@ -41,7 +66,7 @@ pub(crate) struct NodeWorker {
     /// zombie and (when fencing is on) exits instead of acting.
     epoch: u64,
     /// Objects installed at this node.
-    objects: IdMap<ObjectId, Box<dyn MobileObject>>,
+    objects: IdMap<ObjectId, Hosted>,
     /// Messages for objects the directory says are headed here but whose
     /// `Install` has not arrived yet — the run-time blocking of calls on
     /// in-transit objects (§4.1).
@@ -176,7 +201,7 @@ impl NodeWorker {
             });
         }
         for (object, instance, _) in mine {
-            self.objects.insert(object, instance);
+            self.objects.insert(object, Hosted::new(instance));
             // a reclaim is a refresh of the same residency, not a second
             // replica — the object never left this node
             self.shared
@@ -196,8 +221,9 @@ impl NodeWorker {
         // object epochs are read before the stash lock so the two Ordered
         // locks never nest
         let (id, shared) = (self.id, &self.shared);
+        // the images stay behind: only the objects survive the machine
         let mut stashed: Vec<StashedObject> = (self.objects.drain())
-            .map(|(object, instance)| (id, object, instance, shared.object(object).epoch))
+            .map(|(object, hosted)| (id, object, hosted.instance, shared.object(object).epoch))
             .collect();
         stashed.sort_unstable_by_key(|&(_, object, ..)| object);
         let objects = stashed.iter().map(|&(_, object, ..)| object).collect();
@@ -242,11 +268,28 @@ impl NodeWorker {
         // a lease expiry is a consistency point: refresh the checkpoints of
         // the expired objects hosted here while their state is in hand
         if self.shared.detector_enabled() {
-            let hosted = |&(object, _): &(ObjectId, BlockId)| {
-                Some((object, StoredCheckpoint::of(&**self.objects.get(&object)?)))
-            };
-            let fresh = expired.iter().filter_map(hosted).collect();
-            self.shared.checkpoint_refresh(fresh, self.id, self.epoch);
+            self.refresh_hosted(expired.iter().map(|&(object, _)| object));
+        }
+    }
+
+    /// Refreshes the replicated checkpoints of those of `objects` hosted
+    /// here, from their images, and keeps the images the refresh hands
+    /// back.
+    fn refresh_hosted(&mut self, objects: impl Iterator<Item = ObjectId>) {
+        let mut fresh: Vec<Shipped> = objects
+            .filter_map(|object| Some((object, self.objects.get_mut(&object)?.take_image())))
+            .collect();
+        self.shared
+            .checkpoint_refresh(&mut fresh, self.id, self.epoch);
+        self.keep_images(&mut fresh);
+    }
+
+    /// Keeps each copy as its hosted object's image.
+    fn keep_images(&mut self, copies: &mut [Shipped]) {
+        for (object, ckpt) in copies {
+            if let Some(hosted) = self.objects.get_mut(object) {
+                hosted.image = Some(std::mem::take(ckpt));
+            }
         }
     }
 
@@ -259,7 +302,7 @@ impl NodeWorker {
                 instance,
                 reply,
             } => {
-                self.objects.insert(object, instance);
+                self.objects.insert(object, Hosted::new(instance));
                 self.shared.place(object, self.id);
                 self.shared
                     .trace
@@ -384,17 +427,19 @@ impl NodeWorker {
         payload: &[u8],
         reply: InvokeReply,
     ) {
-        let instance = self.objects.get_mut(&object).expect("checked by handle()");
-        let result = instance
-            .invoke(method, payload)
+        let hosted = self.objects.get_mut(&object).expect("checked by handle()");
+        // the invocation may change the state: the image goes first
+        hosted.image = None;
+        let result = (hosted.instance.invoke(method, payload))
             .map_err(|message| RuntimeError::MethodFailed { object, message });
         self.shared
             .counters
             .invocations
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        // activity inside a granted block keeps its placement lease alive
-        let now = self.shared.now_ms();
-        {
+        // activity inside a granted block keeps its placement lease alive,
+        // where a lease can run out; a traced run notes every renewal
+        if self.shared.leases_expire || self.shared.trace.is_enabled() {
+            let now = self.shared.now_ms();
             let mut policy = self.shared.policy.lock();
             policy.renew_lease(object, now);
             if self.shared.trace.is_enabled()
@@ -538,8 +583,8 @@ impl NodeWorker {
         if !self.can_ship(main) {
             // shipping would lose the object: the requester, if any, learns
             // of the failure and nothing moves
-            if let (Some(instance), Some((_, reply))) = (self.objects.get(&main), install_for) {
-                let tag = instance.type_tag().to_owned();
+            if let (Some(hosted), Some((_, reply))) = (self.objects.get(&main), install_for) {
+                let tag = hosted.instance.type_tag().to_owned();
                 answer(reply, Err(RuntimeError::UnknownType(tag)));
             }
             return;
@@ -612,16 +657,17 @@ impl NodeWorker {
     /// Whether `object` is installed here and of a type its destination
     /// will be able to delinearize.
     fn can_ship(&self, object: ObjectId) -> bool {
-        self.objects
-            .get(&object)
-            .is_some_and(|instance| self.shared.registry.get(instance.type_tag()).is_some())
+        self.objects.get(&object).is_some_and(|hosted| {
+            let tag = hosted.instance.type_tag();
+            self.shared.registry.get(tag).is_some()
+        })
     }
 
-    /// Linearizes the locally hosted `objects` (each one [`Self::can_ship`])
-    /// and sends them to `to` in one `Install`. The directory is updated
-    /// here, with the epoch stamps under one guard and atomically with the
-    /// removal, so calls are routed (and parked) at the destination from
-    /// this instant on.
+    /// Sends the locally hosted `objects` (each one [`Self::can_ship`]) to
+    /// `to` in one `Install`, each as its image — linearized now only if
+    /// none is kept. The directory is updated here, with the epoch stamps
+    /// under one guard and atomically with the removal, so calls are routed
+    /// (and parked) at the destination from this instant on.
     fn ship(
         &mut self,
         objects: &[ObjectId],
@@ -630,13 +676,13 @@ impl NodeWorker {
     ) {
         let mut members: Vec<Shipped> = Vec::with_capacity(objects.len());
         for &object in objects {
-            let Some(instance) = self.objects.remove(&object) else {
+            let Some(mut hosted) = self.objects.remove(&object) else {
                 continue;
             };
             self.shared
                 .trace
                 .emit(self.id.as_u32(), EventKind::Ship { object, to });
-            members.push((object, StoredCheckpoint::of(&*instance)));
+            members.push((object, hosted.take_image()));
         }
         if members.is_empty() {
             return;
@@ -662,9 +708,10 @@ impl NodeWorker {
     }
 
     /// Installs an arriving closure in one step: fences per member,
-    /// installs every survivor, then refreshes their checkpoints together
-    /// and tells the policy — so no message handled before or after this one
-    /// finds half a working set here.
+    /// installs every survivor, then refreshes their checkpoints together,
+    /// keeps the arrived copies as the members' images and tells the
+    /// policy — so no message handled before or after this one finds half a
+    /// working set here.
     fn handle_install(
         &mut self,
         mut members: Vec<Shipped>,
@@ -696,7 +743,8 @@ impl NodeWorker {
                 }
                 return false;
             };
-            self.objects.insert(*object, delinearize(&ckpt.state));
+            self.objects
+                .insert(*object, Hosted::new(delinearize(&ckpt.state)));
             true
         });
         if members.is_empty() {
@@ -704,17 +752,18 @@ impl NodeWorker {
         }
         // a fenced main object installs no block either
         let install_for = install_for.filter(|(main, ..)| members.iter().any(|(o, _)| o == main));
-        let arrived: Vec<ObjectId> = members.iter().map(|&(o, _)| o).collect();
-        for &object in &arrived {
+        for &(object, _) in &members {
             self.shared
                 .trace
                 .emit(self.id.as_u32(), EventKind::Install { object });
         }
         // an install is a natural checkpoint: the linearized states are in hand
-        self.shared.checkpoint_refresh(members, self.id, self.epoch);
+        self.shared
+            .checkpoint_refresh(&mut members, self.id, self.epoch);
+        self.keep_images(&mut members);
         {
             let mut policy = self.shared.policy.lock();
-            for &object in &arrived {
+            for &(object, _) in &members {
                 policy.on_arrival(object, self.id);
             }
             if let Some((main, block, _)) = &install_for {
@@ -726,7 +775,7 @@ impl NodeWorker {
             answer(reply, Ok(true));
         }
         if !self.awaiting.is_empty() {
-            for object in arrived {
+            for &(object, _) in &members {
                 self.drain_awaiting(object);
             }
         }
@@ -744,12 +793,7 @@ impl NodeWorker {
         // the end of a block is a consistency point: refresh the replicated
         // checkpoint before the policy possibly migrates the object away
         if self.shared.detector_enabled() {
-            let fresh = self
-                .objects
-                .get(&object)
-                .map(|i| (object, StoredCheckpoint::of(&**i)));
-            self.shared
-                .checkpoint_refresh(Vec::from_iter(fresh), self.id, self.epoch);
+            self.refresh_hosted(std::iter::once(object));
         }
         let action = {
             let mut policy = self.shared.policy.lock();

@@ -1,6 +1,5 @@
 //! The mobile-object trait and the per-node type registry.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -30,6 +29,12 @@ pub trait MobileObject: Send {
     fn invoke(&mut self, method: &str, payload: &[u8]) -> Result<Vec<u8>, String>;
 
     /// Serializes the object's state for transfer.
+    ///
+    /// The output must be a function of the object's state, and the state
+    /// must change only through [`MobileObject::invoke`]: a node keeps the
+    /// image it last shipped, installed or refreshed from and ships that
+    /// again, without calling `linearize`, until the object is next
+    /// invoked.
     fn linearize(&self) -> Vec<u8>;
 }
 
@@ -39,10 +44,12 @@ pub type Delinearizer = fn(&[u8]) -> Box<dyn MobileObject>;
 /// A shared, concurrent registry mapping type tags to delinearizers.
 ///
 /// Every node consults the same registry when an `Install` message arrives —
-/// the runtime analogue of all nodes running the same program text.
+/// the runtime analogue of all nodes running the same program text. A
+/// program registers a handful of types, so a lookup scans them comparing
+/// tags rather than hashing one.
 #[derive(Clone, Default)]
 pub(crate) struct TypeRegistry {
-    inner: Arc<RwLock<HashMap<String, Delinearizer>>>,
+    inner: Arc<RwLock<Vec<(String, Delinearizer)>>>,
 }
 
 impl TypeRegistry {
@@ -54,19 +61,27 @@ impl TypeRegistry {
 
     /// Registers (or replaces) the delinearizer for `tag`.
     pub fn register(&self, tag: &str, f: Delinearizer) {
-        self.inner.write().insert(tag.to_owned(), f);
+        let mut types = self.inner.write();
+        match types.iter_mut().find(|(known, _)| known == tag) {
+            Some((_, known)) => *known = f,
+            None => types.push((tag.to_owned(), f)),
+        }
     }
 
     /// Looks a delinearizer up.
     #[must_use]
     pub fn get(&self, tag: &str) -> Option<Delinearizer> {
-        self.inner.read().get(tag).copied()
+        let types = self.inner.read();
+        types
+            .iter()
+            .find(|(known, _)| known == tag)
+            .map(|&(_, f)| f)
     }
 }
 
 impl std::fmt::Debug for TypeRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let tags: Vec<String> = self.inner.read().keys().cloned().collect();
+        let tags: Vec<String> = self.inner.read().iter().map(|(t, _)| t.clone()).collect();
         f.debug_struct("TypeRegistry").field("tags", &tags).finish()
     }
 }
@@ -98,6 +113,18 @@ mod tests {
         assert_eq!(obj.linearize(), vec![1, 2, 3]);
         assert_eq!(obj.invoke("x", &[9]).unwrap(), vec![9]);
         assert_eq!(obj.type_tag(), "echo");
+    }
+
+    #[test]
+    fn registering_a_tag_again_replaces_its_delinearizer() {
+        let reg = TypeRegistry::new();
+        reg.register("echo", |bytes| Box::new(Echo(bytes.to_vec())));
+        reg.register("other", |_| Box::new(Echo(vec![0])));
+        reg.register("echo", |_| Box::new(Echo(vec![7])));
+        let f = reg.get("echo").expect("registered");
+        assert_eq!(f(&[1, 2, 3]).linearize(), vec![7]);
+        assert_eq!(reg.get("other").expect("registered")(&[]).linearize(), [0]);
+        assert_eq!(format!("{reg:?}").matches("echo").count(), 1);
     }
 
     #[test]

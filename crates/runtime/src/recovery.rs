@@ -276,25 +276,35 @@ impl RecoveryState {
     /// a target that missed the write — partitioned, dropped, or new to the
     /// set — gets the copy with this refresh rather than at the next repair
     /// sweep. A reinstantiation's epoch bump, a changed state or a changed
-    /// replica set is never held.
+    /// replica set is never held. A held `ckpt` takes the replicas' state
+    /// buffer in place of its own equal one, so comparing it again reads
+    /// no bytes.
     pub(crate) fn is_held(
         &self,
         stores: &[Box<dyn CheckpointStore>],
         object: ObjectId,
         info: &ReplicationInfo,
-        ckpt: &StoredCheckpoint,
+        ckpt: &mut StoredCheckpoint,
     ) -> bool {
         let version = (ckpt.object_epoch, info.seq);
-        let holds = |target: NodeId| {
-            stores[target.index()].get(object).is_some_and(|c| {
+        if info.pending.is_some() || info.last_quorum != Some(version) {
+            return false;
+        }
+        let mut held = None;
+        for target in self.replica_targets(&info.order) {
+            let copy = stores[target.index()].get(object).filter(|c| {
                 c.version() == version && c.type_tag == ckpt.type_tag && c.state == ckpt.state
-            })
+            });
+            let Some(copy) = copy else {
+                return false;
+            };
+            held.get_or_insert(&copy.state);
+        }
+        let Some(state) = held else {
+            return false; // no replica target at all
         };
-        let mut targets = self.replica_targets(&info.order).peekable();
-        info.pending.is_none()
-            && info.last_quorum == Some(version)
-            && targets.peek().is_some()
-            && targets.all(holds)
+        ckpt.state = state.clone();
+        true
     }
 
     pub(crate) fn incarnation(&self, node: usize) -> u64 {

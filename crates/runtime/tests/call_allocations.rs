@@ -4,7 +4,10 @@
 //! to an idle node allocates only what it carries — the request (method
 //! name and payload in one buffer) and the object's reply, handed back as
 //! the object returned it — and nothing for its reply's way back: the
-//! calling thread reuses one reply slot from call to call. The counts are
+//! calling thread reuses one reply slot from call to call. A granted move
+//! of an unchanged closure to another node allocates what its `Install`
+//! carries and what installing it makes — nothing per member for its
+//! linearized state, which ships as the image its host kept. The counts are
 //! exact in debug builds too: the debug-only lock-order recorder allocates
 //! nothing once the warm-up has run.
 
@@ -99,5 +102,51 @@ fn an_in_process_call_allocates_only_what_it_carries() {
         assert_eq!(allocations(call), 2, "per invoke");
         // a grant and an end at the object's own node carry no buffer
         assert_eq!(allocations(block), 0, "per move block of a local object");
+    }
+}
+
+/// A one-byte state: delinearizing one allocates its box.
+struct Byte(u8);
+
+impl MobileObject for Byte {
+    fn type_tag(&self) -> &'static str {
+        "byte"
+    }
+    fn invoke(&mut self, _method: &str, _payload: &[u8]) -> Result<Vec<u8>, String> {
+        Ok(vec![self.0])
+    }
+    fn linearize(&self) -> Vec<u8> {
+        vec![self.0]
+    }
+}
+
+#[test]
+fn moving_an_unchanged_closure_allocates_only_its_install() {
+    let cluster = Cluster::builder()
+        .nodes(3)
+        .manual_clock()
+        .failure_detector(50, 3)
+        .replication(2)
+        .build();
+    cluster.register_type("byte", |state| Box::new(Byte(state[0])));
+    let set: Vec<_> = (0..8)
+        .map(|_| cluster.create(NodeId::new(0), Box::new(Byte(1))).unwrap())
+        .collect();
+    for &helper in &set[1..] {
+        cluster.attach(helper, set[0], None).unwrap();
+    }
+    let block = |to: u32| {
+        let guard = cluster.move_block(set[0], NodeId::new(to)).unwrap();
+        assert!(guard.granted());
+        guard.end();
+    };
+    // warm-up: every host's tables, and each member's image
+    for i in 0..100 {
+        block(1 + i % 2);
+    }
+    for i in 0..1_000 {
+        // the Install's member list, one box per delinearized member, and
+        // the end's one-item refresh list
+        assert_eq!(allocations(|| block(i % 3)), 10, "per move of 8");
     }
 }

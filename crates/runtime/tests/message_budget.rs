@@ -7,9 +7,14 @@
 //! checkpoint traffic, a changed member travels alone, and an epoch bump or
 //! a replica that missed a write is always re-sent. This is the guard
 //! against a return to one message per object, or per member of an
-//! unchanged closure; CI names it explicitly.
+//! unchanged closure; CI names it explicitly. So is the linearization
+//! budget beside it: a node ships and refreshes from the image it last
+//! shipped, installed or refreshed from, so only an object invoked since —
+//! or one whose image a crash took — is linearized again.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use oml_check::{EventKind, TraceEvent};
@@ -304,5 +309,150 @@ fn a_replica_that_missed_a_quorum_write_gets_it_at_the_next_block() {
         puts(&trace)
     );
     assert!(stored(&trace).contains(&(object, n(2), (0, 3))));
+    cluster.shutdown();
+}
+
+/// A cell that counts how often it is linearized. Its state is its value
+/// and a key of its own, under which `LINEARIZED` counts — tests running
+/// side by side never share one.
+struct Counted {
+    value: u8,
+    key: u32,
+}
+
+static LINEARIZED: Mutex<BTreeMap<u32, usize>> = Mutex::new(BTreeMap::new());
+static NEXT_KEY: AtomicU32 = AtomicU32::new(0);
+
+impl MobileObject for Counted {
+    fn type_tag(&self) -> &'static str {
+        "counted"
+    }
+    fn invoke(&mut self, method: &str, _payload: &[u8]) -> Result<Vec<u8>, String> {
+        if method == "add" {
+            self.value = self.value.wrapping_add(1);
+        }
+        Ok(vec![self.value])
+    }
+    fn linearize(&self) -> Vec<u8> {
+        *LINEARIZED.lock().unwrap().entry(self.key).or_default() += 1;
+        let mut state = vec![self.value];
+        state.extend(self.key.to_le_bytes());
+        state
+    }
+}
+
+fn counted(state: &[u8]) -> Box<dyn MobileObject> {
+    let key = u32::from_le_bytes(state[1..5].try_into().unwrap());
+    Box::new(Counted {
+        value: state[0],
+        key,
+    })
+}
+
+/// A `Counted` root with `k - 1` attached helpers, all at node 0, and the
+/// key of each.
+fn counted_closure_at_node_0(cluster: &Cluster, k: usize) -> (Vec<ObjectId>, Vec<u32>) {
+    cluster.register_type("counted", counted);
+    let keys: Vec<u32> = (0..k)
+        .map(|_| NEXT_KEY.fetch_add(1, Ordering::Relaxed))
+        .collect();
+    let set: Vec<ObjectId> = (keys.iter())
+        .map(|&key| {
+            let cell = Box::new(Counted { value: 1, key });
+            cluster.create(n(0), cell).unwrap()
+        })
+        .collect();
+    for &helper in &set[1..] {
+        cluster.attach(helper, set[0], None).unwrap();
+    }
+    (set, keys)
+}
+
+/// How often each of `keys` was linearized since the last call.
+fn linearized_since(keys: &[u32], last: &mut Vec<usize>) -> Vec<usize> {
+    let counts = LINEARIZED.lock().unwrap();
+    let now: Vec<usize> = (keys.iter())
+        .map(|key| counts.get(key).copied().unwrap_or(0))
+        .collect();
+    let since = (now.iter().zip(last.iter()))
+        .map(|(now, last)| now - last)
+        .collect();
+    *last = now;
+    since
+}
+
+#[test]
+fn a_second_move_of_an_unchanged_closure_linearizes_nothing() {
+    let cluster = builder().build();
+    let (set, keys) = counted_closure_at_node_0(&cluster, 8);
+    let mut last = vec![0; 8];
+    let _ = linearized_since(&keys, &mut last);
+
+    // a created object has no image yet: its first shipment linearizes it
+    drop(cluster.move_block(set[0], n(1)).unwrap());
+    assert_eq!(linearized_since(&keys, &mut last), [1; 8]);
+    let _ = cluster.take_trace();
+
+    let guard = cluster.move_block(set[0], n(2)).unwrap();
+    assert!(guard.granted());
+    assert!(set.iter().all(|&o| cluster.is_resident(o, n(2))));
+    drop(guard);
+    assert_eq!(linearized_since(&keys, &mut last), [0; 8]);
+    let sends = sends_by_kind(&cluster);
+    let count = |kind: &str| sends.get(kind).copied().unwrap_or(0);
+    assert_eq!(count("Install"), 1, "{sends:?}");
+    assert_eq!(count("CheckpointPut"), 0, "{sends:?}");
+    assert_eq!(count("CheckpointAck"), 0, "{sends:?}");
+    cluster.shutdown();
+}
+
+#[test]
+fn an_object_invoked_in_its_block_is_linearized_once_at_the_end() {
+    let cluster = builder().build();
+    let (set, keys) = counted_closure_at_node_0(&cluster, 8);
+    let mut last = vec![0; 8];
+    let guard = cluster.move_block(set[0], n(1)).unwrap();
+    assert!(guard.granted());
+    let _ = linearized_since(&keys, &mut last);
+
+    assert_eq!(cluster.invoke(set[0], "add", &[]).unwrap(), [2]);
+    assert_eq!(linearized_since(&keys, &mut last), [0; 8]);
+    drop(guard);
+    let mut once = vec![0; 8];
+    once[0] = 1;
+    assert_eq!(linearized_since(&keys, &mut last), once, "at the end");
+    let refreshes = cluster.stats().checkpoint_refreshes;
+    let _ = cluster.take_trace();
+
+    // the next move ships the image the end refreshed from: the replicas
+    // hold it already, and the new host runs on it
+    let guard = cluster.move_block(set[0], n(2)).unwrap();
+    assert!(guard.granted());
+    assert_eq!(linearized_since(&keys, &mut last), [0; 8]);
+    assert_eq!(puts(&cluster.take_trace()), []);
+    assert_eq!(cluster.stats().checkpoint_refreshes, refreshes);
+    assert_eq!(cluster.invoke(set[0], "get", &[]).unwrap(), [2]);
+    drop(guard);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_reclaimed_object_is_linearized_once_at_its_first_shipment() {
+    let cluster = builder().build();
+    let (set, keys) = counted_closure_at_node_0(&cluster, 8);
+    let mut last = vec![0; 8];
+    drop(cluster.move_block(set[0], n(1)).unwrap());
+    let _ = linearized_since(&keys, &mut last);
+
+    // the crash keeps the objects, not their images
+    cluster.crash_node(n(1)).unwrap();
+    cluster.restart_node(n(1)).unwrap();
+    assert!(set.iter().all(|&o| cluster.is_resident(o, n(1))));
+    assert_eq!(linearized_since(&keys, &mut last), [0; 8]);
+    drop(cluster.move_block(set[0], n(2)).unwrap());
+    assert_eq!(linearized_since(&keys, &mut last), [1; 8]);
+    drop(cluster.move_block(set[0], n(0)).unwrap());
+    assert_eq!(linearized_since(&keys, &mut last), [0; 8]);
+    assert!(set.iter().all(|&o| cluster.is_resident(o, n(0))));
     cluster.shutdown();
 }

@@ -154,8 +154,16 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl PartialEq for Bytes {
+    /// Equal bytes are equal wherever they live; two views of one buffer
+    /// over one range are answered without reading them.
     fn eq(&self, other: &Self) -> bool {
-        **self == **other
+        let same_view = match (&self.buf, &other.buf) {
+            (Some(a), Some(b)) => {
+                Arc::ptr_eq(a, b) && self.off == other.off && self.len == other.len
+            }
+            _ => false,
+        };
+        same_view || **self == **other
     }
 }
 impl Eq for Bytes {}
@@ -454,6 +462,26 @@ mod tests {
         assert_eq!(tail, [1u8, 1][..], "a view keeps its parent alive");
         assert!(tail.is_unique());
         assert_eq!(Vec::from(tail), vec![1, 1]);
+    }
+
+    #[test]
+    fn views_of_one_range_are_equal_and_others_compare_their_bytes() {
+        let b = Bytes::from(vec![1u8, 2, 1, 2, 3]);
+        // one buffer, one range
+        assert_eq!(b.slice(1..3), b.slice(1..3));
+        assert_eq!(b.clone(), b);
+        // one buffer, different ranges: equal exactly when the bytes are
+        assert_eq!(b.slice(0..2), b.slice(2..4));
+        assert_ne!(b.slice(1..3), b.slice(2..4));
+        assert_ne!(b.slice(0..2), b.slice(0..3));
+        assert_ne!(b.slice(0..3), b.slice(2..5));
+        // different buffers with equal bytes
+        assert_eq!(b.slice(2..5), Bytes::copy_from_slice(&[1, 2, 3]));
+        assert_ne!(b, Bytes::copy_from_slice(&[1, 2, 1, 2, 4]));
+        // empty equals empty, whatever it was cut from
+        assert_eq!(b.slice(3..3), Bytes::new());
+        assert_eq!(Bytes::new(), Bytes::from(Vec::new()));
+        assert_ne!(Bytes::new(), b.slice(..1));
     }
 
     #[test]
