@@ -915,6 +915,9 @@ pub fn check_trace(trace: &[TraceEvent]) -> CheckReport {
             | EventKind::Attach { .. }
             | EventKind::Detach { .. }
             | EventKind::Suspected { .. }
+            | EventKind::SuspicionCleared { .. }
+            | EventKind::Fault { .. }
+            | EventKind::Partition { .. }
             | EventKind::FencedStale { .. }
             | EventKind::TransportDisconnected { .. }
             | EventKind::SnapshotCompacted { .. }
@@ -993,6 +996,25 @@ mod tests {
     fn recv(p: u32, id: u64) -> TraceEvent {
         TraceEvent::new(p, EventKind::Recv { msg_id: id })
     }
+    fn granted(o: u32, b: u32) -> TraceEvent {
+        let (object, block) = (obj(o), blk(b));
+        TraceEvent::new(0, EventKind::MoveGranted { object, block })
+    }
+    fn locked(o: u32, b: u32, now_ms: u64, ttl_ms: Option<u64>) -> TraceEvent {
+        let (object, block) = (obj(o), blk(b));
+        let acquired = EventKind::LockAcquired {
+            object,
+            block,
+            now_ms,
+            ttl_ms,
+        };
+        TraceEvent::new(0, acquired)
+    }
+    /// Object 1's closure, with member 2, headed for node 2.
+    fn closure_1_2_to_2() -> TraceEvent {
+        let (main, to, members) = (obj(1), NodeId::new(2), vec![obj(2)]);
+        TraceEvent::new(0, EventKind::ClosureBegin { main, to, members })
+    }
 
     #[test]
     fn clean_migration_passes() {
@@ -1055,36 +1077,18 @@ mod tests {
 
     #[test]
     fn lock_lifecycle_is_clean() {
+        let (object, block) = (obj(1), blk(0));
+        let cause = crate::event::ReleaseCause::End;
         let trace = vec![
-            TraceEvent::new(
-                0,
-                EventKind::MoveGranted {
-                    object: obj(1),
-                    block: blk(0),
-                },
-            ),
-            TraceEvent::new(
-                0,
-                EventKind::LockAcquired {
-                    object: obj(1),
-                    block: blk(0),
-                    now_ms: 0,
-                    ttl_ms: Some(100),
-                },
-            ),
-            TraceEvent::new(
-                0,
-                EventKind::LeaseRenewed {
-                    object: obj(1),
-                    now_ms: 50,
-                },
-            ),
+            granted(1, 0),
+            locked(1, 0, 0, Some(100)),
+            TraceEvent::new(0, EventKind::LeaseRenewed { object, now_ms: 50 }),
             TraceEvent::new(
                 0,
                 EventKind::LockReleased {
-                    object: obj(1),
-                    block: blk(0),
-                    cause: crate::event::ReleaseCause::End,
+                    object,
+                    block,
+                    cause,
                 },
             ),
         ];
@@ -1094,39 +1098,11 @@ mod tests {
     #[test]
     fn acquire_after_expiry_is_sound() {
         let trace = vec![
-            TraceEvent::new(
-                0,
-                EventKind::MoveGranted {
-                    object: obj(1),
-                    block: blk(0),
-                },
-            ),
-            TraceEvent::new(
-                0,
-                EventKind::LockAcquired {
-                    object: obj(1),
-                    block: blk(0),
-                    now_ms: 0,
-                    ttl_ms: Some(100),
-                },
-            ),
-            TraceEvent::new(
-                0,
-                EventKind::MoveGranted {
-                    object: obj(1),
-                    block: blk(1),
-                },
-            ),
+            granted(1, 0),
+            locked(1, 0, 0, Some(100)),
+            granted(1, 1),
             // 100 ms TTL, acquired at 0, next grant at 150: lease had expired
-            TraceEvent::new(
-                0,
-                EventKind::LockAcquired {
-                    object: obj(1),
-                    block: blk(1),
-                    now_ms: 150,
-                    ttl_ms: Some(100),
-                },
-            ),
+            locked(1, 1, 150, Some(100)),
         ];
         assert!(check_trace(&trace).is_clean());
     }
@@ -1136,30 +1112,11 @@ mod tests {
         // a duplicated move-request: first copy granted (lock taken), the
         // second copy denied — the block appears in both sets, but the lock
         // acquisition is explained by the grant
+        let (object, block) = (obj(1), blk(0));
         let trace = vec![
-            TraceEvent::new(
-                0,
-                EventKind::MoveGranted {
-                    object: obj(1),
-                    block: blk(0),
-                },
-            ),
-            TraceEvent::new(
-                0,
-                EventKind::LockAcquired {
-                    object: obj(1),
-                    block: blk(0),
-                    now_ms: 0,
-                    ttl_ms: None,
-                },
-            ),
-            TraceEvent::new(
-                0,
-                EventKind::MoveDenied {
-                    object: obj(1),
-                    block: blk(0),
-                },
-            ),
+            granted(1, 0),
+            locked(1, 0, 0, None),
+            TraceEvent::new(0, EventKind::MoveDenied { object, block }),
         ];
         assert!(check_trace(&trace).is_clean());
     }
@@ -1169,14 +1126,7 @@ mod tests {
         let trace = vec![
             install(0, 1),
             install(0, 2),
-            TraceEvent::new(
-                0,
-                EventKind::ClosureBegin {
-                    main: obj(1),
-                    to: NodeId::new(2),
-                    members: vec![obj(2)],
-                },
-            ),
+            closure_1_2_to_2(),
             ship(0, 2, 2),
             ship(0, 1, 2),
         ];
@@ -1191,14 +1141,7 @@ mod tests {
         let trace = vec![
             install(0, 1),
             install(0, 2),
-            TraceEvent::new(
-                0,
-                EventKind::ClosureBegin {
-                    main: obj(1),
-                    to: NodeId::new(2),
-                    members: vec![obj(2)],
-                },
-            ),
+            closure_1_2_to_2(),
             // main ships without the member
             ship(0, 1, 2),
         ];
@@ -1214,14 +1157,7 @@ mod tests {
         let trace = vec![
             install(0, 1),
             install(0, 2),
-            TraceEvent::new(
-                0,
-                EventKind::ClosureBegin {
-                    main: obj(1),
-                    to: NodeId::new(2),
-                    members: vec![obj(2)],
-                },
-            ),
+            closure_1_2_to_2(),
             // the member departs but the main object never does
             ship(0, 2, 2),
         ];
@@ -1256,18 +1192,8 @@ mod tests {
     fn reinstantiation_after_crash_is_clean() {
         let trace = vec![
             install(2, 1),
-            TraceEvent::new(
-                crate::event::CLIENT_PROCESS,
-                EventKind::Crash {
-                    node: NodeId::new(2),
-                },
-            ),
-            TraceEvent::new(
-                crate::event::CLIENT_PROCESS,
-                EventKind::DeclaredDead {
-                    node: NodeId::new(2),
-                },
-            ),
+            crash(2),
+            dead(2),
             reinstantiate(1, 0, 1),
             // the matching install at the reinstantiation target
             install(0, 1),
@@ -1361,12 +1287,15 @@ mod tests {
         TraceEvent::new(crate::event::CLIENT_PROCESS, EventKind::RepairSweep)
     }
     fn dead(n: u32) -> TraceEvent {
+        let node = NodeId::new(n);
         TraceEvent::new(
             crate::event::CLIENT_PROCESS,
-            EventKind::DeclaredDead {
-                node: NodeId::new(n),
-            },
+            EventKind::DeclaredDead { node },
         )
+    }
+    fn crash(n: u32) -> TraceEvent {
+        let node = NodeId::new(n);
+        TraceEvent::new(crate::event::CLIENT_PROCESS, EventKind::Crash { node })
     }
     fn promoted(o: u32, from: u32, epoch: u64, seq: u64) -> TraceEvent {
         TraceEvent::new(
@@ -1449,22 +1378,8 @@ mod tests {
 
     #[test]
     fn crashed_nodes_retain_but_do_not_count_their_copies() {
-        let crash = |n: u32| {
-            TraceEvent::new(
-                crate::event::CLIENT_PROCESS,
-                EventKind::Crash {
-                    node: NodeId::new(n),
-                },
-            )
-        };
-        let restart = |n: u32| {
-            TraceEvent::new(
-                crate::event::CLIENT_PROCESS,
-                EventKind::Restart {
-                    node: NodeId::new(n),
-                },
-            )
-        };
+        let node = NodeId::new(1);
+        let restart = TraceEvent::new(crate::event::CLIENT_PROCESS, EventKind::Restart { node });
         // crash (copy dormant, sweep sees a deficit) then restart (copy
         // counts again): clean at trace end
         let trace = vec![
@@ -1473,7 +1388,7 @@ mod tests {
             stored(1, 1, 0, 0),
             crash(1),
             sweep(),
-            restart(1),
+            restart,
         ];
         let report = check_trace(&trace);
         assert!(report.is_clean(), "{report}");
@@ -1552,23 +1467,41 @@ mod tests {
         assert!(check_trace(&trace).is_clean());
     }
 
+    /// Detector, fencing, fault and partition events explain a run; they
+    /// are local ticks, never a violation.
     #[test]
-    fn detector_events_are_benign_local_ticks() {
-        let trace = vec![
-            TraceEvent::new(
-                crate::event::CLIENT_PROCESS,
-                EventKind::Suspected {
-                    node: NodeId::new(1),
-                },
-            ),
-            TraceEvent::new(
-                crate::event::CLIENT_PROCESS,
-                EventKind::BreakerOpen {
-                    node: NodeId::new(1),
-                },
-            ),
-            TraceEvent::new(1, EventKind::FencedStale { epoch: 3 }),
+    fn detector_and_fault_events_are_benign_local_ticks() {
+        use crate::event::MessageFault::{Delay, Drop, Duplicate, PartitionDrop};
+        let (node, a, b) = (NodeId::new(1), NodeId::new(0), NodeId::new(2));
+        let fault = |fault, seq| EventKind::Fault {
+            fault,
+            to: 2,
+            seq,
+            desc: String::new(),
+        };
+        let kinds = [
+            EventKind::Suspected { node },
+            EventKind::BreakerOpen { node },
+            EventKind::SuspicionCleared { node },
+            EventKind::Partition {
+                a,
+                b,
+                severed: true,
+            },
+            fault(PartitionDrop, None),
+            fault(Drop, Some(4)),
+            fault(Duplicate, Some(5)),
+            fault(Delay(3), Some(5)),
+            EventKind::Partition {
+                a,
+                b,
+                severed: false,
+            },
+            EventKind::FencedStale { epoch: 3 },
         ];
+        let trace: Vec<TraceEvent> = (kinds.into_iter())
+            .map(|kind| TraceEvent::new(1, kind))
+            .collect();
         assert!(check_trace(&trace).is_clean());
     }
 

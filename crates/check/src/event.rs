@@ -42,6 +42,19 @@ impl std::fmt::Display for ReleaseCause {
     }
 }
 
+/// What the fault plan or a partition did to one message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MessageFault {
+    /// The plan's drop draw lost it.
+    Drop,
+    /// A partition severed its link.
+    PartitionDrop,
+    /// It was delivered twice.
+    Duplicate,
+    /// The plan held it back this many milliseconds.
+    Delay(u64),
+}
+
 /// One protocol event. The comments name the runtime site that emits each.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
@@ -55,6 +68,33 @@ pub enum EventKind {
         to: u32,
         /// Short description (the message's `Debug` rendering).
         desc: String,
+    },
+    /// The fault plan or a partition changed how a message from the
+    /// emitting process travels (`Shared::send_from`), before the `Send` of
+    /// any copy that survives; a clean delivery emits none, a duplicated
+    /// and delayed one emits both.
+    Fault {
+        /// What happened to it.
+        fault: MessageFault,
+        /// Destination node (raw id).
+        to: u32,
+        /// Its sequence number on its link, in the stream that decided it
+        /// (control or replica traffic); `None` for replica traffic a
+        /// partition stopped before any draw.
+        seq: Option<u64>,
+        /// Short description (the message's `Debug` rendering).
+        desc: String,
+    },
+    /// A scripted partition between `a` and `b` was severed
+    /// (`Cluster::partition`) or healed (`Cluster::heal`; `heal_all` emits
+    /// one per severed pair).
+    Partition {
+        /// One end.
+        a: NodeId,
+        /// The other end.
+        b: NodeId,
+        /// Severed, or healed.
+        severed: bool,
     },
     /// A node worker dequeued the message (`NodeWorker::run`).
     Recv {
@@ -173,6 +213,12 @@ pub enum EventKind {
     /// a partition (`Shared::detector_sweep`). Suspicion is revocable.
     Suspected {
         /// The suspected node.
+        node: NodeId,
+    },
+    /// The failure detector stopped suspecting a node whose beats resumed
+    /// and no partition isolates (`Shared::detector_sweep`).
+    SuspicionCleared {
+        /// The node cleared.
         node: NodeId,
     },
     /// The failure detector declared a node dead: its incarnation is fenced

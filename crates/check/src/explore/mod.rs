@@ -93,16 +93,15 @@ pub struct ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// The acceptance configuration: two nodes swap two objects, leases and
-    /// the sweeper on. Exhaustively enumerable in well under a second and
-    /// expected clean.
-    #[must_use]
-    pub fn two_node_migration() -> Self {
+    /// What the bundled configurations start from: two nodes and two
+    /// objects under swept 500 ms leases, a deadline no schedule reaches,
+    /// no client timeouts, faults or mutation.
+    fn base(name: &str, ops: Vec<MoveOp>) -> Self {
         ExploreConfig {
-            name: "two-node-migration".to_string(),
+            name: name.to_string(),
             nodes: 2,
             objects: 2,
-            ops: vec![MoveOp { object: 0, to: 1 }, MoveOp { object: 1, to: 0 }],
+            ops,
             lease_ttl_ms: Some(500),
             deadline_ms: 60_000,
             client_timeouts: false,
@@ -113,27 +112,29 @@ impl ExploreConfig {
         }
     }
 
+    /// The acceptance configuration: two nodes swap two objects, leases and
+    /// the sweeper on. Exhaustively enumerable in well under a second and
+    /// expected clean.
+    #[must_use]
+    pub fn two_node_migration() -> Self {
+        let ops = vec![MoveOp { object: 0, to: 1 }, MoveOp { object: 1, to: 0 }];
+        Self::base("two-node-migration", ops)
+    }
+
     /// Two blocks contend for one object (plus a bystander move) with
     /// client timeouts and the sweeper live — exercises denial, abandonment
     /// and expiry-then-regrant. Expected clean.
     #[must_use]
     pub fn contended() -> Self {
+        let ops = vec![
+            MoveOp { object: 0, to: 1 },
+            MoveOp { object: 0, to: 0 },
+            MoveOp { object: 1, to: 0 },
+        ];
         ExploreConfig {
-            name: "contended".to_string(),
-            nodes: 2,
-            objects: 2,
-            ops: vec![
-                MoveOp { object: 0, to: 1 },
-                MoveOp { object: 0, to: 0 },
-                MoveOp { object: 1, to: 0 },
-            ],
-            lease_ttl_ms: Some(500),
             deadline_ms: 400,
             client_timeouts: true,
-            sweeps: true,
-            faults: false,
-            max_crashes: 0,
-            mutation: None,
+            ..Self::base("contended", ops)
         }
     }
 
@@ -142,18 +143,12 @@ impl ExploreConfig {
     /// handling releases stranded locks.
     #[must_use]
     pub fn crashy() -> Self {
+        let ops = vec![MoveOp { object: 0, to: 1 }, MoveOp { object: 1, to: 2 }];
         ExploreConfig {
-            name: "crashy".to_string(),
             nodes: 3,
-            objects: 2,
-            ops: vec![MoveOp { object: 0, to: 1 }, MoveOp { object: 1, to: 2 }],
-            lease_ttl_ms: Some(500),
-            deadline_ms: 60_000,
-            client_timeouts: false,
-            sweeps: true,
             faults: true,
             max_crashes: 1,
-            mutation: None,
+            ..Self::base("crashy", ops)
         }
     }
 
@@ -163,18 +158,14 @@ impl ExploreConfig {
     /// restarted node's re-grant overlaps it).
     #[must_use]
     pub fn stranded_locks_bug() -> Self {
+        let ops = vec![MoveOp { object: 0, to: 1 }, MoveOp { object: 0, to: 0 }];
         ExploreConfig {
-            name: "stranded-locks-bug".to_string(),
-            nodes: 2,
-            objects: 2,
-            ops: vec![MoveOp { object: 0, to: 1 }, MoveOp { object: 0, to: 0 }],
             lease_ttl_ms: Some(1_000),
-            deadline_ms: 60_000,
-            client_timeouts: false,
             sweeps: false,
             faults: true,
             max_crashes: 1,
             mutation: Some(Mutation::StrandedLocks),
+            ..Self::base("stranded-locks-bug", ops)
         }
     }
 
@@ -183,18 +174,14 @@ impl ExploreConfig {
     /// orphaned lock a post-deadline grant leaves on an abandoned block.
     #[must_use]
     pub fn ignore_deadline_bug() -> Self {
+        let ops = vec![MoveOp { object: 0, to: 1 }, MoveOp { object: 1, to: 0 }];
         ExploreConfig {
-            name: "ignore-deadline-bug".to_string(),
-            nodes: 2,
-            objects: 2,
-            ops: vec![MoveOp { object: 0, to: 1 }, MoveOp { object: 1, to: 0 }],
             lease_ttl_ms: None,
             deadline_ms: 100,
             client_timeouts: true,
             sweeps: false,
-            faults: false,
-            max_crashes: 0,
             mutation: Some(Mutation::IgnoreDeadline),
+            ..Self::base("ignore-deadline-bug", ops)
         }
     }
 

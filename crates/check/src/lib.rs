@@ -35,5 +35,5 @@ pub mod lockorder;
 pub mod vclock;
 
 pub use checker::{check_trace, CheckReport, Violation};
-pub use event::{process_name, EventKind, ReleaseCause, TraceEvent, CLIENT_PROCESS};
+pub use event::{process_name, EventKind, MessageFault, ReleaseCause, TraceEvent, CLIENT_PROCESS};
 pub use vclock::{assign_clocks, VClock};

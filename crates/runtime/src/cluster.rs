@@ -9,9 +9,8 @@ use std::time::{Duration, Instant};
 
 use crate::transport::channel::{self, Call, ChannelMesh, Handler, MeshConfig};
 use crate::transport::{Transport, TransportError};
-use bytes::Bytes;
 use crossbeam::channel::RecvTimeoutError;
-use oml_check::event::{EventKind, ReleaseCause, TraceEvent, CLIENT_PROCESS};
+use oml_check::event::{EventKind, MessageFault, ReleaseCause, TraceEvent, CLIENT_PROCESS};
 use oml_core::alliance::AllianceRegistry;
 use oml_core::attach::{AttachOutcome, AttachmentGraph, AttachmentMode};
 use oml_core::error::AttachError;
@@ -21,7 +20,7 @@ use oml_core::policy::{MovePolicy, PolicyKind};
 use oml_des::{EventQueue, SimTime};
 
 use crate::error::RuntimeError;
-use crate::fault::{self, Delivery, FaultInjector, FaultPlan};
+use crate::fault::{self, Delivery, Fate, FaultInjector, FaultPlan};
 use crate::idmap::IdMap;
 use crate::message::{group_push, Acked, Envelope, Message, Shipped, MAX_HOPS};
 use crate::node::NodeWorker;
@@ -31,7 +30,7 @@ use crate::recovery::{
     RecoveryState, Replicas, ReplicationInfo, Sabotage,
 };
 use crate::schedule::{FreeRun, ScheduleSource, SendAction};
-use crate::store::{put_traced, CheckpointStore, FsyncPolicy, StoredCheckpoint};
+use crate::store::{cold_recovered, put_traced, CheckpointStore, FsyncPolicy, StoredCheckpoint};
 use crate::trace::{OrderedMutex, OrderedRwLock, TraceCollector};
 
 /// Monotone activity counters, readable while the cluster runs.
@@ -237,7 +236,9 @@ impl Shared {
     /// Control messages (invocations, move-requests, end-requests) are
     /// subject to drops, duplicates, delays and partitions; state transfer
     /// (`Create`/`Install`/`Surrender`) and control sentinels are always
-    /// reliable — see [`crate::fault`] for the model. What survives with no
+    /// reliable — see [`crate::fault`] for the model. A traced cluster
+    /// records each decision that is not a clean delivery as a `Fault`
+    /// event, before the sends of what survives. What survives with no
     /// delay is handed over by `ChannelMesh::hand`: an idle node runs it on
     /// this thread, at once or after this thread's step (DESIGN.md §10.1).
     ///
@@ -260,12 +261,12 @@ impl Shared {
             Message::CheckpointPut { .. } | Message::CheckpointAck { .. }
         );
         if is_checkpoint && from_raw != fault::CLIENT {
-            // replica traffic between nodes has its own (silent) decision
-            // stream: drops and duplicates, never delays. Client-originated
+            // replica traffic between nodes has its own decision stream:
+            // drops and duplicates, never delays. Client-originated
             // checkpoint traffic (creation seeding, repair) is reliable.
-            if let Delivery::Deliver { copies, .. } =
-                self.injector.decide_checkpoint(from_raw, to.as_u32())
-            {
+            let decided = self.injector.decide_checkpoint(from_raw, to.as_u32());
+            self.trace_fault(from_raw, to, decided, &msg);
+            if let Fate::Deliver { copies, .. } = decided.fate {
                 for m in self.envelopes(from_raw, epoch, to, msg, copies) {
                     let _ = self.mesh.hand(to.as_u32(), m, false);
                 }
@@ -290,9 +291,11 @@ impl Shared {
                 });
         }
         let is_end = matches!(msg, Message::EndRequest { .. });
-        match self.injector.decide(from_raw, to.as_u32(), is_end, &msg) {
-            Delivery::Drop => Ok(()),
-            Delivery::Deliver { copies, delay_ms } => {
+        let decided = self.injector.decide(from_raw, to.as_u32(), is_end);
+        self.trace_fault(from_raw, to, decided, &msg);
+        match decided.fate {
+            Fate::Drop | Fate::PartitionDrop => Ok(()),
+            Fate::Deliver { copies, delay_ms } => {
                 // the scheduling seam sees every surviving control message;
                 // its delay composes with the fault plan's by taking the max
                 let delay_ms = match self.schedule.on_send(from_raw, to) {
@@ -319,6 +322,31 @@ impl Shared {
                 }
                 Ok(())
             }
+        }
+    }
+
+    /// Records what `decided` did to `msg` on its way from `from` to `to`:
+    /// one `Fault` event per fault, none for a clean delivery.
+    fn trace_fault(&self, from: u32, to: NodeId, decided: Delivery, msg: &Message) {
+        if !self.trace.is_enabled() {
+            return;
+        }
+        let faults = match decided.fate {
+            Fate::Drop => [Some(MessageFault::Drop), None],
+            Fate::PartitionDrop => [Some(MessageFault::PartitionDrop), None],
+            Fate::Deliver { copies, delay_ms } => [
+                (copies > 1).then_some(MessageFault::Duplicate),
+                (delay_ms > 0).then_some(MessageFault::Delay(delay_ms)),
+            ],
+        };
+        for fault in faults.into_iter().flatten() {
+            let kind = EventKind::Fault {
+                fault,
+                to: to.as_u32(),
+                seq: decided.seq,
+                desc: format!("{msg:?}"),
+            };
+            self.trace.emit(from, kind);
         }
     }
 
@@ -547,27 +575,21 @@ impl Shared {
     /// and the placement preference order, and writes the birth state
     /// synchronously into the replica set's stores (creation blocks on the
     /// Create reply anyway, so there is no quorum round to wait for — every
-    /// replica starts at `(0, 0)`).
+    /// replica starts at `(0, 0)`). Returns that birth copy, for the host
+    /// to keep as the object's image; without a detector nothing is stored
+    /// and nothing linearized.
     pub(crate) fn checkpoint_init(
         &self,
         object: ObjectId,
         home: NodeId,
-        type_tag: String,
-        state: Bytes,
-    ) {
-        let Some(rec) = &self.recovery else {
-            return;
-        };
+        instance: &dyn MobileObject,
+    ) -> Option<StoredCheckpoint> {
+        let rec = self.recovery.as_ref()?;
         let order = preference_order(object, home, self.mesh.peers() as usize);
-        let ckpt = StoredCheckpoint {
-            type_tag,
-            state,
-            object_epoch: 0,
-            seq: 0,
-        };
+        let birth = StoredCheckpoint::of(instance);
         let mut replicas = rec.replicas.lock();
         for target in rec.replica_targets(&order) {
-            self.store_replicas(&mut replicas, target, [(object, ckpt.clone())]);
+            self.store_replicas(&mut replicas, target, [(object, birth.clone())]);
         }
         replicas.objects.insert(
             object,
@@ -579,6 +601,7 @@ impl Shared {
                 last_refresh_at_ms: self.now_ms(),
             },
         );
+        Some(birth)
     }
 
     /// Refreshes the replicated checkpoints of `fresh` — the objects of one
@@ -871,7 +894,6 @@ impl Shared {
                         self.trace
                             .emit(CLIENT_PROCESS, EventKind::BreakerOpen { node });
                     }
-                    self.injector.note(format!("suspect {node}"));
                 }
                 NodeHealth::Suspected if !missed && !isolated => {
                     rec.set_health(i, NodeHealth::Up);
@@ -879,7 +901,8 @@ impl Shared {
                         .false_suspicions
                         .fetch_add(1, Ordering::Relaxed);
                     rec.half_open_breaker(i);
-                    self.injector.note(format!("clear-suspect {node}"));
+                    self.trace
+                        .emit(CLIENT_PROCESS, EventKind::SuspicionCleared { node });
                 }
                 NodeHealth::Up => {
                     // beating normally: an open breaker (e.g. after a failed
@@ -1007,7 +1030,6 @@ impl Shared {
                 self.trace
                     .emit(CLIENT_PROCESS, EventKind::BreakerOpen { node });
             }
-            self.injector.note(format!("declare-dead {node}"));
             self.trace
                 .emit(CLIENT_PROCESS, EventKind::DeclaredDead { node });
             let mut stranded: Vec<(ObjectId, u64)> = objects
@@ -1080,8 +1102,6 @@ impl Shared {
             self.counters
                 .reinstantiations
                 .fetch_add(1, Ordering::Relaxed);
-            self.injector
-                .note(format!("reinstantiate {object} at {target}"));
             // the promoted copy travels under the bumped epoch
             ckpt.object_epoch = epoch;
             group_push(&mut installs, target, (object, ckpt));
@@ -1391,10 +1411,9 @@ impl ClusterBuilder {
         };
         let plan = self.fault_plan.unwrap_or_else(|| FaultPlan::seeded(0));
         let jitter_seed = plan.seed();
-        // per-node cold-recovery outcomes (WAL-backed stores only), traced
+        // per-node cold-recovery events (WAL-backed stores only), traced
         // once the collector exists
-        type NodeRecovery = (u32, Vec<(ObjectId, u64, u64)>, bool, bool);
-        let mut recovered: Vec<NodeRecovery> = Vec::new();
+        let mut recovered: Vec<(u32, EventKind)> = Vec::new();
         let mut objects = IdMap::default();
         let recovery = self.detector.map(|cfg| {
             let stores: Vec<Box<dyn CheckpointStore>> = match &self.store_dir {
@@ -1406,13 +1425,7 @@ impl ClusterBuilder {
                         );
                         let (store, report) = crate::store::WalStore::open(cfg)
                             .unwrap_or_else(|e| panic!("durable store node-{i}: {e}"));
-                        let mut versions: Vec<(ObjectId, u64, u64)> = store
-                            .objects()
-                            .iter()
-                            .filter_map(|&o| store.get(o).map(|c| (o, c.object_epoch, c.seq)))
-                            .collect();
-                        versions.sort_unstable_by_key(|&(o, _, _)| o);
-                        recovered.push((i, versions, report.torn_bytes > 0, report.corrupt));
+                        recovered.push((i, cold_recovered(i, &store, &report)));
                         Box::new(store) as Box<dyn CheckpointStore>
                     })
                     .collect(),
@@ -1471,16 +1484,8 @@ impl ClusterBuilder {
             );
             // cold-recovery markers: arm the checker's durability
             // invariants and record the recovered epoch floors
-            for (node, versions, torn, corrupt) in recovered {
-                shared.trace.emit(
-                    node,
-                    EventKind::ColdRecovered {
-                        node,
-                        recovered: versions,
-                        torn,
-                        corrupt,
-                    },
-                );
+            for (node, event) in recovered {
+                shared.trace.emit(node, event);
             }
         }
         for i in 0..self.nodes {
@@ -1574,13 +1579,12 @@ impl Cluster {
         // the directory knows the object before the Create lands, so early
         // invocations park at the right node
         self.shared.place(object, node);
-        // the home checkpoint starts as the object's birth state
-        self.shared.checkpoint_init(
-            object,
-            node,
-            instance.type_tag().to_owned(),
-            Bytes::from(instance.linearize()),
-        );
+        // the home checkpoint starts as the object's birth state, and the
+        // host keeps that copy as the object's image
+        let image = self
+            .shared
+            .checkpoint_init(object, node, &*instance)
+            .map(Box::new);
         let (reply, rx) = channel::call();
         self.shared.send_from(
             None,
@@ -1588,6 +1592,7 @@ impl Cluster {
             Message::Create {
                 object,
                 instance,
+                image,
                 reply,
             },
         )?;
@@ -2038,7 +2043,6 @@ impl Cluster {
         let Some(stranded) = stranded else {
             return Ok(());
         };
-        self.shared.injector.note(format!("crash {node}"));
         self.shared
             .trace
             .emit(CLIENT_PROCESS, EventKind::Crash { node });
@@ -2064,7 +2068,7 @@ impl Cluster {
     /// under it and re-seed its health inconsistently, so only crashed
     /// nodes, or ones a zombie's stale state occupies, can be restarted.
     pub fn restart_node(&self, node: NodeId) -> Result<(), RuntimeError> {
-        if self.respawn(node, "restart", || self.shared.rejoin(node))? {
+        if self.respawn(node, || self.shared.rejoin(node))? {
             Ok(())
         } else {
             Err(RuntimeError::NotDead(node))
@@ -2078,12 +2082,7 @@ impl Cluster {
     /// `Ok(false)`, with nothing touched, while a current state occupies it.
     /// Holding the slot makes check and swap atomic against a concurrent
     /// restart or crash.
-    fn respawn(
-        &self,
-        node: NodeId,
-        label: &str,
-        epoch: impl FnOnce() -> u64,
-    ) -> Result<bool, RuntimeError> {
+    fn respawn(&self, node: NodeId, epoch: impl FnOnce() -> u64) -> Result<bool, RuntimeError> {
         self.check_node(node)?;
         self.check_live()?;
         let (mesh, at) = (&self.shared.mesh, node.as_u32());
@@ -2091,7 +2090,6 @@ impl Cluster {
             mesh.put(at, Some(held));
             return Ok(false);
         }
-        self.shared.injector.note(format!("{label} {node}"));
         let mut state = Box::new(NodeWorker::new(node, Arc::clone(&self.shared), epoch()));
         // a fenced one — a newer incarnation exists — touches nothing
         if !state.is_fenced() {
@@ -2121,8 +2119,7 @@ impl Cluster {
             let current = self.shared.incarnation(node.as_u32());
             current.saturating_sub(1).max(1)
         };
-        self.respawn(node, "zombie-restart", stale_epoch)
-            .map(|_| ())
+        self.respawn(node, stale_epoch).map(|_| ())
     }
 
     /// Runs one failure-detector sweep at the current clock, on this thread:
@@ -2158,6 +2155,7 @@ impl Cluster {
         self.check_node(a)?;
         self.check_node(b)?;
         self.shared.injector.partition(a, b);
+        self.trace_partition(a, b, true);
         Ok(())
     }
 
@@ -2169,22 +2167,23 @@ impl Cluster {
     pub fn heal(&self, a: NodeId, b: NodeId) -> Result<(), RuntimeError> {
         self.check_node(a)?;
         self.check_node(b)?;
-        self.shared.injector.heal(a, b);
+        if self.shared.injector.heal(a, b) {
+            self.trace_partition(a, b, false);
+        }
         Ok(())
     }
 
     /// Heals every partition.
     pub fn heal_all(&self) {
-        self.shared.injector.heal_all();
+        for (a, b) in self.shared.injector.heal_all() {
+            self.trace_partition(a, b, false);
+        }
     }
 
-    /// The fault events injected so far (drops, duplicates, delays,
-    /// partitions, crashes, restarts) in decision order. With a seeded
-    /// plan and a sequential caller, identical runs produce identical
-    /// traces.
-    #[must_use]
-    pub fn fault_trace(&self) -> Vec<String> {
-        self.shared.injector.trace()
+    /// Traces the partition between `a` and `b` severed or healed.
+    fn trace_partition(&self, a: NodeId, b: NodeId, severed: bool) {
+        let partition = EventKind::Partition { a, b, severed };
+        self.shared.trace.emit(CLIENT_PROCESS, partition);
     }
 
     /// Whether protocol tracing is enabled ([`ClusterBuilder::trace`]).
@@ -2423,6 +2422,7 @@ impl Drop for MoveGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use std::sync::mpsc;
 
     /// One byte of state; `hold` reports that the node is inside the call

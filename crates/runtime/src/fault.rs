@@ -23,8 +23,10 @@
 //!
 //! Every decision is a pure hash of `(seed, from, to, link sequence
 //! number)`: link counters are incremented under a lock at send time, so a
-//! sequential caller produces an identical fault schedule — and an identical
-//! [`FaultInjector::trace`] — on every run with the same seed.
+//! sequential caller produces an identical fault schedule on every run with
+//! the same seed. The injector only decides: a traced cluster records each
+//! decision that is not a clean delivery as an `EventKind::Fault` in its
+//! protocol trace, and an untraced one keeps no record of them.
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -200,14 +202,47 @@ impl FaultPlan {
     }
 }
 
-/// What the injector decided for one message.
+/// What the injector decided for one message: its fate, and its sequence
+/// number on its link if it drew one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Delivery {
+pub(crate) struct Delivery {
+    pub(crate) fate: Fate,
+    pub(crate) seq: Option<u64>,
+}
+
+/// What becomes of one message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fate {
     /// Deliver `copies` copies (1 normally, 2 when duplicated), after
     /// `delay_ms` milliseconds (0 = immediately).
     Deliver { copies: u8, delay_ms: u64 },
-    /// The message is lost.
+    /// The plan's drop draw lost it.
     Drop,
+    /// A partition severed its link.
+    PartitionDrop,
+}
+
+impl Fate {
+    const CLEAN: Fate = Fate::Deliver {
+        copies: 1,
+        delay_ms: 0,
+    };
+
+    /// This fate, for a message that drew link sequence number `seq`.
+    fn drawn(self, seq: u64) -> Delivery {
+        Delivery {
+            fate: self,
+            seq: Some(seq),
+        }
+    }
+
+    /// This fate, for a message decided without a draw.
+    fn undrawn(self) -> Delivery {
+        Delivery {
+            fate: self,
+            seq: None,
+        }
+    }
 }
 
 /// The per-cluster fault decision engine. All state is internally
@@ -224,8 +259,6 @@ pub(crate) struct FaultInjector {
     ckpt_seqs: Mutex<HashMap<(u32, u32), u64>>,
     /// Severed node pairs, stored normalized (low, high).
     partitions: Mutex<HashSet<(u32, u32)>>,
-    /// Human-readable fault events, in decision order.
-    trace: Mutex<Vec<String>>,
 }
 
 impl FaultInjector {
@@ -235,7 +268,6 @@ impl FaultInjector {
             seqs: Mutex::new(HashMap::new()),
             ckpt_seqs: Mutex::new(HashMap::new()),
             partitions: Mutex::new(HashSet::new()),
-            trace: Mutex::new(Vec::new()),
         }
     }
 
@@ -246,21 +278,20 @@ impl FaultInjector {
 
     pub(crate) fn partition(&self, a: NodeId, b: NodeId) {
         self.partitions.lock().insert(Self::normalize(a, b));
-        self.note(format!("partition {a}<->{b}"));
     }
 
-    pub(crate) fn heal(&self, a: NodeId, b: NodeId) {
-        if self.partitions.lock().remove(&Self::normalize(a, b)) {
-            self.note(format!("heal {a}<->{b}"));
-        }
+    /// Heals the `a`–`b` partition; whether there was one.
+    pub(crate) fn heal(&self, a: NodeId, b: NodeId) -> bool {
+        self.partitions.lock().remove(&Self::normalize(a, b))
     }
 
-    pub(crate) fn heal_all(&self) {
-        let mut parts = self.partitions.lock();
-        if !parts.is_empty() {
-            parts.clear();
-            self.note("heal all".to_owned());
-        }
+    /// Heals every partition; the pairs it healed, in order.
+    pub(crate) fn heal_all(&self) -> Vec<(NodeId, NodeId)> {
+        let mut healed: Vec<(u32, u32)> = self.partitions.lock().drain().collect();
+        healed.sort_unstable();
+        (healed.into_iter())
+            .map(|(a, b)| (NodeId::new(a), NodeId::new(b)))
+            .collect()
     }
 
     pub(crate) fn is_partitioned(&self, from: u32, to: u32) -> bool {
@@ -282,53 +313,14 @@ impl FaultInjector {
             .any(|&(a, b)| a == node || b == node)
     }
 
-    /// Appends a free-form line to the fault trace (crashes, restarts,
-    /// partitions — scripted events that are part of the reproducible
-    /// schedule).
-    pub(crate) fn note(&self, line: String) {
-        self.trace.lock().push(line);
-    }
-
-    pub(crate) fn trace(&self) -> Vec<String> {
-        self.trace.lock().clone()
-    }
-
     /// Decides the fate of one control message on the `from → to` link.
-    /// `msg`'s debug rendering is recorded with any fault (and only then).
-    pub(crate) fn decide(
-        &self,
-        from: u32,
-        to: u32,
-        is_end: bool,
-        msg: &dyn std::fmt::Debug,
-    ) -> Delivery {
-        let clean = Delivery::Deliver {
-            copies: 1,
-            delay_ms: 0,
-        };
+    pub(crate) fn decide(&self, from: u32, to: u32, is_end: bool) -> Delivery {
         if self.plan.is_noop() && self.partitions.lock().is_empty() {
-            return clean;
+            return Fate::CLEAN.undrawn();
         }
-        let seq = {
-            let mut seqs = self.seqs.lock();
-            let c = seqs.entry((from, to)).or_insert(0);
-            let seq = *c;
-            *c += 1;
-            seq
-        };
-        let link = |f: u32| {
-            if f == CLIENT {
-                "client".to_owned()
-            } else {
-                format!("n{f}")
-            }
-        };
+        let seq = Self::next_seq(&self.seqs, from, to);
         if self.is_partitioned(from, to) {
-            self.note(format!(
-                "drop(partition) {}->n{to} #{seq} {msg:?}",
-                link(from)
-            ));
-            return Delivery::Drop;
+            return Fate::PartitionDrop.drawn(seq);
         }
         let p_drop = if is_end {
             self.plan.drop_end_requests
@@ -336,60 +328,57 @@ impl FaultInjector {
             self.plan.drop
         };
         if self.chance(from, to, seq, 1, p_drop) {
-            self.note(format!("drop {}->n{to} #{seq} {msg:?}", link(from)));
-            return Delivery::Drop;
+            return Fate::Drop.drawn(seq);
         }
         let copies = if self.chance(from, to, seq, 2, self.plan.duplicate) {
-            self.note(format!("duplicate {}->n{to} #{seq} {msg:?}", link(from)));
             2
         } else {
             1
         };
         let delay_ms = if self.chance(from, to, seq, 3, self.plan.delay) {
-            let d = 1 + self.hash(from, to, seq, 4) % self.plan.max_delay_ms.max(1);
-            self.note(format!("delay({d}ms) {}->n{to} #{seq} {msg:?}", link(from)));
-            d
+            1 + self.hash(from, to, seq, 4) % self.plan.max_delay_ms.max(1)
         } else {
             0
         };
-        Delivery::Deliver { copies, delay_ms }
+        Fate::Deliver { copies, delay_ms }.drawn(seq)
     }
 
     /// Decides the fate of one checkpoint message (`CheckpointPut` or
-    /// `CheckpointAck`) on the `from → to` link. Unlike [`Self::decide`]
-    /// this is *silent* — checkpoint traffic is driven by lease-sweep timing,
-    /// so recording it would make the fault trace (which reproducibility
-    /// tests compare bit-for-bit) timing-dependent. Partitions still apply;
-    /// drops and duplicates come from the dedicated checkpoint knobs.
+    /// `CheckpointAck`) on the `from → to` link, from a stream of its own:
+    /// checkpoint traffic is driven by lease-sweep timing, so it must not
+    /// consume control-message sequence numbers. Partitions still apply,
+    /// before any draw; drops and duplicates come from the dedicated
+    /// checkpoint knobs.
     pub(crate) fn decide_checkpoint(&self, from: u32, to: u32) -> Delivery {
         if self.is_partitioned(from, to) {
-            return Delivery::Drop;
+            return Fate::PartitionDrop.undrawn();
         }
         if self.plan.checkpoint_drop == 0.0 && self.plan.checkpoint_duplicate == 0.0 {
-            return Delivery::Deliver {
-                copies: 1,
-                delay_ms: 0,
-            };
+            return Fate::CLEAN.undrawn();
         }
-        let seq = {
-            let mut seqs = self.ckpt_seqs.lock();
-            let c = seqs.entry((from, to)).or_insert(0);
-            let seq = *c;
-            *c += 1;
-            seq
-        };
+        let seq = Self::next_seq(&self.ckpt_seqs, from, to);
         if self.chance(from, to, seq, 11, self.plan.checkpoint_drop) {
-            return Delivery::Drop;
+            return Fate::Drop.drawn(seq);
         }
         let copies = if self.chance(from, to, seq, 12, self.plan.checkpoint_duplicate) {
             2
         } else {
             1
         };
-        Delivery::Deliver {
+        Fate::Deliver {
             copies,
             delay_ms: 0,
         }
+        .drawn(seq)
+    }
+
+    /// Takes the next sequence number of the `from → to` link in `seqs`.
+    fn next_seq(seqs: &Mutex<HashMap<(u32, u32), u64>>, from: u32, to: u32) -> u64 {
+        let mut seqs = seqs.lock();
+        let c = seqs.entry((from, to)).or_insert(0);
+        let seq = *c;
+        *c += 1;
+        seq
     }
 
     fn hash(&self, from: u32, to: u32, seq: u64, salt: u64) -> u64 {
@@ -414,19 +403,16 @@ impl FaultInjector {
 mod tests {
     use super::*;
 
+    fn delivered(d: Delivery) -> bool {
+        matches!(d.fate, Fate::Deliver { .. })
+    }
+
     #[test]
     fn default_plan_is_transparent() {
         let inj = FaultInjector::new(FaultPlan::seeded(7));
-        for i in 0..100 {
-            assert_eq!(
-                inj.decide(CLIENT, 0, false, &i),
-                Delivery::Deliver {
-                    copies: 1,
-                    delay_ms: 0
-                }
-            );
+        for _ in 0..100 {
+            assert_eq!(inj.decide(CLIENT, 0, false), Fate::CLEAN.undrawn());
         }
-        assert!(inj.trace().is_empty());
     }
 
     #[test]
@@ -439,7 +425,7 @@ mod tests {
                     .delay_probability(0.2, 10),
             );
             (0..200)
-                .map(|i| inj.decide(0, 1, false, &i))
+                .map(|_| inj.decide(0, 1, false))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(3), run(3));
@@ -451,7 +437,7 @@ mod tests {
         let inj = FaultInjector::new(FaultPlan::seeded(11).drop_probability(0.3));
         let n = 10_000;
         let dropped = (0..n)
-            .filter(|_| inj.decide(0, 1, false, &"m") == Delivery::Drop)
+            .filter(|_| inj.decide(0, 1, false).fate == Fate::Drop)
             .count();
         let rate = dropped as f64 / f64::from(n);
         assert!((rate - 0.3).abs() < 0.03, "rate {rate}");
@@ -461,34 +447,40 @@ mod tests {
     fn end_requests_use_their_own_drop_probability() {
         let inj = FaultInjector::new(FaultPlan::seeded(5).drop_end_requests(1.0));
         // non-end messages sail through…
-        assert_ne!(inj.decide(CLIENT, 0, false, &"Invoke"), Delivery::Drop);
-        // …end-requests always drop
-        assert_eq!(inj.decide(CLIENT, 0, true, &"End"), Delivery::Drop);
+        assert!(delivered(inj.decide(CLIENT, 0, false)));
+        // …end-requests always drop, each under its own link seq
+        assert_eq!(inj.decide(CLIENT, 0, true), Fate::Drop.drawn(1));
     }
 
     #[test]
     fn partitions_cut_both_directions_and_heal() {
         let inj = FaultInjector::new(FaultPlan::seeded(0));
         inj.partition(NodeId::new(0), NodeId::new(1));
-        assert_eq!(inj.decide(0, 1, false, &"m"), Delivery::Drop);
-        assert_eq!(inj.decide(1, 0, false, &"m"), Delivery::Drop);
+        // a partition drop is told from a plan drop, and draws a seq
+        assert_eq!(inj.decide(0, 1, false), Fate::PartitionDrop.drawn(0));
+        assert_eq!(inj.decide(1, 0, false), Fate::PartitionDrop.drawn(0));
         // other links unaffected; the client cannot be partitioned
-        assert_ne!(inj.decide(0, 2, false, &"m"), Delivery::Drop);
-        assert_ne!(inj.decide(CLIENT, 1, false, &"m"), Delivery::Drop);
-        inj.heal(NodeId::new(1), NodeId::new(0)); // order-insensitive
-        assert_ne!(inj.decide(0, 1, false, &"m"), Delivery::Drop);
+        assert!(delivered(inj.decide(0, 2, false)));
+        assert!(delivered(inj.decide(CLIENT, 1, false)));
+        assert!(inj.heal(NodeId::new(1), NodeId::new(0))); // order-insensitive
+        assert!(!inj.heal(NodeId::new(1), NodeId::new(0)), "healed once");
+        // nothing left to decide: no draw
+        assert_eq!(inj.decide(0, 1, false), Fate::CLEAN.undrawn());
     }
 
     #[test]
     fn isolation_tracks_partition_membership() {
         let inj = FaultInjector::new(FaultPlan::seeded(0));
         assert!(!inj.is_isolated(0));
-        inj.partition(NodeId::new(0), NodeId::new(2));
+        inj.partition(NodeId::new(2), NodeId::new(0));
+        inj.partition(NodeId::new(1), NodeId::new(0));
         assert!(inj.is_isolated(0));
         assert!(inj.is_isolated(2));
-        assert!(!inj.is_isolated(1));
-        inj.heal_all();
+        assert!(!inj.is_isolated(3));
+        let n = NodeId::new;
+        assert_eq!(inj.heal_all(), [(n(0), n(1)), (n(0), n(2))]);
         assert!(!inj.is_isolated(0));
+        assert_eq!(inj.heal_all(), []);
     }
 
     #[test]
@@ -498,28 +490,30 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_faults_are_silent_and_independent() {
+    fn checkpoint_faults_draw_an_independent_stream() {
         let inj = FaultInjector::new(FaultPlan::seeded(9).checkpoint_faults(0.5, 0.0));
         let n = 2_000;
         let dropped = (0..n)
-            .filter(|_| inj.decide_checkpoint(0, 1) == Delivery::Drop)
+            .filter(|_| inj.decide_checkpoint(0, 1).fate == Fate::Drop)
             .count();
         let rate = dropped as f64 / f64::from(n);
         assert!((rate - 0.5).abs() < 0.05, "rate {rate}");
-        // silent: nothing was recorded in the fault trace
-        assert!(inj.trace().is_empty());
         // independent stream: control decisions are untouched by the
-        // checkpoint knobs (no control faults configured)
-        assert_ne!(inj.decide(0, 1, false, &"m"), Delivery::Drop);
+        // checkpoint knobs (no control faults configured), and the link's
+        // control seq was not consumed
+        assert_eq!(inj.decide(0, 1, false), Fate::CLEAN.undrawn());
+        assert_eq!(inj.decide_checkpoint(0, 1).seq, Some(2_000));
     }
 
     #[test]
     fn checkpoint_traffic_respects_partitions() {
         let inj = FaultInjector::new(FaultPlan::seeded(0));
         inj.partition(NodeId::new(0), NodeId::new(1));
-        assert_eq!(inj.decide_checkpoint(0, 1), Delivery::Drop);
-        assert_eq!(inj.decide_checkpoint(1, 0), Delivery::Drop);
-        assert_ne!(inj.decide_checkpoint(0, 2), Delivery::Drop);
+        // stopped before any draw
+        let cut = Fate::PartitionDrop.undrawn();
+        assert_eq!(inj.decide_checkpoint(0, 1), cut);
+        assert_eq!(inj.decide_checkpoint(1, 0), cut);
+        assert!(delivered(inj.decide_checkpoint(0, 2)));
     }
 
     #[test]
@@ -527,10 +521,11 @@ mod tests {
         let inj = FaultInjector::new(FaultPlan::seeded(1).checkpoint_faults(0.0, 1.0));
         assert_eq!(
             inj.decide_checkpoint(0, 1),
-            Delivery::Deliver {
+            Fate::Deliver {
                 copies: 2,
                 delay_ms: 0
             }
+            .drawn(0)
         );
     }
 
@@ -542,9 +537,9 @@ mod tests {
     #[test]
     fn seeded_streams_match_their_pinned_values() {
         use crate::transport::backoff::{Backoff, BackoffConfig};
-        let show = |d: Delivery| match d {
-            Delivery::Drop => "x".to_owned(),
-            Delivery::Deliver { copies, delay_ms } => format!("{copies}:{delay_ms}"),
+        let show = |d: Delivery| match d.fate {
+            Fate::Drop | Fate::PartitionDrop => "x".to_owned(),
+            Fate::Deliver { copies, delay_ms } => format!("{copies}:{delay_ms}"),
         };
         let inj = FaultInjector::new(
             FaultPlan::seeded(0xC0A5)
@@ -554,9 +549,7 @@ mod tests {
                 .checkpoint_faults(0.2, 0.2),
         );
         let decide = |from, to| {
-            let line: Vec<String> = (0..64)
-                .map(|_| show(inj.decide(from, to, false, &"m")))
-                .collect();
+            let line: Vec<String> = (0..64).map(|_| show(inj.decide(from, to, false))).collect();
             line.join(" ")
         };
         assert_eq!(

@@ -30,10 +30,13 @@ pub(crate) type Acked = (ObjectId, u64, u64);
 
 /// Everything nodes exchange.
 pub(crate) enum Message {
-    /// Install a freshly created object (ships the live instance).
+    /// Install a freshly created object (ships the live instance), with
+    /// the birth copy its replicas hold as its image, if they hold one
+    /// (boxed: a message is as large as its largest kind).
     Create {
         object: ObjectId,
         instance: Box<dyn MobileObject>,
+        image: Option<Box<StoredCheckpoint>>,
         reply: Reply<Result<(), RuntimeError>>,
     },
     /// A trapped invocation, forwarded to the object's location: the

@@ -300,9 +300,11 @@ impl NodeWorker {
             Message::Create {
                 object,
                 instance,
+                image,
                 reply,
             } => {
-                self.objects.insert(object, Hosted::new(instance));
+                let image = image.map(|image| *image);
+                self.objects.insert(object, Hosted { instance, image });
                 self.shared.place(object, self.id);
                 self.shared
                     .trace

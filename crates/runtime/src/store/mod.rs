@@ -32,9 +32,7 @@ pub mod wal;
 
 pub use faultfs::{FaultFs, FaultFsCounters};
 pub use fsio::{RealFs, Storage};
-pub use wal::{
-    CompactionReport, RecoveryReport, WalRecord, WalReplayer, WalSegment, WalStore, WalStoreConfig,
-};
+pub use wal::{CompactionReport, RecoveryReport, WalRecord, WalSegment, WalStore, WalStoreConfig};
 
 use crate::trace::TraceCollector;
 use bytes::Bytes;
@@ -306,6 +304,26 @@ pub trait CheckpointStore: Send {
     /// only arm when there is a disk to hold them to.
     fn durable_backed(&self) -> bool {
         false
+    }
+}
+
+/// The `ColdRecovered` event for `store`, reopened as `report` says: the
+/// `(object, object_epoch, seq)` of every copy it holds, in object order,
+/// and whether the replay cut a torn tail or stopped on corruption.
+pub(crate) fn cold_recovered(
+    node: u32,
+    store: &dyn CheckpointStore,
+    report: &RecoveryReport,
+) -> EventKind {
+    let mut recovered: Vec<(ObjectId, u64, u64)> = (store.objects().into_iter())
+        .filter_map(|o| store.get(o).map(|c| (o, c.object_epoch, c.seq)))
+        .collect();
+    recovered.sort_unstable_by_key(|&(o, ..)| o);
+    EventKind::ColdRecovered {
+        node,
+        recovered,
+        torn: report.torn_bytes > 0,
+        corrupt: report.corrupt,
     }
 }
 

@@ -244,59 +244,6 @@ pub struct WalSegment {
     pub corrupt: bool,
 }
 
-/// Incremental segment replayer, mirroring [`FrameDecoder`]'s contract:
-/// feed arbitrary chunks, then [`finish`](Self::finish). Public so the WAL
-/// proptests can drive it under arbitrary write splits.
-#[derive(Debug)]
-pub struct WalReplayer {
-    dec: FrameDecoder,
-    records: Vec<WalRecord>,
-    valid_bytes: u64,
-    fed: u64,
-    corrupt: bool,
-}
-
-impl WalReplayer {
-    /// A replayer accepting payloads up to `max_frame` bytes.
-    #[must_use]
-    pub fn new(max_frame: u32) -> WalReplayer {
-        WalReplayer {
-            dec: FrameDecoder::new(FrameConfig { max_frame }),
-            records: Vec::new(),
-            valid_bytes: 0,
-            fed: 0,
-            corrupt: false,
-        }
-    }
-
-    /// Buffers another chunk of the segment (no-op once corrupt).
-    pub fn feed(&mut self, chunk: &[u8]) {
-        self.fed += chunk.len() as u64;
-        if self.corrupt {
-            return;
-        }
-        self.dec.extend(chunk);
-        let records = &mut self.records;
-        let (valid_bytes, corrupt) = drain(&mut self.dec, |rec| {
-            records.push(rec);
-            true
-        });
-        self.valid_bytes += valid_bytes;
-        self.corrupt = corrupt;
-    }
-
-    /// The replayed segment.
-    #[must_use]
-    pub fn finish(self) -> WalSegment {
-        WalSegment {
-            torn_bytes: self.fed - self.valid_bytes,
-            records: self.records,
-            valid_bytes: self.valid_bytes,
-            corrupt: self.corrupt,
-        }
-    }
-}
-
 /// Hands `sink` each whole record `dec` holds until the frames run out, one
 /// fails its checksum or its decoding, or `sink` refuses one: `(bytes of
 /// the records taken, stopped on corruption)`.
@@ -318,9 +265,19 @@ fn drain(dec: &mut FrameDecoder, mut sink: impl FnMut(WalRecord) -> bool) -> (u6
 /// Replays a whole in-memory segment.
 #[must_use]
 pub fn replay_segment(bytes: &[u8], max_frame: u32) -> WalSegment {
-    let mut r = WalReplayer::new(max_frame);
-    r.feed(bytes);
-    r.finish()
+    let mut dec = FrameDecoder::new(FrameConfig { max_frame });
+    dec.extend(bytes);
+    let mut records = Vec::new();
+    let (valid_bytes, corrupt) = drain(&mut dec, |rec| {
+        records.push(rec);
+        true
+    });
+    WalSegment {
+        records,
+        valid_bytes,
+        torn_bytes: bytes.len() as u64 - valid_bytes,
+        corrupt,
+    }
 }
 
 /// What cold-start recovery found on disk.

@@ -37,7 +37,7 @@
 //!   the deadline keeps a wedged node from propagating an unbounded
 //!   stall. The capacity default (4096) is ~70× the deepest queue any
 //!   chaos schedule in the suite produces.
-//! * **Reply slots** ([`call`], one per call in `cluster.rs`): hold one
+//! * **Reply slots** (`call`, one per call in `cluster.rs`): hold one
 //!   answer and never block whoever answers — an answer past its caller's
 //!   deadline is dropped. The calling thread reuses its slot from call to
 //!   call, and each call has a number of its own, so a late answer to an

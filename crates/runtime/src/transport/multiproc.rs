@@ -54,7 +54,7 @@ use crate::error::RuntimeError;
 use crate::object::{Delinearizer, MobileObject};
 use crate::recovery::NodeHealth;
 use crate::store::{
-    put_traced, CheckpointStore, FsyncPolicy, MemStore, RecoveryReport, StoreError,
+    cold_recovered, put_traced, CheckpointStore, FsyncPolicy, MemStore, RecoveryReport, StoreError,
     StoredCheckpoint, WalStore, WalStoreConfig,
 };
 use crate::trace::TraceCollector;
@@ -138,38 +138,17 @@ pub(crate) enum ProtoMsg {
     Shutdown,
 }
 
-/// Bytes the variable fields of `ckpt` take in a message.
-fn ckpt_len(ckpt: &StoredCheckpoint) -> usize {
-    ckpt.type_tag.len() + ckpt.state.len()
-}
-
-/// The tail of every message that carries an object.
-fn write_ckpt(w: WireWriter, ckpt: &StoredCheckpoint) -> Bytes {
-    w.str(&ckpt.type_tag)
-        .bytes(&ckpt.state)
-        .u64(ckpt.object_epoch)
-        .finish()
-}
-
-fn read_ckpt(r: &mut WireReader<'_>, buf: &Bytes) -> Result<StoredCheckpoint, String> {
-    Ok(StoredCheckpoint {
-        type_tag: r.str()?,
-        state: buf.slice_ref(r.bytes_ref()?),
-        object_epoch: r.u64()?,
-        seq: 0,
-    })
-}
-
 impl ProtoMsg {
     pub(crate) fn encode(&self) -> Bytes {
         match self {
-            ProtoMsg::Install { corr, object, ckpt } => write_ckpt(
-                WireWriter::with_capacity(32 + ckpt_len(ckpt))
+            ProtoMsg::Install { corr, object, ckpt } => {
+                WireWriter::with_capacity(16 + ckpt.wire_len())
                     .u32(TAG_INSTALL)
                     .u64(*corr)
-                    .u32(*object),
-                ckpt,
-            ),
+                    .u32(*object)
+                    .checkpoint(ckpt)
+                    .finish()
+            }
             ProtoMsg::Ack { corr, ok, err } => WireWriter::new()
                 .u32(TAG_ACK)
                 .u64(*corr)
@@ -193,15 +172,14 @@ impl ProtoMsg {
                     Ok(d) => (1, d, ""),
                     Err(e) => (0, &[], e),
                 };
-                write_ckpt(
-                    WireWriter::with_capacity(40 + data.len() + err.len() + ckpt_len(ckpt))
-                        .u32(TAG_INVOKE_RESP)
-                        .u64(*corr)
-                        .u32(ok)
-                        .bytes(data)
-                        .str(err),
-                    ckpt,
-                )
+                WireWriter::with_capacity(24 + data.len() + err.len() + ckpt.wire_len())
+                    .u32(TAG_INVOKE_RESP)
+                    .u64(*corr)
+                    .u32(ok)
+                    .bytes(data)
+                    .str(err)
+                    .checkpoint(ckpt)
+                    .finish()
             }
             ProtoMsg::Surrender { corr, object } => WireWriter::new()
                 .u32(TAG_SURRENDER)
@@ -213,14 +191,13 @@ impl ProtoMsg {
                 ok,
                 err,
                 ckpt,
-            } => write_ckpt(
-                WireWriter::with_capacity(36 + err.len() + ckpt_len(ckpt))
-                    .u32(TAG_SURRENDER_RESP)
-                    .u64(*corr)
-                    .u32(u32::from(*ok))
-                    .str(err),
-                ckpt,
-            ),
+            } => WireWriter::with_capacity(20 + err.len() + ckpt.wire_len())
+                .u32(TAG_SURRENDER_RESP)
+                .u64(*corr)
+                .u32(u32::from(*ok))
+                .str(err)
+                .checkpoint(ckpt)
+                .finish(),
             ProtoMsg::Heartbeat => WireWriter::new().u32(TAG_HEARTBEAT).finish(),
             ProtoMsg::Shutdown => WireWriter::new().u32(TAG_SHUTDOWN).finish(),
         }
@@ -232,7 +209,7 @@ impl ProtoMsg {
             TAG_INSTALL => Ok(ProtoMsg::Install {
                 corr: r.u64()?,
                 object: r.u32()?,
-                ckpt: read_ckpt(&mut r, buf)?,
+                ckpt: r.checkpoint(buf)?,
             }),
             TAG_ACK => Ok(ProtoMsg::Ack {
                 corr: r.u64()?,
@@ -253,7 +230,7 @@ impl ProtoMsg {
                 Ok(ProtoMsg::InvokeResp {
                     corr,
                     result: if ok { Ok(data) } else { Err(err) },
-                    ckpt: read_ckpt(&mut r, buf)?,
+                    ckpt: r.checkpoint(buf)?,
                 })
             }
             TAG_SURRENDER => Ok(ProtoMsg::Surrender {
@@ -264,7 +241,7 @@ impl ProtoMsg {
                 corr: r.u64()?,
                 ok: r.u32()? != 0,
                 err: r.str()?,
-                ckpt: read_ckpt(&mut r, buf)?,
+                ckpt: r.checkpoint(buf)?,
             }),
             TAG_HEARTBEAT => Ok(ProtoMsg::Heartbeat),
             TAG_SHUTDOWN => Ok(ProtoMsg::Shutdown),
@@ -707,15 +684,7 @@ impl MultiProcCluster {
         for (node, &inc) in incarnations.iter().enumerate() {
             let _ = store.set_meta(node as u32, inc).map_err(store_io_err)?;
         }
-        let recovered = recovering.map(|report| {
-            let mut versions: Vec<(ObjectId, u64, u64)> = store
-                .objects()
-                .into_iter()
-                .filter_map(|o| store.get(o).map(|c| (o, c.object_epoch, c.seq)))
-                .collect();
-            versions.sort_unstable_by_key(|(o, ..)| *o);
-            (versions, report.torn_bytes > 0, report.corrupt)
-        });
+        let recovered = recovering.map(|report| cold_recovered(CLIENT_PROCESS, &*store, &report));
         let slots = incarnations
             .iter()
             .map(|&incarnation| ProcSlot {
@@ -750,13 +719,8 @@ impl MultiProcCluster {
             next_corr: AtomicU64::new(1),
             closed: AtomicBool::new(false),
         });
-        if let Some((recovered, torn, corrupt)) = recovered {
-            inner.core.trace(EventKind::ColdRecovered {
-                node: CLIENT_PROCESS,
-                recovered,
-                torn,
-                corrupt,
-            });
+        if let Some(recovered) = recovered {
+            inner.core.trace(recovered);
         }
         let cluster = MultiProcCluster {
             inner: Arc::clone(&inner),

@@ -87,6 +87,16 @@ impl WireWriter {
         self
     }
 
+    /// Appends `ckpt`'s type tag, state and object epoch: the tail of every
+    /// message that carries an object, and of a [`CheckpointFrame`] before
+    /// its `seq`. [`StoredCheckpoint::wire_len`] bytes.
+    #[must_use]
+    pub(crate) fn checkpoint(self, ckpt: &StoredCheckpoint) -> Self {
+        self.str(&ckpt.type_tag)
+            .bytes(&ckpt.state)
+            .u64(ckpt.object_epoch)
+    }
+
     /// Finalizes into an immutable buffer.
     #[must_use]
     pub fn finish(self) -> Bytes {
@@ -180,6 +190,21 @@ impl<'a> WireReader<'a> {
         self.bytes_ref().map(<[u8]>::to_vec)
     }
 
+    /// Reads what [`WireWriter::checkpoint`] wrote, its `state` a view of
+    /// `buf` — the buffer this reader wraps — and its `seq` 0.
+    ///
+    /// # Errors
+    ///
+    /// Reports truncation or invalid UTF-8 in the type tag.
+    pub(crate) fn checkpoint(&mut self, buf: &Bytes) -> Result<StoredCheckpoint, String> {
+        Ok(StoredCheckpoint {
+            type_tag: self.str()?,
+            state: buf.slice_ref(self.bytes_ref()?),
+            object_epoch: self.u64()?,
+            seq: 0,
+        })
+    }
+
     /// Reads length-prefixed raw bytes without copying them: the body as
     /// a borrow of the buffer this reader wraps. When that buffer is a
     /// [`Bytes`], `buf.slice_ref(body)` turns the borrow into a view that
@@ -212,14 +237,17 @@ impl<'a> WireReader<'a> {
 pub type CheckpointFrame = StoredCheckpoint;
 
 impl StoredCheckpoint {
+    /// Bytes [`WireWriter::checkpoint`] writes for this copy: two length
+    /// prefixes and the object epoch around the variable parts.
+    pub(crate) fn wire_len(&self) -> usize {
+        16 + self.type_tag.len() + self.state.len()
+    }
+
     /// Encodes the frame.
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        // two length prefixes + two u64s around the variable parts
-        WireWriter::with_capacity(24 + self.type_tag.len() + self.state.len())
-            .str(&self.type_tag)
-            .bytes(&self.state)
-            .u64(self.object_epoch)
+        WireWriter::with_capacity(self.wire_len() + 8)
+            .checkpoint(self)
             .u64(self.seq)
             .finish()
     }
@@ -231,15 +259,10 @@ impl StoredCheckpoint {
     /// Reports truncation or invalid UTF-8 in the type tag.
     pub fn decode(buf: &Bytes) -> Result<Self, String> {
         let mut r = WireReader::new(buf);
-        let type_tag = r.str()?;
-        let state = buf.slice_ref(r.bytes_ref()?);
-        let object_epoch = r.u64()?;
-        let seq = r.u64()?;
+        let ckpt = r.checkpoint(buf)?;
         Ok(StoredCheckpoint {
-            type_tag,
-            state,
-            object_epoch,
-            seq,
+            seq: r.u64()?,
+            ..ckpt
         })
     }
 }

@@ -13,8 +13,8 @@
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use oml_check::check_trace;
 use oml_check::explore::trace_digest;
+use oml_check::{check_trace, EventKind, TraceEvent};
 use oml_core::ids::{NodeId, ObjectId};
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
@@ -400,18 +400,20 @@ fn a_restart_racing_a_declare_dead_keeps_every_object_once() {
     }
 }
 
-/// What one recovery chaos run leaves behind: the injector's fault trace,
-/// a digest of the whole protocol trace, and the reinstantiation count.
+/// What one recovery chaos run leaves behind: a digest of the whole
+/// protocol trace — the faults the plan injected among its events — and
+/// the detector's counts.
 #[derive(Debug, PartialEq, Eq)]
 struct RunRecord {
-    faults: Vec<String>,
     digest: u64,
+    suspicions: u64,
     reinstantiations: u64,
 }
 
 /// A seeded lossy schedule with a mid-run crash, a detection sweep, and a
 /// late restart; panics unless every object is still reachable at the end.
-fn run_recovery_chaos(seed: u64) -> RunRecord {
+/// Returns the run's record and its protocol trace.
+fn run_recovery_chaos(seed: u64) -> (RunRecord, Vec<TraceEvent>) {
     let plan = FaultPlan::seeded(seed)
         .drop_probability(0.05)
         .delay_probability(0.05, 2);
@@ -454,14 +456,20 @@ fn run_recovery_chaos(seed: u64) -> RunRecord {
         assert!(reachable, "{obj} must stay reachable");
     }
 
-    let faults = cluster.fault_trace();
-    let reinstantiations = cluster.stats().reinstantiations;
+    let stats = cluster.stats();
     cluster.shutdown();
-    RunRecord {
-        faults,
-        digest: trace_digest(&cluster.take_trace()),
-        reinstantiations,
-    }
+    let trace = cluster.take_trace();
+    let record = RunRecord {
+        digest: trace_digest(&trace),
+        suspicions: stats.suspicions,
+        reinstantiations: stats.reinstantiations,
+    };
+    (record, trace)
+}
+
+/// How many events of `trace` are of the kind `is` picks.
+fn count(trace: &[TraceEvent], is: fn(&EventKind) -> bool) -> u64 {
+    trace.iter().filter(|ev| is(&ev.kind)).count() as u64
 }
 
 /// A seed fixes the whole run: under a manual clock the one client thread
@@ -471,21 +479,85 @@ fn run_recovery_chaos(seed: u64) -> RunRecord {
 #[test]
 fn same_seed_recovery_runs_are_identical() {
     for seed in [0xC0A5, 1, 3] {
-        let a = run_recovery_chaos(seed);
-        // the schedule really exercised the recovery machinery
-        for event in ["crash", "declare-dead", "reinstantiate", "restart"] {
-            assert!(
-                a.faults.iter().any(|line| line.starts_with(event)),
-                "seed {seed:#x}: no `{event}` in {:?}",
-                a.faults
-            );
-        }
-        let decided = |line: &String| line.split(' ').nth(2).is_some_and(|w| w.starts_with('#'));
-        assert!(
-            a.faults.iter().any(decided),
-            "seed {seed:#x}: the plan injected nothing: {:?}",
-            a.faults
+        let (a, trace) = run_recovery_chaos(seed);
+        // the schedule really exercised the recovery machinery, and the
+        // trace records each happening once: one crash, one death, one
+        // restart, and as many suspicions and reinstantiations as counted
+        let once = [
+            count(&trace, |k| matches!(k, EventKind::Crash { .. })),
+            count(&trace, |k| matches!(k, EventKind::DeclaredDead { .. })),
+            count(&trace, |k| matches!(k, EventKind::Restart { .. })),
+        ];
+        assert_eq!(once, [1; 3], "seed {seed:#x}: crash, death, restart");
+        assert!(a.reinstantiations > 0, "seed {seed:#x}");
+        let counted = [
+            count(&trace, |k| matches!(k, EventKind::Suspected { .. })),
+            count(&trace, |k| matches!(k, EventKind::Reinstantiated { .. })),
+        ];
+        assert_eq!(
+            counted,
+            [a.suspicions, a.reinstantiations],
+            "seed {seed:#x}"
         );
-        assert_eq!(a, run_recovery_chaos(seed), "seed {seed:#x}");
+        assert!(
+            count(&trace, |k| matches!(k, EventKind::Fault { .. })) > 0,
+            "seed {seed:#x}: the plan injected nothing"
+        );
+        assert_eq!(a, run_recovery_chaos(seed).0, "seed {seed:#x}");
     }
+}
+
+/// One trace records each scripted happening once — a repeated crash or a
+/// second sweep of a dead node adds nothing — including the partition, its
+/// heal, and the suspicions the heal clears.
+#[test]
+fn a_traced_run_records_each_happening_once() {
+    let cluster = Cluster::builder()
+        .nodes(3)
+        .policy(PolicyKind::TransientPlacement)
+        .manual_clock()
+        .failure_detector(HEARTBEAT_MS, K_MISSED)
+        .trace()
+        .build();
+    register_counter(&cluster);
+    for host in [0, 2, 2] {
+        cluster.create(n(host), Box::new(Counter(0))).unwrap();
+    }
+
+    cluster.partition(n(0), n(1)).unwrap();
+    cluster.advance_clock(HEARTBEAT_MS);
+    cluster.detector_sweep();
+    cluster.heal(n(0), n(1)).unwrap();
+    cluster.heal(n(0), n(1)).unwrap(); // nothing left to heal
+    cluster.advance_clock(HEARTBEAT_MS);
+    cluster.detector_sweep();
+    cluster.crash_node(n(2)).unwrap();
+    cluster.crash_node(n(2)).unwrap(); // already down
+    cluster.advance_clock(DETECTION_MS);
+    cluster.detector_sweep();
+    cluster.detector_sweep(); // already dead
+    cluster.restart_node(n(2)).unwrap();
+    cluster.shutdown();
+
+    let trace = cluster.take_trace();
+    let counts = [
+        count(&trace, |k| {
+            matches!(k, EventKind::Partition { severed: true, .. })
+        }),
+        count(&trace, |k| {
+            matches!(k, EventKind::Partition { severed: false, .. })
+        }),
+        count(&trace, |k| matches!(k, EventKind::Suspected { .. })),
+        count(&trace, |k| matches!(k, EventKind::SuspicionCleared { .. })),
+        count(&trace, |k| matches!(k, EventKind::Crash { .. })),
+        count(&trace, |k| matches!(k, EventKind::DeclaredDead { .. })),
+        count(&trace, |k| matches!(k, EventKind::Reinstantiated { .. })),
+        count(&trace, |k| matches!(k, EventKind::Restart { .. })),
+    ];
+    // both ends of the partition are suspected and cleared; the dead node
+    // hosted two objects
+    assert_eq!(counts, [1, 1, 2, 2, 1, 1, 2, 1], "{trace:?}");
+    let stats = cluster.stats();
+    assert_eq!((stats.suspicions, stats.false_suspicions), (2, 2));
+    assert!(check_trace(&trace).is_clean());
 }

@@ -6,11 +6,13 @@
 //!
 //! The client is sequential and the cluster uses the manual lease clock,
 //! so every fault decision depends only on (seed, link, sequence
-//! number): two runs with the same seed must observe byte-identical
-//! fault traces and identical final object states.
+//! number): two runs with the same seed must trace the same events — the
+//! faults among them — and leave identical final object states.
 
 use std::time::Duration;
 
+use oml_check::explore::trace_digest;
+use oml_check::{EventKind, MessageFault, TraceEvent};
 use oml_core::ids::{NodeId, ObjectId};
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
@@ -47,21 +49,23 @@ const LEASE_MS: u64 = 1_000;
 const OPS: u64 = 40;
 
 /// What one chaos run leaves behind — everything that must be identical
-/// across two runs with the same seed.
+/// across two runs with the same seed: the digest of its whole protocol
+/// trace, and what the client saw.
 #[derive(Debug, PartialEq)]
 struct RunRecord {
-    trace: Vec<String>,
+    digest: u64,
     finals: Vec<u64>,
     ok_adds: u64,
     errors: Vec<(u64, String)>,
 }
 
-/// Drives the seeded fault schedule and returns the run's record.
+/// Drives the seeded fault schedule and returns the run's record and its
+/// protocol trace.
 ///
 /// The schedule interleaves invocations and move-blocks over three
 /// objects with a node-pair partition (healed later), one crash/restart
 /// of node 2, and a 50 % chance of losing each end-request.
-fn run_chaos(seed: u64) -> RunRecord {
+fn run_chaos(seed: u64) -> (RunRecord, Vec<TraceEvent>) {
     let plan = FaultPlan::seeded(seed)
         .drop_probability(0.08)
         .duplicate_probability(0.05)
@@ -75,6 +79,7 @@ fn run_chaos(seed: u64) -> RunRecord {
         .invoke_retries(2)
         .lease_ms(LEASE_MS)
         .manual_clock()
+        .trace()
         .build();
     cluster.register_type("counter", |bytes| {
         let mut r = WireReader::new(bytes);
@@ -174,47 +179,64 @@ fn run_chaos(seed: u64) -> RunRecord {
         "timeouts, retries and surfaced errors must tell one story"
     );
 
-    let trace = cluster.fault_trace();
     cluster.shutdown();
-    RunRecord {
-        trace,
+    let trace = cluster.take_trace();
+    let record = RunRecord {
+        digest: trace_digest(&trace),
         finals,
         ok_adds,
         errors,
-    }
+    };
+    (record, trace)
+}
+
+/// The descriptions of the messages the plan dropped (partitions aside).
+fn dropped(trace: &[TraceEvent]) -> Vec<&str> {
+    (trace.iter())
+        .filter_map(|ev| match &ev.kind {
+            EventKind::Fault {
+                fault: MessageFault::Drop,
+                desc,
+                ..
+            } => Some(desc.as_str()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The fault events of a trace: the schedule the plan injected.
+fn faults(trace: &[TraceEvent]) -> Vec<&TraceEvent> {
+    (trace.iter())
+        .filter(|ev| matches!(ev.kind, EventKind::Fault { .. }))
+        .collect()
 }
 
 #[test]
 fn same_seed_chaos_runs_are_identical_and_recover() {
-    let a = run_chaos(0xC0A5);
-    let b = run_chaos(0xC0A5);
+    let (a, trace) = run_chaos(0xC0A5);
+    let (b, _) = run_chaos(0xC0A5);
 
     // the schedule really injected faults…
+    let drops = dropped(&trace);
+    assert!(!drops.is_empty(), "no drops in {trace:?}");
     assert!(
-        a.trace.iter().any(|l| l.starts_with("drop")),
-        "no drops in {:?}",
-        a.trace
+        drops.iter().any(|desc| desc.starts_with("End(")),
+        "no dropped end-requests in {drops:?}"
     );
-    assert!(
-        a.trace
-            .iter()
-            .any(|l| l.starts_with("drop") && l.contains("End(")),
-        "no dropped end-requests in {:?}",
-        a.trace
-    );
-    assert!(a.trace.iter().any(|l| l.contains("crash")));
-    assert!(a.trace.iter().any(|l| l.contains("restart")));
+    let happened = |what: fn(&EventKind) -> bool| trace.iter().any(|ev| what(&ev.kind));
+    assert!(happened(|kind| matches!(kind, EventKind::Crash { .. })));
+    assert!(happened(|kind| matches!(kind, EventKind::Restart { .. })));
 
-    // …and the two runs are indistinguishable: same fault events in the
-    // same order, same surfaced errors, same surviving state
+    // …and the two runs are indistinguishable: the same events in the
+    // same order, the same surfaced errors, the same surviving state
     assert_eq!(a, b);
 }
 
 #[test]
 fn different_seeds_produce_different_schedules() {
-    let a = run_chaos(1);
-    let b = run_chaos(2);
-    assert_ne!(a.trace, b.trace);
+    let (_, a) = run_chaos(1);
+    let (_, b) = run_chaos(2);
+    assert_ne!(faults(&a), faults(&b));
 }
 
 #[test]
@@ -225,6 +247,7 @@ fn partition_blocks_forwards_until_healed() {
         .policy(PolicyKind::ConventionalMigration)
         .call_timeout(Duration::from_millis(60))
         .invoke_retries(0)
+        .trace()
         .build();
     cluster.register_type("counter", |bytes| {
         let mut r = WireReader::new(bytes);
@@ -248,9 +271,23 @@ fn partition_blocks_forwards_until_healed() {
     let out = cluster.invoke(obj, "get", &[]).unwrap();
     assert_eq!(WireReader::new(&out).u64().unwrap(), 7);
     // both topology changes were recorded for replay diagnostics
-    let trace = cluster.fault_trace();
-    assert!(trace.iter().any(|l| l == "partition n0<->n1"), "{trace:?}");
-    assert!(trace.iter().any(|l| l == "heal n0<->n1"), "{trace:?}");
+    let trace = cluster.take_trace();
+    let partitions: Vec<&EventKind> = (trace.iter())
+        .map(|ev| &ev.kind)
+        .filter(|kind| matches!(kind, EventKind::Partition { .. }))
+        .collect();
+    let (a, b) = (n(0), n(1));
+    let severed = EventKind::Partition {
+        a,
+        b,
+        severed: true,
+    };
+    let healed = EventKind::Partition {
+        a,
+        b,
+        severed: false,
+    };
+    assert_eq!(partitions, [&severed, &healed]);
     cluster.shutdown();
 }
 

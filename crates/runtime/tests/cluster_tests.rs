@@ -1,5 +1,6 @@
 //! End-to-end tests of the threads-and-channels runtime.
 
+use oml_check::{EventKind, MessageFault, TraceEvent, CLIENT_PROCESS};
 use oml_core::attach::AttachmentMode;
 use oml_core::ids::NodeId;
 use oml_core::policy::PolicyKind;
@@ -719,17 +720,84 @@ fn a_dropped_call_fails_at_once_not_at_its_deadline() {
     assert!(took < Duration::from_secs(1), "waited {took:?}");
 }
 
-/// The delay the fault trace records for the first message whose line
+/// Each dropped call is one typed drop on the client's link to the host,
+/// under the next link seq, and is never sent.
+#[test]
+fn each_dropped_call_is_one_traced_drop_and_no_send() {
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .faults(FaultPlan::seeded(3).drop_probability(1.0))
+        .invoke_retries(0)
+        .trace()
+        .build();
+    register_counter(&cluster);
+    let obj = cluster.create(n(1), Box::new(Counter(0))).unwrap();
+    let _ = cluster.take_trace(); // the create is reliable
+    for _ in 0..3 {
+        let got = cluster.invoke(obj, "get", &[]);
+        assert!(matches!(got, Err(RuntimeError::Timeout { .. })), "{got:?}");
+    }
+    let trace = cluster.take_trace();
+    let drops: Vec<Option<u64>> = (trace.iter())
+        .filter_map(|ev| match &ev.kind {
+            EventKind::Fault {
+                fault: MessageFault::Drop,
+                to: 1,
+                seq,
+                desc,
+            } if ev.process == CLIENT_PROCESS && desc.starts_with("Invoke(") => Some(*seq),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(drops, [Some(0), Some(1), Some(2)], "{trace:?}");
+    let faults = trace
+        .iter()
+        .filter(|ev| matches!(ev.kind, EventKind::Fault { .. }));
+    assert_eq!(faults.count(), 3, "{trace:?}");
+    let sent = trace
+        .iter()
+        .any(|ev| matches!(ev.kind, EventKind::Send { .. }));
+    assert!(!sent, "a dropped call was sent: {trace:?}");
+}
+
+/// The delay the trace records for the first message whose description
 /// names `what` (e.g. `Invoke(`), in milliseconds.
-fn delay_of(cluster: &Cluster, what: &str) -> u64 {
-    let trace = cluster.fault_trace();
-    let line = trace.iter().find(|line| line.contains(what));
-    let line = line.unwrap_or_else(|| panic!("no {what} in {trace:?}"));
-    let ms = line
-        .strip_prefix("delay(")
-        .and_then(|rest| rest.split("ms)").next());
-    ms.and_then(|ms| ms.parse().ok())
-        .unwrap_or_else(|| panic!("not a delay: {line}"))
+fn delay_of(trace: &[TraceEvent], what: &str) -> u64 {
+    let delay = trace.iter().find_map(|ev| match &ev.kind {
+        EventKind::Fault {
+            fault: MessageFault::Delay(ms),
+            desc,
+            ..
+        } if desc.contains(what) => Some(*ms),
+        _ => None,
+    });
+    delay.unwrap_or_else(|| panic!("no delayed {what} in {trace:?}"))
+}
+
+/// The typed delay is the delay imposed: under a manual clock a delayed
+/// call runs exactly when the clock reaches it, not a millisecond before.
+#[test]
+fn a_delayed_call_runs_when_the_clock_reaches_its_traced_delay() {
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .faults(FaultPlan::seeded(5).delay_probability(1.0, 40))
+        .call_timeout(Duration::from_millis(20))
+        .invoke_retries(0)
+        .manual_clock()
+        .trace()
+        .build();
+    register_counter(&cluster);
+    let obj = cluster.create(n(1), Box::new(Counter(0))).unwrap();
+    // the frozen clock holds the call back past its (wall-clock) deadline
+    let got = cluster.invoke(obj, "add", &WireWriter::new().u64(1).finish());
+    assert!(matches!(got, Err(RuntimeError::Timeout { .. })), "{got:?}");
+    let ms = delay_of(&cluster.take_trace(), "Invoke(");
+    assert!((1..=40).contains(&ms), "{ms} ms");
+    cluster.advance_clock(ms - 1);
+    assert_eq!(cluster.stats().invocations, 0, "ran before its delay");
+    cluster.advance_clock(1);
+    assert_eq!(cluster.stats().invocations, 1, "did not run at its delay");
+    cluster.shutdown();
 }
 
 /// Messages the fault plan delays past a shutdown meet the shutdown rule
@@ -743,6 +811,7 @@ fn what_is_delayed_at_shutdown_meets_the_shutdown_rule_at_once() {
         .faults(FaultPlan::seeded(1).delay_probability(1.0, 3_000))
         .call_timeout(Duration::from_secs(8))
         .invoke_retries(0)
+        .trace()
         .build();
     register_counter(&cluster);
     let obj = cluster.create(n(1), Box::new(Counter(0))).unwrap();
@@ -751,11 +820,20 @@ fn what_is_delayed_at_shutdown_meets_the_shutdown_rule_at_once() {
     std::thread::scope(|scope| {
         let call = scope.spawn(|| cluster.invoke(obj, "get", &[]));
         guard.end();
-        while cluster.fault_trace().len() < 3 {
+        // each take drains: keep what was taken
+        let mut trace = cluster.take_trace();
+        let delayed = |trace: &[TraceEvent]| {
+            let faults = trace
+                .iter()
+                .filter(|ev| matches!(ev.kind, EventKind::Fault { .. }));
+            faults.count()
+        };
+        while delayed(&trace) < 3 {
             std::thread::yield_now();
+            trace.extend(cluster.take_trace());
         }
         for what in ["Invoke(", "End("] {
-            let ms = delay_of(&cluster, what);
+            let ms = delay_of(&trace, what);
             assert!(
                 ms > 200,
                 "{what} falls due too soon to outlive shutdown: {ms} ms"

@@ -9,8 +9,9 @@
 //! against a return to one message per object, or per member of an
 //! unchanged closure; CI names it explicitly. So is the linearization
 //! budget beside it: a node ships and refreshes from the image it last
-//! shipped, installed or refreshed from, so only an object invoked since —
-//! or one whose image a crash took — is linearized again.
+//! shipped, installed or refreshed from — a newborn's is the birth copy its
+//! replicas hold — so only an object invoked since, or one whose image a
+//! crash took, is linearized again.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -382,15 +383,33 @@ fn linearized_since(keys: &[u32], last: &mut Vec<usize>) -> Vec<usize> {
 }
 
 #[test]
+fn a_created_closure_is_linearized_once_through_its_first_move() {
+    let cluster = builder().build();
+    let (set, keys) = counted_closure_at_node_0(&cluster, 8);
+    let mut last = vec![0; 8];
+    // the birth copy, for the replicas and as the host's image
+    assert_eq!(linearized_since(&keys, &mut last), [1; 8]);
+
+    // the first move of objects nothing invoked ships those images, and
+    // its refresh writes them to their replica sets
+    let guard = cluster.move_block(set[0], n(1)).unwrap();
+    assert!(guard.granted());
+    drop(guard);
+    assert_eq!(linearized_since(&keys, &mut last), [0; 8]);
+    assert_eq!(cluster.stats().checkpoint_refreshes, 8);
+    cluster.shutdown();
+}
+
+#[test]
 fn a_second_move_of_an_unchanged_closure_linearizes_nothing() {
     let cluster = builder().build();
     let (set, keys) = counted_closure_at_node_0(&cluster, 8);
     let mut last = vec![0; 8];
     let _ = linearized_since(&keys, &mut last);
 
-    // a created object has no image yet: its first shipment linearizes it
+    // a created object's image is its birth copy: no shipment linearizes it
     drop(cluster.move_block(set[0], n(1)).unwrap());
-    assert_eq!(linearized_since(&keys, &mut last), [1; 8]);
+    assert_eq!(linearized_since(&keys, &mut last), [0; 8]);
     let _ = cluster.take_trace();
 
     let guard = cluster.move_block(set[0], n(2)).unwrap();

@@ -5,8 +5,9 @@
 //! while a client keeps working. We then crash a node mid-traffic, watch
 //! deadlines fire instead of calls hanging, restart it, and show that
 //! leases reclaim every placement lock that a lost end-request or the
-//! crash orphaned. Finally the same seed is replayed to show the fault
-//! schedule is deterministic.
+//! crash orphaned. The cluster traces what happened — each injected fault
+//! is a typed event in its protocol trace — and the same seed is replayed
+//! to show the whole trace is deterministic.
 //!
 //! ```text
 //! cargo run --release --example fault_drill
@@ -14,6 +15,8 @@
 
 use std::time::Duration;
 
+use oml_check::explore::trace_digest;
+use oml_check::{EventKind, TraceEvent};
 use oml_core::ids::NodeId;
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
@@ -41,7 +44,7 @@ impl MobileObject for Queue {
     }
 }
 
-fn drill(seed: u64, chatty: bool) -> Vec<String> {
+fn drill(seed: u64, chatty: bool) -> Vec<TraceEvent> {
     let plan = FaultPlan::seeded(seed)
         .drop_probability(0.08)
         .duplicate_probability(0.05)
@@ -55,6 +58,7 @@ fn drill(seed: u64, chatty: bool) -> Vec<String> {
         .invoke_retries(2)
         .lease_ms(1_000)
         .manual_clock()
+        .trace()
         .build();
     cluster.register_type("queue", |bytes| {
         let mut r = WireReader::new(bytes);
@@ -125,30 +129,44 @@ fn drill(seed: u64, chatty: bool) -> Vec<String> {
         );
     }
 
-    let trace = cluster.fault_trace();
     cluster.shutdown();
-    trace
+    cluster.take_trace()
 }
 
 fn main() {
     println!("== fault drill: seeded chaos on the live runtime ==\n");
     let trace = drill(7, true);
 
-    println!("\n  injected fault events ({}):", trace.len());
-    for line in trace.iter().take(8) {
-        println!("    {line}");
+    let faults: Vec<&TraceEvent> = (trace.iter())
+        .filter(|ev| matches!(ev.kind, EventKind::Fault { .. }))
+        .collect();
+    println!("\n  injected fault events ({}):", faults.len());
+    for ev in faults.iter().take(8) {
+        if let EventKind::Fault {
+            fault,
+            to,
+            seq,
+            desc,
+        } = &ev.kind
+        {
+            let seq = seq.map_or_else(String::new, |seq| format!(" #{seq}"));
+            let from = oml_check::process_name(ev.process);
+            println!("    {fault:?} {from}->n{to}{seq} {desc}");
+        }
     }
-    if trace.len() > 8 {
-        println!("    … {} more", trace.len() - 8);
+    if faults.len() > 8 {
+        println!("    … {} more", faults.len() - 8);
     }
 
     println!("\n== replaying the same seed ==\n");
     let replay = drill(7, false);
+    let digests = (trace_digest(&trace), trace_digest(&replay));
     println!(
-        "  traces identical: {} ({} events)",
-        trace == replay,
-        replay.len()
+        "  traces identical: {} ({} events, digest {:#018x})",
+        digests.0 == digests.1,
+        replay.len(),
+        digests.1
     );
-    assert_eq!(trace, replay, "a seeded fault schedule must replay exactly");
+    assert_eq!(digests.0, digests.1, "a seeded run must replay exactly");
     println!("\nSame seed, same faults, same outcome — chaos you can put in a test.");
 }
