@@ -11,10 +11,9 @@
 //! real runtime emits, so every explored schedule can stream through
 //! [`crate::checker::check_trace`] unchanged.
 //!
-//! Time is the explicitly advanced millisecond clock of
-//! [`oml_des::virt::VirtualClock`]: only timer steps move it, so "the lease
-//! expired underneath the grant" is an interleaving the explorer *chooses*,
-//! not one a wall clock has to produce.
+//! Time is an explicitly advanced millisecond counter: only timer steps move
+//! it, and only forward, so "the lease expired underneath the grant" is an
+//! interleaving the explorer *chooses*, not one a wall clock has to produce.
 //!
 //! ## Fidelity notes
 //!
@@ -34,7 +33,6 @@ use std::rc::Rc;
 use oml_core::ids::{BlockId, NodeId, ObjectId};
 use oml_core::policies::TransientPlacement;
 use oml_core::policy::{EndRequest, MoveDecision, MovePolicy, MoveRequest};
-use oml_des::virt::VirtualClock;
 
 use crate::event::{EventKind, ReleaseCause, TraceEvent, CLIENT_PROCESS};
 
@@ -160,7 +158,8 @@ impl Footprint {
 #[derive(Clone)]
 pub struct Model {
     cfg: Rc<ExploreConfig>,
-    clock: VirtualClock,
+    /// Virtual time in milliseconds; timer steps advance it, never back.
+    now_ms: u64,
     /// `true` = alive. Index = node id.
     alive: Vec<bool>,
     objects: Vec<ObjLoc>,
@@ -185,7 +184,7 @@ impl Model {
     pub fn new(cfg: &ExploreConfig) -> Self {
         let mut m = Model {
             cfg: Rc::new(cfg.clone()),
-            clock: VirtualClock::new(),
+            now_ms: 0,
             alive: vec![true; cfg.nodes as usize],
             objects: (0..cfg.objects)
                 .map(|o| ObjLoc::At(o % cfg.nodes))
@@ -236,7 +235,7 @@ impl Model {
     /// The current virtual time in milliseconds.
     #[must_use]
     pub fn now_ms(&self) -> u64 {
-        self.clock.now_ms()
+        self.now_ms
     }
 
     fn emit(&mut self, process: u32, kind: EventKind) {
@@ -346,7 +345,7 @@ impl Model {
                 Some(&payload @ (Payload::MoveReq { op } | Payload::End { op })) => {
                     // a move request runs the host's lease tick first: with a
                     // lease already run out, that reclaims arbitrary locks
-                    let now = self.clock.now_ms();
+                    let now = self.now_ms;
                     fp.global = matches!(payload, Payload::MoveReq { .. })
                         && self.policy.next_lease_expiry_ms().is_some_and(|e| e <= now);
                     let object = self.cfg.ops[op as usize].object;
@@ -416,7 +415,7 @@ impl Model {
             }
             Step::Timeout { op } => {
                 let deadline = self.cfg.deadline_ms;
-                self.clock.advance_to(self.clock.now_ms().max(deadline));
+                self.now_ms = self.now_ms.max(deadline);
                 self.ops[op as usize] = OpPhase::Abandoned;
             }
             Step::Sweep => {
@@ -424,7 +423,7 @@ impl Model {
                     .policy
                     .next_lease_expiry_ms()
                     .expect("sweep without lease");
-                self.clock.advance_to(self.clock.now_ms().max(expiry));
+                self.now_ms = self.now_ms.max(expiry);
                 self.expire_leases();
             }
             Step::Crash { node } => {
@@ -499,7 +498,7 @@ impl Model {
     /// The lease tick: the policy reclaims every lock whose lease has run
     /// out at the current virtual time.
     fn expire_leases(&mut self) {
-        for (object, block) in self.policy.expire_leases(self.clock.now_ms()) {
+        for (object, block) in self.policy.expire_leases(self.now_ms) {
             self.emit_release(object, block, ReleaseCause::LeaseExpiry);
         }
     }
@@ -548,7 +547,7 @@ impl Model {
         let object = spec.object;
         let host = self.host_of(object).expect("move-req delivered in flight");
         let block = op;
-        let now = self.clock.now_ms();
+        let now = self.now_ms;
         self.emit(host, EventKind::Recv { msg_id: msg });
         let deny = |m: &mut Model| {
             m.emit(
@@ -632,7 +631,7 @@ impl Model {
     /// would eventually do in the runtime; emitted events join the trace.
     pub(crate) fn drain_quiesce(&mut self) {
         while let Some(expiry) = self.policy.next_lease_expiry_ms() {
-            self.clock.advance_to(self.clock.now_ms().max(expiry));
+            self.now_ms = self.now_ms.max(expiry);
             self.expire_leases();
         }
     }
@@ -659,7 +658,7 @@ impl Model {
     #[must_use]
     pub(crate) fn state_digest(&self) -> u64 {
         let mut h = Fnv64::new();
-        self.clock.now_ms().hash(&mut h);
+        self.now_ms.hash(&mut h);
         self.alive.hash(&mut h);
         self.objects.hash(&mut h);
         self.policy.hash(&mut h);

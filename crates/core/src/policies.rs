@@ -268,8 +268,9 @@ impl OpenMoveLedger {
 /// Raw `NodeId` sentinel for "object holds no placement lock".
 const NO_NODE: u32 = u32::MAX;
 
-/// Shared core of the two intelligent placement strategies: placement locks
-/// plus the open-move ledger.
+/// "Comparing the nodes" (§4.3): transient placement whose grants prefer the
+/// node with the most open move-requests. With `REINSTANTIATE` it is
+/// [`CompareAndReinstantiate`].
 ///
 /// Both strategies are *extensions of transient placement* (§4.3 calls them
 /// "intelligent placement strategies"): the lock semantics stay, but an
@@ -279,8 +280,11 @@ const NO_NODE: u32 = u32::MAX;
 /// issued". A conflicting request therefore has "initially no effect on the
 /// location of the requested object but may lead to a migration at some
 /// point later if further move-requests are issued at the same node".
+///
+/// The constructors are shared, so name the variant where the type is not
+/// otherwise known: `CompareNodes::<false>::new()`.
 #[derive(Debug, Clone, Default)]
-struct ComparingCore {
+pub struct CompareNodes<const REINSTANTIATE: bool = false> {
     ledger: OpenMoveLedger,
     locks: LeaseTable,
     /// Where each lock holder sits (object-indexed, `NO_NODE` = unlocked) —
@@ -289,11 +293,57 @@ struct ComparingCore {
     holder_node: Vec<u32>,
 }
 
-impl ComparingCore {
-    fn with_lease_ms(ttl_ms: u64) -> Self {
-        ComparingCore {
+/// "Comparing and reinstantiation" (§4.3): like [`CompareNodes`], but "objects
+/// may not only be migrated on move-requests but also on end-requests if an
+/// end-request leads to a situation that some other node holds a clear
+/// majority on open move-requests".
+pub type CompareAndReinstantiate = CompareNodes<true>;
+
+impl<const REINSTANTIATE: bool> CompareNodes<REINSTANTIATE> {
+    /// Creates the policy with empty counters.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Creates the policy whose locks expire after `ttl_ms` of inactivity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ttl_ms` is zero.
+    #[must_use]
+    pub fn with_lease_ms(ttl_ms: u64) -> Self {
+        CompareNodes {
             locks: LeaseTable::with_ttl_ms(ttl_ms),
-            ..ComparingCore::default()
+            ..Self::default()
+        }
+    }
+
+    /// Open move-requests recorded for `object` at `node` (for diagnostics).
+    #[must_use]
+    pub fn open_moves(&self, object: ObjectId, node: NodeId) -> u32 {
+        self.ledger.count(object, node)
+    }
+
+    /// Clears the recorded holder node of `object` and retires its open
+    /// move: the block that held the lock is over.
+    fn retire_holder(&mut self, object: ObjectId) {
+        let Some(slot) = self.holder_node.get_mut(object.index()) else {
+            return;
+        };
+        let raw = std::mem::replace(slot, NO_NODE);
+        if raw != NO_NODE {
+            self.ledger.record_end(object, NodeId::new(raw));
+        }
+    }
+}
+
+impl<const REINSTANTIATE: bool> MovePolicy for CompareNodes<REINSTANTIATE> {
+    fn kind(&self) -> PolicyKind {
+        if REINSTANTIATE {
+            PolicyKind::CompareAndReinstantiate
+        } else {
+            PolicyKind::CompareNodes
         }
     }
 
@@ -322,21 +372,41 @@ impl ComparingCore {
         self.holder_node[object.index()] = node.as_u32();
     }
 
-    /// Processes the end bookkeeping; returns whether the ending block held
-    /// the lock (i.e. the object is unlocked now). A stale end — after the
-    /// lease recovery path already freed the lock — reports `false`, so no
-    /// reinstantiation decision hangs off it.
-    fn on_end(&mut self, req: &EndRequest) -> bool {
+    /// A stale end — after the lease recovery path already freed the lock —
+    /// releases nothing, so no reinstantiation decision hangs off it.
+    fn on_end(&mut self, req: &EndRequest) -> EndAction {
         self.ledger.record_end(req.object, req.from);
-        let released = req.was_granted && self.locks.release(req.object, req.block);
-        if released {
-            self.take_holder_node(req.object);
+        if !(req.was_granted && self.locks.release(req.object, req.block)) {
+            return EndAction::None;
         }
-        released
+        if let Some(slot) = self.holder_node.get_mut(req.object.index()) {
+            *slot = NO_NODE;
+        }
+        if !REINSTANTIATE {
+            return EndAction::None;
+        }
+        match self.ledger.leader(req.object) {
+            // A *clear* majority: at least two blocks are waiting there and
+            // more than at the object's current node. (Chasing a single
+            // waiter costs a full migration for at most half a block's worth
+            // of savings.)
+            Some((leader, count))
+                if leader != req.at
+                    && count >= 2
+                    && count > self.ledger.count(req.object, req.at) =>
+            {
+                EndAction::Migrate(leader)
+            }
+            _ => EndAction::None,
+        }
     }
 
     fn is_pinned(&self, object: ObjectId) -> bool {
         self.locks.holder(object).is_some()
+    }
+
+    fn lease_ttl_ms(&self) -> Option<u64> {
+        self.locks.ttl_ms()
     }
 
     fn renew_lease(&mut self, object: ObjectId, now_ms: u64) {
@@ -350,9 +420,7 @@ impl ComparingCore {
     fn expire_leases(&mut self, now_ms: u64) -> Vec<(ObjectId, BlockId)> {
         let expired = self.locks.advance(now_ms);
         for &(object, _) in &expired {
-            if let Some(node) = self.take_holder_node(object) {
-                self.ledger.record_end(object, node);
-            }
+            self.retire_holder(object);
         }
         expired
     }
@@ -364,184 +432,15 @@ impl ComparingCore {
         let mut released = Vec::new();
         for &object in objects {
             if let Some(block) = self.locks.force_release(object) {
-                if let Some(node) = self.take_holder_node(object) {
-                    self.ledger.record_end(object, node);
-                }
+                self.retire_holder(object);
                 released.push((object, block));
             }
         }
         released
     }
 
-    /// Clears and returns the recorded holder node of `object`.
-    fn take_holder_node(&mut self, object: ObjectId) -> Option<NodeId> {
-        let slot = self.holder_node.get_mut(object.index())?;
-        let raw = std::mem::replace(slot, NO_NODE);
-        (raw != NO_NODE).then(|| NodeId::new(raw))
-    }
-}
-
-/// "Comparing the nodes" (§4.3): transient placement whose grants prefer the
-/// node with the most open move-requests.
-#[derive(Debug, Clone, Default)]
-pub struct CompareNodes {
-    core: ComparingCore,
-}
-
-impl CompareNodes {
-    /// Creates the policy with empty counters.
-    #[must_use]
-    pub fn new() -> Self {
-        CompareNodes::default()
-    }
-
-    /// Creates the policy whose locks expire after `ttl_ms` of inactivity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ttl_ms` is zero.
-    #[must_use]
-    pub fn with_lease_ms(ttl_ms: u64) -> Self {
-        CompareNodes {
-            core: ComparingCore::with_lease_ms(ttl_ms),
-        }
-    }
-
-    /// Open move-requests recorded for `object` at `node` (for diagnostics).
-    #[must_use]
-    pub fn open_moves(&self, object: ObjectId, node: NodeId) -> u32 {
-        self.core.ledger.count(object, node)
-    }
-}
-
-impl MovePolicy for CompareNodes {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::CompareNodes
-    }
-
-    fn on_move(&mut self, req: &MoveRequest) -> MoveDecision {
-        self.core.on_move(req)
-    }
-
-    fn on_installed(&mut self, object: ObjectId, node: NodeId, block: BlockId) {
-        self.core.on_installed(object, node, block);
-    }
-
-    fn on_end(&mut self, req: &EndRequest) -> EndAction {
-        let _ = self.core.on_end(req);
-        EndAction::None
-    }
-
-    fn is_pinned(&self, object: ObjectId) -> bool {
-        self.core.is_pinned(object)
-    }
-
-    fn lease_ttl_ms(&self) -> Option<u64> {
-        self.core.locks.ttl_ms()
-    }
-
-    fn renew_lease(&mut self, object: ObjectId, now_ms: u64) {
-        self.core.renew_lease(object, now_ms);
-    }
-
-    fn expire_leases(&mut self, now_ms: u64) -> Vec<(ObjectId, BlockId)> {
-        self.core.expire_leases(now_ms)
-    }
-
-    fn release_locks_for(&mut self, objects: &[ObjectId]) -> Vec<(ObjectId, BlockId)> {
-        self.core.release_locks_for(objects)
-    }
-
     fn held_locks(&self) -> Vec<(ObjectId, BlockId)> {
-        self.core.locks.held()
-    }
-}
-
-/// "Comparing and reinstantiation" (§4.3): like [`CompareNodes`], but "objects
-/// may not only be migrated on move-requests but also on end-requests if an
-/// end-request leads to a situation that some other node holds a clear
-/// majority on open move-requests".
-#[derive(Debug, Clone, Default)]
-pub struct CompareAndReinstantiate {
-    core: ComparingCore,
-}
-
-impl CompareAndReinstantiate {
-    /// Creates the policy with empty counters.
-    #[must_use]
-    pub fn new() -> Self {
-        CompareAndReinstantiate::default()
-    }
-
-    /// Creates the policy whose locks expire after `ttl_ms` of inactivity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ttl_ms` is zero.
-    #[must_use]
-    pub fn with_lease_ms(ttl_ms: u64) -> Self {
-        CompareAndReinstantiate {
-            core: ComparingCore::with_lease_ms(ttl_ms),
-        }
-    }
-}
-
-impl MovePolicy for CompareAndReinstantiate {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::CompareAndReinstantiate
-    }
-
-    fn on_move(&mut self, req: &MoveRequest) -> MoveDecision {
-        self.core.on_move(req)
-    }
-
-    fn on_installed(&mut self, object: ObjectId, node: NodeId, block: BlockId) {
-        self.core.on_installed(object, node, block);
-    }
-
-    fn on_end(&mut self, req: &EndRequest) -> EndAction {
-        let unlocked = self.core.on_end(req);
-        if !unlocked {
-            return EndAction::None;
-        }
-        match self.core.ledger.leader(req.object) {
-            // A *clear* majority: at least two blocks are waiting there and
-            // more than at the object's current node. (Chasing a single
-            // waiter costs a full migration for at most half a block's worth
-            // of savings.)
-            Some((leader, count))
-                if leader != req.at
-                    && count >= 2
-                    && count > self.core.ledger.count(req.object, req.at) =>
-            {
-                EndAction::Migrate(leader)
-            }
-            _ => EndAction::None,
-        }
-    }
-
-    fn is_pinned(&self, object: ObjectId) -> bool {
-        self.core.is_pinned(object)
-    }
-
-    fn lease_ttl_ms(&self) -> Option<u64> {
-        self.core.locks.ttl_ms()
-    }
-
-    fn renew_lease(&mut self, object: ObjectId, now_ms: u64) {
-        self.core.renew_lease(object, now_ms);
-    }
-
-    fn expire_leases(&mut self, now_ms: u64) -> Vec<(ObjectId, BlockId)> {
-        self.core.expire_leases(now_ms)
-    }
-
-    fn release_locks_for(&mut self, objects: &[ObjectId]) -> Vec<(ObjectId, BlockId)> {
-        self.core.release_locks_for(objects)
-    }
-
-    fn held_locks(&self) -> Vec<(ObjectId, BlockId)> {
-        self.core.locks.held()
+        self.locks.held()
     }
 }
 
@@ -712,7 +611,7 @@ mod tests {
 
     #[test]
     fn compare_nodes_respects_lock_then_prefers_majority() {
-        let mut p = CompareNodes::new();
+        let mut p = CompareNodes::<false>::new();
         // first mover from node 2: grant, install, lock
         assert_eq!(p.on_move(&req(0, 1, 2, 0)), MoveDecision::Grant);
         p.on_installed(obj(0), node(2), block(0));
@@ -735,7 +634,7 @@ mod tests {
 
     #[test]
     fn compare_nodes_denies_minority_requesters_when_unlocked() {
-        let mut p = CompareNodes::new();
+        let mut p = CompareNodes::<false>::new();
         // two open requests pile up at node 3 (denied while locked)
         assert_eq!(p.on_move(&req(0, 1, 2, 0)), MoveDecision::Grant);
         p.on_installed(obj(0), node(2), block(0));
@@ -748,13 +647,13 @@ mod tests {
 
     #[test]
     fn compare_nodes_grants_local_requests() {
-        let mut p = CompareNodes::new();
+        let mut p = CompareNodes::<false>::new();
         assert_eq!(p.on_move(&req(0, 5, 5, 0)), MoveDecision::Grant);
     }
 
     #[test]
     fn compare_nodes_end_decrements() {
-        let mut p = CompareNodes::new();
+        let mut p = CompareNodes::<false>::new();
         let _ = p.on_move(&req(0, 1, 2, 0));
         p.on_installed(obj(0), node(2), block(0));
         assert_eq!(p.open_moves(obj(0), node(2)), 1);
@@ -847,7 +746,7 @@ mod tests {
 
     #[test]
     fn ledger_handles_unknown_ends_gracefully() {
-        let mut p = CompareNodes::new();
+        let mut p = CompareNodes::<false>::new();
         // an end for a move never recorded must not underflow or panic
         let _ = p.on_end(&end(0, 1, 2, 0, false));
         assert_eq!(p.open_moves(obj(0), node(2)), 0);
@@ -892,7 +791,7 @@ mod tests {
 
     #[test]
     fn comparing_lease_expiry_retires_the_holders_ledger_entry() {
-        let mut p = CompareNodes::with_lease_ms(100);
+        let mut p = CompareNodes::<false>::with_lease_ms(100);
         let _ = p.on_move(&req(0, 1, 2, 0));
         p.on_installed(obj(0), node(2), block(0));
         assert_eq!(p.open_moves(obj(0), node(2)), 1);
@@ -942,7 +841,7 @@ mod tests {
 
     #[test]
     fn comparing_crash_release_retires_the_ledger_entry_too() {
-        let mut p = CompareNodes::with_lease_ms(1_000);
+        let mut p = CompareNodes::<false>::with_lease_ms(1_000);
         let _ = p.on_move(&req(0, 1, 2, 0));
         p.on_installed(obj(0), node(2), block(0));
         assert_eq!(p.open_moves(obj(0), node(2)), 1);

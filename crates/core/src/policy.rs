@@ -185,7 +185,7 @@ impl PolicyKind {
             PolicyKind::Sedentary => Box::new(Sedentary::new()),
             PolicyKind::ConventionalMigration => Box::new(ConventionalMigration::new()),
             PolicyKind::TransientPlacement => Box::new(TransientPlacement::new()),
-            PolicyKind::CompareNodes => Box::new(CompareNodes::new()),
+            PolicyKind::CompareNodes => Box::new(CompareNodes::<false>::new()),
             PolicyKind::CompareAndReinstantiate => Box::new(CompareAndReinstantiate::new()),
         }
     }
@@ -204,7 +204,7 @@ impl PolicyKind {
             PolicyKind::Sedentary => Box::new(Sedentary::new()),
             PolicyKind::ConventionalMigration => Box::new(ConventionalMigration::new()),
             PolicyKind::TransientPlacement => Box::new(TransientPlacement::with_lease_ms(ttl_ms)),
-            PolicyKind::CompareNodes => Box::new(CompareNodes::with_lease_ms(ttl_ms)),
+            PolicyKind::CompareNodes => Box::new(CompareNodes::<false>::with_lease_ms(ttl_ms)),
             PolicyKind::CompareAndReinstantiate => {
                 Box::new(CompareAndReinstantiate::with_lease_ms(ttl_ms))
             }

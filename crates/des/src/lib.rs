@@ -16,9 +16,7 @@
 //!   is below 1 % of the mean"),
 //! * [`par`] — a deterministic work-stealing `parallel_map` for fanning
 //!   independent jobs (sweep points, replications) across cores: the
-//!   simulator's one multi-core path,
-//! * [`virt`] — an explicitly advanced millisecond clock for model-checked
-//!   executions (the `oml-check` explorer's notion of time).
+//!   simulator's one multi-core path.
 //!
 //! The engine is intentionally generic: the distributed-object semantics live
 //! in `oml-sim`, this crate only knows about time, events and randomness.
@@ -77,7 +75,6 @@ mod time;
 pub mod par;
 pub mod stats;
 pub mod trace;
-pub mod virt;
 
 pub use engine::{Engine, EventHandler, Scheduler, StepOutcome};
 pub use queue::{EventQueue, ScheduledEvent};

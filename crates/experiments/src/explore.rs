@@ -13,7 +13,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use oml_check::explore::{explore, Budget, ExploreConfig, ExploreReport, Schedule};
+use oml_check::explore::{explore, Budget, ExploreConfig, ExploreReport, ReplayOutcome, Schedule};
 
 /// What one configuration's exploration produced.
 #[derive(Debug)]
@@ -50,7 +50,13 @@ pub(crate) fn run_one(cfg: &ExploreConfig, budget: &Budget, out_dir: &Path) -> E
         let path = out_dir.join(format!("{}.schedule", cfg.name));
         match fs::create_dir_all(out_dir).and_then(|()| fs::write(&path, ce.schedule.to_text())) {
             Ok(()) => {
-                replay_verified = Some(verify_replay(&path));
+                let verified = read_and_replay(&path)
+                    .map(|(_, outcome)| outcome.reproduced() && outcome.bit_identical)
+                    .unwrap_or_else(|e| {
+                        eprintln!("saved schedule does not replay: {e}");
+                        false
+                    });
+                replay_verified = Some(verified);
                 saved = Some(path);
             }
             Err(e) => {
@@ -75,32 +81,6 @@ pub(crate) fn run_one(cfg: &ExploreConfig, budget: &Budget, out_dir: &Path) -> E
     }
 }
 
-/// Reads a schedule file back from disk and replays it; true iff the replay
-/// reproduces a violation with a bit-identical trace digest.
-fn verify_replay(path: &Path) -> bool {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read back {}: {e}", path.display());
-            return false;
-        }
-    };
-    let schedule = match Schedule::from_text(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("saved schedule does not parse: {e}");
-            return false;
-        }
-    };
-    match schedule.replay() {
-        Ok(outcome) => outcome.reproduced() && outcome.bit_identical,
-        Err(e) => {
-            eprintln!("saved schedule does not replay: {e}");
-            false
-        }
-    }
-}
-
 /// Runs the whole bundled matrix. Returns the per-configuration outcomes;
 /// the run passes iff every outcome did.
 pub fn run_matrix(budget: &Budget, out_dir: &Path) -> Vec<ExploreOutcome> {
@@ -110,13 +90,19 @@ pub fn run_matrix(budget: &Budget, out_dir: &Path) -> Vec<ExploreOutcome> {
         .collect()
 }
 
-/// Replays one schedule file (the `--replay FILE` path). Returns
-/// `Ok(true)` when the replay reproduces its violation bit-identically.
-pub fn replay_file(path: &Path) -> Result<bool, String> {
+/// Reads a schedule file from disk, parses it and replays it.
+fn read_and_replay(path: &Path) -> Result<(Schedule, ReplayOutcome), String> {
     let text =
         fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let schedule = Schedule::from_text(&text).map_err(|e| e.to_string())?;
     let outcome = schedule.replay().map_err(|e| e.to_string())?;
+    Ok((schedule, outcome))
+}
+
+/// Replays one schedule file (the `--replay FILE` path). Returns
+/// `Ok(true)` when the replay reproduces its violation bit-identically.
+pub fn replay_file(path: &Path) -> Result<bool, String> {
+    let (schedule, outcome) = read_and_replay(path)?;
     println!(
         "replayed `{}`: {} step(s), {} event(s), digest {:016x} ({})",
         schedule.cfg.name,

@@ -21,13 +21,6 @@ pub enum LatencyModel {
         /// Fixed message duration.
         value: f64,
     },
-    /// Uniformly distributed on `[lo, hi)`.
-    Uniform {
-        /// Lower bound (inclusive).
-        lo: f64,
-        /// Upper bound (exclusive).
-        hi: f64,
-    },
     /// A fixed propagation `offset` plus an exponential queueing component —
     /// a coarse model of a network with background load (§4.1 assumes the
     /// object system shares the network with other applications).
@@ -55,7 +48,7 @@ impl std::error::Error for InvalidLatency {}
 
 impl LatencyModel {
     /// Checks the model's parameters: means, values and offsets must be
-    /// finite and non-negative, uniform ranges must not be inverted.
+    /// finite and non-negative.
     ///
     /// # Errors
     ///
@@ -69,9 +62,6 @@ impl LatencyModel {
             LatencyModel::Deterministic { value } => ok(value)
                 .then_some(())
                 .ok_or_else(|| InvalidLatency(format!("deterministic value {value}"))),
-            LatencyModel::Uniform { lo, hi } => (ok(lo) && ok(hi) && lo <= hi)
-                .then_some(())
-                .ok_or_else(|| InvalidLatency(format!("uniform range [{lo}, {hi})"))),
             LatencyModel::ShiftedExponential { offset, mean } => {
                 (ok(offset) && ok(mean)).then_some(()).ok_or_else(|| {
                     InvalidLatency(format!("shifted-exponential offset {offset} / mean {mean}"))
@@ -91,7 +81,6 @@ impl LatencyModel {
         match *self {
             LatencyModel::Exponential { mean } => rng.exp(mean),
             LatencyModel::Deterministic { value } => value,
-            LatencyModel::Uniform { lo, hi } => lo + rng.unit() * (hi - lo),
             LatencyModel::ShiftedExponential { offset, mean } => offset + rng.exp(mean),
         }
     }
@@ -102,7 +91,6 @@ impl LatencyModel {
         match *self {
             LatencyModel::Exponential { mean } => mean,
             LatencyModel::Deterministic { value } => value,
-            LatencyModel::Uniform { lo, hi } => (lo + hi) / 2.0,
             LatencyModel::ShiftedExponential { offset, mean } => offset + mean,
         }
     }
@@ -130,21 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_stays_in_range_and_has_right_mean() {
-        let m = LatencyModel::Uniform { lo: 1.0, hi: 3.0 };
-        let mut rng = SimRng::seed_from(4);
-        let mut sum = 0.0;
-        let n = 50_000;
-        for _ in 0..n {
-            let x = m.sample(&mut rng);
-            assert!((1.0..3.0).contains(&x));
-            sum += x;
-        }
-        assert!((sum / n as f64 - 2.0).abs() < 0.02);
-        assert_eq!(m.mean(), 2.0);
-    }
-
-    #[test]
     fn exponential_mean_matches() {
         let m = LatencyModel::default();
         assert_eq!(m.mean(), 1.0);
@@ -157,7 +130,6 @@ mod tests {
     #[test]
     fn invalid_models_fail_validation_at_construction() {
         let bad = [
-            LatencyModel::Uniform { lo: 3.0, hi: 1.0 },
             LatencyModel::Exponential { mean: -1.0 },
             LatencyModel::Deterministic { value: f64::NAN },
             LatencyModel::ShiftedExponential {
@@ -174,12 +146,12 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "uniform range")]
-    fn inverted_uniform_range_panics_in_debug_sampling() {
+    #[should_panic(expected = "exponential mean")]
+    fn negative_mean_panics_in_debug_sampling() {
         // the release-mode contract is validate-at-construction; in debug
         // builds sampling an unvalidated model still trips an assertion
         let mut rng = SimRng::seed_from(0);
-        let _ = LatencyModel::Uniform { lo: 3.0, hi: 1.0 }.sample(&mut rng);
+        let _ = LatencyModel::Exponential { mean: -1.0 }.sample(&mut rng);
     }
 
     #[test]

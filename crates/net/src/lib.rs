@@ -6,11 +6,13 @@
 //! effects on the results." This crate provides both:
 //!
 //! * [`topology::Topology`] — full mesh plus the alternative structures used
-//!   for the robustness ablation (star, ring, torus grid, line),
+//!   for the robustness ablation (star, ring, line),
 //! * [`latency::LatencyModel`] — exponential (the paper's model),
-//!   deterministic and uniform per-message durations,
+//!   deterministic and shifted-exponential per-message durations,
 //! * [`Network`] — the combination: sample the delay of one message between
-//!   two nodes, with optional hop-scaling for non-complete topologies.
+//!   two nodes. The delay is flat: a remote message costs one sample however
+//!   many hops its route takes, so a topology matters only through which
+//!   pairs are local.
 //!
 //! Saturation effects are deliberately absent: the object system "is assumed
 //! to run concurrently with other applications", so its own traffic never
@@ -153,17 +155,13 @@ impl Default for FaultConfig {
 pub struct Network {
     topology: Topology,
     latency: LatencyModel,
-    /// Whether a message's delay is multiplied by the hop count (only
-    /// meaningful for non-complete topologies).
-    scale_by_hops: bool,
     /// Message-loss model; [`FaultConfig::none`] by default.
     #[serde(default)]
     faults: FaultConfig,
 }
 
 impl Network {
-    /// Creates a network from a topology and a latency model, without hop
-    /// scaling.
+    /// Creates a network from a topology and a latency model.
     ///
     /// # Panics
     ///
@@ -179,14 +177,12 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidLatency`] for non-finite/negative parameters or an
-    /// inverted uniform range.
+    /// Returns [`InvalidLatency`] for non-finite or negative parameters.
     pub fn try_new(topology: Topology, latency: LatencyModel) -> Result<Self, InvalidLatency> {
         latency.validate()?;
         Ok(Network {
             topology,
             latency,
-            scale_by_hops: false,
             faults: FaultConfig::none(),
         })
     }
@@ -198,14 +194,6 @@ impl Network {
             Topology::FullMesh { nodes },
             LatencyModel::Exponential { mean: 1.0 },
         )
-    }
-
-    /// Builder-style: multiply each message's delay by its route's hop count
-    /// (used by the topology ablation).
-    #[must_use]
-    pub fn with_hop_scaling(mut self) -> Self {
-        self.scale_by_hops = true;
-        self
     }
 
     /// Builder-style: installs a message-loss model (see [`FaultConfig`]).
@@ -245,7 +233,8 @@ impl Network {
         self.topology.len() == 0
     }
 
-    /// Samples the duration of one message from `from` to `to`.
+    /// Samples the duration of one message from `from` to `to`: one draw of
+    /// the latency model for any remote pair, whatever its hop count.
     ///
     /// Local messages (same node) take zero time — local actions are "about
     /// 4 orders of magnitude below the duration of a remote action" (§4.1)
@@ -255,16 +244,10 @@ impl Network {
     ///
     /// Panics if either node is outside the topology.
     pub fn message_delay(&self, from: NodeId, to: NodeId, rng: &mut SimRng) -> f64 {
-        let hops = self.topology.hops(from, to);
-        if hops == 0 {
+        if self.topology.hops(from, to) == 0 {
             return 0.0;
         }
         let base = self.latency.sample(rng);
-        let base = if self.scale_by_hops {
-            base * hops as f64
-        } else {
-            base
-        };
         if self.faults.is_noop() {
             // no extra RNG draws: fault-free runs keep their exact
             // pre-fault random streams (and their published figures)
@@ -316,21 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn hop_scaling_multiplies_deterministic_latency() {
-        let net = Network::new(
-            Topology::Ring { nodes: 8 },
-            LatencyModel::Deterministic { value: 1.0 },
-        )
-        .with_hop_scaling();
-        let mut rng = SimRng::seed_from(0);
-        // nodes 0 and 4 are 4 hops apart on an 8-ring
-        assert_eq!(
-            net.message_delay(NodeId::new(0), NodeId::new(4), &mut rng),
-            4.0
-        );
-    }
-
-    #[test]
     fn fault_config_validates_its_parameters() {
         assert!(FaultConfig::new(0.1, 4.0).is_ok());
         assert!(FaultConfig::new(0.0, 0.0).is_ok());
@@ -345,10 +313,10 @@ mod tests {
     fn try_new_rejects_invalid_latency() {
         let err = Network::try_new(
             Topology::FullMesh { nodes: 2 },
-            LatencyModel::Uniform { lo: 3.0, hi: 1.0 },
+            LatencyModel::Exponential { mean: -1.0 },
         )
         .unwrap_err();
-        assert!(err.to_string().contains("uniform range"), "{err}");
+        assert!(err.to_string().contains("exponential mean"), "{err}");
     }
 
     #[test]
@@ -392,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn without_hop_scaling_distance_is_flat() {
+    fn distance_does_not_scale_the_delay() {
         let net = Network::new(
             Topology::Ring { nodes: 8 },
             LatencyModel::Deterministic { value: 2.0 },

@@ -10,27 +10,20 @@ fn any_topology() -> impl Strategy<Value = Topology> {
         (3u32..12).prop_map(|n| Topology::FullMesh { nodes: n }),
         (3u32..12).prop_map(|n| Topology::Star { nodes: n }),
         (3u32..12).prop_map(|n| Topology::Ring { nodes: n }),
-        (2u32..5, 2u32..5).prop_map(|(w, h)| Topology::Torus {
-            width: w,
-            height: h
-        }),
         (3u32..12).prop_map(|n| Topology::Line { nodes: n }),
-        (3u32..10, 0u32..8, any::<u64>()).prop_map(|(n, e, s)| Topology::random(n, e, s)),
     ]
 }
 
 proptest! {
-    /// Hops are a metric-like function: zero iff equal, symmetric, bounded
-    /// by the diameter, and satisfy the triangle inequality.
+    /// Hops are a metric-like function: zero iff equal, symmetric, and
+    /// satisfy the triangle inequality.
     #[test]
     fn hops_behave_like_a_metric(topo in any_topology()) {
-        let d = topo.diameter();
         for a in topo.nodes() {
             for b in topo.nodes() {
                 let h = topo.hops(a, b);
                 prop_assert_eq!(h == 0, a == b);
                 prop_assert_eq!(h, topo.hops(b, a));
-                prop_assert!(h <= d, "{h} > diameter {d}");
                 for c in topo.nodes() {
                     prop_assert!(
                         topo.hops(a, c) <= h + topo.hops(b, c),
@@ -41,29 +34,14 @@ proptest! {
         }
     }
 
-    /// The diameter is attained by some pair.
-    #[test]
-    fn diameter_is_attained(topo in any_topology()) {
-        let d = topo.diameter();
-        let max = topo
-            .nodes()
-            .flat_map(|a| topo.nodes().map(move |b| (a, b)))
-            .map(|(a, b)| topo.hops(a, b))
-            .max()
-            .unwrap();
-        prop_assert_eq!(d, max);
-    }
-
     /// Message delays are non-negative, zero for self-messages, and
     /// deterministic per seed.
     #[test]
     fn message_delays_are_sane(
         topo in any_topology(),
         seed in any::<u64>(),
-        hop_scaled in any::<bool>(),
     ) {
-        let base = Network::new(topo, LatencyModel::Exponential { mean: 1.0 });
-        let net = if hop_scaled { base.with_hop_scaling() } else { base };
+        let net = Network::new(topo, LatencyModel::Exponential { mean: 1.0 });
         let mut r1 = SimRng::seed_from(seed);
         let mut r2 = SimRng::seed_from(seed);
         for a in 0..net.len() {
@@ -81,11 +59,10 @@ proptest! {
 
     /// Every latency model's sample mean converges on its declared mean.
     #[test]
-    fn latency_means_are_truthful(seed in any::<u64>(), which in 0u8..4) {
+    fn latency_means_are_truthful(seed in any::<u64>(), which in 0u8..3) {
         let model = match which {
             0 => LatencyModel::Exponential { mean: 2.0 },
             1 => LatencyModel::Deterministic { value: 2.0 },
-            2 => LatencyModel::Uniform { lo: 1.0, hi: 3.0 },
             _ => LatencyModel::ShiftedExponential { offset: 1.0, mean: 1.0 },
         };
         let mut rng = SimRng::seed_from(seed);

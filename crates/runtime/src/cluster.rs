@@ -200,7 +200,7 @@ pub(crate) struct Shared {
     pub(crate) counters: Counters,
     pub(crate) injector: FaultInjector,
     /// The scheduling seam: decides message hand-off timing and node
-    /// ticks. [`FreeRun`] unless a test harness installed a custom source.
+    /// ticks. `FreeRun` unless a test harness installed a custom source.
     pub(crate) schedule: Arc<dyn ScheduleSource>,
     /// Objects stranded by a crashed node, waiting for its restart.
     pub(crate) stash: OrderedMutex<Vec<StashedObject>>,

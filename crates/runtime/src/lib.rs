@@ -1,9 +1,10 @@
 //! # oml-runtime — a real enactment of the paper's run-time support
 //!
 //! Where `oml-sim` *models* the distributed object system to measure policy
-//! behaviour, this crate *implements* it: every node is a thread with a
-//! bounded inbox (a message to an idle node runs on its sender's thread —
-//! a co-located call costs no hand-off, as in the paper's cost model),
+//! behaviour, this crate *implements* it: every node is a state behind a
+//! bounded inbox, run by whichever thread delivers to it (a message to an
+//! idle node runs on its sender's thread — a co-located call costs no
+//! hand-off, as in the paper's cost model),
 //! objects are linearized to bytes and shipped when they migrate, and the same
 //! [`oml_core::policy::MovePolicy`] objects interpret `move()`-requests at
 //! the callee's node (§3.1, Fig. 3).
@@ -102,7 +103,6 @@ mod fault;
 mod idmap;
 mod message;
 mod node;
-mod proxy;
 mod recovery;
 mod trace;
 
@@ -117,9 +117,8 @@ pub use cluster::{CheckpointHealth, Cluster, ClusterBuilder, ClusterStats, MoveG
 pub use error::RuntimeError;
 pub use fault::FaultPlan;
 pub use object::{Delinearizer, MobileObject};
-pub use proxy::ObjRef;
-pub use recovery::{DetectorConfig, NodeHealth, Sabotage};
-pub use schedule::{FreeRun, ScheduleSource, SendAction};
+pub use recovery::{NodeHealth, Sabotage};
+pub use schedule::{ScheduleSource, SendAction};
 pub use store::{
     CheckpointStore, Durability, FaultFs, FsyncPolicy, MemStore, RecoveryReport, StoreError,
     StoredCheckpoint, WalStats, WalStore, WalStoreConfig,
@@ -129,4 +128,4 @@ pub use transport::multiproc::{
 };
 pub use transport::netio::TransportAddr;
 pub use transport::socket::{SocketConfig, SocketPeer, SocketServer};
-pub use transport::{LinkHealth, Transport, TransportError, TransportEvent};
+pub use transport::{Transport, TransportError, TransportEvent};

@@ -54,7 +54,7 @@ use crate::trace::OrderedMutex;
 /// Failure-detector tuning: how often nodes are expected to beat, and how
 /// many missed beats arouse suspicion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DetectorConfig {
+pub(crate) struct DetectorConfig {
     /// Expected heartbeat interval in milliseconds.
     pub heartbeat_ms: u64,
     /// Consecutive missed beats before a node is suspected (and, if its

@@ -2,7 +2,7 @@
 //! destination's queue, and how often each node's maintenance tick
 //! (heartbeat, lease sweep) falls due on the cluster's timer heap. Both are
 //! decided by a [`ScheduleSource`], so they can be observed or steered
-//! without touching the transport: the default [`FreeRun`] hands every
+//! without touching the transport: the default `FreeRun` hands every
 //! message over at once and ticks every 25 ms, while a test harness can
 //! delay chosen edges or stretch ticks. A delayed message waits on the
 //! timer heap, so under a manual clock it arrives when the clock reaches
@@ -18,7 +18,7 @@ use oml_core::ids::NodeId;
 
 /// The node tick period of the free-running schedule (and the default for
 /// any source that does not override [`ScheduleSource::tick`]).
-pub const DEFAULT_TICK: Duration = Duration::from_millis(25);
+pub(crate) const DEFAULT_TICK: Duration = Duration::from_millis(25);
 
 /// What the transport should do with one routed message hand-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +46,7 @@ pub trait ScheduleSource: Send + Sync + fmt::Debug {
 
     /// The period of node `node`'s tick on the cluster's timer heap: its
     /// maintenance (heartbeat, lease expiry), on a grid shared by all nodes.
+    /// 25 ms unless overridden.
     fn tick(&self, node: NodeId) -> Duration {
         let _ = node;
         DEFAULT_TICK
@@ -55,7 +56,7 @@ pub trait ScheduleSource: Send + Sync + fmt::Debug {
 /// The threads-and-channels default: every hand-off is immediate and every
 /// node ticks at [`DEFAULT_TICK`].
 #[derive(Debug, Default, Clone, Copy)]
-pub struct FreeRun;
+pub(crate) struct FreeRun;
 
 impl ScheduleSource for FreeRun {}
 

@@ -14,7 +14,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Path-based storage operations the WAL store needs. Implemented by
-/// [`RealFs`] (actual disk) and [`crate::store::FaultFs`] (in-memory,
+/// `RealFs` (actual disk) and [`crate::store::FaultFs`] (in-memory,
 /// fault-injecting).
 pub trait Storage: Send + Sync {
     /// Creates `dir` and any missing parents.
@@ -77,7 +77,7 @@ pub trait Storage: Send + Sync {
 /// write and a close, and a sync reuses the descriptor. Any other
 /// operation on that path drops the handle first.
 #[derive(Debug, Default)]
-pub struct RealFs {
+pub(crate) struct RealFs {
     live: Mutex<Option<(PathBuf, File)>>,
 }
 
@@ -141,11 +141,14 @@ impl Storage for RealFs {
             f.sync_all()?;
         }
         std::fs::rename(tmp, dst)?;
-        // fsync the directory so the rename itself is durable; best-effort
-        // where directories cannot be opened (non-unix platforms)
+        // fsync the directory so the rename itself is durable, and report
+        // its failure: a caller that goes on to delete what `dst` replaces
+        // (compaction) must not do so behind a rename that may be lost.
+        // Best-effort only where the directory cannot be opened (non-unix
+        // platforms).
         if let Some(parent) = dst.parent() {
             if let Ok(d) = File::open(parent) {
-                let _ = d.sync_all();
+                d.sync_all()?;
             }
         }
         Ok(())

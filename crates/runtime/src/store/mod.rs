@@ -31,7 +31,7 @@ pub mod fsio;
 pub mod wal;
 
 pub use faultfs::{FaultFs, FaultFsCounters};
-pub use fsio::{RealFs, Storage};
+pub use fsio::Storage;
 pub use wal::{CompactionReport, RecoveryReport, WalRecord, WalSegment, WalStore, WalStoreConfig};
 
 use crate::trace::TraceCollector;

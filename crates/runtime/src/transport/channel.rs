@@ -50,7 +50,7 @@
 //!   and whoever serves the heap never sleeps on an inbox that only a
 //!   restart, or its own next tick, would pop.
 
-use super::{LinkHealth, Transport, TransportError, TransportEvent};
+use super::{Transport, TransportError, TransportEvent};
 use crossbeam::channel::RecvTimeoutError;
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -741,14 +741,6 @@ impl<M: Send, S: Send> Transport<M> for ChannelMesh<M, S> {
         }
     }
 
-    fn link_health(&self, to: u32) -> LinkHealth {
-        if self.closed.load(Ordering::Acquire) || to as usize >= self.inboxes.len() {
-            LinkHealth::Down
-        } else {
-            LinkHealth::Up
-        }
-    }
-
     fn shutdown(&self) {
         self.closed.store(true, Ordering::Release);
     }
@@ -807,7 +799,6 @@ mod tests {
         assert!(matches!(err, TransportError::Timeout { .. }));
         mesh.shutdown();
         assert!(matches!(mesh.send(0, 9), Err(TransportError::Closed)));
-        assert_eq!(mesh.link_health(0), LinkHealth::Down);
     }
 
     /// Spins until `ready`; a hang is a failure, not a wait.
@@ -1277,6 +1268,5 @@ mod tests {
             mesh.send(5, 0),
             Err(TransportError::Down { peer: 5 })
         ));
-        assert_eq!(mesh.link_health(0), LinkHealth::Up);
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! where `crc` is the CRC-32 (IEEE, reflected) of the payload, computed in
-//! one pass per frame on either side ([`Crc32`]): by carry-less
+//! one pass per frame on either side (`Crc32`): by carry-less
 //! multiplication, 64 bytes per step, on a CPU that has PCLMULQDQ, and
 //! through lookup tables, sixteen bytes per step, on any other and for
 //! payloads under 64 bytes. Both give the same 32 bits.
@@ -266,27 +266,15 @@ mod clmul {
 
 /// A running CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`): sums
 /// a frame's parts without concatenating them first.
-///
-/// ```
-/// use oml_runtime::transport::frame::{crc32, Crc32};
-/// let whole = crc32(b"header+payload");
-/// assert_eq!(Crc32::new().update(b"header+").update(b"payload").finish(), whole);
-/// ```
 #[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
 }
 
 impl Crc32 {
     /// The CRC of no bytes yet.
     #[must_use]
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Crc32 { state: !0 }
     }
 
@@ -294,7 +282,7 @@ impl Crc32 {
     /// where the CPU has PCLMULQDQ and `data` is long enough to fill the
     /// four lanes; otherwise, and for the tail, through the tables.
     #[must_use]
-    pub fn update(self, data: &[u8]) -> Self {
+    pub(crate) fn update(self, data: &[u8]) -> Self {
         #[cfg(target_arch = "x86_64")]
         if data.len() >= clmul::MIN_LEN
             && std::arch::is_x86_feature_detected!("pclmulqdq")
@@ -317,7 +305,7 @@ impl Crc32 {
 
     /// The checksum of everything folded in so far.
     #[must_use]
-    pub fn finish(self) -> u32 {
+    pub(crate) fn finish(self) -> u32 {
         !self.state
     }
 }
@@ -348,14 +336,6 @@ pub(crate) fn encode_frame_parts(parts: &[&[u8]], out: &mut Vec<u8>) {
 /// Appends one framed payload to `out`.
 pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
     encode_frame_parts(&[payload], out);
-}
-
-/// Appends a batch of framed payloads to `out`, to go out in one `write`
-/// syscall.
-pub fn encode_batch<'a, I: IntoIterator<Item = &'a [u8]>>(payloads: I, out: &mut Vec<u8>) {
-    for p in payloads {
-        encode_frame(p, out);
-    }
 }
 
 /// Incremental frame decoder: buffer bytes with [`extend`](Self::extend),
@@ -625,7 +605,8 @@ mod tests {
     #[test]
     fn byte_at_a_time_delivery() {
         let mut wire = Vec::new();
-        encode_batch([b"one".as_slice(), b"two".as_slice()], &mut wire);
+        encode_frame(b"one", &mut wire);
+        encode_frame(b"two", &mut wire);
         let mut dec = FrameDecoder::new(FrameConfig::default());
         let mut got = Vec::new();
         for b in wire {

@@ -181,18 +181,6 @@ pub enum TransportEvent<M> {
     },
 }
 
-/// Current supervised state of one link, as [`Transport::link_health`]
-/// reports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkHealth {
-    /// Connected (or, on the channel mesh, the peer's inbox exists).
-    Up,
-    /// Down; the supervisor is retrying under capped backoff.
-    Down,
-    /// Terminally fenced: this endpoint's incarnation was refused.
-    Fenced,
-}
-
 /// How envelopes travel. See the [module docs](self) for the delivery
 /// contract both implementations honour.
 pub trait Transport<M: Send>: Send + Sync {
@@ -218,9 +206,6 @@ pub trait Transport<M: Send>: Send + Sync {
     /// [`TransportError::Closed`] after shutdown.
     fn recv_timeout(&self, at: u32, timeout: Duration)
         -> Result<TransportEvent<M>, TransportError>;
-
-    /// The supervised health of the link towards `to`.
-    fn link_health(&self, to: u32) -> LinkHealth;
 
     /// Tears the transport down; subsequent sends fail with
     /// [`TransportError::Closed`].

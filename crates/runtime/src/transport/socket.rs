@@ -59,14 +59,14 @@
 //! # Who dispatches
 //!
 //! Every [`TransportEvent`] leaves the transport through the endpoint's
-//! [`Sink`]. [`SocketServer::bind`] / [`SocketPeer::connect`] install the
-//! bounded event queue behind [`Transport::recv_timeout`];
-//! [`SocketServer::bind_with_sink`] / [`SocketPeer::connect_with_sink`]
-//! take the caller's, which then runs **on whichever thread produced the
-//! event**: whoever took the read turn (every `Delivery`, and
-//! `Disconnected` at EOF), the acceptor or the dial supervisor
-//! (`Connected`, `Reconnected`, `HandshakeFenced`), and any thread inside
-//! `send` whose write failed (`Disconnected`). No transport lock is held
+//! `Sink`. [`SocketServer::bind`] / [`SocketPeer::connect`] install the
+//! bounded event queue behind [`Transport::recv_timeout`]; the crate's
+//! `SocketServer::bind_with_sink` / `SocketPeer::connect_with_sink` (the
+//! multi-process runtime's) take the caller's, which then runs **on
+//! whichever thread produced the event**: whoever took the read turn (every
+//! `Delivery`, and `Disconnected` at EOF), the acceptor or the dial
+//! supervisor (`Connected`, `Reconnected`, `HandshakeFenced`), and any
+//! thread inside `send` whose write failed (`Disconnected`). No transport lock is held
 //! while a sink runs, so it may `send` — a reply goes out inline. It may
 //! not wait for another frame from the same link (it holds that link's
 //! read turn, so nobody else could deliver it — `send_and_await` included),
@@ -79,7 +79,7 @@ use super::frame::{encode_frame, encode_frame_parts, FrameConfig, FrameDecoder, 
 use super::netio::{
     connect_deadline, retryable, write_all_deadline, Listener, Stream, TransportAddr,
 };
-use super::{LinkHealth, Transport, TransportError, TransportEvent};
+use super::{Transport, TransportError, TransportEvent};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
@@ -213,7 +213,7 @@ pub(crate) fn decode_session(frame: &Bytes) -> Result<SessionFrame, String> {
 /// transport thread produced it (see the [module docs](self) for which
 /// those are and what a sink may not do). It is given the endpoint so that
 /// it can answer a delivery with an inline [`Transport::send`].
-pub type Sink<E> = Box<dyn Fn(&E, TransportEvent<Bytes>) + Send + Sync>;
+pub(crate) type Sink<E> = Box<dyn Fn(&E, TransportEvent<Bytes>) + Send + Sync>;
 
 /// Wire-buffer capacity kept between batches; a rare larger batch (64
 /// frames of a migrating object's state) is freed once written.
@@ -565,17 +565,6 @@ impl Link {
         self.changed.notify_all();
         self.turned.notify_all();
     }
-
-    fn health(&self) -> LinkHealth {
-        let out = self.lock();
-        if out.fenced {
-            LinkHealth::Fenced
-        } else if out.session.is_some() {
-            LinkHealth::Up
-        } else {
-            LinkHealth::Down
-        }
-    }
 }
 
 /// A session's reader thread, at either end: takes turns on `link` while
@@ -726,7 +715,7 @@ impl SocketServer {
     ///
     /// # Errors
     /// Propagates bind failures.
-    pub fn bind_with_sink(
+    pub(crate) fn bind_with_sink(
         addr: &TransportAddr,
         peers_total: u32,
         cfg: SocketConfig,
@@ -863,13 +852,6 @@ impl Transport<Bytes> for SocketServer {
         timeout: Duration,
     ) -> Result<TransportEvent<Bytes>, TransportError> {
         recv_event(self.events.as_ref(), &self.inner.closed, timeout)
-    }
-
-    fn link_health(&self, to: u32) -> LinkHealth {
-        match self.inner.links.get(to as usize) {
-            Some(link) => link.health(),
-            None => LinkHealth::Down,
-        }
     }
 
     fn shutdown(&self) {
@@ -1011,7 +993,7 @@ impl SocketPeer {
     /// [module docs](self) for what a sink may not do. `recv_timeout` on
     /// such a peer reports [`TransportError::Closed`].
     #[must_use]
-    pub fn connect_with_sink(
+    pub(crate) fn connect_with_sink(
         addr: TransportAddr,
         node: u32,
         epoch: u64,
@@ -1100,10 +1082,6 @@ impl Transport<Bytes> for SocketPeer {
         timeout: Duration,
     ) -> Result<TransportEvent<Bytes>, TransportError> {
         recv_event(self.events.as_ref(), &self.inner.closed, timeout)
-    }
-
-    fn link_health(&self, _to: u32) -> LinkHealth {
-        self.inner.link.health()
     }
 
     fn shutdown(&self) {
@@ -1488,7 +1466,7 @@ mod tests {
             server.send(0, tagged(0, sent, FRAME)).unwrap();
             assert!(t.elapsed() < bound, "send {sent} took {:?}", t.elapsed());
             sent += 1;
-            if server.link_health(0) == LinkHealth::Down {
+            if server.inner.links[0].lock().session.is_none() {
                 break sent - 1;
             }
         };
@@ -1647,7 +1625,9 @@ mod tests {
             SocketConfig::default(),
             echo,
         );
-        until("the link is up", || server.link_health(0) == LinkHealth::Up);
+        until("the link is up", || {
+            server.inner.links[0].lock().session.is_some()
+        });
 
         let timeouts: u32 = std::thread::scope(|s| {
             let callers: Vec<_> = (0..THREADS)
@@ -1783,7 +1763,7 @@ mod tests {
             assert!(took < wait + Duration::from_secs(1), "{took:?}");
         });
         until("the session is down", || {
-            server.link_health(0) == LinkHealth::Down
+            server.inner.links[0].lock().session.is_none()
         });
         std::thread::sleep(2 * POLL);
         assert_eq!(seen.disconnects(), 1);

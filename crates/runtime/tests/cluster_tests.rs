@@ -300,54 +300,6 @@ fn shutdown_is_idempotent_and_drop_safe() {
 }
 
 #[test]
-fn proxy_handles_cover_the_primitives() {
-    let cluster = Cluster::builder()
-        .nodes(3)
-        .policy(PolicyKind::TransientPlacement)
-        .build();
-    register_counter(&cluster);
-    let id = cluster.create(n(0), Box::new(Counter(10))).unwrap();
-    let helper_id = cluster.create(n(1), Box::new(Counter(0))).unwrap();
-
-    let obj = cluster.object(id);
-    let helper = cluster.object(helper_id);
-    assert_eq!(obj.id(), id);
-    assert_eq!(obj.location(), Some(n(0)));
-
-    // invoke through the proxy
-    let out = obj
-        .invoke("add", &WireWriter::new().u64(5).finish())
-        .unwrap();
-    assert_eq!(WireReader::new(&out).u64().unwrap(), 15);
-
-    // attach + move via proxies drags the helper
-    helper.attach_to(obj, None).unwrap();
-    {
-        let g = obj.move_to(n(2)).unwrap();
-        assert!(g.granted());
-    }
-    assert!(obj.is_resident(n(2)));
-    for _ in 0..100 {
-        if helper.is_resident(n(2)) {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    assert!(helper.is_resident(n(2)));
-    assert!(helper.detach_from(obj));
-
-    // fixing via the proxy
-    obj.fix();
-    assert!(!obj.move_to(n(0)).unwrap().granted());
-    obj.unfix();
-    {
-        let g = obj.visit(n(0)).unwrap();
-        assert!(g.granted());
-    }
-    assert!(obj.is_resident(n(2)), "visit returned the object");
-}
-
-#[test]
 fn concurrent_invocations_from_many_threads_are_consistent() {
     let cluster = std::sync::Arc::new(Cluster::builder().nodes(4).build());
     register_counter(&cluster);

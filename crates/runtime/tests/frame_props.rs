@@ -7,7 +7,7 @@
 //! splitting writes.
 
 use oml_runtime::transport::frame::{
-    encode_batch, encode_frame, FrameConfig, FrameDecoder, FrameError, HEADER_LEN,
+    encode_frame, FrameConfig, FrameDecoder, FrameError, HEADER_LEN,
 };
 use proptest::prelude::*;
 
@@ -36,7 +36,9 @@ proptest! {
     #[test]
     fn batches_round_trip_under_any_split(msgs in payloads(), chunk in 1usize..64) {
         let mut wire = Vec::new();
-        encode_batch(msgs.iter().map(Vec::as_slice), &mut wire);
+        for m in &msgs {
+            encode_frame(m, &mut wire);
+        }
         let decoded = decode_in_chunks(&wire, chunk);
         prop_assert_eq!(decoded, msgs);
     }
@@ -47,7 +49,9 @@ proptest! {
     #[test]
     fn truncation_at_every_offset_is_safe(msgs in payloads()) {
         let mut wire = Vec::new();
-        encode_batch(msgs.iter().map(Vec::as_slice), &mut wire);
+        for m in &msgs {
+            encode_frame(m, &mut wire);
+        }
         // frame k ends at the cumulative offset of frames 0..=k
         let mut ends = Vec::new();
         let mut acc = 0usize;

@@ -13,7 +13,7 @@
 use bytes::Bytes;
 use oml_runtime::transport::chaos_proxy::FaultProxy;
 use oml_runtime::transport::socket::{SocketConfig, SocketPeer, SocketServer};
-use oml_runtime::transport::{LinkHealth, Transport, TransportError, TransportEvent};
+use oml_runtime::transport::{Transport, TransportError, TransportEvent};
 use oml_runtime::TransportAddr;
 use std::time::{Duration, Instant};
 
@@ -88,12 +88,14 @@ fn reconnects_through_a_severed_proxy_and_redelivers() {
     // the transport's at-least-once promise covers frames accepted while
     // the link is supervised-down
     let until = Instant::now() + Duration::from_secs(5);
-    while peer.link_health(0) == LinkHealth::Up {
+    while !matches!(
+        peer.recv_timeout(0, Duration::from_millis(2)),
+        Ok(TransportEvent::Disconnected { peer: 0 })
+    ) {
         assert!(
             Instant::now() < until,
             "peer never detected the severed link"
         );
-        std::thread::sleep(Duration::from_millis(2));
     }
     // a frame queued during the detected outage sits in the bounded outbox
     // until a session re-forms, then flushes
