@@ -84,22 +84,16 @@ pub struct ObjectDescriptor {
     pub home: NodeId,
     /// Migration permission.
     pub mobility: Mobility,
-    /// Relative state size. The migration duration of an object is
-    /// `M · size_factor`, reflecting that "the cost of a migration depends on
-    /// the size of the object" (§3.2). The paper's experiments use 1.0 for
-    /// all servers.
-    pub size_factor: f64,
 }
 
 impl ObjectDescriptor {
-    /// Creates a mobile, unit-size object.
+    /// Creates a mobile object.
     #[must_use]
     pub fn new(id: ObjectId, home: NodeId) -> Self {
         ObjectDescriptor {
             id,
             home,
             mobility: Mobility::Mobile,
-            size_factor: 1.0,
         }
     }
 
@@ -107,21 +101,6 @@ impl ObjectDescriptor {
     #[must_use]
     pub fn sedentary(mut self) -> Self {
         self.mobility = Mobility::Sedentary;
-        self
-    }
-
-    /// Builder-style: sets the relative state size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not finite and positive.
-    #[must_use]
-    pub fn with_size_factor(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "size factor must be positive: {factor}"
-        );
-        self.size_factor = factor;
         self
     }
 }
@@ -161,17 +140,8 @@ mod tests {
 
     #[test]
     fn descriptor_builders() {
-        let d = ObjectDescriptor::new(ObjectId::new(1), NodeId::new(2))
-            .sedentary()
-            .with_size_factor(2.5);
+        let d = ObjectDescriptor::new(ObjectId::new(1), NodeId::new(2)).sedentary();
         assert_eq!(d.mobility, Mobility::Sedentary);
-        assert_eq!(d.size_factor, 2.5);
         assert_eq!(d.home, NodeId::new(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "size factor must be positive")]
-    fn zero_size_factor_rejected() {
-        let _ = ObjectDescriptor::new(ObjectId::new(0), NodeId::new(0)).with_size_factor(0.0);
     }
 }

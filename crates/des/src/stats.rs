@@ -644,89 +644,6 @@ impl P2Quantile {
     }
 }
 
-/// A fixed-width histogram for distribution diagnostics (call-time spreads,
-/// closure sizes).
-///
-/// # Example
-///
-/// ```
-/// use oml_des::stats::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 10.0, 10);
-/// h.record(0.5);
-/// h.record(9.99);
-/// h.record(42.0); // overflow bucket
-/// assert_eq!(h.count(), 3);
-/// assert_eq!(h.bucket_counts()[0], 1);
-/// assert_eq!(h.overflow(), 1);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram covering `[lo, hi)` with `buckets` equal bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `buckets == 0`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "histogram range is empty");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total observations (including under/overflow).
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Per-bucket counts.
-    #[must_use]
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations below the range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -906,18 +823,6 @@ mod tests {
             bm.push(3.0);
         }
         assert!(bm.sample_count() <= 10 * rule.min_batches);
-    }
-
-    #[test]
-    fn histogram_buckets_and_flows() {
-        let mut h = Histogram::new(0.0, 5.0, 5);
-        for x in [-1.0, 0.0, 0.9, 1.0, 4.999, 5.0, 100.0] {
-            h.record(x);
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bucket_counts(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.count(), 7);
     }
 
     #[test]

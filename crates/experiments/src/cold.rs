@@ -8,16 +8,17 @@
 //!    child (`OML_COLD_ROLE=seed`), which spawns a durable-store
 //!    [`MultiProcCluster`], creates and mutates a handful of counters,
 //!    writes a `phase1` manifest (expected values, worker pids, the
-//!    durably-acked WAL records from its trace) and parks.
+//!    store's WAL events from its trace) and parks.
 //! 2. The parent SIGKILLs the seed coordinator *and* its orphaned worker
 //!    processes — the whole tree dies with no warning and no flush.
 //! 3. A **recover** child (`OML_COLD_ROLE=recover`) cold-starts a new
 //!    coordinator from the store directory alone, re-reads every object,
-//!    and writes a `phase2` manifest (recovered values and versions,
-//!    recovery latency, torn/corrupt flags).
+//!    and writes a `phase2` manifest (recovered values, its trace's cold
+//!    recovery with versions and torn/corrupt flags, recovery latency).
 //!
 //! The parent then replays the durability claim through `oml-check`: the
-//! phase1 acked records become [`EventKind::WalAppended`] events, phase2
+//! phase1 acked records become [`EventKind::WalAppended`] events (and the
+//! syncs that made buffered ones durable [`EventKind::WalSynced`]), phase2
 //! becomes [`EventKind::ColdRecovered`], and `check_trace` enforces that
 //! every record acked durable survived. A **torn-write negative control**
 //! (the live WAL truncated mid-record after the kill, under
@@ -88,9 +89,9 @@ fn parse_phase(text: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-fn phase_all<'a>(kv: &'a [(String, String)], prefix: &str) -> Vec<&'a str> {
+fn phase_all<'a>(kv: &'a [(String, String)], key: &str) -> Vec<&'a str> {
     kv.iter()
-        .filter(|(k, _)| k.starts_with(prefix))
+        .filter(|(k, _)| k == key)
         .map(|(_, v)| v.as_str())
         .collect()
 }
@@ -154,22 +155,12 @@ fn run_seed(dir: &Path) -> ExitCode {
     for i in 0..OBJECTS {
         let _ = writeln!(manifest, "expect.{i}={}", u64::from(i) + 1);
     }
-    for (i, ev) in cluster.take_trace().iter().enumerate() {
-        if let EventKind::WalAppended {
-            object,
-            object_epoch,
-            seq,
-            durable,
-            ..
-        } = &ev.kind
-        {
-            let _ = writeln!(
-                manifest,
-                "acked.{i}={},{object_epoch},{seq},{}",
-                object.as_u32(),
-                u8::from(*durable)
-            );
-        }
+    for line in cluster
+        .take_trace()
+        .iter()
+        .filter_map(|ev| wal_line(&ev.kind))
+    {
+        let _ = writeln!(manifest, "wal={line}");
     }
     write_phase(&dir.join("phase1"), &manifest);
 
@@ -200,24 +191,12 @@ fn run_recover(dir: &Path) -> ExitCode {
     }
     let recovery_ms = started.elapsed().as_secs_f64() * 1e3;
     let stats = cluster.wal_stats();
-    for (i, ev) in cluster.take_trace().iter().enumerate() {
-        if let EventKind::ColdRecovered {
-            recovered,
-            torn,
-            corrupt,
-            ..
-        } = &ev.kind
-        {
-            let _ = writeln!(manifest, "torn={}", u8::from(*torn));
-            let _ = writeln!(manifest, "corrupt={}", u8::from(*corrupt));
-            for (j, (object, epoch, seq)) in recovered.iter().enumerate() {
-                let _ = writeln!(
-                    manifest,
-                    "recovered.{i}.{j}={},{epoch},{seq}",
-                    object.as_u32()
-                );
-            }
-        }
+    for line in cluster
+        .take_trace()
+        .iter()
+        .filter_map(|ev| wal_line(&ev.kind))
+    {
+        let _ = writeln!(manifest, "wal={line}");
     }
     let _ = writeln!(manifest, "recovery_ms={recovery_ms:.3}");
     let _ = writeln!(manifest, "wal_records={}", stats.wal_records);
@@ -311,60 +290,79 @@ fn tear_wal_tail(store_dir: &Path) -> Result<(), String> {
         .collect();
     wals.sort();
     let wal = wals.pop().ok_or("no WAL file to tear")?;
-    let len = fs::metadata(&wal).map_err(|e| e.to_string())?.len();
-    if len == 0 {
+    let data = fs::read(&wal).map_err(|e| e.to_string())?;
+    if data.is_empty() {
         return Err("WAL is empty; nothing to tear".into());
     }
-    let data = fs::read(&wal).map_err(|e| e.to_string())?;
     fs::write(&wal, &data[..data.len() - 1]).map_err(|e| e.to_string())?;
     Ok(())
 }
 
-/// Replays one phase1/phase2 pair through the checker: acked appends in,
-/// cold recovery out, every durable ack must have survived.
-fn check_round(
-    phase1: &[(String, String)],
-    phase2: &[(String, String)],
-) -> Vec<oml_check::Violation> {
-    let mut trace = Vec::new();
-    for acked in phase_all(phase1, "acked.") {
-        let parts: Vec<&str> = acked.split(',').collect();
-        if let [object, epoch, seq, durable] = parts[..] {
-            trace.push(TraceEvent::new(
-                CLIENT_PROCESS,
-                EventKind::WalAppended {
-                    node: CLIENT_PROCESS,
-                    object: ObjectId::new(object.parse().unwrap_or(0)),
-                    object_epoch: epoch.parse().unwrap_or(0),
-                    seq: seq.parse().unwrap_or(0),
-                    durable: durable == "1",
-                },
-            ));
-        }
-    }
-    let recovered: Vec<(ObjectId, u64, u64)> = phase_all(phase2, "recovered.")
-        .iter()
-        .filter_map(|v| {
-            let parts: Vec<&str> = v.split(',').collect();
-            match parts[..] {
-                [object, epoch, seq] => Some((
-                    ObjectId::new(object.parse().ok()?),
-                    epoch.parse().ok()?,
-                    seq.parse().ok()?,
-                )),
-                _ => None,
-            }
-        })
-        .collect();
-    trace.push(TraceEvent::new(
-        CLIENT_PROCESS,
+/// One event of a child's trace that the durability check replays, as a
+/// manifest value: an append, a sync that made buffered appends durable,
+/// or a cold recovery.
+fn wal_line(kind: &EventKind) -> Option<String> {
+    Some(match kind {
+        EventKind::WalAppended {
+            object,
+            object_epoch,
+            seq,
+            durable,
+            ..
+        } => format!(
+            "acked,{},{object_epoch},{seq},{}",
+            object.as_u32(),
+            u8::from(*durable)
+        ),
+        EventKind::WalSynced { records, .. } => format!("synced,{records}"),
         EventKind::ColdRecovered {
-            node: CLIENT_PROCESS,
             recovered,
-            torn: phase_get(phase2, "torn") == Some("1"),
-            corrupt: phase_get(phase2, "corrupt") == Some("1"),
+            torn,
+            corrupt,
+            ..
+        } => recovered.iter().fold(
+            format!("cold,{},{}", u8::from(*torn), u8::from(*corrupt)),
+            |line, (object, epoch, seq)| format!("{line},{},{epoch},{seq}", object.as_u32()),
+        ),
+        _ => return None,
+    })
+}
+
+/// The event [`wal_line`] wrote as `line`, at the coordinator's store.
+fn wal_event(line: &str) -> Option<EventKind> {
+    let node = CLIENT_PROCESS;
+    let (tag, fields) = line.split_once(',').unwrap_or((line, ""));
+    let n: Vec<u64> = fields.split(',').filter_map(|v| v.parse().ok()).collect();
+    let id = |object: u64| ObjectId::new(u32::try_from(object).unwrap_or(0));
+    Some(match (tag, &n[..]) {
+        ("acked", &[object, object_epoch, seq, durable]) => EventKind::WalAppended {
+            node,
+            object: id(object),
+            object_epoch,
+            seq,
+            durable: durable == 1,
         },
-    ));
+        ("synced", &[records]) => EventKind::WalSynced { node, records },
+        ("cold", &[torn, corrupt, ref recovered @ ..]) => EventKind::ColdRecovered {
+            node,
+            recovered: (recovered.chunks_exact(3))
+                .map(|v| (id(v[0]), v[1], v[2]))
+                .collect(),
+            torn: torn == 1,
+            corrupt: corrupt == 1,
+        },
+        _ => return None,
+    })
+}
+
+/// Replays the seed's and the recovery's manifests through the checker:
+/// appends and syncs in, the cold recovery out, every durable ack must
+/// have survived.
+fn check_round(manifests: &[(String, String)]) -> Vec<oml_check::Violation> {
+    let trace: Vec<TraceEvent> = (phase_all(manifests, "wal").into_iter())
+        .filter_map(wal_event)
+        .map(|kind| TraceEvent::new(CLIENT_PROCESS, kind))
+        .collect();
     oml_check::check_trace(&trace).violations
 }
 
@@ -404,7 +402,7 @@ fn run_round(policy: &str, torn_control: bool, trial: u32) -> Result<Round, Stri
             recovered += 1;
         }
     }
-    let violations = check_round(&phase1, &phase2);
+    let violations = check_round(&[&phase1[..], &phase2[..]].concat());
     for v in &violations {
         let tag = if torn_control { "(expected) " } else { "" };
         println!("  {tag}checker: {v}");

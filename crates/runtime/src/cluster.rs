@@ -29,8 +29,9 @@ use crate::recovery::{
     epoch_floors, preference_order, Admission, DetectorConfig, NodeHealth, PendingRefresh,
     RecoveryState, Replicas, ReplicationInfo, Sabotage,
 };
-use crate::schedule::{FreeRun, ScheduleSource, SendAction};
-use crate::store::{cold_recovered, put_traced, CheckpointStore, FsyncPolicy, StoredCheckpoint};
+use crate::store::{
+    cold_recovered, put_traced, trace_synced, CheckpointStore, FsyncPolicy, StoredCheckpoint,
+};
 use crate::trace::{OrderedMutex, OrderedRwLock, TraceCollector};
 
 /// Monotone activity counters, readable while the cluster runs.
@@ -169,10 +170,14 @@ struct Timer {
     thread: Option<JoinHandle<()>>,
 }
 
-/// The first instant after `now` on the grid of `period`: ticks of every
-/// node with the same period fall due together and fire in one wake-up.
-fn next_on_grid(now: u64, period: Duration) -> u64 {
-    let period = (period.as_millis() as u64).max(1);
+/// The period, in ms, of every node's maintenance tick (a heartbeat and a
+/// lease sweep): all nodes tick on its one grid.
+const TICK_MS: u64 = 25;
+
+/// The first instant after `now` on the grid of `period` ms: ticks of
+/// every node fall due together and fire in one wake-up.
+fn next_on_grid(now: u64, period: u64) -> u64 {
+    let period = period.max(1);
     (now / period + 1) * period
 }
 
@@ -199,9 +204,6 @@ pub(crate) struct Shared {
     pub(crate) registry: TypeRegistry,
     pub(crate) counters: Counters,
     pub(crate) injector: FaultInjector,
-    /// The scheduling seam: decides message hand-off timing and node
-    /// ticks. `FreeRun` unless a test harness installed a custom source.
-    pub(crate) schedule: Arc<dyn ScheduleSource>,
     /// Objects stranded by a crashed node, waiting for its restart.
     pub(crate) stash: OrderedMutex<Vec<StashedObject>>,
     /// The crash-recovery subsystem; `None` unless a failure detector was
@@ -296,14 +298,6 @@ impl Shared {
         match decided.fate {
             Fate::Drop | Fate::PartitionDrop => Ok(()),
             Fate::Deliver { copies, delay_ms } => {
-                // the scheduling seam sees every surviving control message;
-                // its delay composes with the fault plan's by taking the max
-                let delay_ms = match self.schedule.on_send(from_raw, to) {
-                    SendAction::Deliver => delay_ms,
-                    SendAction::Delay(d) => {
-                        delay_ms.max(u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-                    }
-                };
                 let msgs = self.envelopes(from_raw, epoch, to, msg, copies);
                 if delay_ms > 0 {
                     // the heap delivers it; once shutdown began,
@@ -406,14 +400,14 @@ impl Shared {
         let now = self.now_ms();
         match due {
             Due::Tick(node) => {
-                let next = next_on_grid(now, self.schedule.tick(NodeId::new(node)));
+                let next = next_on_grid(now, TICK_MS);
                 if self.at(next, due).is_ok() {
                     self.mesh.tick(node);
                 }
             }
             Due::Sweep => {
                 let heartbeat = self.recovery.as_ref().map_or(1, |r| r.config.heartbeat_ms);
-                let next = next_on_grid(now, Duration::from_millis(heartbeat));
+                let next = next_on_grid(now, heartbeat);
                 if self.at(next, due).is_ok() {
                     self.detector_sweep();
                 }
@@ -1057,10 +1051,12 @@ impl Shared {
             let mut replicas = rec.replicas.lock();
             let _ = replicas.stores[i].clear();
             let stores = replicas.stores.iter_mut().enumerate();
-            for (_, store) in stores.filter(|&(n, _)| n != i) {
+            for (n, store) in stores.filter(|&(n, _)| n != i) {
+                let synced = store.wal_stats().synced;
                 for &(object, epoch) in &reinstated {
                     let _ = store.note_epoch(object, epoch);
                 }
+                trace_synced(&**store, &self.trace, n as u32, synced);
             }
             let stalest = rec.sabotage == Some(Sabotage::StalePromotion);
             let available = |n: usize| rec.replica_available(n);
@@ -1215,7 +1211,6 @@ pub struct ClusterBuilder {
     sabotage: Option<Sabotage>,
     store_dir: Option<std::path::PathBuf>,
     store_fsync: FsyncPolicy,
-    schedule: Arc<dyn ScheduleSource>,
 }
 
 impl ClusterBuilder {
@@ -1375,17 +1370,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Installs a custom [`ScheduleSource`]: every surviving control-message
-    /// hand-off and every node tick is decided by it instead of the
-    /// free-running default. This is the seam a deterministic scheduler (or
-    /// a schedule-perturbing test harness) plugs into — see
-    /// [`crate::schedule`].
-    #[must_use]
-    pub fn schedule_source(mut self, source: Arc<dyn ScheduleSource>) -> Self {
-        self.schedule = source;
-        self
-    }
-
     /// Enables protocol trace collection: every node (and the client
     /// facade) records the structured events `oml-check` replays —
     /// sends/receives with message ids, residency transitions, move
@@ -1459,7 +1443,6 @@ impl ClusterBuilder {
             registry: TypeRegistry::new(),
             counters: Counters::default(),
             injector: FaultInjector::new(plan),
-            schedule: self.schedule,
             stash: OrderedMutex::new("shared.stash", Vec::new()),
             recovery,
             manual_clock: self.manual_clock.then(|| AtomicU64::new(0)),
@@ -1496,7 +1479,7 @@ impl ClusterBuilder {
         // detector's sweeps; under a manual clock the caller sweeps
         let mut timer = shared.timer.lock();
         for i in 0..self.nodes {
-            let first = next_on_grid(0, shared.schedule.tick(NodeId::new(i)));
+            let first = next_on_grid(0, TICK_MS);
             timer.due.push(SimTime::new(first as f64), Due::Tick(i));
         }
         if !self.manual_clock {
@@ -1541,7 +1524,6 @@ impl Cluster {
             sabotage: None,
             store_dir: None,
             store_fsync: FsyncPolicy::Always,
-            schedule: Arc::new(FreeRun),
         }
     }
 
@@ -2735,7 +2717,7 @@ mod tests {
                 while cluster.shared.mesh.queued(1) == 0 {
                     std::thread::yield_now();
                 }
-                cluster.advance_clock(crate::schedule::DEFAULT_TICK.as_millis() as u64);
+                cluster.advance_clock(TICK_MS);
                 assert_eq!(call.join().unwrap(), advancing);
             }
         });
@@ -2805,29 +2787,20 @@ mod tests {
         assert_eq!(returned.recv_timeout(Duration::from_secs(1)), Ok(()));
     }
 
-    /// Delays every control message by 30 ms.
-    #[derive(Debug)]
-    struct Lag;
-
-    impl ScheduleSource for Lag {
-        fn on_send(&self, _from: u32, _to: NodeId) -> SendAction {
-            SendAction::Delay(Duration::from_millis(30))
-        }
-    }
-
     /// Under a manual clock a delayed call waits on the heap until the
     /// clock reaches its instant, and then runs on the thread that advanced
     /// the clock.
     #[test]
     fn a_delayed_call_runs_when_the_clock_reaches_it_on_the_advancing_thread() {
+        // every control message is delayed by a draw from `1..=1`: 1 ms
         let lag = Cluster::builder()
             .manual_clock()
-            .schedule_source(Arc::new(Lag));
+            .faults(FaultPlan::seeded(0).delay_probability(1.0, 1));
         let (cluster, node) = (lag.build(), NodeId::new(1));
         let object = cluster.create(node, Box::new(Cell(3, None))).unwrap();
         let (call, answered) = call(object, "where");
         cluster.shared.send_from(None, node, call).unwrap();
-        cluster.advance_clock(29);
+        cluster.advance_clock(0);
         assert!(
             answered.recv_timeout(Duration::ZERO).is_err(),
             "delivered early"

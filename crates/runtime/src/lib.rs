@@ -108,7 +108,6 @@ mod trace;
 
 pub mod error;
 pub mod object;
-pub mod schedule;
 pub mod store;
 pub mod transport;
 pub mod wire;
@@ -118,7 +117,6 @@ pub use error::RuntimeError;
 pub use fault::FaultPlan;
 pub use object::{Delinearizer, MobileObject};
 pub use recovery::{NodeHealth, Sabotage};
-pub use schedule::{ScheduleSource, SendAction};
 pub use store::{
     CheckpointStore, Durability, FaultFs, FsyncPolicy, MemStore, RecoveryReport, StoreError,
     StoredCheckpoint, WalStats, WalStore, WalStoreConfig,

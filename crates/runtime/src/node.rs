@@ -27,11 +27,10 @@ use crate::object::MobileObject;
 use crate::store::StoredCheckpoint;
 use crate::transport::channel::{answer, Handler};
 
-// How often a node's maintenance tick (a heartbeat and a lease sweep) runs
-// is a scheduling decision: the installed
-// [`crate::schedule::ScheduleSource`] supplies it, defaulting to 25 ms.
-// Reads treat expired leases as free immediately, so the tick only affects
-// garbage collection, never grant/deny outcomes.
+// A node's maintenance tick (a heartbeat and a lease sweep) runs every
+// 25 ms, on the cluster's one grid. Reads treat expired leases as free
+// immediately, so the tick only affects garbage collection, never
+// grant/deny outcomes.
 
 /// An object installed at a node, and its image: the copy of its state
 /// the node last shipped, installed or refreshed from. The state changes

@@ -205,7 +205,8 @@ impl std::error::Error for StoreError {}
 pub struct WalStats {
     /// Records appended to the WAL since open.
     pub appended: u64,
-    /// Records made durable by an fsync since open.
+    /// Records made durable since open, by an fsync or by the snapshot of
+    /// a compaction.
     pub synced: u64,
     /// Fsync calls issued.
     pub syncs: u64,
@@ -329,6 +330,8 @@ pub(crate) fn cold_recovered(
 
 /// Installs `ckpt` as `object`'s copy in `node`'s store and mirrors the
 /// append into `trace`: [`EventKind::WalAppended`], then
+/// [`EventKind::WalSynced`] when the put's sync (or compaction) also made
+/// records buffered before it durable, then
 /// [`EventKind::SnapshotCompacted`] when the put tipped the WAL into a
 /// compaction. In-memory stores emit nothing, so the checker's durability
 /// invariants only arm when there is a disk to hold them to. The put (and
@@ -347,19 +350,23 @@ pub(crate) fn put_traced(
     ckpt: StoredCheckpoint,
 ) -> Result<(), StoreError> {
     let (object_epoch, seq) = ckpt.version();
-    let compactions = store.wal_stats().compactions;
+    let before = store.wal_stats();
     let durability = store.put(object, ckpt)?;
     if store.durable_backed() {
+        let durable = durability.is_durable();
         let appended = EventKind::WalAppended {
             node,
             object,
             object_epoch,
             seq,
-            durable: durability.is_durable(),
+            durable,
         };
         trace.emit(node, appended);
+        // its own record is counted above: only what the put's sync or
+        // compaction made durable besides it is news
+        trace_synced(store, trace, node, before.synced + u64::from(durable));
         let stats = store.wal_stats();
-        if stats.compactions > compactions {
+        if stats.compactions > before.compactions {
             let compacted = EventKind::SnapshotCompacted {
                 node,
                 generation: stats.generation,
@@ -369,6 +376,21 @@ pub(crate) fn put_traced(
         }
     }
     Ok(())
+}
+
+/// Emits [`EventKind::WalSynced`] for `node` if `store` has made more
+/// records durable than `synced` ([`WalStats::synced`] before the write
+/// that may have synced): the records it buffered before are durable now.
+pub(crate) fn trace_synced(
+    store: &dyn CheckpointStore,
+    trace: &TraceCollector,
+    node: u32,
+    synced: u64,
+) {
+    let records = store.wal_stats().synced.saturating_sub(synced);
+    if records > 0 {
+        trace.emit(node, EventKind::WalSynced { node, records });
+    }
 }
 
 /// The in-memory store: bit-compatible with the pre-store behavior of the
@@ -505,5 +527,36 @@ mod tests {
     #[test]
     fn versions_order_lexicographically() {
         assert!(ckpt(2, 0).version() > ckpt(1, 9).version());
+    }
+
+    /// A batch sync fired by one put makes the puts buffered before it
+    /// durable too: the trace says so, and the checker holds a cold
+    /// restart to every one of them.
+    #[test]
+    fn a_batch_sync_makes_the_puts_buffered_before_it_durable() {
+        let batch = FsyncPolicy::Batch { n: 2, ms: u64::MAX };
+        let cfg = WalStoreConfig::with_fsync("/virtual/store", batch);
+        let (mut store, _) = WalStore::open_with(cfg, std::sync::Arc::new(FaultFs::new())).unwrap();
+        let trace = TraceCollector::new(true);
+        let (first, second) = (ObjectId::new(1), ObjectId::new(2));
+        put_traced(&mut store, &trace, 0, first, ckpt(1, 1)).unwrap();
+        put_traced(&mut store, &trace, 0, second, ckpt(1, 1)).unwrap();
+        let mut events = trace.take();
+        // a cold restart that lost the first put
+        let recovered = EventKind::ColdRecovered {
+            node: 0,
+            recovered: vec![(second, 1, 1)],
+            torn: false,
+            corrupt: false,
+        };
+        events.push(oml_check::event::TraceEvent::new(0, recovered));
+        let lost = oml_check::Violation::DurableCheckpointLost {
+            node: 0,
+            object: first,
+            object_epoch: 1,
+            seq: 1,
+        };
+        let violations = oml_check::check_trace(&events).violations;
+        assert!(violations.contains(&lost), "{violations:?}");
     }
 }

@@ -318,23 +318,19 @@ pub struct WalStoreConfig {
     pub dir: PathBuf,
     /// When appends are fsynced.
     pub fsync: FsyncPolicy,
-    /// Largest accepted record payload (defaults to the frame layer's
-    /// 4 MiB).
-    pub max_frame: u32,
     /// Auto-compact once the live WAL holds this many records (0 = manual
     /// compaction only).
     pub compact_after: u64,
 }
 
 impl WalStoreConfig {
-    /// Defaults: `fsync=Always`, 4 MiB frames, compaction every 4096
-    /// records.
+    /// Defaults: `fsync=Always`, compaction every 4096 records. A record
+    /// is at most the frame layer's 4 MiB.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> WalStoreConfig {
         WalStoreConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::Always,
-            max_frame: FrameConfig::default().max_frame,
             compact_after: 4096,
         }
     }
@@ -428,7 +424,7 @@ impl WalStore {
         // manifest: names the live generation; missing = fresh store
         let manifest = self.manifest_path();
         match self.fs.read(&manifest) {
-            Ok(bytes) => match decode_manifest(&bytes, self.cfg.max_frame) {
+            Ok(bytes) => match decode_manifest(&bytes) {
                 Some(generation) => self.generation = generation,
                 None => {
                     // an unreadable manifest orphans both generations; start
@@ -488,9 +484,7 @@ impl WalStore {
     /// torn, corrupt or — a `Patch` — does not apply to the image replayed
     /// so far: `(records applied, their bytes, stopped on corruption)`.
     fn replay(&mut self, bytes: &[u8]) -> (u64, u64, bool) {
-        let mut dec = FrameDecoder::new(FrameConfig {
-            max_frame: self.cfg.max_frame,
-        });
+        let mut dec = FrameDecoder::new(FrameConfig::default());
         dec.extend(bytes);
         let mut records = 0;
         let (valid_bytes, corrupt) = drain(&mut dec, |rec| {
@@ -659,6 +653,8 @@ impl WalStore {
         }
         let _ = self.fs.remove(&self.wal_path(old));
         self.generation = new;
+        // the snapshot holds what the old WAL buffered: durable now
+        self.stats.synced += self.unsynced;
         self.unsynced = 0;
         self.stats.wal_records = 0;
         self.stats.wal_bytes = 0;
@@ -764,8 +760,8 @@ fn encode_manifest(generation: u64) -> Vec<u8> {
     out
 }
 
-fn decode_manifest(bytes: &[u8], max_frame: u32) -> Option<u64> {
-    let mut dec = FrameDecoder::new(FrameConfig { max_frame });
+fn decode_manifest(bytes: &[u8]) -> Option<u64> {
+    let mut dec = FrameDecoder::new(FrameConfig::default());
     dec.extend(bytes);
     let payload = dec.next_frame().ok()??;
     let mut r = WireReader::new(&payload);
@@ -1029,6 +1025,19 @@ mod tests {
         assert!(s.put(o, ckpt(1, 1, b"b")).unwrap().is_durable());
         assert_eq!(s.wal_stats().syncs, 1);
         assert_eq!(s.wal_stats().synced, 2);
+    }
+
+    /// A compaction's snapshot holds what the WAL buffered, so those
+    /// records count as synced.
+    #[test]
+    fn a_compaction_syncs_what_the_wal_buffered() {
+        let batch = FsyncPolicy::Batch { n: 2, ms: u64::MAX };
+        let (mut s, _) = WalStore::open_with(cfg(batch), Arc::new(FaultFs::new())).unwrap();
+        let put = s.put(ObjectId::new(1), ckpt(1, 0, b"a")).unwrap();
+        assert!(!put.is_durable());
+        assert_eq!(s.wal_stats().synced, 0);
+        s.compact().unwrap();
+        assert_eq!((s.wal_stats().synced, s.wal_stats().syncs), (1, 0));
     }
 
     #[test]

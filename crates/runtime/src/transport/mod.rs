@@ -65,7 +65,6 @@
 
 pub mod backoff;
 pub mod channel;
-pub mod chaos_proxy;
 pub mod frame;
 pub mod multiproc;
 pub mod netio;

@@ -54,8 +54,8 @@ use crate::error::RuntimeError;
 use crate::object::{Delinearizer, MobileObject};
 use crate::recovery::NodeHealth;
 use crate::store::{
-    cold_recovered, put_traced, CheckpointStore, FsyncPolicy, MemStore, RecoveryReport, StoreError,
-    StoredCheckpoint, WalStore, WalStoreConfig,
+    cold_recovered, put_traced, trace_synced, CheckpointStore, FsyncPolicy, MemStore,
+    RecoveryReport, StoreError, StoredCheckpoint, WalStore, WalStoreConfig,
 };
 use crate::trace::TraceCollector;
 use crate::wire::{WireReader, WireWriter};
@@ -970,7 +970,14 @@ impl MultiProcCluster {
             slot.last_beat = Instant::now();
             slot.ever_beat = false;
             let incarnation = slot.incarnation;
+            let synced = state.store.wal_stats().synced;
             let _ = state.store.set_meta(node, incarnation);
+            trace_synced(
+                &*state.store,
+                &self.inner.core.trace,
+                CLIENT_PROCESS,
+                synced,
+            );
             incarnation
         };
         self.inner.server.fence_below(node, incarnation);
@@ -1198,6 +1205,7 @@ fn sweep_impl(inner: &Arc<CoordShared>) {
         state.counters.declared_dead += newly_dead.len() as u64;
         // persist bumped incarnations so a cold-restarted coordinator
         // keeps the fence above any pre-crash zombie
+        let synced = state.store.wal_stats().synced;
         for &node in &newly_dead {
             let incarnation = state.slots[node as usize].incarnation;
             let _ = state.store.set_meta(node, incarnation);
@@ -1207,6 +1215,7 @@ fn sweep_impl(inner: &Arc<CoordShared>) {
         if matches!(inner.cfg.fsync, FsyncPolicy::Batch { .. }) {
             let _ = state.store.sync();
         }
+        trace_synced(&*state.store, &inner.core.trace, CLIENT_PROCESS, synced);
     }
     for node in newly_suspected {
         inner.core.trace(EventKind::Suspected {
@@ -1266,8 +1275,6 @@ pub struct WorkerOptions {
     pub epoch: u64,
     /// Heartbeat period, ms.
     pub heartbeat_ms: u64,
-    /// Socket transport tuning.
-    pub socket: SocketConfig,
 }
 
 impl WorkerOptions {
@@ -1285,7 +1292,6 @@ impl WorkerOptions {
             node,
             epoch,
             heartbeat_ms,
-            socket: SocketConfig::default(),
         })
     }
 }
@@ -1433,7 +1439,7 @@ pub fn run_worker(opts: &WorkerOptions, types: &[(&str, Delinearizer)]) -> io::R
         opts.addr.clone(),
         opts.node,
         opts.epoch,
-        opts.socket.clone(),
+        SocketConfig::default(),
         Box::new(move |peer, ev| worker.on_event(peer, ev)),
     );
     let beat = Duration::from_millis(opts.heartbeat_ms.max(1)) / 2;

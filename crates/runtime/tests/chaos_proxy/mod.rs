@@ -1,26 +1,24 @@
-//! A socket-level outage lever: a proxy that sits between a
-//! [`super::socket::SocketPeer`] and its server, forwards every byte both
-//! ways, and hard-closes every live connection on [`FaultProxy::sever_all`].
+//! A socket-level outage lever: a TCP proxy that sits between a
+//! `SocketPeer` and its server, forwards every byte both ways, and
+//! hard-closes every live connection on [`FaultProxy::sever_all`].
 //!
 //! The proxy keeps listening after a sever, so a peer's supervisor redials
 //! through it under backoff: a test induces a network blip at an exact
 //! point of its script and watches the link go down and come back.
 
-use super::netio::{
-    connect_deadline, retryable, write_all_deadline, Listener, Stream, TransportAddr,
-};
-use parking_lot::Mutex;
-use std::io;
+use oml_runtime::TransportAddr;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 struct ProxyShared {
-    upstream: TransportAddr,
+    upstream: SocketAddr,
     closed: AtomicBool,
     /// Live forwarded streams, for [`FaultProxy::sever_all`].
-    live: Mutex<Vec<Stream>>,
+    live: Mutex<Vec<TcpStream>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -31,15 +29,28 @@ pub struct FaultProxy {
     addr: TransportAddr,
 }
 
+/// The host and port of a TCP address.
+fn tcp(addr: &TransportAddr) -> io::Result<&str> {
+    match addr {
+        TransportAddr::Tcp(a) => Ok(a),
+        TransportAddr::Unix(_) => Err(io::ErrorKind::Unsupported.into()),
+    }
+}
+
 impl FaultProxy {
-    /// Starts proxying `listen` → `upstream`. Returns the resolved listen
-    /// address (hand it to the peer in place of the server's).
+    /// Starts proxying `listen` → `upstream`, both TCP. Returns the
+    /// resolved listen address (hand it to the peer in place of the
+    /// server's).
     ///
     /// # Errors
-    /// Propagates bind failures.
+    /// Propagates bind failures; a Unix address is unsupported.
     pub fn start(listen: &TransportAddr, upstream: TransportAddr) -> io::Result<FaultProxy> {
-        let listener = Listener::bind(listen)?;
-        let addr = listener.local_addr()?;
+        let listener = TcpListener::bind(tcp(listen)?)?;
+        listener.set_nonblocking(true)?;
+        let addr = TransportAddr::Tcp(listener.local_addr()?.to_string());
+        let upstream = tcp(&upstream)?
+            .parse()
+            .map_err(|_| io::Error::from(io::ErrorKind::InvalidInput))?;
         let inner = Arc::new(ProxyShared {
             upstream,
             closed: AtomicBool::new(false),
@@ -49,9 +60,8 @@ impl FaultProxy {
         let a_inner = Arc::clone(&inner);
         let handle = std::thread::Builder::new()
             .name("oml-proxy-accept".into())
-            .spawn(move || proxy_accept_loop(&a_inner, &listener))
-            .expect("spawn proxy accept thread");
-        inner.threads.lock().push(handle);
+            .spawn(move || proxy_accept_loop(&a_inner, &listener))?;
+        inner.threads.lock().unwrap().push(handle);
         Ok(FaultProxy { inner, addr })
     }
 
@@ -64,9 +74,9 @@ impl FaultProxy {
     /// Hard-closes every live forwarded connection (an induced network
     /// blip; the proxy keeps accepting, so reconnects succeed).
     pub fn sever_all(&self) {
-        let mut live = self.inner.live.lock();
+        let mut live = self.inner.live.lock().unwrap();
         for s in live.drain(..) {
-            s.shutdown_both();
+            let _ = s.shutdown(Shutdown::Both);
         }
     }
 
@@ -74,38 +84,34 @@ impl FaultProxy {
     pub fn shutdown(&self) {
         self.inner.closed.store(true, Ordering::Release);
         self.sever_all();
-        let handles: Vec<_> = self.inner.threads.lock().drain(..).collect();
+        let handles: Vec<_> = self.inner.threads.lock().unwrap().drain(..).collect();
         for h in handles {
             let _ = h.join();
         }
     }
 }
 
-fn proxy_accept_loop(inner: &Arc<ProxyShared>, listener: &Listener) {
+fn proxy_accept_loop(inner: &Arc<ProxyShared>, listener: &TcpListener) {
     let mut conn: u64 = 0;
     while !inner.closed.load(Ordering::Acquire) {
-        let deadline = Instant::now() + Duration::from_millis(50);
-        let downstream = match listener.accept_deadline(deadline) {
-            Ok(s) => s,
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => continue,
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-        };
-        let Ok(upstream) =
-            connect_deadline(&inner.upstream, Instant::now() + Duration::from_secs(1))
-        else {
-            downstream.shutdown_both();
+        // the listener does not block: poll it, so a shutdown is seen
+        let Ok((downstream, _)) = listener.accept() else {
+            std::thread::sleep(Duration::from_millis(5));
             continue;
         };
+        let Ok(upstream) = TcpStream::connect_timeout(&inner.upstream, Duration::from_secs(1))
+        else {
+            let _ = downstream.shutdown(Shutdown::Both);
+            continue;
+        };
+        let _ = downstream.set_nonblocking(false);
         // one pump per direction; clones register for sever_all
         let pairs = [
             (downstream.try_clone(), upstream.try_clone(), 0u8),
             (upstream.try_clone(), downstream.try_clone(), 1u8),
         ];
         {
-            let mut live = inner.live.lock();
+            let mut live = inner.live.lock().unwrap();
             if let (Ok(a), Ok(b)) = (downstream.try_clone(), upstream.try_clone()) {
                 live.push(a);
                 live.push(b);
@@ -113,8 +119,8 @@ fn proxy_accept_loop(inner: &Arc<ProxyShared>, listener: &Listener) {
         }
         for (src, dst, dir) in pairs {
             let (Ok(src), Ok(dst)) = (src, dst) else {
-                downstream.shutdown_both();
-                upstream.shutdown_both();
+                let _ = downstream.shutdown(Shutdown::Both);
+                let _ = upstream.shutdown(Shutdown::Both);
                 break;
             };
             let p_inner = Arc::clone(inner);
@@ -122,28 +128,37 @@ fn proxy_accept_loop(inner: &Arc<ProxyShared>, listener: &Listener) {
                 .name(format!("oml-proxy-pump-{conn}-{dir}"))
                 .spawn(move || pump(&p_inner, src, dst))
                 .expect("spawn proxy pump");
-            inner.threads.lock().push(handle);
+            inner.threads.lock().unwrap().push(handle);
         }
         conn += 1;
     }
 }
 
 /// Forwards `src` → `dst` one chunk at a time until either end closes.
-fn pump(inner: &Arc<ProxyShared>, mut src: Stream, dst: Stream) {
+fn pump(inner: &Arc<ProxyShared>, mut src: TcpStream, mut dst: TcpStream) {
     let _ = src.set_read_timeout(Some(Duration::from_millis(50)));
+    let _ = dst.set_write_timeout(Some(Duration::from_secs(2)));
     let mut buf = [0u8; 8 * 1024];
     while !inner.closed.load(Ordering::Acquire) {
-        let n = match src.read_chunk(&mut buf) {
+        let n = match src.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => n,
-            Err(e) if retryable(&e) => continue,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
+                continue
+            }
             Err(_) => break,
         };
-        let deadline = Instant::now() + Duration::from_secs(2);
-        if write_all_deadline(&dst, &buf[..n], deadline).is_err() {
+        if dst.write_all(&buf[..n]).is_err() {
             break;
         }
     }
-    src.shutdown_both();
-    dst.shutdown_both();
+    let _ = src.shutdown(Shutdown::Both);
+    let _ = dst.shutdown(Shutdown::Both);
 }

@@ -5,11 +5,10 @@ use oml_core::attach::AttachmentMode;
 use oml_core::ids::NodeId;
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
-use oml_runtime::{Cluster, FaultPlan, MobileObject, RuntimeError, ScheduleSource};
+use oml_runtime::{Cluster, FaultPlan, MobileObject, RuntimeError};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A counter whose state survives linearization.
@@ -599,28 +598,19 @@ fn concurrent_clients_of_one_node_see_every_add_once_and_in_order() {
     }
 }
 
-/// An hour-long idle tick: a node thread wakes only for what is queued for
-/// it, so once a node is idle every call to it runs on its caller's thread.
-#[derive(Debug)]
-struct Drowsy;
-
-impl ScheduleSource for Drowsy {
-    fn tick(&self, _node: NodeId) -> Duration {
-        Duration::from_secs(3_600)
-    }
-}
-
 /// A run that panics on the caller's thread — here the closure's `Install`
 /// at its destination, which the caller runs after the move step it started
 /// — unwinds into the caller and loses no node: every state it claimed went
 /// back to its slot, so every node still answers within the call timeout.
+/// Under a manual clock no tick runs, so once a node is idle every call to
+/// it runs on its caller's thread.
 #[test]
 fn a_panicking_install_unwinds_into_the_caller_and_every_node_still_answers() {
     const MARKED: u64 = u64::MAX;
     let cluster = Cluster::builder()
         .nodes(3)
         .policy(PolicyKind::ConventionalMigration)
-        .schedule_source(Arc::new(Drowsy))
+        .manual_clock()
         .call_timeout(Duration::from_secs(1))
         .invoke_retries(0)
         .build();

@@ -29,8 +29,6 @@ const ALLOWLIST: &[(&str, &str)] = &[
     // state-then-trace or independently, never interleaved with Ordered
     // locks (the multiprocess runtime does not use the in-process Cluster)
     ("multiproc.rs", "multi-process coordinator leaf locks"),
-    // the proxy's live-connection table, locked to register/sever streams
-    ("chaos_proxy.rs", "fault-proxy connection-table leaf lock"),
     // one node inbox's queue, state slot and sleeper counts: held to queue
     // or pop a message or move the node's state in or out of its slot; a
     // handler runs only after the state is taken out and the lock released,

@@ -52,16 +52,6 @@ const ALLOWLIST: &[(&str, &str, &str)] = &[
          only the claimer takes it out",
     ),
     (
-        "transport/chaos_proxy.rs",
-        r#".expect("spawn proxy accept thread")"#,
-        "a test fixture's thread; the OS refusing it ends the test",
-    ),
-    (
-        "transport/chaos_proxy.rs",
-        r#".expect("spawn proxy pump")"#,
-        "a test fixture's thread; the OS refusing it ends the test",
-    ),
-    (
         "transport/frame.rs",
         r#"u64::from_le_bytes(lo.try_into().expect("8 of 16 bytes")),"#,
         "split_at(8) of a sixteen-byte block: the low half is eight bytes",

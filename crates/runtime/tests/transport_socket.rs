@@ -10,8 +10,10 @@
 //! across an outage, and every link event of a `bind`/`connect` endpoint
 //! through `recv_timeout`.
 
+mod chaos_proxy;
+
 use bytes::Bytes;
-use oml_runtime::transport::chaos_proxy::FaultProxy;
+use chaos_proxy::FaultProxy;
 use oml_runtime::transport::socket::{SocketConfig, SocketPeer, SocketServer};
 use oml_runtime::transport::{Transport, TransportError, TransportEvent};
 use oml_runtime::TransportAddr;

@@ -16,6 +16,10 @@ use crate::metrics::{SimMetrics, SimOutcome};
 use crate::state::{BlockFlavor, BlockParams, ClientState, LocationMechanism, ObjectState};
 use crate::world::World;
 
+/// Samples per batch of the batch-means stopping rule (`oml-workload`'s
+/// replication chunks are whole multiples of it).
+const BATCH_SIZE: u64 = 500;
+
 /// Fluent construction of a [`Simulation`].
 ///
 /// # Example
@@ -47,7 +51,6 @@ pub struct SimulationBuilder {
     migration_duration: f64,
     stopping: StoppingRule,
     warmup_time: f64,
-    batch_size: u64,
     seed: u64,
     trace_capacity: Option<usize>,
     location_mechanism: LocationMechanism,
@@ -71,7 +74,6 @@ impl SimulationBuilder {
             migration_duration: 6.0,
             stopping: StoppingRule::paper(),
             warmup_time: 200.0,
-            batch_size: 500,
             seed: 0,
             trace_capacity: None,
             location_mechanism: LocationMechanism::ImmediateUpdate,
@@ -150,14 +152,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the batch size for the batch-means stopping rule.
-    #[must_use]
-    pub fn batch_size(mut self, size: u64) -> Self {
-        assert!(size > 0, "batch size must be positive");
-        self.batch_size = size;
-        self
-    }
-
     /// Seeds the random source; equal seeds give bit-identical runs.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -218,16 +212,6 @@ impl SimulationBuilder {
     /// Panics if `object` was not added.
     pub fn fix_object(&mut self, object: ObjectId) {
         self.objects[object.index()].descriptor.mobility = Mobility::Sedentary;
-    }
-
-    /// Sets an object's relative state size (its migration takes
-    /// `M · factor`).
-    pub fn set_size_factor(&mut self, object: ObjectId, factor: f64) {
-        let d = std::mem::replace(
-            &mut self.objects[object.index()].descriptor,
-            ObjectDescriptor::new(object, NodeId::new(0)),
-        );
-        self.objects[object.index()].descriptor = d.with_size_factor(factor);
     }
 
     /// Declares the cooperation context in which moves of `object` are
@@ -338,7 +322,7 @@ impl SimulationBuilder {
         assert!(!self.clients.is_empty(), "a simulation needs clients");
         let rng = SimRng::seed_from(self.seed);
         let n_clients = self.clients.len();
-        let mut metrics = SimMetrics::new(self.batch_size);
+        let mut metrics = SimMetrics::new(BATCH_SIZE);
         metrics.init_clients(n_clients);
         let n_nodes = self.network.len() as usize;
         let n_objects = self.objects.len();

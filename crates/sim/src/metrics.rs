@@ -9,9 +9,7 @@
 //! * their sum plus control-message overhead, the **mean communication time
 //!   per call** (Figs. 8, 12, 14, 16).
 
-use oml_des::stats::{
-    BatchMeans, ConfidenceInterval, Histogram, OnlineStats, P2Quantile, StoppingRule,
-};
+use oml_des::stats::{BatchMeans, ConfidenceInterval, OnlineStats, P2Quantile, StoppingRule};
 use serde::{Deserialize, Serialize};
 
 /// Counters and accumulators produced by a run.
@@ -51,8 +49,6 @@ pub struct SimMetrics {
     pub forward_hops: u64,
     /// Calls that had to block on an in-transit object at least once.
     pub blocked_calls: u64,
-    /// Distribution of migrated-closure sizes.
-    pub closure_sizes: Histogram,
     /// Per-call communication-time samples (call duration plus the block's
     /// amortized migration and control overhead), feeding the stopping rule.
     pub samples: BatchMeans,
@@ -85,7 +81,6 @@ impl SimMetrics {
             blocks_completed: 0,
             forward_hops: 0,
             blocked_calls: 0,
-            closure_sizes: Histogram::new(0.0, 32.0, 32),
             samples: BatchMeans::new(batch_size),
             call_durations: OnlineStats::new(),
             call_p95: P2Quantile::new(0.95),

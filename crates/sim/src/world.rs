@@ -347,7 +347,6 @@ impl World {
         let mut movers = self.mover_pool.pop().unwrap_or_default();
         debug_assert!(movers.is_empty());
         let mut transfer_load = 0.0;
-        let mut land_delay: f64 = 0.0;
         for i in 0..self.closure_scratch.members().len() {
             let member = self.closure_scratch.members()[i];
             let obj = &self.objects[member.index()];
@@ -358,13 +357,16 @@ impl World {
             let here = matches!(obj.location, Location::At(n) if n != to);
             if movable && !pinned && here {
                 movers.push(member);
-                let duration = self.migration_duration * obj.descriptor.size_factor;
-                transfer_load += duration;
-                // Objects transfer in parallel (the network is unsaturated,
-                // §4.1); the migration lands when its largest member does.
-                land_delay = land_delay.max(duration);
+                transfer_load += self.migration_duration;
             }
         }
+        // Objects transfer in parallel (the network is unsaturated, §4.1):
+        // the migration lands one `M` after it departs, whatever its size.
+        let land_delay = if movers.is_empty() {
+            0.0
+        } else {
+            self.migration_duration
+        };
         for &member in &movers {
             if let Location::At(old) = self.objects[member.index()].location {
                 // Emerald-style forwarding pointer at the departure node.
@@ -383,7 +385,6 @@ impl World {
             self.metrics.objects_migrated += movers.len() as u64;
             self.metrics.total_migration_time += land_delay;
             self.metrics.total_transfer_load += transfer_load;
-            self.metrics.closure_sizes.record(movers.len() as f64);
             if install_block.is_none() {
                 self.metrics.unattributed_migration_time += land_delay;
             }

@@ -157,8 +157,8 @@ pub fn run_scenario(
 /// natural parallel grain (8 saturates the default thread cap).
 pub const REPLICATIONS_PER_ROUND: u64 = 8;
 
-/// The per-call sample batch size `build_scenario` worlds use (the
-/// `SimulationBuilder` default).
+/// The per-call sample batch size `build_scenario` worlds use (every
+/// `oml-sim` simulation's).
 pub(crate) const SCENARIO_BATCH_SIZE: u64 = 500;
 
 /// Samples each replication contributes before the round is re-evaluated.
