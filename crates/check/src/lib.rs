@@ -9,10 +9,10 @@
 //!    ([`vclock`]), and verifies the paper's safety invariants — single
 //!    residency, place-lock exclusivity (denied movers never mutate
 //!    placement), closure atomicity, and lease soundness.
-//! 2. **Lock-nesting recorder** ([`lockorder`]): a debug-build recorder over
-//!    the runtime's named `Mutex`/`RwLock` sites that accumulates the lock
-//!    acquisition graph; the runtime holds one lock at a time, so CI fails
-//!    on any edge.
+//! 2. **Lock-nesting trap** ([`lockorder`]): debug builds of the runtime
+//!    report each acquisition of a named `Mutex`/`RwLock` site to it; the
+//!    runtime holds one lock at a time, so taking one while holding another
+//!    aborts the process, naming both sites.
 //! 3. **Schedule explorer** ([`explore`]): a bounded model checker that
 //!    enumerates every interleaving of a small cluster configuration under
 //!    a virtual scheduler — dynamic partial-order reduction with sleep sets
@@ -21,8 +21,8 @@
 //!    minimizing any violation into a replayable schedule file.
 //!
 //! The crate depends only on `oml-core` (for the id newtypes) and
-//! `oml-des` (for the explorer's virtual clock), and performs no I/O: the
-//! runtime emits, this crate judges.
+//! `oml-des` (for the explorer's virtual clock), and performs no I/O but
+//! the trap's last message: the runtime emits, this crate judges.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

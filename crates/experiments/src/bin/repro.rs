@@ -16,8 +16,8 @@ use oml_experiments::bench::{
     render_bench_json, render_scaling_json, run_bench_suite, run_scaling_suite,
 };
 use oml_experiments::check::{
-    audit_lock_order, exercise_lock_sites, replay_chaos_seed, replay_durability_seed,
-    replay_recovery_seed, CheckOutcome, CHAOS_SEEDS, NEGATIVE_CONTROLS,
+    replay_chaos_seed, replay_durability_seed, replay_recovery_seed, CheckOutcome, CHAOS_SEEDS,
+    NEGATIVE_CONTROLS,
 };
 use oml_experiments::experiments::{
     availability, availability_multiprocess, break_even_scaling, durability, egoism, faults, fig12,
@@ -256,7 +256,8 @@ fn run_check_negative() -> ExitCode {
 }
 
 /// Replays the requested chaos seeds with tracing on, prints every
-/// checker verdict and the lock-order audit, and reports overall success.
+/// checker verdict, and reports overall success. A debug build aborts at
+/// any lock taken under another (DESIGN.md §12.3).
 /// With `--recovery`, additionally replays the failure-detector schedules
 /// (crash → declare-dead → reinstantiate, plus a scripted zombie restart);
 /// with `--durability`, the quorum-replicated checkpoint schedules
@@ -345,25 +346,6 @@ fn run_check(cli: &Cli) -> ExitCode {
             "durability seed",
             replay_durability_seed,
         );
-    }
-
-    println!("\n# lock-order audit");
-    // a fault-free attach/migrate/crash scenario touches the lock sites the
-    // chaos schedules miss (attachments never occur under chaos)
-    let attach_report = exercise_lock_sites();
-    println!("attach scenario: {}", attach_report);
-    clean &= attach_report.is_clean();
-    let audit = audit_lock_order();
-    if !audit.is_clean() {
-        eprint!(
-            "lock taken while another was held, held -> taken (DESIGN.md §12.3):\n{}",
-            oml_check::lockorder::render_edges(&audit.edges)
-        );
-        clean = false;
-    } else if cfg!(debug_assertions) {
-        println!("no lock nestings observed");
-    } else {
-        println!("(release build: lock-order recording is compiled out; run a debug build for the graph)");
     }
 
     if clean {
@@ -642,10 +624,11 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "check",
         about: "replay seeded chaos schedules with protocol tracing on and\n\
-                verify the paper's invariants plus the lock-order graph\n\
-                (--seeds chaos | --seeds N,M,... to pick the schedules;\n\
-                --recovery adds the failure-detector schedules and the\n\
-                unfenced zombie negative control; --durability adds the\n\
+                verify the paper's invariants; a debug build also aborts\n\
+                at any lock taken under another (--seeds chaos |\n\
+                --seeds N,M,... to pick the schedules; --recovery adds\n\
+                the failure-detector schedules and the unfenced zombie\n\
+                negative control; --durability adds the\n\
                 quorum-replicated checkpoint schedules and the no-repair /\n\
                 stale-promotion negative controls; --negative replays the\n\
                 negative controls alone and exits nonzero — violations are\n\

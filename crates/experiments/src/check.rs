@@ -1,6 +1,7 @@
 //! The `repro check` driver: replay the seeded chaos schedules from the
 //! runtime's chaos harness with protocol tracing enabled, feed every
-//! collected trace to `oml-check`, and audit the lock-acquisition graph.
+//! collected trace to `oml-check`. A debug build also arms the runtime's
+//! lock-nesting trap, which aborts the run at any lock taken under another.
 //!
 //! This is the executable face of the checker — CI (and anyone debugging a
 //! protocol change) runs `repro check --seeds chaos` and gets either "all
@@ -9,7 +10,7 @@
 use std::time::Duration;
 
 use oml_check::explore::trace_digest;
-use oml_check::{check_trace, lockorder, CheckReport};
+use oml_check::{check_trace, CheckReport};
 use oml_core::ids::{NodeId, ObjectId};
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
@@ -443,68 +444,6 @@ pub const NEGATIVE_CONTROLS: &[NegativeControl] = &[
     },
 ];
 
-/// Drives a small fault-free scenario that touches every named lock site —
-/// alliances, attachments, fixes, a closure move, a crash and a restart —
-/// so the debug-build recorder has seen each before [`audit_lock_order`].
-/// The chaos schedules never build attachments, so without this the audit
-/// would never look at the cooperation lock.
-///
-/// Returns the checker's verdict on the scenario's own trace.
-///
-/// # Panics
-///
-/// Panics if the fault-free scenario itself fails (creation, alliance
-/// membership, attachment or migration errors) — there are no faults to
-/// blame, so any error is a runtime bug.
-#[must_use]
-pub fn exercise_lock_sites() -> CheckReport {
-    let builder = Cluster::builder()
-        .nodes(2)
-        .policy(PolicyKind::CompareAndReinstantiate)
-        .lease_ms(500)
-        .manual_clock()
-        .trace();
-    let cluster = replay_cluster(builder);
-    let a = cluster.create(n(0), Box::new(Counter(0))).expect("create");
-    let b = cluster.create(n(1), Box::new(Counter(0))).expect("create");
-    let ally = cluster.create_alliance("pair");
-    cluster.join_alliance(ally, a).expect("join");
-    cluster.join_alliance(ally, b).expect("join");
-    cluster.attach(a, b, Some(ally)).expect("attach");
-    cluster.fix(b);
-    drop(cluster.move_block_in(a, n(1), Some(ally)).expect("move"));
-    cluster.invoke(a, "get", &[]).expect("invoke");
-    cluster.advance_clock(1_000);
-    cluster.crash_node(n(1)).expect("crash");
-    cluster.restart_node(n(1)).expect("restart");
-    cluster.shutdown();
-    check_trace(&cluster.take_trace())
-}
-
-/// What the lock-order audit saw after the replays.
-#[derive(Debug)]
-pub struct LockOrderAudit {
-    /// Every distinct `held -> acquired` nesting observed.
-    pub edges: Vec<(&'static str, &'static str)>,
-}
-
-impl LockOrderAudit {
-    /// Whether no lock was taken while another was held.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.edges.is_empty()
-    }
-}
-
-/// The lock nestings recorded (in debug builds) during the replays of this
-/// process.
-#[must_use]
-pub fn audit_lock_order() -> LockOrderAudit {
-    LockOrderAudit {
-        edges: lockorder::edges(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,14 +525,5 @@ mod tests {
                 ("stale-promotion", "freshness", "--durability"),
             ]
         );
-    }
-
-    #[test]
-    fn lock_order_audit_reflects_the_recorded_graph() {
-        // the replay above (or any other test in this binary) has exercised
-        // the runtime's locks; the audit must come back clean
-        let _ = replay_chaos_seed(1);
-        let audit = audit_lock_order();
-        assert!(audit.is_clean(), "{audit:?}");
     }
 }

@@ -197,8 +197,7 @@ pub(crate) struct Shared {
     pub(crate) objects: OrderedRwLock<IdMap<ObjectId, ObjectRecord>>,
     pub(crate) policy: OrderedMutex<Box<dyn MovePolicy>>,
     /// Whether the policy's placement locks can run out — a lease TTL was
-    /// set, or the policy is a custom one — so an invocation must renew
-    /// its object's lease.
+    /// set — so an invocation must renew its object's lease.
     pub(crate) leases_expire: bool,
     pub(crate) cooperation: OrderedMutex<Cooperation>,
     pub(crate) registry: TypeRegistry,
@@ -1198,7 +1197,6 @@ fn clone_control(msg: &Message) -> Option<Message> {
 pub struct ClusterBuilder {
     nodes: u32,
     policy: PolicyKind,
-    custom_policy: Option<Box<dyn MovePolicy>>,
     attachment_mode: AttachmentMode,
     fault_plan: Option<FaultPlan>,
     call_timeout: Duration,
@@ -1227,15 +1225,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn policy(mut self, policy: PolicyKind) -> Self {
         self.policy = policy;
-        self.custom_policy = None;
-        self
-    }
-
-    /// Installs a user-defined migration policy (any
-    /// [`oml_core::policy::MovePolicy`]) instead of a built-in.
-    #[must_use]
-    pub fn policy_custom(mut self, policy: impl MovePolicy + 'static) -> Self {
-        self.custom_policy = Some(Box::new(policy));
         self
     }
 
@@ -1387,11 +1376,10 @@ impl ClusterBuilder {
     #[must_use]
     pub fn build(self) -> Cluster {
         let mesh = ChannelMesh::owned(self.nodes, MeshConfig::default());
-        let leases_expire = self.custom_policy.is_some() || self.lease_ms.is_some();
-        let policy = match (self.custom_policy, self.lease_ms) {
-            (Some(p), _) => p,
-            (None, Some(ttl)) => self.policy.build_with_lease(ttl),
-            (None, None) => self.policy.build(),
+        let leases_expire = self.lease_ms.is_some();
+        let policy = match self.lease_ms {
+            Some(ttl) => self.policy.build_with_lease(ttl),
+            None => self.policy.build(),
         };
         let plan = self.fault_plan.unwrap_or_else(|| FaultPlan::seeded(0));
         let jitter_seed = plan.seed();
@@ -1511,7 +1499,6 @@ impl Cluster {
         ClusterBuilder {
             nodes: 2,
             policy: PolicyKind::TransientPlacement,
-            custom_policy: None,
             attachment_mode: AttachmentMode::Unrestricted,
             fault_plan: None,
             call_timeout: Duration::from_secs(5),

@@ -118,7 +118,7 @@ pub use fault::FaultPlan;
 pub use object::{Delinearizer, MobileObject};
 pub use recovery::{NodeHealth, Sabotage};
 pub use store::{
-    CheckpointStore, Durability, FaultFs, FsyncPolicy, MemStore, RecoveryReport, StoreError,
+    CheckpointStore, Durability, FsyncPolicy, MemStore, RecoveryReport, StoreError,
     StoredCheckpoint, WalStats, WalStore, WalStoreConfig,
 };
 pub use transport::multiproc::{

@@ -35,7 +35,7 @@ struct FileBuf {
 
 /// Observability counters for assertions in chaos tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultFsCounters {
+pub(crate) struct FaultFsCounters {
     /// Append calls observed.
     pub appends: u64,
     /// Bytes actually written by appends (torn writes count the kept part).
@@ -62,39 +62,39 @@ struct Inner {
 
 /// The fault-injecting in-memory filesystem. See the module docs.
 #[derive(Clone, Default)]
-pub struct FaultFs {
+pub(crate) struct FaultFs {
     inner: Arc<Mutex<Inner>>,
 }
 
 impl FaultFs {
     /// A fresh, fault-free in-memory filesystem.
     #[must_use]
-    pub fn new() -> FaultFs {
+    pub(crate) fn new() -> FaultFs {
         FaultFs::default()
     }
 
     /// Arms a torn write: the `at_append`-th append (1-based, across all
     /// files) keeps only `keep` bytes of its chunk and fails — the process
     /// "died" mid-`write(2)`.
-    pub fn torn_write(&self, at_append: u64, keep: usize) {
+    pub(crate) fn torn_write(&self, at_append: u64, keep: usize) {
         self.inner.lock().torn = Some((at_append, keep));
     }
 
     /// When `on`, syncs report success without advancing the durable
     /// prefix — the firmware that acknowledges flushes it never performs.
-    pub fn skip_fsync(&self, on: bool) {
+    pub(crate) fn skip_fsync(&self, on: bool) {
         self.inner.lock().skip_fsync = on;
     }
 
     /// The next read of `path` fails with `NotFound` (one-shot) — the file
     /// that vanished between shutdown and reopen.
-    pub fn vanish_on_reopen(&self, path: &Path) {
+    pub(crate) fn vanish_on_reopen(&self, path: &Path) {
         self.inner.lock().vanish.insert(path.to_path_buf());
     }
 
     /// Flips one bit of `path` at `bit_offset` (bit rot). `false` if the
     /// file is missing or shorter than the offset.
-    pub fn flip_bit(&self, path: &Path, bit_offset: u64) -> bool {
+    pub(crate) fn flip_bit(&self, path: &Path, bit_offset: u64) -> bool {
         let mut inner = self.inner.lock();
         let Some(file) = inner.files.get_mut(path) else {
             return false;
@@ -110,7 +110,7 @@ impl FaultFs {
     /// Simulated power loss: every file is truncated to its durable
     /// prefix. Unsynced appends vanish, exactly as they would from a dead
     /// machine's page cache.
-    pub fn power_loss(&self) {
+    pub(crate) fn power_loss(&self) {
         let mut inner = self.inner.lock();
         for file in inner.files.values_mut() {
             let durable = file.durable;
@@ -120,13 +120,13 @@ impl FaultFs {
 
     /// The written length of `path`, if it exists.
     #[must_use]
-    pub fn file_len(&self, path: &Path) -> Option<usize> {
+    pub(crate) fn file_len(&self, path: &Path) -> Option<usize> {
         self.inner.lock().files.get(path).map(|f| f.data.len())
     }
 
     /// Counter snapshot.
     #[must_use]
-    pub fn counters(&self) -> FaultFsCounters {
+    pub(crate) fn counters(&self) -> FaultFsCounters {
         self.inner.lock().counters
     }
 }

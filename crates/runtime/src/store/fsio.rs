@@ -4,7 +4,7 @@
 //! Confinement is enforced by the `store_io.rs` source-scan test (the
 //! sibling of `transport_deadlines.rs`): no other file under `store/` may
 //! touch `std::fs`. That keeps the WAL logic testable against the
-//! in-memory [`crate::store::FaultFs`] — which can tear writes, skip
+//! in-memory, test-only `FaultFs` — which can tear writes, skip
 //! fsyncs and lose power — while this module stays small enough to audit
 //! by eye.
 
@@ -14,7 +14,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Path-based storage operations the WAL store needs. Implemented by
-/// `RealFs` (actual disk) and [`crate::store::FaultFs`] (in-memory,
+/// `RealFs` (actual disk) and the test-only `FaultFs` (in-memory,
 /// fault-injecting).
 pub trait Storage: Send + Sync {
     /// Creates `dir` and any missing parents.

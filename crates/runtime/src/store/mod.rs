@@ -19,18 +19,18 @@
 //!   fencing survives restarts.
 //!
 //! All *real* filesystem IO is confined to [`fsio`] (enforced by the
-//! `store_io.rs` source-scan test); [`FaultFs`] is a purely in-memory
-//! [`fsio::Storage`] that injects torn writes, skipped fsyncs, bit flips
+//! `store_io.rs` source-scan test); `FaultFs`, compiled only for the
+//! crate's unit tests, is a purely in-memory [`fsio::Storage`] that injects torn writes, skipped fsyncs, bit flips
 //! and vanishing files — the storage-side sibling of the message-level
 //! `FaultPlan` — so the chaos tests can simulate power loss
 //! deterministically (a real SIGKILL never loses completed `write`s: the
 //! page cache survives the process).
 
-pub mod faultfs;
+#[cfg(test)]
+pub(crate) mod faultfs;
 pub mod fsio;
 pub mod wal;
 
-pub use faultfs::{FaultFs, FaultFsCounters};
 pub use fsio::Storage;
 pub use wal::{CompactionReport, RecoveryReport, WalRecord, WalSegment, WalStore, WalStoreConfig};
 
@@ -108,7 +108,7 @@ pub enum FsyncPolicy {
     /// gone idle someone has to call [`CheckpointStore::sync`]. The
     /// multi-process coordinator does, on every detector pass (so its bound
     /// is `max(ms, heartbeat_ms)`); the in-process node stores are left to
-    /// their next put, so that scripted [`FaultFs`] replays stay
+    /// their next put, so that scripted `FaultFs` replays stay
     /// bit-identical.
     Batch {
         /// Unsynced records that force a sync.
@@ -536,7 +536,8 @@ mod tests {
     fn a_batch_sync_makes_the_puts_buffered_before_it_durable() {
         let batch = FsyncPolicy::Batch { n: 2, ms: u64::MAX };
         let cfg = WalStoreConfig::with_fsync("/virtual/store", batch);
-        let (mut store, _) = WalStore::open_with(cfg, std::sync::Arc::new(FaultFs::new())).unwrap();
+        let (mut store, _) =
+            WalStore::open_with(cfg, std::sync::Arc::new(faultfs::FaultFs::new())).unwrap();
         let trace = TraceCollector::new(true);
         let (first, second) = (ObjectId::new(1), ObjectId::new(2));
         put_traced(&mut store, &trace, 0, first, ckpt(1, 1)).unwrap();

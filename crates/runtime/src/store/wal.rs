@@ -380,7 +380,7 @@ impl WalStore {
     }
 
     /// [`open`](Self::open) against any [`Storage`] — the chaos tests pass
-    /// a [`super::FaultFs`].
+    /// a `FaultFs`.
     ///
     /// # Errors
     /// As [`open`](Self::open).
@@ -848,7 +848,7 @@ impl CheckpointStore for WalStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::FaultFs;
+    use crate::store::faultfs::FaultFs;
     use crate::wire::hex;
 
     fn ckpt(epoch: u64, seq: u64, state: &[u8]) -> StoredCheckpoint {

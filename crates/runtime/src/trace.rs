@@ -1,4 +1,4 @@
-//! Trace collection and lock-order recording support for the runtime.
+//! Trace collection and the named lock sites of the runtime.
 //!
 //! Two pieces of instrumentation live here, both consumed by `oml-check`:
 //!
@@ -11,10 +11,10 @@
 //!   vector-clock construction requires.
 //! * [`OrderedMutex`] / [`OrderedRwLock`] — the runtime's named lock sites.
 //!   In debug builds every acquisition/release is reported to
-//!   [`oml_check::lockorder`], which records each lock taken while another
-//!   is held. The runtime takes none that way: `repro check` and
-//!   `traced_invariants.rs` fail on any nesting (DESIGN.md §12.3). Release
-//!   builds compile the recording away entirely.
+//!   [`oml_check::lockorder`], which aborts the process when a lock is taken
+//!   while another is held (DESIGN.md §12.3), naming both sites. Release
+//!   builds compile the reporting away entirely: their [`OrderedGuard`] is
+//!   the bare `parking_lot` guard.
 //!
 //! The collector's own mutex and the fault injector's internal locks are
 //! deliberately *not* ordered sites: they are leaf infrastructure that never
@@ -110,8 +110,8 @@ impl std::fmt::Debug for TraceCollector {
     }
 }
 
-/// A `parking_lot::Mutex` that reports its acquisitions to the lock-order
-/// recorder in debug builds. The site name must be unique per lock.
+/// A `parking_lot::Mutex` that reports its acquisitions to the lock-nesting
+/// trap in debug builds. The site name must be unique per lock.
 pub(crate) struct OrderedMutex<T> {
     #[cfg(debug_assertions)]
     name: &'static str,
@@ -129,14 +129,10 @@ impl<T> OrderedMutex<T> {
         }
     }
 
-    pub(crate) fn lock(&self) -> OrderedMutexGuard<'_, T> {
+    pub(crate) fn lock(&self) -> OrderedGuard<parking_lot::MutexGuard<'_, T>> {
         #[cfg(debug_assertions)]
         oml_check::lockorder::on_acquire(self.name);
-        OrderedMutexGuard {
-            #[cfg(debug_assertions)]
-            name: self.name,
-            inner: self.inner.lock(),
-        }
+        OrderedGuard(self.inner.lock())
     }
 }
 
@@ -146,35 +142,9 @@ impl<T: std::fmt::Debug> std::fmt::Debug for OrderedMutex<T> {
     }
 }
 
-pub(crate) struct OrderedMutexGuard<'a, T> {
-    #[cfg(debug_assertions)]
-    name: &'static str,
-    inner: parking_lot::MutexGuard<'a, T>,
-}
-
-impl<T> std::ops::Deref for OrderedMutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T> Drop for OrderedMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        #[cfg(debug_assertions)]
-        oml_check::lockorder::on_release(self.name);
-    }
-}
-
-/// A `parking_lot::RwLock` that reports its acquisitions (read and write
-/// alike — the deadlock analysis does not distinguish shared from exclusive
-/// holds) to the lock-order recorder in debug builds.
+/// A `parking_lot::RwLock` that reports its acquisitions to the
+/// lock-nesting trap in debug builds, read and write alike: a read taken
+/// under another lock can deadlock as surely as a write.
 pub(crate) struct OrderedRwLock<T> {
     #[cfg(debug_assertions)]
     name: &'static str,
@@ -192,24 +162,16 @@ impl<T> OrderedRwLock<T> {
         }
     }
 
-    pub(crate) fn read(&self) -> OrderedReadGuard<'_, T> {
+    pub(crate) fn read(&self) -> OrderedGuard<parking_lot::RwLockReadGuard<'_, T>> {
         #[cfg(debug_assertions)]
         oml_check::lockorder::on_acquire(self.name);
-        OrderedReadGuard {
-            #[cfg(debug_assertions)]
-            name: self.name,
-            inner: self.inner.read(),
-        }
+        OrderedGuard(self.inner.read())
     }
 
-    pub(crate) fn write(&self) -> OrderedWriteGuard<'_, T> {
+    pub(crate) fn write(&self) -> OrderedGuard<parking_lot::RwLockWriteGuard<'_, T>> {
         #[cfg(debug_assertions)]
         oml_check::lockorder::on_acquire(self.name);
-        OrderedWriteGuard {
-            #[cfg(debug_assertions)]
-            name: self.name,
-            inner: self.inner.write(),
-        }
+        OrderedGuard(self.inner.write())
     }
 }
 
@@ -219,49 +181,27 @@ impl<T: std::fmt::Debug> std::fmt::Debug for OrderedRwLock<T> {
     }
 }
 
-pub(crate) struct OrderedReadGuard<'a, T> {
-    #[cfg(debug_assertions)]
-    name: &'static str,
-    inner: parking_lot::RwLockReadGuard<'a, T>,
-}
+/// The guard of an [`OrderedMutex`] or [`OrderedRwLock`]: the `parking_lot`
+/// guard it wraps, which in debug builds tells the trap when it is dropped.
+pub(crate) struct OrderedGuard<G>(G);
 
-impl<T> std::ops::Deref for OrderedReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
+impl<G: std::ops::Deref> std::ops::Deref for OrderedGuard<G> {
+    type Target = G::Target;
+    fn deref(&self) -> &G::Target {
+        &self.0
     }
 }
 
-impl<T> Drop for OrderedReadGuard<'_, T> {
+impl<G: std::ops::DerefMut> std::ops::DerefMut for OrderedGuard<G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
+        &mut self.0
+    }
+}
+
+#[cfg(debug_assertions)]
+impl<G> Drop for OrderedGuard<G> {
     fn drop(&mut self) {
-        #[cfg(debug_assertions)]
-        oml_check::lockorder::on_release(self.name);
-    }
-}
-
-pub(crate) struct OrderedWriteGuard<'a, T> {
-    #[cfg(debug_assertions)]
-    name: &'static str,
-    inner: parking_lot::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> std::ops::Deref for OrderedWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> std::ops::DerefMut for OrderedWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T> Drop for OrderedWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        #[cfg(debug_assertions)]
-        oml_check::lockorder::on_release(self.name);
+        oml_check::lockorder::on_release();
     }
 }
 
@@ -317,5 +257,34 @@ mod tests {
         let rw = OrderedRwLock::new("test.rw", 5u32);
         *rw.write() += 1;
         assert_eq!(*rw.read(), 6);
+    }
+
+    /// Taking a named lock while holding another stops the process where
+    /// it happens, naming both sites. The test re-runs its own binary as a
+    /// child that nests two locks, and reads how the child died.
+    #[cfg(all(unix, debug_assertions))]
+    #[test]
+    fn a_lock_taken_under_another_aborts_the_process() {
+        use std::os::unix::process::ExitStatusExt;
+        const CHILD: &str = "OML_NESTED_LOCK_CHILD";
+        const SIGABRT: i32 = 6;
+        if std::env::var_os(CHILD).is_some() {
+            let held = OrderedMutex::new("test.held", ());
+            let taken = OrderedMutex::new("test.taken", ());
+            let _held = held.lock();
+            let _taken = taken.lock();
+            return;
+        }
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "trace::tests::a_lock_taken_under_another_aborts_the_process",
+            ])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        assert_eq!(child.status.signal(), Some(SIGABRT), "{stderr}");
+        assert!(stderr.contains("test.held -> test.taken"), "{stderr}");
     }
 }

@@ -727,9 +727,12 @@ impl MultiProcCluster {
             threads: Mutex::new(Vec::new()),
         };
 
+        // a failed start takes the workers already spawned down with it
         for (node, &inc) in incarnations.iter().enumerate() {
             inner.server.fence_below(node as u32, inc);
-            cluster.spawn_worker_process(node as u32, inc)?;
+            cluster
+                .spawn_worker_process(node as u32, inc)
+                .inspect_err(|_| cluster.abandon())?;
         }
 
         if inner.cfg.monitor {
@@ -742,7 +745,7 @@ impl MultiProcCluster {
                         sweep_impl(&m_inner);
                     }
                 })
-                .expect("spawn monitor");
+                .inspect_err(|_| cluster.abandon())?;
             cluster.threads.lock().push(monitor);
         }
         Ok(cluster)
@@ -993,22 +996,25 @@ impl MultiProcCluster {
     ///
     /// # Errors
     /// [`io::ErrorKind::InvalidInput`] for a node id outside `0..workers`;
-    /// process spawn failures.
+    /// process and reaper-thread spawn failures.
     pub fn respawn_zombie(&self, node: u32) -> io::Result<()> {
         let stale = {
             let state = self.inner.core.state.lock();
             let slot = state.slots.get(node as usize).ok_or_else(no_such_node)?;
             slot.incarnation.saturating_sub(1)
         };
-        let child = self.worker_command(node, stale).spawn()?;
-        // the zombie is not this slot's child — it must die on its own
+        // the zombie is not this slot's child — it must die on its own, and
+        // its reaper starts first, so a refused thread leaves no process
+        let (zombie, reaper) = bounded::<Child>(1);
         std::thread::Builder::new()
             .name("oml-mp-zombie-reaper".into())
             .spawn(move || {
-                let mut child = child;
-                let _ = child.wait();
-            })
-            .expect("spawn zombie reaper");
+                if let Ok(mut child) = reaper.recv() {
+                    let _ = child.wait();
+                }
+            })?;
+        let child = self.worker_command(node, stale).spawn()?;
+        let _ = zombie.send(child);
         Ok(())
     }
 

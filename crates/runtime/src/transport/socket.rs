@@ -714,7 +714,7 @@ impl SocketServer {
     /// such a server reports [`TransportError::Closed`].
     ///
     /// # Errors
-    /// Propagates bind failures.
+    /// Propagates bind failures and a refused acceptor thread.
     pub(crate) fn bind_with_sink(
         addr: &TransportAddr,
         peers_total: u32,
@@ -737,8 +737,7 @@ impl SocketServer {
         let acceptor = server.handle();
         let handle = std::thread::Builder::new()
             .name("oml-accept".into())
-            .spawn(move || accept_loop(&acceptor, &listener))
-            .expect("spawn accept thread");
+            .spawn(move || accept_loop(&acceptor, &listener))?;
         server.inner.threads.lock().push(handle);
         Ok(server)
     }

@@ -8,8 +8,8 @@
 //! of an unchanged closure to another node allocates what its `Install`
 //! carries and what installing it makes — nothing per member for its
 //! linearized state, which ships as the image its host kept. The counts are
-//! exact in debug builds too: the debug-only lock-order recorder allocates
-//! nothing once the warm-up has run.
+//! exact in debug builds too: the debug-only lock-nesting trap allocates
+//! nothing.
 
 use oml_core::ids::NodeId;
 use oml_runtime::{Cluster, MobileObject};

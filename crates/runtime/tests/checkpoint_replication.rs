@@ -11,7 +11,9 @@ use oml_check::{check_trace, EventKind, Violation};
 use oml_core::ids::{NodeId, ObjectId};
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
-use oml_runtime::{Cluster, ClusterBuilder, FaultPlan, MobileObject, RuntimeError, Sabotage};
+use oml_runtime::{
+    Cluster, ClusterBuilder, FaultPlan, FsyncPolicy, MobileObject, RuntimeError, Sabotage,
+};
 use proptest::prelude::*;
 
 struct Counter(u64);
@@ -218,6 +220,69 @@ fn host_and_home_double_crash_survives_with_k2() {
     cluster.shutdown();
     let report = check_trace(&cluster.take_trace());
     assert!(report.is_clean(), "{report}");
+}
+
+/// A cluster over a durable store survives its own shutdown: a second
+/// cluster on the same directory recovers every node's WAL, each replica at
+/// the last quorum-acknowledged version, and starts the object's epoch at
+/// the persisted floor rather than at 0.
+#[test]
+fn a_durable_store_carries_quorum_writes_and_epochs_across_a_cold_restart() {
+    let dir = std::env::temp_dir().join(format!("oml-durable-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = || {
+        builder(3)
+            .replication(2)
+            .durable_store(&dir, FsyncPolicy::Always)
+    };
+
+    let cluster = durable().build();
+    register_counter(&cluster);
+    let obj = cluster.create(n(0), Box::new(Counter(7))).unwrap();
+    // losing host and home reinstantiates the object under epoch 1
+    cluster.crash_node(n(0)).unwrap();
+    cluster.advance_clock(DETECTION_MS);
+    cluster.detector_sweep();
+    assert_eq!(cluster.object_epoch(obj), 1);
+    let before = quorum_of(&cluster, obj);
+    cluster
+        .invoke(obj, "add", &WireWriter::new().u64(5).finish())
+        .unwrap();
+    refresh_via_block(&cluster, obj, cluster.location_of(obj).unwrap());
+    await_health(&cluster, obj, |h| h.quorum > before);
+    let acked = quorum_of(&cluster, obj).unwrap();
+    assert_eq!(acked.0, 1);
+    let replicas = cluster.replica_set(obj).unwrap();
+    cluster.shutdown();
+
+    let restarted = durable().trace().build();
+    let recovered: Vec<_> = restarted
+        .take_trace()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::ColdRecovered {
+                node, recovered, ..
+            } => Some((node, recovered)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        recovered.len(),
+        3,
+        "one ColdRecovered per node: {recovered:?}"
+    );
+    for replica in replicas {
+        let (_, objects) = (recovered.iter())
+            .find(|(node, _)| *node == replica.as_u32())
+            .unwrap();
+        assert!(
+            objects.contains(&(obj, acked.0, acked.1)),
+            "{replica} recovered {objects:?}, not {obj} at {acked:?}"
+        );
+    }
+    assert_eq!(restarted.object_epoch(obj), 1);
+    restarted.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `k = 1` reproduces the old behaviour — and demonstrably loses the object

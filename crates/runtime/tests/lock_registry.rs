@@ -1,5 +1,5 @@
 //! Every long-lived lock in oml-runtime must be a *named* `OrderedMutex` /
-//! `OrderedRwLock` so the lock-order recorder sees its acquisitions. This
+//! `OrderedRwLock` so the lock-nesting trap sees its acquisitions. This
 //! test scans the crate's sources for raw `parking_lot` constructions and
 //! fails on any outside the reviewed allowlist — a new raw lock must either
 //! be converted or explicitly allowlisted here with a justification.
@@ -8,7 +8,7 @@ use std::fs;
 use std::path::Path;
 
 /// Files allowed to construct raw (unregistered) `parking_lot` locks, with
-/// the reviewed reason each is safe to keep off the analyzer's graph.
+/// the reviewed reason each is safe to keep out of the trap's sight.
 const ALLOWLIST: &[(&str, &str)] = &[
     // the Ordered wrappers themselves are built on raw parking_lot locks
     (

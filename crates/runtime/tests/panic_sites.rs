@@ -68,24 +68,6 @@ const ALLOWLIST: &[(&str, &str, &str)] = &[
          bytes, so the first 64-byte chunk exists",
     ),
     (
-        "transport/multiproc.rs",
-        r#".expect("spawn monitor")"#,
-        "the OS refused one thread while the coordinator starts; there is no \
-         cluster to degrade to",
-    ),
-    (
-        "transport/multiproc.rs",
-        r#".expect("spawn zombie reaper")"#,
-        "the OS refused one thread while the coordinator starts; there is no \
-         cluster to degrade to",
-    ),
-    (
-        "transport/socket.rs",
-        r#".expect("spawn accept thread")"#,
-        "the OS refused one thread while a server binds; nothing is \
-         listening yet to degrade",
-    ),
-    (
         "transport/socket.rs",
         r#".expect("spawn reader thread")"#,
         "the OS refused one thread for an accepted session; nothing has been \

@@ -17,8 +17,8 @@ use crate::state::{BlockFlavor, BlockParams, ClientState, LocationMechanism, Obj
 use crate::world::World;
 
 /// Samples per batch of the batch-means stopping rule (`oml-workload`'s
-/// replication chunks are whole multiples of it).
-const BATCH_SIZE: u64 = 500;
+/// replication chunks are whole multiples of it, so merged means are exact).
+pub const BATCH_SIZE: u64 = 500;
 
 /// Fluent construction of a [`Simulation`].
 ///

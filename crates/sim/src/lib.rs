@@ -74,6 +74,6 @@ pub mod event;
 pub mod metrics;
 pub mod state;
 
-pub use builder::{Simulation, SimulationBuilder};
+pub use builder::{Simulation, SimulationBuilder, BATCH_SIZE};
 pub use state::{BlockFlavor, BlockParams, Location, LocationMechanism};
 pub use world::World;

@@ -50,7 +50,7 @@ use oml_des::par::parallel_map;
 use oml_des::stats::{replication_seed, StoppingRule};
 use oml_net::{FaultConfig, Network};
 use oml_sim::metrics::{ReplicationAggregate, SimOutcome};
-use oml_sim::{BlockParams, Simulation, SimulationBuilder};
+use oml_sim::{BlockParams, Simulation, SimulationBuilder, BATCH_SIZE};
 
 /// Builds the simulation a scenario describes (without running it).
 ///
@@ -157,23 +157,20 @@ pub fn run_scenario(
 /// natural parallel grain (8 saturates the default thread cap).
 pub const REPLICATIONS_PER_ROUND: u64 = 8;
 
-/// The per-call sample batch size `build_scenario` worlds use (every
-/// `oml-sim` simulation's).
-pub(crate) const SCENARIO_BATCH_SIZE: u64 = 500;
-
 /// Samples each replication contributes before the round is re-evaluated.
 ///
-/// Chunks are whole multiples of the batch size, so every replication hands
-/// the aggregate only *completed* batches and the merged batch means are
-/// exact (see `BatchMeans::merge`). The chunk adapts to the rule's sample
+/// Chunks are whole multiples of `oml-sim`'s [`BATCH_SIZE`], the batch
+/// size every simulation uses, so every replication hands the aggregate
+/// only *completed* batches and the merged batch means are exact (see
+/// `BatchMeans::merge`). The chunk adapts to the rule's sample
 /// cap so quick runs stay quick while paper-precision runs amortize their
 /// per-replication warm-up.
 #[must_use]
 pub fn replication_chunk(stopping: &StoppingRule) -> u64 {
     (stopping.max_samples / 16)
-        .max(4 * SCENARIO_BATCH_SIZE)
-        .div_ceil(SCENARIO_BATCH_SIZE)
-        * SCENARIO_BATCH_SIZE
+        .max(4 * BATCH_SIZE)
+        .div_ceil(BATCH_SIZE)
+        * BATCH_SIZE
 }
 
 /// Runs a scenario as **independent replications fanned across threads**,
