@@ -7,7 +7,7 @@
 //! program order. Cross-process edges come from [`EventKind::Send`] /
 //! [`EventKind::Recv`] pairs sharing a message id; the checker derives the
 //! happens-before partial order from exactly these two ingredients (see
-//! [`crate::vclock`]).
+//! the crate's vector clocks).
 //!
 //! The schema is deliberately close to the paper's vocabulary: move
 //! requests/grants/denials (§3.2), placement-lock acquire/release with lease

@@ -26,10 +26,12 @@
 //! ```
 //! use oml_check::explore::{explore, Budget, ExploreConfig};
 //!
-//! let report = explore(&ExploreConfig::two_node_migration(), &Budget::default());
+//! let matrix = ExploreConfig::matrix();
+//! let report = explore(&matrix[0], &Budget::default());
 //! assert!(report.exhaustive && report.is_clean());
 //!
-//! let report = explore(&ExploreConfig::stranded_locks_bug(), &Budget::default());
+//! let bug = matrix.iter().find(|cfg| cfg.expects_violation()).unwrap();
+//! let report = explore(bug, &Budget::default());
 //! assert!(!report.is_clean());
 //! let replay = report.counterexamples[0].schedule.replay().unwrap();
 //! assert!(replay.bit_identical && replay.reproduced());
@@ -40,8 +42,8 @@ mod model;
 mod schedule;
 
 pub use dpor::{explore, Budget, ExploreReport};
-pub use model::{trace_digest, Fnv64, Footprint, Model, Step};
-pub use schedule::{minimize, ReplayOutcome, Schedule, ScheduleError};
+pub use model::{trace_digest, Fnv64, Step};
+pub use schedule::{ReplayOutcome, Schedule, ScheduleError};
 
 use oml_core::ids::{BlockId, ObjectId};
 
@@ -115,8 +117,7 @@ impl ExploreConfig {
     /// The acceptance configuration: two nodes swap two objects, leases and
     /// the sweeper on. Exhaustively enumerable in well under a second and
     /// expected clean.
-    #[must_use]
-    pub fn two_node_migration() -> Self {
+    fn two_node_migration() -> Self {
         let ops = vec![MoveOp { object: 0, to: 1 }, MoveOp { object: 1, to: 0 }];
         Self::base("two-node-migration", ops)
     }
@@ -124,8 +125,7 @@ impl ExploreConfig {
     /// Two blocks contend for one object (plus a bystander move) with
     /// client timeouts and the sweeper live — exercises denial, abandonment
     /// and expiry-then-regrant. Expected clean.
-    #[must_use]
-    pub fn contended() -> Self {
+    fn contended() -> Self {
         let ops = vec![
             MoveOp { object: 0, to: 1 },
             MoveOp { object: 0, to: 0 },
@@ -141,8 +141,7 @@ impl ExploreConfig {
     /// Three nodes, two migrations, one crash/restart anywhere in the
     /// schedule — the crash-point sweep. Expected clean: correct crash
     /// handling releases stranded locks.
-    #[must_use]
-    pub fn crashy() -> Self {
+    fn crashy() -> Self {
         let ops = vec![MoveOp { object: 0, to: 1 }, MoveOp { object: 1, to: 2 }];
         ExploreConfig {
             nodes: 3,
@@ -156,8 +155,7 @@ impl ExploreConfig {
     /// one object back and forth across a crash/restart. The explorer must
     /// find a lease overlap (the stranded lock is never released, so the
     /// restarted node's re-grant overlaps it).
-    #[must_use]
-    pub fn stranded_locks_bug() -> Self {
+    fn stranded_locks_bug() -> Self {
         let ops = vec![MoveOp { object: 0, to: 1 }, MoveOp { object: 0, to: 0 }];
         ExploreConfig {
             lease_ttl_ms: Some(1_000),
@@ -172,8 +170,7 @@ impl ExploreConfig {
     /// Negative control for [`Mutation::IgnoreDeadline`]: non-expiring
     /// locks and a short client deadline. The explorer must find the
     /// orphaned lock a post-deadline grant leaves on an abandoned block.
-    #[must_use]
-    pub fn ignore_deadline_bug() -> Self {
+    fn ignore_deadline_bug() -> Self {
         let ops = vec![MoveOp { object: 0, to: 1 }, MoveOp { object: 1, to: 0 }];
         ExploreConfig {
             lease_ttl_ms: None,
@@ -236,6 +233,7 @@ impl Counterexample {
 mod tests {
     use super::*;
     use crate::vclock::assign_clocks;
+    use model::Model;
 
     #[test]
     fn two_node_migration_is_exhaustively_clean() {

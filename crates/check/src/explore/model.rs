@@ -126,7 +126,7 @@ enum OpPhase {
 /// The footprint of a step in the state it is enabled in — the basis of the
 /// conditional independence relation (see [`Model::independent`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Footprint {
+pub(crate) struct Footprint {
     /// Bitmask of processes whose local state / trace program order the step
     /// touches (bit 31 = the client).
     pub procs: u32,
@@ -156,7 +156,7 @@ impl Footprint {
 /// The explorable protocol state. Cloning is cheap by design (small vectors
 /// and `BTreeMap`s); the DPOR search clones once per executed step.
 #[derive(Clone)]
-pub struct Model {
+pub(crate) struct Model {
     cfg: Rc<ExploreConfig>,
     /// Virtual time in milliseconds; timer steps advance it, never back.
     now_ms: u64,
@@ -230,12 +230,6 @@ impl Model {
     #[must_use]
     pub fn trace(&self) -> &[TraceEvent] {
         &self.trace
-    }
-
-    /// The current virtual time in milliseconds.
-    #[must_use]
-    pub fn now_ms(&self) -> u64 {
-        self.now_ms
     }
 
     fn emit(&mut self, process: u32, kind: EventKind) {

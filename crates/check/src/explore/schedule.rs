@@ -278,7 +278,7 @@ fn violates(cfg: &ExploreConfig, steps: &[Step]) -> Option<bool> {
 /// under single-step deletion — usually a handful of steps that read as the
 /// actual race.
 #[must_use]
-pub fn minimize(cfg: &ExploreConfig, steps: &[Step]) -> Vec<Step> {
+pub(crate) fn minimize(cfg: &ExploreConfig, steps: &[Step]) -> Vec<Step> {
     let mut best: Vec<Step> = steps.to_vec();
     debug_assert_eq!(
         violates(cfg, &best),

@@ -5,10 +5,10 @@
 //!
 //! 1. **Trace invariant checker** ([`checker::check_trace`]): consumes the
 //!    structured event traces the runtime emits when built with tracing
-//!    enabled, derives the happens-before partial order from vector clocks
-//!    ([`vclock`]), and verifies the paper's safety invariants — single
-//!    residency, place-lock exclusivity (denied movers never mutate
-//!    placement), closure atomicity, and lease soundness.
+//!    enabled, derives the happens-before partial order from vector clocks,
+//!    and verifies the paper's safety invariants — single residency,
+//!    place-lock exclusivity (denied movers never mutate placement),
+//!    closure atomicity, and lease soundness.
 //! 2. **Lock-nesting trap** ([`lockorder`]): debug builds of the runtime
 //!    report each acquisition of a named `Mutex`/`RwLock` site to it; the
 //!    runtime holds one lock at a time, so taking one while holding another
@@ -32,8 +32,7 @@ pub mod checker;
 pub mod event;
 pub mod explore;
 pub mod lockorder;
-pub mod vclock;
+mod vclock;
 
 pub use checker::{check_trace, CheckReport, Violation};
 pub use event::{process_name, EventKind, MessageFault, ReleaseCause, TraceEvent, CLIENT_PROCESS};
-pub use vclock::{assign_clocks, VClock};

@@ -13,30 +13,24 @@ use crate::event::{EventKind, TraceEvent};
 
 /// A vector clock over the trace's processes (sparse: absent = 0).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VClock {
+pub(crate) struct VClock {
     counts: BTreeMap<u32, u64>,
 }
 
 impl VClock {
-    /// The zero clock.
-    #[must_use]
-    pub fn new() -> Self {
-        VClock::default()
-    }
-
     /// This clock's component for `process`.
     #[must_use]
-    pub fn get(&self, process: u32) -> u64 {
+    pub(crate) fn get(&self, process: u32) -> u64 {
         self.counts.get(&process).copied().unwrap_or(0)
     }
 
     /// Increments `process`'s component (a local step).
-    pub fn tick(&mut self, process: u32) {
+    pub(crate) fn tick(&mut self, process: u32) {
         *self.counts.entry(process).or_insert(0) += 1;
     }
 
     /// Component-wise maximum with `other` (a message join).
-    pub fn join(&mut self, other: &VClock) {
+    pub(crate) fn join(&mut self, other: &VClock) {
         for (&p, &c) in &other.counts {
             let slot = self.counts.entry(p).or_insert(0);
             *slot = (*slot).max(c);
@@ -45,13 +39,13 @@ impl VClock {
 
     /// Whether `self` happened-before-or-equals `other` (component-wise ≤).
     #[must_use]
-    pub fn le(&self, other: &VClock) -> bool {
+    pub(crate) fn le(&self, other: &VClock) -> bool {
         self.counts.iter().all(|(&p, &c)| c <= other.get(p))
     }
 
     /// Whether the two clocks are concurrent (neither ≤ the other).
-    #[must_use]
-    pub fn concurrent(&self, other: &VClock) -> bool {
+    #[cfg(test)]
+    pub(crate) fn concurrent(&self, other: &VClock) -> bool {
         !self.le(other) && !other.le(self)
     }
 }
@@ -63,7 +57,7 @@ impl VClock {
 /// whose `msg_id` has no matching earlier `Send` contributes no extra edge —
 /// the checker reports such orphans separately.
 #[must_use]
-pub fn assign_clocks(trace: &[TraceEvent]) -> Vec<VClock> {
+pub(crate) fn assign_clocks(trace: &[TraceEvent]) -> Vec<VClock> {
     let mut per_process: BTreeMap<u32, VClock> = BTreeMap::new();
     let mut sent: BTreeMap<u64, VClock> = BTreeMap::new();
     let mut out = Vec::with_capacity(trace.len());

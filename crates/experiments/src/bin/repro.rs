@@ -16,7 +16,7 @@ use oml_experiments::bench::{
     render_bench_json, render_scaling_json, run_bench_suite, run_scaling_suite,
 };
 use oml_experiments::check::{
-    replay_chaos_seed, replay_durability_seed, replay_recovery_seed, CheckOutcome, CHAOS_SEEDS,
+    replay_chaos, replay_durability, replay_recovery, CheckOutcome, NegativeControl, CHAOS_SEEDS,
     NEGATIVE_CONTROLS,
 };
 use oml_experiments::experiments::{
@@ -224,33 +224,60 @@ fn emit(result: &ExperimentResult, cli: &Cli) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `--negative` path: replays the rigged negative controls alone.
-/// Violations are present *by construction*, so this path always exits
-/// nonzero — the exit code uniformly means "violations found", whether they
-/// were hoped for or not. A control that comes back clean is reported too
-/// (the invariant meant to catch it is not biting), and still exits
+/// Replays `control`'s scenario under `seed`, first clean and then under
+/// its sabotage, prints both verdicts, and says whether both came out as
+/// they must: the clean run clean — so the sabotage is the only difference
+/// — and the rigged one flagged by the control's invariant.
+///
+/// The clean run is replayed even where its family just replayed the same
+/// scenario and seed (the unfenced zombie under `--recovery`), so that one
+/// function decides every control, under a gate and under `--negative`.
+fn control_verdict(control: &NegativeControl, seed: u64) -> bool {
+    let (name, sabotage, invariant) = (control.name, control.sabotage, control.invariant);
+    let clean = (control.scenario)(seed, None);
+    println!("\n{name} scenario {seed:#x} without sabotage:");
+    println!("{}", clean.report);
+    println!("trace_digest {name} {seed:#x} {:#018x}", clean.digest);
+    if !clean.report.is_clean() {
+        eprintln!(
+            "{name} scenario {seed:#x} is not clean without sabotage — the \
+             control cannot show what {sabotage:?} breaks"
+        );
+    }
+    let rigged = (control.scenario)(seed, Some(sabotage));
+    let caught = control.caught(&rigged.report);
+    if caught {
+        println!(
+            "{name} negative control under {sabotage:?}: flagged as expected \
+             ({} violation(s))",
+            rigged.report.violations.len()
+        );
+    } else {
+        eprintln!(
+            "{name} negative control under {sabotage:?} drew no {invariant} \
+             violation — the invariant is not biting:\n{}",
+            rigged.report
+        );
+    }
+    clean.report.is_clean() && caught
+}
+
+/// The `--negative` path: replays the negative controls alone, each beside
+/// its clean twin. Violations are present *by construction*, so this path
+/// always exits nonzero — the exit code uniformly means "violations
+/// found", whether they were hoped for or not. A control that is not
+/// flagged, or whose twin is not clean, is reported too and still exits
 /// nonzero.
 fn run_check_negative() -> ExitCode {
-    let seed = CHAOS_SEEDS[0];
     println!("# repro check --negative — rigged controls, violations expected");
     let mut all_flagged = true;
     for control in NEGATIVE_CONTROLS {
-        let name = control.name;
-        let outcome = (control.run)(seed);
-        if outcome.report.is_clean() {
-            eprintln!("{name}: CLEAN — the invariant meant to catch it is not biting");
-            all_flagged = false;
-        } else {
-            println!(
-                "{name}: flagged as expected ({} violation(s))",
-                outcome.report.violations.len()
-            );
-        }
+        all_flagged &= control_verdict(control, CHAOS_SEEDS[0]);
     }
     if all_flagged {
         println!("\nall negative controls flagged; exiting nonzero (violations present)");
     } else {
-        eprintln!("\nsome negative controls were NOT flagged");
+        eprintln!("\nsome negative controls were not flagged, or their clean twin was not clean");
     }
     ExitCode::FAILURE
 }
@@ -262,8 +289,8 @@ fn run_check_negative() -> ExitCode {
 /// (crash → declare-dead → reinstantiate, plus a scripted zombie restart);
 /// with `--durability`, the quorum-replicated checkpoint schedules
 /// (host+home double crash under duplicated checkpoint traffic). Each flag
-/// also replays its [`NEGATIVE_CONTROLS`], which must be *flagged*; with
-/// `--negative` those are all that runs.
+/// also replays its [`NEGATIVE_CONTROLS`], each beside its clean twin
+/// ([`control_verdict`]); with `--negative` those are all that runs.
 fn run_check(cli: &Cli) -> ExitCode {
     if cli.negative {
         return run_check_negative();
@@ -292,9 +319,8 @@ fn run_check(cli: &Cli) -> ExitCode {
     };
 
     let mut clean = true;
-    // one schedule family: every seed replayed and printed, then the
-    // negative controls riding on `flag` — rigged so that a violation is
-    // present, which the named invariant MUST catch
+    // one schedule family: every seed replayed and printed, then each
+    // negative control riding on `flag`, clean and rigged
     let mut family =
         |flag: &str, heading: &str, seed_label: &str, replay: fn(u64) -> CheckOutcome| {
             println!("{heading}");
@@ -308,35 +334,21 @@ fn run_check(cli: &Cli) -> ExitCode {
                 clean &= outcome.report.is_clean();
             }
             for control in NEGATIVE_CONTROLS.iter().filter(|c| c.gate == flag) {
-                let (name, invariant) = (control.name, control.invariant);
-                let outcome = (control.run)(seeds[0]);
-                if outcome.report.is_clean() {
-                    eprintln!(
-                        "\n{name} negative control came back CLEAN — the \
-                         {invariant} invariant is not biting"
-                    );
-                    clean = false;
-                } else {
-                    println!(
-                        "\n{name} negative control: flagged as expected \
-                         ({} violation(s))",
-                        outcome.report.violations.len()
-                    );
-                }
+                clean &= control_verdict(control, seeds[0]);
             }
         };
     family(
         "",
         "# repro check — protocol invariants under seeded chaos",
         "seed",
-        replay_chaos_seed,
+        replay_chaos,
     );
     if cli.recovery {
         family(
             "--recovery",
             "\n# repro check --recovery — fenced reinstantiation under chaos",
             "recovery seed",
-            replay_recovery_seed,
+            |seed| replay_recovery(seed, None),
         );
     }
     if cli.durability_check {
@@ -344,7 +356,7 @@ fn run_check(cli: &Cli) -> ExitCode {
             "--durability",
             "\n# repro check --durability — quorum-replicated checkpoints",
             "durability seed",
-            replay_durability_seed,
+            replay_durability,
         );
     }
 

@@ -124,6 +124,33 @@ fn check_clean_paths_exit_zero() {
     }
 }
 
+/// The checker's verdict on `name`'s scenario without its sabotage, as
+/// `repro check` printed it: the line after the report's event count.
+fn clean_twin_verdict<'a>(stdout: &'a str, name: &str) -> Option<&'a str> {
+    let section = stdout.split(&format!("\n{name} scenario ")).nth(1)?;
+    let report = section.split_once(" without sabotage:\n")?.1;
+    report.lines().nth(1)
+}
+
+#[test]
+fn check_durability_prints_each_control_scenario_clean() {
+    let out = repro()
+        .args(["check", "--durability", "--seeds", "2"])
+        .output()
+        .expect("repro runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    for name in ["no-repair", "stale-promotion"] {
+        let verdict = clean_twin_verdict(&stdout, name);
+        assert_eq!(verdict, Some("all invariants hold"), "{name}:\n{stdout}");
+        let flagged = format!("{name} negative control under");
+        assert!(
+            stdout.contains(&flagged),
+            "{name} was not rigged:\n{stdout}"
+        );
+    }
+}
+
 #[test]
 fn check_negative_path_exits_nonzero() {
     let out = repro()
@@ -143,6 +170,11 @@ fn check_negative_path_exits_nonzero() {
         "expected all three negative controls flagged:\n{stdout}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // beside each its scenario without the sabotage, clean
+    for name in ["unfenced zombie", "no-repair", "stale-promotion"] {
+        let verdict = clean_twin_verdict(&stdout, name);
+        assert_eq!(verdict, Some("all invariants hold"), "{name}:\n{stdout}");
+    }
 }
 
 #[test]

@@ -1,24 +1,23 @@
-//! Recovery chaos harness: seeded crash / partition / zombie-restart
-//! schedules driven against clusters with the failure detector enabled.
+//! Recovery scenarios driven against clusters with the failure detector
+//! enabled.
 //!
-//! The scenarios mirror the acceptance criteria of the recovery subsystem:
-//! a crashed node that never restarts must not strand its objects (they are
+//! They mirror the acceptance criteria of the recovery subsystem: a crashed
+//! node that never restarts must not strand its objects (they are
 //! reinstantiated from home checkpoints within the detection window), calls
 //! to a suspected or dead node must fail fast with `NodeDown` instead of
-//! burning the full call timeout, a zombie restart under a stale incarnation
-//! must be fenced out (and, without fencing, must be *caught* by the
-//! checker's stale-incarnation invariant), and the whole schedule must stay
-//! replayable under the same seed.
+//! burning the full call timeout, a restart must not reclaim what was
+//! reinstantiated, and one trace records each happening once. The seeded
+//! recovery schedule with its zombie restart, fenced and unfenced, is
+//! `oml_experiments::check::replay_recovery`.
 
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use oml_check::explore::trace_digest;
 use oml_check::{check_trace, EventKind, TraceEvent};
 use oml_core::ids::{NodeId, ObjectId};
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
-use oml_runtime::{Cluster, FaultPlan, MobileObject, NodeHealth, RuntimeError, Sabotage};
+use oml_runtime::{Cluster, MobileObject, NodeHealth, RuntimeError};
 
 struct Counter(u64);
 
@@ -200,98 +199,6 @@ fn rejoin(cluster: &Cluster, node: NodeId) {
     assert_eq!(cluster.node_health(node), Some(NodeHealth::Up), "{node}");
 }
 
-/// A zombie restart under the stale incarnation is fenced out: it must not
-/// reclaim the stashed object the cluster already reinstantiated elsewhere.
-/// A subsequent honest restart rejoins under a fresh epoch and coexists
-/// with the recovered object.
-#[test]
-fn fenced_zombie_cannot_double_install() {
-    let cluster = Cluster::builder()
-        .nodes(3)
-        .policy(PolicyKind::TransientPlacement)
-        .call_timeout(Duration::from_millis(200))
-        .invoke_retries(1)
-        .manual_clock()
-        .failure_detector(HEARTBEAT_MS, K_MISSED)
-        .trace()
-        .build();
-    register_counter(&cluster);
-    let obj = cluster.create(n(2), Box::new(Counter(9))).unwrap();
-
-    cluster.crash_node(n(2)).unwrap();
-    cluster.advance_clock(DETECTION_MS);
-    cluster.detector_sweep();
-    assert_eq!(cluster.node_health(n(2)), Some(NodeHealth::Dead));
-    let recovered_at = cluster.location_of(obj).expect("reinstantiated");
-    assert_ne!(recovered_at, n(2));
-
-    // the zombie spawns under its crashed incarnation and is fenced: its
-    // state is dropped before it touches the stash or the directory
-    cluster.zombie_restart_node(n(2)).unwrap();
-    assert_eq!(
-        cluster.node_health(n(2)),
-        Some(NodeHealth::Dead),
-        "a stale incarnation cannot talk its way back to life"
-    );
-
-    // the honest restart (the fenced zombie's state is gone) rejoins cleanly
-    rejoin(&cluster, n(2));
-    assert_eq!(
-        cluster.location_of(obj),
-        Some(recovered_at),
-        "the restarted node must not reclaim a reinstantiated object"
-    );
-    assert_eq!(get(&cluster, obj), 9);
-    // and the node itself is fully usable again
-    let fresh = cluster.create(n(2), Box::new(Counter(1))).unwrap();
-    assert_eq!(get(&cluster, fresh), 1);
-
-    cluster.shutdown();
-    let report = check_trace(&cluster.take_trace());
-    assert!(report.is_clean(), "{report}");
-}
-
-/// Negative control: the same zombie schedule with fencing disabled *does*
-/// double-install — and the checker's stale-incarnation invariant flags it.
-/// This proves the fence is load-bearing, not vacuously green.
-#[test]
-fn unfenced_zombie_is_caught_by_the_checker() {
-    let cluster = Cluster::builder()
-        .nodes(3)
-        .policy(PolicyKind::TransientPlacement)
-        .call_timeout(Duration::from_millis(200))
-        .invoke_retries(1)
-        .manual_clock()
-        .failure_detector(HEARTBEAT_MS, K_MISSED)
-        .sabotage(Sabotage::Unfenced)
-        .trace()
-        .build();
-    register_counter(&cluster);
-    let obj = cluster.create(n(2), Box::new(Counter(9))).unwrap();
-
-    cluster.crash_node(n(2)).unwrap();
-    cluster.advance_clock(DETECTION_MS);
-    cluster.detector_sweep();
-    let recovered_at = cluster.location_of(obj).expect("reinstantiated");
-    assert_ne!(recovered_at, n(2));
-
-    // without the fence the zombie happily reclaims its stashed copy — a
-    // second live replica behind the fresh one's back. The reclaim runs
-    // inside zombie_restart_node, so it is traced before the shutdown.
-    cluster.zombie_restart_node(n(2)).unwrap();
-    cluster.shutdown();
-    let report = check_trace(&cluster.take_trace());
-    assert!(
-        !report.is_clean(),
-        "the checker must flag the double-install"
-    );
-    let rendered = report.to_string();
-    assert!(
-        rendered.contains("stale incarnation"),
-        "expected a stale-incarnation violation, got: {rendered}"
-    );
-}
-
 /// The crash → reinstantiate → restart race: after the detector recovered
 /// an object elsewhere, restarting the original host must not move it back,
 /// must not corrupt its state, and must leave a clean trace.
@@ -400,111 +307,9 @@ fn a_restart_racing_a_declare_dead_keeps_every_object_once() {
     }
 }
 
-/// What one recovery chaos run leaves behind: a digest of the whole
-/// protocol trace — the faults the plan injected among its events — and
-/// the detector's counts.
-#[derive(Debug, PartialEq, Eq)]
-struct RunRecord {
-    digest: u64,
-    suspicions: u64,
-    reinstantiations: u64,
-}
-
-/// A seeded lossy schedule with a mid-run crash, a detection sweep, and a
-/// late restart; panics unless every object is still reachable at the end.
-/// Returns the run's record and its protocol trace.
-fn run_recovery_chaos(seed: u64) -> (RunRecord, Vec<TraceEvent>) {
-    let plan = FaultPlan::seeded(seed)
-        .drop_probability(0.05)
-        .delay_probability(0.05, 2);
-    let cluster = Cluster::builder()
-        .nodes(3)
-        .policy(PolicyKind::TransientPlacement)
-        .faults(plan)
-        .call_timeout(Duration::from_millis(100))
-        .invoke_retries(2)
-        .lease_ms(1_000)
-        .manual_clock()
-        .failure_detector(HEARTBEAT_MS, K_MISSED)
-        .trace()
-        .build();
-    register_counter(&cluster);
-    let objects: Vec<ObjectId> = (0..3)
-        .map(|i| cluster.create(n(i), Box::new(Counter(0))).unwrap())
-        .collect();
-
-    for i in 0..30u64 {
-        match i {
-            10 => cluster.crash_node(n(2)).unwrap(),
-            12 => {
-                cluster.advance_clock(DETECTION_MS);
-                cluster.detector_sweep();
-            }
-            20 => rejoin(&cluster, n(2)),
-            _ => {}
-        }
-        let obj = objects[(i % 3) as usize];
-        match cluster.invoke(obj, "add", &WireWriter::new().u64(1).finish()) {
-            Ok(_) | Err(RuntimeError::Timeout { .. } | RuntimeError::NodeDown(_)) => {}
-            Err(other) => panic!("op {i}: unexpected error {other}"),
-        }
-    }
-
-    cluster.advance_clock(2_000);
-    for &obj in &objects {
-        let reachable = (0..5).any(|_| cluster.invoke(obj, "get", &[]).is_ok());
-        assert!(reachable, "{obj} must stay reachable");
-    }
-
-    let stats = cluster.stats();
-    cluster.shutdown();
-    let trace = cluster.take_trace();
-    let record = RunRecord {
-        digest: trace_digest(&trace),
-        suspicions: stats.suspicions,
-        reinstantiations: stats.reinstantiations,
-    };
-    (record, trace)
-}
-
 /// How many events of `trace` are of the kind `is` picks.
 fn count(trace: &[TraceEvent], is: fn(&EventKind) -> bool) -> u64 {
     trace.iter().filter(|ev| is(&ev.kind)).count() as u64
-}
-
-/// A seed fixes the whole run: under a manual clock the one client thread
-/// runs every step — ticks and delayed deliveries included, as it advances
-/// the clock — so two runs under one seed inject the same faults in the
-/// same order and trace the same protocol events, bit for bit.
-#[test]
-fn same_seed_recovery_runs_are_identical() {
-    for seed in [0xC0A5, 1, 3] {
-        let (a, trace) = run_recovery_chaos(seed);
-        // the schedule really exercised the recovery machinery, and the
-        // trace records each happening once: one crash, one death, one
-        // restart, and as many suspicions and reinstantiations as counted
-        let once = [
-            count(&trace, |k| matches!(k, EventKind::Crash { .. })),
-            count(&trace, |k| matches!(k, EventKind::DeclaredDead { .. })),
-            count(&trace, |k| matches!(k, EventKind::Restart { .. })),
-        ];
-        assert_eq!(once, [1; 3], "seed {seed:#x}: crash, death, restart");
-        assert!(a.reinstantiations > 0, "seed {seed:#x}");
-        let counted = [
-            count(&trace, |k| matches!(k, EventKind::Suspected { .. })),
-            count(&trace, |k| matches!(k, EventKind::Reinstantiated { .. })),
-        ];
-        assert_eq!(
-            counted,
-            [a.suspicions, a.reinstantiations],
-            "seed {seed:#x}"
-        );
-        assert!(
-            count(&trace, |k| matches!(k, EventKind::Fault { .. })) > 0,
-            "seed {seed:#x}: the plan injected nothing"
-        );
-        assert_eq!(a, run_recovery_chaos(seed).0, "seed {seed:#x}");
-    }
 }
 
 /// One trace records each scripted happening once — a repeated crash or a

@@ -1,19 +1,18 @@
 //! Quorum-replicated checkpoint tests: replica placement and health,
-//! correlated host+home failures, ack deduplication under duplicated
-//! checkpoint traffic, anti-entropy repair, the negative-testing hooks the
-//! `oml-check` replication invariants exist to catch, and an epoch
-//! monotonicity property over random crash/restart/declare-dead
-//! interleavings.
+//! correlated host+home failures, a durable store across a cold restart,
+//! ack deduplication under duplicated checkpoint traffic, a dropped put
+//! repaired, and an epoch monotonicity property over random
+//! crash/restart/declare-dead interleavings. The repair and promotion
+//! scenarios with their negative controls are
+//! `oml_experiments::check::NEGATIVE_CONTROLS`.
 
 use std::time::Duration;
 
-use oml_check::{check_trace, EventKind, Violation};
+use oml_check::{check_trace, EventKind};
 use oml_core::ids::{NodeId, ObjectId};
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
-use oml_runtime::{
-    Cluster, ClusterBuilder, FaultPlan, FsyncPolicy, MobileObject, RuntimeError, Sabotage,
-};
+use oml_runtime::{Cluster, ClusterBuilder, FaultPlan, FsyncPolicy, MobileObject, RuntimeError};
 use proptest::prelude::*;
 
 struct Counter(u64);
@@ -344,123 +343,6 @@ fn replica_set_minus_one_survives_with_k3() {
     cluster.shutdown();
     let report = check_trace(&cluster.take_trace());
     assert!(report.is_clean(), "{report}");
-}
-
-// --- satellite: anti-entropy repair ---------------------------------------
-
-#[test]
-fn repair_sweep_restores_the_replication_factor() {
-    let cluster = builder(3).replication(2).trace().build();
-    register_counter(&cluster);
-    let obj = cluster.create(n(0), Box::new(Counter(7))).unwrap();
-    let set = cluster.replica_set(obj).unwrap();
-    let second = set[1];
-
-    // the second replica dies; the object itself stays live at its home
-    cluster.crash_node(second).unwrap();
-    cluster.advance_clock(DETECTION_MS);
-    cluster.detector_sweep();
-
-    // the sweep's anti-entropy pass re-replicates onto the remaining node
-    await_health(&cluster, obj, |h| h.replicas == 2);
-    assert!(cluster.stats().repairs >= 1);
-    let healed = cluster.replica_set(obj).unwrap();
-    assert!(!healed.contains(&second), "the dead node left the set");
-
-    cluster.shutdown();
-    let report = check_trace(&cluster.take_trace());
-    assert!(report.is_clean(), "{report}");
-}
-
-/// Negative control: with repair disabled the deficit persists, and the
-/// checker's `ReplicationFactorViolation` invariant catches it.
-#[test]
-fn no_repair_deficit_is_flagged_by_the_checker() {
-    let cluster = builder(3)
-        .replication(2)
-        .sabotage(Sabotage::NoRepair)
-        .trace()
-        .build();
-    register_counter(&cluster);
-    let obj = cluster.create(n(0), Box::new(Counter(7))).unwrap();
-    let second = cluster.replica_set(obj).unwrap()[1];
-
-    cluster.crash_node(second).unwrap();
-    cluster.advance_clock(DETECTION_MS);
-    cluster.detector_sweep();
-
-    assert_eq!(cluster.checkpoint_health()[0].replicas, 1);
-    cluster.shutdown();
-    let report = check_trace(&cluster.take_trace());
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::ReplicationFactorViolation { .. })),
-        "an unrepaired deficit must be flagged: {report}"
-    );
-}
-
-// --- freshness: quorum rule vs. promotion ---------------------------------
-
-/// Builds the divergence scenario: n2 misses the post-add refresh behind a
-/// partition, so the surviving replicas disagree — n1 holds the
-/// quorum-acked 12, n2 the stale 7 — and then the host+home n0 dies.
-fn diverged_cluster(stale_promotion: bool) -> (Cluster, ObjectId) {
-    let mut b = builder(3).replication(3).trace();
-    if stale_promotion {
-        b = b.sabotage(Sabotage::StalePromotion);
-    }
-    let cluster = b.build();
-    register_counter(&cluster);
-    let obj = cluster.create(n(0), Box::new(Counter(7))).unwrap();
-    refresh_via_block(&cluster, obj, n(0));
-    await_health(&cluster, obj, |h| h.quorum >= Some((0, 1)));
-
-    cluster.partition(n(0), n(2)).unwrap();
-    let out = cluster
-        .invoke(obj, "add", &WireWriter::new().u64(5).finish())
-        .unwrap();
-    assert_eq!(WireReader::new(&out).u64().unwrap(), 12);
-    // quorum is 2 of 3: the host's own store plus n1 carry it even though
-    // n2's copy silently drowned in the partition
-    refresh_via_block(&cluster, obj, n(0));
-    await_health(&cluster, obj, |h| h.quorum >= Some((0, 2)));
-
-    cluster.crash_node(n(0)).unwrap();
-    cluster.advance_clock(DETECTION_MS);
-    cluster.detector_sweep();
-    (cluster, obj)
-}
-
-#[test]
-fn promotion_prefers_the_freshest_surviving_replica() {
-    let (cluster, obj) = diverged_cluster(false);
-    assert_eq!(
-        eventual_get(&cluster, obj),
-        12,
-        "the quorum-acked write survives"
-    );
-    cluster.shutdown();
-    let report = check_trace(&cluster.take_trace());
-    assert!(report.is_clean(), "{report}");
-}
-
-/// Negative control: promoting the stalest survivor loses the quorum-acked
-/// write, and the checker's `StaleReplicaPromoted` invariant catches it.
-#[test]
-fn stale_promotion_is_flagged_by_the_checker() {
-    let (cluster, obj) = diverged_cluster(true);
-    assert_eq!(eventual_get(&cluster, obj), 7, "the stale copy won");
-    cluster.shutdown();
-    let report = check_trace(&cluster.take_trace());
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::StaleReplicaPromoted { .. })),
-        "a lost quorum-acked write must be flagged: {report}"
-    );
 }
 
 // --- satellite: ack dedupe under duplicated checkpoint traffic ------------

@@ -7,22 +7,20 @@
 use std::time::Duration;
 
 use oml_core::ids::ObjectId;
-use oml_experiments::check::{
-    replay_chaos_seed, replay_recovery_seed, replay_zombie_negative, CHAOS_SEEDS,
-};
+use oml_experiments::check::{replay_chaos, replay_recovery, CHAOS_SEEDS};
 use oml_runtime::transport::{Transport, TransportEvent};
 use oml_runtime::wire::WireWriter;
 use oml_runtime::{
-    CheckpointStore, FsyncPolicy, SocketConfig, SocketPeer, SocketServer, StoredCheckpoint,
-    TransportAddr, WalStore, WalStoreConfig,
+    CheckpointStore, FsyncPolicy, Sabotage, SocketConfig, SocketPeer, SocketServer,
+    StoredCheckpoint, TransportAddr, WalStore, WalStoreConfig,
 };
 
 #[test]
 fn chaos_and_recovery_replays_are_clean() {
-    let chaos = replay_chaos_seed(CHAOS_SEEDS[0]);
+    let chaos = replay_chaos(CHAOS_SEEDS[0]);
     assert!(chaos.report.events > 100, "tracing must be on");
     assert!(chaos.report.is_clean(), "{}", chaos.report);
-    let recovery = replay_recovery_seed(CHAOS_SEEDS[0]);
+    let recovery = replay_recovery(CHAOS_SEEDS[0], None);
     assert!(recovery.report.is_clean(), "{}", recovery.report);
 }
 
@@ -30,7 +28,7 @@ fn chaos_and_recovery_replays_are_clean() {
 /// double-installs, and the checker must say so.
 #[test]
 fn unfenced_zombie_is_flagged() {
-    let report = replay_zombie_negative(CHAOS_SEEDS[0]).report;
+    let report = replay_recovery(CHAOS_SEEDS[0], Some(Sabotage::Unfenced)).report;
     assert!(!report.is_clean(), "the checker missed the unfenced zombie");
 }
 
