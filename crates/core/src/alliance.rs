@@ -12,7 +12,7 @@ use crate::ids::{AllianceId, ObjectId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Creates, dissolves and tracks alliances and their members.
+/// Creates and tracks alliances and their members.
 ///
 /// # Example
 ///
@@ -86,19 +86,6 @@ impl AllianceRegistry {
             },
         );
         id
-    }
-
-    /// Dissolves an alliance. Attachments tagged with it become dead context
-    /// (their edges survive in the attachment graph but no longer correspond
-    /// to a live cooperation — callers typically detach first).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllianceError::UnknownAlliance`] if `id` does not exist.
-    pub fn dissolve(&mut self, id: AllianceId) -> Result<Alliance, AllianceError> {
-        self.alliances
-            .remove(&id)
-            .ok_or(AllianceError::UnknownAlliance(id))
     }
 
     /// Adds `object` to the alliance.
@@ -239,10 +226,6 @@ mod tests {
             reg.join(ghost, obj(0)),
             Err(AllianceError::UnknownAlliance(ghost))
         );
-        assert_eq!(
-            reg.dissolve(ghost).unwrap_err(),
-            AllianceError::UnknownAlliance(ghost)
-        );
         assert!(reg.members(ghost).is_none());
     }
 
@@ -255,27 +238,6 @@ mod tests {
         reg.join(b, obj(5)).unwrap();
         // "can be members of different alliances" (§3.4)
         assert!(reg.is_member(a, obj(5)) && reg.is_member(b, obj(5)));
-    }
-
-    #[test]
-    fn dissolve_removes_the_alliance() {
-        let mut reg = AllianceRegistry::new();
-        let a = reg.create("gone");
-        reg.join(a, obj(1)).unwrap();
-        let dissolved = reg.dissolve(a).unwrap();
-        assert_eq!(dissolved.name, "gone");
-        assert_eq!(dissolved.len(), 1);
-        assert!(!reg.exists(a));
-        assert!(reg.is_empty());
-    }
-
-    #[test]
-    fn ids_are_not_reused_after_dissolve() {
-        let mut reg = AllianceRegistry::new();
-        let a = reg.create("first");
-        reg.dissolve(a).unwrap();
-        let b = reg.create("second");
-        assert_ne!(a, b);
     }
 
     #[test]

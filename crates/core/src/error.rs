@@ -17,7 +17,7 @@ pub enum AttachError {
         /// The alliance named as cooperation context.
         alliance: AllianceId,
     },
-    /// The named alliance does not exist (never created or dissolved).
+    /// The named alliance was never created.
     UnknownAlliance(AllianceId),
 }
 

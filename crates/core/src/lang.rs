@@ -97,12 +97,6 @@ impl OperationDecl {
     pub fn modes(&self) -> impl Iterator<Item = ParamMode> + '_ {
         self.params.iter().map(|p| p.mode)
     }
-
-    /// Whether any parameter migrates (move or visit).
-    #[must_use]
-    pub fn migrates_parameters(&self) -> bool {
-        self.params.iter().any(|p| p.mode != ParamMode::Ref)
-    }
 }
 
 impl fmt::Display for OperationDecl {
@@ -239,7 +233,6 @@ mod tests {
             ]
         );
         assert_eq!(d.result.as_deref(), Some("bool"));
-        assert!(d.migrates_parameters());
     }
 
     #[test]
@@ -253,7 +246,6 @@ mod tests {
     fn plain_parameters_default_to_ref() {
         let d: OperationDecl = "lookup: key -> value".parse().unwrap();
         assert_eq!(d.params[0].mode, ParamMode::Ref);
-        assert!(!d.migrates_parameters());
     }
 
     #[test]

@@ -319,9 +319,9 @@ impl<const REINSTANTIATE: bool> CompareNodes<REINSTANTIATE> {
         }
     }
 
-    /// Open move-requests recorded for `object` at `node` (for diagnostics).
-    #[must_use]
-    pub fn open_moves(&self, object: ObjectId, node: NodeId) -> u32 {
+    /// Open move-requests recorded for `object` at `node`.
+    #[cfg(test)]
+    fn open_moves(&self, object: ObjectId, node: NodeId) -> u32 {
         self.ledger.count(object, node)
     }
 

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::transport::channel::{self, Call, ChannelMesh, Handler, MeshConfig};
-use crate::transport::{Transport, TransportError};
+use crate::transport::channel::{self, Call, ChannelMesh, Handler};
+use crate::transport::Transport;
 use crossbeam::channel::RecvTimeoutError;
 use oml_check::event::{EventKind, MessageFault, ReleaseCause, TraceEvent, CLIENT_PROCESS};
 use oml_core::alliance::AllianceRegistry;
@@ -183,7 +183,7 @@ fn next_on_grid(now: u64, period: u64) -> u64 {
 
 /// State shared by every node and the cluster facade.
 pub(crate) struct Shared {
-    /// The in-process transport: bounded per-node inboxes behind the
+    /// The in-process transport: unbounded per-node inboxes behind the
     /// [`Transport`] seam, each with a slot for its node's state. The mesh
     /// owns each queue, so queued messages survive a crash and are drained
     /// by the restarted incarnation.
@@ -269,7 +269,7 @@ impl Shared {
             self.trace_fault(from_raw, to, decided, &msg);
             if let Fate::Deliver { copies, .. } = decided.fate {
                 for m in self.envelopes(from_raw, epoch, to, msg, copies) {
-                    let _ = self.mesh.hand(to.as_u32(), m, false);
+                    self.mesh.hand(to.as_u32(), m);
                 }
             }
             return Ok(());
@@ -280,16 +280,8 @@ impl Shared {
         );
         if !faultable {
             let env = self.trace_envelope(from_raw, epoch, to, msg);
-            // a full inbox past the send deadline: a timeout the caller can retry
-            return self
-                .mesh
-                .hand(to.as_u32(), env, false)
-                .map_err(|e| match e {
-                    TransportError::Backpressure { waited_ms } => {
-                        RuntimeError::Timeout { waited_ms }
-                    }
-                    _ => RuntimeError::ShuttingDown,
-                });
+            self.mesh.hand(to.as_u32(), env);
+            return Ok(());
         }
         let is_end = matches!(msg, Message::EndRequest { .. });
         let decided = self.injector.decide(from_raw, to.as_u32(), is_end);
@@ -308,9 +300,8 @@ impl Shared {
                         }
                     }
                 } else {
-                    // a client call waits for room as long as it takes
                     for m in msgs {
-                        let _ = self.mesh.hand(to.as_u32(), m, from_raw == fault::CLIENT);
+                        self.mesh.hand(to.as_u32(), m);
                     }
                 }
                 Ok(())
@@ -411,7 +402,7 @@ impl Shared {
                     self.detector_sweep();
                 }
             }
-            Due::Deliver(node, env) => drop(self.mesh.hand(node, env, true)),
+            Due::Deliver(node, env) => self.mesh.hand(node, env),
         }
     }
 
@@ -1375,7 +1366,7 @@ impl ClusterBuilder {
     /// `oml-timer`; under [`ClusterBuilder::manual_clock`] with none.
     #[must_use]
     pub fn build(self) -> Cluster {
-        let mesh = ChannelMesh::owned(self.nodes, MeshConfig::default());
+        let mesh = ChannelMesh::owned(self.nodes);
         let leases_expire = self.lease_ms.is_some();
         let policy = match self.lease_ms {
             Some(ttl) => self.policy.build_with_lease(ttl),
@@ -2711,67 +2702,74 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// An empty surrender to `to`: a no-op once run.
-    fn surrender(to: NodeId) -> Message {
-        Message::Surrender {
-            members: Vec::new(),
-            to,
-        }
+    /// Runs `call` on a thread of its own and hands its outcome back: a
+    /// watchdog on the receiver tells a hang from a slow answer, and a
+    /// panic drops the sender, which the receiver reports.
+    fn watch<T: Send + 'static>(
+        cluster: &Arc<Cluster>,
+        call: impl FnOnce(&Cluster) -> T + Send + 'static,
+    ) -> crossbeam::channel::Receiver<T> {
+        let (done, finished) = crossbeam::channel::bounded(1);
+        let cluster = Arc::clone(cluster);
+        std::thread::spawn(move || drop(done.send(call(&cluster))));
+        finished
     }
 
-    /// Crashes `down` and fills its inbox to capacity.
-    fn crash_and_fill(cluster: &Cluster, down: NodeId) {
-        cluster.crash_node(down).unwrap();
-        for _ in 0..MeshConfig::default().capacity {
-            cluster
-                .shared
-                .send_from(None, down, surrender(down))
-                .unwrap();
-        }
-    }
-
-    /// Puts a delivery of `msg` to `to` on the heap, `ms` from now.
-    fn deliver_in(shared: &Shared, ms: u64, to: NodeId, msg: Message) {
-        let env = shared.trace_envelope(fault::CLIENT, 0, to, msg);
-        let due = Due::Deliver(to.as_u32(), env);
-        assert!(shared.at(shared.now_ms() + ms, due).is_ok());
-    }
-
-    /// A delivery the timer hands to a crashed node's full inbox joins its
-    /// queue: the timer does not sleep on room nobody makes, and a call
-    /// that falls due after it is still delivered and answered.
+    /// An in-process send never waits, not even at a crashed node with
+    /// 4 096 messages queued: a client call routed there times out at its
+    /// call timeout instead of sleeping on room nobody makes, and a closure
+    /// a live node ships there in a granted move block waits in the queue
+    /// until the restart installs it.
     #[test]
-    fn a_delayed_delivery_to_a_full_inbox_never_stalls_the_timer() {
-        let cluster = Cluster::builder().nodes(2).build();
+    fn a_crashed_node_queues_without_bound_and_its_restart_installs_what_arrived() {
+        let timeout = Duration::from_secs(1);
+        let cluster = Cluster::builder()
+            .nodes(2)
+            .call_timeout(timeout)
+            .invoke_retries(0)
+            .build();
         cluster.register_type("cell", |bytes| Box::new(Cell(bytes[0], None)));
-        let (shared, live, down) = (&cluster.shared, NodeId::new(0), NodeId::new(1));
-        let object = cluster.create(live, Box::new(Cell(3, None))).unwrap();
-        crash_and_fill(&cluster, down);
-        let (call, answered) = call(object, "get");
-        deliver_in(shared, 10, down, surrender(down));
-        deliver_in(shared, 50, live, call);
-        let answer = answered.recv_timeout(Duration::from_secs(1));
-        // the restart drains the queue, which frees a timer asleep on it
-        cluster.restart_node(down).unwrap();
-        assert_eq!(answer, Ok(Ok(vec![3])));
-    }
-
-    /// Shutdown hands what is left on the heap over in the heap-serving
-    /// role: a delivery to a crashed node's full inbox joins its queue
-    /// instead of parking the caller of `shutdown` on room nobody makes.
-    #[test]
-    fn shutdown_never_stalls_on_a_leftover_delivery_to_a_full_inbox() {
-        let cluster = Arc::new(Cluster::builder().nodes(2).build());
-        let (shared, down) = (&cluster.shared, NodeId::new(1));
-        crash_and_fill(&cluster, down);
-        deliver_in(shared, 60_000, down, surrender(down));
-        let (stopped, returned) = crossbeam::channel::bounded(1);
-        let stopping = Arc::clone(&cluster);
-        std::thread::spawn(move || {
-            stopping.shutdown();
-            let _ = stopped.send(());
+        let (live, down) = (NodeId::new(0), NodeId::new(1));
+        let stranded = cluster.create(down, Box::new(Cell(1, None))).unwrap();
+        let main = cluster.create(live, Box::new(Cell(2, None))).unwrap();
+        let member = cluster.create(live, Box::new(Cell(3, None))).unwrap();
+        let pair = cluster.create_alliance("pair");
+        cluster.join_alliance(pair, main).unwrap();
+        cluster.join_alliance(pair, member).unwrap();
+        cluster.attach(main, member, Some(pair)).unwrap();
+        cluster.crash_node(down).unwrap();
+        for _ in 0..4_096 {
+            // an empty surrender: a no-op once run
+            let members = Vec::new();
+            let filler = Message::Surrender { members, to: down };
+            cluster.shared.send_from(None, down, filler).unwrap();
+        }
+        let cluster = Arc::new(cluster);
+        let invoked = watch(&cluster, move |c| c.invoke(stranded, "get", &[]));
+        let waited_ms = timeout.as_millis() as u64;
+        assert_eq!(
+            invoked.recv_timeout(4 * timeout),
+            Ok(Err(RuntimeError::Timeout { waited_ms })),
+            "the call blocked on the crashed node's queue"
+        );
+        assert_eq!(cluster.shared.mesh.queued(1), 4_097);
+        let moved = watch(&cluster, move |c| {
+            let guard = c.move_block_in(main, down, Some(pair))?;
+            let granted = guard.granted();
+            guard.end();
+            Ok::<_, RuntimeError>(granted)
         });
-        assert_eq!(returned.recv_timeout(Duration::from_secs(1)), Ok(()));
+        let deadline = Instant::now() + timeout;
+        while cluster.shared.mesh.queued(1) < 4_098 {
+            assert!(Instant::now() < deadline, "the install never queued");
+            std::thread::yield_now();
+        }
+        cluster.restart_node(down).unwrap();
+        assert_eq!(moved.recv_timeout(4 * timeout), Ok(Ok(true)));
+        for (object, state) in [(stranded, 1), (main, 2), (member, 3)] {
+            assert_eq!(cluster.location_of(object), Some(down));
+            assert_eq!(cluster.invoke(object, "get", &[]), Ok(vec![state]));
+        }
     }
 
     /// Under a manual clock a delayed call waits on the heap until the

@@ -2,7 +2,7 @@
 //!
 //! Where `oml-sim` *models* the distributed object system to measure policy
 //! behaviour, this crate *implements* it: every node is a state behind a
-//! bounded inbox, run by whichever thread delivers to it (a message to an
+//! unbounded inbox, run by whichever thread delivers to it (a message to an
 //! idle node runs on its sender's thread — a co-located call costs no
 //! hand-off, as in the paper's cost model),
 //! objects are linearized to bytes and shipped when they migrate, and the same

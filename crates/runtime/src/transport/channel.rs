@@ -1,4 +1,4 @@
-//! The in-process transport: a mesh of **bounded** per-node inboxes.
+//! The in-process transport: a mesh of **unbounded** per-node inboxes.
 //!
 //! This is the wire the [`crate::Cluster`] runs on, behind [`Transport`].
 //! Messages pass by ownership, so this transport carries the full in-memory
@@ -22,33 +22,27 @@
 //!
 //! What a thread answers (`answer`) once it runs a message that queued, or
 //! anything from the timer heap, is kept until the thread holds no node's
-//! state, or would sleep on a full inbox, or panics: a woken caller finds
-//! the node idle in its slot instead of queueing behind the thread that
-//! woke it. A sender's own run answers at once: a caller's own chain almost
-//! always answers itself.
+//! state, or panics: a woken caller finds the node idle in its slot instead
+//! of queueing behind the thread that woke it. A sender's own run answers
+//! at once: a caller's own chain almost always answers itself.
 //!
-//! # Backpressure policy (documented per path)
+//! # No sender waits
 //!
-//! * **Node inboxes** (this mesh): bounded at [`MeshConfig::capacity`].
-//!   Senders *block* up to [`MeshConfig::send_deadline_ms`], then fail
-//!   with [`TransportError::Backpressure`]; a blocked sender sleeps until
-//!   the pop that makes room wakes it. Blocking (rather than
-//!   dropping) preserves the delivery guarantees the protocol tests pin;
-//!   the deadline keeps a wedged node from propagating an unbounded
-//!   stall. The capacity default (4096) is ~70× the deepest queue any
-//!   chaos schedule in the suite produces.
+//! * **Node inboxes** (this mesh) are unbounded FIFOs: a send appends and
+//!   wakes a parked receiver, and never sleeps. A bound could only stall or
+//!   drop traffic the protocol promises to deliver: state transfer is never
+//!   lost (`fault.rs`), yet an `Install` that waited for room at a crashed
+//!   node would have to give up its closure, and whoever could make room (a
+//!   restart, the node's next tick, the sender's own caller) may be the
+//!   thread that would sleep. Real traffic stays shallow: the deepest inbox
+//!   measured over the integration tests, `repro check` and the
+//!   benchmark's mesh workloads is 14 messages. Only the socket transport,
+//!   whose peer can stop reading, bounds its queues.
 //! * **Reply slots** (`call`, one per call in `cluster.rs`): hold one
 //!   answer and never block whoever answers — an answer past its caller's
 //!   deadline is dropped. The calling thread reuses its slot from call to
 //!   call, and each call has a number of its own, so a late answer to an
 //!   abandoned call never satisfies the next one.
-//! * **Deadline-free sends**: a client call blocks until there is room; a
-//!   full inbox delays it further, which is indistinguishable from more
-//!   network delay. A delayed delivery the heap hands over joins the queue
-//!   even past capacity: it already waited on the heap, which has no bound
-//!   either, so this holds no extra memory and keeps each node's order —
-//!   and whoever serves the heap never sleeps on an inbox that only a
-//!   restart, or its own next tick, would pop.
 
 use super::{Transport, TransportError, TransportEvent};
 use crossbeam::channel::RecvTimeoutError;
@@ -64,28 +58,14 @@ use std::time::{Duration, Instant};
 /// inside the envelope.
 pub(crate) const MESH_ANON: u32 = u32::MAX;
 
-/// How long a deadline-free sender, or a thread waiting to take a state,
-/// sleeps before looking again: only a wake-up that went missing costs this.
+/// How long a thread waiting to take a state sleeps before looking again:
+/// only a wake-up that went missing costs this.
 const PARK: Duration = Duration::from_millis(100);
 
-/// Tuning for a [`ChannelMesh`].
-#[derive(Debug, Clone, Copy)]
-pub struct MeshConfig {
-    /// Per-node inbox capacity (messages).
-    pub capacity: usize,
-    /// How long a sender may block on a full inbox before
-    /// [`TransportError::Backpressure`].
-    pub send_deadline_ms: u64,
-}
-
-impl Default for MeshConfig {
-    fn default() -> Self {
-        MeshConfig {
-            capacity: 4096,
-            send_deadline_ms: 2_000,
-        }
-    }
-}
+/// Tuning for a [`ChannelMesh`]: nothing is tuned, since an inbox has no
+/// bound; the type stays while the benchmark names it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MeshConfig {}
 
 /// An endpoint's state: whoever holds it runs its messages, one at a time.
 pub(crate) trait Handler<M> {
@@ -100,14 +80,13 @@ pub(crate) trait Handler<M> {
     fn tick(&mut self);
 }
 
-/// A full mesh of bounded in-process inboxes: any holder may send to any
+/// A full mesh of unbounded in-process inboxes: any holder may send to any
 /// endpoint. `S` is the state each endpoint's messages run on; in a mesh
 /// built by [`ChannelMesh::new`] every slot holds `()` for good, so its
 /// endpoints simply queue and pop.
 #[derive(Debug)]
 pub struct ChannelMesh<M, S = ()> {
     inboxes: Vec<Inbox<M, S>>,
-    cfg: MeshConfig,
     closed: AtomicBool,
 }
 
@@ -118,9 +97,6 @@ struct Inbox<M, S> {
     slots: Mutex<Slots<M, S>>,
     /// Something to pop, or the state back for a thread waiting to take it.
     ready: Condvar,
-    /// Room in the queue.
-    room: Condvar,
-    capacity: usize,
 }
 
 #[derive(Debug)]
@@ -139,8 +115,6 @@ struct Slots<M, S> {
     /// A tick fell due while the state was out or claimed: whoever puts the
     /// state back runs it.
     due: bool,
-    /// Senders asleep on `room`.
-    senders_parked: usize,
 }
 
 type Guard<'a, M, S> = MutexGuard<'a, Slots<M, S>>;
@@ -159,40 +133,14 @@ impl<M, S> Inbox<M, S> {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Queues `msg` once there is room — waiting until `by`, or as long as
-    /// it takes without a deadline, or serving the heap not at all — then
-    /// wakes a parked receiver. `Err` hands `msg` back when `by` passed.
-    fn push<'a>(&'a self, mut s: Guard<'a, M, S>, msg: M, by: Option<Instant>) -> Result<(), M> {
-        while s.queue.len() >= self.capacity {
-            if KEPT.with_borrow(|kept| !kept.is_empty()) {
-                // whoever this thread answered may be the one to make room
-                drop(s);
-                put_out_kept();
-                s = self.lock();
-                continue;
-            }
-            let wait = match by.map(|d| d.saturating_duration_since(Instant::now())) {
-                // the heap's one deadline-free send: a delayed delivery
-                None if TIMER.get() => break,
-                None => PARK,
-                Some(left) if !left.is_zero() => left,
-                Some(_) => return Err(msg),
-            };
-            s.senders_parked += 1;
-            s = self
-                .room
-                .wait_timeout(s, wait)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-            s.senders_parked -= 1;
-        }
+    /// Queues `msg`, then wakes a parked receiver.
+    fn push(&self, mut s: Guard<'_, M, S>, msg: M) {
         s.queue.push_back(msg);
         let wake = s.parked > 0;
         drop(s);
         if wake {
             self.ready.notify_one();
         }
-        Ok(())
     }
 
     /// Sleeps on `ready` for up to `wait`.
@@ -205,18 +153,6 @@ impl<M, S> Inbox<M, S> {
             .0;
         s.parked -= 1;
         s
-    }
-
-    /// Pops the oldest message, releases the lock and wakes a sender the pop
-    /// made room for.
-    fn pop(&self, mut s: Guard<'_, M, S>) -> Option<M> {
-        let msg = s.queue.pop_front();
-        let wake = s.senders_parked > 0;
-        drop(s);
-        if wake {
-            self.room.notify_one();
-        }
-        msg
     }
 
     /// Ends a hold on the state and any claim on it: puts `state` back in
@@ -254,10 +190,10 @@ thread_local! {
 }
 
 /// Runs `serve` as a cluster's timer heap: meanwhile every answer this
-/// thread gives is kept until it holds no state, it may run a stale
-/// (unfenced) state's messages, and a full inbox takes a delivery at once.
-/// Afterwards — also after a panic — it is what it was before, and puts out
-/// what it kept unless it is inside a step, whose end does.
+/// thread gives is kept until it holds no state, and it may run a stale
+/// (unfenced) state's messages. Afterwards — also after a panic — it is
+/// what it was before, and puts out what it kept unless it is inside a
+/// step, whose end does.
 pub(crate) fn serving_heap<R>(serve: impl FnOnce() -> R) -> R {
     struct Restore(bool, bool);
     impl Drop for Restore {
@@ -499,7 +435,9 @@ impl<'a, M: Send + 'static, S: Handler<M> + Send + 'static> Step<'a, M, S> {
                     if s.claimed > 0 || !s.queue.is_empty() {
                         KEEP.set(KEEP.get() || s.claimed == 0);
                         s.claimed = s.claimed.saturating_sub(1);
-                        if let Some(msg) = inbox.pop(s) {
+                        let msg = s.queue.pop_front();
+                        drop(s);
+                        if let Some(msg) = msg {
                             state.deliver(msg);
                         }
                         continue;
@@ -541,10 +479,10 @@ impl<M: Send + 'static, S: Handler<M> + Send + 'static> Drop for Step<'_, M, S> 
 }
 
 impl<M: Send> ChannelMesh<M> {
-    /// A mesh of `n` endpoints under `cfg`.
+    /// A mesh of `n` endpoints; [`MeshConfig`] tunes nothing.
     #[must_use]
-    pub fn new(n: u32, cfg: MeshConfig) -> Self {
-        let mesh = Self::owned(n, cfg);
+    pub fn new(n: u32, _: MeshConfig) -> Self {
+        let mesh = Self::owned(n);
         mesh.inboxes
             .iter()
             .for_each(|inbox| inbox.lock().state = Some(Box::new(())));
@@ -555,7 +493,7 @@ impl<M: Send> ChannelMesh<M> {
 impl<M: Send, S: Send> ChannelMesh<M, S> {
     /// A mesh whose slots start empty: an endpoint runs nothing before a
     /// [`ChannelMesh::put`] puts its state in.
-    pub(crate) fn owned(n: u32, cfg: MeshConfig) -> Self {
+    pub(crate) fn owned(n: u32) -> Self {
         let inbox = || Inbox {
             slots: Mutex::new(Slots {
                 queue: VecDeque::new(),
@@ -564,15 +502,11 @@ impl<M: Send, S: Send> ChannelMesh<M, S> {
                 claimed: 0,
                 parked: 0,
                 due: false,
-                senders_parked: 0,
             }),
             ready: Condvar::new(),
-            room: Condvar::new(),
-            capacity: cfg.capacity.max(1),
         };
         ChannelMesh {
             inboxes: (0..n).map(|_| inbox()).collect(),
-            cfg,
             closed: AtomicBool::new(false),
         }
     }
@@ -642,11 +576,10 @@ impl<M: Send + 'static, S: Send + 'static> ChannelMesh<M, S> {
     /// takes an idle, current state if nothing is queued, to run `msg` at
     /// once — or after the step this thread is in. A message for an
     /// endpoint this thread claimed and has not run joins the claim if
-    /// nothing queued there since. Anything else queues, for as long as the
-    /// inbox is full if `patient` (serving the heap, past a full inbox at
-    /// once), else up to the send deadline; behind a state in its slot that
-    /// no sender may run (a stale one), it waits for the heap's next tick.
-    pub(crate) fn hand(&self, to: u32, msg: M, patient: bool) -> Result<(), TransportError>
+    /// nothing queued there since. Anything else queues; behind a state in
+    /// its slot that no sender may run (a stale one), it waits for the
+    /// heap's next tick.
+    pub(crate) fn hand(&self, to: u32, msg: M)
     where
         S: Handler<M>,
     {
@@ -658,7 +591,7 @@ impl<M: Send + 'static, S: Send + 'static> ChannelMesh<M, S> {
         if mine && s.claimed == s.queue.len() {
             s.claimed += 1;
             s.queue.push_back(msg);
-            return Ok(());
+            return;
         }
         if (here == 0 || in_step)
             && s.queue.is_empty()
@@ -678,15 +611,9 @@ impl<M: Send + 'static, S: Send + 'static> ChannelMesh<M, S> {
                 }
                 step.drain();
             }
-            return Ok(());
+            return;
         }
-        let deadline =
-            (!patient).then(|| Instant::now() + Duration::from_millis(self.cfg.send_deadline_ms));
-        inbox
-            .push(s, msg, deadline)
-            .map_err(|_| TransportError::Backpressure {
-                waited_ms: self.cfg.send_deadline_ms,
-            })
+        inbox.push(s, msg);
     }
 }
 
@@ -702,12 +629,8 @@ impl<M: Send, S: Send> Transport<M> for ChannelMesh<M, S> {
         let Some(inbox) = self.inboxes.get(to as usize) else {
             return Err(TransportError::Down { peer: to });
         };
-        let deadline = Instant::now() + Duration::from_millis(self.cfg.send_deadline_ms);
-        inbox
-            .push(inbox.lock(), msg, Some(deadline))
-            .map_err(|_| TransportError::Backpressure {
-                waited_ms: self.cfg.send_deadline_ms,
-            })
+        inbox.push(inbox.lock(), msg);
+        Ok(())
     }
 
     /// Pops the oldest message at `at` (a pull mesh's state never leaves).
@@ -728,7 +651,9 @@ impl<M: Send, S: Send> Transport<M> for ChannelMesh<M, S> {
             }
             s = inbox.sleep(s, left);
         }
-        match inbox.pop(s) {
+        let msg = s.queue.pop_front();
+        drop(s);
+        match msg {
             Some(msg) => Ok(TransportEvent::Delivery {
                 from: MESH_ANON,
                 epoch: 0,
@@ -773,26 +698,6 @@ mod tests {
     }
 
     #[test]
-    fn full_inbox_fails_with_backpressure_not_forever() {
-        let mesh: ChannelMesh<u64> = ChannelMesh::new(
-            1,
-            MeshConfig {
-                capacity: 2,
-                send_deadline_ms: 30,
-            },
-        );
-        mesh.send(0, 1).unwrap();
-        mesh.send(0, 2).unwrap();
-        let start = Instant::now();
-        let err = mesh.send(0, 3).unwrap_err();
-        assert!(matches!(err, TransportError::Backpressure { .. }), "{err}");
-        assert!(start.elapsed() < Duration::from_secs(2));
-        // draining frees capacity again
-        let _ = mesh.recv_timeout(0, Duration::from_millis(50)).unwrap();
-        mesh.send(0, 3).unwrap();
-    }
-
-    #[test]
     fn recv_times_out_and_close_is_observed() {
         let mesh: ChannelMesh<u64> = ChannelMesh::new(1, MeshConfig::default());
         let err = mesh.recv_timeout(0, Duration::from_millis(10)).unwrap_err();
@@ -808,26 +713,6 @@ mod tests {
             assert!(Instant::now() < deadline, "never happened");
             thread::yield_now();
         }
-    }
-
-    /// A sender blocked on a full inbox sleeps on a condvar until the pop
-    /// that makes room, not in a poll.
-    #[test]
-    fn a_blocked_sender_is_woken_by_the_pop_that_makes_room() {
-        let cfg = MeshConfig {
-            capacity: 1,
-            send_deadline_ms: 60_000,
-        };
-        let mesh: ChannelMesh<u64> = ChannelMesh::new(1, cfg);
-        mesh.send(0, 1).unwrap();
-        thread::scope(|scope| {
-            let sender = scope.spawn(|| mesh.send(0, 2));
-            until(|| mesh.inboxes[0].lock().senders_parked == 1);
-            let _ = mesh.recv_timeout(0, Duration::from_secs(1)).unwrap();
-            sender.join().unwrap().unwrap();
-        });
-        assert_eq!(mesh.queued(0), 1);
-        assert_eq!(mesh.inboxes[0].lock().senders_parked, 0);
     }
 
     /// What the test endpoints ran, in order: each message's label (`tick`
@@ -875,12 +760,8 @@ mod tests {
 
     /// `n` endpoints sharing one log, each state in its slot.
     fn probes(n: u32) -> (Arc<Probes>, Log) {
-        probes_under(n, MeshConfig::default())
-    }
-
-    fn probes_under(n: u32, cfg: MeshConfig) -> (Arc<Probes>, Log) {
         let log = Log::default();
-        let mesh = Probes::owned(n, cfg);
+        let mesh = Probes::owned(n);
         for at in 0..n {
             let probe = Probe {
                 log: Arc::clone(&log),
@@ -913,12 +794,11 @@ mod tests {
         let (mesh, log) = probes(1);
         let m = Arc::clone(&mesh);
         let send_2_and_3 = move |_: &mut Probe| {
-            m.hand(0, msg("2"), true).unwrap();
-            thread::scope(|scope| drop(scope.spawn(|| m.hand(0, msg("3"), true).unwrap())));
+            m.hand(0, msg("2"));
+            thread::scope(|scope| drop(scope.spawn(|| m.hand(0, msg("3")))));
             assert_eq!(m.queued(0), 2, "the state is out: 2 and 3 queue");
         };
-        mesh.hand(0, Msg("1", Box::new(send_2_and_3)), true)
-            .unwrap();
+        mesh.hand(0, Msg("1", Box::new(send_2_and_3)));
         let me = thread::current().id();
         assert_eq!(*log.lock().unwrap(), [("1", me), ("2", me), ("3", me)]);
         assert!(all_in_their_slots(&mesh));
@@ -936,8 +816,8 @@ mod tests {
             let state = s.state.as_mut().unwrap();
             (state.stale, state.fenced) = (true, fenced);
         }
-        mesh.hand(0, msg("1"), true).unwrap();
-        mesh.hand(1, msg("2"), true).unwrap();
+        mesh.hand(0, msg("1"));
+        mesh.hand(1, msg("2"));
         assert_eq!((mesh.queued(0), mesh.queued(1)), (1, 1));
         assert!(log.lock().unwrap().is_empty());
         serving_heap(|| {
@@ -949,7 +829,7 @@ mod tests {
         assert!(mesh.inboxes[1].lock().state.is_none(), "not dropped");
         assert_eq!(mesh.queued(1), 1);
         // the role ends with the heap run: a stale state queues again
-        mesh.hand(0, msg("2"), true).unwrap();
+        mesh.hand(0, msg("2"));
         assert_eq!(mesh.queued(0), 1);
     }
 
@@ -964,8 +844,7 @@ mod tests {
             thread::scope(|scope| drop(scope.spawn(|| m.tick(0))));
             assert!(m.inboxes[0].lock().due);
         };
-        mesh.hand(0, Msg("run", Box::new(tick_meanwhile)), true)
-            .unwrap();
+        mesh.hand(0, Msg("run", Box::new(tick_meanwhile)));
         let me = thread::current().id();
         assert_eq!(*log.lock().unwrap(), [("run", me), ("tick", me)]);
         let ticker = thread::scope(|scope| scope.spawn(|| mesh.tick(0)).thread().id());
@@ -981,11 +860,11 @@ mod tests {
         let (mesh, log) = probes(2);
         let m = Arc::clone(&mesh);
         let send = move |_: &mut Probe| {
-            m.hand(1, msg("a"), false).unwrap();
-            m.hand(1, msg("b"), false).unwrap();
+            m.hand(1, msg("a"));
+            m.hand(1, msg("b"));
             assert_eq!(m.inboxes[1].lock().claimed, 2, "b joined a's claim");
         };
-        mesh.hand(0, Msg("step", Box::new(send)), true).unwrap();
+        mesh.hand(0, Msg("step", Box::new(send)));
         let me = thread::current().id();
         assert_eq!(*log.lock().unwrap(), [("step", me), ("a", me), ("b", me)]);
         assert!(all_in_their_slots(&mesh));
@@ -999,12 +878,12 @@ mod tests {
         let (mesh, log) = probes(2);
         let m = Arc::clone(&mesh);
         let send = move |_: &mut Probe| {
-            m.hand(1, msg("claimed"), false).unwrap();
-            thread::scope(|scope| drop(scope.spawn(|| m.hand(1, msg("queued"), true).unwrap())));
-            m.hand(1, msg("after"), false).unwrap();
+            m.hand(1, msg("claimed"));
+            thread::scope(|scope| drop(scope.spawn(|| m.hand(1, msg("queued")))));
+            m.hand(1, msg("after"));
             assert_eq!(m.inboxes[1].lock().claimed, 1, "after joined the claim");
         };
-        mesh.hand(0, Msg("step", Box::new(send)), true).unwrap();
+        mesh.hand(0, Msg("step", Box::new(send)));
         assert_eq!(mesh.queued(1), 0);
         assert_eq!(labels(&log), ["step", "claimed", "queued", "after"]);
     }
@@ -1018,12 +897,12 @@ mod tests {
         let (mesh, log) = probes(2);
         let m = Arc::clone(&mesh);
         let send = move |_: &mut Probe| {
-            m.hand(1, msg("claimed"), false).unwrap();
-            m.hand(1, msg("joined"), false).unwrap();
-            thread::scope(|scope| drop(scope.spawn(|| m.hand(1, msg("queued"), true).unwrap())));
+            m.hand(1, msg("claimed"));
+            m.hand(1, msg("joined"));
+            thread::scope(|scope| drop(scope.spawn(|| m.hand(1, msg("queued")))));
             panic!("a handler failed");
         };
-        let run = AssertUnwindSafe(|| mesh.hand(0, Msg("step", Box::new(send)), true));
+        let run = AssertUnwindSafe(|| mesh.hand(0, Msg("step", Box::new(send))));
         assert!(std::panic::catch_unwind(run).is_err());
         assert!(all_in_their_slots(&mesh));
         assert!(CLAIMS.with_borrow(VecDeque::is_empty));
@@ -1082,10 +961,10 @@ mod tests {
             let m = Arc::clone(&mesh);
             let run = move |probe: &mut Probe| {
                 first(probe);
-                m.hand(1, Msg("claimed", claimed), false).unwrap();
+                m.hand(1, Msg("claimed", claimed));
             };
             let state = mesh.take(0);
-            mesh.hand(0, Msg("answer", Box::new(run)), true).unwrap();
+            mesh.hand(0, Msg("answer", Box::new(run)));
             mesh.put(0, state);
         });
         assert_eq!(labels(&log), ["answer", "claimed"]);
@@ -1108,11 +987,11 @@ mod tests {
         let m = Arc::clone(&mesh);
         let run = move |_: &mut Probe| {
             answer(reply, ());
-            m.hand(1, msg("claimed"), false).unwrap();
+            m.hand(1, msg("claimed"));
             panic!("a handler failed");
         };
         let state = mesh.take(0);
-        mesh.hand(0, Msg("step", Box::new(run)), true).unwrap();
+        mesh.hand(0, Msg("step", Box::new(run)));
         thread::scope(|scope| {
             let caller = scope.spawn(|| answered.recv_timeout(Duration::from_secs(1)));
             let put = AssertUnwindSafe(|| mesh.put(0, state));
@@ -1123,40 +1002,6 @@ mod tests {
         assert!(CLAIMS.with_borrow(VecDeque::is_empty));
         mesh.tick(1);
         assert_eq!(labels(&log), ["claimed", "tick"]);
-    }
-
-    /// A thread that kept an answer wakes its caller before it sleeps on a
-    /// full inbox: the caller has its answer while the send is still
-    /// blocked, since only the caller's pop makes room for it.
-    #[test]
-    fn a_releaser_wakes_whom_it_answered_before_it_sleeps_on_a_full_inbox() {
-        let cfg = MeshConfig {
-            capacity: 1,
-            send_deadline_ms: 60_000,
-        };
-        let (mesh, log) = probes_under(2, cfg);
-        // endpoint 1's state is out and its one place taken
-        let state_1 = mesh.take(1);
-        mesh.hand(1, msg("first"), true).unwrap();
-        let (reply, answered) = call();
-        let m = Arc::clone(&mesh);
-        let run = move |_: &mut Probe| {
-            answer(reply, ());
-            m.hand(1, msg("second"), false).unwrap();
-        };
-        let state_0 = mesh.take(0);
-        mesh.hand(0, Msg("step", Box::new(run)), true).unwrap();
-        thread::scope(|scope| {
-            let caller = scope.spawn(|| {
-                let answer = answered.recv_timeout(Duration::from_secs(2));
-                let inbox = &mesh.inboxes[1];
-                (answer, inbox.pop(inbox.lock()).map(|Msg(label, _)| label))
-            });
-            mesh.put(0, state_0);
-            assert_eq!(caller.join().unwrap(), (Ok(()), Some("first")));
-        });
-        mesh.put(1, state_1);
-        assert_eq!(labels(&log), ["step", "second"]);
     }
 
     /// A heap run inside a step — a node's send delayed past shutdown —
@@ -1174,7 +1019,7 @@ mod tests {
             assert!(now.is_err(), "put out inside the step");
         };
         let state = mesh.take(0);
-        mesh.hand(0, Msg("step", Box::new(run)), true).unwrap();
+        mesh.hand(0, Msg("step", Box::new(run)));
         mesh.put(0, state);
         assert_eq!(answered.recv_timeout(Duration::ZERO), Ok(()));
         assert_eq!(labels(&log), ["step"]);

@@ -8,8 +8,8 @@
 //! terms of *send to peer N* and *receive the next event*, and the
 //! [`Transport`] trait is that seam. Two production implementations exist:
 //!
-//! * [`channel::ChannelMesh`] — the in-process mesh of **bounded** per-node
-//!   inboxes the [`crate::Cluster`] runs on; a message to an idle node
+//! * [`channel::ChannelMesh`] — the in-process mesh of **unbounded**
+//!   per-node inboxes the [`crate::Cluster`] runs on; a message to an idle node
 //!   runs on its sender's thread instead of queueing. Messages are passed
 //!   by ownership, so this transport carries the full in-memory `Envelope`
 //!   (live trait objects, reply-slot handles).
@@ -37,14 +37,15 @@
 //!   the order frames were accepted in is the order they are written in. A
 //!   write that fails keeps its batch at the head of that queue, and the
 //!   next session starts by writing the queue out.
-//! * **Bounded backpressure**: each destination has a bounded outbound
-//!   queue. [`Transport::send`] blocks up to the transport's configured
-//!   send deadline when the queue is full, then fails with
-//!   [`TransportError::Backpressure`] — it never buffers unboundedly and
-//!   never blocks forever. A socket sender that ends up writing is bounded
-//!   by the write deadline instead; `Ok` means the frame is queued (and,
-//!   when the link was up and idle, already written), never that the peer
-//!   has it.
+//! * **Bounded waiting**: no send blocks forever, and the channel mesh's
+//!   never blocks: its inboxes are unbounded ([`channel`], "No sender
+//!   waits"). The socket transport, whose peer can stop reading, keeps
+//!   bounded backpressure: each destination has a bounded outbound queue,
+//!   and [`Transport::send`] blocks up to the configured send deadline
+//!   when it is full, then fails with [`TransportError::Backpressure`]. A
+//!   socket sender that ends up writing is bounded by the write deadline
+//!   instead; `Ok` means the frame is queued (and, when the link was up and
+//!   idle, already written), never that the peer has it.
 //! * **Fencing at the edge**: the socket transport authenticates every
 //!   connection with a `Hello{node, incarnation}` handshake; an
 //!   incarnation older than the coordinator's table is refused at accept
@@ -186,11 +187,12 @@ pub trait Transport<M: Send>: Send + Sync {
     /// Number of addressable peers (`0..peers()` are valid `to` values).
     fn peers(&self) -> u32;
 
-    /// Queues `msg` for `to` under bounded backpressure. Blocks at most
-    /// the transport's configured send deadline.
+    /// Queues `msg` for `to`. The channel mesh never blocks; the socket
+    /// transport blocks at most its configured send deadline on a full
+    /// outbound queue (bounded backpressure).
     ///
     /// # Errors
-    /// [`TransportError::Backpressure`] if the peer's queue stayed full,
+    /// [`TransportError::Backpressure`] if a socket peer's queue stayed full,
     /// [`TransportError::Down`] / [`TransportError::Fenced`] /
     /// [`TransportError::Closed`] per the link's supervised state.
     fn send(&self, to: u32, msg: M) -> Result<(), TransportError>;

@@ -8,36 +8,12 @@
 use std::time::Duration;
 
 use oml_check::EventKind;
-use oml_core::ids::NodeId;
 use oml_core::policy::PolicyKind;
 use oml_runtime::wire::{WireReader, WireWriter};
-use oml_runtime::{Cluster, MobileObject, RuntimeError};
+use oml_runtime::{Cluster, RuntimeError};
 
-struct Counter(u64);
-
-impl MobileObject for Counter {
-    fn type_tag(&self) -> &'static str {
-        "counter"
-    }
-    fn invoke(&mut self, method: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-        match method {
-            "add" => {
-                let mut r = WireReader::new(payload);
-                self.0 += r.u64()?;
-                Ok(WireWriter::new().u64(self.0).finish().to_vec())
-            }
-            "get" => Ok(WireWriter::new().u64(self.0).finish().to_vec()),
-            other => Err(format!("no such method: {other}")),
-        }
-    }
-    fn linearize(&self) -> Vec<u8> {
-        WireWriter::new().u64(self.0).finish().to_vec()
-    }
-}
-
-fn n(i: u32) -> NodeId {
-    NodeId::new(i)
-}
+mod common;
+use common::{n, register_counter, Counter};
 
 #[test]
 fn partition_blocks_forwards_until_healed() {
@@ -49,10 +25,7 @@ fn partition_blocks_forwards_until_healed() {
         .invoke_retries(0)
         .trace()
         .build();
-    cluster.register_type("counter", |bytes| {
-        let mut r = WireReader::new(bytes);
-        Box::new(Counter(r.u64().expect("valid counter state")))
-    });
+    register_counter(&cluster);
     let obj = cluster.create(n(0), Box::new(Counter(7))).unwrap();
     {
         let g = cluster.move_block(obj, n(1)).unwrap();
@@ -98,10 +71,7 @@ fn crash_preserves_state_and_restart_recovers_it() {
         .call_timeout(Duration::from_millis(60))
         .invoke_retries(0)
         .build();
-    cluster.register_type("counter", |bytes| {
-        let mut r = WireReader::new(bytes);
-        Box::new(Counter(r.u64().expect("valid counter state")))
-    });
+    register_counter(&cluster);
     let obj = cluster.create(n(1), Box::new(Counter(0))).unwrap();
     let out = cluster
         .invoke(obj, "add", &WireWriter::new().u64(5).finish())

@@ -8,43 +8,13 @@
 use std::time::Duration;
 
 use oml_check::{check_trace, EventKind};
-use oml_core::ids::{NodeId, ObjectId};
+use oml_core::ids::ObjectId;
 use oml_core::policy::PolicyKind;
-use oml_runtime::wire::{WireReader, WireWriter};
+use oml_runtime::wire::WireWriter;
 use oml_runtime::{Cluster, MobileObject, RuntimeError};
 
-struct Counter(u64);
-
-impl MobileObject for Counter {
-    fn type_tag(&self) -> &'static str {
-        "counter"
-    }
-    fn invoke(&mut self, method: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
-        match method {
-            "add" => {
-                let mut r = WireReader::new(payload);
-                self.0 += r.u64()?;
-                Ok(WireWriter::new().u64(self.0).finish().to_vec())
-            }
-            "get" => Ok(WireWriter::new().u64(self.0).finish().to_vec()),
-            other => Err(format!("no such method: {other}")),
-        }
-    }
-    fn linearize(&self) -> Vec<u8> {
-        WireWriter::new().u64(self.0).finish().to_vec()
-    }
-}
-
-fn n(i: u32) -> NodeId {
-    NodeId::new(i)
-}
-
-fn register_counter(cluster: &Cluster) {
-    cluster.register_type("counter", |bytes| {
-        let mut r = WireReader::new(bytes);
-        Box::new(Counter(r.u64().expect("valid counter state")))
-    });
-}
+mod common;
+use common::{n, register_counter, Counter};
 
 #[test]
 fn fault_free_migrations_leave_a_clean_trace() {
